@@ -4,42 +4,37 @@
 //  (a) dictionary defragmentation + sub-dictionary skipping on/off
 //      -> Phase II time and the fraction of sub-dictionaries inspected;
 //  (b) full-edge reduction on/off -> surviving edge count after merging;
-//  (c) pseudo random partitioning vs one monolithic partition
+//  (d) pseudo random partitioning vs one monolithic partition
 //      -> Phase II task balance;
-//  (e) batched per-cell vs per-point Phase II query kernel
-//      -> Phase II time plus the scan/early-exit counters;
-//  (f) Phase II candidate enumeration: lattice-stencil hash probes vs
-//      tree descent vs per-point -> Phase II time plus probe/hit counters.
+//  (f) Phase II candidate enumeration: lattice-stencil walk vs kd-tree
+//      descent -> Phase II time plus probe/hit counters.
 //
 // All variants must produce the identical clustering (asserted in tests);
-// this harness measures only their cost profile. Sections (a)-(e) pin the
-// tree enumeration engine — skipping, index choice and batching only
-// exist on that path; section (f) prices the enumeration itself.
+// this harness measures only their cost profile. RunRpDbscan walks the
+// stencil on this 2-d data, and skipping only exists on the kd-tree path,
+// so section (a) and the kd-tree row of (f) run the stages directly on a
+// dictionary built without a stencil (max_stencil_offsets = 0).
 
 #include <cstdio>
 
 #include "bench_common.h"
+#include "core/phase2.h"
 #include "core/rp_dbscan.h"
 #include "parallel/cluster_model.h"
+#include "util/stopwatch.h"
 
 namespace rpdbscan {
 namespace bench {
 namespace {
 
-RunStats RunVariant(const Dataset& ds, double eps, bool defrag, bool skip,
-                    bool reduce, size_t partitions, bool rtree = false,
-                    bool batched = true, bool stencil = false) {
+RunStats RunVariant(const Dataset& ds, double eps, bool reduce,
+                    size_t partitions) {
   RpDbscanOptions o;
   o.eps = eps;
   o.min_pts = kMinPts;
   o.num_threads = kThreads;
   o.num_partitions = partitions;
-  o.defragment_dictionary = defrag;
-  o.subdictionary_skipping = skip;
   o.reduce_edges = reduce;
-  o.use_rtree_index = rtree;
-  o.batched_queries = batched;
-  o.stencil_queries = stencil;
   auto r = RunRpDbscan(ds, o);
   if (!r.ok()) {
     std::fprintf(stderr, "variant failed: %s\n",
@@ -47,6 +42,39 @@ RunStats RunVariant(const Dataset& ds, double eps, bool defrag, bool skip,
     return RunStats();
   }
   return r->stats;
+}
+
+/// Phase II on the kd-tree engine over 32 partitions, with defragmentation
+/// and skipping both on or both off. Sets *seconds to the Phase II wall
+/// time.
+Phase2Result TreePhase2(const Dataset& ds, double eps, bool defrag_and_skip,
+                        double* seconds) {
+  *seconds = 0;
+  const RpDbscanOptions defaults;
+  auto geom = GridGeometry::Create(ds.dim(), eps, defaults.rho);
+  ThreadPool pool(kThreads);
+  auto cells =
+      geom.ok() ? CellSet::Build(ds, *geom, 32, defaults.seed, &pool)
+                : StatusOr<CellSet>(geom.status());
+  if (!cells.ok()) {
+    std::fprintf(stderr, "variant failed: %s\n",
+                 cells.status().ToString().c_str());
+    return Phase2Result();
+  }
+  CellDictionaryOptions opts;
+  opts.defragment = defrag_and_skip;
+  opts.enable_skipping = defrag_and_skip;
+  opts.max_stencil_offsets = 0;
+  auto dict = CellDictionary::Build(ds, *cells, opts, &pool);
+  if (!dict.ok()) {
+    std::fprintf(stderr, "variant failed: %s\n",
+                 dict.status().ToString().c_str());
+    return Phase2Result();
+  }
+  Stopwatch watch;
+  Phase2Result r = BuildSubgraphs(ds, *cells, *dict, kMinPts, pool);
+  *seconds = watch.ElapsedSeconds();
+  return r;
 }
 
 void Run() {
@@ -59,15 +87,16 @@ void Run() {
   std::printf("%-28s %12s %14s\n", "variant", "phase2(s)",
               "subdict visit%");
   for (const bool on : {true, false}) {
-    const RunStats s = RunVariant(osm.data, eps, on, on, true, 32);
+    double seconds = 0;
+    const Phase2Result r = TreePhase2(osm.data, eps, on, &seconds);
     const double pct =
-        s.subdict_possible > 0
-            ? 100.0 * static_cast<double>(s.subdict_visited) /
-                  static_cast<double>(s.subdict_possible)
+        r.subdict_possible > 0
+            ? 100.0 * static_cast<double>(r.subdict_visited) /
+                  static_cast<double>(r.subdict_possible)
             : 100.0;
     std::printf("%-28s %12.3f %13.1f%%\n",
-                on ? "defrag+skip ON" : "monolithic, no skip",
-                s.phase2_seconds, pct);
+                on ? "defrag+skip ON" : "monolithic, no skip", seconds,
+                pct);
     std::fflush(stdout);
   }
 
@@ -75,7 +104,7 @@ void Run() {
   std::printf("%-28s %14s %14s\n", "variant", "edges round0",
               "edges final");
   for (const bool on : {true, false}) {
-    const RunStats s = RunVariant(osm.data, eps, true, true, on, 32);
+    const RunStats s = RunVariant(osm.data, eps, on, 32);
     std::printf("%-28s %14zu %14zu\n",
                 on ? "reduction ON" : "reduction OFF",
                 s.edges_per_round.empty() ? 0 : s.edges_per_round.front(),
@@ -83,21 +112,11 @@ void Run() {
     std::fflush(stdout);
   }
 
-  std::printf("\n(c) candidate-cell index (Lemma 5.6)\n");
-  std::printf("%-28s %12s %12s\n", "variant", "dict(s)", "phase2(s)");
-  for (const bool rtree : {false, true}) {
-    const RunStats s = RunVariant(osm.data, eps, true, true, true, 32,
-                                  rtree);
-    std::printf("%-28s %12.3f %12.3f\n", rtree ? "R-tree" : "kd-tree",
-                s.dictionary_seconds, s.phase2_seconds);
-    std::fflush(stdout);
-  }
-
   std::printf(
       "\n(d) partition granularity (cells spread over k partitions)\n");
   std::printf("%-28s %12s %12s\n", "variant", "total(s)", "imbalance");
   for (const size_t parts : {1, 8, 32, 128}) {
-    const RunStats s = RunVariant(osm.data, eps, true, true, true, parts);
+    const RunStats s = RunVariant(osm.data, eps, true, parts);
     char name[32];
     std::snprintf(name, sizeof(name), "k = %zu", parts);
     std::printf("%-28s %12.3f %12.2f\n", name, s.total_seconds,
@@ -105,42 +124,22 @@ void Run() {
     std::fflush(stdout);
   }
 
-  std::printf("\n(e) Phase II query kernel (batched vs per-point)\n");
-  std::printf("%-28s %12s %14s %12s\n", "variant", "phase2(s)",
-              "cells scanned", "early exits");
-  for (const bool batched : {true, false}) {
-    const RunStats s =
-        RunVariant(osm.data, eps, true, true, true, 32, false, batched);
-    std::printf("%-28s %12.3f %14zu %12zu\n",
-                batched ? "batched QueryCell" : "per-point Query",
-                s.phase2_seconds, s.candidate_cells_scanned, s.early_exits);
-    std::fflush(stdout);
-  }
-
   std::printf(
-      "\n(f) Phase II candidate enumeration (stencil vs tree vs "
-      "per-point)\n");
+      "\n(f) Phase II candidate enumeration (stencil vs kd-tree)\n");
   std::printf("%-28s %12s %14s %12s\n", "variant", "phase2(s)",
               "stencil probes", "hit-rate");
-  struct EngineRow {
-    const char* name;
-    bool batched;
-    bool stencil;
-  };
-  for (const EngineRow row : {EngineRow{"lattice stencil", true, true},
-                              EngineRow{"batched tree", true, false},
-                              EngineRow{"per-point Query", false, false}}) {
-    const RunStats s = RunVariant(osm.data, eps, true, true, true, 32,
-                                  false, row.batched, row.stencil);
-    const double hit_rate =
-        s.stencil_probes > 0
-            ? static_cast<double>(s.stencil_hits) /
-                  static_cast<double>(s.stencil_probes)
-            : 0.0;
-    std::printf("%-28s %12.3f %14zu %11.1f%%\n", row.name,
-                s.phase2_seconds, s.stencil_probes, 100.0 * hit_rate);
-    std::fflush(stdout);
-  }
+  const RunStats s = RunVariant(osm.data, eps, true, 32);
+  const double hit_rate =
+      s.stencil_probes > 0 ? static_cast<double>(s.stencil_hits) /
+                                 static_cast<double>(s.stencil_probes)
+                           : 0.0;
+  std::printf("%-28s %12.3f %14zu %11.1f%%\n", "lattice stencil",
+              s.phase2_seconds, s.stencil_probes, 100.0 * hit_rate);
+  double tree_seconds = 0;
+  TreePhase2(osm.data, eps, true, &tree_seconds);
+  std::printf("%-28s %12.3f %14d %11.1f%%\n", "kd-tree descent",
+              tree_seconds, 0, 0.0);
+  std::fflush(stdout);
 }
 
 }  // namespace

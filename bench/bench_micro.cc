@@ -59,13 +59,12 @@ void BM_CellSetBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CellSetBuild)->Unit(benchmark::kMillisecond);
 
-// ---- Phase I-1 build engines, head to head. ----
+// ---- Phase I-1 build. ----
 //
-// Sorted CSR grouping (key encode + radix sort + CSR emit) vs the seed
-// hash-map scan, on the skewed GeoLife-like generator at two sizes. A
-// single-thread pool isolates the algorithmic win (fewer allocations, no
-// pointer chasing) from parallel speedup — the 1-vCPU regime this
-// repository targets. Honors RPDBSCAN_BENCH_SCALE for run_bench.sh.
+// Sorted CSR grouping (key encode + radix sort + CSR emit) on the skewed
+// GeoLife-like generator at two sizes, with the per-stage breakdown as
+// counters. A single-thread pool measures the algorithm, not parallel
+// speedup. Honors RPDBSCAN_BENCH_SCALE for run_bench.sh.
 
 const Dataset& Phase1Data(size_t n) {
   static auto* cache = new std::map<size_t, Dataset>();
@@ -76,7 +75,7 @@ const Dataset& Phase1Data(size_t n) {
   return it->second;
 }
 
-void BM_Phase1Build(benchmark::State& state, bool sorted) {
+void BM_Phase1Build(benchmark::State& state) {
   const Dataset& ds = Phase1Data(static_cast<size_t>(state.range(0)));
   auto geom = GridGeometry::Create(3, 2.0, 0.01);
   ThreadPool pool(1);
@@ -84,7 +83,7 @@ void BM_Phase1Build(benchmark::State& state, bool sorted) {
   double sort_s = 0;
   double scatter_s = 0;
   for (auto _ : state) {
-    auto cells = CellSet::Build(ds, *geom, 32, 7, &pool, sorted);
+    auto cells = CellSet::Build(ds, *geom, 32, 7, &pool);
     benchmark::DoNotOptimize(cells->num_cells());
     key_s = cells->breakdown().key_seconds;
     sort_s = cells->breakdown().sort_seconds;
@@ -95,11 +94,7 @@ void BM_Phase1Build(benchmark::State& state, bool sorted) {
   state.counters["sort_seconds"] = sort_s;
   state.counters["scatter_seconds"] = scatter_s;
 }
-BENCHMARK_CAPTURE(BM_Phase1Build, sorted, true)
-    ->Arg(40000)
-    ->Arg(160000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Phase1Build, hashmap, false)
+BENCHMARK(BM_Phase1Build)
     ->Arg(40000)
     ->Arg(160000)
     ->Unit(benchmark::kMillisecond);
@@ -146,10 +141,10 @@ BENCHMARK(BM_KdTreeRadius);
 
 // ---- Phase II query kernels, head to head. ----
 //
-// Same pipeline state, same output, three engines: the reference
-// per-point (eps,rho)-region Query, the batched per-cell QueryCell kernel
-// with tree-based candidate enumeration, and the batched kernel with
-// lattice-stencil hash-probe enumeration. Run on the GeoLife-like skewed
+// Same cells, same output, two candidate engines: the batched per-cell
+// kernel over kd-tree descent (a dictionary built without a stencil) and
+// over the precomputed lattice-stencil neighborhoods, plus the stencil
+// engine with the scalar kernels forced. Run on the GeoLife-like skewed
 // generator (the workload where dense cells make per-cell batching matter
 // most) at the bench_common defaults. Honors RPDBSCAN_BENCH_SCALE so
 // tools/run_bench.sh can smoke-test it.
@@ -158,6 +153,7 @@ struct Phase2Fixture {
   Dataset data;
   StatusOr<CellSet> cells = Status::Internal("unset");
   StatusOr<CellDictionary> dict = Status::Internal("unset");
+  StatusOr<CellDictionary> tree_dict = Status::Internal("unset");
   double eps = 0;
 
   Phase2Fixture(Dataset ds, double eps_in) : data(std::move(ds)), eps(eps_in) {
@@ -173,11 +169,9 @@ struct Phase2Fixture {
     // setting for its equivalence sweeps.
     CellDictionaryOptions dopts;
     dopts.max_cells_per_subdict = 64;
-    // Quantized lanes ride along so the quantized kernel variant below
-    // measures against the same dictionary; exact kernels never read
-    // them.
-    dopts.quantized = true;
     dict = CellDictionary::Build(data, *cells, dopts);
+    dopts.max_stencil_offsets = 0;
+    tree_dict = CellDictionary::Build(data, *cells, dopts);
   }
 };
 
@@ -188,25 +182,21 @@ Phase2Fixture& GeoLifeFixture() {
 }
 
 enum class QueryEngine {
-  kPerPoint,
   kBatchedTree,
   kStencil,
   kStencilScalar,
-  kStencilQuant,
 };
 
 void BM_Phase2Query(benchmark::State& state, QueryEngine engine) {
   Phase2Fixture& f = GeoLifeFixture();
   ThreadPool pool(1);  // kernel cost, not parallel speedup
+  const CellDictionary& dict =
+      engine == QueryEngine::kBatchedTree ? *f.tree_dict : *f.dict;
   Phase2Options opts;
-  opts.batched_queries = engine != QueryEngine::kPerPoint;
-  opts.stencil_queries = engine != QueryEngine::kPerPoint &&
-                         engine != QueryEngine::kBatchedTree;
   opts.scalar_kernels = engine == QueryEngine::kStencilScalar;
-  opts.quantized = engine == QueryEngine::kStencilQuant;
   Phase2Result last;
   for (auto _ : state) {
-    last = BuildSubgraphs(f.data, *f.cells, *f.dict, bench::kMinPts, pool,
+    last = BuildSubgraphs(f.data, *f.cells, dict, bench::kMinPts, pool,
                           opts);
     benchmark::DoNotOptimize(last.point_is_core.data());
   }
@@ -218,16 +208,12 @@ void BM_Phase2Query(benchmark::State& state, QueryEngine engine) {
       static_cast<double>(last.stencil_probes);
   state.counters["stencil_hits"] = static_cast<double>(last.stencil_hits);
 }
-BENCHMARK_CAPTURE(BM_Phase2Query, per_point, QueryEngine::kPerPoint)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Phase2Query, batched_tree, QueryEngine::kBatchedTree)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Phase2Query, stencil, QueryEngine::kStencil)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Phase2Query, stencil_scalar,
                   QueryEngine::kStencilScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Phase2Query, stencil_quant, QueryEngine::kStencilQuant)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LatticeStencilCreate(benchmark::State& state) {

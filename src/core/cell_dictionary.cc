@@ -236,7 +236,6 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   CellDictionary dict;
   dict.geom_ = geom;
   dict.enable_skipping_ = opts.enable_skipping;
-  dict.index_ = opts.index;
   dict.num_cells_ = entries.size();
   for (const CellEntry& e : entries) dict.num_subcells_ += e.subcells.size();
 
@@ -293,55 +292,13 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
                            sd.subcell_centers_.data() + s * geom.dim());
       }
     }
-    if (opts.index == CandidateIndex::kKdTree) {
-      sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), geom.dim());
-    } else {
-      sd.rtree_.Build(sd.cell_centers_.data(), sd.cells_.size(),
-                      geom.dim());
-    }
-  }
-
-  // Quantization frame for the fixed-point kernels: per-dimension minimum
-  // sub-cell center as the base, eps * 2^-16 as the quantum (inv_quantum
-  // = 2^16 / eps). Auto-disabled when any dimension's center span does
-  // not fit the uint32 lattice with margin — queries then silently use
-  // the exact kernels, results unchanged.
-  if (opts.quantized && dict.num_subcells_ > 0) {
-    double lo[CellCoord::kMaxDim];
-    double hi[CellCoord::kMaxDim];
-    for (size_t d = 0; d < geom.dim(); ++d) {
-      lo[d] = std::numeric_limits<double>::infinity();
-      hi[d] = -std::numeric_limits<double>::infinity();
-    }
-    for (const SubDictionary& sd : dict.subdicts_) {
-      const float* c = sd.subcell_centers_.data();
-      for (size_t s = 0; s < sd.subcells_.size(); ++s, c += geom.dim()) {
-        for (size_t d = 0; d < geom.dim(); ++d) {
-          const double v = static_cast<double>(c[d]);
-          lo[d] = std::min(lo[d], v);
-          hi[d] = std::max(hi[d], v);
-        }
-      }
-    }
-    const double inv_quantum =
-        static_cast<double>(int64_t{1} << kQuantBitsPerEps) / geom.eps();
-    bool fits = true;
-    for (size_t d = 0; d < geom.dim(); ++d) {
-      if (!((hi[d] - lo[d]) * inv_quantum < 4.0e9)) fits = false;
-    }
-    if (fits) {
-      dict.quantized_.enabled = true;
-      dict.quantized_.inv_quantum = inv_quantum;
-      for (size_t d = 0; d < geom.dim(); ++d) dict.quantized_.base[d] = lo[d];
-    }
+    sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), geom.dim());
   }
 
   // Lane-major (SoA) sub-cell storage: per-cell padded blocks of
   // dim-major coordinate lanes plus per-slot densities, the layout the
   // vector kernels (core/simd.h) stride over. Padding slots carry +inf
-  // centers and zero counts so whole-vector strides are safe; the
-  // quantized lanes (when enabled) quantize the same centers against the
-  // frame above.
+  // centers and zero counts so whole-vector strides are safe.
   {
     auto build_lanes = [&](size_t f) {
       SubDictionary& sd = dict.subdicts_[f];
@@ -358,31 +315,17 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
       const size_t total = sd.lane_begin_.back();
       sd.lane_centers_.assign(total * dim, kLanePadCenter);
       sd.lane_counts_.assign(total, 0);
-      if (dict.quantized_.enabled) {
-        sd.lane_qcenters_.assign(total * dim, kLanePadQuant);
-      }
       for (size_t i = 0; i < sd.cells_.size(); ++i) {
         const DictCell& dc = sd.cells_[i];
         const uint32_t padded_n = sd.lane_begin_[i + 1] - sd.lane_begin_[i];
         float* block = sd.lane_centers_.data() +
                        static_cast<size_t>(sd.lane_begin_[i]) * dim;
-        uint32_t* qblock =
-            dict.quantized_.enabled
-                ? sd.lane_qcenters_.data() +
-                      static_cast<size_t>(sd.lane_begin_[i]) * dim
-                : nullptr;
         for (uint32_t s = dc.subcell_begin; s < dc.subcell_end; ++s) {
           const uint32_t slot = s - dc.subcell_begin;
           const float* center = sd.subcell_centers_.data() + s * dim;
           sd.lane_counts_[sd.lane_begin_[i] + slot] = sd.subcells_[s].count;
           for (size_t d = 0; d < dim; ++d) {
             block[d * padded_n + slot] = center[d];
-            if (qblock != nullptr) {
-              qblock[d * padded_n + slot] = static_cast<uint32_t>(
-                  std::llround((static_cast<double>(center[d]) -
-                                dict.quantized_.base[d]) *
-                               dict.quantized_.inv_quantum));
-            }
           }
         }
       }
@@ -452,7 +395,6 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
     for (uint32_t i = 0; i < sd.cells_.size(); ++i, ++meta) {
       meta->lane_centers = sd.lane_centers(i);
       meta->lane_counts = sd.lane_counts(i);
-      meta->lane_qcenters = sd.lane_qcenters(i);
       meta->mbr = sd.cell_mbr(i);
       meta->lane_padded = sd.lane_padded(i);
       meta->total_count = sd.cells_[i].total_count;
@@ -465,15 +407,13 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
     for (size_t f = 0; f < dict.subdicts_.size(); ++f) fill_meta(f);
   }
 
-  if (opts.build_stencil) {
-    // Scaled by stencil_eps_scale so one offset family (and the CSR
-    // below) covers every query radius up to scale * eps; 1.0 is the
-    // classic single-eps stencil. Family members are nested prefixes, so
-    // smaller radii reuse the CSR through the class filter in
-    // QueryCellStencilImpl.
-    dict.stencil_ = LatticeStencil::CreateScaled(
-        geom.dim(), opts.stencil_eps_scale, opts.max_stencil_offsets);
-  }
+  // Scaled by stencil_eps_scale so one offset family (and the CSR below)
+  // covers every query radius up to scale * eps; 1.0 is the classic
+  // single-eps stencil. Family members are nested prefixes, so smaller
+  // radii reuse the CSR through the class filter in QueryCellStencilImpl.
+  // Past max_stencil_offsets no stencil is built.
+  dict.stencil_ = LatticeStencil::CreateScaled(
+      geom.dim(), opts.stencil_eps_scale, opts.max_stencil_offsets);
 
   // Precomputed stencil neighborhoods: which dictionary cells occupy a
   // source cell's stencil window depends only on the lattice, never on a
@@ -678,11 +618,7 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
     }
     ++visited;
     out->tree_hits.clear();
-    if (index_ == CandidateIndex::kKdTree) {
-      sd.tree_.CollectInRadius(center, candidate_radius, &out->tree_hits);
-    } else {
-      sd.rtree_.CollectInRadius(center, candidate_radius, &out->tree_hits);
-    }
+    sd.tree_.CollectInRadius(center, candidate_radius, &out->tree_hits);
     for (const uint32_t local_cell : out->tree_hits) {
       const uint32_t slot = subdict_ref_base_[sdi] + local_cell;
       const SlotMeta& sm = slot_meta_[slot];
@@ -1005,7 +941,6 @@ void CellDictionary::SortAndFlattenMaybes(CandidateCellList* out) const {
   out->total_counts.resize(m);
   out->lane_centers.resize(m);
   out->lane_counts.resize(m);
-  out->lane_qcenters.resize(m);
   out->lane_padded.resize(m);
   float* lo_t = out->mbr_lo_t.data();
   float* hi_t = out->mbr_hi_t.data();
@@ -1020,7 +955,6 @@ void CellDictionary::SortAndFlattenMaybes(CandidateCellList* out) const {
     out->total_counts[i] = sm.total_count;
     out->lane_centers[i] = sm.lane_centers;
     out->lane_counts[i] = sm.lane_counts;
-    out->lane_qcenters[i] = sm.lane_qcenters;
     out->lane_padded[i] = sm.lane_padded;
   }
   // Padding lanes must still be *initialized* floats (the vector bounds

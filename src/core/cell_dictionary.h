@@ -15,7 +15,6 @@
 #include "parallel/thread_pool.h"
 #include "spatial/kdtree.h"
 #include "spatial/mbr.h"
-#include "spatial/rtree.h"
 #include "util/status.h"
 
 namespace rpdbscan {
@@ -62,7 +61,7 @@ class SubDictionary {
   // --- d * lane_padded(c), densities sit in lane_counts(c). Padding
   // --- slots hold +inf centers / zero counts so kernels run whole
   // --- vector strides. Built in Assemble alongside the AoS centers
-  // --- (which the auditors and the per-point reference path keep). ---
+  // --- (which the auditors and the per-point Query keep). ---
 
   /// Padded slot count of a cell's lane block (multiple of
   /// kSimdLaneWidth, >= its sub-cell count).
@@ -77,14 +76,6 @@ class SubDictionary {
   /// The cell's per-slot densities (0 in padding slots).
   const uint32_t* lane_counts(uint32_t local_cell) const {
     return lane_counts_.data() + lane_begin_[local_cell];
-  }
-  /// Quantized coordinate lanes (same layout as lane_centers); null when
-  /// the dictionary was built without quantized mode.
-  const uint32_t* lane_qcenters(uint32_t local_cell) const {
-    return lane_qcenters_.empty()
-               ? nullptr
-               : lane_qcenters_.data() +
-                     static_cast<size_t>(lane_begin_[local_cell]) * lane_dim_;
   }
   size_t lane_dim() const { return lane_dim_; }
 
@@ -114,17 +105,14 @@ class SubDictionary {
   std::vector<float> cell_centers_;
   /// Lane-major sub-cell storage (see the accessors above): per-cell
   /// padded slot offsets (num_cells + 1 entries, slot units), the
-  /// dim-major center lanes, per-slot densities, and optionally the
-  /// uint32 quantized center lanes.
+  /// dim-major center lanes and per-slot densities.
   std::vector<uint32_t> lane_begin_;
   std::vector<float> lane_centers_;
   std::vector<uint32_t> lane_counts_;
-  std::vector<uint32_t> lane_qcenters_;
   /// Occupied-sub-cell MBR per cell, 2 * dim floats (see cell_mbr()).
   std::vector<float> cell_mbrs_;
   size_t lane_dim_ = 0;
-  KdTree tree_;     // populated when index == kKdTree
-  RTree rtree_;     // populated when index == kRTree
+  KdTree tree_;
   Mbr mbr_{0};
 };
 
@@ -153,14 +141,6 @@ struct DictCellRef {
   explicit operator bool() const { return cell != nullptr; }
 };
 
-/// Which spatial index finds candidate cells inside a sub-dictionary.
-/// Lemma 5.6 allows either ("R*-tree or kd-tree"); both give identical
-/// query results.
-enum class CandidateIndex : uint8_t {
-  kKdTree = 0,
-  kRTree = 1,
-};
-
 /// Build/query options. The ablation benchmarks flip the booleans.
 struct CellDictionaryOptions {
   /// Cells per sub-dictionary before BSP splits further (stands in for the
@@ -170,18 +150,11 @@ struct CellDictionaryOptions {
   bool defragment = true;
   /// Apply MBR-based sub-dictionary skipping during queries (Lemma 5.10).
   bool enable_skipping = true;
-  /// Candidate-cell index (Lemma 5.6).
-  CandidateIndex index = CandidateIndex::kKdTree;
-  /// Build the lattice-stencil candidate engine: the precomputed eps-ball
-  /// offset set served by QueryCellStencil. Costs one
-  /// LatticeStencil::Create per dictionary (microseconds); the global cell
-  /// index it probes is built regardless.
-  bool build_stencil = true;
   /// Stencil size cap, the high-dimensionality fallback threshold: when
   /// the eps-ball offset set would exceed this many offsets the stencil
-  /// stays disabled and Phase II falls back to tree traversal. The default
-  /// covers d <= 5 (the d = 5 stencil holds 6094 offsets; d = 6 would need
-  /// 41220).
+  /// stays disabled and Phase II falls back to kd-tree traversal. The
+  /// default covers d <= 5 (the d = 5 stencil holds 6094 offsets; d = 6
+  /// would need 41220); 0 builds no stencil at any dimensionality.
   size_t max_stencil_offsets = 8192;
   /// Query-radius headroom of the stencil: the assembled offset family
   /// (and its precomputed neighborhood CSR) covers query radii up to
@@ -192,11 +165,6 @@ struct CellDictionaryOptions {
   /// ladder (src/hierarchy/) builds one dictionary at its largest
   /// level's scale and runs every level against it.
   double stencil_eps_scale = 1.0;
-  /// Also build the uint32 quantized coordinate lanes (core/simd.h): the
-  /// fixed-point fast path for the sub-cell kernels. Auto-disabled (see
-  /// CellDictionary::has_quantized) when the coordinate span per dimension
-  /// exceeds the uint32 lattice at eps * 2^-16 quanta.
-  bool quantized = false;
 };
 
 /// Decouples the region-query radius from the grid geometry: the ladder
@@ -274,11 +242,8 @@ struct CandidateCellList {
   std::vector<uint32_t> total_counts;
   /// Lane-major sub-cell views of the candidates (SubDictionary lane
   /// accessors): what the vector kernels scan.
-  /// lane_qcenters entries are null when the dictionary carries no
-  /// quantized lanes.
   std::vector<const float*> lane_centers;
   std::vector<const uint32_t*> lane_counts;
-  std::vector<const uint32_t*> lane_qcenters;
   std::vector<uint32_t> lane_padded;
 
   /// Scratch for the per-sub-dictionary index traversal.
@@ -322,7 +287,6 @@ struct CandidateCellList {
     total_counts.clear();
     lane_centers.clear();
     lane_counts.clear();
-    lane_qcenters.clear();
     lane_padded.clear();
     maybe_refs.clear();
     staged_hash.clear();
@@ -427,11 +391,7 @@ class CellDictionary {
         }
         if (matched > 0) visit(cell, matched);
       };
-      if (index_ == CandidateIndex::kKdTree) {
-        sd.tree_.ForEachInRadius(p, candidate_radius, per_candidate);
-      } else {
-        sd.rtree_.ForEachInRadius(p, candidate_radius, per_candidate);
-      }
+      sd.tree_.ForEachInRadius(p, candidate_radius, per_candidate);
     }
     return visited;
   }
@@ -529,8 +489,9 @@ class CellDictionary {
                                   geom_.dim(), ref_coords_.data());
   }
 
-  /// True when the eps-ball lattice stencil was built (build_stencil set
-  /// and the offset count within max_stencil_offsets).
+  /// True when the eps-ball lattice stencil was built (its offset count
+  /// within max_stencil_offsets). Phase II walks the stencil iff this
+  /// holds, and descends the per-sub-dictionary kd-trees otherwise.
   bool has_stencil() const { return stencil_.enabled(); }
   const LatticeStencil& stencil() const { return stencil_; }
 
@@ -545,12 +506,6 @@ class CellDictionary {
     *count = stencil_nbr_begin_[slot + 1] - begin;
     return stencil_nbr_slots_.data() + begin;
   }
-
-  /// True when the quantized coordinate lanes were built (opts.quantized
-  /// set and the coordinate span within the uint32 lattice).
-  bool has_quantized() const { return quantized_.enabled; }
-  /// The quantization frame for QuantizeQuery; enabled == has_quantized().
-  const QuantizedSpec& quantized_spec() const { return quantized_; }
 
   /// Total density of all (eps, rho)-neighbor sub-cells of `p` — the count
   /// compared against minPts in core marking (Example 5.7).
@@ -615,8 +570,7 @@ class CellDictionary {
   struct SlotMeta {
     const float* lane_centers = nullptr;
     const uint32_t* lane_counts = nullptr;
-    const uint32_t* lane_qcenters = nullptr;  // null without quantized mode
-    const float* mbr = nullptr;               // 2 * dim floats: lo then hi
+    const float* mbr = nullptr;  // 2 * dim floats: lo then hi
     uint32_t lane_padded = 0;
     uint32_t total_count = 0;
     uint32_t cell_id = 0;
@@ -654,11 +608,9 @@ class CellDictionary {
   std::vector<uint32_t> stencil_nbr_slots_;
   FlatCellIndex cell_index_;
   LatticeStencil stencil_;
-  QuantizedSpec quantized_;
   size_t num_cells_ = 0;
   size_t num_subcells_ = 0;
   bool enable_skipping_ = true;
-  CandidateIndex index_ = CandidateIndex::kKdTree;
 };
 
 }  // namespace rpdbscan

@@ -183,7 +183,7 @@ void GroupBatchHashed(const Dataset& data, const GridGeometry& geom,
 
 }  // namespace
 
-bool CellSet::BuildSortedGroups(const Dataset& data, ThreadPool* pool) {
+Status CellSet::BuildGroups(const Dataset& data, ThreadPool* pool) {
   Stopwatch watch;
   const size_t n = data.size();
   const size_t dim = data.dim();
@@ -192,50 +192,69 @@ bool CellSet::BuildSortedGroups(const Dataset& data, ThreadPool* pool) {
 
   // Column-wise float bounds. floor(x * inv_side) is monotonic, so lattice
   // bounds — and with them the key layout — follow from these directly.
+  // The same pass rejects coordinates CellIndexOf cannot bin: NaN is
+  // flagged per coordinate (min/max would skip it), while infinite and
+  // out-of-lattice values surface in the bounds, checked once below.
   std::array<float, CellCoord::kMaxDim> fmin;
   std::array<float, CellCoord::kMaxDim> fmax;
   for (size_t d = 0; d < dim; ++d) {
     fmin[d] = fmax[d] = data.point(0)[d];
   }
+  bool has_nan = false;
   size_t num_chunks = 1;
   if (parallel) num_chunks = pool->num_threads() * 4;
   const size_t chunk_len = (n + num_chunks - 1) / num_chunks;
   if (num_chunks > 1) {
     std::vector<std::array<float, CellCoord::kMaxDim>> lo(num_chunks, fmin);
     std::vector<std::array<float, CellCoord::kMaxDim>> hi(num_chunks, fmax);
+    std::vector<uint8_t> nan(num_chunks, 0);
     ParallelFor(
         *pool, num_chunks,
         [&](size_t c) {
           const size_t end = std::min(n, (c + 1) * chunk_len);
+          bool chunk_nan = false;
           for (size_t i = c * chunk_len; i < end; ++i) {
             const float* p = data.point(i);
             for (size_t d = 0; d < dim; ++d) {
+              chunk_nan |= p[d] != p[d];
               lo[c][d] = std::min(lo[c][d], p[d]);
               hi[c][d] = std::max(hi[c][d], p[d]);
             }
           }
+          nan[c] = chunk_nan;
         },
         /*chunk=*/1);
     for (size_t c = 0; c < num_chunks; ++c) {
+      has_nan |= nan[c] != 0;
       for (size_t d = 0; d < dim; ++d) {
         fmin[d] = std::min(fmin[d], lo[c][d]);
         fmax[d] = std::max(fmax[d], hi[c][d]);
       }
     }
   } else {
-    for (size_t i = 1; i < n; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       const float* p = data.point(i);
       for (size_t d = 0; d < dim; ++d) {
+        has_nan |= p[d] != p[d];
         fmin[d] = std::min(fmin[d], p[d]);
         fmax[d] = std::max(fmax[d], p[d]);
       }
     }
   }
+  bool binnable = !has_nan;
+  for (size_t d = 0; d < dim; ++d) {
+    binnable = binnable && geom_.Binnable(fmin[d]) && geom_.Binnable(fmax[d]);
+  }
+  if (!binnable) return geom_.CheckBinnable(data.raw(), n, 0);
 
   const CellKeyLayout layout =
       MakeCellKeyLayout(geom_, fmin.data(), fmax.data());
   if (!layout.Fits128()) {
-    return false;  // grid too wide for a 128-bit key: hash fallback
+    // Grid too wide for a 128-bit key: hash fallback.
+    watch.Reset();
+    BuildHashedGroups(data);
+    breakdown_.scatter_seconds = watch.ElapsedSeconds();
+    return Status::OK();
   }
   // Persist the layout plus the lattice bounds it covers: IngestAppended
   // encodes batches against them and re-keys when a batch escapes.
@@ -290,13 +309,13 @@ bool CellSet::BuildSortedGroups(const Dataset& data, ThreadPool* pool) {
                   &point_ids_);
   }
   breakdown_.scatter_seconds = watch.ElapsedSeconds();
-  return true;
+  breakdown_.sorted_path_used = true;
+  return Status::OK();
 }
 
 void CellSet::BuildHashedGroups(const Dataset& data) {
-  // The seed algorithm: one forward scan over points, growing one id list
-  // per cell in an unordered_map — kept as the sorted path's ablation
-  // partner and as the fallback when no 128-bit key exists.
+  // One forward scan over points, growing one id list per cell in an
+  // unordered_map — the fallback when no 128-bit key exists.
   std::unordered_map<CellCoord, uint32_t, CellCoordHash> index;
   index.reserve(data.size() / 4 + 16);
   std::vector<std::vector<uint32_t>> groups;
@@ -346,7 +365,7 @@ void CellSet::AssignPartitions(size_t num_partitions, uint64_t seed) {
 StatusOr<CellSet> CellSet::Build(const Dataset& data,
                                  const GridGeometry& geom,
                                  size_t num_partitions, uint64_t seed,
-                                 ThreadPool* pool, bool sorted) {
+                                 ThreadPool* pool) {
   if (data.empty()) {
     return Status::InvalidArgument("dataset is empty");
   }
@@ -359,17 +378,7 @@ StatusOr<CellSet> CellSet::Build(const Dataset& data,
   CellSet set(geom);
   set.target_partitions_ = num_partitions;
   set.seed_ = seed;
-  bool used_sorted = false;
-  if (sorted) {
-    used_sorted = set.BuildSortedGroups(data, pool);
-  }
-  if (!used_sorted) {
-    set.breakdown_ = Phase1Breakdown{};
-    Stopwatch watch;
-    set.BuildHashedGroups(data);
-    set.breakdown_.scatter_seconds = watch.ElapsedSeconds();
-  }
-  set.breakdown_.sorted_path_used = used_sorted;
+  RPDBSCAN_RETURN_IF_ERROR(set.BuildGroups(data, pool));
   // Spans into the now-final flat array; both grouping paths share this.
   for (size_t c = 0; c < set.cells_.size(); ++c) {
     set.cells_[c].point_ids = PointIdSpan(
@@ -395,24 +404,38 @@ Status CellSet::IngestAppended(const Dataset& data, size_t first_new,
   const size_t n = data.size();
   if (first_new == n) return Status::OK();  // empty batch
 
-  // Out-of-bounds detection (the lattice bounds are NOT immutable after
-  // Build): extend the running bounds by the batch, and when any batch
-  // point escapes the current key layout's coverage, rebuild the layout
+  // One pass over the batch's coordinates. It rejects any coordinate
+  // CellIndexOf cannot bin before binning it, and it detects points out
+  // of bounds (the lattice bounds are NOT immutable after Build): the
+  // running bounds are extended by the batch, and when any batch point
+  // escapes the current key layout's coverage, the layout is rebuilt
   // from the extended bounds before encoding — EncodeCellKey would
   // otherwise wrap the offset and alias distinct cells onto one key. Only
   // batch *grouping* reads the layout, so a re-key never perturbs the
-  // existing CSR or cell numbering.
-  if (layout_valid_) {
-    bool covered = true;
-    for (size_t i = first_new; i < n; ++i) {
-      const float* p = data.point(i);
-      if (covered && !CellKeyLayoutCovers(layout_, geom_, p)) covered = false;
-      for (size_t d = 0; d < geom_.dim(); ++d) {
-        const int64_t idx = geom_.CellIndexOf(p[d]);
-        lat_min_[d] = std::min(lat_min_[d], idx);
-        lat_max_[d] = std::max(lat_max_[d], idx);
-      }
+  // existing CSR or cell numbering. The bounds are committed only once
+  // the whole batch has passed, so a rejected batch changes nothing.
+  const size_t dim = geom_.dim();
+  int64_t lat_min[CellCoord::kMaxDim];
+  int64_t lat_max[CellCoord::kMaxDim];
+  std::copy(lat_min_, lat_min_ + dim, lat_min);
+  std::copy(lat_max_, lat_max_ + dim, lat_max);
+  bool covered = true;
+  for (size_t i = first_new; i < n; ++i) {
+    const float* p = data.point(i);
+    for (size_t d = 0; d < dim; ++d) {
+      if (!geom_.Binnable(p[d])) return geom_.CheckBinnable(p, 1, i);
     }
+    if (!layout_valid_) continue;
+    if (covered && !CellKeyLayoutCovers(layout_, geom_, p)) covered = false;
+    for (size_t d = 0; d < dim; ++d) {
+      const int64_t idx = geom_.CellIndexOf(p[d]);
+      lat_min[d] = std::min(lat_min[d], idx);
+      lat_max[d] = std::max(lat_max[d], idx);
+    }
+  }
+  if (layout_valid_) {
+    std::copy(lat_min, lat_min + dim, lat_min_);
+    std::copy(lat_max, lat_max + dim, lat_max_);
     if (!covered) {
       layout_ = MakeCellKeyLayoutFromLattice(geom_.dim(), lat_min_, lat_max_);
       ++rekey_count_;

@@ -53,7 +53,7 @@ struct CellData {
 };
 
 /// Wall-time sub-breakdown of CellSet::Build (feeds RunStats'
-/// partition_seconds breakdown). On the hash-map fallback path everything
+/// partition_seconds breakdown). On the hash-map fallback path the grouping
 /// lands in scatter_seconds and sorted_path_used is false.
 struct Phase1Breakdown {
   double key_seconds = 0;      // per-point key encoding (sorted path)
@@ -102,18 +102,22 @@ struct ExternalBuildStats {
 /// Cell ids are dense [0, num_cells) and shared with the cell dictionary
 /// and cell graph. Point ids live in one flat CSR array
 /// (`cell_point_offsets()` / `point_ids()`); each CellData exposes its
-/// slice as a span. Two build engines produce byte-identical structures:
+/// slice as a span. The key width decides the grouping, and both ways
+/// produce byte-identical structures:
 ///
-///  * sorted (default): parallel key encoding (core/cell_key.h), a parallel
-///    radix sort of (key, point_id) pairs (parallel/parallel_sort.h), and
-///    one scan that emits the CSR arrays — zero per-cell allocations;
-///  * hash-map (`sorted = false`, the seed algorithm): a sequential
-///    unordered-map scan, kept for ablation and as the fallback when a
-///    cell key cannot fit 128 bits.
+///  * sorted: parallel key encoding (core/cell_key.h), a parallel radix
+///    sort of (key, point_id) pairs (parallel/parallel_sort.h), and one
+///    scan that emits the CSR arrays — zero per-cell allocations;
+///  * hash-map, only when a cell key cannot fit 128 bits: a sequential
+///    unordered-map scan.
 ///
 /// Both paths number cells in first-encounter order of a forward point scan
 /// and list each cell's points ascending, so everything downstream —
 /// partition assignment included — is bit-identical between them.
+///
+/// Every build path rejects a coordinate it cannot bin (NaN, +-Inf, or
+/// beyond the int32 cell lattice, see GridGeometry::Binnable) with an
+/// InvalidArgument naming the first offending point id and dimension.
 class CellSet {
  public:
   /// Bins `data` into cells and assigns each cell a partition in
@@ -123,8 +127,7 @@ class CellSet {
   static StatusOr<CellSet> Build(const Dataset& data,
                                  const GridGeometry& geom,
                                  size_t num_partitions, uint64_t seed,
-                                 ThreadPool* pool = nullptr,
-                                 bool sorted = true);
+                                 ThreadPool* pool = nullptr);
 
   /// Out-of-core variant of Build: streams `source` in chunks that fit
   /// `opts.memory_budget_bytes`, sorts each chunk's (cell key, point id)
@@ -164,7 +167,9 @@ class CellSet {
   /// layout is rebuilt from the extended lattice bounds; rekeys() counts
   /// these) instead of silently wrapping onto an aliased key. When even
   /// the extended layout exceeds 128 bits — or the set was built on the
-  /// hash path — the batch is grouped by hashing instead.
+  /// hash path — the batch is grouped by hashing instead. A batch with a
+  /// coordinate that cannot be binned is rejected whole and leaves the set
+  /// unchanged.
   ///
   /// `*touched` (optional) receives the ascending, duplicate-free ids of
   /// every cell that gained at least one point, new cells included.
@@ -232,9 +237,10 @@ class CellSet {
  private:
   explicit CellSet(const GridGeometry& geom) : geom_(geom) {}
 
-  /// Fills cells_ / cell_point_offsets_ / point_ids_. Returns false when
-  /// the key does not fit 128 bits (caller falls back to the hash path).
-  bool BuildSortedGroups(const Dataset& data, ThreadPool* pool);
+  /// Fills cells_ / cell_point_offsets_ / point_ids_ and breakdown_:
+  /// sorted grouping, or hash grouping when the key does not fit 128
+  /// bits. Fails when a coordinate cannot be binned.
+  Status BuildGroups(const Dataset& data, ThreadPool* pool);
   void BuildHashedGroups(const Dataset& data);
   void AssignPartitions(size_t num_partitions, uint64_t seed);
 

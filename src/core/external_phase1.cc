@@ -235,7 +235,7 @@ namespace external_detail {
 
 /// The external build for one pair flavor. Fills the CellSet's grouping
 /// arrays (cells_/cell_point_offsets_/point_ids_) exactly as
-/// BuildSortedGroups would; the caller finishes spans/index/partitions.
+/// BuildGroups would; the caller finishes spans/index/partitions.
 template <typename Pair>
 Status RunExternal(const PointSource& source, const GridGeometry& geom,
                    const CellKeyLayout& layout,
@@ -500,24 +500,41 @@ StatusOr<CellSet> CellSet::BuildExternal(const PointSource& source,
 
   // Streamed column-bounds pass (the budget is the only resident payload):
   // same monotonic floor(x * inv_side) argument as the in-RAM path, so the
-  // key layout it produces is identical.
+  // key layout it produces is identical. Like the in-RAM pass it flags
+  // NaN per coordinate and leaves infinite and out-of-lattice values to
+  // the bounds check below; only a failed check rescans, to name the
+  // first offending point.
   Stopwatch watch;
   const size_t dim = source.dim();
+  const size_t scan_budget = std::max<size_t>(opts.memory_budget_bytes, 1);
   std::array<float, CellCoord::kMaxDim> fmin{};
   std::array<float, CellCoord::kMaxDim> fmax{};
+  bool binnable = true;
   {
     const float* p0 = source.PointData(0);
     for (size_t d = 0; d < dim; ++d) fmin[d] = fmax[d] = p0[d];
-    ChunkIterator it(source, std::max<size_t>(opts.memory_budget_bytes, 1));
+    ChunkIterator it(source, scan_budget);
     PointChunk chunk;
     while (it.Next(&chunk)) {
       for (size_t i = 0; i < chunk.count; ++i) {
         const float* p = chunk.data + i * dim;
         for (size_t d = 0; d < dim; ++d) {
+          binnable = binnable && p[d] == p[d];
           fmin[d] = std::min(fmin[d], p[d]);
           fmax[d] = std::max(fmax[d], p[d]);
         }
       }
+    }
+  }
+  for (size_t d = 0; d < dim; ++d) {
+    binnable = binnable && geom.Binnable(fmin[d]) && geom.Binnable(fmax[d]);
+  }
+  if (!binnable) {
+    ChunkIterator it(source, scan_budget);
+    PointChunk chunk;
+    while (it.Next(&chunk)) {
+      RPDBSCAN_RETURN_IF_ERROR(
+          geom.CheckBinnable(chunk.data, chunk.count, chunk.first));
     }
   }
   const CellKeyLayout layout =
@@ -530,8 +547,7 @@ StatusOr<CellSet> CellSet::BuildExternal(const PointSource& source,
     // exist, so run the in-RAM hash fallback over a borrowed view (same
     // fallback Build takes). external_path_used stays false.
     const Dataset view = source.BorrowedView();
-    return CellSet::Build(view, geom, num_partitions, seed, pool,
-                          /*sorted=*/true);
+    return CellSet::Build(view, geom, num_partitions, seed, pool);
   }
 
   CellSet set(geom);
@@ -546,7 +562,7 @@ StatusOr<CellSet> CellSet::BuildExternal(const PointSource& source,
                            &set.cell_point_offsets_, &set.point_ids_, stats);
   RPDBSCAN_RETURN_IF_ERROR(built);
 
-  // Same persisted state as BuildSortedGroups: the layout and the lattice
+  // Same persisted state as BuildGroups: the layout and the lattice
   // bounds it covers (IngestAppended re-keys against them).
   set.layout_ = layout;
   for (size_t d = 0; d < dim; ++d) {

@@ -1,6 +1,7 @@
 #include "core/grid.h"
 
 #include <cmath>
+#include <sstream>
 
 namespace rpdbscan {
 
@@ -35,6 +36,22 @@ StatusOr<GridGeometry> GridGeometry::Create(size_t dim, double eps,
   g.splits_per_dim_ = 1 << (g.h_ - 1);
   g.subcell_side_ = g.cell_side_ / g.splits_per_dim_;
   return g;
+}
+
+Status GridGeometry::CheckBinnable(const float* rows, size_t count,
+                                   size_t first_id) const {
+  for (size_t i = 0; i < count; ++i) {
+    for (size_t d = 0; d < dim_; ++d) {
+      const float v = rows[i * dim_ + d];
+      if (Binnable(v)) continue;
+      std::ostringstream os;
+      os << "point " << first_id + i << " dimension " << d << ": coordinate "
+         << v << " cannot be binned at eps " << eps_
+         << " (not finite, or beyond the int32 cell lattice)";
+      return Status::InvalidArgument(os.str());
+    }
+  }
+  return Status::OK();
 }
 
 CellCoord GridGeometry::CellOf(const float* p) const {

@@ -52,6 +52,21 @@ class GridGeometry {
         std::floor(static_cast<double>(v) * inv_cell_side_));
   }
 
+  /// True iff CellIndexOf(v) is defined: `v` is finite and
+  /// floor(v / cell_side) fits the int32 lattice. NaN, +-Inf and
+  /// |v / cell_side| >= 2^31 fail. Phase I-1 checks every coordinate
+  /// before binning it.
+  bool Binnable(float v) const {
+    const double q = static_cast<double>(v) * inv_cell_side_;
+    return q >= -2147483648.0 && q < 2147483648.0;
+  }
+
+  /// OK when every coordinate of `count` row-major points at `rows` is
+  /// Binnable; otherwise InvalidArgument naming the first offending point
+  /// (ids count up from `first_id`) and dimension.
+  Status CheckBinnable(const float* rows, size_t count,
+                       size_t first_id) const;
+
   /// Lattice coordinates of the cell containing `p`.
   CellCoord CellOf(const float* p) const;
 

@@ -102,18 +102,13 @@ struct TaskCounters {
   size_t early_exits = 0;
   size_t stencil_probes = 0;
   size_t stencil_hits = 0;
-  uint64_t quant_fallbacks = 0;
 };
 
-/// Resolved kernel dispatch for one BuildSubgraphs run: the exact lane
-/// kernel for the run's dimension and SIMD tier, plus (when the
-/// dictionary carries quantized lanes and the option asks for them) the
-/// quantized kernel and its quantization frame.
+/// Resolved kernel dispatch for one BuildSubgraphs run: the lane kernel
+/// for the run's dimension and SIMD tier, and the per-point bounds kernel.
 struct KernelConfig {
   SubcellCountFn exact_fn = nullptr;
   PointBoundsFn bounds_fn = nullptr;
-  SubcellCountQuantFn quant_fn = nullptr;    // null when quantized off
-  const QuantizedSpec* qspec = nullptr;      // null when quantized off
 };
 
 /// Matched-density counters for the per-point scan: the Example 5.5 logic
@@ -151,57 +146,15 @@ struct ExactCounter {
   }
 };
 
-/// Quantized variant: the query is quantized once per point (BeginPoint);
-/// points the frame cannot represent (far outside the dictionary span)
-/// silently use the exact kernel. Results match ExactCounter bit-for-bit
-/// — the integer thresholds are conservative and ambiguous sub-cells take
-/// the exact fallback, which `fallbacks` counts.
-template <size_t kDim>
-struct QuantCounter {
-  SubcellCountQuantFn qfn = nullptr;
-  SubcellCountFn fn = nullptr;
-  PointBoundsFn bounds_fn = nullptr;
-  double* point_min2 = nullptr;
-  const QuantizedSpec* spec = nullptr;
-  size_t dim_rt = 0;
-  double eps2 = 0.0;
-  uint64_t* fallbacks = nullptr;
-  int64_t qq[CellCoord::kMaxDim] = {};
-  bool qvalid = false;
-
-  void BeginPoint(const float* p, const CandidateCellList& cand) {
-    qvalid = QuantizeQuery(*spec, p, kDim ? kDim : dim_rt, qq);
-    bounds_fn(p, cand.mbr_lo_t.data(), cand.mbr_hi_t.data(),
-              cand.maybe_stride, kDim ? kDim : dim_rt, cand.num_maybe(),
-              point_min2);
-  }
-
-  uint32_t Count(const CandidateCellList& cand, size_t i, const float* p) {
-    const size_t dim = kDim ? kDim : dim_rt;
-    if (point_min2[i] > eps2) return 0;
-    const double max2 = PointMbrMaxDist2<kDim>(
-        cand.mbr_lo_t.data(), cand.mbr_hi_t.data(), cand.maybe_stride, i, p,
-        dim);
-    if (max2 <= eps2) return cand.total_counts[i];
-    if (!qvalid) {
-      return fn(p, cand.lane_centers[i], cand.lane_counts[i],
-                cand.lane_padded[i], dim, eps2);
-    }
-    return qfn(p, qq, cand.lane_centers[i], cand.lane_qcenters[i],
-               cand.lane_counts[i], cand.lane_padded[i], dim, eps2,
-               fallbacks);
-  }
-};
-
 /// The per-point half of the batched kernel: a two-pass flat scan over an
 /// already-gathered candidate list — pass 1 counts toward min_pts with an
 /// early exit, pass 2 (core points only) finishes neighbor-cell
 /// collection. Instantiated per dimension so the innermost distance loops
 /// unroll (see the kernel template note above).
-template <size_t kDim, typename Counter>
+template <size_t kDim>
 void ScanCellPoints(const Dataset& data, const CellData& cell, uint32_t cid,
                     const CandidateCellList& cand, size_t min_pts,
-                    const uint8_t* seed, Counter& counter,
+                    const uint8_t* seed, ExactCounter<kDim>& counter,
                     Phase2Scratch& scratch, uint8_t* point_is_core,
                     bool& cell_core, TaskCounters& counters) {
   const size_t num_maybe = cand.num_maybe();
@@ -276,8 +229,7 @@ void ScanCellPoints(const Dataset& data, const CellData& cell, uint32_t cid,
   }
 }
 
-/// Builds the dimension's counter (quantized when the config carries a
-/// quantized kernel, exact otherwise) and runs the per-point scan.
+/// Builds the dimension's counter and runs the per-point scan.
 template <size_t kDim>
 void ScanCellDispatch(const Dataset& data, const CellData& cell,
                       uint32_t cid, const CandidateCellList& cand,
@@ -285,33 +237,21 @@ void ScanCellDispatch(const Dataset& data, const CellData& cell,
                       const uint8_t* seed, const KernelConfig& kernels,
                       Phase2Scratch& scratch, uint8_t* point_is_core,
                       bool& cell_core, TaskCounters& counters) {
-  if (kernels.quant_fn != nullptr) {
-    QuantCounter<kDim> counter;
-    counter.qfn = kernels.quant_fn;
-    counter.fn = kernels.exact_fn;
-    counter.bounds_fn = kernels.bounds_fn;
-    counter.point_min2 = scratch.point_min2.data();
-    counter.spec = kernels.qspec;
-    counter.dim_rt = dim;
-    counter.eps2 = eps2;
-    counter.fallbacks = &counters.quant_fallbacks;
-    ScanCellPoints<kDim>(data, cell, cid, cand, min_pts, seed, counter,
-                         scratch, point_is_core, cell_core, counters);
-  } else {
-    ExactCounter<kDim> counter;
-    counter.fn = kernels.exact_fn;
-    counter.bounds_fn = kernels.bounds_fn;
-    counter.point_min2 = scratch.point_min2.data();
-    counter.dim_rt = dim;
-    counter.eps2 = eps2;
-    ScanCellPoints<kDim>(data, cell, cid, cand, min_pts, seed, counter,
-                         scratch, point_is_core, cell_core, counters);
-  }
+  ExactCounter<kDim> counter;
+  counter.fn = kernels.exact_fn;
+  counter.bounds_fn = kernels.bounds_fn;
+  counter.point_min2 = scratch.point_min2.data();
+  counter.dim_rt = dim;
+  counter.eps2 = eps2;
+  ScanCellPoints<kDim>(data, cell, cid, cand, min_pts, seed, counter,
+                       scratch, point_is_core, cell_core, counters);
 }
 
-/// Batched kernel for one cell: a single QueryCell gather, then per point
-/// a two-pass flat scan — pass 1 counts toward min_pts with an early exit,
-/// pass 2 (core points only) finishes neighbor-cell collection.
+/// Batched kernel for one cell: a single candidate gather (the stencil
+/// walk when the dictionary carries a stencil, kd-tree descent otherwise),
+/// then per point a two-pass flat scan — pass 1 counts toward min_pts
+/// with an early exit, pass 2 (core points only) finishes neighbor-cell
+/// collection.
 void ProcessCellBatched(const Dataset& data, const CellData& cell,
                         uint32_t cid, const CellDictionary& dict,
                         size_t min_pts, size_t num_subdicts,
@@ -432,53 +372,14 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
   }
 }
 
-/// Reference path for one cell: a full per-point Query (Def. 5.1) against
-/// the dictionary, exactly as Alg. 3 states it. Kept alongside the batched
-/// kernel so equivalence stays testable and ablations can price the
-/// batching.
-void ProcessCellPerPoint(const Dataset& data, const CellData& cell,
-                         uint32_t cid, const CellDictionary& dict,
-                         size_t min_pts, size_t num_subdicts,
-                         double query_eps, Phase2Scratch& scratch,
-                         uint8_t* point_is_core, bool& cell_core,
-                         TaskCounters& counters) {
-  for (const uint32_t point_id : cell.point_ids) {
-    const float* p = data.point(point_id);
-    scratch.neighbor_cells.clear();
-    uint64_t count = 0;
-    counters.visited += dict.Query(
-        p,
-        [&](const DictCell& dc, uint32_t matched) {
-          count += matched;
-          if (dc.cell_id != cid) {
-            scratch.neighbor_cells.push_back(dc.cell_id);
-          }
-        },
-        query_eps);
-    counters.possible += num_subdicts;
-    if (count >= min_pts) {
-      // Core point (Example 5.7): its neighbor cells become
-      // reachability successors of this cell.
-      point_is_core[point_id] = 1;
-      cell_core = true;
-      scratch.cell_edges.insert(scratch.cell_edges.end(),
-                                scratch.neighbor_cells.begin(),
-                                scratch.neighbor_cells.end());
-    }
-  }
-}
-
 /// Kernel dispatch plus engine selection, resolved once per run (shared by
 /// BuildSubgraphs and RecomputeCells so the incremental path always runs
 /// the exact engine the full run would): SIMD tier (runtime-detected
-/// unless the option or RPDBSCAN_FORCE_SCALAR forces scalar), the
-/// quantized fixed-point path (only when the dictionary carries the
-/// quantized lanes — absent lanes silently degrade to exact), and the
-/// stencil candidate engine.
+/// unless the option or RPDBSCAN_FORCE_SCALAR forces scalar), and the
+/// stencil candidate engine whenever the dictionary carries a stencil.
 struct EngineSetup {
   KernelConfig kernels;
   SimdLevel level = SimdLevel::kScalar;
-  bool use_quantized = false;
   bool use_stencil = false;
   /// Query-radius decoupling (ladder levels): the spec handed to the
   /// candidate gathers, the resolved eps^2 of the per-point tests, and
@@ -493,22 +394,9 @@ EngineSetup ResolveEngine(const CellDictionary& dict,
                           const Phase2Options& opts) {
   EngineSetup setup;
   setup.level = opts.scalar_kernels ? SimdLevel::kScalar : DetectSimdLevel();
-  // The fixed-point lanes bake the geometry eps into their integer
-  // thresholds (kQuantEps2) and candidate-span bound, so they only apply
-  // at the classic radius; a decoupled query_eps takes the exact kernels.
-  const bool classic_radius =
-      opts.query_eps == 0.0 || opts.query_eps == dict.geom().eps();
-  setup.use_quantized = opts.quantized && dict.has_quantized() &&
-                        classic_radius;
   setup.kernels.exact_fn = GetSubcellCountFn(setup.level, dict.geom().dim());
   setup.kernels.bounds_fn = GetPointBoundsFn(setup.level);
-  if (setup.use_quantized) {
-    setup.kernels.quant_fn =
-        GetSubcellCountQuantFn(setup.level, dict.geom().dim());
-    setup.kernels.qspec = &dict.quantized_spec();
-  }
-  setup.use_stencil =
-      opts.batched_queries && opts.stencil_queries && dict.has_stencil();
+  setup.use_stencil = dict.has_stencil();
   setup.spec.query_eps = opts.query_eps;
   setup.spec.level_stencil = opts.level_stencil;
   setup.spec.force_probe = opts.force_probe;
@@ -520,15 +408,15 @@ EngineSetup ResolveEngine(const CellDictionary& dict,
   return setup;
 }
 
-/// Runs one cell through the selected engine. Leaves the cell's
+/// Runs one cell through the run's engine. Leaves the cell's
 /// deduplicated, ascending neighbor-cell list in scratch.cell_edges
 /// (always empty for a non-core cell — only core points contribute edges)
 /// and returns the cell's core flag. The per-cell unit shared by the full
 /// run and the incremental recompute.
 bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
                     const CellDictionary& dict, size_t min_pts,
-                    size_t num_subdicts, bool batched,
-                    const EngineSetup& setup, Phase2Scratch& scratch,
+                    size_t num_subdicts, const EngineSetup& setup,
+                    Phase2Scratch& scratch,
                     uint8_t* point_is_core, TaskCounters& counters) {
   bool cell_core = false;
   scratch.cell_edges.clear();
@@ -536,16 +424,10 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
   // stay non-core and they emit no edges (border labeling through sampled
   // neighbors still happens downstream).
   if (setup.mask != nullptr && setup.mask[cid] == 0) return false;
-  if (batched) {
-    ProcessCellBatched(data, cell, cid, dict, min_pts, num_subdicts,
-                       setup.use_stencil, setup.kernels, setup.spec,
-                       setup.eps2, setup.seed, scratch, point_is_core,
-                       cell_core, counters);
-  } else {
-    ProcessCellPerPoint(data, cell, cid, dict, min_pts, num_subdicts,
-                        setup.spec.query_eps, scratch, point_is_core,
-                        cell_core, counters);
-  }
+  ProcessCellBatched(data, cell, cid, dict, min_pts, num_subdicts,
+                     setup.use_stencil, setup.kernels, setup.spec,
+                     setup.eps2, setup.seed, scratch, point_is_core,
+                     cell_core, counters);
   if (!scratch.cell_edges.empty()) {
     std::vector<uint32_t>& cell_edges = scratch.cell_edges;
     std::sort(cell_edges.begin(), cell_edges.end());
@@ -572,11 +454,9 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
   std::atomic<size_t> early_exits{0};
   std::atomic<size_t> stencil_probes{0};
   std::atomic<size_t> stencil_hits{0};
-  std::atomic<uint64_t> quant_fallbacks{0};
   const size_t num_subdicts = dict.num_subdictionaries();
   const EngineSetup setup = ResolveEngine(dict, opts);
   result.simd_level = setup.level;
-  result.quantized = setup.use_quantized;
 
   // Longest-first schedule (LPT): partition tasks are submitted by
   // descending cached point count so a straggler cannot land on the last
@@ -603,9 +483,8 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
         scratch.neighbor_cells.reserve(64);
         for (const uint32_t cid : cells.partition(pid)) {
           const bool cell_core = ProcessOneCell(
-              data, cells.cell(cid), cid, dict, min_pts, num_subdicts,
-              opts.batched_queries, setup, scratch,
-              result.point_is_core.data(), counters);
+              data, cells.cell(cid), cid, dict, min_pts, num_subdicts, setup,
+              scratch, result.point_is_core.data(), counters);
           result.cell_is_core[cid] = cell_core ? 1 : 0;
           graph.owned.emplace_back(
               cid, cell_core ? CellType::kCore : CellType::kNonCore);
@@ -625,8 +504,6 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                                  std::memory_order_relaxed);
         stencil_hits.fetch_add(counters.stencil_hits,
                                std::memory_order_relaxed);
-        quant_fallbacks.fetch_add(counters.quant_fallbacks,
-                                  std::memory_order_relaxed);
         result.task_seconds[pid] = watch.ElapsedSeconds();
       },
       /*chunk=*/1);
@@ -637,8 +514,6 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
   result.early_exits = early_exits.load();
   result.stencil_probes = stencil_probes.load();
   result.stencil_hits = stencil_hits.load();
-  result.quantized_exact_fallbacks =
-      static_cast<size_t>(quant_fallbacks.load());
   return result;
 }
 
@@ -650,7 +525,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
   Phase2CellUpdate update;
   const EngineSetup setup = ResolveEngine(dict, opts);
   update.simd_level = setup.level;
-  update.quantized = setup.use_quantized;
   const size_t m = targets.size();
   update.cell_is_core.assign(m, 0);
   update.cell_edges.resize(m);
@@ -670,7 +544,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
   std::atomic<size_t> early_exits{0};
   std::atomic<size_t> stencil_probes{0};
   std::atomic<size_t> stencil_hits{0};
-  std::atomic<uint64_t> quant_fallbacks{0};
   const size_t num_subdicts = dict.num_subdictionaries();
   // Chunked over the target list (targets share no points, so the per-cell
   // tasks are independent); each chunk reuses one scratch set like a
@@ -686,9 +559,10 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
         const size_t end = std::min(m, (c + 1) * chunk_len);
         for (size_t t = c * chunk_len; t < end; ++t) {
           const uint32_t cid = targets[t];
-          const bool cell_core = ProcessOneCell(
-              data, cells.cell(cid), cid, dict, min_pts, num_subdicts,
-              opts.batched_queries, setup, scratch, point_is_core, counters);
+          const bool cell_core =
+              ProcessOneCell(data, cells.cell(cid), cid, dict, min_pts,
+                             num_subdicts, setup, scratch, point_is_core,
+                             counters);
           update.cell_is_core[t] = cell_core ? 1 : 0;
           update.cell_edges[t].assign(scratch.cell_edges.begin(),
                                       scratch.cell_edges.end());
@@ -704,8 +578,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
                                  std::memory_order_relaxed);
         stencil_hits.fetch_add(counters.stencil_hits,
                                std::memory_order_relaxed);
-        quant_fallbacks.fetch_add(counters.quant_fallbacks,
-                                  std::memory_order_relaxed);
       },
       /*chunk=*/1);
   update.subdict_visited = subdict_visited.load();
@@ -714,8 +586,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
   update.early_exits = early_exits.load();
   update.stencil_probes = stencil_probes.load();
   update.stencil_hits = stencil_hits.load();
-  update.quantized_exact_fallbacks =
-      static_cast<size_t>(quant_fallbacks.load());
   return update;
 }
 

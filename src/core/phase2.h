@@ -13,32 +13,17 @@
 
 namespace rpdbscan {
 
-/// Phase II engine knobs (the ablation benchmarks flip these).
+/// Phase II knobs. The candidate engine is not among them: Phase II walks
+/// the lattice stencil (CellDictionary::QueryCellStencil) iff the
+/// dictionary carries one, and descends the per-sub-dictionary kd-trees
+/// (CellDictionary::QueryCell) otherwise. Both give identical results.
 struct Phase2Options {
-  /// Use the batched per-cell query kernel (CellDictionary::QueryCell):
-  /// one index traversal per source cell, then a flat candidate scan per
-  /// point with an early exit at min_pts. false keeps the reference
-  /// per-point Query path; both produce identical results.
-  bool batched_queries = true;
-  /// With batched_queries: enumerate candidate cells through the lattice
-  /// stencil (CellDictionary::QueryCellStencil, O(1) hash probes per
-  /// offset) instead of per-sub-dictionary tree descent. Silently falls
-  /// back to the tree path when the dictionary carries no stencil (high
-  /// dimensionality or build_stencil off). All three engines produce
-  /// identical results.
-  bool stencil_queries = true;
   /// Force the portable scalar sub-cell kernels instead of the runtime-
   /// detected SIMD tier (core/simd.h). Results are bit-identical either
   /// way; the flag exists for ablations and the equivalence tests. The
   /// RPDBSCAN_FORCE_SCALAR environment variable forces the same thing
   /// process-wide.
   bool scalar_kernels = false;
-  /// Use the quantized fixed-point sub-cell kernels when the dictionary
-  /// carries quantized lanes (CellDictionaryOptions::quantized). The
-  /// integer thresholds are conservative with an exact-float fallback
-  /// inside the quantization error band, so results still match the exact
-  /// path; silently ignored when the dictionary has no quantized lanes.
-  bool quantized = false;
 
   // --- multi-eps ladder knobs (src/hierarchy/). Defaults reproduce the
   // --- classic single-eps run bit-for-bit. ---
@@ -63,8 +48,7 @@ struct Phase2Options {
   /// min_pts). Seeded points skip the pass-1 density count and go
   /// straight to neighbor collection; the emitted edge union and labels
   /// are bit-identical to an unseeded run (only valid seeds, i.e. true
-  /// cores, may be flagged). Ignored by the per-point reference engine,
-  /// which never counts past its single pass anyway.
+  /// cores, may be flagged).
   const uint8_t* seed_point_core = nullptr;
   /// Sampled-core candidate mask (size cells.num_cells(), borrowed): the
   /// DBSCAN++-style approximation. Cells with mask 0 are excluded from
@@ -89,14 +73,13 @@ struct Phase2Result {
   /// behind the paper's load-imbalance metric (Fig. 13).
   std::vector<double> task_seconds;
   /// Sub-dictionaries inspected / total sub-dictionary visits possible,
-  /// summed over all region queries (Lemma 5.10 effectiveness). The
-  /// per-point path issues one query per point; the batched kernel issues
-  /// one per cell, so its ratio is over cell-level traversals.
+  /// summed over the kd-tree engine's cell-level traversals (Lemma 5.10
+  /// effectiveness; both 0 on the stencil engine).
   size_t subdict_visited = 0;
   size_t subdict_possible = 0;
-  /// Batched kernel only: per-point evaluations of "maybe" candidate
-  /// cells (the flat-scan work the kernel actually did), and the number
-  /// of points proven core before exhausting their candidate list.
+  /// Per-point evaluations of "maybe" candidate cells (the flat-scan work
+  /// the kernel actually did), and the number of points proven core
+  /// before exhausting their candidate list.
   size_t candidate_cells_scanned = 0;
   size_t early_exits = 0;
   /// Stencil engine only: neighborhood entries walked (per cell at most
@@ -108,13 +91,8 @@ struct Phase2Result {
   /// hash-probing fallback for absent source coordinates.
   size_t stencil_probes = 0;
   size_t stencil_hits = 0;
-  /// Kernel dispatch actually used: the SIMD tier of the sub-cell
-  /// kernels and whether the quantized fixed-point path was active.
+  /// SIMD tier of the sub-cell kernels actually used.
   SimdLevel simd_level = SimdLevel::kScalar;
-  bool quantized = false;
-  /// Quantized path only: sub-cell evaluations that fell inside the
-  /// quantization error band and took the exact-float fallback.
-  size_t quantized_exact_fallbacks = 0;
 };
 
 /// Bounding box of cell `coord`'s points derived from the dictionary's own
@@ -159,8 +137,6 @@ struct Phase2CellUpdate {
   size_t stencil_probes = 0;
   size_t stencil_hits = 0;
   SimdLevel simd_level = SimdLevel::kScalar;
-  bool quantized = false;
-  size_t quantized_exact_fallbacks = 0;
 };
 
 /// Re-runs the Phase II per-cell unit for exactly `targets` (dense cell

@@ -40,8 +40,6 @@ std::string RunStats::ToString() const {
      << "  candidate_cells_scanned=" << candidate_cells_scanned
      << " early_exits=" << early_exits << "\n"
      << "  kernels=" << simd_kernel
-     << " quantized=" << (quantized_mode ? "on" : "off")
-     << " (exact_fallbacks=" << quantized_exact_fallbacks << ")"
      << " merge=" << (parallel_merge ? "parallel" : "sequential") << "\n";
   if (stencil_probes > 0) {
     os << "  stencil_probes=" << stencil_probes
@@ -103,8 +101,6 @@ std::string RunStats::ToJson() const {
   w.Key("audit_violations").Value(audit_violations);
   w.Key("audit_seconds").Value(audit_seconds);
   w.Key("simd_kernel").Value(simd_kernel);
-  w.Key("quantized_mode").Value(quantized_mode);
-  w.Key("quantized_exact_fallbacks").Value(quantized_exact_fallbacks);
   w.Key("parallel_merge").Value(parallel_merge);
   w.Key("external_phase1").Value(external_phase1);
   w.Key("external_chunks").Value(external_chunks);
@@ -180,8 +176,7 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   Stopwatch phase_watch;
   StatusOr<CellSet> cells_or = [&]() -> StatusOr<CellSet> {
     if (options.point_source == nullptr) {
-      return CellSet::Build(data, geom, num_partitions, options.seed, &pool,
-                            options.sorted_phase1);
+      return CellSet::Build(data, geom, num_partitions, options.seed, &pool);
     }
     if (options.point_source->size() != data.size() ||
         options.point_source->dim() != data.dim()) {
@@ -223,14 +218,6 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   dict_opts.max_cells_per_subdict = options.max_cells_per_subdict;
   dict_opts.defragment = options.defragment_dictionary;
   dict_opts.enable_skipping = options.subdictionary_skipping;
-  dict_opts.index = options.use_rtree_index ? CandidateIndex::kRTree
-                                            : CandidateIndex::kKdTree;
-  // Stencil construction is only useful to the stencil engine; its size
-  // cap (and hence the high-dimensionality fallback) stays at the
-  // CellDictionaryOptions default.
-  dict_opts.build_stencil =
-      options.batched_queries && options.stencil_queries;
-  dict_opts.quantized = options.quantized;
   // Decoupled query radii need stencil headroom: enumerate the offset
   // family out to the largest radius this dictionary will be queried at,
   // so those queries reuse the neighborhood CSR as a class-filtered
@@ -306,10 +293,7 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   // ---- Phase II: core marking + cell subgraph building (Sec. 5). ----
   phase_watch.Reset();
   Phase2Options phase2_opts;
-  phase2_opts.batched_queries = options.batched_queries;
-  phase2_opts.stencil_queries = options.stencil_queries;
   phase2_opts.scalar_kernels = options.scalar_kernels;
-  phase2_opts.quantized = options.quantized;
   phase2_opts.query_eps = options.query_eps;
   // Sampled-core mode (DBSCAN++-style): keep a deterministic fraction of
   // cells as core candidates, chosen by hashing the cell coordinate with
@@ -332,8 +316,6 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
       BuildSubgraphs(data, cells, dict, options.min_pts, pool, phase2_opts);
   stats.phase2_seconds = phase_watch.ElapsedSeconds();
   stats.simd_kernel = SimdLevelName(phase2.simd_level);
-  stats.quantized_mode = phase2.quantized;
-  stats.quantized_exact_fallbacks = phase2.quantized_exact_fallbacks;
   stats.phase2_task_seconds = phase2.task_seconds;
   stats.subdict_visited = phase2.subdict_visited;
   stats.subdict_possible = phase2.subdict_possible;

@@ -15,7 +15,11 @@
 
 namespace rpdbscan {
 
-/// Parameters of RP-DBSCAN (Alg. 1 inputs plus engine knobs).
+/// Parameters of RP-DBSCAN (Alg. 1 inputs plus engine knobs). The
+/// engines themselves follow from the input: Phase I-1 groups by sorted
+/// cell keys unless a key needs more than 128 bits (then by hashing), and
+/// Phase II walks the lattice stencil unless the dimensionality makes it
+/// too large (d >= 6, then kd-tree descent).
 struct RpDbscanOptions {
   /// DBSCAN neighborhood radius (also the cell diagonal, Def. 3.1).
   double eps = 0.0;
@@ -34,27 +38,6 @@ struct RpDbscanOptions {
   /// Seed for the partition assignment.
   uint64_t seed = 7;
 
-  /// Phase II query engine: batched per-cell (eps,rho)-region kernel
-  /// (one dictionary traversal per cell, flat candidate scan per point,
-  /// early exit at min_pts) vs the reference per-point Query path. Both
-  /// produce identical clustering; the toggle exists for ablation.
-  bool batched_queries = true;
-
-  /// Phase II candidate enumeration (only with batched_queries): lattice
-  /// stencil — O(1) hash probes of a dictionary-global cell index over a
-  /// precomputed eps-ball offset set — vs per-sub-dictionary tree descent
-  /// (Lemma 5.6). Automatically falls back to the tree path when the
-  /// stencil would exceed its size cap (dimensionality >= 6), mirroring
-  /// the sorted_phase1 fallback pattern. Identical clustering either way.
-  bool stencil_queries = true;
-
-  /// Phase I-1 engine: parallel sort-based CSR grouping (key encoding +
-  /// radix sort of (key, point_id) pairs + one CSR emit scan) vs the seed
-  /// hash-map scan. Both produce bit-identical cell sets (cells numbered
-  /// in first-encounter order, point ids ascending within a cell); the
-  /// toggle exists for ablation.
-  bool sorted_phase1 = true;
-
   /// Force the scalar reference distance kernels in Phase II (and anything
   /// downstream that inherits the dictionary), bypassing runtime SIMD
   /// dispatch. Labels are bit-identical either way (the vector kernels are
@@ -62,15 +45,6 @@ struct RpDbscanOptions {
   /// The RPDBSCAN_FORCE_SCALAR environment variable forces the same thing
   /// without recompiling or re-flagging.
   bool scalar_kernels = false;
-
-  /// Quantized fixed-point candidate pre-filter: sub-cell centers carry
-  /// uint32 lattice offsets (eps * 2^-16 quantum) and the distance kernel
-  /// classifies most sub-cells with integer arithmetic, taking the exact
-  /// float path only when the quantization error band could flip the eps
-  /// comparison — so labels stay bit-identical to exact mode. Auto-disabled
-  /// (silently, reported in RunStats) when the data span per dimension
-  /// overflows the 32-bit lattice.
-  bool quantized = false;
 
   /// Use the sequential tournament merge (Sec. 6.1.1) instead of the
   /// edge-parallel lock-free union-find path. Labels and cluster ids are
@@ -82,9 +56,6 @@ struct RpDbscanOptions {
   size_t max_cells_per_subdict = 2048;
   bool defragment_dictionary = true;
   bool subdictionary_skipping = true;
-  /// Use the R-tree instead of the kd-tree for candidate-cell lookup
-  /// (Lemma 5.6 allows either; results are identical).
-  bool use_rtree_index = false;
   /// Round-trip the dictionary through its Lemma 4.3 wire format before
   /// Phase II, as the Spark implementation broadcasts it to every worker
   /// (Alg. 1 line 5). Measures the real broadcast payload size.
@@ -185,7 +156,7 @@ struct CapturedModel {
 struct RunStats {
   // Phase wall times (Fig. 12 / Fig. 21 breakdowns).
   double partition_seconds = 0;   // Phase I-1
-  // Phase I-1 sub-breakdown (sorted CSR path; all ~0 on the hash path
+  // Phase I-1 sub-breakdown (sorted CSR path; all ~0 on the hash fallback
   // except scatter_seconds, which then covers the whole hash-map scan).
   double key_seconds = 0;      // per-point cell-key encoding
   double sort_seconds = 0;     // radix sort of (key, point_id) pairs
@@ -218,12 +189,11 @@ struct RunStats {
   /// Sub-dictionary visits actually performed / possible (Lemma 5.10).
   size_t subdict_visited = 0;
   size_t subdict_possible = 0;
-  /// Batched Phase II kernel counters (0 on the per-point path):
-  /// per-point candidate-cell evaluations, and points proven core before
-  /// their candidate list was exhausted.
+  /// Phase II kernel counters: per-point candidate-cell evaluations, and
+  /// points proven core before their candidate list was exhausted.
   size_t candidate_cells_scanned = 0;
   size_t early_exits = 0;
-  /// Stencil engine counters (0 on the tree and per-point paths): lattice
+  /// Stencil engine counters (0 on the kd-tree path): lattice
   /// hash probes issued during Phase II (offsets surviving the arithmetic
   /// disjointness pre-drop, plus one self probe per cell) and probes that
   /// found a cell.
@@ -241,11 +211,6 @@ struct RunStats {
   /// "avx2", ...): the resolved runtime level, after scalar_kernels /
   /// RPDBSCAN_FORCE_SCALAR / cpuid are all applied.
   std::string simd_kernel = "scalar";
-  /// Whether the quantized fixed-point pre-filter was active (requested
-  /// and the lattice fit), and how many sub-cell lanes fell back to the
-  /// exact float compare because they landed in the error band.
-  bool quantized_mode = false;
-  size_t quantized_exact_fallbacks = 0;
   /// Whether Phase III-1 ran the edge-parallel lock-free union-find path
   /// (vs the sequential tournament).
   bool parallel_merge = false;

@@ -92,26 +92,6 @@ SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim) {
   }
 }
 
-SubcellCountQuantFn GetSubcellCountQuantFn(SimdLevel level, size_t dim) {
-#ifdef RPDBSCAN_HAVE_AVX2
-  if (level >= SimdLevel::kAvx2) return simd_internal::GetAvx2QuantFn(dim);
-#else
-  (void)level;
-#endif
-  switch (dim) {
-    case 2:
-      return &SubcellCountQuantScalar<2>;
-    case 3:
-      return &SubcellCountQuantScalar<3>;
-    case 4:
-      return &SubcellCountQuantScalar<4>;
-    case 5:
-      return &SubcellCountQuantScalar<5>;
-    default:
-      return &SubcellCountQuantScalar<0>;
-  }
-}
-
 PointBoundsFn GetPointBoundsFn(SimdLevel level) {
 #ifdef RPDBSCAN_HAVE_AVX2
   if (level >= SimdLevel::kAvx2) return &simd_internal::PointBoundsAvx2;

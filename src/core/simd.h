@@ -44,7 +44,6 @@ inline constexpr uint32_t kSimdLaneWidth = 4;
 /// Padding values for the lane arrays (see kSimdLaneWidth).
 inline constexpr float kLanePadCenter =
     std::numeric_limits<float>::infinity();
-inline constexpr uint32_t kLanePadQuant = 0xFFFFFFFFu;
 
 /// The exact sub-cell classification kernel: over one cell's lane-major
 /// (SoA) block — `dim` runs of `padded_n` floats, coordinate d's lane at
@@ -72,21 +71,6 @@ using SubcellCountMultiFn = void (*)(const float* qs, const uint32_t* qidx,
                                      const uint32_t* counts,
                                      uint32_t padded_n, size_t dim,
                                      double eps2, uint32_t* matched_out);
-
-/// The quantized sub-cell classification kernel: integer lattice deltas
-/// against uint32 quantized coordinate lanes (`qlanes`, same layout as
-/// the float lanes), branchless conservative in/out thresholds, and an
-/// exact float fallback (via `lanes`) for sub-cells whose verdict the
-/// quantization error band could flip — so the returned density is
-/// bit-identical to the exact kernel's. `qq` holds the query offset in
-/// quanta per dimension (QuantizeQuery); `*fallbacks` counts the
-/// sub-cells that needed the exact fallback.
-using SubcellCountQuantFn = uint32_t (*)(const float* q, const int64_t* qq,
-                                         const float* lanes,
-                                         const uint32_t* qlanes,
-                                         const uint32_t* counts,
-                                         uint32_t padded_n, size_t dim,
-                                         double eps2, uint64_t* fallbacks);
 
 /// The per-point candidate-bounds kernel: squared lower bound from query
 /// `q` to each of `num` candidate MBRs, stored transposed dimension-major
@@ -129,60 +113,12 @@ using GroupBoundsFn = void (*)(const float* qt, size_t stride, size_t num,
 /// above CompiledSimdLevel() degrades to the highest compiled tier.
 SubcellCountFn GetSubcellCountFn(SimdLevel level, size_t dim);
 SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim);
-SubcellCountQuantFn GetSubcellCountQuantFn(SimdLevel level, size_t dim);
 /// Bounds-kernel lookup (no dimension dispatch: the vector axis is the
 /// candidate index, so the dimension loop stays a short runtime loop).
 PointBoundsFn GetPointBoundsFn(SimdLevel level);
 /// Group-bounds-kernel lookup (no dimension dispatch: the vector axis is
 /// the group-member index).
 GroupBoundsFn GetGroupBoundsFn(SimdLevel level);
-
-// ---- Quantized fixed-point coordinate mode (uint32 lattice offsets) ----
-//
-// quantum = eps * 2^-16 (exactly representable: a power-of-two scaling),
-// so eps is exactly 2^16 quanta and eps^2 exactly 2^32 quanta^2. A
-// coordinate c is stored as round((c - base[d]) / quantum) in a uint32;
-// a query offset is the same expression in int64 (queries may fall
-// outside the dictionary's span). Each stored or query coordinate is off
-// by at most ~half a quantum, so an integer delta is within kQuantBand
-// quanta of the true scaled delta; per-dimension deltas of
-// (|dq| +- kQuantBand) clamped at kQuantClamp bound the true distance
-// from both sides without overflow (per-dim deltas of candidate cells
-// are < 2 eps = 2^17 quanta; the clamp only fires for provably-far
-// queries and itself proves "out").
-
-inline constexpr int kQuantBitsPerEps = 16;
-inline constexpr int64_t kQuantEps2 = int64_t{1} << (2 * kQuantBitsPerEps);
-inline constexpr int64_t kQuantBand = 2;
-inline constexpr int64_t kQuantClamp = int64_t{1} << 20;
-/// Query offsets beyond this many quanta (in magnitude) are rejected by
-/// QuantizeQuery: llround would be unsafe and the deltas could overflow.
-inline constexpr double kQuantMaxQueryAbs = 9.007199254740992e15;  // 2^53
-
-/// Per-dictionary quantization frame: the per-dimension base offsets and
-/// the precomputed 1/quantum. `enabled` is false when the dictionary was
-/// built without quantization or its coordinate span exceeds the uint32
-/// lattice.
-struct QuantizedSpec {
-  bool enabled = false;
-  double inv_quantum = 0.0;
-  double base[CellCoord::kMaxDim] = {};
-};
-
-/// Quantizes query `q` into per-dimension quanta offsets. Returns false
-/// (caller must use the exact kernel) for non-finite coordinates or
-/// offsets outside the safe integer range; any in-range result keeps the
-/// +-kQuantBand error bound the kernels assume.
-inline bool QuantizeQuery(const QuantizedSpec& spec, const float* q,
-                          size_t dim, int64_t* qq) {
-  for (size_t d = 0; d < dim; ++d) {
-    const double v =
-        (static_cast<double>(q[d]) - spec.base[d]) * spec.inv_quantum;
-    if (!(v > -kQuantMaxQueryAbs && v < kQuantMaxQueryAbs)) return false;
-    qq[d] = std::llround(v);
-  }
-  return true;
-}
 
 // ---- Portable reference kernels (header-inline so tests and the scalar
 // ---- dispatch table share one definition). Per-lane arithmetic is the
@@ -224,48 +160,6 @@ inline void SubcellCountMultiScalar(const float* qs, const uint32_t* qidx,
         qs + static_cast<size_t>(qidx[k]) * dim, lanes, counts, padded_n,
         dim, eps2);
   }
-}
-
-template <size_t kDim>
-inline uint32_t SubcellCountQuantScalar(const float* q, const int64_t* qq,
-                                        const float* lanes,
-                                        const uint32_t* qlanes,
-                                        const uint32_t* counts,
-                                        uint32_t padded_n, size_t dim_rt,
-                                        double eps2, uint64_t* fallbacks) {
-  const size_t dim = kDim ? kDim : dim_rt;
-  uint32_t matched = 0;
-  for (uint32_t s = 0; s < padded_n; ++s) {
-    int64_t sum_in = 0;
-    int64_t sum_out = 0;
-    for (size_t d = 0; d < dim; ++d) {
-      const int64_t delta =
-          static_cast<int64_t>(qlanes[d * padded_n + s]) - qq[d];
-      int64_t ad = delta < 0 ? -delta : delta;
-      if (ad > kQuantClamp) ad = kQuantClamp;
-      const int64_t ain = ad + kQuantBand;
-      const int64_t aout = ad > kQuantBand ? ad - kQuantBand : 0;
-      sum_in += ain * ain;
-      sum_out += aout * aout;
-    }
-    if (sum_in <= kQuantEps2) {
-      matched += counts[s];  // provably within eps even at worst error
-      continue;
-    }
-    if (sum_out > kQuantEps2) continue;  // provably outside eps
-    // Quantization error band: only an exact compare can decide. counts
-    // of 0 are padding slots — skip them without polluting the counter.
-    if (counts[s] == 0) continue;
-    ++*fallbacks;
-    double acc = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double delta = static_cast<double>(q[d]) -
-                           static_cast<double>(lanes[d * padded_n + s]);
-      acc += delta * delta;
-    }
-    matched += acc <= eps2 ? counts[s] : 0u;
-  }
-  return matched;
 }
 
 /// Reference implementation of PointBoundsFn (the scalar dispatch entry):
@@ -327,7 +221,6 @@ namespace simd_internal {
 // only when that translation unit was built.
 SubcellCountFn GetAvx2CountFn(size_t dim);
 SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim);
-SubcellCountQuantFn GetAvx2QuantFn(size_t dim);
 void PointBoundsAvx2(const float* q, const float* lo_t, const float* hi_t,
                      size_t stride, size_t dim, size_t num,
                      double* min2_out);

@@ -110,70 +110,6 @@ void CountMultiAvx2(const float* qs, const uint32_t* qidx, size_t nq,
   }
 }
 
-// Integer-lattice tier: conservative in/out verdicts from branchless
-// int64 arithmetic (abs via compare+blend, clamp, +-band, squares via
-// _mm256_mul_epi32 — post-clamp magnitudes fit the low 32 bits), exact
-// float fallback per ambiguous lane so the result matches the exact
-// kernel. Padding lanes (qlanes == kLanePadQuant, counts == 0) clamp to
-// a provably-out delta and never reach the fallback.
-template <size_t kDim>
-uint32_t QuantAvx2(const float* q, const int64_t* qq, const float* lanes,
-                   const uint32_t* qlanes, const uint32_t* counts,
-                   uint32_t padded_n, size_t dim_rt, double eps2,
-                   uint64_t* fallbacks) {
-  const size_t dim = kDim ? kDim : dim_rt;
-  const __m256i vclamp = _mm256_set1_epi64x(kQuantClamp);
-  const __m256i vband = _mm256_set1_epi64x(kQuantBand);
-  const __m256i veps2 = _mm256_set1_epi64x(kQuantEps2);
-  const __m256i vzero = _mm256_setzero_si256();
-  uint32_t matched = 0;
-  for (uint32_t s = 0; s < padded_n; s += 4) {
-    __m256i sum_in = vzero;
-    __m256i sum_out = vzero;
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256i c = _mm256_cvtepu32_epi64(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(qlanes + d * padded_n + s)));
-      const __m256i delta =
-          _mm256_sub_epi64(c, _mm256_set1_epi64x(qq[d]));
-      const __m256i neg = _mm256_sub_epi64(vzero, delta);
-      __m256i ad =
-          _mm256_blendv_epi8(delta, neg, _mm256_cmpgt_epi64(vzero, delta));
-      ad = _mm256_blendv_epi8(ad, vclamp, _mm256_cmpgt_epi64(ad, vclamp));
-      const __m256i ain = _mm256_add_epi64(ad, vband);
-      __m256i aout = _mm256_sub_epi64(ad, vband);
-      aout =
-          _mm256_blendv_epi8(aout, vzero, _mm256_cmpgt_epi64(vzero, aout));
-      sum_in = _mm256_add_epi64(sum_in, _mm256_mul_epi32(ain, ain));
-      sum_out = _mm256_add_epi64(sum_out, _mm256_mul_epi32(aout, aout));
-    }
-    // Lane is definitely-in unless sum_in > eps2; definitely-out when
-    // sum_out > eps2; otherwise the error band could flip the verdict.
-    const int not_in = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(sum_in, veps2)));
-    const int out = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(sum_out, veps2)));
-    for (int k = 0; k < 4; ++k) {
-      const int bit = 1 << k;
-      if (!(not_in & bit)) {
-        matched += counts[s + k];
-        continue;
-      }
-      if (out & bit) continue;
-      if (counts[s + k] == 0) continue;
-      ++*fallbacks;
-      double acc = 0.0;
-      for (size_t d = 0; d < dim; ++d) {
-        const double delta =
-            static_cast<double>(q[d]) -
-            static_cast<double>(lanes[d * padded_n + s + k]);
-        acc += delta * delta;
-      }
-      matched += acc <= eps2 ? counts[s + k] : 0u;
-    }
-  }
-  return matched;
-}
-
 }  // namespace
 
 SubcellCountFn GetAvx2CountFn(size_t dim) {
@@ -203,21 +139,6 @@ SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim) {
       return &CountMultiAvx2<5>;
     default:
       return &CountMultiAvx2<0>;
-  }
-}
-
-SubcellCountQuantFn GetAvx2QuantFn(size_t dim) {
-  switch (dim) {
-    case 2:
-      return &QuantAvx2<2>;
-    case 3:
-      return &QuantAvx2<3>;
-    case 4:
-      return &QuantAvx2<4>;
-    case 5:
-      return &QuantAvx2<5>;
-    default:
-      return &QuantAvx2<0>;
   }
 }
 

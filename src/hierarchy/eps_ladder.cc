@@ -145,8 +145,8 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
 
   // ---- Shared Phase I-1: one grid, one cell set for every rung. ----
   Stopwatch phase_watch;
-  auto cells_or = CellSet::Build(data, geom, num_partitions, options.seed,
-                                 &pool, options.sorted_phase1);
+  auto cells_or =
+      CellSet::Build(data, geom, num_partitions, options.seed, &pool);
   if (!cells_or.ok()) return cells_or.status();
   const CellSet& cells = *cells_or;
   hierarchy.phase1_seconds = phase_watch.ElapsedSeconds();
@@ -159,9 +159,6 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
   // with, so the top level compares against exactly its own budget. ----
   phase_watch.Reset();
   CellDictionaryOptions dict_opts;
-  dict_opts.build_stencil =
-      options.batched_queries && options.stencil_queries;
-  dict_opts.quantized = options.quantized;
   dict_opts.stencil_eps_scale = options.eps_levels.back() / eps0;
   auto dict_or = CellDictionary::Build(data, cells, dict_opts, &pool);
   if (!dict_or.ok()) return dict_or.status();
@@ -220,10 +217,7 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
     level.min_pts = min_pts_of(i);
 
     Phase2Options phase2_opts;
-    phase2_opts.batched_queries = options.batched_queries;
-    phase2_opts.stencil_queries = options.stencil_queries;
     phase2_opts.scalar_kernels = options.scalar_kernels;
-    phase2_opts.quantized = options.quantized;
     phase2_opts.query_eps = level.eps;
     phase2_opts.force_probe = options.force_probe;
     if (i < level_stencils.size()) {

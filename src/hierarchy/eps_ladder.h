@@ -51,8 +51,8 @@ struct HierarchyLevel {
   std::shared_ptr<CapturedModel> model;
 };
 
-/// Knobs of the multi-eps sweep. Engine toggles mirror RpDbscanOptions —
-/// every level runs the same engines an independent run would.
+/// Knobs of the multi-eps sweep. They mirror RpDbscanOptions, so every
+/// level runs the same engines an independent run would.
 struct HierarchyOptions {
   /// Query radii of the rungs, strictly ascending; eps_levels[0] is also
   /// the cell-diagonal the shared grid is built at.
@@ -66,11 +66,7 @@ struct HierarchyOptions {
   size_t num_partitions = 0;
   size_t num_threads = 0;
   uint64_t seed = 7;
-  bool batched_queries = true;
-  bool stencil_queries = true;
-  bool sorted_phase1 = true;
   bool scalar_kernels = false;
-  bool quantized = false;
   bool sequential_merge = false;
   bool simulate_broadcast = true;
   bool reduce_edges = true;

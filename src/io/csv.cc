@@ -1,5 +1,8 @@
 #include "io/csv.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -63,18 +66,40 @@ Status WriteCsv(const std::string& path, const Dataset& ds,
   if (labels != nullptr && labels->size() != ds.size()) {
     return Status::InvalidArgument("labels size does not match dataset");
   }
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  for (size_t i = 0; i < ds.size(); ++i) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open " + path + " for writing");
+  }
+  // Rows are formatted into one fixed-size buffer that goes to the file
+  // in large writes. Each float is written in std::to_chars' shortest
+  // round-trip form, so ReadCsv gets every coordinate back bit for bit.
+  constexpr size_t kFieldBytes = 32;  // ',' plus a float or an int64
+  const size_t row_bytes = (ds.dim() + 1) * kFieldBytes + 1;
+  std::vector<char> buf(std::max<size_t>(size_t{1} << 20, row_bytes));
+  char* const end = buf.data() + buf.size();
+  char* out = buf.data();
+  bool written = true;
+  auto flush = [&] {
+    const size_t used = static_cast<size_t>(out - buf.data());
+    written = written && std::fwrite(buf.data(), 1, used, file) == used;
+    out = buf.data();
+  };
+  for (size_t i = 0; i < ds.size() && written; ++i) {
+    if (static_cast<size_t>(end - out) < row_bytes) flush();
     const float* p = ds.point(i);
     for (size_t d = 0; d < ds.dim(); ++d) {
-      if (d > 0) out << ',';
-      out << p[d];
+      if (d > 0) *out++ = ',';
+      out = std::to_chars(out, end, p[d]).ptr;
     }
-    if (labels != nullptr) out << ',' << (*labels)[i];
-    out << '\n';
+    if (labels != nullptr) {
+      *out++ = ',';
+      out = std::to_chars(out, end, (*labels)[i]).ptr;
+    }
+    *out++ = '\n';
   }
-  if (!out) return Status::IOError("write failure on " + path);
+  flush();
+  const bool closed = std::fclose(file) == 0;
+  if (!written || !closed) return Status::IOError("write failure on " + path);
   return Status::OK();
 }
 

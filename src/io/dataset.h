@@ -69,6 +69,9 @@ class Dataset {
   /// Reserves room for `n` points.
   void Reserve(size_t n) { coords_.reserve(n * dim_); }
 
+  /// Drops points [n, size()) (`n <= size()`). Owning storage only.
+  void Truncate(size_t n) { coords_.resize(n * dim_); }
+
   /// The owned flat buffer. Empty for a borrowed view — use raw()/size()
   /// in code that must handle both backings.
   const std::vector<float>& flat() const { return coords_; }

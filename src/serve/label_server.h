@@ -65,9 +65,7 @@ struct LabelServerOptions {
   bool subcell_fallback = true;
   /// Force the portable scalar sub-cell kernel instead of the runtime-
   /// detected SIMD tier (core/simd.h). Answers are bit-identical either
-  /// way — serving always uses the exact kernels (never the quantized
-  /// fixed-point path: a served density feeds a core verdict, and the
-  /// serving layer keeps training-time replay trivially auditable).
+  /// way.
   bool scalar_kernels = false;
   /// Group batch queries by home cell and walk each cell's precomputed
   /// stencil neighborhood once per group, classifying the whole group

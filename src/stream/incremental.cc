@@ -22,20 +22,12 @@ CellDictionaryOptions DictOptionsOf(const RpDbscanOptions& options) {
   dict_opts.max_cells_per_subdict = options.max_cells_per_subdict;
   dict_opts.defragment = options.defragment_dictionary;
   dict_opts.enable_skipping = options.subdictionary_skipping;
-  dict_opts.index = options.use_rtree_index ? CandidateIndex::kRTree
-                                            : CandidateIndex::kKdTree;
-  dict_opts.build_stencil =
-      options.batched_queries && options.stencil_queries;
-  dict_opts.quantized = options.quantized;
   return dict_opts;
 }
 
 Phase2Options Phase2OptionsOf(const RpDbscanOptions& options) {
   Phase2Options phase2_opts;
-  phase2_opts.batched_queries = options.batched_queries;
-  phase2_opts.stencil_queries = options.stencil_queries;
   phase2_opts.scalar_kernels = options.scalar_kernels;
-  phase2_opts.quantized = options.quantized;
   return phase2_opts;
 }
 
@@ -74,7 +66,7 @@ StatusOr<StreamClusterer> StreamClusterer::Create(
   auto buffer_or =
       IngestBuffer::Create(std::move(seed_batch), *geom_or,
                            resolved.num_partitions, resolved.seed,
-                           &build_pool, resolved.sorted_phase1);
+                           &build_pool);
   if (!buffer_or.ok()) return buffer_or.status();
   return StreamClusterer(std::move(resolved), num_threads,
                          std::move(*buffer_or));

@@ -8,13 +8,13 @@ namespace rpdbscan {
 StatusOr<IngestBuffer> IngestBuffer::Create(Dataset seed_batch,
                                             const GridGeometry& geom,
                                             size_t num_partitions,
-                                            uint64_t seed, ThreadPool* pool,
-                                            bool sorted) {
+                                            uint64_t seed,
+                                            ThreadPool* pool) {
   if (seed_batch.empty()) {
     return Status::InvalidArgument("seed batch is empty");
   }
-  auto cells_or = CellSet::Build(seed_batch, geom, num_partitions, seed,
-                                 pool, sorted);
+  auto cells_or =
+      CellSet::Build(seed_batch, geom, num_partitions, seed, pool);
   if (!cells_or.ok()) return cells_or.status();
   IngestBuffer buffer(std::move(seed_batch), std::move(*cells_or));
   buffer.touched_.resize(buffer.cells_.num_cells());
@@ -26,14 +26,21 @@ Status IngestBuffer::Append(const Dataset& batch, ThreadPool* pool) {
   if (batch.dim() != data_.dim()) {
     return Status::InvalidArgument("batch dim does not match buffer dim");
   }
-  ++num_batches_;
-  if (batch.empty()) return Status::OK();
+  if (batch.empty()) {
+    ++num_batches_;
+    return Status::OK();
+  }
   const size_t first_new = data_.size();
   data_.Reserve(first_new + batch.size());
   for (size_t i = 0; i < batch.size(); ++i) data_.Append(batch.point(i));
   std::vector<uint32_t> batch_touched;
-  RPDBSCAN_RETURN_IF_ERROR(
-      cells_.IngestAppended(data_, first_new, pool, &batch_touched));
+  const Status ingested =
+      cells_.IngestAppended(data_, first_new, pool, &batch_touched);
+  if (!ingested.ok()) {
+    data_.Truncate(first_new);  // a rejected batch leaves no trace
+    return ingested;
+  }
+  ++num_batches_;
   // Union into the accumulated touched set (both sides sorted unique).
   std::vector<uint32_t> merged;
   merged.reserve(touched_.size() + batch_touched.size());

@@ -23,14 +23,12 @@ namespace rpdbscan {
 class IngestBuffer {
  public:
   /// Starts the buffer from the (non-empty) seed batch — batch number 0.
-  /// `num_partitions`, `seed` and `sorted` are the CellSet::Build inputs;
-  /// they are replayed on every later Append. All seed cells count as
-  /// touched.
+  /// `num_partitions` and `seed` are the CellSet::Build inputs; they are
+  /// replayed on every later Append. All seed cells count as touched.
   static StatusOr<IngestBuffer> Create(Dataset seed_batch,
                                        const GridGeometry& geom,
                                        size_t num_partitions, uint64_t seed,
-                                       ThreadPool* pool = nullptr,
-                                       bool sorted = true);
+                                       ThreadPool* pool = nullptr);
 
   // CellSet is move-only (spans into its own arrays), so the buffer is too.
   IngestBuffer(IngestBuffer&&) = default;
@@ -38,7 +36,8 @@ class IngestBuffer {
 
   /// Appends one batch (may be empty — a no-op that still counts as a
   /// batch) and splices it into the cell structures. Fails on a
-  /// dimensionality mismatch, leaving the buffer unchanged.
+  /// dimensionality mismatch or a coordinate that cannot be binned,
+  /// leaving the buffer unchanged.
   Status Append(const Dataset& batch, ThreadPool* pool = nullptr);
 
   /// The accumulated points, in ingest order (point ids are stable: a

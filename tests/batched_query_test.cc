@@ -1,9 +1,11 @@
-// Randomized equivalence of the two Phase II query engines: the batched
-// per-cell kernel (CellDictionary::QueryCell + flat scan) must reproduce
-// the reference per-point Query path bit-for-bit — same core points, same
-// core cells, same edge sets — across dimensionalities, candidate index
-// types, sub-dictionary skipping on/off, and min_pts values on both sides
-// of the early-exit threshold.
+// Randomized equivalence of the kd-tree Phase II engine: the batched
+// per-cell kernel over per-sub-dictionary kd-tree descent
+// (CellDictionary::QueryCell + flat scan, selected by a dictionary built
+// with max_stencil_offsets = 0) must reproduce the Alg. 3 oracle
+// (tests/phase2_oracle.h) and the stencil engine bit-for-bit — same core
+// points, same core cells, same edge sets — across dimensionalities,
+// sub-dictionary skipping on/off, and min_pts values on both sides of the
+// early-exit threshold.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "synth/generators.h"
 #include "verify/audit.h"
 
+#include "phase2_oracle.h"
 #include "test_seed.h"
 
 namespace rpdbscan {
@@ -25,7 +28,6 @@ struct EngineConfig {
   double rho = 0.05;
   size_t partitions = 5;
   size_t min_pts = 20;
-  bool use_rtree = false;
   bool skipping = true;
   bool defragment = true;
 };
@@ -43,8 +45,9 @@ std::vector<std::tuple<uint32_t, uint32_t>> CanonicalEdges(
   return edges;
 }
 
-/// Runs both engines on one pipeline and asserts identical output.
-/// Returns the batched result for counter assertions.
+/// Runs the stencil engine, the kd-tree engine and the oracle on one
+/// pipeline and asserts identical output. Returns the kd-tree result for
+/// counter assertions.
 Phase2Result ExpectEquivalent(const Dataset& data, const EngineConfig& cfg) {
   auto geom = GridGeometry::Create(data.dim(), cfg.eps, cfg.rho);
   EXPECT_TRUE(geom.ok());
@@ -54,64 +57,63 @@ Phase2Result ExpectEquivalent(const Dataset& data, const EngineConfig& cfg) {
   dict_opts.max_cells_per_subdict = 64;  // force several sub-dictionaries
   dict_opts.defragment = cfg.defragment;
   dict_opts.enable_skipping = cfg.skipping;
-  dict_opts.index =
-      cfg.use_rtree ? CandidateIndex::kRTree : CandidateIndex::kKdTree;
-  auto dict = CellDictionary::Build(data, *cells, dict_opts);
-  EXPECT_TRUE(dict.ok());
+  auto stencil_dict = CellDictionary::Build(data, *cells, dict_opts);
+  EXPECT_TRUE(stencil_dict.ok());
+  dict_opts.max_stencil_offsets = 0;  // no stencil: kd-tree descent
+  auto tree_dict = CellDictionary::Build(data, *cells, dict_opts);
+  EXPECT_TRUE(tree_dict.ok());
+  EXPECT_TRUE(stencil_dict->has_stencil());
+  EXPECT_FALSE(tree_dict->has_stencil());
   ThreadPool pool(3);
 
-  Phase2Options per_point;
-  per_point.batched_queries = false;
-  Phase2Options batched;
-  batched.batched_queries = true;
-  const Phase2Result a =
-      BuildSubgraphs(data, *cells, *dict, cfg.min_pts, pool, per_point);
-  const Phase2Result b =
-      BuildSubgraphs(data, *cells, *dict, cfg.min_pts, pool, batched);
+  const Phase2Result o = OraclePhase2(data, *cells, *tree_dict, cfg.min_pts);
+  const Phase2Result t =
+      BuildSubgraphs(data, *cells, *tree_dict, cfg.min_pts, pool);
+  const Phase2Result s =
+      BuildSubgraphs(data, *cells, *stencil_dict, cfg.min_pts, pool);
 
-  EXPECT_EQ(a.point_is_core, b.point_is_core);
-  EXPECT_EQ(a.cell_is_core, b.cell_is_core);
-  EXPECT_EQ(CanonicalEdges(a), CanonicalEdges(b));
-  // Every configuration also runs the structural auditors at kFull: both
+  EXPECT_EQ(o.point_is_core, t.point_is_core);
+  EXPECT_EQ(o.point_is_core, s.point_is_core);
+  EXPECT_EQ(o.cell_is_core, t.cell_is_core);
+  EXPECT_EQ(o.cell_is_core, s.cell_is_core);
+  const auto edges = CanonicalEdges(o);
+  EXPECT_EQ(edges, CanonicalEdges(t));
+  EXPECT_EQ(edges, CanonicalEdges(s));
+  // Every configuration also runs the structural auditors at kFull: the
   // engines must emit invariant-clean structures, not merely equal ones.
   const AuditReport cell_audit = AuditCellSet(data, *cells, AuditLevel::kFull);
   EXPECT_TRUE(cell_audit.ok()) << cell_audit.ToString();
   const AuditReport dict_audit =
-      AuditDictionary(data, *cells, *dict, AuditLevel::kFull);
+      AuditDictionary(data, *cells, *tree_dict, AuditLevel::kFull);
   EXPECT_TRUE(dict_audit.ok()) << dict_audit.ToString();
-  for (const Phase2Result* r : {&a, &b}) {
+  for (const Phase2Result* r : {&t, &s}) {
     const AuditReport graph_audit =
         AuditCellGraph(data, *cells, *r, AuditLevel::kFull);
     EXPECT_TRUE(graph_audit.ok()) << graph_audit.ToString();
   }
-  // The reference path issues one sub-dictionary sweep per point, the
-  // batched kernel one per cell. (visited is not compared: the cell-level
-  // skip test is box-based and so more conservative than the per-point
-  // one — with single-point cells batched can visit slightly more.)
-  EXPECT_LE(b.subdict_possible, a.subdict_possible);
-  EXPECT_LE(b.subdict_visited, b.subdict_possible);
-  EXPECT_EQ(a.candidate_cells_scanned, 0u);
-  EXPECT_EQ(a.early_exits, 0u);
-  return b;
+  // The oracle issues one sub-dictionary sweep per point, the kd-tree
+  // engine one per cell. (visited is not compared: the cell-level skip
+  // test is box-based and so more conservative than the per-point one —
+  // with single-point cells the engine can visit slightly more.)
+  EXPECT_LE(t.subdict_possible, o.subdict_possible);
+  EXPECT_LE(t.subdict_visited, t.subdict_possible);
+  EXPECT_EQ(t.stencil_probes, 0u);
+  return t;
 }
 
-TEST(BatchedQueryTest, RandomizedAcrossDimsIndexesAndSkipping) {
+TEST(BatchedQueryTest, RandomizedAcrossDimsAndSkipping) {
   uint64_t seed = TestSeed(1000);
   SCOPED_TRACE(SeedNote(seed));
   for (size_t dim = 2; dim <= 5; ++dim) {
     const Dataset data = synth::Blobs(1200, 4, 2.0, ++seed, dim);
-    for (const bool rtree : {false, true}) {
-      for (const bool skipping : {true, false}) {
-        SCOPED_TRACE("dim=" + std::to_string(dim) +
-                     " rtree=" + std::to_string(rtree) +
-                     " skip=" + std::to_string(skipping));
-        EngineConfig cfg;
-        cfg.eps = 2.5;
-        cfg.min_pts = 20;
-        cfg.use_rtree = rtree;
-        cfg.skipping = skipping;
-        ExpectEquivalent(data, cfg);
-      }
+    for (const bool skipping : {true, false}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " skip=" + std::to_string(skipping));
+      EngineConfig cfg;
+      cfg.eps = 2.5;
+      cfg.min_pts = 20;
+      cfg.skipping = skipping;
+      ExpectEquivalent(data, cfg);
     }
   }
 }
@@ -128,14 +130,14 @@ TEST(BatchedQueryTest, MinPtsOnBothSidesOfEarlyExit) {
     EngineConfig cfg;
     cfg.eps = 1.2;
     cfg.min_pts = min_pts;
-    const Phase2Result b = ExpectEquivalent(data, cfg);
+    const Phase2Result t = ExpectEquivalent(data, cfg);
     if (min_pts == 1) {
-      EXPECT_GT(b.early_exits, 0u);
+      EXPECT_GT(t.early_exits, 0u);
     } else if (min_pts == 25) {
-      EXPECT_GT(b.candidate_cells_scanned, 0u);
+      EXPECT_GT(t.candidate_cells_scanned, 0u);
     } else {
-      EXPECT_EQ(b.early_exits, 0u);
-      EXPECT_EQ(b.candidate_cells_scanned, 0u);
+      EXPECT_EQ(t.early_exits, 0u);
+      EXPECT_EQ(t.candidate_cells_scanned, 0u);
     }
   }
 }
@@ -146,15 +148,12 @@ TEST(BatchedQueryTest, SkewedGeoLifeAnalogue) {
   const uint64_t seed = TestSeed(901);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset data = synth::GeoLifeLike(4000, seed);
-  for (const bool rtree : {false, true}) {
-    EngineConfig cfg;
-    cfg.eps = 2.0;
-    cfg.rho = 0.01;
-    cfg.min_pts = 20;
-    cfg.use_rtree = rtree;
-    const Phase2Result b = ExpectEquivalent(data, cfg);
-    EXPECT_GT(b.early_exits, 0u);  // dense cells prove coreness early
-  }
+  EngineConfig cfg;
+  cfg.eps = 2.0;
+  cfg.rho = 0.01;
+  cfg.min_pts = 20;
+  const Phase2Result t = ExpectEquivalent(data, cfg);
+  EXPECT_GT(t.early_exits, 0u);  // dense cells prove coreness early
 }
 
 TEST(BatchedQueryTest, MonolithicDictionaryAndTinyCells) {

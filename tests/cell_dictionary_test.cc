@@ -147,25 +147,6 @@ TEST(CellDictionaryTest, SkippingVisitsFewerSubdictionaries) {
   EXPECT_LT(with->Query(q, ignore), without->Query(q, ignore));
 }
 
-TEST(CellDictionaryTest, RTreeIndexGivesIdenticalResults) {
-  // Lemma 5.6 names "R*-tree or kd-tree"; both indexes must agree.
-  Fixture f(synth::Blobs(2500, 4, 2.0, 13), /*eps=*/1.0, /*rho=*/0.05);
-  CellDictionaryOptions kd;
-  kd.index = CandidateIndex::kKdTree;
-  CellDictionaryOptions rt;
-  rt.index = CandidateIndex::kRTree;
-  auto d1 = CellDictionary::Build(f.data, *f.cells, kd);
-  auto d2 = CellDictionary::Build(f.data, *f.cells, rt);
-  ASSERT_TRUE(d1.ok());
-  ASSERT_TRUE(d2.ok());
-  Rng rng(9);
-  for (int trial = 0; trial < 30; ++trial) {
-    const uint32_t pid = static_cast<uint32_t>(rng.Uniform(f.data.size()));
-    const float* q = f.data.point(pid);
-    EXPECT_EQ(DictQuery(*d1, q), DictQuery(*d2, q)) << trial;
-  }
-}
-
 TEST(CellDictionaryTest, SizeFormulaLemma43) {
   Fixture f(synth::Blobs(1000, 3, 2.0, 8), /*eps=*/1.0, /*rho=*/0.05);
   auto dict = CellDictionary::Build(f.data, *f.cells);

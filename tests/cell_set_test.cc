@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
+#include "io/point_source.h"
+#include "parallel/thread_pool.h"
 #include "synth/generators.h"
 #include "util/random.h"
 
@@ -15,6 +19,61 @@ GridGeometry MakeGeom(size_t dim, double eps, double rho = 0.1) {
   auto g = GridGeometry::Create(dim, eps, rho);
   EXPECT_TRUE(g.ok());
   return *g;
+}
+
+// Coordinates CellIndexOf cannot bin (NaN, +-Inf, or beyond the int32
+// cell lattice) must fail every Phase I-1 build path with an InvalidArgument
+// naming the first offending point and dimension — never reach the
+// float -> int32 cast. 1e9 at eps 1 is the in-lattice control.
+TEST(CellSetTest, EveryBuildPathRejectsCoordinatesItCannotBin) {
+  const GridGeometry geom = MakeGeom(2, 1.0);
+  ThreadPool pool(2);
+  Rng rng(40);
+  Dataset clean(2);
+  for (int i = 0; i < 6000; ++i) {
+    clean.Append({static_cast<float>(rng.UniformDouble(0, 50)),
+                  static_cast<float>(rng.UniformDouble(0, 50))});
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                          1e30f}) {
+    for (const size_t dim : {size_t{0}, size_t{1}}) {
+      const size_t id = 4321 + dim;
+      const std::string want =
+          "point " + std::to_string(id) + " dimension " + std::to_string(dim);
+      SCOPED_TRACE(want + " = " + std::to_string(bad));
+      Dataset data = clean;
+      data.mutable_point(id)[dim] = bad;
+      data.mutable_point(id + 100)[dim] = bad;  // only the first is named
+      auto expect_rejected = [&](const Status& s) {
+        EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+        EXPECT_NE(s.message().find(want), std::string::npos) << s;
+      };
+      for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+        expect_rejected(CellSet::Build(data, geom, 4, 7, p).status());
+      }
+      const DatasetSource source(data);
+      expect_rejected(
+          CellSet::BuildExternal(source, geom, 4, 7, ExternalBuildOptions(),
+                                 &pool)
+              .status());
+      // Ingest: the bad coordinate arrives in an appended batch, which is
+      // rejected whole; the set keeps serving the clean prefix.
+      Dataset prefix(2);
+      for (size_t i = 0; i < 4000; ++i) prefix.Append(clean.point(i));
+      auto set = CellSet::Build(prefix, geom, 4, 7, &pool);
+      ASSERT_TRUE(set.ok());
+      const size_t cells_before = set->num_cells();
+      expect_rejected(set->IngestAppended(data, 4000, &pool));
+      EXPECT_EQ(set->num_points(), 4000u);
+      EXPECT_EQ(set->num_cells(), cells_before);
+    }
+  }
+  Dataset wide = clean;
+  wide.mutable_point(0)[0] = 1e9f;
+  wide.mutable_point(1)[1] = -1e9f;
+  auto ok = CellSet::Build(wide, geom, 4, 7, &pool);
+  ASSERT_TRUE(ok.ok()) << ok.status();
 }
 
 TEST(CellSetTest, EveryPointAssignedToExactlyOneCell) {

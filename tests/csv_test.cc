@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+
+#include "util/random.h"
 
 namespace rpdbscan {
 namespace {
@@ -95,6 +100,55 @@ TEST_F(CsvTest, RoundTripWithLabels) {
   EXPECT_EQ(back->dim(), 3u);  // label column appended
   EXPECT_FLOAT_EQ(back->point(0)[2], 7.0f);
   EXPECT_FLOAT_EQ(back->point(1)[2], -1.0f);
+}
+
+TEST_F(CsvTest, WrittenFloatsReadBackBitExactly) {
+  // Magnitudes across the whole normal range, both signs, negative zero
+  // and subnormals: every coordinate must come back with the same bits.
+  Rng rng(1234);
+  Dataset ds(3);
+  for (int i = 0; i < 20000; ++i) {
+    float p[3];
+    for (float& v : p) {
+      const double mag = std::pow(10.0, rng.UniformDouble(-38.0, 38.47));
+      v = static_cast<float>(rng.UniformDouble() < 0.5 ? -mag : mag);
+    }
+    ds.Append(p);
+  }
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  ds.Append({-0.0f, 0.0f, denorm});
+  ds.Append({-denorm, 3.0e-39f, -1.17e-38f});
+  ds.Append({std::numeric_limits<float>::max(),
+             std::numeric_limits<float>::lowest(), 0.1f});
+  const Labels labels(ds.size(), 42);
+  ASSERT_TRUE(WriteCsv(path_, ds, &labels).ok());
+  auto back = ReadCsv(path_);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->size(), ds.size());
+  ASSERT_EQ(back->dim(), 4u);
+  for (size_t i = 0; i < ds.size(); ++i) {
+    for (size_t d = 0; d < 3; ++d) {
+      uint32_t want = 0;
+      uint32_t got = 0;
+      std::memcpy(&want, ds.point(i) + d, sizeof(want));
+      std::memcpy(&got, back->point(i) + d, sizeof(got));
+      ASSERT_EQ(got, want) << "point " << i << " dim " << d << ": wrote "
+                           << ds.point(i)[d];
+    }
+    ASSERT_EQ(back->point(i)[3], 42.0f);
+  }
+}
+
+TEST_F(CsvTest, WriteReportsUnwritablePath) {
+  Dataset ds(1);
+  ds.Append({1.0f});
+  EXPECT_EQ(WriteCsv("/nonexistent/dir/out.csv", ds).code(),
+            StatusCode::kIOError);
+  // A full device fails the buffered write or the close, never silently.
+  if (std::FILE* full = std::fopen("/dev/full", "wb")) {
+    std::fclose(full);
+    EXPECT_EQ(WriteCsv("/dev/full", ds).code(), StatusCode::kIOError);
+  }
 }
 
 TEST_F(CsvTest, WriteRejectsLabelSizeMismatch) {

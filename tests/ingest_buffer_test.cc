@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,19 +71,17 @@ void ExpectSameCellSet(const CellSet& got, const CellSet& want) {
   }
 }
 
-/// Replays `batches` through IngestAppended (engine `sorted`) and checks
-/// after every append: kFull cell-set audit, bit-identity with a
-/// from-scratch Build, a correct touched set, and byte-identical
-/// dictionaries between the cached-entry path and a scratch Build.
+/// Replays `batches` through IngestAppended and checks after every append:
+/// kFull cell-set audit, bit-identity with a from-scratch Build, a correct
+/// touched set, and byte-identical dictionaries between the cached-entry
+/// path and a scratch Build.
 void ReplayAndCheck(const GridGeometry& geom, const Dataset& seed_batch,
-                    const std::vector<Dataset>& batches, uint64_t seed,
-                    bool sorted) {
-  SCOPED_TRACE(sorted ? "sorted engine" : "hash engine");
+                    const std::vector<Dataset>& batches, uint64_t seed) {
   ThreadPool pool(2);
   Dataset accumulated(seed_batch.dim());
   AppendAll(seed_batch, &accumulated);
-  auto grown_or = CellSet::Build(accumulated, geom, kPartitions, seed,
-                                 &pool, sorted);
+  auto grown_or =
+      CellSet::Build(accumulated, geom, kPartitions, seed, &pool);
   ASSERT_TRUE(grown_or.ok()) << grown_or.status();
   CellSet grown = std::move(*grown_or);
 
@@ -99,8 +98,8 @@ void ReplayAndCheck(const GridGeometry& geom, const Dataset& seed_batch,
         AuditCellSet(accumulated, grown, AuditLevel::kFull);
     ASSERT_TRUE(report.ok()) << report.ToString();
 
-    auto scratch_or = CellSet::Build(accumulated, geom, kPartitions, seed,
-                                     &pool, sorted);
+    auto scratch_or =
+        CellSet::Build(accumulated, geom, kPartitions, seed, &pool);
     ASSERT_TRUE(scratch_or.ok()) << scratch_or.status();
     ExpectSameCellSet(grown, *scratch_or);
 
@@ -120,8 +119,7 @@ void ReplayAndCheck(const GridGeometry& geom, const Dataset& seed_batch,
 
     // Dictionary: cached per-cell entries (the stream path) must yield
     // the same wire bytes as a full Build over the accumulated data.
-    CellDictionaryOptions dopts;
-    dopts.build_stencil = true;
+    const CellDictionaryOptions dopts;
     auto scratch_dict_or =
         CellDictionary::Build(accumulated, grown, dopts, &pool);
     ASSERT_TRUE(scratch_dict_or.ok()) << scratch_dict_or.status();
@@ -157,9 +155,31 @@ TEST(IngestBufferTest, RandomBatchesStayIdenticalToScratchBuild) {
       batches.push_back(
           RandomData(60 + 30 * b, dim, seed + 1 + b, 0.0, 30.0));
     }
-    ReplayAndCheck(*geom, seed_batch, batches, seed, /*sorted=*/true);
-    ReplayAndCheck(*geom, seed_batch, batches, seed, /*sorted=*/false);
+    ReplayAndCheck(*geom, seed_batch, batches, seed);
   }
+}
+
+/// Keys over 128 bits: the set is built by hash grouping, so every batch
+/// is grouped by hashing as well — and must stay identical to scratch.
+TEST(IngestBufferTest, WideKeyBatchesGroupByHashing) {
+  const uint64_t seed = TestSeed(0x3a54);
+  SCOPED_TRACE(SeedNote(seed));
+  auto geom = GridGeometry::Create(16, /*eps=*/0.05, /*rho=*/1.0);
+  ASSERT_TRUE(geom.ok());
+  const Dataset seed_batch = RandomData(200, 16, seed, 0.0, 100.0);
+  auto probe = CellSet::Build(seed_batch, *geom, kPartitions, seed);
+  ASSERT_TRUE(probe.ok());
+  ASSERT_FALSE(probe->breakdown().sorted_path_used);
+  std::vector<Dataset> batches;
+  for (size_t b = 0; b < 3; ++b) {
+    batches.push_back(RandomData(40, 16, seed + 1 + b, 0.0, 100.0));
+  }
+  Dataset dupes(16);
+  for (size_t i = 0; i < seed_batch.size(); i += 5) {
+    dupes.Append(seed_batch.point(i));
+  }
+  batches.push_back(std::move(dupes));
+  ReplayAndCheck(*geom, seed_batch, batches, seed);
 }
 
 TEST(IngestBufferTest, EmptyBatchIsANoOp) {
@@ -172,7 +192,7 @@ TEST(IngestBufferTest, EmptyBatchIsANoOp) {
   batches.emplace_back(2);  // empty
   batches.push_back(RandomData(50, 2, seed + 1, 0.0, 20.0));
   batches.emplace_back(2);  // empty again, after growth
-  ReplayAndCheck(*geom, seed_batch, batches, seed, /*sorted=*/true);
+  ReplayAndCheck(*geom, seed_batch, batches, seed);
 }
 
 TEST(IngestBufferTest, DuplicatePointsAppendInOrder) {
@@ -194,8 +214,7 @@ TEST(IngestBufferTest, DuplicatePointsAppendInOrder) {
   AppendAll(dupes, &d2);
   batches.push_back(std::move(d1));
   batches.push_back(std::move(d2));
-  ReplayAndCheck(*geom, seed_batch, batches, seed, /*sorted=*/true);
-  ReplayAndCheck(*geom, seed_batch, batches, seed, /*sorted=*/false);
+  ReplayAndCheck(*geom, seed_batch, batches, seed);
 }
 
 /// Cell overflow into sub-cells: a hot cell keeps absorbing points that
@@ -215,7 +234,7 @@ TEST(IngestBufferTest, HotCellOverflowsIntoSubcells) {
   for (size_t b = 0; b < 3; ++b) {
     batches.push_back(RandomData(120, 2, seed + 2 + b, 0.1, 1.3));
   }
-  ReplayAndCheck(*geom, seed_batch, batches, seed, /*sorted=*/true);
+  ReplayAndCheck(*geom, seed_batch, batches, seed);
 }
 
 /// Regression for the latent lattice-bounds assumption: before the
@@ -316,6 +335,24 @@ TEST(IngestBufferTest, BufferAccumulatesTouchedAcrossAppends) {
       IngestBuffer::Create(Dataset(2), *geom, kPartitions, seed).ok());
   // Dimension mismatch on append is rejected.
   EXPECT_FALSE(buffer.Append(Dataset(3)).ok());
+
+  // A batch with a coordinate that cannot be binned is rejected whole and
+  // leaves no trace: the next batch appends as if it never came.
+  Dataset bad = RandomData(10, 2, seed + 3, 0.0, 20.0);
+  bad.mutable_point(7)[1] = std::numeric_limits<float>::quiet_NaN();
+  const Status rejected = buffer.Append(bad, &pool);
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.message().find("point 287 dimension 1"),
+            std::string::npos)
+      << rejected;
+  EXPECT_EQ(buffer.num_batches(), 4u);
+  EXPECT_EQ(buffer.data().size(), 280u);
+  ASSERT_TRUE(buffer.Append(RandomData(30, 2, seed + 4, 0.0, 20.0), &pool)
+                  .ok());
+  auto after_or = CellSet::Build(buffer.data(), *geom, kPartitions, seed,
+                                 &pool);
+  ASSERT_TRUE(after_or.ok()) << after_or.status();
+  ExpectSameCellSet(buffer.cells(), *after_or);
 }
 
 TEST(IngestBufferTest, IngestRejectsMismatchedFirstNew) {

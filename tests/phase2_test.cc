@@ -127,13 +127,16 @@ TEST(Phase2Test, MinPtsOneMakesEveryPointCore) {
 TEST(Phase2Test, SkippingStatsAccumulated) {
   Pipeline p(synth::Blobs(2000, 4, 1.0, 9), 1.0, 0.05, 4);
   ThreadPool pool(2);
-  // Lemma 5.10 accounting only exists on the tree path: the stencil
-  // engine (the default) never descends sub-dictionaries and reports
-  // probe/hit counters instead (covered by stencil_query_test).
-  Phase2Options opts;
-  opts.stencil_queries = false;
+  // Lemma 5.10 accounting only exists on the kd-tree path, which a
+  // dictionary without a stencil selects: the stencil engine never
+  // descends sub-dictionaries and reports probe/hit counters instead
+  // (covered by stencil_query_test).
+  CellDictionaryOptions tree_opts;
+  tree_opts.max_stencil_offsets = 0;
+  auto tree_dict = CellDictionary::Build(p.data, *p.cells, tree_opts);
+  ASSERT_TRUE(tree_dict.ok());
   const Phase2Result r =
-      BuildSubgraphs(p.data, *p.cells, *p.dict, 10, pool, opts);
+      BuildSubgraphs(p.data, *p.cells, *tree_dict, 10, pool);
   EXPECT_GT(r.subdict_possible, 0u);
   EXPECT_LE(r.subdict_visited, r.subdict_possible);
 }

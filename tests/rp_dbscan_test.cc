@@ -112,7 +112,7 @@ TEST(RpDbscanTest, AblationTogglesPreserveClustering) {
     if (knob == 0) o.defragment_dictionary = false;
     if (knob == 1) o.subdictionary_skipping = false;
     if (knob == 2) o.reduce_edges = false;
-    if (knob == 3) o.use_rtree_index = true;
+    if (knob == 3) o.sequential_merge = true;
     if (knob == 4) o.simulate_broadcast = false;
     auto r = RunRpDbscan(ds, o);
     ASSERT_TRUE(r.ok());
@@ -120,6 +120,22 @@ TEST(RpDbscanTest, AblationTogglesPreserveClustering) {
     ASSERT_TRUE(ri.ok());
     EXPECT_DOUBLE_EQ(*ri, 1.0) << "knob " << knob;
   }
+}
+
+TEST(RpDbscanTest, EngineFollowsDimensionality) {
+  // No option picks the Phase II engine: at d = 3 the lattice stencil fits
+  // its cap and is walked, at d = 6 it does not and the kd-trees are
+  // descended instead.
+  const Dataset d3 = synth::Blobs(2000, 4, 1.0, 38, 3);
+  auto r3 = RunRpDbscan(d3, Opts(1.5, 15));
+  ASSERT_TRUE(r3.ok()) << r3.status();
+  EXPECT_GT(r3->stats.stencil_probes, 0u);
+  EXPECT_EQ(r3->stats.subdict_visited, 0u);
+  const Dataset d6 = synth::Blobs(2000, 4, 1.0, 39, 6);
+  auto r6 = RunRpDbscan(d6, Opts(2.5, 15));
+  ASSERT_TRUE(r6.ok()) << r6.status();
+  EXPECT_EQ(r6->stats.stencil_probes, 0u);
+  EXPECT_GT(r6->stats.subdict_visited, 0u);
 }
 
 TEST(RpDbscanTest, StatsArePopulated) {

@@ -23,7 +23,7 @@ namespace {
 std::shared_ptr<const ClusterModelSnapshot> Load(
     const std::vector<uint8_t>& bytes, bool stencil) {
   SnapshotOptions sopts;
-  sopts.dict_opts.build_stencil = stencil;
+  if (!stencil) sopts.dict_opts.max_stencil_offsets = 0;
   auto loaded = ClusterModelSnapshot::Deserialize(bytes, sopts);
   EXPECT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->dictionary().has_stencil(), stencil);

@@ -23,44 +23,29 @@ namespace {
 
 // One cell's SoA block: `n` real sub-cells padded to the lane width,
 // coordinate d's lane at lanes[d * padded + s]. Padding carries +inf
-// centers / zero counts / all-ones quantized slots, exactly as
-// CellDictionary::Assemble emits them.
+// centers / zero counts, exactly as CellDictionary::Assemble emits them.
 struct LaneBlock {
   uint32_t n = 0;
   uint32_t padded = 0;
   std::vector<float> lanes;
   std::vector<uint32_t> counts;
-  std::vector<uint32_t> qlanes;
 };
 
-LaneBlock RandomBlock(Rng& rng, size_t dim, uint32_t n, double span,
-                      const QuantizedSpec& spec) {
+LaneBlock RandomBlock(Rng& rng, size_t dim, uint32_t n, double span) {
   LaneBlock b;
   b.n = n;
   b.padded = (n + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
   if (b.padded == 0) b.padded = kSimdLaneWidth;
   b.lanes.assign(static_cast<size_t>(b.padded) * dim, kLanePadCenter);
   b.counts.assign(b.padded, 0);
-  b.qlanes.assign(static_cast<size_t>(b.padded) * dim, kLanePadQuant);
   for (uint32_t s = 0; s < n; ++s) {
     b.counts[s] = 1 + static_cast<uint32_t>(rng.Uniform(50));
     for (size_t d = 0; d < dim; ++d) {
-      const float c = static_cast<float>(rng.UniformDouble(0.0, span));
-      b.lanes[d * b.padded + s] = c;
-      b.qlanes[d * b.padded + s] = static_cast<uint32_t>(std::llround(
-          (static_cast<double>(c) - spec.base[d]) * spec.inv_quantum));
+      b.lanes[d * b.padded + s] =
+          static_cast<float>(rng.UniformDouble(0.0, span));
     }
   }
   return b;
-}
-
-QuantizedSpec MakeSpec(double eps, size_t dim) {
-  QuantizedSpec spec;
-  spec.enabled = true;
-  spec.inv_quantum =
-      static_cast<double>(int64_t{1} << kQuantBitsPerEps) / eps;
-  for (size_t d = 0; d < dim; ++d) spec.base[d] = 0.0;
-  return spec;
 }
 
 TEST(SimdKernelTest, DetectedLevelMatchesScalarExactly) {
@@ -68,12 +53,11 @@ TEST(SimdKernelTest, DetectedLevelMatchesScalarExactly) {
   for (const size_t dim : {2u, 3u, 4u, 5u, 7u}) {
     const double eps = 0.9;
     const double eps2 = eps * eps;
-    const QuantizedSpec spec = MakeSpec(eps, dim);
     SubcellCountFn scalar = GetSubcellCountFn(SimdLevel::kScalar, dim);
     SubcellCountFn vec = GetSubcellCountFn(DetectSimdLevel(), dim);
     for (int trial = 0; trial < 40; ++trial) {
       const uint32_t n = static_cast<uint32_t>(rng.Uniform(23));
-      const LaneBlock b = RandomBlock(rng, dim, n, 3.0, spec);
+      const LaneBlock b = RandomBlock(rng, dim, n, 3.0);
       float q[CellCoord::kMaxDim];
       for (size_t d = 0; d < dim; ++d) {
         q[d] = static_cast<float>(rng.UniformDouble(-0.5, 3.5));
@@ -93,12 +77,11 @@ TEST(SimdKernelTest, BoundaryDistancesStayBitIdentical) {
   // every <= verdict.
   for (const size_t dim : {2u, 3u, 5u}) {
     const double eps = 1.0;
-    const QuantizedSpec spec = MakeSpec(eps, dim);
     SubcellCountFn scalar = GetSubcellCountFn(SimdLevel::kScalar, dim);
     SubcellCountFn vec = GetSubcellCountFn(DetectSimdLevel(), dim);
     Rng rng(202);
     for (int trial = 0; trial < 60; ++trial) {
-      LaneBlock b = RandomBlock(rng, dim, 8, 2.0, spec);
+      LaneBlock b = RandomBlock(rng, dim, 8, 2.0);
       float q[CellCoord::kMaxDim] = {};
       for (size_t d = 0; d < dim; ++d) q[d] = 1.0f;
       // Overwrite sub-cell 0 with a point at distance ~eps from q along
@@ -116,42 +99,6 @@ TEST(SimdKernelTest, BoundaryDistancesStayBitIdentical) {
                        eps * eps),
                 vec(q, b.lanes.data(), b.counts.data(), b.padded, dim,
                     eps * eps));
-    }
-  }
-}
-
-TEST(SimdKernelTest, QuantKernelsMatchExactAndEachOther) {
-  Rng rng(303);
-  for (const size_t dim : {2u, 3u, 4u, 5u, 6u}) {
-    const double eps = 0.75;
-    const double eps2 = eps * eps;
-    const QuantizedSpec spec = MakeSpec(eps, dim);
-    SubcellCountFn exact = GetSubcellCountFn(SimdLevel::kScalar, dim);
-    SubcellCountQuantFn qscalar =
-        GetSubcellCountQuantFn(SimdLevel::kScalar, dim);
-    SubcellCountQuantFn qvec =
-        GetSubcellCountQuantFn(DetectSimdLevel(), dim);
-    for (int trial = 0; trial < 40; ++trial) {
-      const uint32_t n = static_cast<uint32_t>(rng.Uniform(19));
-      const LaneBlock b = RandomBlock(rng, dim, n, 2.5, spec);
-      float q[CellCoord::kMaxDim];
-      int64_t qq[CellCoord::kMaxDim];
-      for (size_t d = 0; d < dim; ++d) {
-        q[d] = static_cast<float>(rng.UniformDouble(-0.5, 3.0));
-      }
-      ASSERT_TRUE(QuantizeQuery(spec, q, dim, qq));
-      const uint32_t want =
-          exact(q, b.lanes.data(), b.counts.data(), b.padded, dim, eps2);
-      uint64_t fb_scalar = 0;
-      uint64_t fb_vec = 0;
-      EXPECT_EQ(qscalar(q, qq, b.lanes.data(), b.qlanes.data(),
-                        b.counts.data(), b.padded, dim, eps2, &fb_scalar),
-                want)
-          << "dim=" << dim;
-      EXPECT_EQ(qvec(q, qq, b.lanes.data(), b.qlanes.data(),
-                     b.counts.data(), b.padded, dim, eps2, &fb_vec),
-                want);
-      EXPECT_EQ(fb_scalar, fb_vec);
     }
   }
 }
@@ -255,19 +202,6 @@ TEST(SimdKernelTest, GroupBoundsMatchesScalarBitExactly) {
       }
     }
   }
-}
-
-TEST(SimdKernelTest, QuantizeQueryRejectsUnsafeInputs) {
-  const QuantizedSpec spec = MakeSpec(1.0, 2);
-  int64_t qq[CellCoord::kMaxDim];
-  float bad_nan[2] = {std::nanf(""), 0.0f};
-  EXPECT_FALSE(QuantizeQuery(spec, bad_nan, 2, qq));
-  float bad_inf[2] = {std::numeric_limits<float>::infinity(), 0.0f};
-  EXPECT_FALSE(QuantizeQuery(spec, bad_inf, 2, qq));
-  float bad_huge[2] = {3.0e38f, 0.0f};
-  EXPECT_FALSE(QuantizeQuery(spec, bad_huge, 2, qq));
-  float fine[2] = {123.0f, -7.5f};
-  EXPECT_TRUE(QuantizeQuery(spec, fine, 2, qq));
 }
 
 TEST(SimdKernelTest, ForceScalarEnvironmentOverride) {

@@ -1,11 +1,14 @@
-// Equivalence of the two Phase I-1 engines: the sorted CSR build
-// (key encoding + radix sort + CSR emit) must reproduce the seed hash-map
-// scan bit for bit — same dense cell ids, same point order within cells,
-// same partition assignment, and therefore identical clustering — across
+// Phase I-1 grouping against a test-local reference: a forward point scan
+// that numbers cells in first-encounter order and lists each cell's points
+// ascending, plus the seeded partition draw. The sorted CSR build (key
+// encoding + radix sort + CSR emit) and the hash fallback it takes for
+// keys over 128 bits must both reproduce it bit for bit — same dense cell
+// ids, same point order within cells, same partition assignment — across
 // dimensionalities, seeds, partition counts, and thread counts.
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <vector>
 
 #include "core/cell_set.h"
@@ -13,6 +16,7 @@
 #include "parallel/thread_pool.h"
 #include "synth/generators.h"
 #include "util/random.h"
+#include "util/reservoir.h"
 
 #include "test_seed.h"
 
@@ -25,24 +29,49 @@ GridGeometry MakeGeom(size_t dim, double eps, double rho = 0.01) {
   return *g;
 }
 
-/// Asserts the two cell sets are structurally identical: cells, CSR
-/// arrays, and partition assignment.
-void ExpectSameCellSet(const CellSet& a, const CellSet& b) {
-  ASSERT_EQ(a.num_cells(), b.num_cells());
-  ASSERT_EQ(a.cell_point_offsets(), b.cell_point_offsets());
-  ASSERT_EQ(a.point_ids(), b.point_ids());
-  for (uint32_t c = 0; c < a.num_cells(); ++c) {
-    EXPECT_EQ(a.cell(c).coord, b.cell(c).coord) << "cell " << c;
-    EXPECT_EQ(a.cell(c).owner_partition, b.cell(c).owner_partition);
+/// Asserts `set` equals the first-encounter grouping of `data` and the
+/// partition draw CellSet documents (a seeded shuffle of the cell ids
+/// dealt round-robin).
+void ExpectFirstEncounterGrouping(const Dataset& data,
+                                  const GridGeometry& geom,
+                                  size_t num_partitions, uint64_t seed,
+                                  const CellSet& set) {
+  std::unordered_map<CellCoord, uint32_t, CellCoordHash> ids;
+  std::vector<CellCoord> coords;
+  std::vector<std::vector<uint32_t>> points;
+  for (uint32_t i = 0; i < data.size(); ++i) {
+    const CellCoord c = geom.CellOf(data.point(i));
+    const auto [it, inserted] =
+        ids.emplace(c, static_cast<uint32_t>(coords.size()));
+    if (inserted) {
+      coords.push_back(c);
+      points.emplace_back();
+    }
+    points[it->second].push_back(i);
   }
-  ASSERT_EQ(a.num_partitions(), b.num_partitions());
-  for (uint32_t p = 0; p < a.num_partitions(); ++p) {
-    EXPECT_EQ(a.partition(p), b.partition(p)) << "partition " << p;
-    EXPECT_EQ(a.PartitionPoints(p), b.PartitionPoints(p));
+  ASSERT_EQ(set.num_cells(), coords.size());
+  for (uint32_t c = 0; c < set.num_cells(); ++c) {
+    EXPECT_EQ(set.cell(c).coord, coords[c]) << "cell " << c;
+    const PointIdSpan got = set.cell(c).point_ids;
+    ASSERT_EQ(std::vector<uint32_t>(got.begin(), got.end()), points[c])
+        << "cell " << c;
+  }
+  Rng rng(seed);
+  const std::vector<std::vector<uint32_t>> parts =
+      RandomDisjointSplit(coords.size(), num_partitions, rng);
+  ASSERT_EQ(set.num_partitions(), parts.size());
+  for (uint32_t p = 0; p < parts.size(); ++p) {
+    EXPECT_EQ(set.partition(p), parts[p]) << "partition " << p;
+    size_t total = 0;
+    for (const uint32_t c : parts[p]) {
+      EXPECT_EQ(set.cell(c).owner_partition, p);
+      total += points[c].size();
+    }
+    EXPECT_EQ(set.PartitionPoints(p), total);
   }
 }
 
-TEST(SortedPhase1Test, MatchesHashMapAcrossDimsSeedsAndPartitions) {
+TEST(SortedPhase1Test, MatchesFirstEncounterAcrossDimsSeedsAndPartitions) {
   ThreadPool pool(4);
   const uint64_t seed = TestSeed(2024);
   SCOPED_TRACE(SeedNote(seed));
@@ -61,20 +90,14 @@ TEST(SortedPhase1Test, MatchesHashMapAcrossDimsSeedsAndPartitions) {
         {synth::TeraLike(1200, data_seed), MakeGeom(13, 30.0)},
     };
     for (const Config& cfg : configs) {
-      auto sorted = CellSet::Build(cfg.data, cfg.geom, num_partitions,
-                                   split_seed, &pool, /*sorted=*/true);
-      auto sorted_seq = CellSet::Build(cfg.data, cfg.geom, num_partitions,
-                                       split_seed, nullptr, /*sorted=*/true);
-      auto hashed = CellSet::Build(cfg.data, cfg.geom, num_partitions,
-                                   split_seed, nullptr, /*sorted=*/false);
-      ASSERT_TRUE(sorted.ok());
-      ASSERT_TRUE(sorted_seq.ok());
-      ASSERT_TRUE(hashed.ok());
-      EXPECT_TRUE(sorted->breakdown().sorted_path_used);
-      EXPECT_TRUE(sorted_seq->breakdown().sorted_path_used);
-      EXPECT_FALSE(hashed->breakdown().sorted_path_used);
-      ExpectSameCellSet(*sorted, *hashed);
-      ExpectSameCellSet(*sorted_seq, *hashed);
+      for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+        auto set = CellSet::Build(cfg.data, cfg.geom, num_partitions,
+                                  split_seed, p);
+        ASSERT_TRUE(set.ok()) << set.status();
+        EXPECT_TRUE(set->breakdown().sorted_path_used);
+        ExpectFirstEncounterGrouping(cfg.data, cfg.geom, num_partitions,
+                                     split_seed, *set);
+      }
     }
   }
 }
@@ -89,18 +112,17 @@ TEST(SortedPhase1Test, NegativeCoordinatesGroupIdentically) {
                static_cast<float>(rng.UniformDouble(-50.0, 50.0))});
   }
   const GridGeometry geom = MakeGeom(2, 1.5);
-  auto sorted = CellSet::Build(ds, geom, 6, 11, nullptr, /*sorted=*/true);
-  auto hashed = CellSet::Build(ds, geom, 6, 11, nullptr, /*sorted=*/false);
+  auto sorted = CellSet::Build(ds, geom, 6, 11);
   ASSERT_TRUE(sorted.ok());
-  ASSERT_TRUE(hashed.ok());
   EXPECT_TRUE(sorted->breakdown().sorted_path_used);
-  ExpectSameCellSet(*sorted, *hashed);
+  ExpectFirstEncounterGrouping(ds, geom, 6, 11, *sorted);
 }
 
 TEST(SortedPhase1Test, OverflowingKeyFallsBackToHashMap) {
   // 16 dims x a fine grid: the per-dimension lattice ranges need far more
-  // than 128 key bits, so the sorted build must detect it and fall back —
-  // and still produce the identical structure.
+  // than 128 key bits, so the build must detect it and group by hashing —
+  // and still produce the identical structure, in-RAM and through the
+  // pipeline under the full invariant audit.
   Dataset ds(16);
   const uint64_t seed = TestSeed(5);
   SCOPED_TRACE(SeedNote(seed));
@@ -113,60 +135,27 @@ TEST(SortedPhase1Test, OverflowingKeyFallsBackToHashMap) {
     ds.Append(p.data());
   }
   const GridGeometry geom = MakeGeom(16, 0.05, /*rho=*/1.0);
-  auto sorted = CellSet::Build(ds, geom, 4, 3, nullptr, /*sorted=*/true);
-  auto hashed = CellSet::Build(ds, geom, 4, 3, nullptr, /*sorted=*/false);
-  ASSERT_TRUE(sorted.ok());
+  auto hashed = CellSet::Build(ds, geom, 4, 3);
   ASSERT_TRUE(hashed.ok());
-  EXPECT_FALSE(sorted->breakdown().sorted_path_used);
-  ExpectSameCellSet(*sorted, *hashed);
-}
+  EXPECT_FALSE(hashed->breakdown().sorted_path_used);
+  ExpectFirstEncounterGrouping(ds, geom, 4, 3, *hashed);
 
-TEST(SortedPhase1Test, EndToEndClusteringIsBitIdentical) {
-  const uint64_t seed = TestSeed(17);
-  SCOPED_TRACE(SeedNote(seed));
-  struct Run {
-    Dataset data;
-    double eps;
-    size_t min_pts;
-  };
-  const Run runs[] = {
-      {synth::GeoLifeLike(8000, seed), 2.0, 20},
-      {synth::Moons(5000, 0.05, seed + 6), 0.12, 10},
-      {synth::Blobs(6000, 8, 1.0, seed + 14), 0.8, 15},
-  };
-  for (const Run& run : runs) {
-    RpDbscanOptions base;
-    base.eps = run.eps;
-    base.min_pts = run.min_pts;
-    base.rho = 0.01;
-    base.num_partitions = 12;
-    base.num_threads = 4;
-    // Both engines run under the full invariant audit; a violation in
-    // either pipeline fails the run before the bit-compare below.
-    base.audit_level = AuditLevel::kFull;
-    RpDbscanOptions sorted = base;
-    sorted.sorted_phase1 = true;
-    RpDbscanOptions hashed = base;
-    hashed.sorted_phase1 = false;
-    auto rs = RunRpDbscan(run.data, sorted);
-    auto rh = RunRpDbscan(run.data, hashed);
-    ASSERT_TRUE(rs.ok()) << rs.status();
-    ASSERT_TRUE(rh.ok()) << rh.status();
-    EXPECT_EQ(rs->labels, rh->labels);
-    EXPECT_EQ(rs->stats.num_cells, rh->stats.num_cells);
-    EXPECT_EQ(rs->stats.num_subcells, rh->stats.num_subcells);
-    EXPECT_EQ(rs->stats.num_subdictionaries, rh->stats.num_subdictionaries);
-    EXPECT_EQ(rs->stats.num_core_cells, rh->stats.num_core_cells);
-    EXPECT_EQ(rs->stats.num_clusters, rh->stats.num_clusters);
-    EXPECT_EQ(rs->stats.num_noise_points, rh->stats.num_noise_points);
-  }
+  RpDbscanOptions o;
+  o.eps = 0.05;
+  o.rho = 1.0;
+  o.min_pts = 1;
+  o.num_partitions = 4;
+  o.num_threads = 2;
+  o.audit_level = AuditLevel::kFull;
+  auto run = RunRpDbscan(ds, o);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->stats.num_cells, hashed->num_cells());
 }
 
 TEST(SortedPhase1Test, BreakdownCoversThePartitionPhase) {
   const Dataset ds = synth::GeoLifeLike(20000, 41);
   ThreadPool pool(4);
-  auto set =
-      CellSet::Build(ds, MakeGeom(3, 1.0), 8, 7, &pool, /*sorted=*/true);
+  auto set = CellSet::Build(ds, MakeGeom(3, 1.0), 8, 7, &pool);
   ASSERT_TRUE(set.ok());
   const Phase1Breakdown& b = set->breakdown();
   EXPECT_TRUE(b.sorted_path_used);

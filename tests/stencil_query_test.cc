@@ -1,11 +1,12 @@
 // Randomized three-way equivalence of the Phase II query engines: the
 // lattice-stencil kernel (CellDictionary::QueryCellStencil over the global
-// cell index) must reproduce both the batched tree kernel (QueryCell) and
-// the reference per-point Query path bit-for-bit — same core points, same
-// core cells, same edge sets — across dimensionalities, rho values and
+// cell index) must reproduce both the kd-tree kernel (QueryCell, run on a
+// dictionary built with max_stencil_offsets = 0) and the Alg. 3 oracle
+// (tests/phase2_oracle.h) bit-for-bit — same core points, same core
+// cells, same edge sets — across dimensionalities, rho values and
 // skipping settings, including through the serialize/deserialize broadcast
-// round-trip, plus the high-dimensionality and build-option fallbacks and
-// the sub-cell-range MBR containment contract.
+// round-trip, plus the high-dimensionality and zero-cap fallbacks and the
+// sub-cell-range MBR containment contract.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +18,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/labeling.h"
+#include "core/merge.h"
 #include "core/phase2.h"
 #include "core/rp_dbscan.h"
 #include "synth/generators.h"
 #include "verify/audit.h"
 
+#include "phase2_oracle.h"
 #include "test_seed.h"
 
 namespace rpdbscan {
@@ -32,10 +36,10 @@ struct EngineConfig {
   double rho = 0.05;
   size_t partitions = 5;
   size_t min_pts = 20;
-  bool use_rtree = false;
   bool skipping = true;
   bool defragment = true;
-  bool build_stencil = true;
+  /// Stencil cap of the stencil-engine dictionary (the kd-tree one is
+  /// always built with 0).
   size_t max_stencil_offsets = 8192;
   /// Round-trip the dictionary through its Lemma 4.3 wire format before
   /// querying (the broadcast path rebuilds the global index and stencil).
@@ -43,8 +47,8 @@ struct EngineConfig {
 };
 
 struct ThreeWayOutcome {
-  Phase2Result stencil;   // result under Phase2Options defaults
-  Phase2Result tree;      // batched, stencil_queries = false
+  Phase2Result stencil;   // on the dictionary built with cfg's cap
+  Phase2Result tree;      // on the dictionary built with cap 0
   bool has_stencil = false;
   size_t num_cells = 0;
   size_t stencil_offsets = 0;
@@ -63,25 +67,17 @@ std::vector<std::tuple<uint32_t, uint32_t>> CanonicalEdges(
   return edges;
 }
 
-/// Runs all three engines on one pipeline and asserts identical output
-/// plus the per-engine counter contracts.
-ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
-                                         const EngineConfig& cfg) {
-  ThreeWayOutcome out;
-  auto geom = GridGeometry::Create(data.dim(), cfg.eps, cfg.rho);
-  EXPECT_TRUE(geom.ok());
-  auto cells = CellSet::Build(data, *geom, cfg.partitions, 7);
-  EXPECT_TRUE(cells.ok());
+/// Builds one dictionary of `cells` with the given stencil cap, through
+/// the broadcast round-trip when cfg.roundtrip is set.
+CellDictionary BuildDict(const Dataset& data, const CellSet& cells,
+                         const EngineConfig& cfg, size_t max_stencil_offsets,
+                         ThreadPool& pool) {
   CellDictionaryOptions dict_opts;
   dict_opts.max_cells_per_subdict = 64;  // force several sub-dictionaries
   dict_opts.defragment = cfg.defragment;
   dict_opts.enable_skipping = cfg.skipping;
-  dict_opts.index =
-      cfg.use_rtree ? CandidateIndex::kRTree : CandidateIndex::kKdTree;
-  dict_opts.build_stencil = cfg.build_stencil;
-  dict_opts.max_stencil_offsets = cfg.max_stencil_offsets;
-  ThreadPool pool(3);
-  auto built = CellDictionary::Build(data, *cells, dict_opts, &pool);
+  dict_opts.max_stencil_offsets = max_stencil_offsets;
+  auto built = CellDictionary::Build(data, cells, dict_opts, &pool);
   EXPECT_TRUE(built.ok());
   CellDictionary dict = std::move(*built);
   if (cfg.roundtrip) {
@@ -91,18 +87,28 @@ ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
     EXPECT_EQ(wire->has_stencil(), dict.has_stencil());
     dict = std::move(*wire);
   }
+  return dict;
+}
 
-  Phase2Options per_point_opts;
-  per_point_opts.batched_queries = false;
-  Phase2Options tree_opts;
-  tree_opts.stencil_queries = false;
-  const Phase2Options stencil_opts;  // defaults: batched + stencil
-  Phase2Result a =
-      BuildSubgraphs(data, *cells, dict, cfg.min_pts, pool, per_point_opts);
+/// Runs all three engines on one pipeline and asserts identical output
+/// plus the per-engine counter contracts.
+ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
+                                         const EngineConfig& cfg) {
+  ThreeWayOutcome out;
+  auto geom = GridGeometry::Create(data.dim(), cfg.eps, cfg.rho);
+  EXPECT_TRUE(geom.ok());
+  auto cells = CellSet::Build(data, *geom, cfg.partitions, 7);
+  EXPECT_TRUE(cells.ok());
+  ThreadPool pool(3);
+  const CellDictionary dict =
+      BuildDict(data, *cells, cfg, cfg.max_stencil_offsets, pool);
+  const CellDictionary tree_dict = BuildDict(data, *cells, cfg, 0, pool);
+  EXPECT_FALSE(tree_dict.has_stencil());
+
+  Phase2Result a = OraclePhase2(data, *cells, tree_dict, cfg.min_pts);
   Phase2Result t =
-      BuildSubgraphs(data, *cells, dict, cfg.min_pts, pool, tree_opts);
-  Phase2Result s =
-      BuildSubgraphs(data, *cells, dict, cfg.min_pts, pool, stencil_opts);
+      BuildSubgraphs(data, *cells, tree_dict, cfg.min_pts, pool);
+  Phase2Result s = BuildSubgraphs(data, *cells, dict, cfg.min_pts, pool);
 
   EXPECT_EQ(a.point_is_core, t.point_is_core);
   EXPECT_EQ(a.point_is_core, s.point_is_core);
@@ -111,14 +117,14 @@ ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
   const auto edges = CanonicalEdges(a);
   EXPECT_EQ(edges, CanonicalEdges(t));
   EXPECT_EQ(edges, CanonicalEdges(s));
-  // Structural auditors at kFull: all three engines must emit
+  // Structural auditors at kFull: both production engines must emit
   // invariant-clean structures, not merely equal ones.
   const AuditReport cell_audit = AuditCellSet(data, *cells, AuditLevel::kFull);
   EXPECT_TRUE(cell_audit.ok()) << cell_audit.ToString();
   const AuditReport dict_audit =
       AuditDictionary(data, *cells, dict, AuditLevel::kFull);
   EXPECT_TRUE(dict_audit.ok()) << dict_audit.ToString();
-  for (const Phase2Result* r : {&a, &t, &s}) {
+  for (const Phase2Result* r : {&t, &s}) {
     const AuditReport graph_audit =
         AuditCellGraph(data, *cells, *r, AuditLevel::kFull);
     EXPECT_TRUE(graph_audit.ok()) << graph_audit.ToString();
@@ -129,8 +135,6 @@ ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
   // and processed once) from above, and by one per cell from below — the
   // source cell is always the first entry of its own precomputed
   // neighborhood and always resolves, giving hits >= cells too.
-  EXPECT_EQ(a.stencil_probes, 0u);
-  EXPECT_EQ(a.stencil_hits, 0u);
   EXPECT_EQ(t.stencil_probes, 0u);
   EXPECT_EQ(t.stencil_hits, 0u);
   EXPECT_GT(t.subdict_visited, 0u);
@@ -144,8 +148,8 @@ ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
     EXPECT_EQ(s.subdict_visited, 0u);
     EXPECT_EQ(s.subdict_possible, 0u);
   } else {
-    // Fallback: stencil_queries silently took the tree path, so the
-    // tree-side counters must match run t exactly.
+    // No stencil under cfg's cap either: both runs took the kd-tree
+    // path, so the tree-side counters must match run t exactly.
     EXPECT_EQ(s.stencil_probes, 0u);
     EXPECT_EQ(s.stencil_hits, 0u);
     EXPECT_EQ(s.subdict_visited, t.subdict_visited);
@@ -185,26 +189,21 @@ TEST(StencilQueryTest, RandomizedAcrossDimsRhoAndSkipping) {
 
 TEST(StencilQueryTest, SkewedGeoLifeAnalogueRhoSweep) {
   // The workload the stencil engine targets: one super-dense component
-  // where every probe hits and tiny rho makes sub-cell grids deep. Also
-  // exercises the R-tree tree path against the stencil.
+  // where every probe hits and tiny rho makes sub-cell grids deep.
   const uint64_t seed = TestSeed(4901);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset data = synth::GeoLifeLike(3000, seed);
   for (const double rho : {0.25, 0.05, 0.01}) {
-    for (const bool rtree : {false, true}) {
-      SCOPED_TRACE("rho=" + std::to_string(rho) +
-                   " rtree=" + std::to_string(rtree));
-      EngineConfig cfg;
-      cfg.eps = 2.0;
-      cfg.rho = rho;
-      cfg.min_pts = 20;
-      cfg.use_rtree = rtree;
-      const ThreeWayOutcome o = ExpectThreeWayEquivalent(data, cfg);
-      EXPECT_TRUE(o.has_stencil);
-      // 3-d stencil: the whole 5^3 window minus self.
-      EXPECT_EQ(o.stencil_offsets, 124u);
-      EXPECT_GT(o.stencil.early_exits, 0u);  // dense cells prove coreness
-    }
+    SCOPED_TRACE("rho=" + std::to_string(rho));
+    EngineConfig cfg;
+    cfg.eps = 2.0;
+    cfg.rho = rho;
+    cfg.min_pts = 20;
+    const ThreeWayOutcome o = ExpectThreeWayEquivalent(data, cfg);
+    EXPECT_TRUE(o.has_stencil);
+    // 3-d stencil: the whole 5^3 window minus self.
+    EXPECT_EQ(o.stencil_offsets, 124u);
+    EXPECT_GT(o.stencil.early_exits, 0u);  // dense cells prove coreness
   }
 }
 
@@ -235,8 +234,8 @@ TEST(StencilQueryTest, MinPtsOnBothSidesOfEarlyExit) {
 
 TEST(StencilQueryTest, HighDimFallbackStaysEquivalent) {
   // d = 6 exceeds the default stencil cap: the dictionary must come back
-  // without a stencil and stencil_queries must silently ride the tree
-  // path, still bit-identical to the reference.
+  // without a stencil and Phase II must ride the kd-tree path, still
+  // bit-identical to the oracle.
   const uint64_t seed = TestSeed(4666);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset data = synth::Blobs(600, 3, 2.0, seed, 6);
@@ -253,7 +252,7 @@ TEST(StencilQueryTest, HighDimFallbackStaysEquivalent) {
   EXPECT_EQ(ow.stencil_offsets, 41220u);
 }
 
-TEST(StencilQueryTest, BuildStencilOffFallsBack) {
+TEST(StencilQueryTest, ZeroStencilCapFallsBack) {
   const uint64_t seed = TestSeed(4042);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset data = synth::Moons(800, 0.05, seed);
@@ -262,7 +261,7 @@ TEST(StencilQueryTest, BuildStencilOffFallsBack) {
   cfg.rho = 0.25;
   cfg.min_pts = 3;
   cfg.defragment = false;
-  cfg.build_stencil = false;
+  cfg.max_stencil_offsets = 0;
   const ThreeWayOutcome o = ExpectThreeWayEquivalent(data, cfg);
   EXPECT_FALSE(o.has_stencil);
 }
@@ -314,7 +313,7 @@ TEST(StencilQueryTest, FindDictCellResolvesEveryCellAndRejectsAbsent) {
 }
 
 TEST(StencilQueryTest, SubcellRangeMbrCoversEveryPoint) {
-  // The contract ProcessCellBatched's debug assert enforces, checked here
+  // The contract ProcessCellBatched's debug check enforces, checked here
   // in every build mode: the box decoded from occupied sub-cell ranges
   // covers each of the cell's points, and lies within the cell box padded
   // by one float ulp per face.
@@ -368,39 +367,44 @@ TEST(StencilQueryTest, SubcellRangeMbrCoversEveryPoint) {
 }
 
 TEST(StencilQueryTest, EndToEndPipelineLabelsIdentical) {
-  // Full RunRpDbscan under all three engines: identical labels, and the
-  // run stats reflect which engine actually executed.
+  // RunRpDbscan (stencil engine at d = 3) against the same stages run by
+  // hand on a kd-tree dictionary and on the oracle: identical labels.
   const uint64_t seed = TestSeed(4321);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset data = synth::GeoLifeLike(2500, seed);
-  RpDbscanOptions base;
-  base.eps = 2.0;
-  base.min_pts = 20;
-  base.rho = 0.01;
-  base.num_partitions = 6;
-  base.num_threads = 3;
-  base.audit_level = AuditLevel::kCheap;
+  RpDbscanOptions opts;
+  opts.eps = 2.0;
+  opts.min_pts = 20;
+  opts.rho = 0.01;
+  opts.num_partitions = 6;
+  opts.num_threads = 3;
+  opts.audit_level = AuditLevel::kCheap;
+  const auto run = RunRpDbscan(data, opts);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_GT(run->stats.stencil_probes, 0u);
 
-  RpDbscanOptions stencil = base;  // defaults: batched + stencil
-  RpDbscanOptions tree = base;
-  tree.stencil_queries = false;
-  RpDbscanOptions per_point = base;
-  per_point.batched_queries = false;
-
-  const auto rs = RunRpDbscan(data, stencil);
-  const auto rt = RunRpDbscan(data, tree);
-  const auto rp = RunRpDbscan(data, per_point);
-  ASSERT_TRUE(rs.ok());
-  ASSERT_TRUE(rt.ok());
-  ASSERT_TRUE(rp.ok());
-  EXPECT_EQ(rs->labels, rt->labels);
-  EXPECT_EQ(rs->labels, rp->labels);
-  EXPECT_GT(rs->stats.stencil_probes, 0u);
-  EXPECT_LE(rs->stats.stencil_hits, rs->stats.stencil_probes);
-  EXPECT_EQ(rt->stats.stencil_probes, 0u);
-  EXPECT_EQ(rp->stats.stencil_probes, 0u);
-  EXPECT_GT(rt->stats.subdict_visited, 0u);
-  EXPECT_EQ(rs->stats.subdict_visited, 0u);  // stencil never descends
+  auto geom = GridGeometry::Create(data.dim(), opts.eps, opts.rho);
+  ASSERT_TRUE(geom.ok());
+  ThreadPool pool(opts.num_threads);
+  auto cells =
+      CellSet::Build(data, *geom, opts.num_partitions, opts.seed, &pool);
+  ASSERT_TRUE(cells.ok());
+  CellDictionaryOptions dict_opts;
+  dict_opts.max_stencil_offsets = 0;
+  auto tree_dict = CellDictionary::Build(data, *cells, dict_opts, &pool);
+  ASSERT_TRUE(tree_dict.ok());
+  auto labels_of = [&](Phase2Result phase2) {
+    MergeOptions merge_opts;
+    merge_opts.pool = &pool;
+    merge_opts.parallel_unions = true;
+    const MergeResult merged = MergeSubgraphs(
+        std::move(phase2.subgraphs), cells->num_cells(), merge_opts);
+    return LabelPoints(data, *cells, merged, phase2.point_is_core, pool);
+  };
+  EXPECT_EQ(run->labels, labels_of(BuildSubgraphs(data, *cells, *tree_dict,
+                                                  opts.min_pts, pool)));
+  EXPECT_EQ(run->labels,
+            labels_of(OraclePhase2(data, *cells, *tree_dict, opts.min_pts)));
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 // to RunRpDbscan from scratch on the accumulated points with the same
 // options — per-point labels (which are cluster ids, so identity covers
 // cluster numbering too), cluster/noise counts, and the published
-// snapshot's meta. Randomized over dims 2-5, both Phase II query engines,
-// skewed cluster sizes, and minPts-boundary duplicate data; re-seed via
-// RPDBSCAN_TEST_SEED.
+// snapshot's meta. Randomized over dims 2-6 (the stencil engine at d <= 5,
+// the kd-tree engine at d = 6), skewed cluster sizes, and minPts-boundary
+// duplicate data; re-seed via RPDBSCAN_TEST_SEED. The incremental Phase II
+// unit is also checked on a kd-tree dictionary at d = 3, built with
+// max_stencil_offsets = 0.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/phase2.h"
 #include "core/rp_dbscan.h"
 #include "io/dataset.h"
 #include "stream/incremental.h"
@@ -110,51 +113,89 @@ void DifferentialReplay(const Dataset& all, const RpDbscanOptions& options,
   }
 }
 
-RpDbscanOptions StreamOptions(double eps, size_t min_pts, bool stencil,
-                              uint64_t seed) {
+RpDbscanOptions StreamOptions(double eps, size_t min_pts, uint64_t seed) {
   RpDbscanOptions o;
   o.eps = eps;
   o.min_pts = min_pts;
   o.rho = 0.03;
   o.num_threads = 2;
   o.num_partitions = 8;
-  o.stencil_queries = stencil;  // false = per-sub-dictionary tree descent
   o.seed = seed;
   o.audit_level = AuditLevel::kCheap;  // audit the stream stages too
   return o;
 }
 
-class StreamDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+class StreamDifferentialTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(StreamDifferentialTest, MatchesScratchRunAcrossSeeds) {
-  const size_t dim = std::get<0>(GetParam());
-  const bool stencil = std::get<1>(GetParam());
-  const uint64_t base = TestSeed(0xA11CE + dim * 101 + (stencil ? 7 : 0));
+  const size_t dim = GetParam();
+  const uint64_t base = TestSeed(0xA11CE + dim * 101 + 7);
   for (uint64_t s = 0; s < 3; ++s) {
     const uint64_t seed = base + s;
     SCOPED_TRACE(SeedNote(seed));
-    SCOPED_TRACE("dim=" + std::to_string(dim) +
-                 (stencil ? " stencil" : " tree-queries"));
+    SCOPED_TRACE("dim=" + std::to_string(dim));
     const size_t n = 360 + dim * 60;
     const Dataset all = SkewedData(n, dim, seed);
     // Higher dimensions spread the Gaussians out; grow eps so some cores
     // still form (the differential claim itself holds for any eps).
     const double eps = 1.4 + 0.45 * static_cast<double>(dim);
-    DifferentialReplay(all, StreamOptions(eps, 8, stencil, seed), n / 2,
+    DifferentialReplay(all, StreamOptions(eps, 8, seed), n / 2,
                        seed ^ 0x5eedbeefULL);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DimsByEngine, StreamDifferentialTest,
-    ::testing::Combine(::testing::Values(size_t{2}, size_t{3}, size_t{4},
-                                         size_t{5}),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
-      return "dim" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "Stencil" : "Tree");
+    Dims, StreamDifferentialTest,
+    ::testing::Values(size_t{2}, size_t{3}, size_t{4}, size_t{5}, size_t{6}),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return "dim" + std::to_string(info.param) +
+             (info.param <= 5 ? "Stencil" : "Tree");
     });
+
+/// The incremental Phase II unit on the kd-tree engine: RecomputeCells
+/// over any target subset of a dictionary without a stencil must return
+/// exactly what the full BuildSubgraphs run emits for those cells.
+TEST(StreamIncrementalTest, RecomputeCellsMatchesFullRunOnTreeDictionary) {
+  const uint64_t seed = TestSeed(0x7EE);
+  SCOPED_TRACE(SeedNote(seed));
+  const Dataset data = SkewedData(900, 3, seed);
+  auto geom = GridGeometry::Create(3, 2.5, 0.03);
+  ASSERT_TRUE(geom.ok());
+  ThreadPool pool(2);
+  auto cells = CellSet::Build(data, *geom, 8, seed, &pool);
+  ASSERT_TRUE(cells.ok());
+  CellDictionaryOptions dict_opts;
+  dict_opts.max_stencil_offsets = 0;
+  auto dict = CellDictionary::Build(data, *cells, dict_opts, &pool);
+  ASSERT_TRUE(dict.ok());
+  ASSERT_FALSE(dict->has_stencil());
+  const size_t min_pts = 8;
+  const Phase2Result full =
+      BuildSubgraphs(data, *cells, *dict, min_pts, pool);
+  std::vector<std::vector<uint32_t>> full_edges(cells->num_cells());
+  for (const CellSubgraph& g : full.subgraphs) {
+    for (const CellEdge& e : g.edges) full_edges[e.from].push_back(e.to);
+  }
+  std::vector<uint32_t> targets;
+  for (uint32_t cid = 0; cid < cells->num_cells(); cid += 3) {
+    targets.push_back(cid);
+  }
+  std::vector<uint8_t> point_is_core(data.size(), 1);  // stale flags
+  const Phase2CellUpdate update =
+      RecomputeCells(data, *cells, *dict, min_pts, pool, Phase2Options(),
+                     targets, point_is_core.data());
+  EXPECT_GT(update.subdict_visited, 0u);
+  EXPECT_EQ(update.stencil_probes, 0u);
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const uint32_t cid = targets[t];
+    SCOPED_TRACE("cell " + std::to_string(cid));
+    EXPECT_EQ(update.cell_is_core[t], full.cell_is_core[cid]);
+    EXPECT_EQ(update.cell_edges[t], full_edges[cid]);
+    for (const uint32_t pid : cells->cell(cid).point_ids) {
+      EXPECT_EQ(point_is_core[pid], full.point_is_core[pid]);
+    }
+  }
+}
 
 /// minPts-boundary stream: duplicate "sites" emitted round-robin so that
 /// contiguous batches split a site's copies across epochs — cells cross
@@ -164,32 +205,29 @@ TEST(StreamIncrementalTest, MinPtsBoundaryDifferential) {
   const uint64_t seed = TestSeed(0xB0DA);
   SCOPED_TRACE(SeedNote(seed));
   const size_t min_pts = 4;
-  for (const bool stencil : {true, false}) {
-    SCOPED_TRACE(stencil ? "stencil" : "tree-queries");
-    Rng rng(seed);
-    const size_t num_sites = 120;
-    std::vector<std::pair<float, float>> sites(num_sites);
-    std::vector<size_t> copies(num_sites);
-    size_t max_copies = 0;
+  Rng rng(seed);
+  const size_t num_sites = 120;
+  std::vector<std::pair<float, float>> sites(num_sites);
+  std::vector<size_t> copies(num_sites);
+  size_t max_copies = 0;
+  for (size_t i = 0; i < num_sites; ++i) {
+    sites[i] = {static_cast<float>(rng.UniformDouble(0.0, 50.0)),
+                static_cast<float>(rng.UniformDouble(0.0, 50.0))};
+    // min_pts - 1, exactly min_pts, or min_pts + 1 copies per site.
+    copies[i] = min_pts - 1 + static_cast<size_t>(rng.Uniform(3));
+    max_copies = std::max(max_copies, copies[i]);
+  }
+  Dataset all(2);
+  for (size_t rep = 0; rep < max_copies; ++rep) {
     for (size_t i = 0; i < num_sites; ++i) {
-      sites[i] = {static_cast<float>(rng.UniformDouble(0.0, 50.0)),
-                  static_cast<float>(rng.UniformDouble(0.0, 50.0))};
-      // min_pts - 1, exactly min_pts, or min_pts + 1 copies per site.
-      copies[i] = min_pts - 1 + static_cast<size_t>(rng.Uniform(3));
-      max_copies = std::max(max_copies, copies[i]);
-    }
-    Dataset all(2);
-    for (size_t rep = 0; rep < max_copies; ++rep) {
-      for (size_t i = 0; i < num_sites; ++i) {
-        if (rep < copies[i]) {
-          const float p[2] = {sites[i].first, sites[i].second};
-          all.Append(p);
-        }
+      if (rep < copies[i]) {
+        const float p[2] = {sites[i].first, sites[i].second};
+        all.Append(p);
       }
     }
-    DifferentialReplay(all, StreamOptions(0.5, min_pts, stencil, seed),
-                       all.size() / 3, seed + 1);
   }
+  DifferentialReplay(all, StreamOptions(0.5, min_pts, seed),
+                     all.size() / 3, seed + 1);
 }
 
 /// Empty and single-point batches between epochs must be no-ops and
@@ -198,7 +236,7 @@ TEST(StreamIncrementalTest, TinyAndEmptyBatches) {
   const uint64_t seed = TestSeed(0xE4411);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset all = SkewedData(240, 3, seed);
-  const RpDbscanOptions o = StreamOptions(2.5, 6, true, seed);
+  const RpDbscanOptions o = StreamOptions(2.5, 6, seed);
   auto clusterer_or = StreamClusterer::Create(Prefix(all, 200), o);
   ASSERT_TRUE(clusterer_or.ok()) << clusterer_or.status();
   StreamClusterer clusterer = std::move(*clusterer_or);

@@ -79,18 +79,8 @@ constexpr char kUsage[] = R"(usage: rpdbscan_cli [flags]
     --rho=R               approximation rate (default 0.01)
     --partitions=K        partitions / splits (default 16)
     --threads=T           worker threads (default 4)
-    --perpoint            rp only: use the reference per-point query path
-                          instead of the batched Phase II kernel
-    --tree-queries        rp only: enumerate Phase II candidates by
-                          per-sub-dictionary tree descent instead of the
-                          lattice-stencil hash probes
-    --hashmap-phase1      rp only: use the reference hash-map Phase I-1
-                          grouping instead of the sorted CSR build
     --scalar-kernels      rp only: force the scalar reference distance
                           kernels (no SIMD dispatch); labels identical
-    --quantized           rp only: integer fixed-point candidate
-                          pre-filter with exact fallback in the error
-                          band; labels identical, auto-off on overflow
     --sequential-merge    rp only: tournament merge (Fig. 17 series)
                           instead of the edge-parallel union-find
     --mmap                rp only: memory-map an .rpds --input read-only
@@ -143,8 +133,7 @@ hierarchy (multi-eps cluster hierarchy over one shared dictionary):
                           attached as the snapshot's hierarchy section
     --output=PATH         write points + finest-level labels as CSV
     --stats-json=PATH     per-level and shared-stage statistics as JSON
-  the rp engine flags (--rho --partitions --threads --perpoint
-  --tree-queries --hashmap-phase1 --scalar-kernels --quantized
+  the rp engine flags (--rho --partitions --threads --scalar-kernels
   --sequential-merge) apply to every level.
 
 serving (classify out-of-sample points against a frozen model):
@@ -203,9 +192,8 @@ re-clustering and hot-swapping epoch snapshots into a label server):
                           object (dirty_cells, reclustered_points,
                           epoch_publish_seconds, ...)
   the rp clustering flags (--eps --minpts --rho --partitions --threads
-  --perpoint --tree-queries --hashmap-phase1 --scalar-kernels
-  --quantized --sequential-merge) apply unchanged; every epoch's labels
-  are bit-identical to a from-scratch run with those flags.
+  --scalar-kernels --sequential-merge) apply unchanged; every epoch's
+  labels are bit-identical to a from-scratch run with those flags.
 )";
 
 /// "262144", "256k", "64m", "1g" -> bytes ("64mb" style also accepted).
@@ -355,11 +343,7 @@ StatusOr<RpDbscanOptions> RpOptionsFromFlags(const FlagSet& flags) {
   o.rho = *rho_or;
   o.num_partitions = static_cast<size_t>(*parts_or);
   o.num_threads = static_cast<size_t>(*threads_or);
-  o.batched_queries = !flags.GetBool("perpoint");
-  o.stencil_queries = !flags.GetBool("tree-queries");
-  o.sorted_phase1 = !flags.GetBool("hashmap-phase1");
   o.scalar_kernels = flags.GetBool("scalar-kernels");
-  o.quantized = flags.GetBool("quantized");
   o.sequential_merge = flags.GetBool("sequential-merge");
   auto shard_or = flags.GetInt("shard-workers", 0);
   if (!shard_or.ok()) return shard_or.status();
@@ -994,11 +978,7 @@ int HierarchyMain(const FlagSet& flags) {
   ho.rho = *rho_or;
   ho.num_partitions = static_cast<size_t>(*parts_or);
   ho.num_threads = static_cast<size_t>(*threads_or);
-  ho.batched_queries = !flags.GetBool("perpoint");
-  ho.stencil_queries = !flags.GetBool("tree-queries");
-  ho.sorted_phase1 = !flags.GetBool("hashmap-phase1");
   ho.scalar_kernels = flags.GetBool("scalar-kernels");
-  ho.quantized = flags.GetBool("quantized");
   ho.sequential_merge = flags.GetBool("sequential-merge");
   ho.force_probe = flags.GetBool("force-probe");
   ho.seed_from_previous = !flags.GetBool("no-seeding");

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Benchmark runner for the two engine head-to-heads whose perf trajectory
 # is recorded alongside the code:
-#   * Phase I-1 build (bench_micro BM_Phase1Build): sorted CSR grouping vs
-#     the seed hash-map scan, GeoLifeLike at two sizes -> BENCH_phase1.json
+#   * Phase I-1 build (bench_micro BM_Phase1Build): sorted CSR grouping,
+#     GeoLifeLike at two sizes -> BENCH_phase1.json
 #   * Phase II query kernel (bench_micro BM_Phase2Query): lattice-stencil
-#     (SIMD vs forced-scalar vs quantized) vs batched-tree vs per-point,
-#     the Phase III merge engines (BM_MergeForest: edge-parallel lock-free
+#     (SIMD vs forced-scalar) vs kd-tree descent, the Phase III merge
+#     engines (BM_MergeForest: edge-parallel lock-free
 #     union-find vs sequential tournament at 1/2/4 threads), plus the
 #     Fig. 12 phase breakdown -> BENCH_phase2.json
 #   * Serving layer (bench_serve): grouped-batch vs per-query label
@@ -163,7 +163,7 @@ fi
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
-echo "== Phase I-1 build engines (bench_micro, scale=$SCALE) =="
+echo "== Phase I-1 build (bench_micro, scale=$SCALE) =="
 RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_MICRO" \
   --benchmark_filter='BM_Phase1Build' \
   --benchmark_out="$TMP_DIR/phase1.json" \
@@ -382,13 +382,13 @@ bench_json, out_path, scale = sys.argv[1:4]
 with open(bench_json) as f:
     raw = json.load(f)
 
-# Names look like "BM_Phase1Build/sorted/40000".
+# Names look like "BM_Phase1Build/40000".
 engines = []
 for b in raw.get("benchmarks", []):
     parts = b["name"].split("/")
     engines.append({
-        "engine": parts[1] if len(parts) > 1 else b["name"],
-        "points": int(parts[2]) if len(parts) > 2 else None,
+        "engine": "sorted",
+        "points": int(parts[1]) if len(parts) > 1 else None,
         "real_time_ms": b["real_time"],
         "cpu_time_ms": b["cpu_time"],
         "items_per_second": b.get("items_per_second"),
@@ -397,25 +397,16 @@ for b in raw.get("benchmarks", []):
         "scatter_seconds": b.get("scatter_seconds"),
     })
 
-speedups = {}
-sizes = sorted({e["points"] for e in engines if e["points"] is not None})
-for n in sizes:
-    t = {e["engine"]: e["real_time_ms"] for e in engines if e["points"] == n}
-    if t.get("sorted") and t.get("hashmap"):
-        speedups[str(n)] = t["hashmap"] / t["sorted"]
-
 out = {
     "generated_by": "tools/run_bench.sh",
     "bench_scale": float(scale),
     "dataset": "GeoLifeLike",
     "context": raw.get("context", {}),
     "phase1_engines": engines,
-    "speedup_sorted_over_hashmap": speedups,
 }
 with open(out_path, "w") as f:
     json.dump(out, f, indent=2)
-summary = ", ".join(f"{n}: {s:.2f}x" for n, s in speedups.items())
-print(f"wrote {out_path}" + (f" (sorted speedup {summary})" if summary else ""))
+print(f"wrote {out_path}")
 PY
 
 python3 - "$TMP_DIR/phase2.json" "$TMP_DIR/merge.json" \
@@ -443,11 +434,8 @@ for b in raw.get("benchmarks", []):
 
 times = {k["kernel"]: k["real_time_ms"] for k in kernels}
 speedups = {}
-for fast, slow in (("batched_tree", "per_point"),
-                   ("stencil", "per_point"),
-                   ("stencil", "batched_tree"),
-                   ("stencil", "stencil_scalar"),
-                   ("stencil_quant", "stencil_scalar")):
+for fast, slow in (("stencil", "batched_tree"),
+                   ("stencil", "stencil_scalar")):
     if times.get(fast) and times.get(slow):
         speedups[f"speedup_{fast}_over_{slow}"] = times[slow] / times[fast]
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer / release check matrix:
-#   1. Debug + ASan + UBSan over the full test suite (minus `slow` tests —
+#   1. Debug + ASan + UBSan (float-cast-overflow included, see
+#      CMakeLists.txt) over the full test suite (minus `slow` tests —
 #      the bench smoke run rebuilds nothing and times out under ASan).
 #      Includes the lattice-stencil engine suites (stencil_query_test,
 #      lattice_stencil_test), the out-of-core layer (mmap_dataset_test,
@@ -16,8 +17,8 @@
 #      concurrent FlatCellIndex::BuildHashed), merge — now including the
 #      lock-free ConcurrentDisjointSet (disjoint_set_test's multi-thread
 #      union stress) and the edge-parallel merge path
-#      (parallel_merge_test) — the SIMD-vs-scalar and quantized-mode
-#      equivalence suites (simd_kernel_test, quantized_mode_test),
+#      (parallel_merge_test) — the SIMD-vs-scalar equivalence suite
+#      (simd_kernel_test),
 #      end-to-end and snapshot-serving (serve_concurrent_test: one frozen
 #      snapshot, many reader threads; serve_batch_test: grouped-batch
 #      bit-identity across thread counts; request_loop_test: the framed

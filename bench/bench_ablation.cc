@@ -126,19 +126,14 @@ void Run() {
 
   std::printf(
       "\n(f) Phase II candidate enumeration (stencil vs kd-tree)\n");
-  std::printf("%-28s %12s %14s %12s\n", "variant", "phase2(s)",
-              "stencil probes", "hit-rate");
+  std::printf("%-28s %12s %14s\n", "variant", "phase2(s)",
+              "stencil probes");
   const RunStats s = RunVariant(osm.data, eps, true, 32);
-  const double hit_rate =
-      s.stencil_probes > 0 ? static_cast<double>(s.stencil_hits) /
-                                 static_cast<double>(s.stencil_probes)
-                           : 0.0;
-  std::printf("%-28s %12.3f %14zu %11.1f%%\n", "lattice stencil",
-              s.phase2_seconds, s.stencil_probes, 100.0 * hit_rate);
+  std::printf("%-28s %12.3f %14zu\n", "lattice stencil", s.phase2_seconds,
+              s.stencil_probes);
   double tree_seconds = 0;
   TreePhase2(osm.data, eps, true, &tree_seconds);
-  std::printf("%-28s %12.3f %14d %11.1f%%\n", "kd-tree descent",
-              tree_seconds, 0, 0.0);
+  std::printf("%-28s %12.3f %14d\n", "kd-tree descent", tree_seconds, 0);
   std::fflush(stdout);
 }
 

@@ -7,8 +7,8 @@
 // Every rung is bit-identical to its independent run
 // (tests/hierarchy_differential_test.cc pins this; the bench re-asserts
 // it on the measured data), so the ratio is a pure like-for-like cost
-// comparison: the sweep pays Phase I, the dictionary build and the cell
-// broadcast once, the independent runs pay them N times. Target regime:
+// comparison: the sweep pays Phase I and the dictionary build once, the
+// independent runs pay them N times. Target regime:
 // sweep cost below 60% of the independent total at N >= 4 levels. A
 // second, sampled-core ladder (DBSCAN++-style cell sampling at 50%)
 // records the approximation's cost and its per-level NMI / Rand index
@@ -40,8 +40,8 @@ namespace {
 
 /// The ladder schedule: fourteen ascending rungs spanning the analogue's
 /// sparse-to-dense regimes — the dense sampling an OPTICS-like hierarchy
-/// actually wants, and the regime where the shared Phase I / dictionary /
-/// broadcast amortize best. The top-to-bottom radius ratio of 2.6 keeps
+/// actually wants, and the regime where the shared Phase I and dictionary
+/// amortize best. The top-to-bottom radius ratio of 2.6 keeps
 /// the assembled stencil family (enumerated once, out to the top rung)
 /// comfortably within the dictionary's offset budget in 3-D.
 constexpr double kEpsRungs[] = {0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4,
@@ -148,10 +148,10 @@ int Run(const std::string& out_path) {
     return true;
   }();
   std::printf(
-      "sweep %.4fs (phase1 %.4fs, dictionary %.4fs, broadcast %.4fs) vs "
+      "sweep %.4fs (phase1 %.4fs, dictionary %.4fs) vs "
       "%zu independent runs %.4fs -> ratio %.1f%%\n",
-      sweep_seconds, h.phase1_seconds, h.dictionary_seconds,
-      h.broadcast_seconds, rows.size(), independent_total, 100.0 * ratio);
+      sweep_seconds, h.phase1_seconds, h.dictionary_seconds, rows.size(),
+      independent_total, 100.0 * ratio);
   if (!all_identical) {
     std::fprintf(stderr,
                  "bench_hierarchy: a ladder level diverged from its "
@@ -219,7 +219,6 @@ int Run(const std::string& out_path) {
   w.Key("bit_identical").Value(all_identical);
   w.Key("phase1_seconds").Value(h.phase1_seconds);
   w.Key("dictionary_seconds").Value(h.dictionary_seconds);
-  w.Key("broadcast_seconds").Value(h.broadcast_seconds);
   w.Key("num_cells").Value(static_cast<uint64_t>(h.num_cells));
   w.Key("dictionary_bytes")
       .Value(static_cast<uint64_t>(h.dictionary_bytes));

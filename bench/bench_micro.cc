@@ -206,7 +206,6 @@ void BM_Phase2Query(benchmark::State& state, QueryEngine engine) {
   state.counters["early_exits"] = static_cast<double>(last.early_exits);
   state.counters["stencil_probes"] =
       static_cast<double>(last.stencil_probes);
-  state.counters["stencil_hits"] = static_cast<double>(last.stencil_hits);
 }
 BENCHMARK_CAPTURE(BM_Phase2Query, batched_tree, QueryEngine::kBatchedTree)
     ->Unit(benchmark::kMillisecond);

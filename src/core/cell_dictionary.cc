@@ -109,8 +109,8 @@ void Bsp(const std::vector<float>& centers, size_t dim,
 //
 // Writers store into a pre-sized buffer through a cursor instead of
 // push_back-ing byte by byte: Serialize knows its exact output size up
-// front, and the per-byte capacity checks used to dominate the simulated
-// broadcast cost on large dictionaries.
+// front (WireSizeBytes), and per-byte capacity checks dominated the
+// encode cost on large dictionaries.
 
 uint8_t* StoreU32(uint8_t* p, uint32_t v) {
   p[0] = static_cast<uint8_t>(v);
@@ -346,9 +346,9 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   }
 
   // Dictionary-global cell index: coordinate -> (sub-dictionary, local
-  // cell), the probe target of the lattice-stencil engine and of
-  // FindDictCell. Built unconditionally — Deserialize comes through here
-  // too, so a broadcast round-trip rebuilds it on the receiving side.
+  // cell), the probe target of the neighborhood build below, of
+  // FindDictCell and of serving. Built unconditionally — Deserialize comes
+  // through here too, so a decoded dictionary rebuilds it.
   std::vector<size_t> ref_offsets(dict.subdicts_.size() + 1, 0);
   for (size_t f = 0; f < dict.subdicts_.size(); ++f) {
     ref_offsets[f + 1] = ref_offsets[f] + dict.subdicts_[f].cells_.size();
@@ -410,7 +410,7 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   // Scaled by stencil_eps_scale so one offset family (and the CSR below)
   // covers every query radius up to scale * eps; 1.0 is the classic
   // single-eps stencil. Family members are nested prefixes, so smaller
-  // radii reuse the CSR through the class filter in QueryCellStencilImpl.
+  // radii reuse the CSR through the class filter in QueryCellStencil.
   // Past max_stencil_offsets no stencil is built.
   dict.stencil_ = LatticeStencil::CreateScaled(
       geom.dim(), opts.stencil_eps_scale, opts.max_stencil_offsets);
@@ -579,11 +579,11 @@ double MbrPairMinDist2(const Mbr& mbr, const float* a_lo, const float* a_hi,
 size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
                                  const float* mbr_hi,
                                  CandidateCellList* out,
-                                 const QueryEpsSpec& spec) const {
+                                 double query_eps) const {
   out->Clear();
   const size_t dim = geom_.dim();
   const double eps = geom_.eps();
-  const double qeps = spec.query_eps > 0.0 ? spec.query_eps : eps;
+  const double qeps = query_eps > 0.0 ? query_eps : eps;
   const double eps2 = qeps * qeps;
   const double disjoint2 = eps2 * kDisjointMargin;
   const double contained2 = eps2 * kContainMargin;
@@ -649,263 +649,78 @@ size_t CellDictionary::QueryCellStencil(const CellCoord& cell,
                                         const float* mbr_lo,
                                         const float* mbr_hi,
                                         CandidateCellList* out,
-                                        const QueryEpsSpec& spec) const {
-  // Dimension dispatch: each instantiation unrolls the per-dimension
-  // staging/hashing loops (same trick as the Phase II scan kernel). The
-  // covered cases mirror the dimensions the synthetic generators and
-  // benchmarks exercise; anything else takes the runtime-dim fallback.
-  switch (geom_.dim()) {
-    case 2:
-      return QueryCellStencilImpl<2>(cell, mbr_lo, mbr_hi, out, spec);
-    case 3:
-      return QueryCellStencilImpl<3>(cell, mbr_lo, mbr_hi, out, spec);
-    case 4:
-      return QueryCellStencilImpl<4>(cell, mbr_lo, mbr_hi, out, spec);
-    case 5:
-      return QueryCellStencilImpl<5>(cell, mbr_lo, mbr_hi, out, spec);
-    default:
-      return QueryCellStencilImpl<0>(cell, mbr_lo, mbr_hi, out, spec);
-  }
-}
-
-template <size_t kDim>
-size_t CellDictionary::QueryCellStencilImpl(const CellCoord& cell,
-                                            const float* mbr_lo,
-                                            const float* mbr_hi,
-                                            CandidateCellList* out,
-                                            const QueryEpsSpec& spec) const {
+                                        double query_eps) const {
   RPDBSCAN_CHECK(stencil_.enabled());
   out->Clear();
-  const size_t dim = kDim ? kDim : geom_.dim();
-  const double side = geom_.cell_side();
+  const size_t dim = geom_.dim();
   const double eps = geom_.eps();
-  const double qeps = spec.query_eps > 0.0 ? spec.query_eps : eps;
+  const double qeps = query_eps > 0.0 ? query_eps : eps;
   const double eps2 = qeps * qeps;
   const double disjoint2 = eps2 * kDisjointMargin;
   const double contained2 = eps2 * kContainMargin;
   // Class budget of the query radius in cell_side^2 units — the exact
   // formula stencil family members are enumerated with, so the CSR class
-  // filter below and a fresh enumeration of the level's own stencil
-  // apply the identical integer criterion (the bit-identity the prefix
-  // reuse test pins).
+  // filter below and a fresh enumeration of the radius's own stencil
+  // apply the identical integer criterion (the bit-identity the
+  // stencil-prefix and hierarchy-differential tests pin).
   const double budget_q = LatticeStencil::ScaledBudget(dim, qeps / eps);
+  RPDBSCAN_CHECK(budget_q <= stencil_.budget())
+      << "stencil budget " << stencil_.budget()
+      << " does not cover query budget " << budget_q;
+  const int64_t src_slot = FindCellRefIndex(cell);
+  RPDBSCAN_CHECK(src_slot >= 0) << "source cell is not a dictionary cell";
 
-  // Fast path — the source cell is a dictionary cell (always true in the
-  // pipeline), so its stencil window was resolved once at Assemble into
+  // The source cell's stencil window was resolved once at Assemble into
   // the precomputed neighborhood list: a linear walk over the present
   // cells' global slots, classifying each from the per-slot metadata with
   // the same MbrPairDistBounds arithmetic and margins as the tree engine.
-  // No hash probes, no coordinate staging, no per-offset arithmetic.
-  // Present cells the probing path's box-level pre-drop would have
-  // skipped are classified here instead and dropped by the (tighter)
-  // MBR-level lower bound, so the surviving candidate sequence is
-  // identical either way.
-  const int64_t src_slot =
-      spec.force_probe ? -1 : FindCellRefIndex(cell);
-  if (src_slot >= 0 && budget_q <= stencil_.budget()) {
-    const size_t begin = stencil_nbr_begin_[static_cast<size_t>(src_slot)];
-    const size_t count =
-        stencil_nbr_begin_[static_cast<size_t>(src_slot) + 1] - begin;
-    const uint32_t* nbr = stencil_nbr_slots_.data() + begin;
-    // A query radius below the assembled scale selects the nested family
-    // member: keep exactly the neighbors whose integer distance class
-    // fits the level budget, recomputed from the stored lattice
-    // coordinates. At the full budget every stored neighbor qualifies by
-    // construction, so the filter vanishes and the classic path runs
-    // untouched.
-    const bool class_filter = budget_q < stencil_.budget();
-    const int32_t* src_coords =
-        ref_coords_.data() + static_cast<size_t>(src_slot) * dim;
-    constexpr size_t kMetaPrefetchAhead = 8;
-    for (size_t j = 0; j < count; ++j) {
-      if (j + kMetaPrefetchAhead < count) {
-        __builtin_prefetch(&slot_meta_[nbr[j + kMetaPrefetchAhead]]);
+  const size_t begin = stencil_nbr_begin_[static_cast<size_t>(src_slot)];
+  const size_t count =
+      stencil_nbr_begin_[static_cast<size_t>(src_slot) + 1] - begin;
+  const uint32_t* nbr = stencil_nbr_slots_.data() + begin;
+  // A query radius below the assembled scale selects the nested family
+  // member: keep exactly the neighbors whose integer distance class fits
+  // the radius's budget, recomputed from the stored lattice coordinates.
+  // At the full budget every stored neighbor qualifies by construction,
+  // so the filter vanishes and the classic path runs untouched.
+  const bool class_filter = budget_q < stencil_.budget();
+  const int32_t* src_coords =
+      ref_coords_.data() + static_cast<size_t>(src_slot) * dim;
+  constexpr size_t kMetaPrefetchAhead = 8;
+  for (size_t j = 0; j < count; ++j) {
+    if (j + kMetaPrefetchAhead < count) {
+      __builtin_prefetch(&slot_meta_[nbr[j + kMetaPrefetchAhead]]);
+    }
+    if (class_filter && j != 0) {
+      const int32_t* nc =
+          ref_coords_.data() + static_cast<size_t>(nbr[j]) * dim;
+      uint64_t m = 0;
+      for (size_t d = 0; d < dim; ++d) {
+        const int64_t delta =
+            static_cast<int64_t>(nc[d]) - static_cast<int64_t>(src_coords[d]);
+        const int64_t a = delta < 0 ? -delta : delta;
+        if (a > 1) m += static_cast<uint64_t>((a - 1) * (a - 1));
       }
-      if (class_filter && j != 0) {
-        const int32_t* nc =
-            ref_coords_.data() + static_cast<size_t>(nbr[j]) * dim;
-        uint64_t m = 0;
-        for (size_t d = 0; d < dim; ++d) {
-          const int64_t delta =
-              static_cast<int64_t>(nc[d]) - static_cast<int64_t>(src_coords[d]);
-          const int64_t a = delta < 0 ? -delta : delta;
-          if (a > 1) m += static_cast<uint64_t>((a - 1) * (a - 1));
-        }
-        if (static_cast<double>(m) > budget_q) continue;
-      }
-      const SlotMeta& sm = slot_meta_[nbr[j]];
-      double pair_min2 = 0.0;
-      double pair_max2 = 0.0;
-      MbrPairDistBounds(mbr_lo, mbr_hi, sm.mbr, sm.mbr + dim, dim,
-                        &pair_min2, &pair_max2);
-      if (pair_min2 > disjoint2) continue;  // unreachable from any point
-      if (pair_max2 <= contained2) {
-        out->always_count += sm.total_count;
-        // j == 0 is the source cell itself (the list stores it first;
-        // stencil offsets are non-zero, so no other entry can equal it).
-        if (j != 0) out->always_neighbors.push_back(sm.cell_id);
-        continue;
-      }
-      out->maybe_refs.push_back(
-          CandidateCellList::MaybeRef{pair_min2, sm.cell_id, nbr[j]});
+      if (static_cast<double>(m) > budget_q) continue;
     }
-    SortAndFlattenMaybes(out);
-    out->stencil_probes = count;
-    out->stencil_hits = count;
-    return count;
-  }
-
-  // Fallback — a source coordinate outside the dictionary has no
-  // precomputed neighborhood (and force_probe selects this engine
-  // deliberately, as does a query budget beyond the assembled family):
-  // stage and hash-probe the window directly.
-  //
-  // Stage 1 — arithmetic pre-drop, no memory traffic beyond the stencil
-  // itself. A neighbor's full box is a pure function of its integer
-  // coordinates (CellOrigin(c, d) is exactly double(c[d]) * side), so a
-  // conservative box-level lower bound is computed from the stencil alone
-  // and offsets provably disjoint from every query ball (the majority on
-  // skewed data where the point MBR hugs a corner of the cell) are
-  // dropped before any probe. The full box contains the occupied-sub-cell
-  // MBR that final classification measures against, so the box bound
-  // never exceeds the MBR bound — the pre-drop keeps a superset of the
-  // survivors and cannot diverge from the tree engine. The tree path
-  // cannot make this move: it must walk its index to learn which cells
-  // exist before it can reject them.
-  //
-  // Per axis an offset component ranges over [-r, r] with r the chosen
-  // stencil's per-axis bound (1 + floor(sqrt(budget))), so each
-  // (dimension, component) pair's neighbor coordinate and per-dimension
-  // gap^2 term are precomputed once per source cell into small stack
-  // tables; staging an offset is then one table lookup and add per
-  // dimension.
-  // Offsets come from the level's own stencil when supplied (its budget
-  // must cover the query radius), else from the assembled family; either
-  // way only the PrefixCount(budget_q) prefix is walked, so the offsets
-  // enumerated satisfy exactly the class criterion the CSR filter above
-  // applies — the two engines stay bit-identical.
-  const LatticeStencil& st =
-      spec.level_stencil != nullptr && spec.level_stencil->enabled()
-          ? *spec.level_stencil
-          : stencil_;
-  RPDBSCAN_CHECK(st.budget() >= budget_q)
-      << "stencil budget " << st.budget()
-      << " does not cover query budget " << budget_q;
-  const int32_t radius = st.radius();
-  const size_t width = static_cast<size_t>(2 * radius + 1);
-  int32_t coord_tab[CellCoord::kMaxDim][16];
-  double gap2_tab[CellCoord::kMaxDim][16];
-  RPDBSCAN_CHECK(width <= 16);
-  for (size_t d = 0; d < dim; ++d) {
-    for (int32_t v = -radius; v <= radius; ++v) {
-      // 64-bit intermediate: a wrapped coordinate could not hold data
-      // anyway (CellIndexOf saturates far earlier), but signed overflow
-      // must not be UB on the probe path.
-      const int32_t c =
-          static_cast<int32_t>(static_cast<int64_t>(cell[d]) + v);
-      const double lo = static_cast<double>(c) * side;
-      const double hi = lo + side;
-      const double alo = mbr_lo[d];
-      const double ahi = mbr_hi[d];
-      double gap = 0.0;
-      if (alo > hi) {
-        gap = alo - hi;
-      } else if (lo > ahi) {
-        gap = lo - ahi;
-      }
-      const size_t slot = static_cast<size_t>(v + radius);
-      coord_tab[d][slot] = c;
-      gap2_tab[d][slot] = gap * gap;
-    }
-  }
-
-  // Stage the source cell first (index 0), then surviving offsets in
-  // stencil order — matching the previous engine's staging order exactly.
-  // Order only affects always_neighbors' transient layout (maybe_refs get
-  // sorted), but determinism is easier to audit when it never changes.
-  // Scratch is sized for the worst case up front and written through raw
-  // pointers: this loop runs once per source cell over thousands of
-  // offsets, and push_back growth checks showed up in the Phase II
-  // profile.
-  const size_t n = st.PrefixCount(budget_q);
-  out->staged_hash.resize(n + 1);
-  out->staged_coords.resize((n + 1) * dim);
-  uint64_t* sh = out->staged_hash.data();
-  int32_t* scoords = out->staged_coords.data();
-  {
-    // Source cell: never droppable — the point MBR lies inside the
-    // source box, so its box-level lower bound is 0.
-    const size_t slot = static_cast<size_t>(radius);
-    for (size_t d = 0; d < dim; ++d) {
-      scoords[d] = coord_tab[d][slot];
-    }
-    sh[0] = cell.hash();
-  }
-  size_t staged = 1;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t* off = st.offset(i);
-    // One branchless pass per offset: the bound and the coordinates are
-    // computed unconditionally (coords land in the next staging slot and
-    // are simply overwritten if the offset drops), then a single
-    // data-dependent branch settles survival. An early per-dimension exit
-    // on the growing lower bound proves the same verdict, but its
-    // unpredictable branches cost more than the few spare table adds.
-    // Only survivors pay the hash.
-    double mn = 0.0;
-    int32_t* coords = scoords + staged * dim;
-    for (size_t d = 0; d < dim; ++d) {
-      const size_t slot = static_cast<size_t>(off[d] + radius);
-      coords[d] = coord_tab[d][slot];
-      mn += gap2_tab[d][slot];
-    }
-    if (mn > disjoint2) continue;  // unreachable from any point: no probe
-    sh[staged] = CellCoordHashOf(coords, dim);
-    ++staged;
-  }
-
-  // Stage 2 — probe the survivors against the global cell index,
-  // prefetch-pipelined: the probes are independent single-slot lookups at
-  // random table positions, so issuing the prefetch a few iterations
-  // ahead overlaps their cache misses. A hit classifies straight from the
-  // per-slot metadata (occupied-sub-cell MBR, density, cell id) with the
-  // same MbrPairDistBounds arithmetic and margins as the tree engine —
-  // identical inputs, identical verdicts, identical sort keys.
-  size_t hits = 0;
-  const int32_t* rc = ref_coords_.data();
-  constexpr size_t kPrefetchAhead = 8;
-  const size_t warm = std::min(kPrefetchAhead, staged);
-  for (size_t j = 0; j < warm; ++j) {
-    cell_index_.PrefetchHashed(sh[j]);
-  }
-  for (size_t j = 0; j < staged; ++j) {
-    if (j + kPrefetchAhead < staged) {
-      cell_index_.PrefetchHashed(sh[j + kPrefetchAhead]);
-    }
-    const int64_t slot =
-        cell_index_.FindHashed(sh[j], scoords + j * dim, dim, rc);
-    if (slot < 0) continue;
-    ++hits;
-    const SlotMeta& sm = slot_meta_[static_cast<size_t>(slot)];
+    const SlotMeta& sm = slot_meta_[nbr[j]];
     double pair_min2 = 0.0;
     double pair_max2 = 0.0;
-    MbrPairDistBounds(mbr_lo, mbr_hi, sm.mbr, sm.mbr + dim, dim,
-                      &pair_min2, &pair_max2);
+    MbrPairDistBounds(mbr_lo, mbr_hi, sm.mbr, sm.mbr + dim, dim, &pair_min2,
+                      &pair_max2);
     if (pair_min2 > disjoint2) continue;  // unreachable from any point
     if (pair_max2 <= contained2) {
       out->always_count += sm.total_count;
-      // j == 0 is the source cell (stencil offsets are non-zero, so no
-      // other staged coordinate can equal it).
+      // j == 0 is the source cell itself (the list stores it first;
+      // stencil offsets are non-zero, so no other entry can equal it).
       if (j != 0) out->always_neighbors.push_back(sm.cell_id);
       continue;
     }
-    out->maybe_refs.push_back(CandidateCellList::MaybeRef{
-        pair_min2, sm.cell_id, static_cast<uint32_t>(slot)});
+    out->maybe_refs.push_back(
+        CandidateCellList::MaybeRef{pair_min2, sm.cell_id, nbr[j]});
   }
-
   SortAndFlattenMaybes(out);
-  out->stencil_probes = staged;
-  out->stencil_hits = hits;
-  return staged;
+  return count;
 }
 
 void CellDictionary::SortAndFlattenMaybes(CandidateCellList* out) const {
@@ -977,9 +792,19 @@ size_t CellDictionary::SizeBitsLemma43() const {
          d * (h - 1) * num_subcells_;
 }
 
+size_t CellDictionary::WireSizeBytes() const {
+  // Header, per-cell records (d coordinates + id + sub-cell count),
+  // 32-bit densities, then the bit-packed positions behind their 64-bit
+  // length.
+  constexpr size_t kHeaderBytes = 3 * 4 + 2 * 8 + 2 * 8;
+  const size_t position_bits =
+      num_subcells_ * geom_.dim() * geom_.bits_per_dim();
+  return kHeaderBytes + num_cells_ * 4 * (geom_.dim() + 2) +
+         num_subcells_ * 4 + 8 + (position_bits + 7) / 8;
+}
+
 std::vector<uint8_t> CellDictionary::Serialize() const {
-  // Sub-cell positions first (d*(h-1) bits each, bit-packed, in cell
-  // order) so the total output size is known before writing anything.
+  // Sub-cell positions: d*(h-1) bits each, bit-packed, in cell order.
   const unsigned bits_per_subcell =
       static_cast<unsigned>(geom_.dim()) * geom_.bits_per_dim();
   BitWriter bits;
@@ -998,11 +823,7 @@ std::vector<uint8_t> CellDictionary::Serialize() const {
   }
   const std::vector<uint8_t> packed = bits.TakeBytes();
 
-  constexpr size_t kHeaderBytes = 3 * 4 + 2 * 8 + 2 * 8;
-  const size_t total = kHeaderBytes +
-                       num_cells_ * 4 * (geom_.dim() + 2) +
-                       num_subcells_ * 4 + 8 + packed.size();
-  std::vector<uint8_t> out(total);
+  std::vector<uint8_t> out(WireSizeBytes());
   uint8_t* cur = out.data();
   cur = StoreU32(cur, kDictMagic);
   cur = StoreU32(cur, kDictVersion);
@@ -1032,11 +853,11 @@ std::vector<uint8_t> CellDictionary::Serialize() const {
     }
   }
   cur = StoreU64(cur, packed.size());
-  if (!packed.empty()) {
-    std::memcpy(cur, packed.data(), packed.size());
-    cur += packed.size();
-  }
-  RPDBSCAN_CHECK(cur == out.data() + out.size());
+  // WireSizeBytes must agree with what was actually encoded; checked
+  // before the copy so a disagreement can never write past the buffer.
+  RPDBSCAN_CHECK(static_cast<size_t>(out.data() + out.size() - cur) ==
+                 packed.size());
+  if (!packed.empty()) std::memcpy(cur, packed.data(), packed.size());
   return out;
 }
 

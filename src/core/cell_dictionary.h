@@ -167,30 +167,6 @@ struct CellDictionaryOptions {
   double stencil_eps_scale = 1.0;
 };
 
-/// Decouples the region-query radius from the grid geometry: the ladder
-/// sweep (src/hierarchy/) runs many query radii over one dictionary whose
-/// cells stay eps-diagonal. Defaults reproduce the classic single-eps
-/// behavior bit-for-bit.
-struct QueryEpsSpec {
-  /// Region-query radius; 0 (or exactly the geometry eps) keeps the
-  /// classic behavior. Must be >= the geometry eps (the cell-diagonal
-  /// core-cell lemma needs the diagonal within the query radius) and
-  /// within the radius the dictionary's stencil was scaled for
-  /// (CellDictionaryOptions::stencil_eps_scale) unless a covering
-  /// `level_stencil` is supplied.
-  double query_eps = 0.0;
-  /// Offset family member covering this query radius, used only by the
-  /// stencil engine's hashed-probe fallback (source coordinate absent
-  /// from the dictionary, or force_probe). May exceed the query radius;
-  /// the probe loop restricts itself to the PrefixCount(budget) prefix
-  /// either way. Null falls back to the dictionary's own stencil.
-  const LatticeStencil* level_stencil = nullptr;
-  /// Bypass the precomputed neighborhood CSR and enumerate candidates by
-  /// staged hash probes — the reference engine the CSR-prefix reuse is
-  /// tested bit-identical against.
-  bool force_probe = false;
-};
-
 /// One cell's raw dictionary content: the unit of dictionary assembly and
 /// of the Lemma 4.3 wire format.
 struct CellEntry {
@@ -260,21 +236,6 @@ struct CandidateCellList {
   };
   std::vector<MaybeRef> maybe_refs;
 
-  /// Scratch for the stencil engine's staged probes: offsets that survive
-  /// the pure-arithmetic disjointness pre-drop, as parallel arrays of
-  /// coordinate hash and raw lattice coordinates (dim int32 per staged
-  /// probe, the FindHashed collision confirm). Sized by the stencil, so
-  /// the allocations amortize across every cell of a partition task.
-  std::vector<uint64_t> staged_hash;
-  std::vector<int32_t> staged_coords;
-
-  /// Stencil engine accounting (QueryCellStencil only): lattice hash
-  /// probes issued for this cell (offsets surviving the arithmetic
-  /// pre-drop, plus the source cell), and probes that found a dictionary
-  /// cell.
-  size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
-
   size_t num_maybe() const { return cell_ids.size(); }
 
   void Clear() {
@@ -289,10 +250,6 @@ struct CandidateCellList {
     lane_counts.clear();
     lane_padded.clear();
     maybe_refs.clear();
-    staged_hash.clear();
-    staged_coords.clear();
-    stencil_probes = 0;
-    stencil_hits = 0;
   }
 };
 
@@ -417,11 +374,12 @@ class CellDictionary {
   /// Returns the number of sub-dictionaries inspected after MBR skipping,
   /// here at most one visit per sub-dictionary per *cell* (vs per point
   /// for Query) — the Lemma 5.10 accounting for the batched kernel.
-  /// `spec` decouples the query radius from the geometry eps (see
-  /// QueryEpsSpec); the default reproduces the classic behavior exactly.
+  /// `query_eps` decouples the region-query radius from the geometry eps
+  /// (the eps ladder, src/hierarchy/); 0 keeps the classic radius. It must
+  /// be >= the geometry eps, so the cell diagonal stays within the radius.
   size_t QueryCell(const CellCoord& cell, const float* mbr_lo,
                    const float* mbr_hi, CandidateCellList* out,
-                   const QueryEpsSpec& spec = QueryEpsSpec()) const;
+                   double query_eps = 0.0) const;
 
   /// Same contract as QueryCell and bit-identical Phase II results, but
   /// candidates are enumerated over the precomputed eps-ball lattice
@@ -443,26 +401,20 @@ class CellDictionary {
   /// neighborhood list of global index slots. A query is then a linear
   /// walk of that list, classifying each neighbor from its per-slot
   /// metadata (occupied-sub-cell MBR, density, cell id): no tree descent,
-  /// no hash probes, no coordinate arithmetic on the hot path. A source
-  /// coordinate absent from the dictionary (never the case in the
-  /// pipeline, where every queried cell is a dictionary cell) falls back
-  /// to staging + hash-probing the window directly.
+  /// no hash probes, no coordinate arithmetic on the hot path.
   ///
-  /// Only callable when has_stencil(). out->stencil_probes counts the
+  /// Only callable when has_stencil(), for a `cell` present in the
+  /// dictionary (every CellSet cell is one), and for a `query_eps` within
+  /// the assembled stencil_eps_scale headroom. Returns the number of
   /// neighborhood entries walked (at most num_offsets + 1, including the
   /// source cell itself — a function of the lattice only, independent of
-  /// the query MBR and of min_pts); out->stencil_hits counts the entries
-  /// that resolved to a dictionary cell (equal to the probe count on the
-  /// precomputed path, where only present cells are stored). Returns the
-  /// probe count.
-  /// With a `spec` below the assembled scale, the precomputed CSR is
-  /// reused through an integer class filter (identical inclusion
-  /// criterion as a fresh enumeration of the level's own stencil —
-  /// tested bit-identical); spec.force_probe selects the staged
-  /// hashed-probe reference engine instead.
+  /// the query MBR and of min_pts).
+  /// A `query_eps` below the assembled scale reuses the CSR through an
+  /// integer class filter: the same inclusion criterion a fresh
+  /// enumeration of that radius's own stencil applies.
   size_t QueryCellStencil(const CellCoord& cell, const float* mbr_lo,
                           const float* mbr_hi, CandidateCellList* out,
-                          const QueryEpsSpec& spec = QueryEpsSpec()) const;
+                          double query_eps = 0.0) const;
 
   /// O(1) lattice coordinate -> DictCell through the dictionary-global
   /// open-addressing index (always built, including after Deserialize).
@@ -499,7 +451,7 @@ class CellDictionary {
   /// (an index into cell_refs()): the global slots of every dictionary
   /// cell inside its stencil window, the cell itself first (stencil
   /// offsets are non-zero, so no later entry can repeat it). This is the
-  /// CSR QueryCellStencil's fast path walks; the batched serving path
+  /// CSR QueryCellStencil walks; the batched serving path
   /// walks it once per query group. Only callable when has_stencil().
   const uint32_t* StencilNeighborsOf(size_t slot, size_t* count) const {
     const size_t begin = stencil_nbr_begin_[slot];
@@ -522,12 +474,16 @@ class CellDictionary {
   /// id and sub-cell count, then 32-bit densities, then the sub-cell
   /// positions bit-packed at d*(h-1) bits each. This is the payload the
   /// paper broadcasts to every worker (Alg. 1 line 5); Table 5 reports
-  /// its size relative to the data.
+  /// its size relative to the data. Snapshots embed it verbatim.
   std::vector<uint8_t> Serialize() const;
 
+  /// Exact byte size of Serialize()'s output, computed from the cell and
+  /// sub-cell counts alone (O(1)): the broadcast payload a run reports.
+  size_t WireSizeBytes() const;
+
   /// Reconstructs a dictionary from Serialize() output, re-running
-  /// defragmentation and index construction with `opts` (a receiving
-  /// worker may use different memory limits than the sender). The global
+  /// defragmentation and index construction with `opts` (a loader may use
+  /// different memory limits or stencil headroom than the writer). The global
   /// cell index and stencil are rebuilt as well, on `pool` when given.
   /// Fails with InvalidArgument on a corrupt or truncated buffer.
   static StatusOr<CellDictionary> Deserialize(
@@ -552,15 +508,6 @@ class CellDictionary {
   /// Shared tail of QueryCell / QueryCellStencil: nearest-first sort of
   /// the maybe group and the SoA flattening.
   void SortAndFlattenMaybes(CandidateCellList* out) const;
-
-  /// QueryCellStencil body, instantiated per dimension (kDim == 0 is the
-  /// runtime-dim fallback) so the per-dimension staging and hashing loops
-  /// fully unroll. Unrolling the fixed-order sums does not reassociate
-  /// them, so every instantiation classifies identically.
-  template <size_t kDim>
-  size_t QueryCellStencilImpl(const CellCoord& cell, const float* mbr_lo,
-                              const float* mbr_hi, CandidateCellList* out,
-                              const QueryEpsSpec& spec) const;
 
   /// Everything candidate classification and the SoA flatten need about
   /// one dictionary cell, resolved to direct pointers once at Assemble
@@ -601,9 +548,9 @@ class CellDictionary {
   /// free because no consumer depends on it: "maybe" candidates are
   /// re-sorted by distance bound and neighbor edges are sorted and
   /// deduplicated downstream.
-  /// A per-worker query acceleration structure, never serialized: the
-  /// Lemma 4.3 broadcast payload is unchanged, and Deserialize rebuilds
-  /// this locally through Assemble.
+  /// A query acceleration structure, never serialized: the Lemma 4.3
+  /// wire payload is unchanged, and Deserialize rebuilds it through
+  /// Assemble.
   std::vector<size_t> stencil_nbr_begin_;
   std::vector<uint32_t> stencil_nbr_slots_;
   FlatCellIndex cell_index_;

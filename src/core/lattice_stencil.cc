@@ -25,7 +25,6 @@ LatticeStencil LatticeStencil::CreateScaled(size_t dim, double eps_scale,
   int32_t radius = 1;
   while (static_cast<double>(radius) * radius <= budget) ++radius;
   s.budget_ = budget;
-  s.radius_ = radius;
 
   // Depth-first enumeration with partial-sum pruning. Every viable
   // interior node extends through o = 0 (cost 0), so the number of tree
@@ -87,16 +86,6 @@ LatticeStencil LatticeStencil::CreateScaled(size_t dim, double eps_scale,
   s.classes_ = std::move(sorted_classes);
   s.enabled_ = true;
   return s;
-}
-
-size_t LatticeStencil::PrefixCount(double budget) const {
-  // classes_ is sorted ascending (the primary sort key), so the kept set
-  // is a prefix; find its end with the same (double)m <= budget
-  // comparison CreateScaled enumerates with.
-  const auto it = std::upper_bound(
-      classes_.begin(), classes_.end(), budget,
-      [](double b, uint32_t c) { return b < static_cast<double>(c); });
-  return static_cast<size_t>(it - classes_.begin());
 }
 
 }  // namespace rpdbscan

@@ -44,7 +44,7 @@ class LatticeStencil {
   /// cell_side^2), so eps_scale = 1 reproduces Create exactly. Members
   /// of one family are nested prefixes of each other under the
   /// (distance class, lex) order — the smaller budget's offset set is
-  /// literally the first PrefixCount(budget) offsets of the larger one.
+  /// exactly the larger one's offsets whose class fits that budget.
   static LatticeStencil CreateScaled(size_t dim, double eps_scale,
                                      size_t max_offsets);
 
@@ -65,15 +65,6 @@ class LatticeStencil {
   /// The class budget this stencil was enumerated with (see
   /// ScaledBudget); dim * (1 + 1e-9) for an unscaled Create stencil.
   double budget() const { return budget_; }
-
-  /// Per-axis offset bound: every kept offset has |o_i| <= radius().
-  int32_t radius() const { return radius_; }
-
-  /// Offsets with m(o) <= `budget` form a prefix of the (class, lex)
-  /// order; returns its length. With `budget` >= this stencil's own
-  /// budget that is num_offsets() — a smaller budget selects the nested
-  /// family member without re-enumerating.
-  size_t PrefixCount(double budget) const;
 
   /// Number of offsets, the zero offset (the source cell itself)
   /// excluded — callers resolve their own cell separately.
@@ -96,7 +87,6 @@ class LatticeStencil {
   size_t dim_ = 0;
   bool enabled_ = false;
   double budget_ = 0.0;
-  int32_t radius_ = 0;
   std::vector<int32_t> offsets_;   // num_offsets * dim, flat
   std::vector<uint32_t> classes_;  // num_offsets
 };

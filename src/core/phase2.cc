@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "parallel/parallel_for.h"
@@ -101,7 +99,6 @@ struct TaskCounters {
   size_t scanned = 0;
   size_t early_exits = 0;
   size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
 };
 
 /// Resolved kernel dispatch for one BuildSubgraphs run: the lane kernel
@@ -256,7 +253,7 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
                         uint32_t cid, const CellDictionary& dict,
                         size_t min_pts, size_t num_subdicts,
                         bool use_stencil, const KernelConfig& kernels,
-                        const QueryEpsSpec& spec, double eps2,
+                        double query_eps, double eps2,
                         const uint8_t* seed, Phase2Scratch& scratch,
                         uint8_t* point_is_core, bool& cell_core,
                         TaskCounters& counters) {
@@ -267,25 +264,12 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
   // candidates against it, which on skewed data resolves most of them at
   // cell level before any per-point work. Derived from the dictionary's
   // occupied sub-cell ranges — data the dictionary already holds — instead
-  // of a fresh scan over the points every run.
+  // of a fresh scan over the points every run. The dictionary covers every
+  // CellSet cell, so a miss means the two were built from different data.
   float mbr_lo[CellCoord::kMaxDim];
   float mbr_hi[CellCoord::kMaxDim];
-  if (!SubcellRangeMbr(dict, cell.coord, mbr_lo, mbr_hi)) {
-    // Not in the dictionary (impossible in the pipeline, where the
-    // dictionary covers every CellSet cell — but QueryCell's contract only
-    // needs some cover, so degrade rather than die).
-    for (size_t d = 0; d < dim; ++d) {
-      mbr_lo[d] = std::numeric_limits<float>::max();
-      mbr_hi[d] = std::numeric_limits<float>::lowest();
-    }
-    for (const uint32_t point_id : cell.point_ids) {
-      const float* p = data.point(point_id);
-      for (size_t d = 0; d < dim; ++d) {
-        mbr_lo[d] = std::min(mbr_lo[d], p[d]);
-        mbr_hi[d] = std::max(mbr_hi[d], p[d]);
-      }
-    }
-  }
+  const bool in_dict = SubcellRangeMbr(dict, cell.coord, mbr_lo, mbr_hi);
+  RPDBSCAN_CHECK(in_dict) << "cell " << cid << " is not a dictionary cell";
 #ifndef NDEBUG
   // Debug builds prove the sub-cell-range box really covers the points
   // (the sanitizer suite runs with NDEBUG off, so this stays exercised).
@@ -300,12 +284,11 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
 #endif
   CandidateCellList& cand = scratch.candidates;
   if (use_stencil) {
-    dict.QueryCellStencil(cell.coord, mbr_lo, mbr_hi, &cand, spec);
-    counters.stencil_probes += cand.stencil_probes;
-    counters.stencil_hits += cand.stencil_hits;
+    counters.stencil_probes +=
+        dict.QueryCellStencil(cell.coord, mbr_lo, mbr_hi, &cand, query_eps);
   } else {
     counters.visited +=
-        dict.QueryCell(cell.coord, mbr_lo, mbr_hi, &cand, spec);
+        dict.QueryCell(cell.coord, mbr_lo, mbr_hi, &cand, query_eps);
     counters.possible += num_subdicts;
   }
   const size_t num_maybe = cand.num_maybe();
@@ -381,10 +364,10 @@ struct EngineSetup {
   KernelConfig kernels;
   SimdLevel level = SimdLevel::kScalar;
   bool use_stencil = false;
-  /// Query-radius decoupling (ladder levels): the spec handed to the
+  /// Query-radius decoupling (ladder levels): the radius handed to the
   /// candidate gathers, the resolved eps^2 of the per-point tests, and
   /// the borrowed seed/mask arrays.
-  QueryEpsSpec spec;
+  double query_eps = 0.0;
   double eps2 = 0.0;
   const uint8_t* seed = nullptr;
   const uint8_t* mask = nullptr;
@@ -397,9 +380,7 @@ EngineSetup ResolveEngine(const CellDictionary& dict,
   setup.kernels.exact_fn = GetSubcellCountFn(setup.level, dict.geom().dim());
   setup.kernels.bounds_fn = GetPointBoundsFn(setup.level);
   setup.use_stencil = dict.has_stencil();
-  setup.spec.query_eps = opts.query_eps;
-  setup.spec.level_stencil = opts.level_stencil;
-  setup.spec.force_probe = opts.force_probe;
+  setup.query_eps = opts.query_eps;
   const double qeps =
       opts.query_eps > 0.0 ? opts.query_eps : dict.geom().eps();
   setup.eps2 = qeps * qeps;
@@ -425,7 +406,7 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
   // neighbors still happens downstream).
   if (setup.mask != nullptr && setup.mask[cid] == 0) return false;
   ProcessCellBatched(data, cell, cid, dict, min_pts, num_subdicts,
-                     setup.use_stencil, setup.kernels, setup.spec,
+                     setup.use_stencil, setup.kernels, setup.query_eps,
                      setup.eps2, setup.seed, scratch, point_is_core,
                      cell_core, counters);
   if (!scratch.cell_edges.empty()) {
@@ -453,7 +434,6 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
   std::atomic<size_t> cells_scanned{0};
   std::atomic<size_t> early_exits{0};
   std::atomic<size_t> stencil_probes{0};
-  std::atomic<size_t> stencil_hits{0};
   const size_t num_subdicts = dict.num_subdictionaries();
   const EngineSetup setup = ResolveEngine(dict, opts);
   result.simd_level = setup.level;
@@ -502,8 +482,6 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                               std::memory_order_relaxed);
         stencil_probes.fetch_add(counters.stencil_probes,
                                  std::memory_order_relaxed);
-        stencil_hits.fetch_add(counters.stencil_hits,
-                               std::memory_order_relaxed);
         result.task_seconds[pid] = watch.ElapsedSeconds();
       },
       /*chunk=*/1);
@@ -513,7 +491,6 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
   result.candidate_cells_scanned = cells_scanned.load();
   result.early_exits = early_exits.load();
   result.stencil_probes = stencil_probes.load();
-  result.stencil_hits = stencil_hits.load();
   return result;
 }
 
@@ -543,7 +520,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
   std::atomic<size_t> cells_scanned{0};
   std::atomic<size_t> early_exits{0};
   std::atomic<size_t> stencil_probes{0};
-  std::atomic<size_t> stencil_hits{0};
   const size_t num_subdicts = dict.num_subdictionaries();
   // Chunked over the target list (targets share no points, so the per-cell
   // tasks are independent); each chunk reuses one scratch set like a
@@ -576,8 +552,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
                               std::memory_order_relaxed);
         stencil_probes.fetch_add(counters.stencil_probes,
                                  std::memory_order_relaxed);
-        stencil_hits.fetch_add(counters.stencil_hits,
-                               std::memory_order_relaxed);
       },
       /*chunk=*/1);
   update.subdict_visited = subdict_visited.load();
@@ -585,7 +559,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
   update.candidate_cells_scanned = cells_scanned.load();
   update.early_exits = early_exits.load();
   update.stencil_probes = stencil_probes.load();
-  update.stencil_hits = stencil_hits.load();
   return update;
 }
 

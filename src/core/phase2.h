@@ -31,16 +31,8 @@ struct Phase2Options {
   /// Region-query radius of the core test and edge collection; 0 keeps
   /// the geometry eps. Must be >= the geometry eps (the cell diagonal
   /// must stay within the query radius for the core-cell labeling lemma)
-  /// and within the dictionary's stencil_eps_scale headroom unless
-  /// `level_stencil` covers it.
+  /// and within the dictionary's stencil_eps_scale headroom.
   double query_eps = 0.0;
-  /// Offset family member covering query_eps, for the stencil engine's
-  /// hashed-probe fallback (QueryEpsSpec::level_stencil). Borrowed.
-  const LatticeStencil* level_stencil = nullptr;
-  /// Force the hashed-probe candidate enumeration instead of the
-  /// precomputed-CSR reuse (QueryEpsSpec::force_probe) — the reference
-  /// engine of the prefix-reuse equivalence tests.
-  bool force_probe = false;
   /// Per-point core seed (size data.size(), borrowed): points flagged 1
   /// are known core at this level — the ladder's core-set monotonicity
   /// (density at a fixed geometry is non-decreasing in query_eps, so a
@@ -82,15 +74,10 @@ struct Phase2Result {
   /// before exhausting their candidate list.
   size_t candidate_cells_scanned = 0;
   size_t early_exits = 0;
-  /// Stencil engine only: neighborhood entries walked (per cell at most
-  /// num_offsets + 1, including the source cell itself; a function of the
-  /// lattice only) and entries that resolved to a dictionary cell. On the
-  /// precomputed-neighborhood path (source cell present in the
-  /// dictionary, always true in the pipeline) only present cells are
-  /// stored, so the two counters are equal; they diverge only on the
-  /// hash-probing fallback for absent source coordinates.
+  /// Stencil engine only: precomputed neighborhood entries walked (per
+  /// cell at most num_offsets + 1, including the source cell itself; a
+  /// function of the lattice only).
   size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
   /// SIMD tier of the sub-cell kernels actually used.
   SimdLevel simd_level = SimdLevel::kScalar;
 };
@@ -102,8 +89,8 @@ struct Phase2Result {
 /// assignment clamped a point sitting a double-rounding error outside its
 /// decoded box. Since the dictionary precomputes these MBRs per cell at
 /// Assemble (SubDictionary::cell_mbr), this is now an O(d) lookup.
-/// Returns false when the dictionary has no cell at `coord` (the caller
-/// then scans the points). Exposed for the equivalence tests.
+/// Returns false when the dictionary has no cell at `coord`. Exposed for
+/// the equivalence tests.
 bool SubcellRangeMbr(const CellDictionary& dict, const CellCoord& coord,
                      float* mbr_lo, float* mbr_hi);
 
@@ -135,7 +122,6 @@ struct Phase2CellUpdate {
   size_t candidate_cells_scanned = 0;
   size_t early_exits = 0;
   size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
   SimdLevel simd_level = SimdLevel::kScalar;
 };
 

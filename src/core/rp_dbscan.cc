@@ -26,9 +26,8 @@ std::string RunStats::ToString() const {
      << "  Phase I-1 (partitioning):   " << partition_seconds << " s"
      << " (key " << key_seconds << " s, sort " << sort_seconds
      << " s, scatter " << scatter_seconds << " s)\n"
-     << "  Phase I-2 (dictionary):     " << dictionary_seconds << " s\n"
-     << "  Phase I-2 (broadcast):      " << broadcast_seconds << " s ("
-     << broadcast_bytes << " bytes)\n"
+     << "  Phase I-2 (dictionary):     " << dictionary_seconds << " s"
+     << " (wire payload " << broadcast_bytes << " bytes)\n"
      << "  Phase II  (cell graph):     " << phase2_seconds << " s\n"
      << "  Phase III-1 (merging):      " << merge_seconds << " s\n"
      << "  Phase III-2 (labeling):     " << label_seconds << " s\n"
@@ -41,13 +40,7 @@ std::string RunStats::ToString() const {
      << " early_exits=" << early_exits << "\n"
      << "  kernels=" << simd_kernel
      << " merge=" << (parallel_merge ? "parallel" : "sequential") << "\n";
-  if (stencil_probes > 0) {
-    os << "  stencil_probes=" << stencil_probes
-       << " stencil_hits=" << stencil_hits << " (hit-rate "
-       << (static_cast<double>(stencil_hits) /
-           static_cast<double>(stencil_probes))
-       << ")\n";
-  }
+  if (stencil_probes > 0) os << "  stencil_probes=" << stencil_probes << "\n";
   if (memory_budget_bytes > 0) {
     os << "  out-of-core phase1: " << (external_phase1 ? "on" : "fallback")
        << " budget=" << memory_budget_bytes << " chunks=" << external_chunks
@@ -78,7 +71,6 @@ std::string RunStats::ToJson() const {
   w.Key("sort_seconds").Value(sort_seconds);
   w.Key("scatter_seconds").Value(scatter_seconds);
   w.Key("dictionary_seconds").Value(dictionary_seconds);
-  w.Key("broadcast_seconds").Value(broadcast_seconds);
   w.Key("phase2_seconds").Value(phase2_seconds);
   w.Key("merge_seconds").Value(merge_seconds);
   w.Key("label_seconds").Value(label_seconds);
@@ -96,7 +88,6 @@ std::string RunStats::ToJson() const {
   w.Key("candidate_cells_scanned").Value(candidate_cells_scanned);
   w.Key("early_exits").Value(early_exits);
   w.Key("stencil_probes").Value(stencil_probes);
-  w.Key("stencil_hits").Value(stencil_hits);
   w.Key("audit_checks").Value(audit_checks);
   w.Key("audit_violations").Value(audit_violations);
   w.Key("audit_seconds").Value(audit_seconds);
@@ -220,8 +211,8 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   dict_opts.enable_skipping = options.subdictionary_skipping;
   // Decoupled query radii need stencil headroom: enumerate the offset
   // family out to the largest radius this dictionary will be queried at,
-  // so those queries reuse the neighborhood CSR as a class-filtered
-  // prefix instead of falling back to hashed probes.
+  // so those queries walk the neighborhood CSR as a class-filtered
+  // prefix.
   dict_opts.stencil_eps_scale = options.stencil_eps_scale;
   if (options.query_eps > 0.0) {
     dict_opts.stencil_eps_scale = std::max(dict_opts.stencil_eps_scale,
@@ -261,28 +252,16 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
     RPDBSCAN_RETURN_IF_ERROR(apply_audit("shard-assembly", rep));
   }
 
-  // Broadcast simulation (Alg. 1 line 5): serialize to the Lemma 4.3 wire
-  // layout and decode, as every Spark worker would.
-  if (options.simulate_broadcast) {
-    phase_watch.Reset();
-    const std::vector<uint8_t> wire = dict_or->Serialize();
-    stats.broadcast_bytes = wire.size();
-    auto decoded = CellDictionary::Deserialize(wire, dict_opts, &pool);
-    if (!decoded.ok()) {
-      return Status::Internal("broadcast round-trip failed: " +
-                              decoded.status().message());
-    }
-    dict_or = std::move(decoded);
-    stats.broadcast_seconds = phase_watch.ElapsedSeconds();
-  }
+  // Alg. 1 line 5 broadcasts the dictionary to every worker; here the
+  // Phase II threads share this one immutable instance, so only the
+  // payload size is reported.
   const CellDictionary& dict = *dict_or;
   stats.num_cells = dict.num_cells();
   stats.num_subcells = dict.num_subcells();
   stats.num_subdictionaries = dict.num_subdictionaries();
   stats.dictionary_bytes = dict.SizeBytesLemma43();
+  stats.broadcast_bytes = dict.WireSizeBytes();
 
-  // Audits the dictionary Phase II will actually query — after the
-  // broadcast round-trip, so the wire codec is covered too.
   if (audit != AuditLevel::kOff) {
     Stopwatch audit_watch;
     const AuditReport rep = AuditDictionary(data, cells, dict, audit);
@@ -322,7 +301,6 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   stats.candidate_cells_scanned = phase2.candidate_cells_scanned;
   stats.early_exits = phase2.early_exits;
   stats.stencil_probes = phase2.stencil_probes;
-  stats.stencil_hits = phase2.stencil_hits;
   for (const uint8_t c : phase2.cell_is_core) {
     stats.num_core_cells += c;
   }

@@ -56,10 +56,6 @@ struct RpDbscanOptions {
   size_t max_cells_per_subdict = 2048;
   bool defragment_dictionary = true;
   bool subdictionary_skipping = true;
-  /// Round-trip the dictionary through its Lemma 4.3 wire format before
-  /// Phase II, as the Spark implementation broadcasts it to every worker
-  /// (Alg. 1 line 5). Measures the real broadcast payload size.
-  bool simulate_broadcast = true;
   /// Spanning-forest full-edge reduction during merging (Sec. 6.1.4).
   bool reduce_edges = true;
 
@@ -125,9 +121,8 @@ struct RpDbscanOptions {
 /// The frozen artifacts of one finished run that out-of-sample label
 /// serving needs (src/serve/snapshot.h turns this into an immutable,
 /// versioned ClusterModelSnapshot):
-///  * the cell dictionary Phase II actually queried (post-broadcast when
-///    simulate_broadcast is on), whose (eps,rho)-density answers are the
-///    exact core criterion of the run;
+///  * the cell dictionary Phase II queried, whose (eps,rho)-density
+///    answers are the exact core criterion of the run;
 ///  * the merged per-cell cluster table and predecessor lists (Phase III);
 ///  * for exact border reassignment, the core points of every cell that
 ///    appears in some predecessor list, stored in the exact order
@@ -180,9 +175,11 @@ struct RunStats {
   size_t num_subdictionaries = 0;
   /// Two-level dictionary size per Lemma 4.3 (Table 5's numerator).
   size_t dictionary_bytes = 0;
-  /// Actual serialized wire size (0 when broadcast simulation is off).
+  /// Wire size of the dictionary (CellDictionary::WireSizeBytes): the
+  /// payload Alg. 1 line 5 broadcasts to every worker. Phase II threads
+  /// share the one built dictionary read-only instead, as a broadcast
+  /// variable would be shared.
   size_t broadcast_bytes = 0;
-  double broadcast_seconds = 0;
   size_t num_core_cells = 0;
   size_t num_clusters = 0;
   size_t num_noise_points = 0;
@@ -193,12 +190,10 @@ struct RunStats {
   /// points proven core before their candidate list was exhausted.
   size_t candidate_cells_scanned = 0;
   size_t early_exits = 0;
-  /// Stencil engine counters (0 on the kd-tree path): lattice
-  /// hash probes issued during Phase II (offsets surviving the arithmetic
-  /// disjointness pre-drop, plus one self probe per cell) and probes that
-  /// found a cell.
+  /// Stencil engine counter (0 on the kd-tree path): precomputed
+  /// neighborhood entries Phase II walked, one self entry per cell
+  /// included.
   size_t stencil_probes = 0;
-  size_t stencil_hits = 0;
 
   /// Invariant auditing (0 everywhere when audit_level = kOff): checks
   /// evaluated, checks violated (a successful run always reports 0 — any

@@ -8,7 +8,6 @@
 #include "core/cell_set.h"
 #include "core/grid.h"
 #include "core/labeling.h"
-#include "core/lattice_stencil.h"
 #include "core/merge.h"
 #include "core/phase2.h"
 #include "parallel/thread_pool.h"
@@ -163,20 +162,6 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
   auto dict_or = CellDictionary::Build(data, cells, dict_opts, &pool);
   if (!dict_or.ok()) return dict_or.status();
   hierarchy.dictionary_seconds = phase_watch.ElapsedSeconds();
-
-  // One broadcast round-trip covers every rung — an independent run pays
-  // this per (eps, min_pts) setting.
-  if (options.simulate_broadcast) {
-    phase_watch.Reset();
-    const std::vector<uint8_t> wire = dict_or->Serialize();
-    auto decoded = CellDictionary::Deserialize(wire, dict_opts, &pool);
-    if (!decoded.ok()) {
-      return Status::Internal("broadcast round-trip failed: " +
-                              decoded.status().message());
-    }
-    dict_or = std::move(decoded);
-    hierarchy.broadcast_seconds = phase_watch.ElapsedSeconds();
-  }
   const CellDictionary& dict = *dict_or;
   hierarchy.dictionary_bytes = dict.SizeBytesLemma43();
 
@@ -195,18 +180,6 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
     }
   }
 
-  // Per-level stencils for the hashed-probe reference engine: each level
-  // probes exactly its own class prefix.
-  std::vector<LatticeStencil> level_stencils;
-  if (options.force_probe && dict.has_stencil()) {
-    level_stencils.reserve(num_levels);
-    for (size_t i = 0; i < num_levels; ++i) {
-      level_stencils.push_back(LatticeStencil::CreateScaled(
-          data.dim(), options.eps_levels[i] / eps0,
-          dict_opts.max_stencil_offsets));
-    }
-  }
-
   // ---- Per rung: Phase II seeded from the rung below, Phase III. ----
   hierarchy.levels.resize(num_levels);
   std::vector<uint8_t> prev_core;  // previous rung's per-point core flags
@@ -219,10 +192,6 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
     Phase2Options phase2_opts;
     phase2_opts.scalar_kernels = options.scalar_kernels;
     phase2_opts.query_eps = level.eps;
-    phase2_opts.force_probe = options.force_probe;
-    if (i < level_stencils.size()) {
-      phase2_opts.level_stencil = &level_stencils[i];
-    }
     if (!core_mask.empty()) phase2_opts.core_cell_mask = core_mask.data();
     // Core-set monotonicity: a point core at (eps_{i-1}, min_pts_{i-1})
     // has >= min_pts_{i-1} neighbors within eps_{i-1} <= eps_i, so it is

@@ -68,12 +68,7 @@ struct HierarchyOptions {
   uint64_t seed = 7;
   bool scalar_kernels = false;
   bool sequential_merge = false;
-  bool simulate_broadcast = true;
   bool reduce_edges = true;
-  /// Force the hashed-probe candidate enumeration at every level instead
-  /// of the neighborhood-CSR prefix reuse (the reference engine of the
-  /// prefix-reuse equivalence tests).
-  bool force_probe = false;
   /// Seed each level's core marking from the previous level's core set
   /// (skipped automatically when a level's min_pts rises). Off re-counts
   /// every point at every level — the ablation baseline.
@@ -94,7 +89,6 @@ struct ClusterHierarchy {
   /// sweep's economy over N independent runs).
   double phase1_seconds = 0.0;
   double dictionary_seconds = 0.0;
-  double broadcast_seconds = 0.0;
   double total_seconds = 0.0;
   size_t num_cells = 0;
   size_t dictionary_bytes = 0;

@@ -628,10 +628,7 @@ Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
   return Status::OK();
 }
 
-Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
-                                  std::vector<ServeResult>* out,
-                                  ServeStats* stats,
-                                  LatencyReservoir* latency) const {
+Status LabelServer::CheckQueries(const Dataset& queries) const {
   const size_t dim = snapshot_->meta().dim;
   if (queries.dim() != dim) {
     return Status::InvalidArgument(
@@ -639,6 +636,22 @@ Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
         std::to_string(queries.dim()) + " does not match the snapshot's " +
         std::to_string(dim));
   }
+  // Binning a NaN, an infinity or a coordinate beyond the int32 cell
+  // lattice is undefined; reject the batch, naming the query.
+  const Status binnable = snapshot_->dictionary().geom().CheckBinnable(
+      queries.raw(), queries.size(), 0);
+  if (!binnable.ok()) {
+    return Status::InvalidArgument("serve batch: query " +
+                                   binnable.message());
+  }
+  return Status::OK();
+}
+
+Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
+                                  std::vector<ServeResult>* out,
+                                  ServeStats* stats,
+                                  LatencyReservoir* latency) const {
+  RPDBSCAN_RETURN_IF_ERROR(CheckQueries(queries));
   // The grouped path needs the precomputed stencil neighborhoods and
   // 32-bit (slot | index) keys; anything else takes the per-query path
   // (bit-identical results either way).
@@ -654,13 +667,7 @@ Status LabelServer::ClassifyEach(const Dataset& queries, ThreadPool& pool,
                                  std::vector<ServeResult>* out,
                                  ServeStats* stats,
                                  LatencyReservoir* latency) const {
-  const size_t dim = snapshot_->meta().dim;
-  if (queries.dim() != dim) {
-    return Status::InvalidArgument(
-        "serve batch: query dimensionality " +
-        std::to_string(queries.dim()) + " does not match the snapshot's " +
-        std::to_string(dim));
-  }
+  RPDBSCAN_RETURN_IF_ERROR(CheckQueries(queries));
   return ClassifyPerQuery(queries, pool, out, stats, latency);
 }
 

@@ -170,6 +170,9 @@ class LabelServer {
 
   /// Classifies one point of snapshot dimensionality. Thread-safe and
   /// allocation-free. Counters accumulate into `*stats` when given.
+  /// Precondition: every coordinate is Binnable at the snapshot's
+  /// geometry (finite, inside the int32 cell lattice) — the batch entry
+  /// points check this and reject the batch otherwise.
   ServeResult Classify(const float* q, ServeStats* stats = nullptr) const;
 
   /// Classifies every point of `queries` on `pool`, writing one result
@@ -178,7 +181,9 @@ class LabelServer {
   /// Classify point by point ({cluster, kind, certainty, density} all
   /// match); merged semantic stats match the serial path too, while the
   /// probe counters follow the grouped accounting documented on
-  /// ServeStats. Fails with InvalidArgument on a dimensionality mismatch.
+  /// ServeStats. Fails with InvalidArgument on a dimensionality mismatch
+  /// or on a query coordinate that cannot be binned (NaN, +-Inf, beyond
+  /// the int32 cell lattice), naming the query index and dimension.
   ///
   /// This is the batched hot path: queries are grouped by home-cell slot
   /// (a deterministic radix sort of (slot, index) keys — groups never
@@ -205,6 +210,9 @@ class LabelServer {
                       LatencyReservoir* latency = nullptr) const;
 
  private:
+  /// The batch entry points' input contract: snapshot dimensionality and
+  /// binnable coordinates (GridGeometry::CheckBinnable).
+  Status CheckQueries(const Dataset& queries) const;
   Status ClassifyPerQuery(const Dataset& queries, ThreadPool& pool,
                           std::vector<ServeResult>* out, ServeStats* stats,
                           LatencyReservoir* latency) const;

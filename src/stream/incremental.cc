@@ -104,9 +104,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   // is a pure function of its point list, so untouched entries carry over
   // verbatim; the assembled dictionary is structurally identical to a
   // from-scratch Build (tree layout and stencil depend only on the entry
-  // set). The broadcast round-trip is skipped: the wire codec is lossless
-  // (covered by snapshot/dictionary round-trip tests), so on one machine
-  // it changes nothing an epoch could observe.
+  // set), and RunRpDbscan queries its built dictionary the same way.
   entries_.resize(num_cells);
   if (!touched.empty()) {
     ParallelFor(pool, touched.size(), [&](size_t i) {

@@ -63,9 +63,7 @@ class StreamClusterer {
   /// Seeds the stream with `seed_batch` (epoch 0 recomputes everything —
   /// it flows through the same incremental code path with all cells
   /// touched). `options` are the RunRpDbscan options each epoch must be
-  /// equivalent to; capture_model is implied and simulate_broadcast is
-  /// ignored (the dictionary wire codec round-trip changes no structure —
-  /// the broadcast is a no-op on one machine).
+  /// equivalent to; capture_model is implied.
   static StatusOr<StreamClusterer> Create(Dataset seed_batch,
                                           const RpDbscanOptions& options);
 

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace rpdbscan {
@@ -66,6 +67,18 @@ StatusOr<double> FlagSet::GetDouble(const std::string& key,
                                    it->second + "'");
   }
   return v;
+}
+
+Status FlagSet::CheckKnown(
+    std::initializer_list<std::vector<std::string>> known) const {
+  for (const auto& [key, value] : values_) {
+    const bool found = std::any_of(
+        known.begin(), known.end(), [&key](const std::vector<std::string>& l) {
+          return std::find(l.begin(), l.end(), key) != l.end();
+        });
+    if (!found) return Status::InvalidArgument("unknown flag --" + key);
+  }
+  return Status::OK();
 }
 
 bool FlagSet::GetBool(const std::string& key, bool fallback) const {

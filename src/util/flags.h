@@ -2,6 +2,7 @@
 #define RPDBSCAN_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,6 +36,13 @@ class FlagSet {
 
   /// Boolean flag: present without value or with true/1/yes => true.
   bool GetBool(const std::string& key, bool fallback = false) const;
+
+  /// OK when every parsed flag is named in one of the `known` lists;
+  /// otherwise InvalidArgument "unknown flag --X" for the first that is
+  /// not. Lets a tool refuse a mistyped or retired flag instead of
+  /// silently running its defaults.
+  Status CheckKnown(
+      std::initializer_list<std::vector<std::string>> known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

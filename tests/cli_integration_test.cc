@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "io/csv.h"
 
@@ -40,6 +41,12 @@ class CliTest : public ::testing::Test {
 
   std::string Stdout() {
     std::ifstream in(dir_ + "/stdout.txt");
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+
+  std::string Stderr() {
+    std::ifstream in(dir_ + "/stderr.txt");
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   }
@@ -164,6 +171,28 @@ TEST_F(CliTest, StreamRejectsBadAuditLevel) {
   EXPECT_NE(Run("stream --generate=blobs --n=500 --eps=1.0 --minpts=10 "
                 "--audit=bogus"),
             0);
+}
+
+TEST_F(CliTest, UnknownFlagsFailBeforeInputLoads) {
+  // Every entry point refuses a flag it does not read — a typo or a
+  // retired engine switch — instead of silently running the defaults.
+  const std::pair<std::string, std::string> cases[] = {
+      {"--generate=blobs --n=500 --eps=0.5 --perpoint", "--perpoint"},
+      {"--generate=blobs --n=500 --eps=0.5 --epss=2", "--epss"},
+      {"hierarchy --generate=blobs --n=500 --eps-levels=0.5,0.7 "
+       "--force-probe",
+       "--force-probe"},
+      {"stream --generate=blobs --n=500 --eps=0.5 --perpoint", "--perpoint"},
+      {"serve --snapshot=missing.rpsnap --queries=missing.csv --epss=2",
+       "--epss"},
+  };
+  for (const auto& [args, flag] : cases) {
+    SCOPED_TRACE(args);
+    EXPECT_NE(Run(args), 0);
+    const std::string err = Stderr();
+    EXPECT_NE(err.find("unknown flag " + flag), std::string::npos) << err;
+    EXPECT_EQ(err.find("loaded"), std::string::npos) << err;
+  }
 }
 
 TEST_F(CliTest, BadNumericFlagFails) {

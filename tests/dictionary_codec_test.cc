@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cell_dictionary.h"
 #include "core/cell_set.h"
 #include "core/grid.h"
+#include "core/phase2.h"
+#include "parallel/thread_pool.h"
 #include "synth/generators.h"
 #include "util/random.h"
 
@@ -82,6 +87,64 @@ TEST(DictionaryCodecTest, WireSizeTracksLemma43) {
   const size_t overhead = 64 + 8 * b.dict->num_cells() + 16;
   EXPECT_GE(wire.size(), lemma * 9 / 10);
   EXPECT_LE(wire.size(), lemma + overhead);
+}
+
+TEST(DictionaryCodecTest, WireSizeBytesMatchesSerialize) {
+  // RunRpDbscan reports WireSizeBytes as its broadcast payload without
+  // encoding anything, so it must equal the encoder's output exactly:
+  // across dimensionalities, past 64-bit sub-cell ids (13-d TeraLike),
+  // and on a one-point dataset.
+  auto expect_match = [](Dataset data, double eps) {
+    Built b(std::move(data), eps, 0.01);
+    SCOPED_TRACE("dim " + std::to_string(b.data.dim()));
+    EXPECT_EQ(b.dict->WireSizeBytes(), b.dict->Serialize().size());
+  };
+  expect_match(synth::Blobs(2000, 4, 1.5, 70, 2), 1.0);
+  expect_match(synth::Blobs(2000, 4, 1.5, 71, 3), 1.0);
+  expect_match(synth::Blobs(2000, 4, 1.5, 72, 5), 1.5);
+  expect_match(synth::TeraLike(1500, 73), 20.0);
+  Dataset one(4);
+  one.Append({1.5f, -2.0f, 0.25f, 7.0f});
+  expect_match(std::move(one), 1.0);
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> CanonicalEdges(
+    const Phase2Result& r) {
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (const CellSubgraph& g : r.subgraphs) {
+    for (const CellEdge& e : g.edges) edges.emplace_back(e.from, e.to);
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+TEST(DictionaryCodecTest, Phase2IsUnchangedByTheWireRoundTrip) {
+  // Runs query the dictionary they built, so the codec's fidelity for
+  // Phase II (what a snapshot loader rebuilds) is pinned here: the decoded
+  // dictionary must give the same core flags and cell-graph edges as the
+  // one that was encoded, on the stencil engine (d = 3) and on the kd-tree
+  // engine (d = 13).
+  ThreadPool pool(2);
+  auto expect_same = [&pool](Dataset data, double eps, size_t min_pts) {
+    Built b(std::move(data), eps, 0.01);
+    SCOPED_TRACE("dim " + std::to_string(b.data.dim()));
+    auto back = CellDictionary::Deserialize(b.dict->Serialize(),
+                                            CellDictionaryOptions(), &pool);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(back->has_stencil(), b.data.dim() <= 5);
+    const Phase2Result built =
+        BuildSubgraphs(b.data, *b.cells, *b.dict, min_pts, pool);
+    const Phase2Result decoded =
+        BuildSubgraphs(b.data, *b.cells, *back, min_pts, pool);
+    EXPECT_EQ(built.point_is_core, decoded.point_is_core);
+    EXPECT_EQ(built.cell_is_core, decoded.cell_is_core);
+    EXPECT_EQ(CanonicalEdges(built), CanonicalEdges(decoded));
+    EXPECT_GT(std::count(built.cell_is_core.begin(),
+                         built.cell_is_core.end(), 1),
+              0);
+  };
+  expect_same(synth::Blobs(3000, 4, 1.0, 74, 3), 1.0, 15);
+  expect_same(synth::TeraLike(1500, 75), 20.0, 10);
 }
 
 TEST(DictionaryCodecTest, NegativeCellCoordinatesSurvive) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace rpdbscan {
 namespace {
 
@@ -74,6 +77,21 @@ TEST(FlagsTest, RejectsBareDashDash) {
 TEST(FlagsTest, RejectsEmptyName) {
   const char* argv[] = {"--=value"};
   EXPECT_FALSE(FlagSet::Parse(1, argv).ok());
+}
+
+TEST(FlagsTest, CheckKnownRejectsUnreadFlags) {
+  const std::vector<std::string> input = {"generate", "n"};
+  const std::vector<std::string> rp = {"eps", "minpts"};
+  EXPECT_TRUE(MustParse({"--generate=blobs", "--eps=0.5", "--minpts=3"})
+                  .CheckKnown({input, rp})
+                  .ok());
+  EXPECT_TRUE(MustParse({}).CheckKnown({}).ok());
+  for (const char* arg : {"--perpoint", "--force-probe", "--epss=2"}) {
+    const Status s = MustParse({"--eps=0.5", arg}).CheckKnown({input, rp});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << arg;
+    const std::string flag(arg);
+    EXPECT_EQ(s.message(), "unknown flag " + flag.substr(0, flag.find('=')));
+  }
 }
 
 TEST(FlagsTest, LastValueWins) {

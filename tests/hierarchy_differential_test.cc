@@ -3,9 +3,10 @@
 // the same geometry with query_eps decoupled to the rung's radius — even
 // though the ladder shares one Phase I, one dictionary (stencil family
 // assembled out to the top rung) and seeds core marking across levels,
-// and the independent runs rebuild everything per setting. Runs across
-// dimensionalities 2-5 and under both candidate engines (neighborhood-CSR
-// prefix reuse, and forced hashed probes).
+// and the independent runs rebuild everything per setting. An independent
+// run assembles its neighborhood CSR at exactly its rung's scale, so every
+// rung below the top checks the ladder's class-filtered CSR against an
+// unfiltered one. Runs across dimensionalities 2-5.
 
 #include <gtest/gtest.h>
 
@@ -39,66 +40,35 @@ TEST(HierarchyDifferentialTest, LevelsMatchIndependentRunsAcrossDims) {
     SCOPED_TRACE("dim " + std::to_string(c.dim));
     const Dataset ds =
         synth::Blobs(2500, 3, 1.0, seed + c.dim, c.dim);
-    for (const bool force_probe : {false, true}) {
-      SCOPED_TRACE(force_probe ? "engine probe" : "engine csr-prefix");
-      HierarchyOptions ho;
-      ho.eps_levels = c.eps_levels;
-      ho.min_pts_levels = {c.min_pts};
-      ho.num_threads = 2;
-      ho.num_partitions = 4;
-      ho.force_probe = force_probe;
-      auto h = BuildClusterHierarchy(ds, ho);
-      ASSERT_TRUE(h.ok()) << h.status();
-      ASSERT_EQ(h->levels.size(), c.eps_levels.size());
-      std::string err;
-      ASSERT_TRUE(h->ValidateForest(&err)) << err;
+    HierarchyOptions ho;
+    ho.eps_levels = c.eps_levels;
+    ho.min_pts_levels = {c.min_pts};
+    ho.num_threads = 2;
+    ho.num_partitions = 4;
+    auto h = BuildClusterHierarchy(ds, ho);
+    ASSERT_TRUE(h.ok()) << h.status();
+    ASSERT_EQ(h->levels.size(), c.eps_levels.size());
+    std::string err;
+    ASSERT_TRUE(h->ValidateForest(&err)) << err;
 
-      for (size_t i = 0; i < h->levels.size(); ++i) {
-        RpDbscanOptions o;
-        o.eps = c.eps_levels[0];  // the shared grid geometry
-        o.query_eps = c.eps_levels[i];
-        o.min_pts = c.min_pts;
-        o.num_threads = 2;
-        o.num_partitions = 4;
-        auto independent = RunRpDbscan(ds, o);
-        ASSERT_TRUE(independent.ok())
-            << "level " << i << ": " << independent.status();
-        EXPECT_EQ(h->levels[i].labels, independent->labels)
-            << "level " << i << " (eps " << c.eps_levels[i] << ")";
-        EXPECT_EQ(h->levels[i].num_clusters,
-                  independent->stats.num_clusters)
-            << "level " << i;
-        EXPECT_EQ(h->levels[i].num_noise_points,
-                  independent->stats.num_noise_points)
-            << "level " << i;
-      }
+    for (size_t i = 0; i < h->levels.size(); ++i) {
+      RpDbscanOptions o;
+      o.eps = c.eps_levels[0];  // the shared grid geometry
+      o.query_eps = c.eps_levels[i];
+      o.min_pts = c.min_pts;
+      o.num_threads = 2;
+      o.num_partitions = 4;
+      auto independent = RunRpDbscan(ds, o);
+      ASSERT_TRUE(independent.ok())
+          << "level " << i << ": " << independent.status();
+      EXPECT_EQ(h->levels[i].labels, independent->labels)
+          << "level " << i << " (eps " << c.eps_levels[i] << ")";
+      EXPECT_EQ(h->levels[i].num_clusters, independent->stats.num_clusters)
+          << "level " << i;
+      EXPECT_EQ(h->levels[i].num_noise_points,
+                independent->stats.num_noise_points)
+          << "level " << i;
     }
-  }
-}
-
-TEST(HierarchyDifferentialTest, EnginesAgreeBitForBit) {
-  // Satellite of the prefix-reuse proof: the reused-CSR ladder and the
-  // forced-hashed-probe ladder must agree exactly at every level, not
-  // just up to cluster renaming.
-  const uint64_t seed = TestSeed(9900);
-  SCOPED_TRACE(SeedNote(seed));
-  const Dataset ds = synth::Blobs(3000, 4, 1.0, seed, 3);
-  HierarchyOptions csr;
-  csr.eps_levels = {1.0, 1.4, 1.9, 2.5};
-  csr.min_pts_levels = {12};
-  csr.num_threads = 2;
-  csr.num_partitions = 4;
-  HierarchyOptions probe = csr;
-  probe.force_probe = true;
-  auto a = BuildClusterHierarchy(ds, csr);
-  auto b = BuildClusterHierarchy(ds, probe);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ASSERT_EQ(a->levels.size(), b->levels.size());
-  for (size_t i = 0; i < a->levels.size(); ++i) {
-    EXPECT_EQ(a->levels[i].labels, b->levels[i].labels) << "level " << i;
-    EXPECT_EQ(a->levels[i].parent, b->levels[i].parent) << "level " << i;
-    EXPECT_EQ(a->levels[i].num_core_cells, b->levels[i].num_core_cells);
   }
 }
 

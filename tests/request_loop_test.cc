@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -258,9 +259,20 @@ TEST(RequestLoopTest, ServesFramedBatchesOverSocketpair) {
     EXPECT_TRUE(s.ok()) << s;
   });
 
-  // Several requests on one connection, answered in order; then a
-  // malformed frame (the loop must answer with an error and keep
-  // serving), then shutdown.
+  // A batch holding a coordinate that cannot be binned (NaN) gets an
+  // error frame naming the query; then several good requests on the same
+  // connection, answered in order; then a malformed frame (the loop must
+  // answer with an error and keep serving), then shutdown.
+  const float* good = f.data.point(0);
+  Dataset bad(3);
+  bad.Append({good[0], good[1], good[2]});
+  bad.Append({0.0f, std::numeric_limits<float>::quiet_NaN(), 0.0f});
+  ASSERT_TRUE(SendClassifyRequest(client_fd, bad).ok());
+  auto rejected = ReadClassifyResponse(client_fd);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("point 1 dimension 1"),
+            std::string::npos)
+      << rejected.status();
   std::vector<ServeResult> local;
   {
     ThreadPool pool(2);
@@ -291,9 +303,9 @@ TEST(RequestLoopTest, ServesFramedBatchesOverSocketpair) {
   ::close(client_fd);
   ::close(server_fd);
 
-  EXPECT_EQ(stats.requests, 4u);  // 3 good + 1 malformed
+  EXPECT_EQ(stats.requests, 5u);  // 1 unbinnable + 3 good + 1 malformed
   EXPECT_EQ(stats.responses, 3u);
-  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.errors, 2u);
   EXPECT_EQ(stats.serve.queries, 3 * f.data.size());
   EXPECT_EQ(stats.latency.seen(), 3 * f.data.size());
   const LatencySummary lat = stats.latency.Summarize();

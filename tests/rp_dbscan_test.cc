@@ -107,13 +107,12 @@ TEST(RpDbscanTest, AblationTogglesPreserveClustering) {
   const Dataset ds = synth::Blobs(3000, 4, 1.0, 28);
   auto base = RunRpDbscan(ds, Opts(1.0, 15));
   ASSERT_TRUE(base.ok());
-  for (const int knob : {0, 1, 2, 3, 4}) {
+  for (const int knob : {0, 1, 2, 3}) {
     RpDbscanOptions o = Opts(1.0, 15);
     if (knob == 0) o.defragment_dictionary = false;
     if (knob == 1) o.subdictionary_skipping = false;
     if (knob == 2) o.reduce_edges = false;
     if (knob == 3) o.sequential_merge = true;
-    if (knob == 4) o.simulate_broadcast = false;
     auto r = RunRpDbscan(ds, o);
     ASSERT_TRUE(r.ok());
     auto ri = RandIndex(base->labels, r->labels);
@@ -247,21 +246,16 @@ TEST(RpDbscanTest, MinPtsLargerThanDataset) {
   EXPECT_EQ(r->stats.num_noise_points, ds.size());
 }
 
-TEST(RpDbscanTest, BroadcastBytesReportedWhenSimulated) {
+TEST(RpDbscanTest, BroadcastBytesAreTheDictionaryWireSize) {
   const Dataset ds = synth::Blobs(1000, 2, 1.0, 35);
-  RpDbscanOptions on = Opts(1.0, 10);
-  on.simulate_broadcast = true;
-  RpDbscanOptions off = Opts(1.0, 10);
-  off.simulate_broadcast = false;
-  auto r_on = RunRpDbscan(ds, on);
-  auto r_off = RunRpDbscan(ds, off);
-  ASSERT_TRUE(r_on.ok());
-  ASSERT_TRUE(r_off.ok());
-  EXPECT_GT(r_on->stats.broadcast_bytes, 0u);
-  EXPECT_EQ(r_off->stats.broadcast_bytes, 0u);
+  RpDbscanOptions o = Opts(1.0, 10);
+  o.capture_model = true;
+  auto r = RunRpDbscan(ds, o);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_NE(r->model, nullptr);
+  EXPECT_EQ(r->stats.broadcast_bytes, r->model->dictionary.Serialize().size());
   // Wire size stays within a few percent of the Lemma 4.3 accounting.
-  EXPECT_LT(r_on->stats.broadcast_bytes,
-            r_on->stats.dictionary_bytes * 115 / 100);
+  EXPECT_LT(r->stats.broadcast_bytes, r->stats.dictionary_bytes * 115 / 100);
 }
 
 TEST(RpDbscanTest, HighDimensionalData) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -167,7 +168,7 @@ TEST(ServeTest, ExactCertaintyImpliesTrainingLabelEvenWithoutRefs) {
   EXPECT_LT(approx, ds.size() / 2);
 }
 
-TEST(ServeTest, BatchRejectsDimensionMismatch) {
+TEST(ServeTest, BatchRejectsQueriesItCannotServe) {
   const Dataset ds = synth::Blobs(600, 2, 1.0, 41);
   auto run = RunRpDbscan(ds, Opts(1.0, 10));
   ASSERT_TRUE(run.ok()) << run.status();
@@ -181,6 +182,27 @@ TEST(ServeTest, BatchRejectsDimensionMismatch) {
   const Status s = server.ClassifyBatch(wrong, pool, &results);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+
+  // Binning NaN, +-Inf or a coordinate beyond the int32 cell lattice is
+  // undefined behaviour, so both batch paths refuse such a batch up front
+  // and name the offending query and dimension.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(), 1e30f}) {
+    SCOPED_TRACE("bad coordinate " + std::to_string(bad));
+    Dataset queries(2);
+    for (size_t i = 0; i < 4; ++i) {
+      queries.Append({ds.point(i)[0], ds.point(i)[1]});
+    }
+    queries.Append({ds.point(4)[0], bad});
+    for (const bool grouped : {true, false}) {
+      const Status q = grouped ? server.ClassifyBatch(queries, pool, &results)
+                               : server.ClassifyEach(queries, pool, &results);
+      EXPECT_EQ(q.code(), StatusCode::kInvalidArgument) << q;
+      EXPECT_NE(q.message().find("point 4 dimension 1"), std::string::npos)
+          << q;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Randomized proof obligations of the stencil-family prefix reuse (the
 // machinery letting every eps-ladder level run against one assembled
-// dictionary): a family member enumerated fresh at a smaller scale must
-// be bit-identical to the corresponding prefix of the larger member, and
-// PrefixCount must select exactly the offsets passing the shared integer
-// class criterion. hierarchy_differential_test checks the same property
-// end-to-end through clustering results; this suite checks the offset
-// sets themselves.
+// dictionary): filtering a larger family member by the shared integer
+// class criterion, `min_dist_class <= ScaledBudget(dim, scale)` — exactly
+// what the dictionary's neighborhood-CSR class filter applies — must give
+// a fresh enumeration at the smaller scale bit-for-bit, in the same order.
+// hierarchy_differential_test checks the same property end-to-end through
+// clustering results; this suite checks the offset sets themselves.
 
 #include "core/lattice_stencil.h"
 
@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "test_seed.h"
 #include "util/random.h"
@@ -30,7 +31,7 @@ double MaxExtraScale(size_t dim) {
   return dim == 4 ? 0.8 : 0.5;
 }
 
-TEST(StencilPrefixTest, ScaledFamilyMembersAreNestedPrefixes) {
+TEST(StencilPrefixTest, ClassFilteredFamilyEqualsFreshEnumeration) {
   const uint64_t seed = TestSeed(8700);
   SCOPED_TRACE(SeedNote(seed));
   Rng rng(seed);
@@ -45,54 +46,37 @@ TEST(StencilPrefixTest, ScaledFamilyMembersAreNestedPrefixes) {
         LatticeStencil::CreateScaled(dim, top_scale, kMaxOffsets);
     ASSERT_TRUE(assembled.enabled());
 
-    // Random ladder of sub-scales, each compared against the prefix.
+    // Random ladder of sub-scales, each compared against the filtered
+    // assembled family.
     for (int level = 0; level < 4; ++level) {
       const double scale = 1.0 + rng.UniformDouble(0.0, top_scale - 1.0);
       const LatticeStencil fresh =
           LatticeStencil::CreateScaled(dim, scale, kMaxOffsets);
       ASSERT_TRUE(fresh.enabled());
       const double budget = LatticeStencil::ScaledBudget(dim, scale);
-      const size_t prefix = assembled.PrefixCount(budget);
-      ASSERT_EQ(prefix, fresh.num_offsets())
-          << "scale " << scale << ": prefix length differs from a fresh "
-          << "enumeration at that scale";
+      std::vector<int32_t> kept_offsets;
+      std::vector<uint32_t> kept_classes;
+      for (size_t i = 0; i < assembled.num_offsets(); ++i) {
+        if (static_cast<double>(assembled.min_dist_class(i)) > budget) {
+          continue;
+        }
+        kept_offsets.insert(kept_offsets.end(), assembled.offset(i),
+                            assembled.offset(i) + dim);
+        kept_classes.push_back(assembled.min_dist_class(i));
+      }
+      ASSERT_EQ(kept_classes.size(), fresh.num_offsets())
+          << "scale " << scale << ": filtered family size differs from a "
+          << "fresh enumeration at that scale";
       // Bit-identical offsets in identical order, not just the same set.
-      if (prefix > 0) {
-        EXPECT_EQ(std::memcmp(assembled.offset(0), fresh.offset(0),
-                              prefix * dim * sizeof(int32_t)),
+      if (!kept_classes.empty()) {
+        EXPECT_EQ(std::memcmp(kept_offsets.data(), fresh.offset(0),
+                              kept_offsets.size() * sizeof(int32_t)),
                   0)
             << "scale " << scale;
       }
-      for (size_t i = 0; i < prefix; ++i) {
-        ASSERT_EQ(assembled.min_dist_class(i), fresh.min_dist_class(i));
+      for (size_t i = 0; i < kept_classes.size(); ++i) {
+        ASSERT_EQ(kept_classes[i], fresh.min_dist_class(i));
       }
-    }
-  }
-}
-
-TEST(StencilPrefixTest, PrefixCountMatchesTheSharedCriterion) {
-  const uint64_t seed = TestSeed(8800);
-  SCOPED_TRACE(SeedNote(seed));
-  Rng rng(seed);
-  for (int round = 0; round < 12; ++round) {
-    const size_t dim = 2 + static_cast<size_t>(rng.Uniform(4));
-    const double top_scale =
-        1.0 + rng.UniformDouble(0.0, MaxExtraScale(dim));
-    const LatticeStencil st =
-        LatticeStencil::CreateScaled(dim, top_scale, kMaxOffsets);
-    ASSERT_TRUE(st.enabled());
-    const double budget =
-        LatticeStencil::ScaledBudget(dim, 1.0 + rng.UniformDouble(0.0, 0.9));
-    const size_t prefix = st.PrefixCount(budget);
-    // Every offset in the prefix passes `(double)m <= budget`, the first
-    // one past it fails — the identical comparison the dictionary's CSR
-    // class filter and the probe loop apply.
-    for (size_t i = 0; i < st.num_offsets(); ++i) {
-      const bool kept =
-          static_cast<double>(st.min_dist_class(i)) <= budget;
-      ASSERT_EQ(kept, i < prefix)
-          << "offset " << i << " class " << st.min_dist_class(i)
-          << " budget " << budget;
     }
   }
 }
@@ -108,9 +92,12 @@ TEST(StencilPrefixTest, ScaleOneReproducesTheClassicStencil) {
                           classic.num_offsets() * dim * sizeof(int32_t)),
               0)
         << "dim " << dim;
-    // The classic budget admits every enumerated offset and nothing
-    // forces re-enumeration: PrefixCount at the full budget is total.
-    EXPECT_EQ(scaled.PrefixCount(scaled.budget()), scaled.num_offsets());
+    // The stencil's own budget admits every enumerated offset, so the
+    // class filter vanishes at the full scale.
+    for (size_t i = 0; i < scaled.num_offsets(); ++i) {
+      ASSERT_LE(static_cast<double>(scaled.min_dist_class(i)),
+                scaled.budget());
+    }
   }
 }
 

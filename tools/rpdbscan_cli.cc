@@ -122,8 +122,6 @@ hierarchy (multi-eps cluster hierarchy over one shared dictionary):
                           F-fraction of cells may become core (default 1)
     --sample-seed=S       cell-sampling seed (fixed default: a sampled
                           ladder matches sampled independent runs)
-    --force-probe         hashed-probe candidate enumeration per level
-                          instead of the neighborhood-CSR prefix reuse
     --no-seeding          re-count every level from scratch instead of
                           seeding core marking from the level below
     --score               also build the exact ladder and score each
@@ -312,6 +310,26 @@ StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   if (generate == "osm") return synth::OsmLike(n, seed);
   if (generate == "tera") return synth::TeraLike(n, seed);
   return Status::InvalidArgument("unknown generator: " + generate);
+}
+
+// The flags each entry point reads, in groups: a flag outside an entry
+// point's groups fails the command before any input is loaded, so a
+// mistyped or retired flag can never silently run the defaults.
+const std::vector<std::string> kInputFlags = {"help", "input", "generate",
+                                              "n", "seed"};
+// The flags RpOptionsFromFlags reads.
+const std::vector<std::string> kRpFlags = {
+    "eps", "minpts", "rho", "partitions", "threads", "scalar-kernels",
+    "sequential-merge", "shard-workers", "memory-budget", "audit"};
+
+/// Prints "unknown flag --X" plus the usage and returns false when
+/// `flags` holds a flag outside every group of `known`.
+bool FlagsKnown(const FlagSet& flags,
+                std::initializer_list<std::vector<std::string>> known) {
+  const Status s = flags.CheckKnown(known);
+  if (s.ok()) return true;
+  std::fprintf(stderr, "%s\n%s", s.ToString().c_str(), kUsage);
+  return false;
 }
 
 StatusOr<AuditLevel> ParseAuditFlag(const FlagSet& flags,
@@ -760,6 +778,12 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
 /// classify a query set as one batch, or serve framed classify requests
 /// over stdio / a unix socket (--listen).
 int ServeMain(const FlagSet& flags) {
+  if (!FlagsKnown(flags, {{"help", "connect", "models", "snapshot",
+                           "queries", "listen", "threads", "verify",
+                           "approx-border", "stats-json", "output",
+                           "model-id", "default-model"}})) {
+    return 1;
+  }
   const std::string connect = flags.GetString("connect");
   if (!connect.empty()) return ServeClientMain(flags, connect);
   const std::string models = flags.GetString("models");
@@ -929,6 +953,14 @@ std::string JsonDouble(double v) {
 /// approximation against the exact ladder and freezing the finest rung as
 /// a snapshot carrying the whole ladder in its hierarchy section.
 int HierarchyMain(const FlagSet& flags) {
+  if (!FlagsKnown(flags, {kInputFlags,
+                          {"eps-levels", "minpts", "min-pts", "rho",
+                           "partitions", "threads", "scalar-kernels",
+                           "sequential-merge", "sampled-cores",
+                           "sample-seed", "no-seeding", "score",
+                           "save-snapshot", "stats-json", "output"}})) {
+    return 1;
+  }
   auto data_or = LoadInput(flags);
   if (!data_or.ok()) {
     std::fprintf(stderr, "input error: %s\n%s",
@@ -980,7 +1012,6 @@ int HierarchyMain(const FlagSet& flags) {
   ho.num_threads = static_cast<size_t>(*threads_or);
   ho.scalar_kernels = flags.GetBool("scalar-kernels");
   ho.sequential_merge = flags.GetBool("sequential-merge");
-  ho.force_probe = flags.GetBool("force-probe");
   ho.seed_from_previous = !flags.GetBool("no-seeding");
   ho.sampled_core_fraction = *frac_or;
   if (flags.Has("sample-seed")) {
@@ -1004,11 +1035,10 @@ int HierarchyMain(const FlagSet& flags) {
   }
   std::printf(
       "ladder: %zu levels over %zu cells in %.3fs (shared phase1 %.3fs, "
-      "dictionary %.3fs / %.1f MiB, broadcast %.3fs)\n",
+      "dictionary %.3fs / %.1f MiB)\n",
       h.levels.size(), h.num_cells, h.total_seconds, h.phase1_seconds,
       h.dictionary_seconds,
-      static_cast<double>(h.dictionary_bytes) / (1024.0 * 1024.0),
-      h.broadcast_seconds);
+      static_cast<double>(h.dictionary_bytes) / (1024.0 * 1024.0));
 
   // --score: each level's labels against the exact ladder at the same
   // schedule. The exact reference is only rebuilt when this run actually
@@ -1111,14 +1141,10 @@ int HierarchyMain(const FlagSet& flags) {
     json += "  \"num_levels\": " + std::to_string(h.levels.size()) + ",\n";
     json += "  \"sampled_core_fraction\": " +
             JsonDouble(ho.sampled_core_fraction) + ",\n";
-    json += std::string("  \"force_probe\": ") +
-            (ho.force_probe ? "true" : "false") + ",\n";
     json += std::string("  \"seed_from_previous\": ") +
             (ho.seed_from_previous ? "true" : "false") + ",\n";
     json += "  \"phase1_seconds\": " + JsonDouble(h.phase1_seconds) + ",\n";
     json += "  \"dictionary_seconds\": " + JsonDouble(h.dictionary_seconds) +
-            ",\n";
-    json += "  \"broadcast_seconds\": " + JsonDouble(h.broadcast_seconds) +
             ",\n";
     json += "  \"total_seconds\": " + JsonDouble(h.total_seconds) + ",\n";
     json += "  \"num_cells\": " + std::to_string(h.num_cells) + ",\n";
@@ -1179,6 +1205,12 @@ int HierarchyMain(const FlagSet& flags) {
 /// checked against a from-scratch RunRpDbscan on the accumulated points —
 /// the strongest per-epoch correctness gate the repo has.
 int StreamMain(const FlagSet& flags) {
+  if (!FlagsKnown(flags, {kInputFlags, kRpFlags,
+                          {"seed-points", "batch-size", "epoch-every",
+                           "epoch-dir", "approx-border", "stats-json",
+                           "output"}})) {
+    return 1;
+  }
   auto data_or = LoadInput(flags);
   if (!data_or.ok()) {
     std::fprintf(stderr, "input error: %s\n%s",
@@ -1372,6 +1404,12 @@ int Main(int argc, char** argv) {
     }
     std::fprintf(stderr, "unknown subcommand: %s\n%s",
                  flags.positional().front().c_str(), kUsage);
+    return 1;
+  }
+  if (!FlagsKnown(flags, {kInputFlags, kRpFlags,
+                          {"algo", "mmap", "normalize", "kdist", "convert",
+                           "output", "stats", "stats-json",
+                           "save-snapshot"}})) {
     return 1;
   }
   // --mmap maps the .rpds payload read-only and hands the pipeline a

@@ -429,7 +429,6 @@ for b in raw.get("benchmarks", []):
         "candidate_cells_scanned": b.get("candidate_cells_scanned"),
         "early_exits": b.get("early_exits"),
         "stencil_probes": b.get("stencil_probes"),
-        "stencil_hits": b.get("stencil_hits"),
     })
 
 times = {k["kernel"]: k["real_time_ms"] for k in kernels}

@@ -146,8 +146,11 @@ BENCHMARK(BM_KdTreeRadius);
 // over the precomputed lattice-stencil neighborhoods, plus the stencil
 // engine with the scalar kernels forced. Run on the GeoLife-like skewed
 // generator (the workload where dense cells make per-cell batching matter
-// most) at the bench_common defaults. Honors RPDBSCAN_BENCH_SCALE so
-// tools/run_bench.sh can smoke-test it.
+// most) at the bench_common defaults. `batched_tree_tera` times the tree
+// engine on the input it serves in production: the 13-d TeraClickLog
+// analogue at eps 40 with the default dictionary options, where the
+// stencil is off. Honors RPDBSCAN_BENCH_SCALE so tools/run_bench.sh can
+// smoke-test it.
 
 struct Phase2Fixture {
   Dataset data;
@@ -156,28 +159,39 @@ struct Phase2Fixture {
   StatusOr<CellDictionary> tree_dict = Status::Internal("unset");
   double eps = 0;
 
-  Phase2Fixture(Dataset ds, double eps_in) : data(std::move(ds)), eps(eps_in) {
+  Phase2Fixture(Dataset ds, double eps_in, size_t max_cells_per_subdict)
+      : data(std::move(ds)), eps(eps_in) {
     auto geom = GridGeometry::Create(data.dim(), eps, 0.01);
     cells = CellSet::Build(data, *geom, 32, 7);
-    // Memory-bounded fragmentation regime (Sec. 4.2.2): sub-dictionary
-    // count scales with the data rather than collapsing into a handful of
-    // fragments, which is the deployment the paper's defragmentation +
-    // skipping machinery exists for. This is the regime the query-engine
-    // comparison below should measure — tree enumeration pays one index
-    // descent per surviving sub-dictionary per cell, stencil probing is
-    // oblivious to fragment count. stencil_query_test pins the same
-    // setting for its equivalence sweeps.
     CellDictionaryOptions dopts;
-    dopts.max_cells_per_subdict = 64;
+    dopts.max_cells_per_subdict = max_cells_per_subdict;
     dict = CellDictionary::Build(data, *cells, dopts);
-    dopts.max_stencil_offsets = 0;
-    tree_dict = CellDictionary::Build(data, *cells, dopts);
+    if (dict->has_stencil()) {
+      dopts.max_stencil_offsets = 0;
+      tree_dict = CellDictionary::Build(data, *cells, dopts);
+    }
   }
 };
 
 Phase2Fixture& GeoLifeFixture() {
+  // Memory-bounded fragmentation regime (Sec. 4.2.2): sub-dictionary
+  // count scales with the data rather than collapsing into a handful of
+  // fragments, which is the deployment the paper's defragmentation +
+  // skipping machinery exists for. This is the regime the query-engine
+  // comparison below should measure — tree enumeration pays one index
+  // descent per surviving sub-dictionary per cell, stencil probing is
+  // oblivious to fragment count. stencil_query_test pins the same
+  // setting for its equivalence sweeps.
   static Phase2Fixture* f = new Phase2Fixture(
-      synth::GeoLifeLike(bench::Scaled(40000), 101), /*eps=*/2.0);
+      synth::GeoLifeLike(bench::Scaled(40000), 101), /*eps=*/2.0,
+      /*max_cells_per_subdict=*/64);
+  return *f;
+}
+
+Phase2Fixture& TeraFixture() {
+  static Phase2Fixture* f = new Phase2Fixture(
+      synth::TeraLike(bench::Scaled(40000), 104), /*eps=*/40.0,
+      CellDictionaryOptions().max_cells_per_subdict);
   return *f;
 }
 
@@ -185,10 +199,12 @@ enum class QueryEngine {
   kBatchedTree,
   kStencil,
   kStencilScalar,
+  kTeraTree,  // the d >= 6 production path: no stencil is built
 };
 
 void BM_Phase2Query(benchmark::State& state, QueryEngine engine) {
-  Phase2Fixture& f = GeoLifeFixture();
+  Phase2Fixture& f =
+      engine == QueryEngine::kTeraTree ? TeraFixture() : GeoLifeFixture();
   ThreadPool pool(1);  // kernel cost, not parallel speedup
   const CellDictionary& dict =
       engine == QueryEngine::kBatchedTree ? *f.tree_dict : *f.dict;
@@ -213,6 +229,8 @@ BENCHMARK_CAPTURE(BM_Phase2Query, stencil, QueryEngine::kStencil)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Phase2Query, stencil_scalar,
                   QueryEngine::kStencilScalar)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Phase2Query, batched_tree_tera, QueryEngine::kTeraTree)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LatticeStencilCreate(benchmark::State& state) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "parallel/parallel_for.h"
@@ -337,6 +338,9 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
         float* mbr = sd.cell_mbrs_.data() + i * 2 * dim;
         ComputeCellMbr(geom, sd.cells_[i], sd.subcells_, mbr, mbr + dim);
       }
+      // Each kd-tree node gets the union of the occupied MBRs below it,
+      // so QueryCell can settle a whole subtree with one box test.
+      sd.tree_.BuildNodeBoxes(sd.cell_mbrs_.data());
     };
     if (pool != nullptr) {
       ParallelFor(*pool, dict.subdicts_.size(), build_lanes);
@@ -532,9 +536,15 @@ constexpr double kDisjointMargin = 1.0 + 1e-9;
 // max2 <= eps^2 means every sub-cell center is within eps of every source
 // point (the cell's whole density counts, exactly what the kernel would
 // find), min2 > eps^2 means none ever is (the kernel would find zero).
-void MbrPairDistBounds(const float* a_lo, const float* a_hi,
+//
+// Returns false, leaving *min2 / *max2 unset, as soon as the partial min2
+// exceeds `disjoint2`: the terms are non-negative, so under round-to-
+// nearest each partial sum bounds the full one from below, and the pair
+// is disjoint either way. On sparse high-dimensional data most pairs are
+// settled after a few dimensions.
+bool MbrPairDistBounds(const float* a_lo, const float* a_hi,
                        const float* b_lo, const float* b_hi, size_t dim,
-                       double* min2, double* max2) {
+                       double disjoint2, double* min2, double* max2) {
   double mn = 0.0;
   double mx = 0.0;
   for (size_t d = 0; d < dim; ++d) {
@@ -542,18 +552,17 @@ void MbrPairDistBounds(const float* a_lo, const float* a_hi,
     const double hi = b_hi[d];
     const double alo = a_lo[d];
     const double ahi = a_hi[d];
-    double gap = 0.0;
-    if (alo > hi) {
-      gap = alo - hi;
-    } else if (lo > ahi) {
-      gap = lo - ahi;
-    }
+    // Both boxes are non-empty, so at most one side has a positive gap;
+    // the branch-free max keeps the early-exit branch the only one.
+    const double gap = std::max(0.0, std::max(alo - hi, lo - ahi));
     mn += gap * gap;
+    if (mn > disjoint2) return false;
     const double far = std::max(ahi - lo, hi - alo);
     mx += far * far;
   }
   *min2 = mn;
   *max2 = mx;
+  return true;
 }
 
 // Squared distance between a sub-dictionary MBR and the source cell's
@@ -587,27 +596,9 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
   const double eps2 = qeps * qeps;
   const double disjoint2 = eps2 * kDisjointMargin;
   const double contained2 = eps2 * kContainMargin;
-  // Per-point queries reach cells whose center is within query_eps +
-  // 0.5*eps of the point (Query's candidate radius; 1.5*eps in the
-  // classic query_eps == eps case, whose exact expression is kept so
-  // default queries stay bit-for-bit); every point lies within the MBR's
-  // half-diagonal of the MBR center, so one traversal at that radius plus
-  // the half-diagonal covers them all. The margin keeps the cover robust
-  // to rounding.
-  float center[CellCoord::kMaxDim];
-  double half_diag2 = 0.0;
-  for (size_t d = 0; d < dim; ++d) {
-    center[d] = 0.5f * (mbr_lo[d] + mbr_hi[d]);
-    // Bound |p[d] - center[d]| from the rounded center actually queried,
-    // so float rounding of the midpoint cannot shrink the cover.
-    const double c = center[d];
-    const double half = std::max(c - static_cast<double>(mbr_lo[d]),
-                                 static_cast<double>(mbr_hi[d]) - c);
-    half_diag2 += half * half;
-  }
-  const double reach = qeps == eps ? 1.5 * eps : qeps + 0.5 * eps;
-  const double candidate_radius =
-      (reach + std::sqrt(half_diag2)) * kDisjointMargin;
+  // The source cell counts toward its own density but is not its own
+  // neighbor; -1 when it is not a dictionary cell.
+  const int64_t src_slot = FindCellRefIndex(cell);
 
   size_t visited = 0;
   for (size_t sdi = 0; sdi < subdicts_.size(); ++sdi) {
@@ -617,28 +608,57 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
       continue;
     }
     ++visited;
-    out->tree_hits.clear();
-    sd.tree_.CollectInRadius(center, candidate_radius, &out->tree_hits);
-    for (const uint32_t local_cell : out->tree_hits) {
-      const uint32_t slot = subdict_ref_base_[sdi] + local_cell;
+    const uint32_t base = subdict_ref_base_[sdi];
+    auto take_always = [&](uint32_t slot) {
       const SlotMeta& sm = slot_meta_[slot];
-      double pair_min2 = 0.0;
-      double pair_max2 = 0.0;
-      MbrPairDistBounds(mbr_lo, mbr_hi, sm.mbr, sm.mbr + dim, dim,
-                        &pair_min2, &pair_max2);
-      if (pair_min2 > disjoint2) continue;  // unreachable from any point
-      if (pair_max2 <= contained2) {
-        // Every point of the source cell swallows this cell whole: hoist
-        // the Example 5.5 containment fast path to cell level.
-        out->always_count += sm.total_count;
-        if (!(sd.cells_[local_cell].coord == cell)) {
-          out->always_neighbors.push_back(sm.cell_id);
-        }
-        continue;
+      out->always_count += sm.total_count;
+      if (static_cast<int64_t>(slot) != src_slot) {
+        out->always_neighbors.push_back(sm.cell_id);
       }
-      out->maybe_refs.push_back(
-          CandidateCellList::MaybeRef{pair_min2, sm.cell_id, slot});
-    }
+    };
+    // Descend by node box with the per-cell bounds and margins. A node box
+    // contains every occupied MBR below it and each step of
+    // MbrPairDistBounds is monotone under round-to-nearest, so a node's
+    // min2 / max2 bound every cell's below it: a disjoint node holds only
+    // disjoint cells, a contained node only always cells, and settling the
+    // node settles each of them exactly as the per-cell test would.
+    sd.tree_.DescendBoxes(
+        [&](uint32_t node) {
+          const float* box = sd.tree_.node_box(node);
+          double min2 = 0.0;
+          double max2 = 0.0;
+          if (!MbrPairDistBounds(mbr_lo, mbr_hi, box, box + dim, dim,
+                                 disjoint2, &min2, &max2)) {
+            return KdTree::BoxVerdict::kDisjoint;
+          }
+          if (max2 <= contained2) return KdTree::BoxVerdict::kContained;
+          return KdTree::BoxVerdict::kPartial;
+        },
+        [&](std::span<const uint32_t> local_cells) {
+          // Every point of the source cell swallows these cells whole: the
+          // Example 5.5 containment fast path hoisted to subtree level.
+          for (const uint32_t local_cell : local_cells) {
+            take_always(base + local_cell);
+          }
+        },
+        [&](std::span<const uint32_t> local_cells) {
+          for (const uint32_t local_cell : local_cells) {
+            const float* mbr = sd.cell_mbr(local_cell);
+            double pair_min2 = 0.0;
+            double pair_max2 = 0.0;
+            if (!MbrPairDistBounds(mbr_lo, mbr_hi, mbr, mbr + dim, dim,
+                                   disjoint2, &pair_min2, &pair_max2)) {
+              continue;  // unreachable from any point
+            }
+            const uint32_t slot = base + local_cell;
+            if (pair_max2 <= contained2) {
+              take_always(slot);
+              continue;
+            }
+            out->maybe_refs.push_back(CandidateCellList::MaybeRef{
+                pair_min2, slot_meta_[slot].cell_id, slot});
+          }
+        });
   }
 
   SortAndFlattenMaybes(out);
@@ -706,9 +726,10 @@ size_t CellDictionary::QueryCellStencil(const CellCoord& cell,
     const SlotMeta& sm = slot_meta_[nbr[j]];
     double pair_min2 = 0.0;
     double pair_max2 = 0.0;
-    MbrPairDistBounds(mbr_lo, mbr_hi, sm.mbr, sm.mbr + dim, dim, &pair_min2,
-                      &pair_max2);
-    if (pair_min2 > disjoint2) continue;  // unreachable from any point
+    if (!MbrPairDistBounds(mbr_lo, mbr_hi, sm.mbr, sm.mbr + dim, dim,
+                           disjoint2, &pair_min2, &pair_max2)) {
+      continue;  // unreachable from any point
+    }
     if (pair_max2 <= contained2) {
       out->always_count += sm.total_count;
       // j == 0 is the source cell itself (the list stores it first;

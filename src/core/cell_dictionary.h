@@ -38,10 +38,20 @@ struct DictCell {
 
 /// A defragmented fragment of the two-level cell dictionary (Def. 4.4):
 /// a subset of cells, their sub-cells, an MBR for skipping (Lemma 5.10)
-/// and a kd-tree over cell centers for O(log |cell|) candidate lookup
-/// (Lemma 5.6).
+/// and a kd-tree over cell centers for candidate lookup (Lemma 5.6) whose
+/// nodes carry the union box of the occupied cell MBRs below them.
+///
+/// Move-only: the dictionary's per-slot metadata points into these arrays
+/// and the kd-tree into cell_centers_. A move keeps every buffer in place;
+/// a copy would keep pointing at the source's.
 class SubDictionary {
  public:
+  SubDictionary() = default;
+  SubDictionary(const SubDictionary&) = delete;
+  SubDictionary& operator=(const SubDictionary&) = delete;
+  SubDictionary(SubDictionary&&) = default;
+  SubDictionary& operator=(SubDictionary&&) = default;
+
   const Mbr& mbr() const { return mbr_; }
   size_t num_cells() const { return cells_.size(); }
   size_t num_subcells() const { return subcells_.size(); }
@@ -92,6 +102,10 @@ class SubDictionary {
   const float* cell_mbr(uint32_t local_cell) const {
     return cell_mbrs_.data() + static_cast<size_t>(local_cell) * 2 * lane_dim_;
   }
+
+  /// The kd-tree over cell centers (item ids are local cell indices), its
+  /// node boxes built from cell_mbr(): read-only, for the auditors.
+  const KdTree& tree() const { return tree_; }
 
  private:
   friend class CellDictionary;
@@ -175,12 +189,13 @@ struct CellEntry {
   std::vector<DictSubcell> subcells;
 };
 
-/// Flat SoA candidate set produced by CellDictionary::QueryCell for one
-/// source cell: everything the (eps, rho)-region queries of *all* points
-/// inside that cell can touch, gathered with a single index traversal per
-/// sub-dictionary and laid out contiguously so the per-point scan does no
-/// hash or tree work. Reuse one instance across the cells of a partition
-/// task — Clear() keeps the allocations.
+/// Flat SoA candidate set produced by CellDictionary::QueryCell (or
+/// QueryCellStencil) for one source cell: everything the (eps,
+/// rho)-region queries of *all* points inside that cell can touch,
+/// gathered once per cell — one box-bounded kd-tree descent per
+/// sub-dictionary, or one stencil walk — and laid out contiguously so the
+/// per-point scan does no hash or tree work. Reuse one instance across the
+/// cells of a partition task — Clear() keeps the allocations.
 ///
 /// Candidate cells split into two groups by box-to-box distance bounds
 /// (valid for every query point in the source cell):
@@ -222,8 +237,6 @@ struct CandidateCellList {
   std::vector<const uint32_t*> lane_counts;
   std::vector<uint32_t> lane_padded;
 
-  /// Scratch for the per-sub-dictionary index traversal.
-  std::vector<uint32_t> tree_hits;
   /// Scratch for the proximity sort of the maybe group before flattening:
   /// the sort key plus the candidate's global cell-index slot, through
   /// which SortAndFlattenMaybes copies everything the flat SoA needs from
@@ -355,28 +368,30 @@ class CellDictionary {
 
   /// Batched (eps, rho)-region query for every point of cell `cell` at
   /// once: gathers into `*out` (cleared first) the candidate-cell set that
-  /// per-point queries of any point inside the cell could reach, using a
-  /// single index traversal per non-skipped sub-dictionary. `mbr_lo` /
-  /// `mbr_hi` (dim floats each) bound the cell's *actual* points; the
-  /// traversal radius is the per-point candidate radius 1.5*eps
-  /// (Lemma 5.6) plus the MBR's half-diagonal (at most eps/2, usually far
-  /// less on skewed data). Candidates are classified by MBR-to-MBR bounds
-  /// against each candidate's precomputed occupied-sub-cell MBR (tighter
-  /// than its full cell box on sparse data): provably contained cells are
-  /// pre-summed, provably disjoint cells are dropped, and the rest are
-  /// referenced for per-point tests, sorted nearest-first. The
-  /// classification is conservative (tiny relative margins push
-  /// borderline cells into the per-point group), so scanning `*out`
-  /// reproduces Query() exactly for every point inside the MBR: a
-  /// contained candidate's sub-cell centers all lie within eps (its whole
-  /// density counts, as Query would), a disjoint candidate's never do.
+  /// per-point queries of any point inside the cell could reach, with one
+  /// box-bounded kd-tree descent per non-skipped sub-dictionary. `mbr_lo`
+  /// / `mbr_hi` (dim floats each) bound the cell's *actual* points.
+  /// Candidates are classified by MBR-to-MBR bounds against each
+  /// candidate's precomputed occupied-sub-cell MBR (tighter than its full
+  /// cell box on sparse data): provably contained cells are pre-summed,
+  /// provably disjoint cells are dropped, and the rest are referenced for
+  /// per-point tests, sorted nearest-first. The descent applies the same
+  /// bounds to each node's union box first: a disjoint node is dropped
+  /// whole, a contained node puts every cell below it into the pre-summed
+  /// group in one step, and only partial leaves classify cell by cell.
+  /// Bounds are monotone under box containment, so a node's verdict is
+  /// each of its cells' verdict. The classification is conservative (tiny
+  /// relative margins push borderline cells into the per-point group), so
+  /// scanning `*out` reproduces Query() exactly for every point inside the
+  /// MBR: a contained candidate's sub-cell centers all lie within eps (its
+  /// whole density counts, as Query would), a disjoint candidate's never
+  /// do.
   ///
   /// Returns the number of sub-dictionaries inspected after MBR skipping,
   /// here at most one visit per sub-dictionary per *cell* (vs per point
   /// for Query) — the Lemma 5.10 accounting for the batched kernel.
   /// `query_eps` decouples the region-query radius from the geometry eps
-  /// (the eps ladder, src/hierarchy/); 0 keeps the classic radius. It must
-  /// be >= the geometry eps, so the cell diagonal stays within the radius.
+  /// (the eps ladder, src/hierarchy/); 0 keeps the classic radius.
   size_t QueryCell(const CellCoord& cell, const float* mbr_lo,
                    const float* mbr_hi, CandidateCellList* out,
                    double query_eps = 0.0) const;
@@ -390,10 +405,8 @@ class CellDictionary {
   /// tests downstream reuse Query()'s exact arithmetic — so results
   /// cannot differ. (The candidate *lists* may differ in
   /// provably-zero-match cells: the tree path's Lemma 5.10 MBR skipping
-  /// can drop cells the stencil still classifies, and vice versa the
-  /// stencil never sees cells beyond distance class d that the traversal
-  /// radius admits. Both prunings are sound, which is all the downstream
-  /// scan needs.)
+  /// can drop cells the stencil still classifies. Both prunings are
+  /// sound, which is all the downstream scan needs.)
   ///
   /// The engine's unique lever: which dictionary cells occupy a source
   /// cell's stencil window is a pure function of the lattice — not of the
@@ -495,6 +508,14 @@ class CellDictionary {
   /// assignment target — CapturedModel and the snapshot loader construct
   /// one and move a built dictionary in. Mirrors GridGeometry's default.
   CellDictionary() = default;
+
+  /// Move-only: the per-slot metadata points into the sub-dictionaries'
+  /// arrays. A move keeps those buffers in place; a copy would keep
+  /// pointing at the source's.
+  CellDictionary(const CellDictionary&) = delete;
+  CellDictionary& operator=(const CellDictionary&) = delete;
+  CellDictionary(CellDictionary&&) = default;
+  CellDictionary& operator=(CellDictionary&&) = default;
 
  private:
   /// Shared assembly path of Build and Deserialize: defragmentation (BSP),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -11,24 +12,43 @@
 namespace rpdbscan {
 namespace {
 
-// Splits `line` on commas and/or whitespace into float fields. Returns
-// false on a parse failure.
-bool ParseRow(const std::string& line, std::vector<float>* out) {
+bool IsSeparator(char c) {
+  return c == ',' || c == ' ' || c == '\t' || c == '\r';
+}
+
+// Splits `line` on commas and/or whitespace into float fields. Each field
+// must be one finite float that ends at a separator or at the end of the
+// line. On failure returns the 1-based number of the offending field and
+// sets `*why`; returns 0 on success.
+size_t ParseRow(const std::string& line, std::vector<float>* out,
+                const char** why) {
   out->clear();
   const char* p = line.c_str();
   const char* end = p + line.size();
   while (p < end) {
-    while (p < end && (*p == ',' || *p == ' ' || *p == '\t' || *p == '\r')) {
-      ++p;
-    }
+    while (p < end && IsSeparator(*p)) ++p;
     if (p >= end) break;
+    const size_t field = out->size() + 1;
     char* next = nullptr;
     const float v = std::strtof(p, &next);
-    if (next == p) return false;
+    if (next == p) {
+      *why = "not a number";
+      return field;
+    }
+    if (next < end && !IsSeparator(*next)) {
+      // "1.5.3" or "1-2": strtof stopped inside the token.
+      *why = "trailing characters after the number";
+      return field;
+    }
+    if (!std::isfinite(v)) {
+      // nan, inf, or a literal beyond the float range such as 1e50.
+      *why = "not a finite float";
+      return field;
+    }
     out->push_back(v);
     p = next;
   }
-  return true;
+  return 0;
 }
 
 }  // namespace
@@ -44,7 +64,14 @@ StatusOr<Dataset> ReadCsv(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    if (!ParseRow(line, &row) || row.empty()) {
+    const char* why = nullptr;
+    const size_t bad_field = ParseRow(line, &row, &why);
+    if (bad_field != 0) {
+      return Status::IOError(path + ":" + std::to_string(line_no) +
+                             ": field " + std::to_string(bad_field) + ": " +
+                             why);
+    }
+    if (row.empty()) {
       return Status::IOError(path + ":" + std::to_string(line_no) +
                              ": unparsable row");
     }

@@ -14,6 +14,7 @@ void KdTree::Build(const float* data, size_t n, size_t dim,
   perm_.resize(n);
   std::iota(perm_.begin(), perm_.end(), 0u);
   nodes_.clear();
+  node_boxes_.clear();
   if (n == 0) return;
   nodes_.reserve(2 * n / leaf_size_ + 2);
   BuildRange(0, static_cast<uint32_t>(n));
@@ -22,11 +23,10 @@ void KdTree::Build(const float* data, size_t n, size_t dim,
 uint32_t KdTree::BuildRange(uint32_t begin, uint32_t end) {
   const uint32_t node_id = static_cast<uint32_t>(nodes_.size());
   nodes_.emplace_back();
+  nodes_[node_id].begin = begin;
+  nodes_[node_id].end = end;
   if (end - begin <= leaf_size_) {
-    Node& node = nodes_[node_id];
-    node.leaf = true;
-    node.begin = begin;
-    node.end = end;
+    nodes_[node_id].leaf = true;
     return node_id;
   }
   // Split on the widest dimension of this subset's bounding extent.
@@ -63,6 +63,33 @@ uint32_t KdTree::BuildRange(uint32_t begin, uint32_t end) {
   node.left = left;
   node.right = right;
   return node_id;
+}
+
+void KdTree::BuildNodeBoxes(const float* item_boxes) {
+  const size_t stride = 2 * dim_;
+  node_boxes_.resize(nodes_.size() * stride);
+  // BuildRange numbers nodes in pre-order, so children come after their
+  // parent: one reverse sweep visits every node after its children.
+  for (size_t n = nodes_.size(); n-- > 0;) {
+    const Node& node = nodes_[n];
+    float* box = node_boxes_.data() + n * stride;
+    auto fold = [&](const float* other, bool first) {
+      for (size_t d = 0; d < dim_; ++d) {
+        box[d] = first ? other[d] : std::min(box[d], other[d]);
+        box[dim_ + d] =
+            first ? other[dim_ + d] : std::max(box[dim_ + d], other[dim_ + d]);
+      }
+    };
+    if (node.leaf) {
+      for (uint32_t i = node.begin; i < node.end; ++i) {
+        fold(item_boxes + static_cast<size_t>(perm_[i]) * stride,
+             i == node.begin);
+      }
+    } else {
+      fold(node_boxes_.data() + node.left * stride, true);
+      fold(node_boxes_.data() + node.right * stride, false);
+    }
+  }
 }
 
 namespace {
@@ -116,37 +143,6 @@ std::vector<std::pair<double, uint32_t>> KdTree::KNearest(const float* q,
     best.pop();
   }
   return out;
-}
-
-void KdTree::CollectInRadius(const float* q, double radius,
-                             std::vector<uint32_t>* out) const {
-  if (perm_.empty()) return;
-  const double r2 = radius * radius;
-  // Explicit DFS stack. Median splits halve the range every level, so the
-  // depth is bounded by log2(n) + 1 <= 33 for 32-bit point counts; each
-  // iteration pops one node and pushes at most its two children.
-  uint32_t stack[64];
-  size_t top = 0;
-  stack[top++] = 0;
-  while (top > 0) {
-    const Node& node = nodes_[stack[--top]];
-    if (node.leaf) {
-      for (uint32_t i = node.begin; i < node.end; ++i) {
-        const uint32_t id = perm_[i];
-        const double d2 = DistanceSquared(q, data_ + id * dim_, dim_);
-        if (d2 <= r2) out->push_back(id);
-      }
-      continue;
-    }
-    const double delta =
-        static_cast<double>(q[node.split_dim]) - node.split_val;
-    const uint32_t near = delta <= 0 ? node.left : node.right;
-    const uint32_t far = delta <= 0 ? node.right : node.left;
-    // Push far first so the near subtree is drained first (same visit
-    // order as the recursive form).
-    if (delta * delta <= r2) stack[top++] = far;
-    stack[top++] = near;
-  }
 }
 
 size_t KdTree::CountInRadius(const float* q, double radius,

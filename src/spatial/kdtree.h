@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,11 +15,14 @@ namespace rpdbscan {
 ///
 /// Two roles in this repository, both straight from the paper:
 ///  * exact eps-region queries for the original DBSCAN baseline, and
-///  * O(log |cell|) candidate-cell lookup inside a sub-dictionary
-///    (Lemma 5.6 names "R*-tree or kd-tree"; we use a kd-tree).
+///  * candidate-cell lookup inside a sub-dictionary (Lemma 5.6 names
+///    "R*-tree or kd-tree"; we use a kd-tree). For this role every node
+///    also carries the union box of its items' boxes (BuildNodeBoxes), so
+///    one box test settles a whole subtree (DescendBoxes).
 ///
 /// The tree does not own the coordinate buffer; the caller keeps it alive.
-/// Immutable after Build. Thread-safe for concurrent queries.
+/// Immutable after Build (and BuildNodeBoxes). Thread-safe for concurrent
+/// queries.
 class KdTree {
  public:
   KdTree() = default;
@@ -47,13 +51,6 @@ class KdTree {
     return out;
   }
 
-  /// Batched form of ForEachInRadius: appends (without clearing) every id
-  /// within `radius` of `q` to the caller-owned `*out`, in the same order
-  /// the callback form visits them. Lets callers amortize one traversal
-  /// over many consumers of the hit list (the cell-level region query).
-  void CollectInRadius(const float* q, double radius,
-                       std::vector<uint32_t>* out) const;
-
   /// Counts points within `radius` of `q`, stopping early once the count
   /// reaches `cap` (used by DBSCAN core tests where only ">= minPts"
   /// matters). A `cap` of 0 means no early exit.
@@ -65,9 +62,74 @@ class KdTree {
   std::vector<std::pair<double, uint32_t>> KNearest(const float* q,
                                                     size_t k) const;
 
+  // --- Node boxes. Items may be boxes rather than points: the tree is
+  // --- still split on the Build points, but each node also stores the
+  // --- union of the boxes of the items below it. ---
+
+  /// Annotates every node with the union box of its items' boxes.
+  /// `item_boxes` holds 2 * dim floats per item id (dim lo, then dim hi);
+  /// a node box is their exact per-dimension min / max, so it contains
+  /// every item box below the node. Call after Build.
+  void BuildNodeBoxes(const float* item_boxes);
+
+  size_t num_nodes() const { return nodes_.size(); }
+  /// Node `node`'s box: dim lo floats, then dim hi floats. Node 0 is the
+  /// root. Only valid after BuildNodeBoxes.
+  const float* node_box(size_t node) const {
+    return node_boxes_.data() + node * 2 * dim_;
+  }
+  /// The ids of the items below node `node`: a contiguous run, nested in
+  /// its ancestors' runs and disjoint from every other subtree's.
+  std::span<const uint32_t> node_items(size_t node) const {
+    return {perm_.data() + nodes_[node].begin,
+            nodes_[node].end - nodes_[node].begin};
+  }
+
+  /// What DescendBoxes' `classify` decides for one node box.
+  enum class BoxVerdict : uint8_t {
+    kDisjoint,   // no item below can qualify: skip the subtree
+    kContained,  // every item below qualifies: take them all at once
+    kPartial,    // undecided: descend (a leaf hands its items over)
+  };
+
+  /// Box-bounded descent (needs BuildNodeBoxes). `classify(node)` judges
+  /// each reached node, normally from node_box(node). A kDisjoint node is
+  /// dropped with its whole subtree; a kContained node passes its items
+  /// to `contained(items)` and is not descended; a kPartial inner node
+  /// descends into both children, and a kPartial leaf passes its items to
+  /// `partial(items)` for per-item tests. Sound whenever `classify` is
+  /// monotone under box containment: a verdict that holds for a node box
+  /// then holds for every item box inside it.
+  template <typename Classify, typename Contained, typename Partial>
+  void DescendBoxes(Classify&& classify, Contained&& contained,
+                    Partial&& partial) const {
+    if (perm_.empty()) return;
+    // Explicit DFS stack. Median splits halve the range every level, so
+    // the depth is bounded by log2(n) + 1 <= 33 for 32-bit item counts;
+    // each iteration pops one node and pushes at most its two children.
+    uint32_t stack[64];
+    size_t top = 0;
+    stack[top++] = 0;
+    while (top > 0) {
+      const uint32_t node_id = stack[--top];
+      const BoxVerdict verdict = classify(node_id);
+      if (verdict == BoxVerdict::kDisjoint) continue;
+      const Node& node = nodes_[node_id];
+      if (verdict == BoxVerdict::kContained) {
+        contained(node_items(node_id));
+      } else if (node.leaf) {
+        partial(node_items(node_id));
+      } else {
+        stack[top++] = node.right;
+        stack[top++] = node.left;
+      }
+    }
+  }
+
  private:
   struct Node {
-    // Internal node: children indices; leaf: begin/end into perm_.
+    // Internal node: children indices. Every node: its item range
+    // [begin, end) of perm_.
     uint32_t left = 0;
     uint32_t right = 0;
     uint32_t begin = 0;
@@ -104,6 +166,8 @@ class KdTree {
   size_t leaf_size_ = 16;
   std::vector<uint32_t> perm_;
   std::vector<Node> nodes_;
+  /// 2 * dim_ floats per node (see node_box); empty until BuildNodeBoxes.
+  std::vector<float> node_boxes_;
 };
 
 }  // namespace rpdbscan

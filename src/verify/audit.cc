@@ -350,6 +350,34 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
       }
     }
   }
+  // Kd-tree node boxes contain the occupied MBR of every cell below them:
+  // the soundness condition of QueryCell dropping or accepting a whole
+  // subtree from its node box. Exact comparison — the boxes are min / max
+  // folds of these very floats.
+  for (size_t sdi = 0; sdi < dict.subdictionaries().size(); ++sdi) {
+    const SubDictionary& sd = dict.subdictionaries()[sdi];
+    const KdTree& tree = sd.tree();
+    report.Check(tree.size() == sd.num_cells(), [&] {
+      return Cat("subdict ", sdi, " kd-tree holds ", tree.size(),
+                 " cells, want ", sd.num_cells());
+    });
+    if (tree.size() != sd.num_cells()) continue;
+    for (size_t node = 0; node < tree.num_nodes(); ++node) {
+      const float* box = tree.node_box(node);
+      for (const uint32_t local : tree.node_items(node)) {
+        const float* mbr = sd.cell_mbr(local);
+        bool inside = true;
+        for (size_t d = 0; d < dim && inside; ++d) {
+          inside = box[d] <= mbr[d] && mbr[dim + d] <= box[dim + d];
+        }
+        report.Check(inside, [&] {
+          return Cat("subdict ", sdi, " kd-tree node ", node,
+                     " box does not contain cell ", sd.cells()[local].cell_id);
+        });
+      }
+    }
+  }
+
   size_t covered = 0;
   for (const uint8_t s : cell_seen) covered += s;
   report.Check(covered == num_cells, [&] {

@@ -109,6 +109,8 @@ AuditReport AuditCellSet(const Dataset& data, const CellSet& cells,
 ///    tallies matches SizeBitsLemma43();
 ///  * every sub-cell center lies inside its fragment's MBR (the soundness
 ///    condition of Lemma 5.10 skipping);
+///  * every kd-tree node box contains the occupied MBR of every cell below
+///    it (the soundness condition of QueryCell settling whole subtrees);
 ///  * at kFull: per-cell sub-cell histograms recomputed from the raw
 ///    points via GridGeometry::SubcellOf match the dictionary, and the
 ///    precomputed cell/sub-cell center arrays match bit-exactly.

@@ -4,13 +4,25 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 #include <vector>
 
+#include "core/phase2.h"
 #include "synth/generators.h"
 #include "util/random.h"
 
 namespace rpdbscan {
 namespace {
+
+// The per-slot metadata points into the sub-dictionaries' arrays and each
+// kd-tree into its cell centers: a copy would keep pointing at the
+// source's buffers, a move keeps them in place.
+static_assert(!std::is_copy_constructible_v<CellDictionary>);
+static_assert(!std::is_copy_assignable_v<CellDictionary>);
+static_assert(std::is_nothrow_move_constructible_v<CellDictionary>);
+static_assert(!std::is_copy_constructible_v<SubDictionary>);
+static_assert(!std::is_copy_assignable_v<SubDictionary>);
+static_assert(std::is_nothrow_move_constructible_v<SubDictionary>);
 
 struct Fixture {
   Dataset data{2};
@@ -189,6 +201,34 @@ TEST(CellDictionaryTest, RejectsZeroBudget) {
   CellDictionaryOptions opts;
   opts.max_cells_per_subdict = 0;
   EXPECT_FALSE(CellDictionary::Build(f.data, *f.cells, opts).ok());
+}
+
+TEST(CellDictionaryTest, MovedDictionaryOutlivesItsSource) {
+  // A dictionary moved out of a temporary keeps answering from the moved
+  // buffers: the per-slot metadata and the kd-trees still point at live
+  // memory once the temporary is gone.
+  Fixture f(synth::TeraLike(1500, 13), 40.0, 0.01);
+  CellDictionaryOptions opts;
+  opts.max_cells_per_subdict = 64;
+  auto reference = CellDictionary::Build(f.data, *f.cells, opts);
+  ASSERT_TRUE(reference.ok());
+  CellDictionary moved = CellDictionary::Build(f.data, *f.cells, opts).value();
+  ASSERT_GT(moved.num_subdictionaries(), 1u);
+  CandidateCellList want;
+  CandidateCellList got;
+  float lo[CellCoord::kMaxDim];
+  float hi[CellCoord::kMaxDim];
+  for (uint32_t cid = 0; cid < f.cells->num_cells(); ++cid) {
+    const CellCoord& coord = f.cells->cell(cid).coord;
+    ASSERT_TRUE(SubcellRangeMbr(moved, coord, lo, hi));
+    reference->QueryCell(coord, lo, hi, &want);
+    moved.QueryCell(coord, lo, hi, &got);
+    ASSERT_EQ(got.always_count, want.always_count) << "cell " << cid;
+    ASSERT_EQ(got.always_neighbors, want.always_neighbors) << "cell " << cid;
+    ASSERT_EQ(got.cell_ids, want.cell_ids) << "cell " << cid;
+    ASSERT_EQ(moved.QueryCount(f.data.point(cid)),
+              reference->QueryCount(f.data.point(cid)));
+  }
 }
 
 TEST(CellDictionaryTest, QueryCountIncludesOwnSubcell) {

@@ -66,6 +66,70 @@ TEST_F(CsvTest, RejectsUnparsableRow) {
   EXPECT_FALSE(ReadCsv(path_).ok());
 }
 
+// Each malformed field fails the read with an IOError naming the path, the
+// line and the field — never a silently split or non-finite point.
+TEST_F(CsvTest, RejectsMalformedAndNonFiniteFields) {
+  struct Case {
+    const char* row;
+    const char* field;  // expected "field N" in the message
+  };
+  const Case cases[] = {
+      {"1.5.3,2", "field 1"},  // would have split into 1.5 and .3
+      {"0.5.1,3", "field 1"},
+      {"1-2,4", "field 1"},    // would have split into 1 and -2
+      {"4,1-2", "field 2"},
+      {"nan,1", "field 1"},
+      {"1,inf", "field 2"},
+      {"-inf,1", "field 1"},
+      {"1,1e50", "field 2"},   // beyond the float range
+      {"1,2x", "field 2"},
+      {"1,abc", "field 2"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.row);
+    WriteFile(std::string("1,2\n# comment\n") + c.row + "\n");
+    auto ds = ReadCsv(path_);
+    ASSERT_FALSE(ds.ok());
+    EXPECT_EQ(ds.status().code(), StatusCode::kIOError);
+    const std::string msg = ds.status().message();
+    EXPECT_NE(msg.find(path_ + ":3:"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.field), std::string::npos) << msg;
+  }
+}
+
+TEST_F(CsvTest, AcceptsEveryFieldSeparator) {
+  WriteFile("1.5,2\t3 4\r\n-0.5 , 6 \t,7,8\n");
+  auto ds = ReadCsv(path_);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  ASSERT_EQ(ds->dim(), 4u);
+  ASSERT_EQ(ds->size(), 2u);
+  EXPECT_EQ(ds->point(0)[3], 4.0f);
+  EXPECT_EQ(ds->point(1)[0], -0.5f);
+  EXPECT_EQ(ds->point(1)[3], 8.0f);
+}
+
+TEST_F(CsvTest, RoundTripKeepsExtremeFiniteValues) {
+  // The parse-time checks must not reject what WriteCsv writes: a
+  // subnormal, both zeros and the largest finite floats.
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float max = std::numeric_limits<float>::max();
+  Dataset ds(3);
+  ds.Append({denorm, 0.0f, -0.0f});
+  ds.Append({max, -max, -denorm});
+  ASSERT_TRUE(WriteCsv(path_, ds).ok());
+  auto back = ReadCsv(path_);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    for (size_t d = 0; d < 3; ++d) {
+      EXPECT_EQ(std::memcmp(back->point(i) + d, ds.point(i) + d,
+                            sizeof(float)),
+                0)
+          << "point " << i << " dim " << d;
+    }
+  }
+}
+
 TEST_F(CsvTest, RejectsEmptyFile) {
   WriteFile("");
   EXPECT_FALSE(ReadCsv(path_).ok());

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <unordered_map>
 
 #include "parallel/parallel_for.h"
@@ -17,6 +18,67 @@ namespace {
 bool SubcellLess(const DictSubcell& a, const DictSubcell& b) {
   if (a.id.hi != b.id.hi) return a.id.hi < b.id.hi;
   return a.id.lo < b.id.lo;
+}
+
+// Runs fn(i) for every i in [0, n): on `pool` when given, inline otherwise.
+template <typename Fn>
+void ForEachIndex(ThreadPool* pool, size_t n, Fn&& fn) {
+  if (pool != nullptr) {
+    ParallelFor(*pool, n, fn);
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+// A prior dictionary fits `entries` when it was assembled over a prefix
+// of the same cells — ids 0 .. m-1 at unchanged lattice coordinates —
+// with the same geometry and stencil offset family. Then each prior
+// cell's stencil window holds exactly the prior cells it held before, and
+// only its pairs with new cells are missing from its prior list.
+Status CheckPrior(const GridGeometry& geom,
+                  const std::vector<CellEntry>& entries,
+                  const LatticeStencil& stencil,
+                  const CellDictionary& prior) {
+  const size_t m = prior.num_cells();
+  if (m > entries.size()) {
+    return Status::InvalidArgument(
+        "prior dictionary has more cells than the entries");
+  }
+  const GridGeometry& pg = prior.geom();
+  if (pg.dim() != geom.dim() || pg.eps() != geom.eps() ||
+      pg.rho() != geom.rho()) {
+    return Status::InvalidArgument("prior dictionary geometry differs");
+  }
+  const LatticeStencil& ps = prior.stencil();
+  if (ps.enabled() != stencil.enabled() ||
+      (stencil.enabled() && (ps.budget() != stencil.budget() ||
+                             ps.num_offsets() != stencil.num_offsets()))) {
+    return Status::InvalidArgument(
+        "prior dictionary stencil offset family differs");
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].cell_id != i) {
+      return Status::InvalidArgument(
+          "entries are not in dense cell-id order");
+    }
+  }
+  const size_t dim = geom.dim();
+  std::vector<uint8_t> seen(m, 0);
+  for (size_t q = 0; q < m; ++q) {
+    const uint32_t id = prior.cell_refs()[q].cell_id;
+    if (id >= m || seen[id]) {
+      return Status::InvalidArgument(
+          "prior dictionary cell ids are not dense");
+    }
+    seen[id] = 1;
+    const int32_t* coord = prior.ref_coords().data() + q * dim;
+    if (!std::equal(coord, coord + dim, entries[id].coord.data())) {
+      return Status::InvalidArgument("prior dictionary cell " +
+                                     std::to_string(id) +
+                                     " has a different coordinate");
+    }
+  }
+  return Status::OK();
 }
 
 // Tight bounds of one cell's occupied sub-cell boxes, decoded from the
@@ -188,16 +250,12 @@ StatusOr<CellDictionary> CellDictionary::Build(
   // Per-cell sub-cell histograms (Alg. 2 lines 13-17), one independent
   // task per cell.
   std::vector<CellEntry> entries(cells.num_cells());
-  auto build_entry = [&](size_t id) {
-    entries[id] = MakeCellEntry(data, geom, cells.cell(static_cast<uint32_t>(id)),
+  ForEachIndex(pool, entries.size(), [&](size_t id) {
+    entries[id] = MakeCellEntry(data, geom,
+                                cells.cell(static_cast<uint32_t>(id)),
                                 static_cast<uint32_t>(id));
-  };
-  if (pool != nullptr) {
-    ParallelFor(*pool, entries.size(), build_entry);
-  } else {
-    for (size_t id = 0; id < entries.size(); ++id) build_entry(id);
-  }
-  return Assemble(geom, std::move(entries), opts, pool);
+  });
+  return Assemble(geom, entries, opts, pool, nullptr);
 }
 
 CellEntry CellDictionary::MakeCellEntry(const Dataset& data,
@@ -223,20 +281,33 @@ CellEntry CellDictionary::MakeCellEntry(const Dataset& data,
 }
 
 StatusOr<CellDictionary> CellDictionary::FromEntries(
-    const GridGeometry& geom, std::vector<CellEntry> entries,
-    const CellDictionaryOptions& opts, ThreadPool* pool) {
-  return Assemble(geom, std::move(entries), opts, pool);
+    const GridGeometry& geom, const std::vector<CellEntry>& entries,
+    const CellDictionaryOptions& opts, ThreadPool* pool,
+    const CellDictionary* prior) {
+  return Assemble(geom, entries, opts, pool, prior);
 }
 
 StatusOr<CellDictionary> CellDictionary::Assemble(
-    const GridGeometry& geom, std::vector<CellEntry> entries,
-    const CellDictionaryOptions& opts, ThreadPool* pool) {
+    const GridGeometry& geom, const std::vector<CellEntry>& entries,
+    const CellDictionaryOptions& opts, ThreadPool* pool,
+    const CellDictionary* prior) {
   if (opts.max_cells_per_subdict == 0) {
     return Status::InvalidArgument("max_cells_per_subdict must be >= 1");
   }
   CellDictionary dict;
   dict.geom_ = geom;
   dict.enable_skipping_ = opts.enable_skipping;
+  // Scaled by stencil_eps_scale so one offset family (and the CSR below)
+  // covers every query radius up to scale * eps; 1.0 is the classic
+  // single-eps stencil. Family members are nested prefixes, so smaller
+  // radii reuse the CSR through the class filter in QueryCellStencil.
+  // Past max_stencil_offsets no stencil is built.
+  dict.stencil_ = LatticeStencil::CreateScaled(
+      geom.dim(), opts.stencil_eps_scale, opts.max_stencil_offsets);
+  if (prior != nullptr) {
+    RPDBSCAN_RETURN_IF_ERROR(
+        CheckPrior(geom, entries, dict.stencil_, *prior));
+  }
   dict.num_cells_ = entries.size();
   for (const CellEntry& e : entries) dict.num_subcells_ += e.subcells.size();
 
@@ -258,16 +329,48 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
     fragments.emplace_back(0, order.size());
   }
 
+  // The fragment arrays the dictionary keeps (all but the kd-trees' own)
+  // are reserved here, on the calling thread, at their exact sizes, and
+  // only filled on the pool: a buffer a pool worker allocates stays in
+  // that worker's malloc arena, and over a stream of epochs each arena
+  // kept its own share of every dictionary (5 MB more peak RSS on a
+  // 10k-point GeoLife stream).
   dict.subdicts_.resize(fragments.size());
   for (size_t f = 0; f < fragments.size(); ++f) {
     const auto [begin, end] = fragments[f];
     SubDictionary& sd = dict.subdicts_[f];
+    const size_t dim = geom.dim();
     const size_t n = end - begin;
-    sd.cells_.reserve(n);
-    sd.cell_centers_.reserve(n * geom.dim());
-    sd.mbr_ = Mbr(geom.dim());
+    size_t subcells = 0;
+    size_t lane_slots = 0;
     for (size_t i = begin; i < end; ++i) {
-      CellEntry& entry = entries[order[i]];
+      const size_t count = entries[order[i]].subcells.size();
+      subcells += count;
+      lane_slots +=
+          (count + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
+    }
+    sd.cells_.reserve(n);
+    sd.cell_centers_.reserve(n * dim);
+    sd.subcells_.reserve(subcells);
+    sd.subcell_centers_.reserve(subcells * dim);
+    sd.lane_begin_.reserve(n + 1);
+    sd.lane_centers_.reserve(lane_slots * dim);
+    sd.lane_counts_.reserve(lane_slots);
+    sd.cell_mbrs_.reserve(n * 2 * dim);
+  }
+  // One independent task per fragment: copy its cells and sub-cells,
+  // decode the sub-cell centers, build the kd-tree, then the lane-major
+  // (SoA) sub-cell storage — per-cell padded blocks of dim-major
+  // coordinate lanes plus per-slot densities, the layout the vector
+  // kernels (core/simd.h) stride over. Padding slots carry +inf centers
+  // and zero counts so whole-vector strides are safe.
+  ForEachIndex(pool, fragments.size(), [&](size_t f) {
+    const auto [begin, end] = fragments[f];
+    SubDictionary& sd = dict.subdicts_[f];
+    const size_t dim = geom.dim();
+    sd.mbr_ = Mbr(dim);
+    for (size_t i = begin; i < end; ++i) {
+      const CellEntry& entry = entries[order[i]];
       DictCell dc;
       dc.coord = entry.coord;
       dc.cell_id = entry.cell_id;
@@ -280,74 +383,58 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
       dc.subcell_end = static_cast<uint32_t>(sd.subcells_.size());
       dc.total_count = total;
       sd.cells_.push_back(dc);
-      const float* center = centers.data() + order[i] * geom.dim();
-      sd.cell_centers_.insert(sd.cell_centers_.end(), center,
-                              center + geom.dim());
+      const float* center = centers.data() + order[i] * dim;
+      sd.cell_centers_.insert(sd.cell_centers_.end(), center, center + dim);
       sd.mbr_.ExpandToMbr(geom.CellBox(entry.coord));
     }
     // Precompute sub-cell centers for distance tests during queries.
-    sd.subcell_centers_.resize(sd.subcells_.size() * geom.dim());
+    sd.subcell_centers_.resize(sd.subcells_.size() * dim);
     for (const DictCell& dc : sd.cells_) {
       for (uint32_t s = dc.subcell_begin; s < dc.subcell_end; ++s) {
         geom.SubcellCenter(dc.coord, sd.subcells_[s].id,
-                           sd.subcell_centers_.data() + s * geom.dim());
+                           sd.subcell_centers_.data() + s * dim);
       }
     }
-    sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), geom.dim());
-  }
+    sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), dim);
 
-  // Lane-major (SoA) sub-cell storage: per-cell padded blocks of
-  // dim-major coordinate lanes plus per-slot densities, the layout the
-  // vector kernels (core/simd.h) stride over. Padding slots carry +inf
-  // centers and zero counts so whole-vector strides are safe.
-  {
-    auto build_lanes = [&](size_t f) {
-      SubDictionary& sd = dict.subdicts_[f];
-      const size_t dim = geom.dim();
-      sd.lane_dim_ = dim;
-      sd.lane_begin_.assign(sd.cells_.size() + 1, 0);
-      for (size_t i = 0; i < sd.cells_.size(); ++i) {
-        const uint32_t n =
-            sd.cells_[i].subcell_end - sd.cells_[i].subcell_begin;
-        const uint32_t padded =
-            (n + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
-        sd.lane_begin_[i + 1] = sd.lane_begin_[i] + padded;
-      }
-      const size_t total = sd.lane_begin_.back();
-      sd.lane_centers_.assign(total * dim, kLanePadCenter);
-      sd.lane_counts_.assign(total, 0);
-      for (size_t i = 0; i < sd.cells_.size(); ++i) {
-        const DictCell& dc = sd.cells_[i];
-        const uint32_t padded_n = sd.lane_begin_[i + 1] - sd.lane_begin_[i];
-        float* block = sd.lane_centers_.data() +
-                       static_cast<size_t>(sd.lane_begin_[i]) * dim;
-        for (uint32_t s = dc.subcell_begin; s < dc.subcell_end; ++s) {
-          const uint32_t slot = s - dc.subcell_begin;
-          const float* center = sd.subcell_centers_.data() + s * dim;
-          sd.lane_counts_[sd.lane_begin_[i] + slot] = sd.subcells_[s].count;
-          for (size_t d = 0; d < dim; ++d) {
-            block[d * padded_n + slot] = center[d];
-          }
+    sd.lane_dim_ = dim;
+    sd.lane_begin_.assign(sd.cells_.size() + 1, 0);
+    for (size_t i = 0; i < sd.cells_.size(); ++i) {
+      const uint32_t count =
+          sd.cells_[i].subcell_end - sd.cells_[i].subcell_begin;
+      const uint32_t padded =
+          (count + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
+      sd.lane_begin_[i + 1] = sd.lane_begin_[i] + padded;
+    }
+    const size_t total = sd.lane_begin_.back();
+    sd.lane_centers_.assign(total * dim, kLanePadCenter);
+    sd.lane_counts_.assign(total, 0);
+    for (size_t i = 0; i < sd.cells_.size(); ++i) {
+      const DictCell& dc = sd.cells_[i];
+      const uint32_t padded_n = sd.lane_begin_[i + 1] - sd.lane_begin_[i];
+      float* block = sd.lane_centers_.data() +
+                     static_cast<size_t>(sd.lane_begin_[i]) * dim;
+      for (uint32_t s = dc.subcell_begin; s < dc.subcell_end; ++s) {
+        const uint32_t slot = s - dc.subcell_begin;
+        const float* center = sd.subcell_centers_.data() + s * dim;
+        sd.lane_counts_[sd.lane_begin_[i] + slot] = sd.subcells_[s].count;
+        for (size_t d = 0; d < dim; ++d) {
+          block[d * padded_n + slot] = center[d];
         }
       }
-      // Tight occupied-sub-cell MBR per cell: what candidate
-      // classification and the per-point box tests measure against
-      // instead of the full cell box.
-      sd.cell_mbrs_.resize(sd.cells_.size() * 2 * dim);
-      for (size_t i = 0; i < sd.cells_.size(); ++i) {
-        float* mbr = sd.cell_mbrs_.data() + i * 2 * dim;
-        ComputeCellMbr(geom, sd.cells_[i], sd.subcells_, mbr, mbr + dim);
-      }
-      // Each kd-tree node gets the union of the occupied MBRs below it,
-      // so QueryCell can settle a whole subtree with one box test.
-      sd.tree_.BuildNodeBoxes(sd.cell_mbrs_.data());
-    };
-    if (pool != nullptr) {
-      ParallelFor(*pool, dict.subdicts_.size(), build_lanes);
-    } else {
-      for (size_t f = 0; f < dict.subdicts_.size(); ++f) build_lanes(f);
     }
-  }
+    // Tight occupied-sub-cell MBR per cell: what candidate
+    // classification and the per-point box tests measure against
+    // instead of the full cell box.
+    sd.cell_mbrs_.resize(sd.cells_.size() * 2 * dim);
+    for (size_t i = 0; i < sd.cells_.size(); ++i) {
+      float* mbr = sd.cell_mbrs_.data() + i * 2 * dim;
+      ComputeCellMbr(geom, sd.cells_[i], sd.subcells_, mbr, mbr + dim);
+    }
+    // Each kd-tree node gets the union of the occupied MBRs below it,
+    // so QueryCell can settle a whole subtree with one box test.
+    sd.tree_.BuildNodeBoxes(sd.cell_mbrs_.data());
+  });
 
   // Dictionary-global cell index: coordinate -> (sub-dictionary, local
   // cell), the probe target of the neighborhood build below, of
@@ -361,7 +448,7 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   dict.cell_refs_.resize(dict.num_cells_);
   dict.ref_coords_.resize(dict.num_cells_ * dim);
   std::vector<uint64_t> ref_hashes(dict.num_cells_);
-  auto fill_refs = [&](size_t f) {
+  ForEachIndex(pool, dict.subdicts_.size(), [&](size_t f) {
     const SubDictionary& sd = dict.subdicts_[f];
     GlobalCellRef* ref = dict.cell_refs_.data() + ref_offsets[f];
     int32_t* coords = dict.ref_coords_.data() + ref_offsets[f] * dim;
@@ -377,12 +464,7 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
       ref->subcell_begin = sd.cells_[i].subcell_begin;
       ref->subcell_end = sd.cells_[i].subcell_end;
     }
-  };
-  if (pool != nullptr) {
-    ParallelFor(*pool, dict.subdicts_.size(), fill_refs);
-  } else {
-    for (size_t f = 0; f < dict.subdicts_.size(); ++f) fill_refs(f);
-  }
+  });
   dict.cell_index_.BuildHashed(ref_hashes.data(), ref_hashes.size(), pool);
 
   // Per-slot classification/flatten metadata: every pointer the query
@@ -393,7 +475,7 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
     dict.subdict_ref_base_[f] = static_cast<uint32_t>(ref_offsets[f]);
   }
   dict.slot_meta_.resize(dict.num_cells_);
-  auto fill_meta = [&](size_t f) {
+  ForEachIndex(pool, dict.subdicts_.size(), [&](size_t f) {
     const SubDictionary& sd = dict.subdicts_[f];
     SlotMeta* meta = dict.slot_meta_.data() + ref_offsets[f];
     for (uint32_t i = 0; i < sd.cells_.size(); ++i, ++meta) {
@@ -404,105 +486,197 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
       meta->total_count = sd.cells_[i].total_count;
       meta->cell_id = sd.cells_[i].cell_id;
     }
-  };
-  if (pool != nullptr) {
-    ParallelFor(*pool, dict.subdicts_.size(), fill_meta);
-  } else {
-    for (size_t f = 0; f < dict.subdicts_.size(); ++f) fill_meta(f);
-  }
+  });
 
-  // Scaled by stencil_eps_scale so one offset family (and the CSR below)
-  // covers every query radius up to scale * eps; 1.0 is the classic
-  // single-eps stencil. Family members are nested prefixes, so smaller
-  // radii reuse the CSR through the class filter in QueryCellStencil.
-  // Past max_stencil_offsets no stencil is built.
-  dict.stencil_ = LatticeStencil::CreateScaled(
-      geom.dim(), opts.stencil_eps_scale, opts.max_stencil_offsets);
-
-  // Precomputed stencil neighborhoods: which dictionary cells occupy a
-  // source cell's stencil window depends only on the lattice, never on a
-  // query, so the hash probes are paid once here instead of once per
-  // region query. The stencil is closed under negation (membership
-  // depends only on |o_i|), so lattice adjacency is symmetric: only the
-  // half of the window whose first nonzero component is positive is
-  // probed, and every resolved pair (a, b) is scattered into both cells'
-  // lists — half the probes of even a single full-window pass. Each list
-  // holds the cell itself first, then its present neighbors in a
-  // deterministic discovery order; no consumer depends on the order
-  // ("maybe" candidates are re-sorted by distance bound, neighbor edges
-  // are sorted and deduplicated downstream). Probing runs in parallel
-  // over fixed-size cell blocks whose pair buffers are drained in block
-  // order, so the CSR is identical regardless of thread count.
   if (dict.stencil_.enabled() && dict.num_cells_ > 0) {
-    const LatticeStencil& st = dict.stencil_;
-    const size_t noff = st.num_offsets();
-    std::vector<size_t> half;
-    half.reserve(noff / 2);
-    for (size_t i = 0; i < noff; ++i) {
-      const int32_t* off = st.offset(i);
-      size_t d = 0;
-      while (d < dim && off[d] == 0) ++d;
-      if (d < dim && off[d] > 0) half.push_back(i);
-    }
-    constexpr size_t kBlock = 256;
-    const size_t nblocks = (dict.num_cells_ + kBlock - 1) / kBlock;
-    std::vector<std::vector<uint64_t>> block_pairs(nblocks);
-    auto probe_block = [&](size_t b) {
-      std::vector<uint64_t>& out = block_pairs[b];
-      const size_t lo = b * kBlock;
-      const size_t hi = std::min(lo + kBlock, dict.num_cells_);
-      int32_t nbr[CellCoord::kMaxDim];
-      for (size_t s = lo; s < hi; ++s) {
-        const int32_t* c = dict.ref_coords_.data() + s * dim;
-        for (size_t i : half) {
-          const int32_t* off = st.offset(i);
-          for (size_t d = 0; d < dim; ++d) {
-            // 64-bit intermediate: a wrapped coordinate could not hold
-            // data anyway, but signed overflow must not be UB.
-            nbr[d] =
-                static_cast<int32_t>(static_cast<int64_t>(c[d]) + off[d]);
-          }
-          const int64_t hit = dict.cell_index_.FindHashed(
-              CellCoordHashOf(nbr, dim), nbr, dim, dict.ref_coords_.data());
-          if (hit < 0) continue;
-          out.push_back(static_cast<uint64_t>(s) << 32 |
-                        static_cast<uint64_t>(hit));
-        }
-      }
-    };
-    if (pool != nullptr) {
-      ParallelFor(*pool, nblocks, probe_block);
-    } else {
-      for (size_t b = 0; b < nblocks; ++b) probe_block(b);
-    }
-    std::vector<uint32_t> counts(dict.num_cells_, 1);  // 1 = self entry
-    for (const std::vector<uint64_t>& pairs : block_pairs) {
-      for (uint64_t p : pairs) {
-        ++counts[static_cast<size_t>(p >> 32)];
-        ++counts[static_cast<size_t>(p & 0xffffffffu)];
-      }
-    }
-    dict.stencil_nbr_begin_.assign(dict.num_cells_ + 1, 0);
-    for (size_t s = 0; s < dict.num_cells_; ++s) {
-      dict.stencil_nbr_begin_[s + 1] =
-          dict.stencil_nbr_begin_[s] + counts[s];
-    }
-    dict.stencil_nbr_slots_.resize(dict.stencil_nbr_begin_.back());
-    std::vector<size_t> cursor(dict.num_cells_);
-    for (size_t s = 0; s < dict.num_cells_; ++s) {
-      cursor[s] = dict.stencil_nbr_begin_[s];
-      dict.stencil_nbr_slots_[cursor[s]++] = static_cast<uint32_t>(s);
-    }
-    for (const std::vector<uint64_t>& pairs : block_pairs) {
-      for (uint64_t p : pairs) {
-        const uint32_t a = static_cast<uint32_t>(p >> 32);
-        const uint32_t b = static_cast<uint32_t>(p & 0xffffffffu);
-        dict.stencil_nbr_slots_[cursor[a]++] = b;
-        dict.stencil_nbr_slots_[cursor[b]++] = a;
-      }
-    }
+    dict.BuildStencilNeighborhoods(prior, pool);
   }
   return dict;
+}
+
+void CellDictionary::BuildStencilNeighborhoods(const CellDictionary* prior,
+                                               ThreadPool* pool) {
+  // Precomputed stencil neighborhoods: which dictionary cells occupy a
+  // cell's stencil window depends only on the lattice, never on a query,
+  // so the hash probes are paid once here instead of once per region
+  // query — and, with a prior, once per cell over a whole stream: a cell
+  // pays for its window when it first appears (the work-efficiency rule
+  // of incremental neighbor search).
+  //
+  // The stencil is closed under negation (membership depends only on
+  // |o_i|), so lattice adjacency is symmetric and each pair is found
+  // once, then scattered into both cells' lists. Cells with id >= m are
+  // new: each probes the positive half of its window (offsets whose first
+  // nonzero component is positive) and records every hit, and — when
+  // there are prior cells — the negative half, recording only hits on
+  // prior cells (id < m). A new-new pair is then found once, from the
+  // end that sees the other at a positive offset, and a new-prior pair
+  // only from the new cell. Prior-prior pairs are the prior's lists,
+  // renumbered. With no prior every cell is
+  // new: the classic half-window build, half the probes of even a single
+  // full-window pass.
+  //
+  // Probing runs over fixed-size blocks of the new cells, and each
+  // block's directed entries are grouped by fixed owner slot ranges; the
+  // count and fill then run one task per owner range, draining the blocks
+  // in order. So the CSR is identical regardless of thread count: each
+  // list is itself, its carried-over neighbors, then its probed ones in
+  // block order.
+  const size_t n = num_cells_;
+  const size_t dim = geom_.dim();
+  const uint32_t m =
+      prior != nullptr ? static_cast<uint32_t>(prior->num_cells_) : 0;
+
+  std::vector<size_t> positive;
+  std::vector<size_t> negative;
+  for (size_t i = 0; i < stencil_.num_offsets(); ++i) {
+    const int32_t* off = stencil_.offset(i);
+    size_t d = 0;
+    while (d < dim && off[d] == 0) ++d;
+    if (d < dim) (off[d] > 0 ? positive : negative).push_back(i);
+  }
+  std::vector<uint32_t> probing;  // slots of the new cells, ascending
+  probing.reserve(n - m);
+  for (size_t s = 0; s < n; ++s) {
+    if (cell_refs_[s].cell_id >= m) {
+      probing.push_back(static_cast<uint32_t>(s));
+    }
+  }
+
+  constexpr size_t kOwnerRanges = 64;
+  const size_t range_size = (n + kOwnerRanges - 1) / kOwnerRanges;
+  const size_t num_ranges = (n + range_size - 1) / range_size;
+  constexpr size_t kBlock = 256;
+  const size_t num_blocks = (probing.size() + kBlock - 1) / kBlock;
+  // Per probe block: its directed entries (owner << 32 | neighbor), two
+  // per pair, stably grouped by owner range; range r's group is
+  // [range_begin[r], range_begin[r + 1]).
+  struct Block {
+    std::vector<uint64_t> entries;
+    std::vector<uint32_t> range_begin;
+  };
+  std::vector<Block> blocks(num_blocks);
+  ForEachIndex(pool, num_blocks, [&](size_t b) {
+    std::vector<uint64_t> pairs;
+    int32_t nbr[CellCoord::kMaxDim];
+    auto probe = [&](const int32_t* c, size_t i) {
+      const int32_t* off = stencil_.offset(i);
+      for (size_t d = 0; d < dim; ++d) {
+        // 64-bit intermediate: a wrapped coordinate could not hold data
+        // anyway, but signed overflow must not be UB.
+        nbr[d] = static_cast<int32_t>(static_cast<int64_t>(c[d]) + off[d]);
+      }
+      return cell_index_.FindHashed(CellCoordHashOf(nbr, dim), nbr, dim,
+                                    ref_coords_.data());
+    };
+    const size_t end = std::min(probing.size(), (b + 1) * kBlock);
+    for (size_t k = b * kBlock; k < end; ++k) {
+      const uint64_t s = probing[k];
+      const int32_t* c = ref_coords_.data() + s * dim;
+      for (const size_t i : positive) {
+        const int64_t hit = probe(c, i);
+        if (hit >= 0) pairs.push_back(s << 32 | static_cast<uint64_t>(hit));
+      }
+      if (m == 0) continue;
+      for (const size_t i : negative) {
+        const int64_t hit = probe(c, i);
+        if (hit >= 0 && cell_refs_[static_cast<size_t>(hit)].cell_id < m) {
+          pairs.push_back(s << 32 | static_cast<uint64_t>(hit));
+        }
+      }
+    }
+    Block& out = blocks[b];
+    out.range_begin.assign(num_ranges + 1, 0);
+    for (const uint64_t p : pairs) {
+      ++out.range_begin[(p >> 32) / range_size + 1];
+      ++out.range_begin[(p & 0xffffffffu) / range_size + 1];
+    }
+    for (size_t r = 0; r < num_ranges; ++r) {
+      out.range_begin[r + 1] += out.range_begin[r];
+    }
+    std::vector<uint32_t> cursor(out.range_begin.begin(),
+                                 out.range_begin.end() - 1);
+    out.entries.resize(2 * pairs.size());
+    for (const uint64_t p : pairs) {
+      const uint64_t a = p >> 32;
+      const uint64_t h = p & 0xffffffffu;
+      out.entries[cursor[a / range_size]++] = p;
+      out.entries[cursor[h / range_size]++] = h << 32 | a;
+    }
+  });
+
+  // Prior cells: new slot -> prior slot (kNew for new cells), and prior
+  // slot -> new slot for renumbering the carried lists. CheckPrior made
+  // both id sets dense, so the maps are bijections on the prior cells.
+  constexpr uint32_t kNew = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> prior_slot;
+  std::vector<uint32_t> to_new;
+  if (m > 0) {
+    std::vector<uint32_t> slot_of_id(n);
+    ForEachIndex(pool, n, [&](size_t s) {
+      slot_of_id[cell_refs_[s].cell_id] = static_cast<uint32_t>(s);
+    });
+    prior_slot.assign(n, kNew);
+    to_new.resize(m);
+    ForEachIndex(pool, m, [&](size_t q) {
+      const uint32_t s = slot_of_id[prior->cell_refs_[q].cell_id];
+      to_new[q] = s;
+      prior_slot[s] = static_cast<uint32_t>(q);
+    });
+  }
+  // A prior cell's carried neighbors: its prior list minus the self entry.
+  auto carried = [&](size_t s) -> std::span<const uint32_t> {
+    if (m == 0 || prior_slot[s] == kNew) return {};
+    const size_t q = prior_slot[s];
+    const size_t begin = prior->stencil_nbr_begin_[q] + 1;
+    return {prior->stencil_nbr_slots_.data() + begin,
+            prior->stencil_nbr_begin_[q + 1] - begin};
+  };
+
+  // Count: list lengths per owner range, and each range's total.
+  std::vector<size_t> cursor(n);
+  std::vector<size_t> range_base(num_ranges + 1, 0);
+  ForEachIndex(pool, num_ranges, [&](size_t r) {
+    const size_t lo = r * range_size;
+    const size_t hi = std::min(n, lo + range_size);
+    for (size_t s = lo; s < hi; ++s) cursor[s] = 1 + carried(s).size();
+    for (const Block& block : blocks) {
+      for (uint32_t e = block.range_begin[r]; e < block.range_begin[r + 1];
+           ++e) {
+        ++cursor[static_cast<size_t>(block.entries[e] >> 32)];
+      }
+    }
+    size_t total = 0;
+    for (size_t s = lo; s < hi; ++s) total += cursor[s];
+    range_base[r + 1] = total;
+  });
+  for (size_t r = 0; r < num_ranges; ++r) range_base[r + 1] += range_base[r];
+
+  // Prefix sum within each range, then fill: self, carried, probed.
+  stencil_nbr_begin_.resize(n + 1);
+  stencil_nbr_begin_[n] = range_base[num_ranges];
+  stencil_nbr_slots_.resize(range_base[num_ranges]);
+  ForEachIndex(pool, num_ranges, [&](size_t r) {
+    const size_t lo = r * range_size;
+    const size_t hi = std::min(n, lo + range_size);
+    size_t at = range_base[r];
+    for (size_t s = lo; s < hi; ++s) {
+      stencil_nbr_begin_[s] = at;
+      uint32_t* out = stencil_nbr_slots_.data() + at;
+      at += cursor[s];
+      *out++ = static_cast<uint32_t>(s);
+      for (const uint32_t q : carried(s)) *out++ = to_new[q];
+      cursor[s] = static_cast<size_t>(out - stencil_nbr_slots_.data());
+    }
+    for (const Block& block : blocks) {
+      for (uint32_t e = block.range_begin[r]; e < block.range_begin[r + 1];
+           ++e) {
+        const uint64_t entry = block.entries[e];
+        stencil_nbr_slots_[cursor[static_cast<size_t>(entry >> 32)]++] =
+            static_cast<uint32_t>(entry);
+      }
+    }
+  });
 }
 
 DictCellRef CellDictionary::FindDictCell(const CellCoord& coord) const {
@@ -987,7 +1161,7 @@ StatusOr<CellDictionary> CellDictionary::Deserialize(
       }
     }
   }
-  return Assemble(geom, std::move(entries), opts, pool);
+  return Assemble(geom, entries, opts, pool, nullptr);
 }
 
 }  // namespace rpdbscan

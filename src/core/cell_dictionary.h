@@ -295,10 +295,22 @@ class CellDictionary {
   /// `entries[i].cell_id == i`). `Build` == MakeCellEntry per cell +
   /// FromEntries, so a dictionary assembled from cached entries is
   /// structurally identical to a from-scratch Build over the same cells.
+  ///
+  /// `prior` (optional) is a dictionary over the first
+  /// prior->num_cells() of the same cells — the previous stream epoch's.
+  /// Every prior cell keeps its stencil-neighborhood list, renumbered to
+  /// the new slots, and only the cells with id >= prior->num_cells()
+  /// probe their stencil windows; everything else is assembled exactly as
+  /// without a prior. The result differs from a from-scratch Build only
+  /// in the order of entries within a neighborhood list, which no
+  /// consumer depends on (StencilNeighborsOf): labels and wire bytes are
+  /// identical. A prior that does not fit — more cells than `entries`,
+  /// a cell id whose coordinate differs, another geometry or another
+  /// stencil offset family — fails with InvalidArgument.
   static StatusOr<CellDictionary> FromEntries(
-      const GridGeometry& geom, std::vector<CellEntry> entries,
+      const GridGeometry& geom, const std::vector<CellEntry>& entries,
       const CellDictionaryOptions& opts = CellDictionaryOptions(),
-      ThreadPool* pool = nullptr);
+      ThreadPool* pool = nullptr, const CellDictionary* prior = nullptr);
 
   const GridGeometry& geom() const { return geom_; }
   size_t num_cells() const { return num_cells_; }
@@ -463,13 +475,22 @@ class CellDictionary {
   /// Precomputed stencil neighborhood of the cell at global slot `slot`
   /// (an index into cell_refs()): the global slots of every dictionary
   /// cell inside its stencil window, the cell itself first (stencil
-  /// offsets are non-zero, so no later entry can repeat it). This is the
-  /// CSR QueryCellStencil walks; the batched serving path
-  /// walks it once per query group. Only callable when has_stencil().
+  /// offsets are non-zero, so no later entry can repeat it), the rest in
+  /// no particular order. This is the CSR QueryCellStencil walks; the
+  /// batched serving path walks it once per query group. Only callable
+  /// when has_stencil().
   const uint32_t* StencilNeighborsOf(size_t slot, size_t* count) const {
     const size_t begin = stencil_nbr_begin_[slot];
     *count = stencil_nbr_begin_[slot + 1] - begin;
     return stencil_nbr_slots_.data() + begin;
+  }
+  /// The neighborhood CSR itself — per-slot offsets (num_cells() + 1
+  /// entries) and the concatenated lists — read-only, for the auditors.
+  const std::vector<size_t>& stencil_neighbor_begin() const {
+    return stencil_nbr_begin_;
+  }
+  const std::vector<uint32_t>& stencil_neighbor_slots() const {
+    return stencil_nbr_slots_;
   }
 
   /// Total density of all (eps, rho)-neighbor sub-cells of `p` — the count
@@ -518,13 +539,20 @@ class CellDictionary {
   CellDictionary& operator=(CellDictionary&&) = default;
 
  private:
-  /// Shared assembly path of Build and Deserialize: defragmentation (BSP),
-  /// per-fragment kd-trees, MBRs, pre-decoded sub-cell centers, the global
-  /// cell index (parallel on `pool` when given) and the lattice stencil.
-  static StatusOr<CellDictionary> Assemble(const GridGeometry& geom,
-                                           std::vector<CellEntry> entries,
-                                           const CellDictionaryOptions& opts,
-                                           ThreadPool* pool);
+  /// Shared assembly path of Build, FromEntries and Deserialize:
+  /// defragmentation (BSP), per-fragment kd-trees, MBRs, pre-decoded
+  /// sub-cell centers, the global cell index (parallel on `pool` when
+  /// given), the lattice stencil and its neighborhood CSR (carried over
+  /// from `prior` where it applies, see FromEntries).
+  static StatusOr<CellDictionary> Assemble(
+      const GridGeometry& geom, const std::vector<CellEntry>& entries,
+      const CellDictionaryOptions& opts, ThreadPool* pool,
+      const CellDictionary* prior);
+
+  /// Fills stencil_nbr_begin_ / stencil_nbr_slots_ once the global index
+  /// and the stencil exist; `prior` has been checked to fit.
+  void BuildStencilNeighborhoods(const CellDictionary* prior,
+                                 ThreadPool* pool);
 
   /// Shared tail of QueryCell / QueryCellStencil: nearest-first sort of
   /// the maybe group and the SoA flattening.
@@ -564,11 +592,13 @@ class CellDictionary {
   /// the cell at global slot s, stencil_nbr_slots_[stencil_nbr_begin_[s]
   /// .. stencil_nbr_begin_[s + 1]) lists the global slots of the
   /// dictionary cells inside its stencil window — itself first, then
-  /// present neighbors in a deterministic (thread-count independent)
-  /// discovery order of the symmetric half-window build. The order is
-  /// free because no consumer depends on it: "maybe" candidates are
-  /// re-sorted by distance bound and neighbor edges are sorted and
-  /// deduplicated downstream.
+  /// the neighbors carried over from a prior dictionary (if any), then
+  /// the ones found by probing, in a deterministic (thread-count
+  /// independent) order. The order is free because no consumer depends
+  /// on it: "maybe" candidates are re-sorted by distance bound, neighbor
+  /// edges are sorted and deduplicated downstream, the stream's dirty
+  /// closure is a set, and serving sums integer densities and breaks
+  /// ties by cell id.
   /// A query acceleration structure, never serialized: the Lemma 4.3
   /// wire payload is unchanged, and Deserialize rebuilds it through
   /// Assemble.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "io/section_file.h"
 
@@ -138,7 +139,8 @@ StatusOr<ClusterModelSnapshot> ClusterModelSnapshot::FromModel(
   } else {
     snap.ref_offsets_.assign(num_cells + 1, 0);
   }
-  snap.dict_ = std::move(model.dictionary);
+  snap.dict_ =
+      std::make_shared<const CellDictionary>(std::move(model.dictionary));
   return snap;
 }
 
@@ -162,7 +164,7 @@ std::vector<uint8_t> ClusterModelSnapshot::Serialize() const {
   StoreF64(&meta, meta_.query_eps);
   writer.AddSection(kSectionMeta, std::move(meta));
 
-  writer.AddSection(kSectionDictionary, dict_.Serialize());
+  writer.AddSection(kSectionDictionary, dict_->Serialize());
 
   // Engine metadata: the *observed* state of the rebuilt query structures
   // (index capacity is a pure function of the cell count, stencil size a
@@ -171,11 +173,11 @@ std::vector<uint8_t> ClusterModelSnapshot::Serialize() const {
   // the snapshot was created with.
   std::vector<uint8_t> engine;
   engine.reserve(kEngineBytes);
-  StoreU64(&engine, dict_.cell_index().capacity());
-  StoreU32(&engine, dict_.has_stencil() ? 1 : 0);
+  StoreU64(&engine, dict_->cell_index().capacity());
+  StoreU32(&engine, dict_->has_stencil() ? 1 : 0);
   StoreU32(&engine, 0);
   StoreU64(&engine,
-           dict_.has_stencil() ? dict_.stencil().num_offsets() : 0);
+           dict_->has_stencil() ? dict_->stencil().num_offsets() : 0);
   StoreU64(&engine, dict_opts_.max_stencil_offsets);
   StoreU64(&engine, dict_opts_.max_cells_per_subdict);
   StoreU32(&engine, dict_opts_.defragment ? 1 : 0);
@@ -297,15 +299,16 @@ StatusOr<ClusterModelSnapshot> ClusterModelSnapshot::Deserialize(
   if (!dict_or.ok()) {
     return SectionError("dictionary", dict_or.status().message());
   }
-  snap.dict_ = std::move(*dict_or);
-  if (snap.dict_.num_cells() != num_cells ||
-      snap.dict_.num_subcells() != snap.meta_.num_subcells) {
+  snap.dict_ = std::make_shared<const CellDictionary>(std::move(*dict_or));
+  const CellDictionary& dict = *snap.dict_;
+  if (dict.num_cells() != num_cells ||
+      dict.num_subcells() != snap.meta_.num_subcells) {
     return SectionError("dictionary",
                         "cell/sub-cell counts disagree with meta");
   }
-  if (snap.dict_.geom().dim() != dim ||
-      snap.dict_.geom().eps() != snap.meta_.eps ||
-      snap.dict_.geom().rho() != snap.meta_.rho) {
+  if (dict.geom().dim() != dim ||
+      dict.geom().eps() != snap.meta_.eps ||
+      dict.geom().rho() != snap.meta_.rho) {
     return SectionError("dictionary", "geometry disagrees with meta");
   }
 
@@ -322,22 +325,22 @@ StatusOr<ClusterModelSnapshot> ClusterModelSnapshot::Deserialize(
   const uint64_t stored_offsets = LoadU64(e + 16);
   // The rebuilt index capacity is a pure function of the cell count, so a
   // mismatch means the cell count and the dictionary payload disagree.
-  if (stored_capacity != snap.dict_.cell_index().capacity()) {
+  if (stored_capacity != dict.cell_index().capacity()) {
     return SectionError(
         "engine", "cell-index capacity mismatch (stored " +
                       std::to_string(stored_capacity) + ", rebuilt " +
-                      std::to_string(snap.dict_.cell_index().capacity()) +
+                      std::to_string(dict.cell_index().capacity()) +
                       ")");
   }
   // Stencil size is a pure function of the dimensionality; compare only
   // when both the stored run and this load built one.
-  if (stored_stencil && snap.dict_.has_stencil() &&
-      stored_offsets != snap.dict_.stencil().num_offsets()) {
+  if (stored_stencil && dict.has_stencil() &&
+      stored_offsets != dict.stencil().num_offsets()) {
     return SectionError("engine",
                         "stencil offset count mismatch (stored " +
                             std::to_string(stored_offsets) + ", rebuilt " +
                             std::to_string(
-                                snap.dict_.stencil().num_offsets()) +
+                                dict.stencil().num_offsets()) +
                             ")");
   }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,9 @@ struct SnapshotOptions {
 /// or corrupted file fails with a stage-named Status, never UB.
 ///
 /// Immutable after construction; all accessors are const and the whole
-/// object is safe to share across serving threads.
+/// object is safe to share across serving threads. The dictionary is held
+/// by shared ownership, so a stream epoch's snapshot and the stream's next
+/// epoch (its prior, see StreamClusterer) use one copy.
 class ClusterModelSnapshot {
  public:
   static constexpr uint32_t kMagic = 0x4e535052;  // "RPSN" little-endian
@@ -125,7 +128,13 @@ class ClusterModelSnapshot {
       ThreadPool* pool = nullptr);
 
   const Meta& meta() const { return meta_; }
-  const CellDictionary& dictionary() const { return dict_; }
+  const CellDictionary& dictionary() const { return *dict_; }
+  /// The same dictionary, shared: a holder keeps it alive past the
+  /// snapshot — the stream keeps each epoch's as the next epoch's prior
+  /// (CellDictionary::FromEntries) — without a copy.
+  const std::shared_ptr<const CellDictionary>& shared_dictionary() const {
+    return dict_;
+  }
   bool has_border_refs() const { return meta_.has_border_refs; }
 
   /// Epoch lineage (streaming snapshots only; round-trips through
@@ -186,7 +195,9 @@ class ClusterModelSnapshot {
   /// The dict_opts the snapshot was built/loaded with (recorded for the
   /// engine section; affects serving performance only).
   CellDictionaryOptions dict_opts_;
-  CellDictionary dict_;
+  /// Never null once constructed; shared (immutable) with whoever holds
+  /// shared_dictionary().
+  std::shared_ptr<const CellDictionary> dict_;
   std::vector<uint32_t> cell_cluster_;
   std::vector<uint64_t> pred_offsets_;
   std::vector<uint32_t> preds_;

@@ -105,6 +105,10 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   // verbatim; the assembled dictionary is structurally identical to a
   // from-scratch Build (tree layout and stencil depend only on the entry
   // set), and RunRpDbscan queries its built dictionary the same way.
+  // Cell ids only grow, so the last epoch's dictionary is a prior over a
+  // prefix of the cells: its stencil neighborhoods carry over, and only
+  // the new cells probe their windows.
+  Stopwatch stage;
   entries_.resize(num_cells);
   if (!touched.empty()) {
     ParallelFor(pool, touched.size(), [&](size_t i) {
@@ -114,10 +118,10 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
     });
   }
   auto dict_or = CellDictionary::FromEntries(
-      geom, std::vector<CellEntry>(entries_), DictOptionsOf(options_),
-      &pool);
+      geom, entries_, DictOptionsOf(options_), &pool, dict_.get());
   if (!dict_or.ok()) return dict_or.status();
   const CellDictionary& dict = *dict_or;
+  stats.dictionary_seconds = stage.ElapsedSeconds();
 
   if (audit != AuditLevel::kOff) {
     RPDBSCAN_RETURN_IF_ERROR(
@@ -126,6 +130,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   }
 
   // ---- Dirty closure + Phase II recompute, dirty cells only. ----
+  stage.Reset();
   const DirtySet dirty = DirtySetTracker::Resolve(dict, cells, touched);
   stats.dirty_cells = dirty.cells.size();
   stats.dirty_used_stencil = dirty.used_stencil;
@@ -164,6 +169,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
       }
     }
   }
+  stats.phase2_seconds = stage.ElapsedSeconds();
 
   if (audit != AuditLevel::kOff) {
     Phase2Result shim;
@@ -176,6 +182,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   }
 
   // ---- Merge + label over the full (spliced) graph. ----
+  stage.Reset();
   MergeOptions merge_opts;
   merge_opts.reduce_edges = options_.reduce_edges;
   merge_opts.pool = &pool;
@@ -183,6 +190,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   MergeResult merged =
       MergeSubgraphs(std::move(subgraphs), num_cells, merge_opts);
   stats.num_clusters = merged.num_clusters;
+  const double merge_seconds = stage.ElapsedSeconds();
 
   if (audit != AuditLevel::kOff) {
     RPDBSCAN_RETURN_IF_ERROR(
@@ -190,7 +198,9 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
             .ToStatus("stream merge-forest"));
   }
 
+  stage.Reset();
   Labels labels = LabelPoints(data, cells, merged, point_is_core_, pool);
+  stats.merge_seconds = merge_seconds + stage.ElapsedSeconds();
   for (const int64_t l : labels) {
     if (l == kNoise) ++stats.num_noise_points;
   }
@@ -203,6 +213,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   }
 
   // ---- Package as a snapshot with epoch lineage. ----
+  stage.Reset();
   CapturedModel model = BuildCapturedModel(
       data, cells, std::move(merged), point_is_core_, std::move(*dict_or),
       options_.min_pts);
@@ -210,6 +221,8 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   snap_opts.dict_opts = DictOptionsOf(options_);
   auto snap_or = ClusterModelSnapshot::FromModel(std::move(model), snap_opts);
   if (!snap_or.ok()) return snap_or.status();
+  stats.package_seconds = stage.ElapsedSeconds();
+  dict_ = snap_or->shared_dictionary();
   ClusterModelSnapshot::EpochInfo info;
   info.sequence = sequence_;
   info.parent_sequence = sequence_ == 0 ? 0 : sequence_ - 1;

@@ -34,6 +34,15 @@ struct EpochStats {
   size_t num_clusters = 0;
   size_t num_noise_points = 0;
   double epoch_publish_seconds = 0;
+  /// Stage times within epoch_publish_seconds; audits count in none.
+  /// The touched cells' MakeCellEntry plus the dictionary assembly.
+  double dictionary_seconds = 0;
+  /// The dirty closure, RecomputeCells and the subgraph rebuild.
+  double phase2_seconds = 0;
+  /// MergeSubgraphs plus LabelPoints.
+  double merge_seconds = 0;
+  /// BuildCapturedModel plus the snapshot freeze.
+  double package_seconds = 0;
 };
 
 /// One published epoch: the snapshot (with epoch lineage set), the full
@@ -99,6 +108,10 @@ class StreamClusterer {
   // resized as the stream grows. Each holds a pure per-cell (or per-point)
   // function of the accumulated data, so non-dirty entries carry over.
   std::vector<CellEntry> entries_;
+  /// The last epoch's dictionary, shared with its snapshot: the prior the
+  /// next epoch's assembly carries stencil neighborhoods over from, so
+  /// only new cells probe their windows. Null before epoch 0.
+  std::shared_ptr<const CellDictionary> dict_;
   std::vector<uint8_t> point_is_core_;
   std::vector<uint8_t> cell_is_core_;
   std::vector<std::vector<uint32_t>> cell_edges_;

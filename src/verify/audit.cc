@@ -378,6 +378,65 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
     }
   }
 
+  // Stencil neighborhood CSR, which the stencil Phase II, the stream's
+  // dirty closure and serving walk: well-formed at kCheap; at kFull each
+  // list, as a set, is exactly the cells found by probing the slot's full
+  // stencil window — whether the build probed the list or carried it over
+  // from a prior dictionary. An empty dictionary builds no CSR.
+  if (dict.has_stencil() && dict.num_cells() > 0) {
+    const std::vector<size_t>& begin = dict.stencil_neighbor_begin();
+    const std::vector<uint32_t>& slots = dict.stencil_neighbor_slots();
+    const size_t num_slots = dict.num_cells();
+    bool shape_ok = begin.size() == num_slots + 1 && begin.front() == 0 &&
+                    begin.back() == slots.size();
+    // Strictly increasing: monotone, and every list holds at least itself.
+    for (size_t s = 0; shape_ok && s < num_slots; ++s) {
+      shape_ok = begin[s] < begin[s + 1];
+    }
+    report.Check(shape_ok, [&] {
+      return Cat("stencil neighborhood offsets are not monotone over ",
+                 num_slots, " cells and ", slots.size(), " entries");
+    });
+    const LatticeStencil& stencil = dict.stencil();
+    std::vector<uint32_t> list;
+    std::vector<uint32_t> want;
+    int32_t nbr[CellCoord::kMaxDim];
+    for (size_t s = 0; shape_ok && s < num_slots; ++s) {
+      const uint32_t cell_id = dict.cell_refs()[s].cell_id;
+      bool in_range = slots[begin[s]] == s;
+      for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
+        in_range = in_range && slots[j] < num_slots;
+      }
+      report.Check(in_range, [&] {
+        return Cat("cell ", cell_id,
+                   " stencil neighborhood does not start with its own slot"
+                   " or holds a slot out of range");
+      });
+      if (!in_range || level != AuditLevel::kFull) continue;
+      list.assign(slots.begin() + static_cast<std::ptrdiff_t>(begin[s]),
+                  slots.begin() + static_cast<std::ptrdiff_t>(begin[s + 1]));
+      std::sort(list.begin(), list.end());
+      const bool repeats =
+          std::adjacent_find(list.begin(), list.end()) != list.end();
+      want.assign(1, static_cast<uint32_t>(s));
+      const int32_t* c = dict.ref_coords().data() + s * dim;
+      for (size_t i = 0; i < stencil.num_offsets(); ++i) {
+        const int32_t* off = stencil.offset(i);
+        for (size_t d = 0; d < dim; ++d) {
+          nbr[d] = static_cast<int32_t>(static_cast<int64_t>(c[d]) + off[d]);
+        }
+        const int64_t hit = dict.FindCellRefIndex(CellCoord(nbr, dim));
+        if (hit >= 0) want.push_back(static_cast<uint32_t>(hit));
+      }
+      std::sort(want.begin(), want.end());
+      report.Check(!repeats && list == want, [&] {
+        return Cat("cell ", cell_id, " stencil neighborhood lists ",
+                   list.size(), " slots", repeats ? " with repeats" : "",
+                   ", its window holds ", want.size());
+      });
+    }
+  }
+
   size_t covered = 0;
   for (const uint8_t s : cell_seen) covered += s;
   report.Check(covered == num_cells, [&] {

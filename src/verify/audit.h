@@ -111,6 +111,12 @@ AuditReport AuditCellSet(const Dataset& data, const CellSet& cells,
 ///    condition of Lemma 5.10 skipping);
 ///  * every kd-tree node box contains the occupied MBR of every cell below
 ///    it (the soundness condition of QueryCell settling whole subtrees);
+///  * when a stencil was built, its neighborhood CSR is well-formed:
+///    monotone offsets, each list starting with its own slot, every entry
+///    a valid slot; at kFull each list has no repeats and, as a set,
+///    equals the cells found by probing the slot's full stencil window
+///    (so a list carried over from a prior dictionary is checked like a
+///    probed one);
 ///  * at kFull: per-cell sub-cell histograms recomputed from the raw
 ///    points via GridGeometry::SubcellOf match the dictionary, and the
 ///    precomputed cell/sub-cell center arrays match bit-exactly.

@@ -7,6 +7,7 @@
 #include "verify/audit.h"
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -227,6 +228,53 @@ TEST(PipelineAuditTest, CleanPipelinePassesAtCheap) {
   EXPECT_TRUE(AuditLabels(p.data, p.cells, p.merged, p.phase2.point_is_core,
                           p.labels, kMinPts, AuditLevel::kCheap, 1)
                   .ok());
+}
+
+TEST(PipelineAuditTest, StencilNeighborhoodsPassOnCleanBuilds) {
+  // The stencil CSR checks run only when a stencil is built, and a clean
+  // one passes them at both levels — built from scratch, or assembled over
+  // a prior dictionary that carries most lists over.
+  for (size_t dim = 2; dim <= 5; ++dim) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const Dataset data = synth::Blobs(900, 4, 3.0, 50 + dim, dim);
+    auto geom = GridGeometry::Create(dim, 1.0 + dim, kRho);
+    ASSERT_TRUE(geom.ok()) << geom.status();
+    auto cells = CellSet::Build(data, *geom, 4, 7);
+    ASSERT_TRUE(cells.ok()) << cells.status();
+    CellDictionaryOptions opts;
+    opts.max_cells_per_subdict = 32;
+    auto dict = CellDictionary::Build(data, *cells, opts);
+    ASSERT_TRUE(dict.ok()) << dict.status();
+    ASSERT_TRUE(dict->has_stencil());
+    std::vector<CellEntry> entries;
+    for (uint32_t id = 0; id < cells->num_cells(); ++id) {
+      entries.push_back(
+          CellDictionary::MakeCellEntry(data, *geom, cells->cell(id), id));
+    }
+    auto prior = CellDictionary::FromEntries(
+        *geom,
+        std::vector<CellEntry>(entries.begin(),
+                               entries.begin() + entries.size() * 3 / 4),
+        opts);
+    ASSERT_TRUE(prior.ok()) << prior.status();
+    auto carried =
+        CellDictionary::FromEntries(*geom, entries, opts, nullptr, &*prior);
+    ASSERT_TRUE(carried.ok()) << carried.status();
+    for (const CellDictionary* d : {&*dict, &*carried}) {
+      for (const AuditLevel level : {AuditLevel::kCheap, AuditLevel::kFull}) {
+        const AuditReport report = AuditDictionary(data, *cells, *d, level);
+        EXPECT_TRUE(report.ok()) << report.ToString();
+      }
+    }
+    opts.max_stencil_offsets = 0;
+    auto no_stencil = CellDictionary::Build(data, *cells, opts);
+    ASSERT_TRUE(no_stencil.ok()) << no_stencil.status();
+    EXPECT_GT(
+        AuditDictionary(data, *cells, *dict, AuditLevel::kCheap).checks(),
+        AuditDictionary(data, *cells, *no_stencil, AuditLevel::kCheap)
+                .checks() +
+            cells->num_cells());
+  }
 }
 
 // Returns the dense id of some core cell (the fixture's blobs always

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/phase2.h"
+#include "neighborhood_sets.h"
 #include "synth/generators.h"
 #include "util/random.h"
 
@@ -239,6 +240,135 @@ TEST(CellDictionaryTest, QueryCountIncludesOwnSubcell) {
   for (size_t i = 0; i < 20; ++i) {
     EXPECT_GE(dict->QueryCount(f.data.point(i)), 1u);
   }
+}
+
+
+// Every cell's dictionary entry, in dense cell-id order.
+std::vector<CellEntry> EntriesOf(const Fixture& f) {
+  std::vector<CellEntry> entries;
+  for (uint32_t id = 0; id < f.cells->num_cells(); ++id) {
+    entries.push_back(
+        CellDictionary::MakeCellEntry(f.data, f.geom, f.cells->cell(id), id));
+  }
+  return entries;
+}
+
+// Each slot's stencil neighborhood list exactly as stored, slot order.
+std::vector<std::vector<uint32_t>> RawNeighborhoods(
+    const CellDictionary& dict) {
+  std::vector<std::vector<uint32_t>> out(dict.num_cells());
+  for (size_t slot = 0; slot < dict.num_cells(); ++slot) {
+    size_t count = 0;
+    const uint32_t* nbr = dict.StencilNeighborsOf(slot, &count);
+    out[slot].assign(nbr, nbr + count);
+  }
+  return out;
+}
+
+TEST(CellDictionaryTest, PriorCarriesNeighborhoodsLikeAFreshBuild) {
+  // A dictionary assembled over a prior prefix of its cells equals a
+  // from-scratch Build: same wire bytes, same neighbor set per cell. With
+  // no new cells every list is carried over, with a few nearly all, with
+  // half new the probes and the carried lists meet in the middle.
+  struct Case {
+    size_t dim;
+    double eps;
+    size_t n;
+  };
+  for (const Case c : {Case{2, 1.0, 3000}, Case{3, 2.0, 3000},
+                       Case{5, 4.0, 1200}}) {
+    SCOPED_TRACE("dim " + std::to_string(c.dim));
+    Fixture f(synth::Blobs(c.n, 5, 3.0, 20 + c.dim, c.dim), c.eps, 0.05);
+    CellDictionaryOptions opts;
+    opts.max_cells_per_subdict = 64;  // slots far from cell-id order
+    ThreadPool pool(3);
+    auto fresh = CellDictionary::Build(f.data, *f.cells, opts, &pool);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(fresh->has_stencil());
+    ASSERT_GT(fresh->num_subdictionaries(), 1u);
+    // The from-scratch CSR does not depend on the thread count.
+    auto serial = CellDictionary::Build(f.data, *f.cells, opts);
+    ASSERT_TRUE(serial.ok());
+    EXPECT_EQ(RawNeighborhoods(*serial), RawNeighborhoods(*fresh));
+    const std::vector<uint8_t> want_bytes = fresh->Serialize();
+    const auto want_sets = NeighborIdSets(*fresh);
+
+    const std::vector<CellEntry> all = EntriesOf(f);
+    const size_t n = all.size();
+    for (const size_t m : {n, n - 3, n / 2}) {
+      SCOPED_TRACE(std::to_string(n - m) + " of " + std::to_string(n) +
+                   " cells new");
+      const std::vector<CellEntry> prefix(all.begin(), all.begin() + m);
+      auto prior = CellDictionary::FromEntries(f.geom, prefix, opts, &pool);
+      ASSERT_TRUE(prior.ok());
+      auto one = CellDictionary::FromEntries(f.geom, all, opts, nullptr,
+                                             &*prior);
+      auto three =
+          CellDictionary::FromEntries(f.geom, all, opts, &pool, &*prior);
+      ASSERT_TRUE(one.ok()) << one.status();
+      ASSERT_TRUE(three.ok()) << three.status();
+      EXPECT_EQ(one->Serialize(), want_bytes);
+      EXPECT_EQ(NeighborIdSets(*one), want_sets);
+      EXPECT_EQ(RawNeighborhoods(*three), RawNeighborhoods(*one));
+    }
+  }
+}
+
+TEST(CellDictionaryTest, PriorThatDoesNotFitIsRejected) {
+  Fixture f(synth::Blobs(2000, 5, 3.0, 31, 3), 2.0, 0.05);
+  const std::vector<CellEntry> all = EntriesOf(f);
+  const std::vector<CellEntry> prefix(all.begin(),
+                                      all.begin() + all.size() / 2);
+  auto rejects = [&](const std::vector<CellEntry>& entries,
+                     const StatusOr<CellDictionary>& prior) {
+    EXPECT_TRUE(prior.ok());
+    auto got = CellDictionary::FromEntries(
+        f.geom, entries, CellDictionaryOptions(), nullptr, &*prior);
+    return !got.ok() && got.status().code() == StatusCode::kInvalidArgument;
+  };
+  auto fits = CellDictionary::FromEntries(f.geom, prefix);
+  EXPECT_TRUE(CellDictionary::FromEntries(f.geom, all,
+                                          CellDictionaryOptions(), nullptr,
+                                          &*fits)
+                  .ok());
+
+  // More cells than the entries.
+  EXPECT_TRUE(rejects(prefix, CellDictionary::FromEntries(f.geom, all)));
+  // A prior cell id at another coordinate.
+  std::vector<CellEntry> moved = all;
+  int32_t far[CellCoord::kMaxDim];
+  std::copy(moved[1].coord.data(), moved[1].coord.data() + 3, far);
+  far[0] += 1000;
+  moved[1].coord = CellCoord(far, 3);
+  EXPECT_TRUE(rejects(moved, fits));
+  // Another geometry.
+  auto wider = GridGeometry::Create(3, 2.5, 0.05);
+  ASSERT_TRUE(wider.ok());
+  EXPECT_TRUE(rejects(all, CellDictionary::FromEntries(*wider, prefix)));
+  // Another stencil offset family: a scaled one, or none at all.
+  CellDictionaryOptions scaled;
+  scaled.stencil_eps_scale = 1.5;
+  EXPECT_TRUE(rejects(all, CellDictionary::FromEntries(f.geom, prefix, scaled)));
+  CellDictionaryOptions no_stencil;
+  no_stencil.max_stencil_offsets = 0;
+  EXPECT_TRUE(
+      rejects(all, CellDictionary::FromEntries(f.geom, prefix, no_stencil)));
+}
+
+TEST(CellDictionaryTest, PriorWithoutStencilChangesNothing) {
+  // At d >= 6 no stencil is built, so there is nothing to carry over.
+  Fixture f(synth::TeraLike(1500, 13), 40.0, 0.01);
+  auto fresh = CellDictionary::Build(f.data, *f.cells);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_FALSE(fresh->has_stencil());
+  const std::vector<CellEntry> all = EntriesOf(f);
+  auto prior = CellDictionary::FromEntries(
+      f.geom, std::vector<CellEntry>(all.begin(), all.begin() + 100));
+  ASSERT_TRUE(prior.ok());
+  auto got = CellDictionary::FromEntries(f.geom, all, CellDictionaryOptions(),
+                                         nullptr, &*prior);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->Serialize(), fresh->Serialize());
 }
 
 }  // namespace

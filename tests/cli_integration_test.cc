@@ -150,6 +150,18 @@ TEST_F(CliTest, StreamPublishesAuditedEpochs) {
   EXPECT_NE(json.find("\"reclustered_points\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch_publish_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"epochs_published\": 3"), std::string::npos);
+  // Every record carries the stage split, and none is cut short: the last
+  // one holds every key through the audit verdict, then the array closes.
+  const size_t last = json.rfind("{\"sequence\":2,");
+  ASSERT_NE(last, std::string::npos);
+  const std::string record = json.substr(last);
+  for (const char* key :
+       {"\"dictionary_seconds\":", "\"phase2_seconds\":",
+        "\"merge_seconds\":", "\"package_seconds\":"}) {
+    EXPECT_NE(record.find(key), std::string::npos) << key;
+  }
+  EXPECT_NE(record.find("\"audit\":\"pass\"}\n  ]\n}"), std::string::npos)
+      << record;
 
   auto ds = ReadCsv(labels);
   ASSERT_TRUE(ds.ok()) << ds.status();

@@ -17,11 +17,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_dictionary.h"
 #include "core/phase2.h"
 #include "core/rp_dbscan.h"
 #include "io/dataset.h"
 #include "stream/incremental.h"
 #include "util/random.h"
+#include "verify/audit.h"
+#include "neighborhood_sets.h"
 #include "test_seed.h"
 
 namespace rpdbscan {
@@ -260,6 +263,88 @@ TEST(StreamIncrementalTest, TinyAndEmptyBatches) {
     auto scratch_or = RunRpDbscan(Prefix(all, pos), o);
     ASSERT_TRUE(scratch_or.ok()) << scratch_or.status();
     ASSERT_EQ(epoch_or->labels, scratch_or->labels);
+  }
+}
+
+
+/// Each epoch assembles its dictionary over the previous epoch's as a
+/// prior, carrying the stencil neighborhoods of the old cells over and
+/// probing only the new cells' windows. Every epoch's dictionary must
+/// still equal a fresh Build over the accumulated cells: the same wire
+/// bytes, the same neighbor cells per cell (itself first), and a clean
+/// full audit. The batches mix seeded random sizes with one empty batch,
+/// one that opens many new cells, and one far outside the lattice bounds
+/// so far (a re-key).
+TEST(StreamIncrementalTest, EpochDictionaryMatchesFreshBuild) {
+  for (size_t dim = 2; dim <= 5; ++dim) {
+    const uint64_t seed = TestSeed(0xD1C7 + dim);
+    SCOPED_TRACE(SeedNote(seed));
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const size_t n = 300 + dim * 40;
+    const Dataset all = SkewedData(n, dim, seed);
+    RpDbscanOptions o =
+        StreamOptions(1.4 + 0.45 * static_cast<double>(dim), 8, seed);
+    o.max_cells_per_subdict = 32;  // several fragments: slots != cell ids
+    CellDictionaryOptions dict_opts;
+    dict_opts.max_cells_per_subdict = o.max_cells_per_subdict;
+
+    auto clusterer_or = StreamClusterer::Create(Prefix(all, n / 2), o);
+    ASSERT_TRUE(clusterer_or.ok()) << clusterer_or.status();
+    StreamClusterer clusterer = std::move(*clusterer_or);
+    auto publish_and_check = [&](const std::string& what) {
+      SCOPED_TRACE(what);
+      auto epoch_or = clusterer.PublishEpoch();
+      ASSERT_TRUE(epoch_or.ok()) << epoch_or.status();
+      const CellDictionary& got = epoch_or->snapshot.dictionary();
+      const CellSet& cells = clusterer.buffer().cells();
+      auto fresh = CellDictionary::Build(clusterer.data(), cells, dict_opts);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      ASSERT_TRUE(got.has_stencil());
+      EXPECT_EQ(got.Serialize(), fresh->Serialize());
+      EXPECT_EQ(NeighborIdSets(got), NeighborIdSets(*fresh));
+      const AuditReport audit =
+          AuditDictionary(clusterer.data(), cells, got, AuditLevel::kFull);
+      EXPECT_TRUE(audit.ok()) << audit.ToString();
+    };
+
+    publish_and_check("epoch 0");
+    Rng rng(seed ^ 0xba7c4ULL);
+    size_t pos = n / 2;
+    while (pos < n) {
+      const size_t take = std::min<size_t>(
+          n - pos, 1 + static_cast<size_t>(rng.Uniform(n / 6)));
+      ASSERT_TRUE(clusterer.Ingest(Slice(all, pos, take)).ok());
+      pos += take;
+      publish_and_check("batch of " + std::to_string(take));
+    }
+    ASSERT_TRUE(clusterer.Ingest(Dataset(dim)).ok());
+    publish_and_check("empty batch");
+
+    // Uniform points over a wider box than the data: mostly new cells.
+    Dataset spread(dim);
+    std::vector<float> p(dim);
+    for (size_t i = 0; i < 60; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        p[d] = static_cast<float>(rng.UniformDouble(-20.0, 60.0));
+      }
+      spread.Append(p.data());
+    }
+    const size_t cells_before = clusterer.buffer().cells().num_cells();
+    ASSERT_TRUE(clusterer.Ingest(spread).ok());
+    EXPECT_GT(clusterer.buffer().cells().num_cells(), cells_before + 20);
+    publish_and_check("spread batch");
+
+    // A small cluster far outside the lattice bounds: forces a re-key.
+    Dataset far(dim);
+    for (size_t i = 0; i < 12; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        p[d] = static_cast<float>(1000.0 + rng.UniformDouble(0.0, 2.0));
+      }
+      far.Append(p.data());
+    }
+    ASSERT_TRUE(clusterer.Ingest(far).ok());
+    EXPECT_GT(clusterer.buffer().rekeys(), 0u);
+    publish_and_check("far batch");
   }
 }
 

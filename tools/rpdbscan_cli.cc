@@ -60,6 +60,7 @@
 #include "stream/incremental.h"
 #include "synth/generators.h"
 #include "util/flags.h"
+#include "util/json_writer.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -188,7 +189,8 @@ re-clustering and hot-swapping epoch snapshots into a label server):
     --output=PATH         write points + final-epoch labels as CSV
     --stats-json=PATH     write per-epoch stream statistics as one JSON
                           object (dirty_cells, reclustered_points,
-                          epoch_publish_seconds, ...)
+                          epoch_publish_seconds and its stage split
+                          dictionary_/phase2_/merge_/package_seconds, ...)
   the rp clustering flags (--eps --minpts --rho --partitions --threads
   --scalar-kernels --sequential-merge) apply unchanged; every epoch's
   labels are bit-identical to a from-scratch run with those flags.
@@ -1299,31 +1301,38 @@ int StreamMain(const FlagSet& flags) {
     std::printf(
         "epoch %llu: %zu points in %zu cells, %zu batches; %zu touched -> "
         "%zu dirty cells (stencil %s), %zu points reclustered, %zu rekeys; "
-        "%zu clusters, %zu noise; published in %.3fs%s%s [audit %s]\n",
+        "%zu clusters, %zu noise; published in %.3fs (dictionary %.3fs, "
+        "phase2 %.3fs, merge %.3fs, package %.3fs)%s%s [audit %s]\n",
         static_cast<unsigned long long>(st.sequence), st.total_points,
         st.total_cells, st.batches_ingested, st.touched_cells,
         st.dirty_cells, st.dirty_used_stencil ? "on" : "off",
         st.reclustered_points, st.rekeys, st.num_clusters,
-        st.num_noise_points, st.epoch_publish_seconds,
+        st.num_noise_points, st.epoch_publish_seconds, st.dictionary_seconds,
+        st.phase2_seconds, st.merge_seconds, st.package_seconds,
         published.path.empty() ? "" : " -> ",
         published.path.c_str(), audit_note);
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"sequence\": %llu, \"total_points\": %zu, "
-        "\"total_cells\": %zu, \"batches_ingested\": %zu, "
-        "\"touched_cells\": %zu, \"dirty_cells\": %zu, "
-        "\"dirty_used_stencil\": %s, \"reclustered_points\": %zu, "
-        "\"rekeys\": %zu, \"num_clusters\": %zu, "
-        "\"num_noise_points\": %zu, \"epoch_publish_seconds\": %.6f, "
-        "\"audit\": \"%s\"}",
-        static_cast<unsigned long long>(st.sequence), st.total_points,
-        st.total_cells, st.batches_ingested, st.touched_cells,
-        st.dirty_cells, st.dirty_used_stencil ? "true" : "false",
-        st.reclustered_points, st.rekeys, st.num_clusters,
-        st.num_noise_points, st.epoch_publish_seconds, audit_note);
+    JsonWriter record;
+    record.BeginObject()
+        .Key("sequence").Value(st.sequence)
+        .Key("total_points").Value(st.total_points)
+        .Key("total_cells").Value(st.total_cells)
+        .Key("batches_ingested").Value(st.batches_ingested)
+        .Key("touched_cells").Value(st.touched_cells)
+        .Key("dirty_cells").Value(st.dirty_cells)
+        .Key("dirty_used_stencil").Value(st.dirty_used_stencil)
+        .Key("reclustered_points").Value(st.reclustered_points)
+        .Key("rekeys").Value(st.rekeys)
+        .Key("num_clusters").Value(st.num_clusters)
+        .Key("num_noise_points").Value(st.num_noise_points)
+        .Key("epoch_publish_seconds").Value(st.epoch_publish_seconds)
+        .Key("dictionary_seconds").Value(st.dictionary_seconds)
+        .Key("phase2_seconds").Value(st.phase2_seconds)
+        .Key("merge_seconds").Value(st.merge_seconds)
+        .Key("package_seconds").Value(st.package_seconds)
+        .Key("audit").Value(audit_note)
+        .EndObject();
     if (!epochs_json.empty()) epochs_json += ",\n";
-    epochs_json += buf;
+    epochs_json += "    " + record.TakeString();
     return 0;
   };
 

@@ -25,9 +25,14 @@
 #      request loop's reader thread + admission queue + classification
 #      pool) suites that exercise every concurrent path, and the
 #      streaming layer (ingest_buffer_test: parallel batch re-grouping
-#      into the shared CSR; epoch_swap_test: reader threads hammering
+#      into the shared CSR; stream_incremental_test: pooled epochs that
+#      assemble each dictionary over the last one, carrying stencil
+#      neighborhoods over; epoch_swap_test: reader threads hammering
 #      LabelServer queries while the EpochRegistry's shared_ptr slot
-#      hot-swaps epochs under them), the external Phase I-1 build
+#      hot-swaps epochs under them), the dictionary assembly
+#      (cell_dictionary_test: the pool-parallel fragment fill and stencil
+#      CSR probe / count / fill, with and without a prior, against
+#      single-threaded builds), the external Phase I-1 build
 #      (external_phase1_test: chunked sort + spill + k-way merge driven
 #      through the shared thread pool), and the multi-eps hierarchy +
 #      multi-model serving layer (hierarchy_test /

@@ -6,24 +6,13 @@
 // balance) on every data set; region-split algorithms are worse and
 // degrade with eps, catastrophically so on the skewed GeoLife analogue.
 
-// A second section puts the simulated skew next to *measured*
-// multi-process skew: the same data set's Phase I-2 dictionary build is
-// run through real forked shard workers, and PerStageImbalance lines up
-// the model-sourced per-partition times against the per-worker wall
-// times each process reported — one axis, simulated vs real.
-
 #include <cstdio>
 #include <vector>
 
 #include "baselines/region_split.h"
 #include "bench_common.h"
-#include "core/cell_set.h"
-#include "core/grid.h"
 #include "core/rp_dbscan.h"
 #include "parallel/cluster_model.h"
-#include "parallel/shard/shard_executor.h"
-#include "core/cell_dictionary.h"
-#include "util/stopwatch.h"
 
 namespace rpdbscan {
 namespace bench {
@@ -54,56 +43,6 @@ double RpImbalance(const Dataset& ds, double eps) {
   return LoadImbalance(r->stats.phase2_task_seconds);
 }
 
-// Simulated-vs-measured skew of the sharded Phase I-2 (one eps per data
-// set keeps the forked runs bounded). "simulated" assigns the
-// sequentially measured per-partition dictionary times to workers with
-// the executor's own p % W rule; "measured" is what each forked worker
-// reported. PerStageImbalance puts both on the slowest/fastest axis the
-// table above uses.
-void RunMeasuredShardSection() {
-  constexpr size_t kWorkers = 4;
-  constexpr size_t kPartitions = 8;
-  PrintHeader(
-      "Fig. 13 addendum: Phase I-2 imbalance, simulated vs measured\n"
-      "(4 forked shard workers; simulated = sequential per-partition\n"
-      " dictionary times scheduled by the executor's p % W rule)");
-  std::printf("%-14s %8s %11s %10s %10s\n", "dataset", "eps", "simulated",
-              "measured", "gap");
-  for (const BenchDataset& bd : AllDatasets()) {
-    const double eps = bd.eps10;
-    auto geom = GridGeometry::Create(bd.data.dim(), eps, 0.1);
-    if (!geom.ok()) continue;
-    auto cells = CellSet::Build(bd.data, *geom, kPartitions, 7);
-    if (!cells.ok()) continue;
-    std::vector<double> sim_worker(kWorkers, 0.0);
-    for (uint32_t p = 0; p < cells->num_partitions(); ++p) {
-      Stopwatch task;
-      for (const uint32_t cid : cells->partition(p)) {
-        const CellEntry entry = CellDictionary::MakeCellEntry(
-            bd.data, *geom, cells->cell(cid), cid);
-        (void)entry;
-      }
-      sim_worker[p % kWorkers] += task.ElapsedSeconds();
-    }
-    ShardExecStats stats;
-    auto entries =
-        BuildDictionaryEntriesSharded(bd.data, *cells, kWorkers, &stats);
-    if (!entries.ok()) {
-      std::printf("%-14s %8.3f (shard run failed: %s)\n", bd.name.c_str(),
-                  eps, entries.status().ToString().c_str());
-      continue;
-    }
-    const std::vector<StageImbalance> rows = PerStageImbalance(
-        {{"simulated", sim_worker},
-         {"measured", stats.worker_build_seconds}});
-    const double sim = rows[0].imbalance;
-    const double meas = rows[1].imbalance;
-    std::printf("%-14s %8.3f %11.2f %10.2f %10.2f\n", bd.name.c_str(), eps,
-                sim, meas, meas - sim);
-    std::fflush(stdout);
-  }
-}
-
 void Run() {
   PrintHeader(
       "Figure 13: load imbalance (slowest/fastest split) vs eps\n"
@@ -125,7 +64,6 @@ void Run() {
       std::fflush(stdout);
     }
   }
-  RunMeasuredShardSection();
 }
 
 }  // namespace

@@ -13,25 +13,13 @@
 // linear until task granularity binds); region-split family 2.9-3.2x
 // because their skewed splits cap the achievable parallelism.
 
-// A second section grounds the model: the sharded Phase I-2 executor
-// forks real worker processes at 1/2/4 and prints measured wall-clock
-// speed-up next to the model's prediction (capped at this host's core
-// count) with the relative error — the model is no longer unfalsified.
-
-#include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "baselines/region_split.h"
 #include "bench_common.h"
-#include "core/cell_dictionary.h"
-#include "core/cell_set.h"
-#include "core/grid.h"
 #include "core/rp_dbscan.h"
 #include "parallel/cluster_model.h"
-#include "parallel/shard/shard_executor.h"
-#include "util/stopwatch.h"
 
 namespace rpdbscan {
 namespace bench {
@@ -75,62 +63,6 @@ void PrintRow(const char* name, const std::vector<double>& tasks) {
   std::fflush(stdout);
 }
 
-// Measured scale-out of the sharded Phase I-2 on the same Cosmo50
-// analogue: real forked workers, wall clock, and the cluster model's
-// prediction over the sequentially measured per-partition dictionary
-// times. Prediction caps workers at hardware_concurrency — forked
-// processes time-share whatever cores this host really has, and that cap
-// is precisely what the deterministic model cannot know on its own.
-void RunMeasuredShardSection(const BenchDataset& cosmo) {
-  constexpr size_t kPartitions = 16;
-  PrintHeader(
-      "Fig. 15 addendum: measured multi-process Phase I-2 speed-up\n"
-      "(forked shard workers vs the model's makespan prediction)");
-  auto geom = GridGeometry::Create(cosmo.data.dim(), cosmo.eps10, 0.1);
-  if (!geom.ok()) return;
-  auto cells = CellSet::Build(cosmo.data, *geom, kPartitions, 7);
-  if (!cells.ok()) return;
-  std::vector<double> partition_tasks;
-  partition_tasks.reserve(cells->num_partitions());
-  for (uint32_t p = 0; p < cells->num_partitions(); ++p) {
-    Stopwatch task;
-    for (const uint32_t cid : cells->partition(p)) {
-      const CellEntry entry = CellDictionary::MakeCellEntry(
-          cosmo.data, *geom, cells->cell(cid), cid);
-      (void)entry;
-    }
-    partition_tasks.push_back(task.ElapsedSeconds());
-  }
-  const size_t hardware = std::thread::hardware_concurrency();
-  std::printf("%8s %10s %10s %12s %10s\n", "workers", "wall_s", "speedup",
-              "predicted_s", "err%");
-  double wall1 = 0;
-  for (const size_t workers : {1u, 2u, 4u}) {
-    ShardExecStats stats;
-    auto entries =
-        BuildDictionaryEntriesSharded(cosmo.data, *cells, workers, &stats);
-    if (!entries.ok()) {
-      std::printf("%8zu (failed: %s)\n", workers,
-                  entries.status().ToString().c_str());
-      continue;
-    }
-    if (workers == 1) wall1 = stats.wall_seconds;
-    const size_t host_workers =
-        hardware > 0 ? std::min(workers, hardware) : workers;
-    const double predicted =
-        MakespanForWorkers(partition_tasks, host_workers);
-    const double err =
-        predicted > 0
-            ? (stats.wall_seconds - predicted) / predicted * 100.0
-            : 0.0;
-    std::printf("%8zu %10.4f %10.2f %12.4f %9.1f%%\n", workers,
-                stats.wall_seconds,
-                stats.wall_seconds > 0 ? wall1 / stats.wall_seconds : 0.0,
-                predicted, err);
-    std::fflush(stdout);
-  }
-}
-
 void Run() {
   PrintHeader(
       "Figure 15: speed-up vs number of cores (Cosmo50 analogue)\n"
@@ -149,7 +81,6 @@ void Run() {
   PrintRow("CBP", RegionTasks(cosmo.data, eps,
                               RegionPartitionStrategy::kCostBased));
   PrintRow("RP-DBSCAN", RpTasks(cosmo.data, eps));
-  RunMeasuredShardSection(cosmo);
 }
 
 }  // namespace

@@ -1,21 +1,8 @@
-// Out-of-core Phase I-1 and multi-process sharded Phase I-2, measured —
-// the scale-out numbers that previously existed only through the
-// deterministic cluster model:
-//
-//  * external Phase I-1 (chunked sort + disk spill + k-way merge) against
-//    the in-RAM sorted build over the same memory-mapped .rpds input,
-//    with the spill/merge accounting (chunks, runs, spill bytes, peak
-//    accounted transient bytes vs the budget);
-//  * sharded Phase I-2 at 1/2/4 forked worker processes: measured wall
-//    time and speed-up, per-shard shuffle bytes (Lemma 4.3: what crosses
-//    a machine boundary is the cell dictionary, a small fraction of the
-//    point payload), and the cluster model's predicted makespan next to
-//    the measured one. Prediction feeds the same per-partition task
-//    times the Fig. 15 harness schedules; "host" prediction caps workers
-//    at hardware_concurrency (forked workers time-share the cores this
-//    machine actually has), so predicted-vs-measured error isolates the
-//    process overhead the model does not see (fork, encode, pipe,
-//    decode) from CPU oversubscription, which it does.
+// Out-of-core Phase I-1, measured: the external build (chunked sort +
+// disk spill + k-way merge) against the in-RAM sorted build over the same
+// memory-mapped .rpds input, with the spill/merge accounting (chunks,
+// runs, spill bytes, peak accounted transient bytes vs the budget) and a
+// bit-identity check of the two cell sets.
 //
 // Usage: bench_oocore [OUTPUT_JSON]
 //   OUTPUT_JSON  machine-readable report (default: BENCH_oocore.json)
@@ -30,13 +17,10 @@
 #include <unistd.h>
 
 #include "bench_common.h"
-#include "core/cell_dictionary.h"
 #include "core/cell_set.h"
 #include "core/grid.h"
 #include "io/binary.h"
 #include "io/mmap_dataset.h"
-#include "parallel/cluster_model.h"
-#include "parallel/shard/shard_executor.h"
 #include "parallel/thread_pool.h"
 #include "util/json_writer.h"
 #include "util/random.h"
@@ -46,19 +30,13 @@ namespace rpdbscan {
 namespace bench {
 namespace {
 
-constexpr size_t kShardSweep[] = {1, 2, 4};
-constexpr size_t kShardReps = 3;  // best-of; forked runs are heavyweight
-
 // The real GeoLife corpus packs 24.9M points of repeatedly-revisited GPS
 // trajectories into one metropolitan area: many points per occupied
-// sub-cell, which is the regime Lemma 4.3's dictionary-size bound speaks
-// to. At bench-feasible n the synthetic analogue sits near one point per
-// sub-cell (every point pays a fresh 20-byte dictionary row, the bound's
-// worst case), so the measured shuffle/payload ratio would say nothing
-// about the lemma. Replicating the base trace with jitter far below the
-// sub-cell side reproduces the revisit density without changing the
-// spatial shape: occupancy scales with kReplicas while the dictionary —
-// and with it the shuffle traffic — stays put.
+// sub-cell. At bench-feasible n the synthetic analogue sits near one
+// point per sub-cell. Replicating the base trace with jitter far below
+// the sub-cell side reproduces the revisit density without changing the
+// spatial shape, and gives the external build an input several times its
+// memory budget.
 constexpr size_t kReplicas = 16;
 constexpr double kJitter = 0.02;  // << sub-cell side (~0.072 at eps=2)
 
@@ -81,19 +59,10 @@ Dataset Densify(const Dataset& base) {
   return out;
 }
 
-struct ShardRow {
-  size_t workers = 0;
-  ShardExecStats stats;  // best (lowest wall) rep
-  double predicted_model_seconds = 0;
-  double predicted_host_seconds = 0;
-};
-
 int Run(const std::string& out_path) {
   PrintHeader(
-      "Out-of-core Phase I-1 + multi-process sharded Phase I-2 (measured)\n"
-      "(GeoLife analogue from a memory-mapped .rpds; budget ~payload/4;\n"
-      " shard workers are real forked processes shipping checksummed\n"
-      " sub-dictionary containers over pipes)");
+      "Out-of-core Phase I-1 (measured)\n"
+      "(GeoLife analogue from a memory-mapped .rpds; budget ~payload/4)");
 
   const BenchDataset geo = MakeGeoLife(60000);
   const double eps = geo.eps10;
@@ -176,92 +145,6 @@ int Run(const std::string& out_path) {
     return 1;
   }
 
-  // ---- Per-partition dictionary task times (the predictor's input),
-  // measured sequentially so they are free of CPU contention — exactly
-  // how the Fig. 13/15 harnesses source their task vectors. ----
-  std::vector<double> partition_tasks;
-  partition_tasks.reserve(in_ram->num_partitions());
-  for (uint32_t p = 0; p < in_ram->num_partitions(); ++p) {
-    Stopwatch task;
-    for (const uint32_t cid : in_ram->partition(p)) {
-      const CellEntry entry = CellDictionary::MakeCellEntry(
-          view, geom, in_ram->cell(cid), cid);
-      (void)entry;
-    }
-    partition_tasks.push_back(task.ElapsedSeconds());
-  }
-
-  // ---- Sharded Phase I-2 at 1/2/4 forked workers. ----
-  std::vector<ShardRow> rows;
-  for (const size_t workers : kShardSweep) {
-    ShardRow row;
-    row.workers = workers;
-    for (size_t rep = 0; rep < kShardReps; ++rep) {
-      ShardExecStats stats;
-      auto entries =
-          BuildDictionaryEntriesSharded(view, *in_ram, workers, &stats);
-      if (!entries.ok()) {
-        std::fprintf(stderr, "bench_oocore: %zu-worker shard failed: %s\n",
-                     workers, entries.status().ToString().c_str());
-        std::filesystem::remove(rpds);
-        return 1;
-      }
-      if (row.stats.wall_seconds == 0 ||
-          stats.wall_seconds < row.stats.wall_seconds) {
-        row.stats = stats;
-      }
-    }
-    row.predicted_model_seconds =
-        MakespanForWorkers(partition_tasks, workers);
-    const size_t host_workers =
-        hardware > 0 ? std::min(workers, hardware) : workers;
-    row.predicted_host_seconds =
-        MakespanForWorkers(partition_tasks, host_workers);
-    rows.push_back(row);
-  }
-
-  const double wall1 = rows.front().stats.wall_seconds;
-  std::printf(
-      "\n%8s %10s %10s %12s %12s %10s %10s %10s\n", "workers", "wall_s",
-      "speedup", "pred_host_s", "pred_model_s", "err%", "shuffle_B",
-      "imbal");
-  for (const ShardRow& row : rows) {
-    const double measured = row.stats.wall_seconds;
-    const double err =
-        row.predicted_host_seconds > 0
-            ? (measured - row.predicted_host_seconds) /
-                  row.predicted_host_seconds * 100.0
-            : 0.0;
-    std::printf("%8zu %10.4f %10.2f %12.4f %12.4f %9.1f%% %10llu %10.2f\n",
-                row.workers, measured,
-                measured > 0 ? wall1 / measured : 0.0,
-                row.predicted_host_seconds, row.predicted_model_seconds,
-                err,
-                static_cast<unsigned long long>(
-                    row.stats.TotalShuffleBytes()),
-                LoadImbalance(row.stats.worker_build_seconds));
-  }
-  const uint64_t widest_shuffle = rows.back().stats.TotalShuffleBytes();
-  const double shuffle_ratio =
-      payload_bytes > 0
-          ? static_cast<double>(widest_shuffle) / payload_bytes
-          : 0.0;
-  uint64_t occupied_subcells = 0;
-  for (const uint64_t s : rows.back().stats.shard_subcells) {
-    occupied_subcells += s;
-  }
-  const double occupancy =
-      occupied_subcells > 0
-          ? static_cast<double>(dense.size()) / occupied_subcells
-          : 0.0;
-  std::printf(
-      "Lemma 4.3 traffic: shuffle=%llu B over payload=%llu B -> %.3f\n"
-      "(cells, not points, cross the process boundary; %.1f points per\n"
-      " occupied sub-cell — the ratio falls as occupancy grows)\n",
-      static_cast<unsigned long long>(widest_shuffle),
-      static_cast<unsigned long long>(payload_bytes), shuffle_ratio,
-      occupancy);
-
   JsonWriter w;
   w.BeginObject();
   w.Key("generated_by").Value("bench/bench_oocore");
@@ -287,48 +170,6 @@ int Run(const std::string& out_path) {
   w.Key("in_ram_seconds").Value(in_ram_seconds);
   w.Key("bit_identical").Value(identical);
   w.EndObject();
-  w.Key("partition_task_seconds").BeginArray();
-  for (const double t : partition_tasks) w.Value(t);
-  w.EndArray();
-  w.Key("shard_runs").BeginArray();
-  for (const ShardRow& row : rows) {
-    const double measured = row.stats.wall_seconds;
-    w.BeginObject();
-    w.Key("workers").Value(static_cast<uint64_t>(row.workers));
-    w.Key("wall_seconds").Value(measured);
-    w.Key("assemble_seconds").Value(row.stats.assemble_seconds);
-    w.Key("speedup_vs_1_worker")
-        .Value(measured > 0 ? wall1 / measured : 0.0);
-    w.Key("predicted_makespan_model_seconds")
-        .Value(row.predicted_model_seconds);
-    w.Key("predicted_makespan_host_seconds")
-        .Value(row.predicted_host_seconds);
-    w.Key("predicted_vs_measured_error")
-        .Value(row.predicted_host_seconds > 0
-                   ? (measured - row.predicted_host_seconds) /
-                         row.predicted_host_seconds
-                   : 0.0);
-    w.Key("worker_imbalance")
-        .Value(LoadImbalance(row.stats.worker_build_seconds));
-    w.Key("shuffle_bytes_total").Value(row.stats.TotalShuffleBytes());
-    w.Key("worker_build_seconds").BeginArray();
-    for (const double t : row.stats.worker_build_seconds) w.Value(t);
-    w.EndArray();
-    w.Key("shard_bytes").BeginArray();
-    for (const uint64_t b : row.stats.shard_bytes) w.Value(b);
-    w.EndArray();
-    w.Key("shard_cells").BeginArray();
-    for (const uint64_t c : row.stats.shard_cells) w.Value(c);
-    w.EndArray();
-    w.Key("shard_subcells").BeginArray();
-    for (const uint64_t s : row.stats.shard_subcells) w.Value(s);
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("shuffle_over_payload_ratio").Value(shuffle_ratio);
-  w.Key("occupied_subcells").Value(occupied_subcells);
-  w.Key("points_per_occupied_subcell").Value(occupancy);
   w.EndObject();
 
   std::filesystem::remove(rpds);

@@ -352,18 +352,17 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
     sd.cells_.reserve(n);
     sd.cell_centers_.reserve(n * dim);
     sd.subcells_.reserve(subcells);
-    sd.subcell_centers_.reserve(subcells * dim);
     sd.lane_begin_.reserve(n + 1);
     sd.lane_centers_.reserve(lane_slots * dim);
     sd.lane_counts_.reserve(lane_slots);
     sd.cell_mbrs_.reserve(n * 2 * dim);
   }
   // One independent task per fragment: copy its cells and sub-cells,
-  // decode the sub-cell centers, build the kd-tree, then the lane-major
-  // (SoA) sub-cell storage — per-cell padded blocks of dim-major
-  // coordinate lanes plus per-slot densities, the layout the vector
-  // kernels (core/simd.h) stride over. Padding slots carry +inf centers
-  // and zero counts so whole-vector strides are safe.
+  // build the kd-tree, then the lane-major (SoA) sub-cell storage —
+  // per-cell padded blocks of dim-major coordinate lanes, each sub-cell
+  // center decoded straight into its slot, plus per-slot densities, the
+  // layout the vector kernels (core/simd.h) stride over. Padding slots
+  // carry +inf centers and zero counts so whole-vector strides are safe.
   ForEachIndex(pool, fragments.size(), [&](size_t f) {
     const auto [begin, end] = fragments[f];
     SubDictionary& sd = dict.subdicts_[f];
@@ -387,14 +386,6 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
       sd.cell_centers_.insert(sd.cell_centers_.end(), center, center + dim);
       sd.mbr_.ExpandToMbr(geom.CellBox(entry.coord));
     }
-    // Precompute sub-cell centers for distance tests during queries.
-    sd.subcell_centers_.resize(sd.subcells_.size() * dim);
-    for (const DictCell& dc : sd.cells_) {
-      for (uint32_t s = dc.subcell_begin; s < dc.subcell_end; ++s) {
-        geom.SubcellCenter(dc.coord, sd.subcells_[s].id,
-                           sd.subcell_centers_.data() + s * dim);
-      }
-    }
     sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), dim);
 
     sd.lane_dim_ = dim;
@@ -409,6 +400,7 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
     const size_t total = sd.lane_begin_.back();
     sd.lane_centers_.assign(total * dim, kLanePadCenter);
     sd.lane_counts_.assign(total, 0);
+    float center[CellCoord::kMaxDim];
     for (size_t i = 0; i < sd.cells_.size(); ++i) {
       const DictCell& dc = sd.cells_[i];
       const uint32_t padded_n = sd.lane_begin_[i + 1] - sd.lane_begin_[i];
@@ -416,7 +408,7 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
                      static_cast<size_t>(sd.lane_begin_[i]) * dim;
       for (uint32_t s = dc.subcell_begin; s < dc.subcell_end; ++s) {
         const uint32_t slot = s - dc.subcell_begin;
-        const float* center = sd.subcell_centers_.data() + s * dim;
+        geom.SubcellCenter(dc.coord, sd.subcells_[s].id, center);
         sd.lane_counts_[sd.lane_begin_[i] + slot] = sd.subcells_[s].count;
         for (size_t d = 0; d < dim; ++d) {
           block[d * padded_n + slot] = center[d];

@@ -57,21 +57,18 @@ class SubDictionary {
   size_t num_subcells() const { return subcells_.size(); }
   const std::vector<DictCell>& cells() const { return cells_; }
   const std::vector<DictSubcell>& subcells() const { return subcells_; }
-  /// Precomputed center arrays (see the private members below): read-only
-  /// views for the auditors, which recompute both from the geometry and
-  /// compare bit-exactly. No copies — these arrays scale with the data.
-  const std::vector<float>& subcell_centers() const {
-    return subcell_centers_;
-  }
+  /// Precomputed cell centers (see the private members below): a
+  /// read-only view for the auditors, which recompute them from the
+  /// geometry and compare bit-exactly.
   const std::vector<float>& cell_centers() const { return cell_centers_; }
 
-  // --- Lane-major (SoA) sub-cell storage for the vector kernels
-  // --- (core/simd.h). Each cell owns a padded block of kSimdLaneWidth-
+  // --- Lane-major (SoA) sub-cell storage, the only copy of the sub-cell
+  // --- centers: every kernel (core/simd.h), the per-point Query and the
+  // --- auditors read it. Each cell owns a padded block of kSimdLaneWidth-
   // --- aligned slots: coordinate d's lane is lane_centers(c) +
   // --- d * lane_padded(c), densities sit in lane_counts(c). Padding
   // --- slots hold +inf centers / zero counts so kernels run whole
-  // --- vector strides. Built in Assemble alongside the AoS centers
-  // --- (which the auditors and the per-point Query keep). ---
+  // --- vector strides. ---
 
   /// Padded slot count of a cell's lane block (multiple of
   /// kSimdLaneWidth, >= its sub-cell count).
@@ -112,9 +109,6 @@ class SubDictionary {
 
   std::vector<DictCell> cells_;
   std::vector<DictSubcell> subcells_;
-  /// Precomputed sub-cell centers (num_subcells * dim floats) so queries
-  /// compare distances without re-decoding packed positions.
-  std::vector<float> subcell_centers_;
   /// Cell centers (num_cells * dim floats) indexed by the kd-tree.
   std::vector<float> cell_centers_;
   /// Lane-major sub-cell storage (see the accessors above): per-cell
@@ -363,11 +357,19 @@ class CellDictionary {
         if (geom_.CellMinDist2(cell.coord, p) > eps2) {
           return;  // cannot intersect
         }
+        // Each sub-cell center is gathered from the cell's lanes and
+        // tested with DistanceSquared's arithmetic.
+        const size_t dim = geom_.dim();
+        const uint32_t padded = sd.lane_padded(local_cell);
+        const float* lanes = sd.lane_centers(local_cell);
+        float center[CellCoord::kMaxDim];
         uint32_t matched = 0;
         for (uint32_t s = cell.subcell_begin; s < cell.subcell_end; ++s) {
-          const float* center =
-              sd.subcell_centers_.data() + s * geom_.dim();
-          if (DistanceSquared(p, center, geom_.dim()) <= eps2) {
+          const uint32_t slot = s - cell.subcell_begin;
+          for (size_t d = 0; d < dim; ++d) {
+            center[d] = lanes[d * padded + slot];
+          }
+          if (DistanceSquared(p, center, dim) <= eps2) {
             matched += sd.subcells_[s].count;
           }
         }

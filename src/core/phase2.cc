@@ -358,8 +358,8 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
 /// Kernel dispatch plus engine selection, resolved once per run (shared by
 /// BuildSubgraphs and RecomputeCells so the incremental path always runs
 /// the exact engine the full run would): SIMD tier (runtime-detected
-/// unless the option or RPDBSCAN_FORCE_SCALAR forces scalar), and the
-/// stencil candidate engine whenever the dictionary carries a stencil.
+/// unless the scalar_kernels option forces scalar), and the stencil
+/// candidate engine whenever the dictionary carries a stencil.
 struct EngineSetup {
   KernelConfig kernels;
   SimdLevel level = SimdLevel::kScalar;

@@ -20,9 +20,7 @@ namespace rpdbscan {
 struct Phase2Options {
   /// Force the portable scalar sub-cell kernels instead of the runtime-
   /// detected SIMD tier (core/simd.h). Results are bit-identical either
-  /// way; the flag exists for ablations and the equivalence tests. The
-  /// RPDBSCAN_FORCE_SCALAR environment variable forces the same thing
-  /// process-wide.
+  /// way; the flag exists for ablations and the equivalence tests.
   bool scalar_kernels = false;
 
   // --- multi-eps ladder knobs (src/hierarchy/). Defaults reproduce the

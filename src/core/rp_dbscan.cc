@@ -11,7 +11,6 @@
 #include "core/merge.h"
 #include "core/phase2.h"
 #include "core/simd.h"
-#include "parallel/shard/shard_executor.h"
 #include "parallel/thread_pool.h"
 #include "util/json_writer.h"
 #include "util/random.h"
@@ -46,12 +45,6 @@ std::string RunStats::ToString() const {
        << " budget=" << memory_budget_bytes << " chunks=" << external_chunks
        << " runs=" << external_runs << " spill=" << external_spill_bytes
        << " peak_accounted=" << external_peak_accounted_bytes << "\n";
-  }
-  if (shard_workers > 0) {
-    os << "  sharded phase I-2: workers=" << shard_workers
-       << " slowest_build=" << shard_build_seconds << " s"
-       << " shuffle=" << shard_shuffle_bytes << " bytes"
-       << " wall=" << shard_wall_seconds << " s\n";
   }
   if (audit_checks > 0) {
     os << "  audit: " << audit_checks << " checks, " << audit_violations
@@ -99,10 +92,6 @@ std::string RunStats::ToJson() const {
   w.Key("external_spill_bytes").Value(external_spill_bytes);
   w.Key("external_peak_accounted_bytes").Value(external_peak_accounted_bytes);
   w.Key("memory_budget_bytes").Value(memory_budget_bytes);
-  w.Key("shard_workers").Value(shard_workers);
-  w.Key("shard_build_seconds").Value(shard_build_seconds);
-  w.Key("shard_shuffle_bytes").Value(shard_shuffle_bytes);
-  w.Key("shard_wall_seconds").Value(shard_wall_seconds);
   w.Key("phase2_task_seconds").BeginArray();
   for (const double s : phase2_task_seconds) w.Value(s);
   w.EndArray();
@@ -218,39 +207,10 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
     dict_opts.stencil_eps_scale = std::max(dict_opts.stencil_eps_scale,
                                            options.query_eps / options.eps);
   }
-  StatusOr<CellDictionary> dict_or = [&]() -> StatusOr<CellDictionary> {
-    if (options.shard_workers < 2) {
-      return CellDictionary::Build(data, cells, dict_opts, &pool);
-    }
-    // Multi-process mode: forked workers each build their partitions'
-    // entries and ship them back as checksummed shard containers; the
-    // dense entry table then assembles exactly like an in-process build
-    // (FromEntries == Build modulo who computed the entries).
-    ShardExecStats shard_stats;
-    auto entries_or = BuildDictionaryEntriesSharded(
-        data, cells, options.shard_workers, &shard_stats);
-    if (!entries_or.ok()) return entries_or.status();
-    stats.shard_workers = options.shard_workers;
-    stats.shard_wall_seconds = shard_stats.wall_seconds;
-    stats.shard_shuffle_bytes = shard_stats.TotalShuffleBytes();
-    for (const double s : shard_stats.worker_build_seconds) {
-      stats.shard_build_seconds = std::max(stats.shard_build_seconds, s);
-    }
-    return CellDictionary::FromEntries(geom, std::move(*entries_or),
-                                       dict_opts, &pool);
-  }();
+  StatusOr<CellDictionary> dict_or =
+      CellDictionary::Build(data, cells, dict_opts, &pool);
   if (!dict_or.ok()) return dict_or.status();
   stats.dictionary_seconds = phase_watch.ElapsedSeconds();
-
-  // Shard-boundary audit: the assembled dictionary must be byte-equal to
-  // a single-process build — fork/encode/pipe/decode must be invisible.
-  if (options.shard_workers >= 2 && audit != AuditLevel::kOff) {
-    Stopwatch audit_watch;
-    const AuditReport rep =
-        AuditShardAssembly(data, cells, *dict_or, dict_opts, &pool);
-    stats.audit_seconds += audit_watch.ElapsedSeconds();
-    RPDBSCAN_RETURN_IF_ERROR(apply_audit("shard-assembly", rep));
-  }
 
   // Alg. 1 line 5 broadcasts the dictionary to every worker; here the
   // Phase II threads share this one immutable instance, so only the

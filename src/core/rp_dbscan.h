@@ -42,8 +42,6 @@ struct RpDbscanOptions {
   /// downstream that inherits the dictionary), bypassing runtime SIMD
   /// dispatch. Labels are bit-identical either way (the vector kernels are
   /// exact); the toggle exists for ablation and for the equivalence tests.
-  /// The RPDBSCAN_FORCE_SCALAR environment variable forces the same thing
-  /// without recompiling or re-flagging.
   bool scalar_kernels = false;
 
   /// Use the sequential tournament merge (Sec. 6.1.1) instead of the
@@ -71,7 +69,7 @@ struct RpDbscanOptions {
   /// referenced core points — nothing on the clustering hot path.
   bool capture_model = false;
 
-  // --- out-of-core & multi-process execution (ISSUE 9) ---
+  // --- out-of-core execution ---
 
   /// When set, Phase I-1 runs the out-of-core external-sort build
   /// (CellSet::BuildExternal) over this source instead of the in-RAM
@@ -84,12 +82,6 @@ struct RpDbscanOptions {
   size_t memory_budget_bytes = 64u << 20;
   /// Spill directory of the external build; empty = system temp.
   std::string spill_dir;
-  /// >= 2 runs Phase I-2 as real forked worker processes
-  /// (parallel/shard/shard_executor.h), each shipping its sub-dictionary
-  /// shard back through the checksummed shard container; 0/1 keeps the
-  /// in-process threaded build. The assembled dictionary is byte-equal
-  /// either way (audited when audit_level > kOff).
-  size_t shard_workers = 0;
 
   // --- multi-eps ladder & sampled-core knobs (src/hierarchy/) ---
 
@@ -203,8 +195,8 @@ struct RunStats {
   double audit_seconds = 0;
 
   /// Distance-kernel dispatch Phase II actually ran with ("scalar",
-  /// "avx2", ...): the resolved runtime level, after scalar_kernels /
-  /// RPDBSCAN_FORCE_SCALAR / cpuid are all applied.
+  /// "avx2", ...): the resolved runtime level, after scalar_kernels and
+  /// cpuid are both applied.
   std::string simd_kernel = "scalar";
   /// Whether Phase III-1 ran the edge-parallel lock-free union-find path
   /// (vs the sequential tournament).
@@ -221,14 +213,6 @@ struct RunStats {
   uint64_t external_spill_bytes = 0;
   uint64_t external_peak_accounted_bytes = 0;
   size_t memory_budget_bytes = 0;
-  /// Multi-process Phase I-2 accounting (0 when shard_workers < 2): the
-  /// worker count, the slowest worker's entry-build seconds, total shard
-  /// container bytes shipped over the pipes (the measured Lemma 4.3
-  /// shuffle traffic), and the executor's wall time.
-  size_t shard_workers = 0;
-  double shard_build_seconds = 0;
-  uint64_t shard_shuffle_bytes = 0;
-  double shard_wall_seconds = 0;
 
   /// Multi-line human-readable report.
   std::string ToString() const;

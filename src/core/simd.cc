@@ -1,22 +1,11 @@
 #include "core/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace rpdbscan {
 namespace {
 
-bool ForceScalarEnv() {
-  // Re-read on every detection call: the equivalence tests flip this
-  // mid-process to compare both dispatch outcomes.
-  const char* v = std::getenv("RPDBSCAN_FORCE_SCALAR");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
 bool HostHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
@@ -43,11 +32,11 @@ SimdLevel CompiledSimdLevel() {
 }
 
 SimdLevel DetectSimdLevel() {
-  if (ForceScalarEnv()) return SimdLevel::kScalar;
-  if (CompiledSimdLevel() >= SimdLevel::kAvx2 && HostHasAvx2()) {
-    return SimdLevel::kAvx2;
-  }
-  return SimdLevel::kScalar;
+  static const SimdLevel level =
+      CompiledSimdLevel() >= SimdLevel::kAvx2 && HostHasAvx2()
+          ? SimdLevel::kAvx2
+          : SimdLevel::kScalar;
+  return level;
 }
 
 SubcellCountFn GetSubcellCountFn(SimdLevel level, size_t dim) {

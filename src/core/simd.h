@@ -27,12 +27,10 @@ const char* SimdLevelName(SimdLevel level);
 /// -mavx2).
 SimdLevel CompiledSimdLevel();
 
-/// Highest tier usable right now: compiled-in support intersected with
-/// the host CPU's feature set, overridable down to scalar by setting the
-/// RPDBSCAN_FORCE_SCALAR environment variable to anything but "0" (the
-/// escape hatch for debugging and for scalar-vs-SIMD equivalence runs).
-/// The cpuid probe is cached; the environment variable is re-read on
-/// every call so tests can flip it.
+/// Highest tier usable on this host: compiled-in support intersected with
+/// the host CPU's feature set, probed once and cached. Callers that want
+/// the scalar reference kernels ask for SimdLevel::kScalar explicitly
+/// (the scalar_kernels options and --scalar-kernels).
 SimdLevel DetectSimdLevel();
 
 /// Sub-cell coordinate lanes are padded to a multiple of this many slots

@@ -25,16 +25,6 @@ double LoadImbalance(const std::vector<double>& task_seconds) {
   return max_t / min_t;
 }
 
-std::vector<StageImbalance> PerStageImbalance(
-    const std::vector<StageTaskTimes>& stages) {
-  std::vector<StageImbalance> out;
-  out.reserve(stages.size());
-  for (const StageTaskTimes& s : stages) {
-    out.push_back({s.stage_name, LoadImbalance(s.task_seconds)});
-  }
-  return out;
-}
-
 double MakespanForWorkers(const std::vector<double>& task_seconds,
                           size_t num_workers) {
   if (task_seconds.empty()) return 0.0;

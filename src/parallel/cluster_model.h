@@ -2,36 +2,15 @@
 #define RPDBSCAN_PARALLEL_CLUSTER_MODEL_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace rpdbscan {
-
-/// Per-split (per-partition) timing for one parallel stage, the quantity the
-/// paper reads off the Spark task counters.
-struct StageTaskTimes {
-  std::string stage_name;
-  /// Elapsed seconds of each split's task, indexed by split id.
-  std::vector<double> task_seconds;
-};
 
 /// Ratio of the slowest split to the fastest split of a stage — the paper's
 /// "load imbalance" metric (value 1 means perfect balance, Sec. 7.3.1).
 /// Non-finite or negative entries (failed timers) are ignored; returns 1.0
 /// when fewer than two usable tasks remain or the fastest task is ~0.
 double LoadImbalance(const std::vector<double>& task_seconds);
-
-/// One stage's name paired with its LoadImbalance — the per-stage axis the
-/// Fig. 13 bench uses to put simulated task skew and measured multi-process
-/// shard skew side by side.
-struct StageImbalance {
-  std::string stage_name;
-  double imbalance = 1.0;
-};
-
-/// LoadImbalance of every stage, in input order.
-std::vector<StageImbalance> PerStageImbalance(
-    const std::vector<StageTaskTimes>& stages);
 
 /// Deterministic model of running `task_seconds` on `num_workers` executor
 /// slots: greedy list scheduling in submission order (each finished worker

@@ -51,7 +51,8 @@ void ParallelFor(ThreadPool& pool, size_t n, Fn&& fn, size_t chunk = 0) {
 /// submitted. A CPU-bound caller on a pool wider than the machine can cap
 /// at hardware_concurrency: claimants beyond the core count cannot add
 /// throughput — they only time-slice one another and shred each other's
-/// cache residency (the bench_serve 1-vCPU inversion).
+/// cache residency (on a 1-vCPU host, serving throughput fell as the pool
+/// grew).
 template <typename Fn>
 size_t ParallelForWorkers(ThreadPool& pool, size_t n, Fn&& fn,
                           size_t chunk = 0, size_t max_claimants = 0) {

@@ -31,6 +31,14 @@ constexpr size_t kLatencyCapacity = size_t{1} << 16;
 /// cursor cold without unbalancing the tail.
 constexpr size_t kGroupChunk = 16;
 
+/// A batch's claimant tasks are capped at the core count: the serving
+/// path is CPU-bound and wait-free, so claimants beyond it cannot add
+/// throughput, they only time-slice one another. Results never depend on
+/// the claimant count. 0 (no cap) when the core count is unknown.
+size_t MaxClaimants() {
+  return static_cast<size_t>(std::thread::hardware_concurrency());
+}
+
 /// Deterministic "nearest cluster-labeled cell" tracker: lexicographic
 /// min of (box min-distance, cell id), so every candidate enumeration
 /// order — per-query staged probing, grouped neighborhood walks, tree
@@ -111,9 +119,10 @@ ServeResult ResolveLabel(const ClusterModelSnapshot& snap,
       }
     }
     result.certainty = Certainty::kExact;
-  } else if (best.found && (home_hit || opts.subcell_fallback)) {
+  } else if (best.found) {
     // Sandwich-approximate: nearest cluster-labeled cell within eps
-    // (Theorem 5.4's rho-approximate containment bound).
+    // (Theorem 5.4's rho-approximate containment bound), for a non-core
+    // home cell not replayed above and for a query outside every cell.
     result.cluster = static_cast<int64_t>(cell_cluster[best.cell_id]);
     result.certainty = Certainty::kApprox;
   } else {
@@ -158,13 +167,11 @@ void RecordResult(ServeStats* stats, const ServeResult& result,
 }  // namespace
 
 std::string ServeStatsToJson(const ServeStats& stats, double seconds,
-                             size_t threads, const LatencySummary* latency,
-                             size_t claimants) {
+                             size_t threads, const LatencySummary* latency) {
   JsonWriter w;
   w.BeginObject();
   w.Key("queries").Value(stats.queries);
   w.Key("threads").Value(threads);
-  if (claimants > 0) w.Key("claimants").Value(claimants);
   w.Key("seconds").Value(seconds);
   w.Key("queries_per_second")
       .Value(seconds > 0 ? static_cast<double>(stats.queries) / seconds : 0.0);
@@ -339,13 +346,6 @@ ServeResult LabelServer::Classify(const float* q, ServeStats* stats) const {
   return result;
 }
 
-size_t LabelServer::MaxClaimants(ThreadPool& pool) const {
-  (void)pool;
-  if (!opts_.cap_claimants_to_hardware) return 0;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 0 : static_cast<size_t>(hw);
-}
-
 Status LabelServer::ClassifyPerQuery(const Dataset& queries, ThreadPool& pool,
                                      std::vector<ServeResult>* out,
                                      ServeStats* stats,
@@ -372,7 +372,7 @@ Status LabelServer::ClassifyPerQuery(const Dataset& queries, ThreadPool& pool,
               static_cast<uint64_t>(watch.ElapsedNanos()));
         }
       },
-      /*chunk=*/256, MaxClaimants(pool));
+      /*chunk=*/256, MaxClaimants());
   if (stats != nullptr) {
     for (const PaddedStats& ws : worker_stats) stats->Merge(ws.s);
   }
@@ -401,7 +401,7 @@ Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
   const int32_t* ref_coords = dict.ref_coords().data();
   const size_t n = queries.size();
   const size_t num_slots = refs.size();
-  const size_t max_claimants = MaxClaimants(pool);
+  const size_t max_claimants = MaxClaimants();
 
   out->assign(n, ServeResult());
   const Stopwatch watch;  // the batch's admission instant
@@ -653,22 +653,14 @@ Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
                                   LatencyReservoir* latency) const {
   RPDBSCAN_RETURN_IF_ERROR(CheckQueries(queries));
   // The grouped path needs the precomputed stencil neighborhoods and
-  // 32-bit (slot | index) keys; anything else takes the per-query path
-  // (bit-identical results either way).
+  // 32-bit (slot | index) keys; without either, the per-query loop is the
+  // only path (bit-identical results either way).
   const size_t num_slots = snapshot_->dictionary().cell_refs().size();
-  if (!opts_.grouped_batches || !snapshot_->dictionary().has_stencil() ||
+  if (!snapshot_->dictionary().has_stencil() ||
       num_slots + queries.size() > uint64_t{0xFFFFFFFF}) {
     return ClassifyPerQuery(queries, pool, out, stats, latency);
   }
   return ClassifyGrouped(queries, pool, out, stats, latency);
-}
-
-Status LabelServer::ClassifyEach(const Dataset& queries, ThreadPool& pool,
-                                 std::vector<ServeResult>* out,
-                                 ServeStats* stats,
-                                 LatencyReservoir* latency) const {
-  RPDBSCAN_RETURN_IF_ERROR(CheckQueries(queries));
-  return ClassifyPerQuery(queries, pool, out, stats, latency);
 }
 
 }  // namespace rpdbscan

@@ -60,27 +60,10 @@ struct LabelServerOptions {
   /// when the snapshot carries no references, they resolve by nearest
   /// labeled cell (kApprox).
   bool exact_border = true;
-  /// Assign queries landing outside every dictionary cell to the nearest
-  /// cluster-labeled cell within eps (kApprox); off, they are noise.
-  bool subcell_fallback = true;
   /// Force the portable scalar sub-cell kernel instead of the runtime-
   /// detected SIMD tier (core/simd.h). Answers are bit-identical either
   /// way.
   bool scalar_kernels = false;
-  /// Group batch queries by home cell and walk each cell's precomputed
-  /// stencil neighborhood once per group, classifying the whole group
-  /// through the multi-query lane kernel — instead of re-deriving the
-  /// neighborhood per query. Results are bit-identical either way (the
-  /// grouping is a pure evaluation-order change); off, or on tree-engine
-  /// snapshots (no stencil), ClassifyBatch degrades to the per-query
-  /// path.
-  bool grouped_batches = true;
-  /// Cap a batch's claimant tasks at std::thread::hardware_concurrency().
-  /// The serving path is CPU-bound and wait-free, so claimants beyond the
-  /// core count cannot add throughput — they only time-slice one another
-  /// (the source of the historical 1-vCPU thread-scaling inversion).
-  /// Results never depend on the claimant count.
-  bool cap_claimants_to_hardware = true;
 };
 
 /// Per-thread serving counters. Plain integers — each worker of a batch
@@ -123,17 +106,13 @@ struct ServeStats {
 };
 
 /// Serving counters as one JSON object (the --stats-json emitter of the
-/// serve subcommand; bench_serve writes the same shape). `seconds` and
-/// `threads` describe the timed batch; queries_per_second is derived.
-/// When `latency` is given, its nearest-rank percentiles ride along as
-/// latency_p50_us / latency_p99_us / latency_p999_us / latency_max_us /
-/// latency_samples. A non-zero `claimants` records the effective claimant
-/// count the batch ran with (threads after the hardware cap — see
-/// LabelServerOptions::cap_claimants_to_hardware); zero omits the field.
+/// serve subcommand). `seconds` and `threads` describe the timed batch;
+/// queries_per_second is derived. When `latency` is given, its
+/// nearest-rank percentiles ride along as latency_p50_us /
+/// latency_p99_us / latency_p999_us / latency_max_us / latency_samples.
 std::string ServeStatsToJson(const ServeStats& stats, double seconds,
                              size_t threads,
-                             const LatencySummary* latency = nullptr,
-                             size_t claimants = 0);
+                             const LatencySummary* latency = nullptr);
 
 /// Classifies out-of-sample points against a frozen ClusterModelSnapshot.
 ///
@@ -171,8 +150,8 @@ class LabelServer {
   /// Classifies one point of snapshot dimensionality. Thread-safe and
   /// allocation-free. Counters accumulate into `*stats` when given.
   /// Precondition: every coordinate is Binnable at the snapshot's
-  /// geometry (finite, inside the int32 cell lattice) — the batch entry
-  /// points check this and reject the batch otherwise.
+  /// geometry (finite, inside the int32 cell lattice) — ClassifyBatch
+  /// checks this and rejects the batch otherwise.
   ServeResult Classify(const float* q, ServeStats* stats = nullptr) const;
 
   /// Classifies every point of `queries` on `pool`, writing one result
@@ -195,22 +174,19 @@ class LabelServer {
   /// padded. When `latency` is given, every query contributes one
   /// completion-time sample (monotonic clock, one stamp per group)
   /// measured from batch admission.
+  ///
+  /// Grouping needs the precomputed stencil neighborhoods and 32-bit
+  /// (slot, index) keys. Where either is missing — a snapshot without a
+  /// stencil (d >= 6), or more slots plus queries than 32 bits hold — the
+  /// batch runs as a parallel loop over Classify instead, with Classify's
+  /// probe accounting and one latency stamp per query.
   Status ClassifyBatch(const Dataset& queries, ThreadPool& pool,
                        std::vector<ServeResult>* out,
                        ServeStats* stats = nullptr,
                        LatencyReservoir* latency = nullptr) const;
 
-  /// The pre-grouping baseline: the same parallel loop over Classify the
-  /// seed batch path ran, kept as the bench_serve head-to-head and the
-  /// fallback for tree-engine snapshots. Identical results and stats to
-  /// serial Classify; per-query latency stamps when `latency` is given.
-  Status ClassifyEach(const Dataset& queries, ThreadPool& pool,
-                      std::vector<ServeResult>* out,
-                      ServeStats* stats = nullptr,
-                      LatencyReservoir* latency = nullptr) const;
-
  private:
-  /// The batch entry points' input contract: snapshot dimensionality and
+  /// ClassifyBatch's input contract: snapshot dimensionality and
   /// binnable coordinates (GridGeometry::CheckBinnable).
   Status CheckQueries(const Dataset& queries) const;
   Status ClassifyPerQuery(const Dataset& queries, ThreadPool& pool,
@@ -219,7 +195,6 @@ class LabelServer {
   Status ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
                          std::vector<ServeResult>* out, ServeStats* stats,
                          LatencyReservoir* latency) const;
-  size_t MaxClaimants(ThreadPool& pool) const;
 
   std::shared_ptr<const ClusterModelSnapshot> snapshot_;
   LabelServerOptions opts_;

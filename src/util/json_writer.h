@@ -10,7 +10,7 @@
 namespace rpdbscan {
 
 /// Minimal streaming JSON emitter for the machine-readable stats outputs
-/// (--stats-json, the serve throughput report, bench_serve's BENCH json).
+/// (--stats-json, the serve throughput report, the bench_* BENCH jsons).
 /// Comma placement is handled by a nesting stack, so callers just write
 /// keys and values in order. No dependency, no DOM, no parsing.
 ///

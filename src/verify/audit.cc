@@ -8,6 +8,7 @@
 
 #include "core/cell_coord.h"
 #include "core/grid.h"
+#include "core/simd.h"
 #include "graph/disjoint_set.h"
 #include "spatial/kdtree.h"
 #include "util/random.h"
@@ -300,6 +301,39 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
                                 dc.total_count, ", sub-cell sum ", range_count,
                                 ", population ", cell.point_ids.size());
                    });
+      // Lane block, the sub-cell storage every Phase II and serving
+      // kernel scans: sized to the sub-cell count rounded up to
+      // kSimdLaneWidth, occupied slots carrying the sub-cell densities,
+      // padding slots +inf centers and zero densities so whole-vector
+      // strides can never match them. Checked only over a valid sub-cell
+      // range (a broken one was reported above).
+      const bool range_ok = dc.subcell_end > dc.subcell_begin &&
+                            dc.subcell_end <= sd.num_subcells();
+      const uint32_t local = static_cast<uint32_t>(i);
+      const uint32_t occupied = dc.subcell_end - dc.subcell_begin;
+      const uint32_t padded = sd.lane_padded(local);
+      const float* lanes = sd.lane_centers(local);
+      if (range_ok) {
+        const uint32_t* lane_counts = sd.lane_counts(local);
+        bool lanes_ok = padded == (occupied + kSimdLaneWidth - 1) /
+                                      kSimdLaneWidth * kSimdLaneWidth;
+        for (uint32_t slot = 0; lanes_ok && slot < padded; ++slot) {
+          if (slot < occupied) {
+            lanes_ok = lane_counts[slot] ==
+                       sd.subcells()[dc.subcell_begin + slot].count;
+            continue;
+          }
+          lanes_ok = lane_counts[slot] == 0;
+          for (size_t d = 0; lanes_ok && d < dim; ++d) {
+            lanes_ok = lanes[d * padded + slot] == kLanePadCenter;
+          }
+        }
+        report.Check(lanes_ok, [&] {
+          return Cat("cell ", dc.cell_id, " lane block of ", padded,
+                     " slots for ", occupied,
+                     " sub-cells has wrong densities or padding");
+        });
+      }
       // Fragment MBR swallows the whole cell box: the soundness condition
       // of Lemma 5.10 skipping (a skipped fragment can hold no sub-cell
       // within eps of the query). Exact comparison — the MBR was expanded
@@ -332,17 +366,20 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
           return Cat("cell ", dc.cell_id,
                      " sub-cell histogram does not match its points");
         });
-        // Precomputed centers match the geometry bit-exactly.
+        // Precomputed cell centers and lane sub-cell centers match the
+        // geometry bit-exactly.
         geom.CellCenter(dc.coord, center_buf.data());
         bool centers_ok =
             std::equal(center_buf.begin(), center_buf.end(),
                        sd.cell_centers().begin() + i * dim);
-        for (uint32_t s = dc.subcell_begin; centers_ok && s < dc.subcell_end;
-             ++s) {
-          geom.SubcellCenter(dc.coord, sd.subcells()[s].id,
+        for (uint32_t slot = 0; range_ok && centers_ok && slot < occupied;
+             ++slot) {
+          geom.SubcellCenter(dc.coord,
+                             sd.subcells()[dc.subcell_begin + slot].id,
                              center_buf.data());
-          centers_ok = std::equal(center_buf.begin(), center_buf.end(),
-                                  sd.subcell_centers().begin() + s * dim);
+          for (size_t d = 0; centers_ok && d < dim; ++d) {
+            centers_ok = center_buf[d] == lanes[d * padded + slot];
+          }
         }
         report.Check(centers_ok, [&] {
           return Cat("cell ", dc.cell_id, " precomputed centers drifted");
@@ -846,49 +883,6 @@ AuditReport AuditLabels(const Dataset& data, const CellSet& cells,
                    min_pts, " exact neighbors at (1 + rho/2) eps");
       });
     }
-  }
-  return report;
-}
-
-AuditReport AuditShardAssembly(const Dataset& data, const CellSet& cells,
-                               const CellDictionary& sharded,
-                               const CellDictionaryOptions& opts,
-                               ThreadPool* pool) {
-  AuditReport report;
-  auto reference_or = CellDictionary::Build(data, cells, opts, pool);
-  if (!reference_or.ok()) {
-    report.Fail("shard assembly: single-process reference build failed: " +
-                reference_or.status().ToString());
-    return report;
-  }
-  const CellDictionary& reference = *reference_or;
-  report.Check(sharded.num_cells() == reference.num_cells(), [&] {
-    return Cat("shard assembly: cell count ", sharded.num_cells(),
-               " != single-process ", reference.num_cells());
-  });
-  report.Check(sharded.num_subcells() == reference.num_subcells(), [&] {
-    return Cat("shard assembly: sub-cell count ", sharded.num_subcells(),
-               " != single-process ", reference.num_subcells());
-  });
-  const std::vector<uint8_t> sharded_bytes = sharded.Serialize();
-  const std::vector<uint8_t> reference_bytes = reference.Serialize();
-  report.Check(sharded_bytes.size() == reference_bytes.size(), [&] {
-    return Cat("shard assembly: serialized size ", sharded_bytes.size(),
-               " != single-process ", reference_bytes.size());
-  });
-  if (sharded_bytes.size() == reference_bytes.size()) {
-    size_t first_diff = sharded_bytes.size();
-    for (size_t i = 0; i < sharded_bytes.size(); ++i) {
-      if (sharded_bytes[i] != reference_bytes[i]) {
-        first_diff = i;
-        break;
-      }
-    }
-    report.Check(first_diff == sharded_bytes.size(), [&] {
-      return Cat("shard assembly: serialized dictionary diverges from the "
-                 "single-process build at byte ",
-                 first_diff, " of ", sharded_bytes.size());
-    });
   }
   return report;
 }

@@ -109,6 +109,10 @@ AuditReport AuditCellSet(const Dataset& data, const CellSet& cells,
 ///    tallies matches SizeBitsLemma43();
 ///  * every sub-cell center lies inside its fragment's MBR (the soundness
 ///    condition of Lemma 5.10 skipping);
+///  * each cell's lane block (the sub-cell storage every kernel scans)
+///    has its sub-cell count rounded up to kSimdLaneWidth slots, the
+///    sub-cell densities in its occupied slots, and +inf centers with
+///    zero densities in its padding slots;
 ///  * every kd-tree node box contains the occupied MBR of every cell below
 ///    it (the soundness condition of QueryCell settling whole subtrees);
 ///  * when a stencil was built, its neighborhood CSR is well-formed:
@@ -119,7 +123,8 @@ AuditReport AuditCellSet(const Dataset& data, const CellSet& cells,
 ///    probed one);
 ///  * at kFull: per-cell sub-cell histograms recomputed from the raw
 ///    points via GridGeometry::SubcellOf match the dictionary, and the
-///    precomputed cell/sub-cell center arrays match bit-exactly.
+///    precomputed cell centers and lane sub-cell centers match
+///    bit-exactly.
 AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
                             const CellDictionary& dict, AuditLevel level);
 
@@ -161,19 +166,6 @@ AuditReport AuditLabels(const Dataset& data, const CellSet& cells,
                         const std::vector<uint8_t>& point_is_core,
                         const Labels& labels, size_t min_pts,
                         AuditLevel level, uint64_t seed);
-
-/// Audits a multi-process sharded Phase I-2 assembly (the shard-boundary
-/// contract of parallel/shard/shard_executor.h): rebuilds the dictionary
-/// single-process over the same cells and checks the sharded dictionary's
-/// Serialize() bytes — the Lemma 4.3 broadcast payload — are byte-equal,
-/// plus the cell/sub-cell counts. Crossing the process boundary (fork,
-/// container encode/decode, pipe) must be invisible in the assembled
-/// dictionary; any divergence is a shard-protocol bug, not a modeling
-/// difference. O(dictionary) time plus one single-process Build.
-AuditReport AuditShardAssembly(const Dataset& data, const CellSet& cells,
-                               const CellDictionary& sharded,
-                               const CellDictionaryOptions& opts,
-                               ThreadPool* pool = nullptr);
 
 }  // namespace rpdbscan
 

@@ -190,6 +190,8 @@ TEST_F(CliTest, UnknownFlagsFailBeforeInputLoads) {
   // retired engine switch — instead of silently running the defaults.
   const std::pair<std::string, std::string> cases[] = {
       {"--generate=blobs --n=500 --eps=0.5 --perpoint", "--perpoint"},
+      {"--generate=blobs --n=500 --eps=0.5 --shard-workers=2",
+       "--shard-workers"},
       {"--generate=blobs --n=500 --eps=0.5 --epss=2", "--epss"},
       {"hierarchy --generate=blobs --n=500 --eps-levels=0.5,0.7 "
        "--force-probe",
@@ -200,7 +202,7 @@ TEST_F(CliTest, UnknownFlagsFailBeforeInputLoads) {
   };
   for (const auto& [args, flag] : cases) {
     SCOPED_TRACE(args);
-    EXPECT_NE(Run(args), 0);
+    EXPECT_EQ(Run(args), 1);
     const std::string err = Stderr();
     EXPECT_NE(err.find("unknown flag " + flag), std::string::npos) << err;
     EXPECT_EQ(err.find("loaded"), std::string::npos) << err;

@@ -36,21 +36,6 @@ TEST(LoadImbalanceTest, IgnoresNonFiniteAndNegativeTimes) {
   EXPECT_FALSE(std::isnan(LoadImbalance({nan, inf, -inf})));
 }
 
-TEST(PerStageImbalanceTest, OneEntryPerStageInOrder) {
-  const std::vector<StageTaskTimes> stages = {
-      {"phase2", {1.0, 2.0, 4.0}},
-      {"merge", {3.0, 3.0}},
-      {"empty", {}},
-  };
-  const auto per = PerStageImbalance(stages);
-  ASSERT_EQ(per.size(), 3u);
-  EXPECT_EQ(per[0].stage_name, "phase2");
-  EXPECT_DOUBLE_EQ(per[0].imbalance, 4.0);
-  EXPECT_EQ(per[1].stage_name, "merge");
-  EXPECT_DOUBLE_EQ(per[1].imbalance, 1.0);
-  EXPECT_DOUBLE_EQ(per[2].imbalance, 1.0);
-}
-
 TEST(MakespanTest, SingleWorkerSumsTasks) {
   EXPECT_DOUBLE_EQ(MakespanForWorkers({1.0, 2.0, 3.0}, 1), 6.0);
 }

@@ -1,7 +1,7 @@
 // Drives the real rpdbscan_cli binary through the out-of-core flags:
 // convert to .rpds, cluster it --mmap'd under a deliberately small
-// --memory-budget with forked --shard-workers, and check the produced
-// labels byte-equal the ordinary in-RAM run. Mirrors cli_integration_test
+// --memory-budget, and check the produced labels byte-equal the ordinary
+// in-RAM run. Mirrors cli_integration_test
 // (binary path injected via RPDBSCAN_CLI).
 
 #include <gtest/gtest.h>
@@ -48,7 +48,7 @@ class OocoreCliTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(OocoreCliTest, MmapShardedLabelsMatchInRamRun) {
+TEST_F(OocoreCliTest, MmapLabelsMatchInRamRun) {
   const std::string rpds = dir_ + "/pts.rpds";
   ASSERT_EQ(Run("--generate=geolife --n=20000 --seed=5 --convert=" + rpds),
             0);
@@ -57,10 +57,9 @@ TEST_F(OocoreCliTest, MmapShardedLabelsMatchInRamRun) {
   ASSERT_EQ(Run("--input=" + rpds +
                 " --eps=2.0 --minpts=20 --output=" + ram_csv),
             0);
-  // 256k budget over a ~240KB payload forces several spill runs; two
-  // forked shard workers exercise the multi-process Phase I-2.
+  // 256k budget over a ~240KB payload forces several spill runs.
   ASSERT_EQ(Run("--input=" + rpds +
-                " --mmap --memory-budget=256k --shard-workers=2 "
+                " --mmap --memory-budget=256k "
                 "--audit=cheap --eps=2.0 --minpts=20 --stats "
                 "--output=" +
                 mmap_csv),
@@ -72,7 +71,6 @@ TEST_F(OocoreCliTest, MmapShardedLabelsMatchInRamRun) {
   // The stats block must record that the out-of-core path actually ran.
   const std::string out = ReadFile(dir_ + "/stdout.txt");
   EXPECT_NE(out.find("out-of-core phase1"), std::string::npos) << out;
-  EXPECT_NE(out.find("sharded phase I-2"), std::string::npos) << out;
 }
 
 TEST_F(OocoreCliTest, StatsJsonRecordsOocoreFields) {
@@ -80,15 +78,14 @@ TEST_F(OocoreCliTest, StatsJsonRecordsOocoreFields) {
   ASSERT_EQ(Run("--generate=blobs --n=8000 --seed=6 --convert=" + rpds), 0);
   const std::string json_path = dir_ + "/stats.json";
   ASSERT_EQ(Run("--input=" + rpds +
-                " --mmap --memory-budget=128k --shard-workers=2 "
+                " --mmap --memory-budget=128k "
                 "--eps=1.0 --minpts=15 --stats-json=" +
                 json_path),
             0);
   const std::string json = ReadFile(json_path);
   for (const char* key :
        {"\"external_phase1\"", "\"external_chunks\"",
-        "\"external_spill_bytes\"", "\"memory_budget_bytes\"",
-        "\"shard_workers\"", "\"shard_shuffle_bytes\""}) {
+        "\"external_spill_bytes\"", "\"memory_budget_bytes\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   EXPECT_NE(json.find("\"external_phase1\":true"), std::string::npos)
@@ -125,9 +122,13 @@ TEST_F(OocoreCliTest, BadByteSizeAndShardFlagsRejected) {
   EXPECT_NE(Run("--input=" + rpds +
                 " --mmap --memory-budget=0 --eps=1.0 --minpts=10"),
             0);
-  EXPECT_NE(Run("--input=" + rpds +
-                " --shard-workers=-2 --eps=1.0 --minpts=10"),
-            0);
+  // A retired engine flag is refused like any other unknown flag.
+  EXPECT_EQ(Run("--input=" + rpds +
+                " --shard-workers=2 --eps=1.0 --minpts=10"),
+            1);
+  const std::string err = ReadFile(dir_ + "/stderr.txt");
+  EXPECT_NE(err.find("unknown flag --shard-workers"), std::string::npos)
+      << err;
 }
 
 }  // namespace

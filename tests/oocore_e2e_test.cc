@@ -213,7 +213,7 @@ TEST_F(OocoreE2eTest, PeakRssBoundedByBudgetOnOversizedInput) {
 #endif
 }
 
-TEST_F(OocoreE2eTest, FullPipelineLabelsBitIdenticalWithShards) {
+TEST_F(OocoreE2eTest, FullPipelineLabelsBitIdentical) {
 #ifdef RPDBSCAN_UNDER_SANITIZER
   const size_t n = 15000;
 #else
@@ -238,8 +238,7 @@ TEST_F(OocoreE2eTest, FullPipelineLabelsBitIdenticalWithShards) {
   oo.point_source = &*source;
   oo.memory_budget_bytes = 512u << 10;
   oo.spill_dir = dir_;
-  oo.shard_workers = 2;
-  oo.audit_level = AuditLevel::kCheap;  // includes the shard audit
+  oo.audit_level = AuditLevel::kCheap;
   auto oocore = RunRpDbscan(view, oo);
   ASSERT_TRUE(oocore.ok()) << oocore.status();
 
@@ -247,8 +246,6 @@ TEST_F(OocoreE2eTest, FullPipelineLabelsBitIdenticalWithShards) {
   EXPECT_TRUE(oocore->stats.external_phase1);
   EXPECT_GT(oocore->stats.external_chunks, 1u);
   EXPECT_GT(oocore->stats.external_spill_bytes, 0u);
-  EXPECT_EQ(oocore->stats.shard_workers, 2u);
-  EXPECT_GT(oocore->stats.shard_shuffle_bytes, 0u);
   EXPECT_FALSE(plain->stats.external_phase1);
 }
 

@@ -137,60 +137,6 @@ TEST(ServeBatchTest, BatchBitIdenticalToSerialEverywhere) {
   }
 }
 
-TEST(ServeBatchTest, ClassifyEachMatchesClassifyBatch) {
-  const uint64_t seed = TestSeed(6900);
-  SCOPED_TRACE(SeedNote(seed));
-  const Trained t = Train(seed);
-  const Dataset queries = MixedQueries(t.data, 200);
-  const LabelServer server(Load(t.snapshot_bytes, /*stencil=*/true));
-  ThreadPool pool(2);
-
-  std::vector<ServeResult> each;
-  std::vector<ServeResult> batch;
-  ServeStats each_stats;
-  ServeStats batch_stats;
-  ASSERT_TRUE(server.ClassifyEach(queries, pool, &each, &each_stats).ok());
-  ASSERT_TRUE(server.ClassifyBatch(queries, pool, &batch, &batch_stats).ok());
-  ASSERT_EQ(each.size(), batch.size());
-  for (size_t i = 0; i < each.size(); ++i) {
-    ExpectSame(batch[i], each[i], "query " + std::to_string(i));
-  }
-  // Semantic counters agree across paths; the probe counters follow each
-  // path's own accounting (documented on ServeStats).
-  EXPECT_EQ(each_stats.queries, batch_stats.queries);
-  EXPECT_EQ(each_stats.cell_hits, batch_stats.cell_hits);
-  EXPECT_EQ(each_stats.exact, batch_stats.exact);
-  EXPECT_EQ(each_stats.core, batch_stats.core);
-  EXPECT_EQ(each_stats.border, batch_stats.border);
-  EXPECT_EQ(each_stats.noise, batch_stats.noise);
-  EXPECT_EQ(each_stats.border_ref_scans, batch_stats.border_ref_scans);
-}
-
-TEST(ServeBatchTest, GroupingToggleChangesNothing) {
-  const uint64_t seed = TestSeed(7000);
-  SCOPED_TRACE(SeedNote(seed));
-  const Trained t = Train(seed);
-  const Dataset queries = MixedQueries(t.data, 200);
-  const auto snapshot = Load(t.snapshot_bytes, /*stencil=*/true);
-
-  LabelServerOptions grouped_opts;
-  grouped_opts.grouped_batches = true;
-  LabelServerOptions ungrouped_opts;
-  ungrouped_opts.grouped_batches = false;
-  const LabelServer grouped(snapshot, grouped_opts);
-  const LabelServer ungrouped(snapshot, ungrouped_opts);
-
-  ThreadPool pool(2);
-  std::vector<ServeResult> a;
-  std::vector<ServeResult> b;
-  ASSERT_TRUE(grouped.ClassifyBatch(queries, pool, &a).ok());
-  ASSERT_TRUE(ungrouped.ClassifyBatch(queries, pool, &b).ok());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ExpectSame(a[i], b[i], "query " + std::to_string(i));
-  }
-}
-
 TEST(ServeBatchTest, BatchLatencySamplesOnePerQuery) {
   const uint64_t seed = TestSeed(7100);
   SCOPED_TRACE(SeedNote(seed));
@@ -221,7 +167,6 @@ TEST(ServeBatchTest, DimensionMismatchRejected) {
   const Dataset wrong = synth::Blobs(10, 2, 1.0, seed, 2);
   std::vector<ServeResult> out;
   EXPECT_FALSE(server.ClassifyBatch(wrong, pool, &out).ok());
-  EXPECT_FALSE(server.ClassifyEach(wrong, pool, &out).ok());
 }
 
 }  // namespace

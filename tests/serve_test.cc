@@ -174,30 +174,32 @@ TEST(ServeTest, BatchRejectsQueriesItCannotServe) {
   ASSERT_TRUE(run.ok()) << run.status();
   auto snap = ClusterModelSnapshot::FromModel(std::move(*run->model));
   ASSERT_TRUE(snap.ok()) << snap.status();
-  const LabelServer server(
-      std::make_shared<const ClusterModelSnapshot>(std::move(*snap)));
+  const std::vector<uint8_t> bytes = snap->Serialize();
   ThreadPool pool(2);
   std::vector<ServeResult> results;
-  const Dataset wrong = synth::Blobs(10, 1, 1.0, 42, /*dim=*/3);
-  const Status s = server.ClassifyBatch(wrong, pool, &results);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  // A stencil snapshot runs the grouped batch loop, a stencil-less one
+  // the per-query loop; both must reject the same batches.
+  for (const bool stencil : {true, false}) {
+    SCOPED_TRACE(stencil ? "grouped loop" : "per-query loop");
+    const LabelServer server(Load(bytes, stencil));
+    const Dataset wrong = synth::Blobs(10, 1, 1.0, 42, /*dim=*/3);
+    const Status s = server.ClassifyBatch(wrong, pool, &results);
+    EXPECT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 
-  // Binning NaN, +-Inf or a coordinate beyond the int32 cell lattice is
-  // undefined behaviour, so both batch paths refuse such a batch up front
-  // and name the offending query and dimension.
-  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
-                          std::numeric_limits<float>::infinity(),
-                          -std::numeric_limits<float>::infinity(), 1e30f}) {
-    SCOPED_TRACE("bad coordinate " + std::to_string(bad));
-    Dataset queries(2);
-    for (size_t i = 0; i < 4; ++i) {
-      queries.Append({ds.point(i)[0], ds.point(i)[1]});
-    }
-    queries.Append({ds.point(4)[0], bad});
-    for (const bool grouped : {true, false}) {
-      const Status q = grouped ? server.ClassifyBatch(queries, pool, &results)
-                               : server.ClassifyEach(queries, pool, &results);
+    // Binning NaN, +-Inf or a coordinate beyond the int32 cell lattice is
+    // undefined behaviour, so the batch is refused up front, naming the
+    // offending query and dimension.
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 1e30f}) {
+      SCOPED_TRACE("bad coordinate " + std::to_string(bad));
+      Dataset queries(2);
+      for (size_t i = 0; i < 4; ++i) {
+        queries.Append({ds.point(i)[0], ds.point(i)[1]});
+      }
+      queries.Append({ds.point(4)[0], bad});
+      const Status q = server.ClassifyBatch(queries, pool, &results);
       EXPECT_EQ(q.code(), StatusCode::kInvalidArgument) << q;
       EXPECT_NE(q.message().find("point 4 dimension 1"), std::string::npos)
           << q;

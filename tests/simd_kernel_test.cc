@@ -2,15 +2,14 @@
 // any lane block the detected vector kernel must return the exact same
 // density as the header-inline scalar reference — the property that makes
 // SIMD dispatch invisible to clustering results. Also covers the
-// RPDBSCAN_FORCE_SCALAR escape hatch and the end-to-end pipeline
-// guarantee (labels bit-identical with kernels forced scalar).
+// end-to-end pipeline guarantee (labels bit-identical with kernels forced
+// scalar).
 #include "core/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -202,16 +201,6 @@ TEST(SimdKernelTest, GroupBoundsMatchesScalarBitExactly) {
       }
     }
   }
-}
-
-TEST(SimdKernelTest, ForceScalarEnvironmentOverride) {
-  const SimdLevel unforced = DetectSimdLevel();
-  ASSERT_EQ(setenv("RPDBSCAN_FORCE_SCALAR", "1", 1), 0);
-  EXPECT_EQ(DetectSimdLevel(), SimdLevel::kScalar);
-  ASSERT_EQ(setenv("RPDBSCAN_FORCE_SCALAR", "0", 1), 0);
-  EXPECT_EQ(DetectSimdLevel(), unforced);
-  ASSERT_EQ(unsetenv("RPDBSCAN_FORCE_SCALAR"), 0);
-  EXPECT_EQ(DetectSimdLevel(), unforced);
 }
 
 TEST(SimdKernelTest, PipelineLabelsIdenticalScalarVsDispatch) {

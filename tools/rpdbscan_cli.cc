@@ -90,10 +90,6 @@ constexpr char kUsage[] = R"(usage: rpdbscan_cli [flags]
                           bit-identical to the in-RAM path
     --memory-budget=B     rp only: working-set budget for --mmap runs;
                           bytes with optional k/m/g suffix (default 64m)
-    --shard-workers=W     rp only: build the Phase I-2 dictionary in W
-                          forked worker processes, each shipping its
-                          sub-dictionary shard back over a pipe
-                          (default 0 = in-process)
     --audit[=LEVEL]       rp only: audit pipeline invariants between
                           phases; LEVEL is off|cheap|full (bare --audit
                           means full). Violations fail the run.
@@ -322,7 +318,7 @@ const std::vector<std::string> kInputFlags = {"help", "input", "generate",
 // The flags RpOptionsFromFlags reads.
 const std::vector<std::string> kRpFlags = {
     "eps", "minpts", "rho", "partitions", "threads", "scalar-kernels",
-    "sequential-merge", "shard-workers", "memory-budget", "audit"};
+    "sequential-merge", "memory-budget", "audit"};
 
 /// Prints "unknown flag --X" plus the usage and returns false when
 /// `flags` holds a flag outside every group of `known`.
@@ -365,12 +361,6 @@ StatusOr<RpDbscanOptions> RpOptionsFromFlags(const FlagSet& flags) {
   o.num_threads = static_cast<size_t>(*threads_or);
   o.scalar_kernels = flags.GetBool("scalar-kernels");
   o.sequential_merge = flags.GetBool("sequential-merge");
-  auto shard_or = flags.GetInt("shard-workers", 0);
-  if (!shard_or.ok()) return shard_or.status();
-  if (*shard_or < 0) {
-    return Status::InvalidArgument("--shard-workers must be >= 0");
-  }
-  o.shard_workers = static_cast<size_t>(*shard_or);
   const std::string budget = flags.GetString("memory-budget");
   if (!budget.empty()) {
     auto budget_or = ParseByteSize(budget);

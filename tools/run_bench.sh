@@ -8,19 +8,9 @@
 #     engines (BM_MergeForest: edge-parallel lock-free
 #     union-find vs sequential tournament at 1/2/4 threads), plus the
 #     Fig. 12 phase breakdown -> BENCH_phase2.json
-#   * Serving layer (bench_serve): grouped-batch vs per-query label
-#     queries/sec against a frozen snapshot at 1/2/4 threads, with
-#     latency percentiles -> BENCH_serve.json (validated below: both
-#     modes and the percentile fields must be present)
-#   * Streaming epochs (bench_stream): incremental PublishEpoch latency
-#     vs a from-scratch run at swept ingest batch sizes ->
-#     BENCH_stream.json (validated below: epoch rows with dirty-cell and
-#     ratio fields, plus release provenance)
-#   * Out-of-core + sharding (bench_oocore): external Phase I-1 vs in-RAM
-#     over a memory-mapped .rpds, plus measured multi-process shard runs
-#     at 1/2/4 forked workers with shuffle bytes and predicted-vs-measured
-#     makespan -> BENCH_oocore.json (validated below: bit-identity flag,
-#     shard rows at 1/2/4 workers, release provenance)
+#   * Out-of-core Phase I-1 (bench_oocore): external build vs in-RAM
+#     over a memory-mapped .rpds -> BENCH_oocore.json (validated below:
+#     spill accounting, bit-identity flag, release provenance)
 #   * Multi-eps hierarchy (bench_hierarchy): one shared-dictionary sweep
 #     vs N independent runs at the same (eps, minPts) settings, plus a
 #     sampled-core ladder scored against the exact one ->
@@ -29,8 +19,8 @@
 #     ratio, release provenance)
 #
 # Usage: tools/run_bench.sh [--smoke] [--allow-debug] [BUILD_DIR]
-#                           [OUTPUT_JSON] [PHASE1_JSON] [SERVE_JSON]
-#                           [STREAM_JSON] [OOCORE_JSON] [HIERARCHY_JSON]
+#                           [OUTPUT_JSON] [PHASE1_JSON] [OOCORE_JSON]
+#                           [HIERARCHY_JSON]
 #   --smoke        tiny data (RPDBSCAN_BENCH_SCALE=0.02) + short min_time;
 #                  used by the `run_bench_smoke` ctest entry.
 #   --allow-debug  permit a non-Release build dir. Without it the script
@@ -40,13 +30,8 @@
 #   OUTPUT_JSON  Phase II output path (default: ./BENCH_phase2.json)
 #   PHASE1_JSON  Phase I output path (default: OUTPUT_JSON with "phase2"
 #                replaced by "phase1", else ./BENCH_phase1.json)
-#   SERVE_JSON   serving-layer output path (default: OUTPUT_JSON with
-#                "phase2" replaced by "serve", else ./BENCH_serve.json)
-#   STREAM_JSON  streaming-epoch output path (default: OUTPUT_JSON with
-#                "phase2" replaced by "stream", else ./BENCH_stream.json)
-#   OOCORE_JSON  out-of-core/sharding output path (default: OUTPUT_JSON
-#                with "phase2" replaced by "oocore", else
-#                ./BENCH_oocore.json)
+#   OOCORE_JSON  out-of-core output path (default: OUTPUT_JSON with
+#                "phase2" replaced by "oocore", else ./BENCH_oocore.json)
 #   HIERARCHY_JSON  multi-eps hierarchy output path (default: OUTPUT_JSON
 #                with "phase2" replaced by "hierarchy", else
 #                ./BENCH_hierarchy.json)
@@ -71,28 +56,14 @@ if [[ -z "$OUT1_JSON" ]]; then
     OUT1_JSON="BENCH_phase1.json"
   fi
 fi
-OUT_SERVE_JSON="${4:-}"
-if [[ -z "$OUT_SERVE_JSON" ]]; then
-  OUT_SERVE_JSON="${OUT_JSON//phase2/serve}"
-  if [[ "$OUT_SERVE_JSON" == "$OUT_JSON" ]]; then
-    OUT_SERVE_JSON="BENCH_serve.json"
-  fi
-fi
-OUT_STREAM_JSON="${5:-}"
-if [[ -z "$OUT_STREAM_JSON" ]]; then
-  OUT_STREAM_JSON="${OUT_JSON//phase2/stream}"
-  if [[ "$OUT_STREAM_JSON" == "$OUT_JSON" ]]; then
-    OUT_STREAM_JSON="BENCH_stream.json"
-  fi
-fi
-OUT_OOCORE_JSON="${6:-}"
+OUT_OOCORE_JSON="${4:-}"
 if [[ -z "$OUT_OOCORE_JSON" ]]; then
   OUT_OOCORE_JSON="${OUT_JSON//phase2/oocore}"
   if [[ "$OUT_OOCORE_JSON" == "$OUT_JSON" ]]; then
     OUT_OOCORE_JSON="BENCH_oocore.json"
   fi
 fi
-OUT_HIERARCHY_JSON="${7:-}"
+OUT_HIERARCHY_JSON="${5:-}"
 if [[ -z "$OUT_HIERARCHY_JSON" ]]; then
   OUT_HIERARCHY_JSON="${OUT_JSON//phase2/hierarchy}"
   if [[ "$OUT_HIERARCHY_JSON" == "$OUT_JSON" ]]; then
@@ -141,12 +112,10 @@ PY
 
 BENCH_MICRO="$BUILD_DIR/bench/bench_micro"
 BENCH_FIG12="$BUILD_DIR/bench/bench_fig12_breakdown"
-BENCH_SERVE="$BUILD_DIR/bench/bench_serve"
-BENCH_STREAM="$BUILD_DIR/bench/bench_stream"
 BENCH_OOCORE="$BUILD_DIR/bench/bench_oocore"
 BENCH_HIERARCHY="$BUILD_DIR/bench/bench_hierarchy"
-for bin in "$BENCH_MICRO" "$BENCH_FIG12" "$BENCH_SERVE" "$BENCH_STREAM" \
-           "$BENCH_OOCORE" "$BENCH_HIERARCHY"; do
+for bin in "$BENCH_MICRO" "$BENCH_FIG12" "$BENCH_OOCORE" \
+           "$BENCH_HIERARCHY"; do
   if [[ ! -x "$bin" ]]; then
     echo "run_bench.sh: missing binary $bin (build the project first)" >&2
     exit 1
@@ -190,86 +159,11 @@ check_provenance "$TMP_DIR/merge.json"
 echo "== Phase breakdown (bench_fig12_breakdown, scale=$SCALE) =="
 RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_FIG12" | tee "$TMP_DIR/fig12.txt"
 
-echo "== Serving layer (bench_serve, scale=$SCALE) =="
-RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_SERVE" "$OUT_SERVE_JSON"
-
-# A serve report without both classification modes or without latency
-# percentiles is a regression in the bench itself — fail loudly rather
-# than quietly recording a report later tooling can't compare.
-python3 - "$OUT_SERVE_JSON" <<'PY'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    report = json.load(f)
-
-required_run_keys = (
-    "threads", "queries_per_second",
-    "latency_p50_us", "latency_p99_us", "latency_p999_us",
-)
-for mode in ("per_query_runs", "batched_runs"):
-    runs = report.get(mode)
-    if not runs:
-        sys.exit(f"{path}: missing or empty '{mode}'")
-    for run in runs:
-        for key in required_run_keys:
-            if key not in run:
-                sys.exit(f"{path}: {mode} entry lacks '{key}'")
-for key in ("hardware_concurrency", "batched_speedup"):
-    if key not in report:
-        sys.exit(f"{path}: missing '{key}'")
-print(f"{path}: serve report OK "
-      f"(batched speedup {report['batched_speedup']:.2f}x)")
-PY
-
-echo "== Streaming epochs (bench_stream, scale=$SCALE) =="
-RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_STREAM" "$OUT_STREAM_JSON"
-
-# The stream report must carry per-batch-size epoch rows (dirty-cell and
-# incremental-vs-scratch ratio fields) and release provenance — the
-# binary's own build_type field, same authority as the google-benchmark
-# context check above.
-python3 - "$OUT_STREAM_JSON" "$ALLOW_DEBUG" <<'PY'
-import json
-import sys
-
-path, allow_debug = sys.argv[1], sys.argv[2] == "1"
-with open(path) as f:
-    report = json.load(f)
-
-bt = report.get("build_type")
-if bt != "release" and not allow_debug:
-    sys.exit(f"run_bench.sh: {path} reports build_type={bt!r}, not "
-             "'release' — rebuild with -DCMAKE_BUILD_TYPE=Release (or "
-             "pass --allow-debug for smoke/CI runs).")
-
-runs = report.get("epoch_runs")
-if not runs:
-    sys.exit(f"{path}: missing or empty 'epoch_runs'")
-required = (
-    "batch_points", "epochs", "total_cells", "dirty_cells_mean",
-    "dirty_fraction_mean", "reclustered_points_mean",
-    "epoch_seconds_mean", "scratch_seconds_mean",
-    "ratio_incremental_over_scratch",
-)
-for run in runs:
-    for key in required:
-        if key not in run:
-            sys.exit(f"{path}: epoch_runs entry lacks '{key}'")
-best = min(runs, key=lambda r: r["ratio_incremental_over_scratch"])
-print(f"{path}: stream report OK (best ratio "
-      f"{best['ratio_incremental_over_scratch']:.2f} at "
-      f"batch_points={best['batch_points']}, dirty fraction "
-      f"{best['dirty_fraction_mean']:.1%})")
-PY
-
-echo "== Out-of-core + sharding (bench_oocore, scale=$SCALE) =="
+echo "== Out-of-core Phase I-1 (bench_oocore, scale=$SCALE) =="
 RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_OOCORE" "$OUT_OOCORE_JSON"
 
-# The oocore report must prove the external build stayed bit-identical,
-# carry shard rows at 1/2/4 workers with shuffle bytes and the
-# predicted-vs-measured makespan error, and record release provenance.
+# The oocore report must carry the spill accounting, prove the external
+# build stayed bit-identical, and record release provenance.
 python3 - "$OUT_OOCORE_JSON" "$ALLOW_DEBUG" <<'PY'
 import json
 import sys
@@ -295,30 +189,9 @@ for key in ("memory_budget_bytes", "chunks", "runs", "spill_bytes",
 if phase1["bit_identical"] is not True:
     sys.exit(f"{path}: external Phase I-1 diverged from the in-RAM build")
 
-runs = report.get("shard_runs")
-if not runs:
-    sys.exit(f"{path}: missing or empty 'shard_runs'")
-required = (
-    "workers", "wall_seconds", "speedup_vs_1_worker",
-    "predicted_makespan_host_seconds", "predicted_vs_measured_error",
-    "worker_imbalance", "shuffle_bytes_total", "shard_bytes",
-)
-for run in runs:
-    for key in required:
-        if key not in run:
-            sys.exit(f"{path}: shard_runs entry lacks '{key}'")
-    if not run["shuffle_bytes_total"]:
-        sys.exit(f"{path}: {run['workers']}-worker run shipped no bytes")
-workers = sorted(r["workers"] for r in runs)
-if workers != [1, 2, 4]:
-    sys.exit(f"{path}: shard_runs cover workers={workers}, want [1, 2, 4]")
-if "shuffle_over_payload_ratio" not in report:
-    sys.exit(f"{path}: missing 'shuffle_over_payload_ratio'")
-widest = max(runs, key=lambda r: r["workers"])
 print(f"{path}: oocore report OK (chunks={phase1['chunks']}, "
-      f"runs={phase1['runs']}, {widest['workers']}-worker speedup "
-      f"{widest['speedup_vs_1_worker']:.2f}x, shuffle/payload "
-      f"{report['shuffle_over_payload_ratio']:.3f})")
+      f"runs={phase1['runs']}, external {phase1['external_seconds']:.3f}s "
+      f"vs in-RAM {phase1['in_ram_seconds']:.3f}s)")
 PY
 
 echo "== Multi-eps hierarchy (bench_hierarchy, scale=$SCALE) =="

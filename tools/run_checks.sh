@@ -6,9 +6,8 @@
 #      Includes the lattice-stencil engine suites (stencil_query_test,
 #      lattice_stencil_test), the out-of-core layer (mmap_dataset_test,
 #      external_phase1_test's spill/merge paths, oocore_e2e_test with the
-#      forked-child builds at sanitizer-reduced sizes), the multi-process
-#      shard executor + wire protocol (shard_executor_test,
-#      oocore_cli_test), the hierarchy metrics + stencil-family suites
+#      forked-child builds at sanitizer-reduced sizes, oocore_cli_test),
+#      the hierarchy metrics + stencil-family suites
 #      (hausdorff_test, metrics_edge_case_test, stencil_prefix_test's
 #      randomized prefix-vs-probe ladders), and, with NDEBUG off, the
 #      sub-cell-range MBR containment assertions in ProcessCellBatched.

@@ -817,7 +817,10 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
               continue;  // unreachable from any point
             }
             const uint32_t slot = base + local_cell;
-            if (pair_max2 <= contained2) {
+            if (pair_max2 <= contained2 ||
+                (static_cast<int64_t>(slot) == src_slot &&
+                 OwnCentersContained(slot, mbr_lo, mbr_hi, disjoint2,
+                                     contained2))) {
               take_always(slot);
               continue;
             }
@@ -872,10 +875,16 @@ size_t CellDictionary::QueryCellStencil(const CellCoord& cell,
   const bool class_filter = budget_q < stencil_.budget();
   const int32_t* src_coords =
       ref_coords_.data() + static_cast<size_t>(src_slot) * dim;
+  // Two prefetch streams: the per-slot metadata well ahead, and the MBR
+  // it points to a few entries ahead, once that metadata has arrived.
   constexpr size_t kMetaPrefetchAhead = 8;
+  constexpr size_t kMbrPrefetchAhead = 4;
   for (size_t j = 0; j < count; ++j) {
     if (j + kMetaPrefetchAhead < count) {
       __builtin_prefetch(&slot_meta_[nbr[j + kMetaPrefetchAhead]]);
+    }
+    if (j + kMbrPrefetchAhead < count) {
+      __builtin_prefetch(slot_meta_[nbr[j + kMbrPrefetchAhead]].mbr);
     }
     if (class_filter && j != 0) {
       const int32_t* nc =
@@ -896,10 +905,12 @@ size_t CellDictionary::QueryCellStencil(const CellCoord& cell,
                            disjoint2, &pair_min2, &pair_max2)) {
       continue;  // unreachable from any point
     }
-    if (pair_max2 <= contained2) {
+    // j == 0 is the source cell itself (the list stores it first;
+    // stencil offsets are non-zero, so no other entry can equal it).
+    if (pair_max2 <= contained2 ||
+        (j == 0 && OwnCentersContained(nbr[0], mbr_lo, mbr_hi, disjoint2,
+                                       contained2))) {
       out->always_count += sm.total_count;
-      // j == 0 is the source cell itself (the list stores it first;
-      // stencil offsets are non-zero, so no other entry can equal it).
       if (j != 0) out->always_neighbors.push_back(sm.cell_id);
       continue;
     }
@@ -924,50 +935,61 @@ void CellDictionary::SortAndFlattenMaybes(CandidateCellList* out) const {
               return a.cell_id < b.cell_id;
             });
 
-  // Lay out per-candidate metadata in sorted order; sub-cell lanes stay
-  // in the sub-dictionaries' contiguous storage, referenced by pointer.
-  // Sized up front and written by index — this runs once per maybe-cell
-  // per source cell, and the per-element growth checks of push_back were
-  // measurable in the Phase II profile. Every field is copied from the
-  // per-slot metadata table in one load per candidate; the candidate MBRs
-  // additionally land in a dimension-major lane-padded layout so the
-  // per-point vector bounds kernel (core/simd.h) strides whole lanes.
-  const size_t dim = geom_.dim();
+  // Lay out per-candidate metadata in sorted order; MBRs and sub-cell
+  // lanes stay in the sub-dictionaries' contiguous storage, referenced by
+  // pointer. Sized up front and written by index — this runs once per
+  // maybe-cell per source cell, and the per-element growth checks of
+  // push_back were measurable in the Phase II profile. Every field is
+  // copied from the per-slot metadata table in one load per candidate.
   const size_t m = out->maybe_refs.size();
-  const size_t mp =
-      (m + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
-  out->maybe_stride = mp;
   out->cell_ids.resize(m);
-  out->mbr_lo_t.resize(mp * dim);
-  out->mbr_hi_t.resize(mp * dim);
+  out->mbrs.resize(m);
   out->total_counts.resize(m);
   out->lane_centers.resize(m);
   out->lane_counts.resize(m);
   out->lane_padded.resize(m);
-  float* lo_t = out->mbr_lo_t.data();
-  float* hi_t = out->mbr_hi_t.data();
   for (size_t i = 0; i < m; ++i) {
     const CandidateCellList::MaybeRef& ref = out->maybe_refs[i];
     const SlotMeta& sm = slot_meta_[ref.slot];
     out->cell_ids[i] = ref.cell_id;
-    for (size_t d = 0; d < dim; ++d) {
-      lo_t[d * mp + i] = sm.mbr[d];
-      hi_t[d * mp + i] = sm.mbr[dim + d];
-    }
+    out->mbrs[i] = sm.mbr;
     out->total_counts[i] = sm.total_count;
     out->lane_centers[i] = sm.lane_centers;
     out->lane_counts[i] = sm.lane_counts;
     out->lane_padded[i] = sm.lane_padded;
   }
-  // Padding lanes must still be *initialized* floats (the vector bounds
-  // kernel computes them and throws the result away): replicate the last
-  // candidate, or zeros when there is none.
-  for (size_t i = m; i < mp; ++i) {
-    for (size_t d = 0; d < dim; ++d) {
-      lo_t[d * mp + i] = m > 0 ? lo_t[d * mp + (m - 1)] : 0.0f;
-      hi_t[d * mp + i] = m > 0 ? hi_t[d * mp + (m - 1)] : 0.0f;
-    }
+}
+
+bool CellDictionary::OwnCentersContained(uint32_t slot, const float* mbr_lo,
+                                         const float* mbr_hi,
+                                         double disjoint2,
+                                         double contained2) const {
+  // Measured against its own occupied-sub-cell MBR, a fully occupied cell
+  // spans a diagonal of eps plus the outward ulps and so is never
+  // contained. The lane kernel only ever tests sub-cell centers, though,
+  // and those lie in the center box, inset half a sub-cell per face: the
+  // largest point-to-center gap is eps * (1 - 2^-h). Every point lies in
+  // [mbr_lo, mbr_hi] and every center in the center box, so
+  // MbrPairDistBounds' monotone-rounding argument applies unchanged.
+  // Where the inset falls below a float ulp of the coordinates (very
+  // small rho), the centers round onto the MBR faces, the test fails and
+  // the cell stays a maybe — still exact.
+  const size_t dim = geom_.dim();
+  const SlotMeta& sm = slot_meta_[slot];
+  const GlobalCellRef& ref = cell_refs_[slot];
+  const uint32_t n = ref.subcell_end - ref.subcell_begin;
+  float lo[CellCoord::kMaxDim];
+  float hi[CellCoord::kMaxDim];
+  for (size_t d = 0; d < dim; ++d) {
+    const float* lane = sm.lane_centers + d * sm.lane_padded;
+    lo[d] = *std::min_element(lane, lane + n);
+    hi[d] = *std::max_element(lane, lane + n);
   }
+  double min2 = 0.0;
+  double max2 = 0.0;
+  return MbrPairDistBounds(mbr_lo, mbr_hi, lo, hi, dim, disjoint2, &min2,
+                           &max2) &&
+         max2 <= contained2;
 }
 
 size_t CellDictionary::SizeBitsLemma43() const {

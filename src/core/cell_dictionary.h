@@ -195,7 +195,9 @@ struct CellEntry {
 /// (valid for every query point in the source cell):
 ///  * "always" cells, provably eps-contained for any point of the source
 ///    cell: pre-summed into `always_count` (the containment fast path of
-///    Example 5.5 hoisted from point to cell level);
+///    Example 5.5 hoisted from point to cell level). The source cell is
+///    measured against the box of its own sub-cell centers, so a fully
+///    occupied source cell lands here too;
 ///  * "maybe" cells, needing the per-point containment / sub-cell distance
 ///    tests, stored as parallel arrays plus a flattened copy of their
 ///    sub-cell centers and densities.
@@ -203,26 +205,19 @@ struct CellEntry {
 /// gather time.
 struct CandidateCellList {
   /// Summed density of the always-contained cells (source cell included
-  /// when its own box fits every query ball).
+  /// when its own sub-cell centers lie within every query ball).
   uint64_t always_count = 0;
   /// Ids of the always-contained cells, source cell excluded — for a core
   /// point every one of them is a neighbor cell.
   std::vector<uint32_t> always_neighbors;
 
   // --- "maybe" cells, one entry per cell (SoA), sorted by ascending
-  // --- MBR-to-MBR distance to the source cell so per-point scans hit the
-  // --- densest/nearest candidates first and exit at min_pts early. ---
+  // --- MBR-to-MBR distance to the source cell so the tile scan meets the
+  // --- densest/nearest candidates first and exits at min_pts early. ---
   std::vector<uint32_t> cell_ids;
-  /// Tight per-candidate bounds for the per-point min/max distance tests:
-  /// each candidate's occupied-sub-cell MBR (precomputed at Assemble),
-  /// laid out dimension-major and padded to maybe_stride so the vector
-  /// bounds kernel (core/simd.h PointBoundsFn) strides whole lanes —
-  /// dimension d of candidate i sits at mbr_lo_t[d * maybe_stride + i].
-  std::vector<float> mbr_lo_t;
-  std::vector<float> mbr_hi_t;
-  /// num_maybe() rounded up to kSimdLaneWidth: the lane stride of the
-  /// transposed MBR arrays above.
-  size_t maybe_stride = 0;
+  /// Each candidate's occupied-sub-cell MBR (SubDictionary::cell_mbr,
+  /// 2 * dim floats: lo then hi), the box the per-point bounds measure.
+  std::vector<const float*> mbrs;
   /// Total density per cell (the containment fast-path contribution).
   std::vector<uint32_t> total_counts;
   /// Lane-major sub-cell views of the candidates (SubDictionary lane
@@ -249,9 +244,7 @@ struct CandidateCellList {
     always_count = 0;
     always_neighbors.clear();
     cell_ids.clear();
-    mbr_lo_t.clear();
-    mbr_hi_t.clear();
-    maybe_stride = 0;
+    mbrs.clear();
     total_counts.clear();
     lane_centers.clear();
     lane_counts.clear();
@@ -394,12 +387,14 @@ class CellDictionary {
   /// whole, a contained node puts every cell below it into the pre-summed
   /// group in one step, and only partial leaves classify cell by cell.
   /// Bounds are monotone under box containment, so a node's verdict is
-  /// each of its cells' verdict. The classification is conservative (tiny
-  /// relative margins push borderline cells into the per-point group), so
-  /// scanning `*out` reproduces Query() exactly for every point inside the
-  /// MBR: a contained candidate's sub-cell centers all lie within eps (its
-  /// whole density counts, as Query would), a disjoint candidate's never
-  /// do.
+  /// each of its cells' verdict. A source cell these bounds leave a maybe
+  /// gets a second test against the box of its own sub-cell centers
+  /// (OwnCentersContained), so a fully occupied source is pre-summed too.
+  /// The classification is conservative (tiny relative margins push
+  /// borderline cells into the per-point group), so scanning `*out`
+  /// reproduces Query() exactly for every point inside the MBR: a
+  /// contained candidate's sub-cell centers all lie within eps (its whole
+  /// density counts, as Query would), a disjoint candidate's never do.
   ///
   /// Returns the number of sub-dictionaries inspected after MBR skipping,
   /// here at most one visit per sub-dictionary per *cell* (vs per point
@@ -415,12 +410,13 @@ class CellDictionary {
   /// stencil instead of per-sub-dictionary tree descent. Every cell any
   /// query point can match has integer lattice distance class m(o) <= d,
   /// so the stencil covers it; hits are classified with QueryCell's
-  /// MBR-to-MBR arithmetic and margins verbatim, and the per-point
-  /// tests downstream reuse Query()'s exact arithmetic — so results
-  /// cannot differ. (The candidate *lists* may differ in
-  /// provably-zero-match cells: the tree path's Lemma 5.10 MBR skipping
-  /// can drop cells the stencil still classifies. Both prunings are
-  /// sound, which is all the downstream scan needs.)
+  /// MBR-to-MBR arithmetic and margins verbatim (the source cell's center
+  /// box test included), and the per-point tests downstream reuse
+  /// Query()'s exact arithmetic — so results cannot differ. (The
+  /// candidate *lists* may differ in provably-zero-match cells: the tree
+  /// path's Lemma 5.10 MBR skipping can drop cells the stencil still
+  /// classifies. Both prunings are sound, which is all the downstream
+  /// scan needs.)
   ///
   /// The engine's unique lever: which dictionary cells occupy a source
   /// cell's stencil window is a pure function of the lattice — not of the
@@ -559,6 +555,15 @@ class CellDictionary {
   /// Shared tail of QueryCell / QueryCellStencil: nearest-first sort of
   /// the maybe group and the SoA flattening.
   void SortAndFlattenMaybes(CandidateCellList* out) const;
+
+  /// The source cell's own classification, shared by QueryCell and
+  /// QueryCellStencil for a source its MBR-to-MBR bounds left a maybe:
+  /// true when the box of the cell's sub-cell centers (the min/max over
+  /// its occupied lane slots) is provably within the query radius of
+  /// every point of the point MBR [mbr_lo, mbr_hi].
+  bool OwnCentersContained(uint32_t slot, const float* mbr_lo,
+                           const float* mbr_hi, double disjoint2,
+                           double contained2) const;
 
   /// Everything candidate classification and the SoA flatten need about
   /// one dictionary cell, resolved to direct pointers once at Assemble

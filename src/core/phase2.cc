@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
 
 #include "parallel/parallel_for.h"
@@ -34,62 +35,67 @@ namespace {
 /// hot loop never reallocates once the high-water marks are reached.
 struct Phase2Scratch {
   CandidateCellList candidates;
-  std::vector<uint32_t> neighbor_cells;
   std::vector<uint32_t> cell_edges;
-  /// Per maybe-candidate: 1 once any core point of the current cell has
-  /// matched it (the cell's edge set is a union over core points, so a
-  /// matched candidate never needs re-evaluation for later points).
+  /// Per maybe-candidate: 1 once any core point of the current cell is
+  /// known to match it (the cell's edge set is a union over core points,
+  /// so a matched candidate never needs another test).
   std::vector<uint8_t> maybe_matched;
   /// suffix_remaining[i] = sum of total_counts[i..): the most density the
   /// still-unscanned candidates could add. Exact upper bound (matched
-  /// never exceeds total), so pass 1 can abandon a point the moment
+  /// never exceeds total), so pass 1 can drop a point the moment
   /// count + suffix_remaining[i] < min_pts.
   std::vector<uint64_t> suffix_remaining;
-  /// Per maybe-candidate squared lower bound from the current point to the
-  /// candidate's MBR, filled by the vector bounds kernel (PointBoundsFn)
-  /// once per point before the candidate scan. Sized to the padded
-  /// maybe_stride — the kernel stores whole lanes.
-  std::vector<double> point_min2;
+  /// The cell's points, row-major in point-list order: the gather source
+  /// of the multi-count kernel (SubcellCountMultiFn).
+  std::vector<float> q;
+  /// Per point of the cell: the candidate index after which it was proven
+  /// core (0 for seeded points and points the always group alone makes
+  /// core), kNotCore otherwise.
+  std::vector<uint32_t> exit;
+  /// Per point of the cell: its pass-1 density so far.
+  std::vector<uint64_t> count;
+  /// Pass 1's undecided points, compacted in order as points leave: their
+  /// point-list indices and their coordinates transposed dimension-major
+  /// at lane stride `live_stride` (GroupBoundsFn's layout).
+  std::vector<uint32_t> live;
+  std::vector<float> live_t;
+  /// Pass-1 matches of points not yet core, staged as
+  /// (candidate << 32 | point-list index): each becomes an edge once its
+  /// point is core.
+  std::vector<uint64_t> staged;
+  /// Core points in exit order (ties in point-list order) and their
+  /// coordinates transposed at lane stride: pass 2's search set.
+  std::vector<uint32_t> core;
+  std::vector<float> core_t;
+  /// GroupBoundsFn outputs, padded to the lane width, and the points a
+  /// tile routes to the lane kernel (point-list indices) with the
+  /// kernel's results.
+  std::vector<double> min2;
+  std::vector<double> max2;
+  std::vector<uint32_t> kidx;
+  std::vector<uint32_t> kout;
 };
 
-/// The per-point kernels below are templated on a compile-time dimension
-/// (kDim == 0 falls back to the runtime value): with the trip count a
-/// constant, the compiler fully unrolls the per-dimension loops and the
-/// inlined DistanceSquared. Unrolling a fixed-order sequential double
-/// accumulation does not reassociate it, so every sum is bit-identical
-/// to the runtime-dim path — the dispatch is pure speed.
+constexpr uint32_t kNotCore = std::numeric_limits<uint32_t>::max();
 
-/// Per-point squared upper bound to a maybe-candidate's occupied-sub-cell
-/// MBR, read from the transposed (dimension-major, maybe_stride-strided)
-/// candidate arrays. The matching lower bound is precomputed for all
-/// candidates at once by the vector bounds kernel (core/simd.h
-/// PointBoundsFn) into Phase2Scratch::point_min2; the upper bound is only
-/// evaluated for candidates whose lower bound already passed, so it stays
-/// a scalar on-demand computation.
-///
-/// Correctness of the MBR-based fast paths: every sub-cell center of the
-/// candidate lies inside its occupied-sub-cell MBR, so max2 <= eps2
-/// proves every center within eps (the lane kernel would count the full
-/// total) and min2 > eps2 proves none is (the kernel would count zero).
-/// Both shortcuts return exactly what the kernel would, so per-point
-/// densities — and with them labels — are bit-identical to a run without
-/// the bounds.
-template <size_t kDim>
-inline double PointMbrMaxDist2(const float* lo_t, const float* hi_t,
-                               size_t stride, size_t i, const float* p,
-                               size_t dim_rt) {
-  const size_t dim = kDim ? kDim : dim_rt;
-  double mx = 0.0;
+/// Pass 2's chunk widths: a first chunk of 4 (most unmatched candidates
+/// are matched by one of the first core points), then the multi-count
+/// kernel's tile width.
+constexpr size_t kFirstChunk = 4;
+constexpr size_t kChunk = 16;
+
+size_t LanePadded(size_t n) {
+  return (n + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
+}
+
+/// Starts loading what testing maybe-candidate `i` reads: its MBR and
+/// the heads of its coordinate and density lanes.
+void PrefetchCandidate(const CandidateCellList& cand, size_t i, size_t dim) {
+  __builtin_prefetch(cand.mbrs[i]);
   for (size_t d = 0; d < dim; ++d) {
-    const double lo = lo_t[d * stride + i];
-    const double hi = hi_t[d * stride + i];
-    const double v = p[d];
-    const double to_lo = v > lo ? v - lo : lo - v;
-    const double to_hi = v > hi ? v - hi : hi - v;
-    const double far = to_lo > to_hi ? to_lo : to_hi;
-    mx += far * far;
+    __builtin_prefetch(cand.lane_centers[i] + d * cand.lane_padded[i]);
   }
-  return mx;
+  __builtin_prefetch(cand.lane_counts[i]);
 }
 
 /// Statistics one partition task accumulates and flushes once at the end.
@@ -101,154 +107,253 @@ struct TaskCounters {
   size_t stencil_probes = 0;
 };
 
-/// Resolved kernel dispatch for one BuildSubgraphs run: the lane kernel
-/// for the run's dimension and SIMD tier, and the per-point bounds kernel.
+/// Resolved kernel dispatch for one BuildSubgraphs run: the multi-count
+/// lane kernel for the run's dimension and SIMD tier, and the group
+/// box-bounds kernel.
 struct KernelConfig {
-  SubcellCountFn exact_fn = nullptr;
-  PointBoundsFn bounds_fn = nullptr;
+  SubcellCountMultiFn count_fn = nullptr;
+  GroupBoundsFn bounds_fn = nullptr;
 };
 
-/// Matched-density counters for the per-point scan: the Example 5.5 logic
-/// (MBR lower bound first — most evaluations land on disjoint cells and
-/// min2 > eps2 implies max2 > eps2 — then the containment fast path, then
-/// the lane kernel over the cell's SoA block). The lower bounds for all
-/// candidates are precomputed per point by the vector bounds kernel in
-/// BeginPoint; the fast paths are exact shortcuts of the lane kernel (see
-/// PointMbrMaxDist2), which itself reproduces the old AoS sub-cell scan
-/// bit-for-bit (see core/simd.h), so neither the storage layout, the
-/// vector tier, nor the MBR tightening can change any outcome.
-template <size_t kDim>
-struct ExactCounter {
-  SubcellCountFn fn = nullptr;
-  PointBoundsFn bounds_fn = nullptr;
-  double* point_min2 = nullptr;
-  size_t dim_rt = 0;
-  double eps2 = 0.0;
-
-  void BeginPoint(const float* p, const CandidateCellList& cand) {
-    bounds_fn(p, cand.mbr_lo_t.data(), cand.mbr_hi_t.data(),
-              cand.maybe_stride, kDim ? kDim : dim_rt, cand.num_maybe(),
-              point_min2);
-  }
-
-  uint32_t Count(const CandidateCellList& cand, size_t i, const float* p) {
-    const size_t dim = kDim ? kDim : dim_rt;
-    if (point_min2[i] > eps2) return 0;
-    const double max2 = PointMbrMaxDist2<kDim>(
-        cand.mbr_lo_t.data(), cand.mbr_hi_t.data(), cand.maybe_stride, i, p,
-        dim);
-    if (max2 <= eps2) return cand.total_counts[i];
-    return fn(p, cand.lane_centers[i], cand.lane_counts[i],
-              cand.lane_padded[i], dim, eps2);
-  }
-};
-
-/// The per-point half of the batched kernel: a two-pass flat scan over an
-/// already-gathered candidate list — pass 1 counts toward min_pts with an
-/// early exit, pass 2 (core points only) finishes neighbor-cell
-/// collection. Instantiated per dimension so the innermost distance loops
-/// unroll (see the kernel template note above).
-template <size_t kDim>
-void ScanCellPoints(const Dataset& data, const CellData& cell, uint32_t cid,
-                    const CandidateCellList& cand, size_t min_pts,
-                    const uint8_t* seed, ExactCounter<kDim>& counter,
-                    Phase2Scratch& scratch, uint8_t* point_is_core,
-                    bool& cell_core, TaskCounters& counters) {
-  const size_t num_maybe = cand.num_maybe();
-  size_t num_matched = 0;
-  // Records that a core point matched maybe-candidate `idx`: later points
-  // skip it in pass 2 (the edge union already has it), and its edge is
-  // emitted exactly once.
-  auto record_matched = [&](size_t idx) {
-    if (!scratch.maybe_matched[idx]) {
-      scratch.maybe_matched[idx] = 1;
-      ++num_matched;
-      if (cand.cell_ids[idx] != cid) {
-        scratch.cell_edges.push_back(cand.cell_ids[idx]);
-      }
-    }
-  };
-  for (const uint32_t point_id : cell.point_ids) {
-    const float* p = data.point(point_id);
-    if (seed != nullptr && seed[point_id] != 0) {
-      // Seeded core point (the ladder proved min_pts density at a smaller
-      // query radius — density is monotone in the radius at fixed
-      // geometry): skip the pass-1 count and finish the edge union
-      // directly over the candidates no earlier core point has matched.
-      // The per-point matched set is unchanged — pass 2 below covers
-      // exactly the same unmatched candidates a counted pass would leave
-      // — so the cell's edge union, and with it every label, is
-      // bit-identical to the unseeded scan.
-      point_is_core[point_id] = 1;
-      cell_core = true;
-      if (num_matched == num_maybe) continue;
-      counter.BeginPoint(p, cand);
-      for (size_t i = 0; i < num_maybe; ++i) {
-        if (scratch.maybe_matched[i]) continue;
-        ++counters.scanned;
-        if (counter.Count(cand, i, p) > 0) record_matched(i);
-      }
-      continue;
-    }
-    counter.BeginPoint(p, cand);
-    scratch.neighbor_cells.clear();
-    uint64_t count = cand.always_count;
-    size_t i = 0;
-    // Pass 1: core test. QueryCell sorted the candidates nearest-first,
-    // so the density sum usually crosses min_pts within the first few
-    // evaluations. Matches are staged by index — they only enter the edge
-    // union if this point turns out core.
-    while (count < min_pts && i < num_maybe) {
-      if (count + scratch.suffix_remaining[i] < min_pts) break;
-      const uint32_t matched = counter.Count(cand, i, p);
-      ++counters.scanned;
-      if (matched > 0) {
-        count += matched;
-        scratch.neighbor_cells.push_back(static_cast<uint32_t>(i));
-      }
-      ++i;
-    }
-    if (count < min_pts) continue;  // not core: neighbors are irrelevant
-    if (i < num_maybe) ++counters.early_exits;
-    point_is_core[point_id] = 1;
-    cell_core = true;
-    for (const uint32_t idx : scratch.neighbor_cells) record_matched(idx);
-    if (num_matched == num_maybe) continue;  // edge union already complete
-    // Pass 2: finish neighbor collection over the cells pass 1 skipped,
-    // but only those no earlier core point has matched yet.
-    for (; i < num_maybe; ++i) {
-      if (scratch.maybe_matched[i]) continue;
-      ++counters.scanned;
-      if (counter.Count(cand, i, p) > 0) {
-        record_matched(i);
-      }
-    }
+/// A candidate's occupied-sub-cell MBR widened to double: the box
+/// GroupBoundsFn measures against.
+void CandidateBox(const CandidateCellList& cand, size_t i, size_t dim,
+                  double* lo, double* hi) {
+  const float* mbr = cand.mbrs[i];
+  for (size_t d = 0; d < dim; ++d) {
+    lo[d] = mbr[d];
+    hi[d] = mbr[dim + d];
   }
 }
 
-/// Builds the dimension's counter and runs the per-point scan.
-template <size_t kDim>
-void ScanCellDispatch(const Dataset& data, const CellData& cell,
-                      uint32_t cid, const CandidateCellList& cand,
-                      size_t min_pts, size_t dim, double eps2,
-                      const uint8_t* seed, const KernelConfig& kernels,
-                      Phase2Scratch& scratch, uint8_t* point_is_core,
-                      bool& cell_core, TaskCounters& counters) {
-  ExactCounter<kDim> counter;
-  counter.fn = kernels.exact_fn;
-  counter.bounds_fn = kernels.bounds_fn;
-  counter.point_min2 = scratch.point_min2.data();
-  counter.dim_rt = dim;
-  counter.eps2 = eps2;
-  ScanCellPoints<kDim>(data, cell, cid, cand, min_pts, seed, counter,
-                       scratch, point_is_core, cell_core, counters);
+/// The tile scan of one cell over its gathered candidate list: the
+/// cell's points meet each candidate as a group. Every per-point verdict
+/// is the one Query's arithmetic gives, so core flags and edges match the
+/// oracle exactly:
+///  * GroupBoundsFn returns each member's min² and max² to the
+///    candidate's MBR; min² > eps² means no sub-cell center can match
+///    (count 0), max² <= eps² means every one does (the cell's total) —
+///    every center lies inside the MBR, so both shortcuts return what the
+///    lane kernel would. The rest go through one SubcellCountMultiFn call,
+///    bit-identical per member to the single-query kernel (core/simd.h).
+///  * Pass 1 walks the candidates nearest-first with the still-undecided
+///    points: a point leaves as non-core once count + suffix bound <
+///    min_pts, or as core once count >= min_pts, with exit index =
+///    candidate index + 1. Each point sees the same candidates in the
+///    same order as a per-point scan would, so exits (and early_exits)
+///    are those of the per-point scan.
+///  * Pass 2 finds the edges pass 1 left open: for each candidate no
+///    core point matched, it searches the core points that never
+///    evaluated it (exit index <= candidate index; seeded cores enter at
+///    0) in exit order, a chunk at a time, and stops at the first match.
+/// candidate_cells_scanned counts the point-candidate bound evaluations
+/// of pass 1 plus the chunk members tested in pass 2.
+void ScanCellTiles(const Dataset& data, const CellData& cell, uint32_t cid,
+                   const CandidateCellList& cand, size_t min_pts,
+                   size_t dim, double eps2, const uint8_t* seed,
+                   const KernelConfig& kernels, Phase2Scratch& scratch,
+                   uint8_t* point_is_core, bool& cell_core,
+                   TaskCounters& counters) {
+  const size_t n = cell.point_ids.size();
+  const size_t num_maybe = cand.num_maybe();
+  scratch.q.resize(n * dim);
+  scratch.exit.assign(n, kNotCore);
+  scratch.count.assign(n, cand.always_count);
+  scratch.core.clear();
+  scratch.live.clear();
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t point_id = cell.point_ids[k];
+    std::copy_n(data.point(point_id), dim, scratch.q.data() + k * dim);
+    if (seed != nullptr && seed[point_id] != 0) {
+      // Seeded core point (the ladder proved min_pts density at a smaller
+      // query radius — density is monotone in the radius at fixed
+      // geometry): no pass-1 count, only the edge search of pass 2, where
+      // it enters at exit 0 and so meets every candidate. The edge union,
+      // and with it every label, is the unseeded scan's.
+      scratch.exit[k] = 0;
+      scratch.core.push_back(static_cast<uint32_t>(k));
+    } else if (cand.always_count >= min_pts) {
+      // The always group alone makes the point core (a fully occupied
+      // cell holding >= min_pts points lands here whole).
+      scratch.exit[k] = 0;
+      scratch.core.push_back(static_cast<uint32_t>(k));
+      if (num_maybe > 0) ++counters.early_exits;
+    } else {
+      scratch.live.push_back(static_cast<uint32_t>(k));
+    }
+  }
+
+  // Pass 1.
+  size_t num_live = scratch.live.size();
+  const size_t live_stride = LanePadded(num_live);
+  // kChunk is a multiple of the lane width: pass 2's tiles fit as well.
+  scratch.min2.resize(std::max(live_stride, kChunk));
+  scratch.max2.resize(scratch.min2.size());
+  scratch.kidx.resize(scratch.min2.size());
+  scratch.kout.resize(scratch.min2.size());
+  scratch.live_t.assign(live_stride * dim, 0.0f);
+  float* live_t = scratch.live_t.data();
+  for (size_t s = 0; s < num_live; ++s) {
+    const float* p = scratch.q.data() + scratch.live[s] * dim;
+    for (size_t d = 0; d < dim; ++d) live_t[d * live_stride + s] = p[d];
+  }
+  scratch.staged.clear();
+  // Keeps the undecided points that can still become core, in order;
+  // promotes the ones at min_pts with exit index `exit`.
+  auto compact = [&](uint64_t remaining, uint32_t exit) {
+    size_t w = 0;
+    for (size_t s = 0; s < num_live; ++s) {
+      const uint32_t k = scratch.live[s];
+      const uint64_t c = scratch.count[k];
+      if (c >= min_pts) {
+        scratch.exit[k] = exit;
+        scratch.core.push_back(k);
+        if (exit < num_maybe) ++counters.early_exits;
+        continue;
+      }
+      if (c + remaining < min_pts) continue;  // can never reach min_pts
+      if (w != s) {
+        scratch.live[w] = k;
+        for (size_t d = 0; d < dim; ++d) {
+          live_t[d * live_stride + w] = live_t[d * live_stride + s];
+        }
+      }
+      ++w;
+    }
+    num_live = w;
+  };
+  double lo[CellCoord::kMaxDim];
+  double hi[CellCoord::kMaxDim];
+  compact(scratch.suffix_remaining[0], 0);
+  for (size_t i = 0; i < num_maybe && num_live > 0; ++i) {
+    if (i + 1 < num_maybe) PrefetchCandidate(cand, i + 1, dim);
+    CandidateBox(cand, i, dim, lo, hi);
+    kernels.bounds_fn(live_t, live_stride, num_live, lo, hi, dim,
+                      scratch.min2.data(), scratch.max2.data());
+    counters.scanned += num_live;
+    const uint64_t tag = static_cast<uint64_t>(i) << 32;
+    size_t nk = 0;
+    for (size_t s = 0; s < num_live; ++s) {
+      const uint32_t k = scratch.live[s];
+      if (scratch.min2[s] > eps2) continue;
+      if (scratch.max2[s] <= eps2) {
+        scratch.count[k] += cand.total_counts[i];
+        scratch.staged.push_back(tag | k);
+        continue;
+      }
+      scratch.kidx[nk++] = k;
+    }
+    if (nk > 0) {
+      kernels.count_fn(scratch.q.data(), scratch.kidx.data(), nk,
+                       cand.lane_centers[i], cand.lane_counts[i],
+                       cand.lane_padded[i], dim, eps2, scratch.kout.data());
+      for (size_t t = 0; t < nk; ++t) {
+        if (scratch.kout[t] == 0) continue;
+        scratch.count[scratch.kidx[t]] += scratch.kout[t];
+        scratch.staged.push_back(tag | scratch.kidx[t]);
+      }
+    }
+    compact(scratch.suffix_remaining[i + 1], static_cast<uint32_t>(i + 1));
+  }
+
+  const size_t num_core = scratch.core.size();
+  if (num_core == 0) return;
+  cell_core = true;
+  for (const uint32_t k : scratch.core) point_is_core[cell.point_ids[k]] = 1;
+  size_t num_matched = 0;
+  // Records that a core point matches maybe-candidate `idx`; its edge is
+  // emitted exactly once.
+  auto record_matched = [&](size_t idx) {
+    if (scratch.maybe_matched[idx]) return;
+    scratch.maybe_matched[idx] = 1;
+    ++num_matched;
+    if (cand.cell_ids[idx] != cid) {
+      scratch.cell_edges.push_back(cand.cell_ids[idx]);
+    }
+  };
+  for (const uint64_t m : scratch.staged) {
+    if (scratch.exit[static_cast<uint32_t>(m)] != kNotCore) {
+      record_matched(static_cast<size_t>(m >> 32));
+    }
+  }
+  if (num_matched == num_maybe) return;  // edge union already complete
+
+  // Pass 2.
+  const size_t core_stride = LanePadded(num_core);
+  scratch.core_t.assign(core_stride * dim, 0.0f);
+  for (size_t r = 0; r < num_core; ++r) {
+    const float* p = scratch.q.data() + scratch.core[r] * dim;
+    for (size_t d = 0; d < dim; ++d) {
+      scratch.core_t[d * core_stride + r] = p[d];
+    }
+  }
+  // True when one of the `num` core points at idx matches candidate i.
+  auto lane_match = [&](size_t i, const uint32_t* idx, size_t num) {
+    kernels.count_fn(scratch.q.data(), idx, num, cand.lane_centers[i],
+                     cand.lane_counts[i], cand.lane_padded[i], dim, eps2,
+                     scratch.kout.data());
+    return std::any_of(scratch.kout.begin(), scratch.kout.begin() + num,
+                       [](uint32_t m) { return m > 0; });
+  };
+  size_t eligible = 0;
+  for (size_t i = 0; i < num_maybe && num_matched < num_maybe; ++i) {
+    while (eligible < num_core && scratch.exit[scratch.core[eligible]] <= i) {
+      ++eligible;
+    }
+    if (scratch.maybe_matched[i] || eligible == 0) continue;
+    // The search is latency-bound on the candidates' MBRs and lanes: load
+    // the next open candidate's while this one is tested.
+    for (size_t j = i + 1; j < num_maybe; ++j) {
+      if (!scratch.maybe_matched[j]) {
+        PrefetchCandidate(cand, j, dim);
+        break;
+      }
+    }
+    CandidateBox(cand, i, dim, lo, hi);
+    size_t chunk = kFirstChunk;
+    for (size_t a = 0; a < eligible; a += chunk, chunk = kChunk) {
+      // Chunks start at multiples of the lane width, so the kernel's
+      // whole-lane reads stay inside core_t.
+      const size_t b = std::min(eligible, a + chunk);
+      kernels.bounds_fn(scratch.core_t.data() + a, core_stride, b - a, lo,
+                        hi, dim, scratch.min2.data(), scratch.max2.data());
+      counters.scanned += b - a;
+      bool found = false;
+      size_t nk = 0;
+      size_t nearest = 0;  // kidx position of the member nearest the MBR
+      for (size_t t = 0; t < b - a; ++t) {
+        const double min2 = scratch.min2[t];
+        if (min2 > eps2) continue;
+        if (scratch.max2[t] <= eps2) {
+          found = true;
+          break;
+        }
+        if (nk > 0 && min2 < scratch.min2[scratch.kidx[nearest]]) {
+          nearest = nk;
+        }
+        scratch.kidx[nk++] = static_cast<uint32_t>(t);
+      }
+      if (!found && nk > 0) {
+        // The member nearest the candidate's MBR is the likeliest match,
+        // so it runs the lane kernel alone; the rest follow in one call.
+        std::swap(scratch.kidx[0], scratch.kidx[nearest]);
+        for (size_t t = 0; t < nk; ++t) {
+          scratch.kidx[t] = scratch.core[a + scratch.kidx[t]];
+        }
+        found = lane_match(i, scratch.kidx.data(), 1) ||
+                (nk > 1 && lane_match(i, scratch.kidx.data() + 1, nk - 1));
+      }
+      if (found) {
+        record_matched(i);
+        break;
+      }
+    }
+  }
 }
 
 /// Batched kernel for one cell: a single candidate gather (the stencil
 /// walk when the dictionary carries a stencil, kd-tree descent otherwise),
-/// then per point a two-pass flat scan — pass 1 counts toward min_pts
-/// with an early exit, pass 2 (core points only) finishes neighbor-cell
-/// collection.
+/// then the tile scan over the gathered list.
 void ProcessCellBatched(const Dataset& data, const CellData& cell,
                         uint32_t cid, const CellDictionary& dict,
                         size_t min_pts, size_t num_subdicts,
@@ -294,8 +399,6 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
   const size_t num_maybe = cand.num_maybe();
   scratch.cell_edges.reserve(cand.always_neighbors.size() + num_maybe);
   scratch.maybe_matched.assign(num_maybe, 0);
-  // The bounds kernel stores whole lanes, so size to the padded stride.
-  scratch.point_min2.resize(cand.maybe_stride);
   scratch.suffix_remaining.resize(num_maybe + 1);
   scratch.suffix_remaining[num_maybe] = 0;
   for (size_t i = num_maybe; i-- > 0;) {
@@ -319,33 +422,8 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
     }
     if (!has_seed) return;
   }
-  switch (dim) {
-    case 2:
-      ScanCellDispatch<2>(data, cell, cid, cand, min_pts, dim, eps2, seed,
-                          kernels, scratch, point_is_core, cell_core,
-                          counters);
-      break;
-    case 3:
-      ScanCellDispatch<3>(data, cell, cid, cand, min_pts, dim, eps2, seed,
-                          kernels, scratch, point_is_core, cell_core,
-                          counters);
-      break;
-    case 4:
-      ScanCellDispatch<4>(data, cell, cid, cand, min_pts, dim, eps2, seed,
-                          kernels, scratch, point_is_core, cell_core,
-                          counters);
-      break;
-    case 5:
-      ScanCellDispatch<5>(data, cell, cid, cand, min_pts, dim, eps2, seed,
-                          kernels, scratch, point_is_core, cell_core,
-                          counters);
-      break;
-    default:
-      ScanCellDispatch<0>(data, cell, cid, cand, min_pts, dim, eps2, seed,
-                          kernels, scratch, point_is_core, cell_core,
-                          counters);
-      break;
-  }
+  ScanCellTiles(data, cell, cid, cand, min_pts, dim, eps2, seed, kernels,
+                scratch, point_is_core, cell_core, counters);
   if (cell_core) {
     // Every always-contained cell neighbors every core point; one append
     // per cell suffices.
@@ -377,8 +455,9 @@ EngineSetup ResolveEngine(const CellDictionary& dict,
                           const Phase2Options& opts) {
   EngineSetup setup;
   setup.level = opts.scalar_kernels ? SimdLevel::kScalar : DetectSimdLevel();
-  setup.kernels.exact_fn = GetSubcellCountFn(setup.level, dict.geom().dim());
-  setup.kernels.bounds_fn = GetPointBoundsFn(setup.level);
+  setup.kernels.count_fn =
+      GetSubcellCountMultiFn(setup.level, dict.geom().dim());
+  setup.kernels.bounds_fn = GetGroupBoundsFn(setup.level);
   setup.use_stencil = dict.has_stencil();
   setup.query_eps = opts.query_eps;
   const double qeps =
@@ -460,7 +539,6 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
         graph.partition_id = static_cast<uint32_t>(pid);
         TaskCounters counters;
         Phase2Scratch scratch;
-        scratch.neighbor_cells.reserve(64);
         for (const uint32_t cid : cells.partition(pid)) {
           const bool cell_core = ProcessOneCell(
               data, cells.cell(cid), cid, dict, min_pts, num_subdicts, setup,
@@ -531,7 +609,6 @@ Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
       [&](size_t c) {
         TaskCounters counters;
         Phase2Scratch scratch;
-        scratch.neighbor_cells.reserve(64);
         const size_t end = std::min(m, (c + 1) * chunk_len);
         for (size_t t = c * chunk_len; t < end; ++t) {
           const uint32_t cid = targets[t];

@@ -67,9 +67,11 @@ struct Phase2Result {
   /// effectiveness; both 0 on the stencil engine).
   size_t subdict_visited = 0;
   size_t subdict_possible = 0;
-  /// Per-point evaluations of "maybe" candidate cells (the flat-scan work
-  /// the kernel actually did), and the number of points proven core
-  /// before exhausting their candidate list.
+  /// Point-candidate bound evaluations of the tile scan: those of pass 1
+  /// (each still-undecided point against each "maybe" candidate it
+  /// reaches) plus the chunk members tested in pass 2's edge search. And
+  /// the number of points proven core before exhausting their candidate
+  /// list.
   size_t candidate_cells_scanned = 0;
   size_t early_exits = 0;
   /// Stencil engine only: precomputed neighborhood entries walked (per

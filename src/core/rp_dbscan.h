@@ -178,8 +178,10 @@ struct RunStats {
   /// Sub-dictionary visits actually performed / possible (Lemma 5.10).
   size_t subdict_visited = 0;
   size_t subdict_possible = 0;
-  /// Phase II kernel counters: per-point candidate-cell evaluations, and
-  /// points proven core before their candidate list was exhausted.
+  /// Phase II kernel counters: point-candidate bound evaluations of the
+  /// tile scan (pass 1's undecided points per candidate plus the chunk
+  /// members pass 2's edge search tested), and points proven core before
+  /// their candidate list was exhausted.
   size_t candidate_cells_scanned = 0;
   size_t early_exits = 0;
   /// Stencil engine counter (0 on the kd-tree path): precomputed

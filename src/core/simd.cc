@@ -81,15 +81,6 @@ SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim) {
   }
 }
 
-PointBoundsFn GetPointBoundsFn(SimdLevel level) {
-#ifdef RPDBSCAN_HAVE_AVX2
-  if (level >= SimdLevel::kAvx2) return &simd_internal::PointBoundsAvx2;
-#else
-  (void)level;
-#endif
-  return &PointBoundsScalar;
-}
-
 GroupBoundsFn GetGroupBoundsFn(SimdLevel level) {
 #ifdef RPDBSCAN_HAVE_AVX2
   if (level >= SimdLevel::kAvx2) return &simd_internal::GroupBoundsAvx2;

@@ -54,53 +54,39 @@ using SubcellCountFn = uint32_t (*)(const float* q, const float* lanes,
                                     uint32_t padded_n, size_t dim,
                                     double eps2);
 
-/// The multi-query exact sub-cell classification kernel: the batched
-/// serving path's amortizer. Evaluates `nq` queries against ONE cell's
-/// lane block in a single invocation, so the lane loads (and their
-/// float->double widening) are paid once per vector stride instead of
-/// once per query. Query k's coordinates live at qs + qidx[k] * dim — a
-/// gather-index view over a packed row-major query buffer, so callers
-/// can route any subset of a group through the kernel without copying.
-/// Writes matched_out[0..nq); each entry is bit-identical to what
-/// SubcellCountFn returns for that query alone (same per-dimension
-/// double recurrence, same stride order), on every tier.
+/// The multi-query exact sub-cell classification kernel: the amortizer
+/// of the batched serving path and of Phase II's tile scan. Evaluates
+/// `nq` queries against ONE cell's lane block in a single invocation, so
+/// the lane loads (and their float->double widening) are paid once per
+/// vector stride instead of once per query. Query k's coordinates live at
+/// qs + qidx[k] * dim — a gather-index view over a packed row-major query
+/// buffer, so callers can route any subset of a group through the kernel
+/// without copying. Writes matched_out[0..nq); each entry is
+/// bit-identical to what SubcellCountFn returns for that query alone
+/// (same per-dimension double recurrence, same stride order), on every
+/// tier.
 using SubcellCountMultiFn = void (*)(const float* qs, const uint32_t* qidx,
                                      size_t nq, const float* lanes,
                                      const uint32_t* counts,
                                      uint32_t padded_n, size_t dim,
                                      double eps2, uint32_t* matched_out);
 
-/// The per-point candidate-bounds kernel: squared lower bound from query
-/// `q` to each of `num` candidate MBRs, stored transposed dimension-major
-/// with lane stride `stride` (a multiple of kSimdLaneWidth; dimension d
-/// of candidate i at lo_t[d * stride + i]). Writes min2_out[0..num):
-/// per-candidate sequential per-dimension double accumulation of the
-/// clamped interval gap squared, bit-identical across tiers. May compute
-/// (and store into the padded tail up to the next lane boundary) garbage
-/// for padding lanes — callers never read past num. The arithmetic
-/// matches the scalar PointMbrMinDist2 recurrence exactly: gap = lo - v
-/// when v < lo, v - hi when v > hi, else 0, accumulated in dimension
-/// order.
-using PointBoundsFn = void (*)(const float* q, const float* lo_t,
-                               const float* hi_t, size_t stride, size_t dim,
-                               size_t num, double* min2_out);
-
 /// The group box-bounds kernel: squared min AND max distance from each of
-/// `num` group members to ONE axis-aligned box — the grouped serving
-/// path's per-neighbor pre-drop/containment pass, vectorized along the
-/// member axis. Member coordinates are transposed dimension-major with
-/// lane stride `stride` (a multiple of kSimdLaneWidth; dimension d of
-/// member k at qt[d * stride + k]); the box is `dim` double intervals
-/// [lo[d], hi[d]]. Writes min2_out/max2_out[0..num) — both output arrays
-/// (and the qt lanes) must extend to num rounded up to kSimdLaneWidth;
-/// the padded tail may receive garbage that callers never read. Per
-/// member the recurrence is exact and sequential in dimension order:
-/// with dlo = lo - v and dhi = v - hi (each an exact IEEE negation of
-/// its counterpart gap), min gap = max(dlo, dhi, 0) and max gap =
-/// max(|dlo|, |dhi|) — bit-identical across tiers for finite member
-/// coordinates. Non-finite members NaN/inf-poison both sums identically
-/// enough that every downstream verdict (pre-drop, containment, lane
-/// kernel) coincides on every tier.
+/// `num` group members to ONE axis-aligned box — the per-neighbor
+/// pre-drop/containment pass of the grouped serving path and of Phase
+/// II's tile scan, vectorized along the member axis. Member coordinates
+/// are transposed dimension-major with lane stride `stride` (a multiple
+/// of kSimdLaneWidth; dimension d of member k at qt[d * stride + k]); the
+/// box is `dim` double intervals [lo[d], hi[d]]. Writes
+/// min2_out/max2_out[0..num) — both output arrays (and the qt lanes) must
+/// extend to num rounded up to kSimdLaneWidth; the padded tail may
+/// receive garbage that callers never read. Per member the recurrence is
+/// exact and sequential in dimension order: with dlo = lo - v and dhi =
+/// v - hi (each an exact IEEE negation of its counterpart gap), min gap =
+/// max(dlo, dhi, 0) and max gap = max(|dlo|, |dhi|) — bit-identical
+/// across tiers for finite member coordinates. Non-finite members
+/// NaN/inf-poison both sums identically enough that every downstream
+/// verdict (pre-drop, containment, lane kernel) coincides on every tier.
 using GroupBoundsFn = void (*)(const float* qt, size_t stride, size_t num,
                                const double* lo, const double* hi,
                                size_t dim, double* min2_out,
@@ -111,9 +97,6 @@ using GroupBoundsFn = void (*)(const float* qt, size_t stride, size_t num,
 /// above CompiledSimdLevel() degrades to the highest compiled tier.
 SubcellCountFn GetSubcellCountFn(SimdLevel level, size_t dim);
 SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim);
-/// Bounds-kernel lookup (no dimension dispatch: the vector axis is the
-/// candidate index, so the dimension loop stays a short runtime loop).
-PointBoundsFn GetPointBoundsFn(SimdLevel level);
 /// Group-bounds-kernel lookup (no dimension dispatch: the vector axis is
 /// the group-member index).
 GroupBoundsFn GetGroupBoundsFn(SimdLevel level);
@@ -160,31 +143,6 @@ inline void SubcellCountMultiScalar(const float* qs, const uint32_t* qidx,
   }
 }
 
-/// Reference implementation of PointBoundsFn (the scalar dispatch entry):
-/// per candidate the same recurrence ExactCounter's box test used to run
-/// inline — interval gap per dimension, squared, accumulated in dimension
-/// order, all in double.
-inline void PointBoundsScalar(const float* q, const float* lo_t,
-                              const float* hi_t, size_t stride, size_t dim,
-                              size_t num, double* min2_out) {
-  for (size_t i = 0; i < num; ++i) {
-    double mn = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double lo = lo_t[d * stride + i];
-      const double hi = hi_t[d * stride + i];
-      const double v = q[d];
-      double gap = 0.0;
-      if (v < lo) {
-        gap = lo - v;
-      } else if (v > hi) {
-        gap = v - hi;
-      }
-      mn += gap * gap;
-    }
-    min2_out[i] = mn;
-  }
-}
-
 /// Reference implementation of GroupBoundsFn: per member the branchless
 /// double recurrence the grouped serving walk needs — min gap as
 /// max(dlo, dhi, 0) (exactly one of dlo/dhi is positive outside the
@@ -219,9 +177,6 @@ namespace simd_internal {
 // only when that translation unit was built.
 SubcellCountFn GetAvx2CountFn(size_t dim);
 SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim);
-void PointBoundsAvx2(const float* q, const float* lo_t, const float* hi_t,
-                     size_t stride, size_t dim, size_t num,
-                     double* min2_out);
 void GroupBoundsAvx2(const float* qt, size_t stride, size_t num,
                      const double* lo, const double* hi, size_t dim,
                      double* min2_out, double* max2_out);

@@ -142,15 +142,6 @@ SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim) {
   }
 }
 
-// Four candidates per iteration, one per double lane. The transposed
-// MBR layout puts dimension d of candidates [i, i+4) at contiguous
-// floats, so each load is a plain 128-bit load widened to doubles. The
-// interval gap is selected with mutually exclusive compare masks (lo <=
-// hi always holds, so v < lo and v > hi cannot both fire) combined by
-// and/or — branchless, and each lane performs exactly the scalar
-// recurrence's double ops in the same order. Arrays are padded to the
-// lane stride, so the tail iteration reads (and stores bounds for)
-// initialized padding candidates that callers never inspect.
 // Four group members per iteration, one per double lane, against a
 // single box. dlo/dhi are exact subtractions; the min gap selects
 // max(dlo, dhi, 0) (exactly one of the two is positive outside the
@@ -184,26 +175,6 @@ void GroupBoundsAvx2(const float* qt, size_t stride, size_t num,
     }
     _mm256_storeu_pd(min2_out + k, mn);
     _mm256_storeu_pd(max2_out + k, mx);
-  }
-}
-
-void PointBoundsAvx2(const float* q, const float* lo_t, const float* hi_t,
-                     size_t stride, size_t dim, size_t num,
-                     double* min2_out) {
-  for (size_t i = 0; i < num; i += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256d lo = _mm256_cvtps_pd(_mm_loadu_ps(lo_t + d * stride + i));
-      const __m256d hi = _mm256_cvtps_pd(_mm_loadu_ps(hi_t + d * stride + i));
-      const __m256d v = _mm256_set1_pd(static_cast<double>(q[d]));
-      const __m256d below = _mm256_cmp_pd(v, lo, _CMP_LT_OQ);
-      const __m256d above = _mm256_cmp_pd(v, hi, _CMP_GT_OQ);
-      const __m256d gap = _mm256_or_pd(
-          _mm256_and_pd(below, _mm256_sub_pd(lo, v)),
-          _mm256_and_pd(above, _mm256_sub_pd(v, hi)));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(gap, gap));
-    }
-    _mm256_storeu_pd(min2_out + i, acc);
   }
 }
 

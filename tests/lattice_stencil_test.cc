@@ -129,7 +129,9 @@ TEST(LatticeStencilTest, SortedByDistanceClassWithCorrectClasses) {
       if (a > 1) m += (a - 1) * (a - 1);
     }
     EXPECT_EQ(s.min_dist_class(i), m);
-    if (i > 0) EXPECT_GE(s.min_dist_class(i), s.min_dist_class(i - 1));
+    if (i > 0) {
+      EXPECT_GE(s.min_dist_class(i), s.min_dist_class(i - 1));
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -102,47 +103,112 @@ TEST(SimdKernelTest, BoundaryDistancesStayBitIdentical) {
   }
 }
 
-TEST(SimdKernelTest, PointBoundsMatchesScalarBitExactly) {
-  // The per-point candidate-bounds kernel: transposed MBR arrays padded
-  // to the lane stride, query bounds from the detected tier must be
-  // bit-identical doubles to the scalar reference — including candidates
-  // sitting exactly on an MBR face (gap exactly zero) and queries inside
-  // the box.
+// The per-point bounds Phase II computed before its tile scan, kept as
+// the reference: one point against one float MBR, the interval gap (lower
+// bound) and the farther face (upper bound) per dimension, squared and
+// accumulated in double in dimension order.
+void PerPointBounds(const float* q, const float* lo, const float* hi,
+                    size_t dim, double* min2, double* max2) {
+  double mn = 0.0;
+  double mx = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double l = lo[d];
+    const double h = hi[d];
+    const double v = q[d];
+    double gap = 0.0;
+    if (v < l) {
+      gap = l - v;
+    } else if (v > h) {
+      gap = v - h;
+    }
+    mn += gap * gap;
+    const double to_lo = v > l ? v - l : l - v;
+    const double to_hi = v > h ? v - h : h - v;
+    const double far = to_lo > to_hi ? to_lo : to_hi;
+    mx += far * far;
+  }
+  *min2 = mn;
+  *max2 = mx;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(SimdKernelTest, GroupBoundsReproducesPerPointBounds) {
+  // Phase II's tile scan measures a cell's points against one candidate
+  // MBR widened to double, where the per-point scan measured one point
+  // against a float MBR. On every tier the group kernel must return
+  // exactly the per-point min² and max², bit for bit: members inside the
+  // box, on a face, outside it, and at +0 / -0 against boxes with a zero
+  // face.
   Rng rng(404);
-  for (const size_t dim : {2u, 3u, 4u, 5u, 7u}) {
-    PointBoundsFn vec = GetPointBoundsFn(DetectSimdLevel());
-    for (int trial = 0; trial < 40; ++trial) {
-      const size_t num = rng.Uniform(27);
-      const size_t stride =
-          (num + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
-      std::vector<float> lo_t(stride * dim, 0.0f);
-      std::vector<float> hi_t(stride * dim, 0.0f);
-      float q[CellCoord::kMaxDim];
-      for (size_t d = 0; d < dim; ++d) {
-        q[d] = static_cast<float>(rng.UniformDouble(-1.0, 4.0));
-      }
-      for (size_t i = 0; i < stride; ++i) {
+  for (const SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
+    const GroupBoundsFn fn = GetGroupBoundsFn(level);
+    for (const size_t dim : {2u, 3u, 4u, 5u, 7u, 13u}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        float lo[CellCoord::kMaxDim];
+        float hi[CellCoord::kMaxDim];
+        double lo_d[CellCoord::kMaxDim];
+        double hi_d[CellCoord::kMaxDim];
         for (size_t d = 0; d < dim; ++d) {
           float a = static_cast<float>(rng.UniformDouble(-1.0, 4.0));
           float b = static_cast<float>(rng.UniformDouble(-1.0, 4.0));
           if (a > b) std::swap(a, b);
-          // A third of the faces land exactly on the query coordinate:
-          // the boundary case where the < / > selects must agree.
-          if (rng.Uniform(3) == 0) a = q[d];
-          if (rng.Uniform(3) == 0) b = q[d];
-          if (a > b) std::swap(a, b);
-          lo_t[d * stride + i] = a;
-          hi_t[d * stride + i] = b;
+          // Some boxes get a face at -0 or +0, so ±0 members sit on it.
+          const uint32_t face = rng.Uniform(6);
+          if (face == 0 && b >= 0.0f) a = -0.0f;
+          if (face == 1 && a <= 0.0f) b = 0.0f;
+          lo[d] = a;
+          hi[d] = b;
+          lo_d[d] = a;
+          hi_d[d] = b;
         }
-      }
-      std::vector<double> want(stride, -1.0);
-      std::vector<double> got(stride, -1.0);
-      PointBoundsScalar(q, lo_t.data(), hi_t.data(), stride, dim, num,
-                        want.data());
-      vec(q, lo_t.data(), hi_t.data(), stride, dim, num, got.data());
-      for (size_t i = 0; i < num; ++i) {
-        EXPECT_EQ(want[i], got[i])
-            << "dim=" << dim << " trial=" << trial << " i=" << i;
+        const size_t num = rng.Uniform(27);
+        const size_t stride =
+            (num + kSimdLaneWidth - 1) / kSimdLaneWidth * kSimdLaneWidth;
+        std::vector<float> qt(stride * dim, 0.0f);
+        for (size_t k = 0; k < num; ++k) {
+          for (size_t d = 0; d < dim; ++d) {
+            float v = 0.0f;
+            switch (rng.Uniform(7)) {
+              case 0:
+                v = lo[d];
+                break;
+              case 1:
+                v = hi[d];
+                break;
+              case 2:
+                v = lo[d] - static_cast<float>(rng.UniformDouble(0.0, 2.0));
+                break;
+              case 3:
+                v = hi[d] + static_cast<float>(rng.UniformDouble(0.0, 2.0));
+                break;
+              case 4:
+                v = rng.Uniform(2) == 0 ? 0.0f : -0.0f;
+                break;
+              default:
+                v = static_cast<float>(rng.UniformDouble(lo[d], hi[d]));
+                break;
+            }
+            qt[d * stride + k] = v;
+          }
+        }
+        std::vector<double> got_min(stride, -1.0);
+        std::vector<double> got_max(stride, -1.0);
+        fn(qt.data(), stride, num, lo_d, hi_d, dim, got_min.data(),
+           got_max.data());
+        for (size_t k = 0; k < num; ++k) {
+          float q[CellCoord::kMaxDim];
+          for (size_t d = 0; d < dim; ++d) q[d] = qt[d * stride + k];
+          double want_min = 0.0;
+          double want_max = 0.0;
+          PerPointBounds(q, lo, hi, dim, &want_min, &want_max);
+          EXPECT_EQ(Bits(want_min), Bits(got_min[k]))
+              << SimdLevelName(level) << " dim=" << dim
+              << " trial=" << trial << " k=" << k;
+          EXPECT_EQ(Bits(want_max), Bits(got_max[k]))
+              << SimdLevelName(level) << " dim=" << dim
+              << " trial=" << trial << " k=" << k;
+        }
       }
     }
   }

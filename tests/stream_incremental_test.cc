@@ -259,7 +259,9 @@ TEST(StreamIncrementalTest, TinyAndEmptyBatches) {
     pos += take;
     auto epoch_or = clusterer.PublishEpoch();
     ASSERT_TRUE(epoch_or.ok()) << epoch_or.status();
-    if (take == 0) EXPECT_EQ(epoch_or->stats.touched_cells, 0u);
+    if (take == 0) {
+      EXPECT_EQ(epoch_or->stats.touched_cells, 0u);
+    }
     auto scratch_or = RunRpDbscan(Prefix(all, pos), o);
     ASSERT_TRUE(scratch_or.ok()) << scratch_or.status();
     ASSERT_EQ(epoch_or->labels, scratch_or->labels);

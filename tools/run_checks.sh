@@ -38,7 +38,8 @@
 #      hierarchy_differential_test: thread-pooled ladder sweeps vs
 #      independent runs; model_registry_test: routed frames against N
 #      resident snapshots through the concurrent request loop).
-#   3. Plain Release over everything, including the slow tests.
+#   3. Plain Release over everything, including the slow tests, built
+#      with -DRPDBSCAN_WERROR=ON so any compiler warning fails the check.
 #
 # Usage: tools/run_checks.sh [build-root]
 # Build trees land under <build-root> (default: ./build-checks).
@@ -49,13 +50,14 @@ build_root="${1:-${repo_root}/build-checks}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 run_config() {
-  local name="$1" build_type="$2" sanitize="$3"
-  shift 3
+  local name="$1" build_type="$2" sanitize="$3" werror="$4"
+  shift 4
   local dir="${build_root}/${name}"
-  echo "==== [${name}] configure (${build_type}, sanitize='${sanitize}')"
+  echo "==== [${name}] configure (${build_type}, sanitize='${sanitize}', werror=${werror})"
   cmake -B "${dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE="${build_type}" \
-    -DRPDBSCAN_SANITIZE="${sanitize}" >/dev/null
+    -DRPDBSCAN_SANITIZE="${sanitize}" \
+    -DRPDBSCAN_WERROR="${werror}" >/dev/null
   echo "==== [${name}] build"
   cmake --build "${dir}" -j "${jobs}" >/dev/null
   echo "==== [${name}] ctest $*"
@@ -64,14 +66,14 @@ run_config() {
 
 # 1. ASan + UBSan, full suite minus the slow label.
 ASAN_OPTIONS="detect_leaks=0" \
-  run_config asan Debug "address,undefined" -LE slow
+  run_config asan Debug "address,undefined" OFF -LE slow
 
 # 2. TSan on the parallel subset. halt_on_error turns any race into a
 #    test failure instead of a log line.
 TSAN_OPTIONS="halt_on_error=1" \
-  run_config tsan RelWithDebInfo thread -L sanitizer-safe
+  run_config tsan RelWithDebInfo thread OFF -L sanitizer-safe
 
-# 3. Plain Release, everything.
-run_config release Release ""
+# 3. Plain Release, everything, warnings as errors.
+run_config release Release "" ON
 
 echo "==== all check configurations passed"

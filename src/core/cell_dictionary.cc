@@ -6,18 +6,18 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <unordered_map>
 
 #include "parallel/parallel_for.h"
 #include "util/bitstream.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 
 namespace rpdbscan {
 namespace {
 
-bool SubcellLess(const DictSubcell& a, const DictSubcell& b) {
-  if (a.id.hi != b.id.hi) return a.id.hi < b.id.hi;
-  return a.id.lo < b.id.lo;
+bool SubcellIdLess(const SubcellId& a, const SubcellId& b) {
+  if (a.hi != b.hi) return a.hi < b.hi;
+  return a.lo < b.lo;
 }
 
 // Runs fn(i) for every i in [0, n): on `pool` when given, inline otherwise.
@@ -28,6 +28,32 @@ void ForEachIndex(ThreadPool* pool, size_t n, Fn&& fn) {
   } else {
     for (size_t i = 0; i < n; ++i) fn(i);
   }
+}
+
+// First index in [lo, end) at which `before` fails, for a `before` that
+// holds on a prefix of [lo, end): an exponential probe from lo, then a
+// binary search of its last step. O(log(result - lo)): a cursor that
+// steps by one pays a test or two, one that jumps a gap the log of it.
+template <typename Before>
+size_t Gallop(size_t lo, size_t end, Before&& before) {
+  if (lo >= end || !before(lo)) return lo;
+  size_t known = lo;  // before(known) holds
+  size_t step = 1;
+  while (known + step < end && before(known + step)) {
+    known += step;
+    step *= 2;
+  }
+  size_t a = known + 1;
+  size_t b = std::min(end, known + step);
+  while (a < b) {
+    const size_t mid = a + (b - a) / 2;
+    if (before(mid)) {
+      a = mid + 1;
+    } else {
+      b = mid;
+    }
+  }
+  return a;
 }
 
 // A prior dictionary fits `entries` when it was assembled over a prefix
@@ -249,34 +275,56 @@ StatusOr<CellDictionary> CellDictionary::Build(
   }
   // Per-cell sub-cell histograms (Alg. 2 lines 13-17), one independent
   // task per cell.
+  Stopwatch watch;
   std::vector<CellEntry> entries(cells.num_cells());
   ForEachIndex(pool, entries.size(), [&](size_t id) {
     entries[id] = MakeCellEntry(data, geom,
                                 cells.cell(static_cast<uint32_t>(id)),
                                 static_cast<uint32_t>(id));
   });
-  return Assemble(geom, entries, opts, pool, nullptr);
+  const double histogram_seconds = watch.ElapsedSeconds();
+  StatusOr<CellDictionary> dict = Assemble(geom, entries, opts, pool, nullptr);
+  if (dict.ok()) dict->breakdown_.histogram_seconds = histogram_seconds;
+  return dict;
 }
 
 CellEntry CellDictionary::MakeCellEntry(const Dataset& data,
                                         const GridGeometry& geom,
                                         const CellData& cell,
                                         uint32_t cell_id) {
-  // Per-cell sub-cell histogram (Alg. 2 lines 13-17).
+  // Per-cell sub-cell histogram (Alg. 2 lines 13-17): every point's
+  // sub-cell id, sorted into the entry's order, then one sub-cell per
+  // run of equal ids.
   CellEntry entry;
   entry.coord = cell.coord;
   entry.cell_id = cell_id;
-  std::unordered_map<SubcellId, uint32_t, SubcellIdHash> histogram;
-  histogram.reserve(cell.point_ids.size());
-  for (const uint32_t pid : cell.point_ids) {
-    ++histogram[geom.SubcellOf(data.point(pid), cell.coord)];
+  const PointIdSpan& pids = cell.point_ids;
+  std::vector<SubcellId> ids(pids.size());
+  // The points of a cell are scattered over the data set: fetch a few
+  // ahead.
+  constexpr size_t kPrefetchAhead = 4;
+  for (size_t i = 0; i < pids.size() && i < kPrefetchAhead; ++i) {
+    __builtin_prefetch(data.point(pids[i]));
   }
-  entry.subcells.reserve(histogram.size());
-  for (const auto& kv : histogram) {
-    entry.subcells.push_back(DictSubcell{kv.first, kv.second});
+  for (size_t i = 0; i < pids.size(); ++i) {
+    if (i + kPrefetchAhead < pids.size()) {
+      __builtin_prefetch(data.point(pids[i + kPrefetchAhead]));
+    }
+    ids[i] = geom.SubcellOf(data.point(pids[i]), cell.coord);
   }
-  // Deterministic order independent of hash-map iteration.
-  std::sort(entry.subcells.begin(), entry.subcells.end(), SubcellLess);
+  std::sort(ids.begin(), ids.end(), SubcellIdLess);
+  size_t runs = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    runs += i == 0 || !(ids[i] == ids[i - 1]);
+  }
+  entry.subcells.reserve(runs);
+  for (size_t i = 0; i < ids.size();) {
+    size_t j = i + 1;
+    while (j < ids.size() && ids[j] == ids[i]) ++j;
+    entry.subcells.push_back(
+        DictSubcell{ids[i], static_cast<uint32_t>(j - i)});
+    i = j;
+  }
   return entry;
 }
 
@@ -294,6 +342,7 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   if (opts.max_cells_per_subdict == 0) {
     return Status::InvalidArgument("max_cells_per_subdict must be >= 1");
   }
+  Stopwatch watch;
   CellDictionary dict;
   dict.geom_ = geom;
   dict.enable_skipping_ = opts.enable_skipping;
@@ -429,9 +478,9 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   });
 
   // Dictionary-global cell index: coordinate -> (sub-dictionary, local
-  // cell), the probe target of the neighborhood build below, of
-  // FindDictCell and of serving. Built unconditionally — Deserialize comes
-  // through here too, so a decoded dictionary rebuilds it.
+  // cell), the lookup of FindDictCell, of Phase II's source cells and of
+  // serving. Built unconditionally — Deserialize comes through here too,
+  // so a decoded dictionary rebuilds it.
   std::vector<size_t> ref_offsets(dict.subdicts_.size() + 1, 0);
   for (size_t f = 0; f < dict.subdicts_.size(); ++f) {
     ref_offsets[f + 1] = ref_offsets[f] + dict.subdicts_[f].cells_.size();
@@ -480,8 +529,12 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
     }
   });
 
+  dict.breakdown_.fragment_seconds = watch.ElapsedSeconds();
+
   if (dict.stencil_.enabled() && dict.num_cells_ > 0) {
+    watch.Reset();
     dict.BuildStencilNeighborhoods(prior, pool);
+    dict.breakdown_.neighborhood_seconds = watch.ElapsedSeconds();
   }
   return dict;
 }
@@ -490,185 +543,237 @@ void CellDictionary::BuildStencilNeighborhoods(const CellDictionary* prior,
                                                ThreadPool* pool) {
   // Precomputed stencil neighborhoods: which dictionary cells occupy a
   // cell's stencil window depends only on the lattice, never on a query,
-  // so the hash probes are paid once here instead of once per region
+  // so the window is resolved once here instead of once per region
   // query — and, with a prior, once per cell over a whole stream: a cell
   // pays for its window when it first appears (the work-efficiency rule
   // of incremental neighbor search).
   //
-  // The stencil is closed under negation (membership depends only on
-  // |o_i|), so lattice adjacency is symmetric and each pair is found
-  // once, then scattered into both cells' lists. Cells with id >= m are
-  // new: each probes the positive half of its window (offsets whose first
-  // nonzero component is positive) and records every hit, and — when
-  // there are prior cells — the negative half, recording only hits on
-  // prior cells (id < m). A new-new pair is then found once, from the
-  // end that sees the other at a positive offset, and a new-prior pair
-  // only from the new cell. Prior-prior pairs are the prior's lists,
-  // renumbered. With no prior every cell is
-  // new: the classic half-window build, half the probes of even a single
-  // full-window pass.
+  // No hashing: the cells are sorted by lattice coordinate (last
+  // dimension fastest) and cut into runs, maximal blocks that share
+  // their first d - 1 coordinates. The stencil's rows (offsets sharing
+  // their first d - 1 components, last components [-w, w]) then map a
+  // source run to at most one target run each, whose prefix is the
+  // source's plus the row's. Per row a forward-only cursor finds that
+  // run, and a window sliding over its last coordinates gives each
+  // source cell its neighbors on the row: one pass lists a cell's whole
+  // window. Targets are computed in int64, so an offset that leaves the
+  // int32 lattice finds no cell instead of wrapping to the far edge.
   //
-  // Probing runs over fixed-size blocks of the new cells, and each
-  // block's directed entries are grouped by fixed owner slot ranges; the
-  // count and fill then run one task per owner range, draining the blocks
-  // in order. So the CSR is identical regardless of thread count: each
-  // list is itself, its carried-over neighbors, then its probed ones in
-  // block order.
+  // Cells with id >= m are new, and only they are swept as sources; with
+  // no prior every cell is new. A new cell's list is its whole window. A
+  // prior cell keeps its prior list, renumbered, plus the new cells
+  // whose windows hit it (the window relation is symmetric, since the
+  // stencil is closed under negation) — the one scatter left. The prior's
+  // lattice order is merged with the new cells' instead of re-sorted, and
+  // the cursors gallop, so an epoch that adds a few cells sweeps only the
+  // runs that hold them.
+  //
+  // The sweep runs over fixed chunks of source cells, first counting each
+  // list, then filling the exact-size CSR; scattered entries go in chunk
+  // order. So the CSR is identical regardless of thread count: each list
+  // is itself, its carried-over neighbors, then its swept ones.
   const size_t n = num_cells_;
   const size_t dim = geom_.dim();
+  const size_t pre = dim - 1;
   const uint32_t m =
       prior != nullptr ? static_cast<uint32_t>(prior->num_cells_) : 0;
+  const int32_t* coords = ref_coords_.data();
 
-  std::vector<size_t> positive;
-  std::vector<size_t> negative;
-  for (size_t i = 0; i < stencil_.num_offsets(); ++i) {
-    const int32_t* off = stencil_.offset(i);
-    size_t d = 0;
-    while (d < dim && off[d] == 0) ++d;
-    if (d < dim) (off[d] > 0 ? positive : negative).push_back(i);
-  }
-  std::vector<uint32_t> probing;  // slots of the new cells, ascending
-  probing.reserve(n - m);
-  for (size_t s = 0; s < n; ++s) {
-    if (cell_refs_[s].cell_id >= m) {
-      probing.push_back(static_cast<uint32_t>(s));
-    }
-  }
-
-  constexpr size_t kOwnerRanges = 64;
-  const size_t range_size = (n + kOwnerRanges - 1) / kOwnerRanges;
-  const size_t num_ranges = (n + range_size - 1) / range_size;
-  constexpr size_t kBlock = 256;
-  const size_t num_blocks = (probing.size() + kBlock - 1) / kBlock;
-  // Per probe block: its directed entries (owner << 32 | neighbor), two
-  // per pair, stably grouped by owner range; range r's group is
-  // [range_begin[r], range_begin[r + 1]).
-  struct Block {
-    std::vector<uint64_t> entries;
-    std::vector<uint32_t> range_begin;
+  // Lattice order as slots: the new cells sorted, then merged with the
+  // prior's order (cell ids < m, already sorted). Without a prior no
+  // step here reads a cell id as an index, so a decoded dictionary
+  // needs no id check.
+  auto slot_less = [&](uint32_t a, uint32_t b) {
+    const int32_t* ca = coords + static_cast<size_t>(a) * dim;
+    const int32_t* cb = coords + static_cast<size_t>(b) * dim;
+    return std::lexicographical_compare(ca, ca + dim, cb, cb + dim);
   };
-  std::vector<Block> blocks(num_blocks);
-  ForEachIndex(pool, num_blocks, [&](size_t b) {
-    std::vector<uint64_t> pairs;
-    int32_t nbr[CellCoord::kMaxDim];
-    auto probe = [&](const int32_t* c, size_t i) {
-      const int32_t* off = stencil_.offset(i);
-      for (size_t d = 0; d < dim; ++d) {
-        // 64-bit intermediate: a wrapped coordinate could not hold data
-        // anyway, but signed overflow must not be UB.
-        nbr[d] = static_cast<int32_t>(static_cast<int64_t>(c[d]) + off[d]);
-      }
-      return cell_index_.FindHashed(CellCoordHashOf(nbr, dim), nbr, dim,
-                                    ref_coords_.data());
-    };
-    const size_t end = std::min(probing.size(), (b + 1) * kBlock);
-    for (size_t k = b * kBlock; k < end; ++k) {
-      const uint64_t s = probing[k];
-      const int32_t* c = ref_coords_.data() + s * dim;
-      for (const size_t i : positive) {
-        const int64_t hit = probe(c, i);
-        if (hit >= 0) pairs.push_back(s << 32 | static_cast<uint64_t>(hit));
-      }
-      if (m == 0) continue;
-      for (const size_t i : negative) {
-        const int64_t hit = probe(c, i);
-        if (hit >= 0 && cell_refs_[static_cast<size_t>(hit)].cell_id < m) {
-          pairs.push_back(s << 32 | static_cast<uint64_t>(hit));
-        }
-      }
-    }
-    Block& out = blocks[b];
-    out.range_begin.assign(num_ranges + 1, 0);
-    for (const uint64_t p : pairs) {
-      ++out.range_begin[(p >> 32) / range_size + 1];
-      ++out.range_begin[(p & 0xffffffffu) / range_size + 1];
-    }
-    for (size_t r = 0; r < num_ranges; ++r) {
-      out.range_begin[r + 1] += out.range_begin[r];
-    }
-    std::vector<uint32_t> cursor(out.range_begin.begin(),
-                                 out.range_begin.end() - 1);
-    out.entries.resize(2 * pairs.size());
-    for (const uint64_t p : pairs) {
-      const uint64_t a = p >> 32;
-      const uint64_t h = p & 0xffffffffu;
-      out.entries[cursor[a / range_size]++] = p;
-      out.entries[cursor[h / range_size]++] = h << 32 | a;
-    }
-  });
-
-  // Prior cells: new slot -> prior slot (kNew for new cells), and prior
-  // slot -> new slot for renumbering the carried lists. CheckPrior made
-  // both id sets dense, so the maps are bijections on the prior cells.
-  constexpr uint32_t kNew = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> prior_slot;
-  std::vector<uint32_t> to_new;
+  std::vector<uint32_t> order;
+  order.reserve(n - m);
+  for (size_t s = 0; s < n; ++s) {
+    if (cell_refs_[s].cell_id >= m) order.push_back(static_cast<uint32_t>(s));
+  }
+  std::sort(order.begin(), order.end(), slot_less);
+  std::vector<uint32_t> slot_of_id(m > 0 ? n : 0);
   if (m > 0) {
-    std::vector<uint32_t> slot_of_id(n);
+    RPDBSCAN_CHECK(prior->lattice_order_.size() == m);
     ForEachIndex(pool, n, [&](size_t s) {
       slot_of_id[cell_refs_[s].cell_id] = static_cast<uint32_t>(s);
     });
-    prior_slot.assign(n, kNew);
-    to_new.resize(m);
-    ForEachIndex(pool, m, [&](size_t q) {
-      const uint32_t s = slot_of_id[prior->cell_refs_[q].cell_id];
-      to_new[q] = s;
-      prior_slot[s] = static_cast<uint32_t>(q);
-    });
+    std::vector<uint32_t> carried_order(m);
+    for (size_t k = 0; k < m; ++k) {
+      carried_order[k] = slot_of_id[prior->lattice_order_[k]];
+    }
+    std::vector<uint32_t> merged(n);
+    std::merge(carried_order.begin(), carried_order.end(), order.begin(),
+               order.end(), merged.begin(), slot_less);
+    order = std::move(merged);
   }
+  lattice_order_.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    lattice_order_[k] = cell_refs_[order[k]].cell_id;
+  }
+
+  // Runs over the lattice order, each one's shared prefix, every
+  // position's last coordinate, and the sources: the new cells'
+  // positions, in fixed chunks of kCellsPerChunk, grouped by run within
+  // a chunk (a run may straddle two chunks, a group never does).
+  constexpr size_t kCellsPerChunk = 1024;
+  std::vector<int32_t> last(n);
+  std::vector<uint32_t> run_begin;
+  std::vector<int32_t> run_prefix;
+  std::vector<uint32_t> src;
+  std::vector<uint32_t> src_run;
+  std::vector<uint32_t> src_begin;
+  std::vector<uint32_t> chunk_begin;  // first group of each chunk
+  src.reserve(n - m);
+  const int32_t* prev = nullptr;
+  for (size_t k = 0; k < n; ++k) {
+    const int32_t* c = coords + static_cast<size_t>(order[k]) * dim;
+    last[k] = c[pre];
+    if (prev == nullptr || !std::equal(c, c + pre, prev)) {
+      run_begin.push_back(static_cast<uint32_t>(k));
+      run_prefix.insert(run_prefix.end(), c, c + pre);
+    }
+    prev = c;
+    if (lattice_order_[k] >= m) {
+      const uint32_t run = static_cast<uint32_t>(run_begin.size() - 1);
+      const bool new_chunk = src.size() % kCellsPerChunk == 0;
+      if (new_chunk) {
+        chunk_begin.push_back(static_cast<uint32_t>(src_run.size()));
+      }
+      if (new_chunk || src_run.back() != run) {
+        src_run.push_back(run);
+        src_begin.push_back(static_cast<uint32_t>(src.size()));
+      }
+      src.push_back(static_cast<uint32_t>(k));
+    }
+  }
+  const size_t num_runs = run_begin.size();
+  run_begin.push_back(static_cast<uint32_t>(n));
+  src_begin.push_back(static_cast<uint32_t>(src.size()));
+  chunk_begin.push_back(static_cast<uint32_t>(src_run.size()));
+  const size_t num_chunks = chunk_begin.size() - 1;
+
+  const size_t num_rows = stencil_.num_rows();
+  // Calls visit(k, lo, hi, same) for every source position k of chunk
+  // `chunk` and every row whose target run exists: [lo, hi) are the
+  // positions of that run inside k's window on the row, and `same` says
+  // the run is k's own (the all-zero row), whose window holds k itself.
+  auto sweep = [&](size_t chunk, auto&& visit) {
+    // Per row, the first run whose prefix is not below the row's target:
+    // forward-only, since for ascending source prefixes each row's
+    // targets ascend.
+    std::vector<size_t> cursor(num_rows, 0);
+    int64_t target[CellCoord::kMaxDim];
+    auto before = [&](size_t t) {
+      const int32_t* q = run_prefix.data() + t * pre;
+      for (size_t c = 0; c < pre; ++c) {
+        if (q[c] != target[c]) return q[c] < target[c];
+      }
+      return false;
+    };
+    for (size_t g = chunk_begin[chunk]; g < chunk_begin[chunk + 1]; ++g) {
+      const int32_t* prefix = run_prefix.data() + src_run[g] * pre;
+      for (size_t r = 0; r < num_rows; ++r) {
+        const int32_t* o = stencil_.row_prefix(r);
+        for (size_t c = 0; c < pre; ++c) {
+          target[c] = static_cast<int64_t>(prefix[c]) + o[c];
+        }
+        size_t& t = cursor[r];
+        t = Gallop(t, num_runs, before);
+        if (t == num_runs ||
+            !std::equal(target, target + pre, run_prefix.data() + t * pre)) {
+          continue;
+        }
+        // Each cell of the source run against the target run, by a
+        // window sliding over their last coordinates.
+        const int64_t w = stencil_.row_reach(r);
+        const size_t end = run_begin[t + 1];
+        size_t lo = run_begin[t];
+        size_t hi = lo;
+        for (size_t i = src_begin[g]; i < src_begin[g + 1]; ++i) {
+          const size_t k = src[i];
+          const int64_t x = last[k];
+          lo = Gallop(lo, end, [&](size_t j) { return last[j] < x - w; });
+          hi = Gallop(std::max(hi, lo), end,
+                      [&](size_t j) { return last[j] <= x + w; });
+          visit(k, lo, hi, t == src_run[g]);
+        }
+      }
+    }
+  };
+
+  // Prior cells: prior slot -> new slot for renumbering the carried
+  // lists, and cell id -> prior slot for finding them. CheckPrior made
+  // both id sets dense, so the maps are bijections on the prior cells.
+  std::vector<uint32_t> to_new(m);
+  std::vector<uint32_t> prior_slot_of_id(m);
+  ForEachIndex(pool, m, [&](size_t q) {
+    const uint32_t id = prior->cell_refs_[q].cell_id;
+    to_new[q] = slot_of_id[id];
+    prior_slot_of_id[id] = static_cast<uint32_t>(q);
+  });
   // A prior cell's carried neighbors: its prior list minus the self entry.
   auto carried = [&](size_t s) -> std::span<const uint32_t> {
-    if (m == 0 || prior_slot[s] == kNew) return {};
-    const size_t q = prior_slot[s];
+    const uint32_t id = cell_refs_[s].cell_id;
+    if (id >= m) return {};
+    const size_t q = prior_slot_of_id[id];
     const size_t begin = prior->stencil_nbr_begin_[q] + 1;
     return {prior->stencil_nbr_slots_.data() + begin,
             prior->stencil_nbr_begin_[q + 1] - begin};
   };
 
-  // Count: list lengths per owner range, and each range's total.
-  std::vector<size_t> cursor(n);
-  std::vector<size_t> range_base(num_ranges + 1, 0);
-  ForEachIndex(pool, num_ranges, [&](size_t r) {
-    const size_t lo = r * range_size;
-    const size_t hi = std::min(n, lo + range_size);
-    for (size_t s = lo; s < hi; ++s) cursor[s] = 1 + carried(s).size();
-    for (const Block& block : blocks) {
-      for (uint32_t e = block.range_begin[r]; e < block.range_begin[r + 1];
-           ++e) {
-        ++cursor[static_cast<size_t>(block.entries[e] >> 32)];
+  // Count: self and carried, then the swept windows. A window hit on a
+  // prior cell is also a (prior slot << 32 | new slot) scatter entry of
+  // the chunk that found it.
+  std::vector<size_t> at(n);
+  ForEachIndex(pool, n, [&](size_t s) { at[s] = 1 + carried(s).size(); });
+  std::vector<std::vector<uint64_t>> scatter(m > 0 ? num_chunks : 0);
+  ForEachIndex(pool, num_chunks, [&](size_t c) {
+    sweep(c, [&](size_t k, size_t lo, size_t hi, bool same) {
+      at[order[k]] += hi - lo - (same ? 1 : 0);
+      if (m == 0) return;
+      for (size_t j = lo; j < hi; ++j) {
+        if (lattice_order_[j] < m) {
+          scatter[c].push_back(static_cast<uint64_t>(order[j]) << 32 |
+                               order[k]);
+        }
       }
-    }
-    size_t total = 0;
-    for (size_t s = lo; s < hi; ++s) total += cursor[s];
-    range_base[r + 1] = total;
+    });
   });
-  for (size_t r = 0; r < num_ranges; ++r) range_base[r + 1] += range_base[r];
-
-  // Prefix sum within each range, then fill: self, carried, probed.
+  for (const std::vector<uint64_t>& entries : scatter) {
+    for (const uint64_t e : entries) ++at[e >> 32];
+  }
   stencil_nbr_begin_.resize(n + 1);
-  stencil_nbr_begin_[n] = range_base[num_ranges];
-  stencil_nbr_slots_.resize(range_base[num_ranges]);
-  ForEachIndex(pool, num_ranges, [&](size_t r) {
-    const size_t lo = r * range_size;
-    const size_t hi = std::min(n, lo + range_size);
-    size_t at = range_base[r];
-    for (size_t s = lo; s < hi; ++s) {
-      stencil_nbr_begin_[s] = at;
-      uint32_t* out = stencil_nbr_slots_.data() + at;
-      at += cursor[s];
-      *out++ = static_cast<uint32_t>(s);
-      for (const uint32_t q : carried(s)) *out++ = to_new[q];
-      cursor[s] = static_cast<size_t>(out - stencil_nbr_slots_.data());
-    }
-    for (const Block& block : blocks) {
-      for (uint32_t e = block.range_begin[r]; e < block.range_begin[r + 1];
-           ++e) {
-        const uint64_t entry = block.entries[e];
-        stencil_nbr_slots_[cursor[static_cast<size_t>(entry >> 32)]++] =
-            static_cast<uint32_t>(entry);
-      }
-    }
+  stencil_nbr_begin_[0] = 0;
+  for (size_t s = 0; s < n; ++s) {
+    stencil_nbr_begin_[s + 1] = stencil_nbr_begin_[s] + at[s];
+  }
+  stencil_nbr_slots_.resize(stencil_nbr_begin_[n]);
+
+  // Fill in the same order, `at` now each list's write cursor.
+  uint32_t* const out = stencil_nbr_slots_.data();
+  ForEachIndex(pool, n, [&](size_t s) {
+    uint32_t* p = out + stencil_nbr_begin_[s];
+    *p++ = static_cast<uint32_t>(s);
+    for (const uint32_t q : carried(s)) *p++ = to_new[q];
+    at[s] = static_cast<size_t>(p - out);
   });
+  ForEachIndex(pool, num_chunks, [&](size_t c) {
+    sweep(c, [&](size_t k, size_t lo, size_t hi, bool same) {
+      uint32_t* p = out + at[order[k]];
+      for (size_t j = lo; j < hi; ++j) {
+        if (!same || j != k) *p++ = order[j];
+      }
+      at[order[k]] = static_cast<size_t>(p - out);
+    });
+  });
+  for (const std::vector<uint64_t>& entries : scatter) {
+    for (const uint64_t e : entries) {
+      out[at[e >> 32]++] = static_cast<uint32_t>(e);
+    }
+  }
 }
 
 DictCellRef CellDictionary::FindDictCell(const CellCoord& coord) const {

@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cell_coord.h"
@@ -175,6 +178,35 @@ struct CellDictionaryOptions {
   double stencil_eps_scale = 1.0;
 };
 
+/// Wall-time sub-breakdown of a dictionary build (feeds RunStats' Phase
+/// I-2 split, as Phase1Breakdown does for Phase I-1). Assembly from given
+/// entries (FromEntries, Deserialize) leaves histogram_seconds at 0.
+struct DictionaryBreakdown {
+  double histogram_seconds = 0;     // per-cell sub-cell histograms
+  double fragment_seconds = 0;      // BSP fragments, trees, lanes, index
+  double neighborhood_seconds = 0;  // stencil neighborhood CSR
+};
+
+/// std::allocator whose value-less construct default-initializes, so a
+/// resize leaves trivially constructible elements unwritten: an array
+/// the pool fills is first touched by the pool instead of being zeroed
+/// on the calling thread beforehand.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 /// One cell's raw dictionary content: the unit of dictionary assembly and
 /// of the Lemma 4.3 wire format.
 struct CellEntry {
@@ -274,7 +306,7 @@ class CellDictionary {
   /// One cell's dictionary entry — the per-cell unit of work inside Build,
   /// exposed so the streaming ingest path can recompute only the touched
   /// cells' entries. A pure function of the cell's point list: the sub-cell
-  /// histogram in a deterministic sorted order.
+  /// histogram, sorted by (hi, lo) sub-cell id.
   static CellEntry MakeCellEntry(const Dataset& data, const GridGeometry& geom,
                                  const CellData& cell, uint32_t cell_id);
 
@@ -287,19 +319,23 @@ class CellDictionary {
   /// prior->num_cells() of the same cells — the previous stream epoch's.
   /// Every prior cell keeps its stencil-neighborhood list, renumbered to
   /// the new slots, and only the cells with id >= prior->num_cells()
-  /// probe their stencil windows; everything else is assembled exactly as
-  /// without a prior. The result differs from a from-scratch Build only
-  /// in the order of entries within a neighborhood list, which no
-  /// consumer depends on (StencilNeighborsOf): labels and wire bytes are
-  /// identical. A prior that does not fit — more cells than `entries`,
-  /// a cell id whose coordinate differs, another geometry or another
-  /// stencil offset family — fails with InvalidArgument.
+  /// have their stencil windows swept; the prior's lattice order is
+  /// merged with the new cells' instead of re-sorted. Everything else is
+  /// assembled exactly as without a prior. The result differs from a
+  /// from-scratch Build only in the order of entries within a
+  /// neighborhood list, which no consumer depends on
+  /// (StencilNeighborsOf): labels and wire bytes are identical. A prior
+  /// that does not fit — more cells than `entries`, a cell id whose
+  /// coordinate differs, another geometry or another stencil offset
+  /// family — fails with InvalidArgument.
   static StatusOr<CellDictionary> FromEntries(
       const GridGeometry& geom, const std::vector<CellEntry>& entries,
       const CellDictionaryOptions& opts = CellDictionaryOptions(),
       ThreadPool* pool = nullptr, const CellDictionary* prior = nullptr);
 
   const GridGeometry& geom() const { return geom_; }
+  /// Sub-stage wall times of the build that made this dictionary.
+  const DictionaryBreakdown& breakdown() const { return breakdown_; }
   size_t num_cells() const { return num_cells_; }
   size_t num_subcells() const { return num_subcells_; }
   size_t num_subdictionaries() const { return subdicts_.size(); }
@@ -487,7 +523,7 @@ class CellDictionary {
   const std::vector<size_t>& stencil_neighbor_begin() const {
     return stencil_nbr_begin_;
   }
-  const std::vector<uint32_t>& stencil_neighbor_slots() const {
+  std::span<const uint32_t> stencil_neighbor_slots() const {
     return stencil_nbr_slots_;
   }
 
@@ -547,8 +583,9 @@ class CellDictionary {
       const CellDictionaryOptions& opts, ThreadPool* pool,
       const CellDictionary* prior);
 
-  /// Fills stencil_nbr_begin_ / stencil_nbr_slots_ once the global index
-  /// and the stencil exist; `prior` has been checked to fit.
+  /// Fills lattice_order_ and stencil_nbr_begin_ / stencil_nbr_slots_
+  /// once the cell refs and the stencil exist; `prior` has been checked
+  /// to fit.
   void BuildStencilNeighborhoods(const CellDictionary* prior,
                                  ThreadPool* pool);
 
@@ -600,7 +637,7 @@ class CellDictionary {
   /// .. stencil_nbr_begin_[s + 1]) lists the global slots of the
   /// dictionary cells inside its stencil window — itself first, then
   /// the neighbors carried over from a prior dictionary (if any), then
-  /// the ones found by probing, in a deterministic (thread-count
+  /// the ones the merge-join found, in a deterministic (thread-count
   /// independent) order. The order is free because no consumer depends
   /// on it: "maybe" candidates are re-sorted by distance bound, neighbor
   /// edges are sorted and deduplicated downstream, the stream's dirty
@@ -608,9 +645,16 @@ class CellDictionary {
   /// ties by cell id.
   /// A query acceleration structure, never serialized: the Lemma 4.3
   /// wire payload is unchanged, and Deserialize rebuilds it through
-  /// Assemble.
+  /// Assemble. The slots are sized on the calling thread but not zeroed:
+  /// the pool's fill pass is their first write.
   std::vector<size_t> stencil_nbr_begin_;
-  std::vector<uint32_t> stencil_nbr_slots_;
+  std::vector<uint32_t, DefaultInitAllocator<uint32_t>> stencil_nbr_slots_;
+  /// Cell ids sorted by lattice coordinate, lexicographically with the
+  /// last dimension fastest (built with the CSR): the order its
+  /// merge-join sweeps, kept so the next stream epoch merges its new
+  /// cells in instead of sorting every cell again.
+  std::vector<uint32_t> lattice_order_;
+  DictionaryBreakdown breakdown_;
   FlatCellIndex cell_index_;
   LatticeStencil stencil_;
   size_t num_cells_ = 0;

@@ -30,9 +30,10 @@ namespace rpdbscan {
 ///    coordinate hash inline — a probe rejects non-matching occupied slots
 ///    from the slot array alone, and confirms a 64-bit hash match against
 ///    a caller-held flat coordinate array (dim int32s per cell, one cache
-///    line per compare). Right for the lattice-stencil candidate engine,
-///    which issues hundreds of probes per source cell, most of them
-///    misses on empty lattice space, and pipelines them behind
+///    line per compare). Right for the dictionary's global cell index:
+///    Phase II's and batched serving's one lookup per source cell or
+///    query, and the per-query stencil probes of LabelServer::Classify,
+///    most of them misses on empty lattice space, pipelined behind
 ///    PrefetchHashed.
 class FlatCellIndex {
  public:
@@ -74,10 +75,10 @@ class FlatCellIndex {
     mask_ = capacity - 1;
     hslots_.assign(capacity, HashedSlot{});
     // Slot-occupancy bitmap: 1 bit per slot, so the no-such-first-slot
-    // verdict — the common outcome for stencil probes into empty lattice
-    // space — resolves from a table 128x smaller than the slot array
-    // (L1-resident at any realistic cell count). Rounded up so tiny
-    // tables (capacity < 64) still get one word.
+    // verdict — the common outcome for serving's stencil probes into
+    // empty lattice space — resolves from a table 128x smaller than the
+    // slot array (L1-resident at any realistic cell count). Rounded up
+    // so tiny tables (capacity < 64) still get one word.
     hbits_.assign((capacity + 63) / 64, 0);
     constexpr size_t kSequentialCutoff = 4096;
     if (pool == nullptr || pool->num_threads() <= 1 ||
@@ -126,8 +127,8 @@ class FlatCellIndex {
 
   /// Hashed-mode lookup of the cell whose coordinates are
   /// `coords[0..dim)` with precomputed hash `hash` (CellCoordHashOf).
-  /// A miss — the common case for stencil probes into empty lattice
-  /// space — resolves from the slot array alone; the flat coordinate
+  /// A miss — the common case for serving's stencil probes into empty
+  /// lattice space — resolves from the slot array alone; the flat coordinate
   /// array (`coords_base[id * dim ..]`, the same layout BuildHashed's
   /// hashes were computed from) is read only on a 64-bit hash match, to
   /// rule out collisions — a dim-int32 compare against one cache line.

@@ -85,7 +85,37 @@ LatticeStencil LatticeStencil::CreateScaled(size_t dim, double eps_scale,
   s.offsets_ = std::move(sorted_offsets);
   s.classes_ = std::move(sorted_classes);
   s.enabled_ = true;
+  s.BuildRows();
   return s;
+}
+
+void LatticeStencil::BuildRows() {
+  const size_t n = num_offsets();
+  const size_t pre = dim_ - 1;
+  std::vector<uint32_t> lex(n);
+  std::iota(lex.begin(), lex.end(), 0u);
+  std::sort(lex.begin(), lex.end(), [&](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(offset(a), offset(a) + dim_,
+                                        offset(b), offset(b) + dim_);
+  });
+  for (size_t i = 0; i < n;) {
+    const int32_t* prefix = offset(lex[i]);
+    size_t j = i + 1;
+    while (j < n && std::equal(prefix, prefix + pre, offset(lex[j]))) ++j;
+    // In lex order a row's last components ascend, so its reach is the
+    // last one; a full range [-reach, reach] then has 2 * reach + 1
+    // members, one fewer in the all-zero row.
+    const int32_t reach = offset(lex[j - 1])[pre];
+    const bool zero_row =
+        std::all_of(prefix, prefix + pre, [](int32_t o) { return o == 0; });
+    RPDBSCAN_CHECK(offset(lex[i])[pre] == -reach &&
+                   j - i == static_cast<size_t>(2 * reach + 1) -
+                                (zero_row ? 1 : 0))
+        << "stencil row is not a symmetric range";
+    row_prefixes_.insert(row_prefixes_.end(), prefix, prefix + pre);
+    row_reach_.push_back(reach);
+    i = j;
+  }
 }
 
 }  // namespace rpdbscan

@@ -83,12 +83,33 @@ class LatticeStencil {
   /// lattice gap in units of cell_side^2.
   uint32_t min_dist_class(size_t i) const { return classes_[i]; }
 
+  /// The offsets grouped into rows: row `r` holds every offset whose
+  /// first dim - 1 components are row_prefix(r), and their last
+  /// components are exactly [-row_reach(r), row_reach(r)] (the zero
+  /// offset left out of the all-zero row). m(o) is a sum of per-axis
+  /// terms that never shrink as |o_i| grows, so the last components a
+  /// prefix admits always form such a range. Rows are sorted
+  /// lexicographically by prefix. Adding one row's prefix keeps
+  /// ascending source prefixes ascending, which is what lets the
+  /// dictionary's neighborhood merge-join move a cursor per row forward
+  /// only. A 1-d stencil has one row with an empty prefix.
+  size_t num_rows() const { return row_reach_.size(); }
+  const int32_t* row_prefix(size_t r) const {
+    return row_prefixes_.data() + r * (dim_ - 1);
+  }
+  int32_t row_reach(size_t r) const { return row_reach_[r]; }
+
  private:
+  /// Fills row_prefixes_ / row_reach_ from offsets_.
+  void BuildRows();
+
   size_t dim_ = 0;
   bool enabled_ = false;
   double budget_ = 0.0;
   std::vector<int32_t> offsets_;   // num_offsets * dim, flat
   std::vector<uint32_t> classes_;  // num_offsets
+  std::vector<int32_t> row_prefixes_;  // num_rows * (dim - 1), flat
+  std::vector<int32_t> row_reach_;     // num_rows
 };
 
 }  // namespace rpdbscan

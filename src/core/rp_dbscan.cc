@@ -26,7 +26,9 @@ std::string RunStats::ToString() const {
      << " (key " << key_seconds << " s, sort " << sort_seconds
      << " s, scatter " << scatter_seconds << " s)\n"
      << "  Phase I-2 (dictionary):     " << dictionary_seconds << " s"
-     << " (wire payload " << broadcast_bytes << " bytes)\n"
+     << " (histograms " << histogram_seconds << " s, fragments "
+     << fragment_seconds << " s, neighborhoods " << neighborhood_seconds
+     << " s; wire payload " << broadcast_bytes << " bytes)\n"
      << "  Phase II  (cell graph):     " << phase2_seconds << " s\n"
      << "  Phase III-1 (merging):      " << merge_seconds << " s\n"
      << "  Phase III-2 (labeling):     " << label_seconds << " s\n"
@@ -64,6 +66,9 @@ std::string RunStats::ToJson() const {
   w.Key("sort_seconds").Value(sort_seconds);
   w.Key("scatter_seconds").Value(scatter_seconds);
   w.Key("dictionary_seconds").Value(dictionary_seconds);
+  w.Key("histogram_seconds").Value(histogram_seconds);
+  w.Key("fragment_seconds").Value(fragment_seconds);
+  w.Key("neighborhood_seconds").Value(neighborhood_seconds);
   w.Key("phase2_seconds").Value(phase2_seconds);
   w.Key("merge_seconds").Value(merge_seconds);
   w.Key("label_seconds").Value(label_seconds);
@@ -211,6 +216,9 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
       CellDictionary::Build(data, cells, dict_opts, &pool);
   if (!dict_or.ok()) return dict_or.status();
   stats.dictionary_seconds = phase_watch.ElapsedSeconds();
+  stats.histogram_seconds = dict_or->breakdown().histogram_seconds;
+  stats.fragment_seconds = dict_or->breakdown().fragment_seconds;
+  stats.neighborhood_seconds = dict_or->breakdown().neighborhood_seconds;
 
   // Alg. 1 line 5 broadcasts the dictionary to every worker; here the
   // Phase II threads share this one immutable instance, so only the

@@ -149,6 +149,11 @@ struct RunStats {
   double sort_seconds = 0;     // radix sort of (key, point_id) pairs
   double scatter_seconds = 0;  // group scan + CSR emit
   double dictionary_seconds = 0;  // Phase I-2
+  // Phase I-2 sub-breakdown (CellDictionary::breakdown()); the three sum
+  // to at most dictionary_seconds.
+  double histogram_seconds = 0;     // per-cell sub-cell histograms
+  double fragment_seconds = 0;      // BSP fragments, trees, lanes, index
+  double neighborhood_seconds = 0;  // stencil neighborhood CSR (0 at d >= 6)
   double phase2_seconds = 0;      // Phase II (cell graph construction)
   double merge_seconds = 0;       // Phase III-1
   double label_seconds = 0;       // Phase III-2

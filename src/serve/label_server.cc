@@ -296,11 +296,16 @@ ServeResult LabelServer::Classify(const float* q, ServeStats* stats) const {
       // GridGeometry::CellMinDist2's exact per-dimension arithmetic so
       // the pre-drop (and the best-cell key) match the tree engine
       // bit-for-bit — but without materializing (and hashing) a
-      // CellCoord for offsets that cannot intersect the query ball.
+      // CellCoord for offsets that cannot intersect the query ball. An
+      // offset that leaves the int32 lattice holds no cell: it is
+      // skipped, never wrapped onto the far edge.
       double min2 = 0.0;
+      bool on_lattice = true;
       for (size_t d = 0; d < dim; ++d) {
-        oc[d] = home[d] + off[d];
-        const double lo = static_cast<double>(oc[d]) * side;
+        const int64_t c = static_cast<int64_t>(home[d]) + off[d];
+        oc[d] = static_cast<int32_t>(c);
+        on_lattice &= oc[d] == c;
+        const double lo = static_cast<double>(c) * side;
         const double hi = lo + side;
         const double v = q[d];
         double delta = 0.0;
@@ -311,7 +316,7 @@ ServeResult LabelServer::Classify(const float* q, ServeStats* stats) const {
         }
         min2 += delta * delta;
       }
-      if (min2 > eps2) continue;
+      if (!on_lattice || min2 > eps2) continue;
       staged[nstaged] = CellCoord(oc, dim);
       staged_min2[nstaged] = min2;
       if (++nstaged == kProbeBatch) flush();

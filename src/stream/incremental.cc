@@ -107,7 +107,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   // set), and RunRpDbscan queries its built dictionary the same way.
   // Cell ids only grow, so the last epoch's dictionary is a prior over a
   // prefix of the cells: its stencil neighborhoods carry over, and only
-  // the new cells probe their windows.
+  // the new cells' windows are swept.
   Stopwatch stage;
   entries_.resize(num_cells);
   if (!touched.empty()) {

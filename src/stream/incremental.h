@@ -110,7 +110,7 @@ class StreamClusterer {
   std::vector<CellEntry> entries_;
   /// The last epoch's dictionary, shared with its snapshot: the prior the
   /// next epoch's assembly carries stencil neighborhoods over from, so
-  /// only new cells probe their windows. Null before epoch 0.
+  /// only new cells have their windows swept. Null before epoch 0.
   std::shared_ptr<const CellDictionary> dict_;
   std::vector<uint8_t> point_is_core_;
   std::vector<uint8_t> cell_is_core_;

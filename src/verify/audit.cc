@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -417,12 +419,13 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
 
   // Stencil neighborhood CSR, which the stencil Phase II, the stream's
   // dirty closure and serving walk: well-formed at kCheap; at kFull each
-  // list, as a set, is exactly the cells found by probing the slot's full
-  // stencil window — whether the build probed the list or carried it over
-  // from a prior dictionary. An empty dictionary builds no CSR.
+  // list, as a set, is exactly the cells found by hash-probing the slot's
+  // full stencil window — an oracle independent of the build's sorted
+  // merge-join, whether the list was swept or carried over from a prior
+  // dictionary. An empty dictionary builds no CSR.
   if (dict.has_stencil() && dict.num_cells() > 0) {
     const std::vector<size_t>& begin = dict.stencil_neighbor_begin();
-    const std::vector<uint32_t>& slots = dict.stencil_neighbor_slots();
+    const std::span<const uint32_t> slots = dict.stencil_neighbor_slots();
     const size_t num_slots = dict.num_cells();
     bool shape_ok = begin.size() == num_slots + 1 && begin.front() == 0 &&
                     begin.back() == slots.size();
@@ -459,9 +462,16 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
       const int32_t* c = dict.ref_coords().data() + s * dim;
       for (size_t i = 0; i < stencil.num_offsets(); ++i) {
         const int32_t* off = stencil.offset(i);
-        for (size_t d = 0; d < dim; ++d) {
-          nbr[d] = static_cast<int32_t>(static_cast<int64_t>(c[d]) + off[d]);
+        // An offset that leaves the int32 lattice holds no cell: skip it
+        // rather than wrap onto the far edge.
+        bool on_lattice = true;
+        for (size_t d = 0; d < dim && on_lattice; ++d) {
+          const int64_t v = static_cast<int64_t>(c[d]) + off[d];
+          on_lattice = v >= std::numeric_limits<int32_t>::min() &&
+                       v <= std::numeric_limits<int32_t>::max();
+          nbr[d] = static_cast<int32_t>(v);
         }
+        if (!on_lattice) continue;
         const int64_t hit = dict.FindCellRefIndex(CellCoord(nbr, dim));
         if (hit >= 0) want.push_back(static_cast<uint32_t>(hit));
       }

@@ -120,7 +120,7 @@ AuditReport AuditCellSet(const Dataset& data, const CellSet& cells,
 ///    a valid slot; at kFull each list has no repeats and, as a set,
 ///    equals the cells found by probing the slot's full stencil window
 ///    (so a list carried over from a prior dictionary is checked like a
-///    probed one);
+///    swept one);
 ///  * at kFull: per-cell sub-cell histograms recomputed from the raw
 ///    points via GridGeometry::SubcellOf match the dictionary, and the
 ///    precomputed cell centers and lane sub-cell centers match

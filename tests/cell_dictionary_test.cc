@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/phase2.h"
 #include "neighborhood_sets.h"
 #include "synth/generators.h"
 #include "util/random.h"
+#include "verify/audit.h"
 
 namespace rpdbscan {
 namespace {
@@ -269,13 +275,14 @@ TEST(CellDictionaryTest, PriorCarriesNeighborhoodsLikeAFreshBuild) {
   // A dictionary assembled over a prior prefix of its cells equals a
   // from-scratch Build: same wire bytes, same neighbor set per cell. With
   // no new cells every list is carried over, with a few nearly all, with
-  // half new the probes and the carried lists meet in the middle.
+  // half new the swept windows and the carried lists meet in the middle.
   struct Case {
     size_t dim;
     double eps;
     size_t n;
   };
-  for (const Case c : {Case{2, 1.0, 3000}, Case{3, 2.0, 3000},
+  for (const Case c : {Case{1, 0.5, 2000}, Case{2, 1.0, 3000},
+                       Case{3, 2.0, 3000}, Case{4, 3.0, 1500},
                        Case{5, 4.0, 1200}}) {
     SCOPED_TRACE("dim " + std::to_string(c.dim));
     Fixture f(synth::Blobs(c.n, 5, 3.0, 20 + c.dim, c.dim), c.eps, 0.05);
@@ -311,6 +318,238 @@ TEST(CellDictionaryTest, PriorCarriesNeighborhoodsLikeAFreshBuild) {
       EXPECT_EQ(NeighborIdSets(*one), want_sets);
       EXPECT_EQ(RawNeighborhoods(*three), RawNeighborhoods(*one));
     }
+  }
+}
+
+// Cells for the neighborhood oracle, one sub-cell each: a run along the
+// last axis far longer than any row's window 2w + 1 (and than the
+// build's chunks of source cells, so a run straddles two), a dense block
+// around the origin (negative coordinates included), cells at and next
+// to the int32 lattice extremes, and a sparse scatter. The first `*m`
+// entries form the prior prefix; prior and new cells alternate along the
+// long run and mix everywhere else, and ids follow no lattice order.
+std::vector<CellEntry> OracleEntries(size_t dim, uint64_t seed, size_t* m) {
+  Rng rng(seed);
+  std::set<std::vector<int32_t>> seen;
+  std::vector<std::vector<int32_t>> groups[2];  // prior, new
+  auto add = [&](const std::vector<int32_t>& c, bool is_new) {
+    if (seen.insert(c).second) groups[is_new].push_back(c);
+  };
+  std::vector<int32_t> c(dim);
+  for (int32_t v = -600; v <= 600; ++v) {
+    std::fill(c.begin(), c.end(), -1);
+    c[dim - 1] = v;
+    add(c, v % 2 != 0);
+  }
+  for (int i = 0; i < 200; ++i) {
+    for (int32_t& x : c) x = static_cast<int32_t>(rng.Uniform(8)) - 4;
+    add(c, rng.Uniform(2) == 1);
+  }
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  const int32_t edges[] = {kMin, kMin + 1, kMax - 1, kMax};
+  for (int i = 0; i < 60; ++i) {
+    for (int32_t& x : c) x = edges[rng.Uniform(4)];
+    add(c, rng.Uniform(2) == 1);
+  }
+  for (int i = 0; i < 60; ++i) {
+    for (int32_t& x : c) x = static_cast<int32_t>(rng.Uniform(81)) - 40;
+    add(c, rng.Uniform(2) == 1);
+  }
+  std::vector<CellEntry> entries;
+  for (std::vector<std::vector<int32_t>>& group : groups) {
+    for (size_t i = group.size(); i > 1; --i) {
+      std::swap(group[i - 1], group[rng.Uniform(i)]);
+    }
+    for (const std::vector<int32_t>& coord : group) {
+      CellEntry e;
+      e.coord = CellCoord(coord.data(), dim);
+      e.cell_id = static_cast<uint32_t>(entries.size());
+      e.subcells.push_back(DictSubcell{SubcellId{}, 1});
+      entries.push_back(std::move(e));
+    }
+  }
+  *m = groups[0].size();
+  return entries;
+}
+
+// The oracle, by brute force over all cell pairs and independent of both
+// the build's merge-join and the audit's hash probes: b is in a's list
+// iff b - a, taken in int64, is an offset of `stencil`. Indexed by cell
+// id, sorted, self excluded — NeighborIdSets' shape.
+std::vector<std::vector<uint32_t>> BruteForceNeighborIds(
+    const std::vector<CellEntry>& entries, const LatticeStencil& stencil) {
+  const size_t dim = stencil.dim();
+  std::set<std::vector<int64_t>> offsets;
+  int64_t reach = 0;
+  for (size_t i = 0; i < stencil.num_offsets(); ++i) {
+    const int32_t* o = stencil.offset(i);
+    offsets.insert(std::vector<int64_t>(o, o + dim));
+    for (size_t d = 0; d < dim; ++d) {
+      reach = std::max<int64_t>(reach, o[d] < 0 ? -int64_t{o[d]} : o[d]);
+    }
+  }
+  std::vector<std::vector<uint32_t>> out(entries.size());
+  std::vector<int64_t> diff(dim);
+  for (const CellEntry& a : entries) {
+    for (const CellEntry& b : entries) {
+      bool near = a.cell_id != b.cell_id;
+      for (size_t d = 0; near && d < dim; ++d) {
+        diff[d] = int64_t{b.coord[d]} - a.coord[d];
+        near = diff[d] >= -reach && diff[d] <= reach;
+      }
+      if (near && offsets.count(diff) > 0) out[a.cell_id].push_back(b.cell_id);
+    }
+  }
+  return out;
+}
+
+TEST(CellDictionaryTest, NeighborhoodsMatchABruteForceOracle) {
+  // Every list, with or without a prior and over a chain of epochs,
+  // equals the brute-force window; serial and pooled builds store the
+  // same raw lists.
+  ThreadPool pool(3);
+  for (size_t dim = 1; dim <= 5; ++dim) {
+    for (const double scale : {1.0, 1.5}) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + " scale " +
+                   std::to_string(scale));
+      auto geom = GridGeometry::Create(dim, 1.0, 1.0);
+      ASSERT_TRUE(geom.ok());
+      CellDictionaryOptions opts;
+      opts.max_cells_per_subdict = 32;  // slots far from lattice order
+      opts.stencil_eps_scale = scale;
+      opts.max_stencil_offsets = size_t{1} << 15;
+      size_t m = 0;
+      const std::vector<CellEntry> all = OracleEntries(dim, 70 + dim, &m);
+      const size_t n = all.size();
+      const LatticeStencil stencil =
+          LatticeStencil::CreateScaled(dim, scale, opts.max_stencil_offsets);
+      ASSERT_TRUE(stencil.enabled());
+      const auto want = BruteForceNeighborIds(all, stencil);
+
+      auto serial = CellDictionary::FromEntries(*geom, all, opts);
+      auto pooled = CellDictionary::FromEntries(*geom, all, opts, &pool);
+      ASSERT_TRUE(serial.ok()) << serial.status();
+      ASSERT_TRUE(pooled.ok()) << pooled.status();
+      ASSERT_TRUE(serial->has_stencil());
+      EXPECT_EQ(NeighborIdSets(*serial), want);
+      EXPECT_EQ(RawNeighborhoods(*pooled), RawNeighborhoods(*serial));
+
+      // Priors whose new cells fall between their cells, in the long run
+      // and elsewhere: half the cells new, then a few.
+      for (const size_t k : {m, n - 3}) {
+        SCOPED_TRACE(std::to_string(n - k) + " of " + std::to_string(n) +
+                     " cells new");
+        const std::vector<CellEntry> prefix(all.begin(), all.begin() + k);
+        auto prior = CellDictionary::FromEntries(*geom, prefix, opts, &pool);
+        ASSERT_TRUE(prior.ok()) << prior.status();
+        EXPECT_EQ(NeighborIdSets(*prior),
+                  BruteForceNeighborIds(prefix, stencil));
+        auto one =
+            CellDictionary::FromEntries(*geom, all, opts, nullptr, &*prior);
+        auto three =
+            CellDictionary::FromEntries(*geom, all, opts, &pool, &*prior);
+        ASSERT_TRUE(one.ok()) << one.status();
+        ASSERT_TRUE(three.ok()) << three.status();
+        EXPECT_EQ(NeighborIdSets(*one), want);
+        EXPECT_EQ(RawNeighborhoods(*three), RawNeighborhoods(*one));
+      }
+
+      // A chain of epochs: each prior's lattice order was itself merged.
+      const std::vector<CellEntry> first(all.begin(), all.begin() + m / 2);
+      const std::vector<CellEntry> second(all.begin(), all.begin() + m);
+      auto e0 = CellDictionary::FromEntries(*geom, first, opts, &pool);
+      ASSERT_TRUE(e0.ok());
+      auto e1 = CellDictionary::FromEntries(*geom, second, opts, &pool, &*e0);
+      ASSERT_TRUE(e1.ok());
+      auto e2 = CellDictionary::FromEntries(*geom, all, opts, &pool, &*e1);
+      ASSERT_TRUE(e2.ok());
+      EXPECT_EQ(NeighborIdSets(*e2), want);
+    }
+  }
+}
+
+TEST(CellDictionaryTest, LatticeEdgeCellsAreNotNeighbors) {
+  // 1.0 and -1.0 land on INT32_MAX and INT32_MIN: one lattice step apart
+  // only if the coordinate wrapped. Each cell's list holds just itself,
+  // and the full audit's independent hash-probe oracle agrees.
+  Dataset data(1);
+  data.Append({1.0f});
+  data.Append({-1.0f});
+  Fixture f(std::move(data), 4.656612875e-10, 0.01, 2);
+  int32_t lo = std::numeric_limits<int32_t>::max();
+  int32_t hi = std::numeric_limits<int32_t>::min();
+  for (uint32_t id = 0; id < f.cells->num_cells(); ++id) {
+    lo = std::min(lo, f.cells->cell(id).coord[0]);
+    hi = std::max(hi, f.cells->cell(id).coord[0]);
+  }
+  ASSERT_EQ(lo, std::numeric_limits<int32_t>::min());
+  ASSERT_EQ(hi, std::numeric_limits<int32_t>::max());
+  auto dict = CellDictionary::Build(f.data, *f.cells);
+  ASSERT_TRUE(dict.ok());
+  ASSERT_TRUE(dict->has_stencil());
+  EXPECT_EQ(NeighborIdSets(*dict),
+            std::vector<std::vector<uint32_t>>(2));
+  const AuditReport report =
+      AuditDictionary(f.data, *f.cells, *dict, AuditLevel::kFull);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// Checks every cell's entry against std::map counts, in the map's
+// (hi, lo) order. Returns whether any sub-cell id used the hi word.
+bool ExpectEntriesMatchMapHistograms(const Fixture& f) {
+  bool hi_used = false;
+  for (uint32_t id = 0; id < f.cells->num_cells(); ++id) {
+    const CellData& cell = f.cells->cell(id);
+    std::map<std::pair<uint64_t, uint64_t>, uint32_t> hist;
+    for (const uint32_t pid : cell.point_ids) {
+      const SubcellId sc = f.geom.SubcellOf(f.data.point(pid), cell.coord);
+      ++hist[{sc.hi, sc.lo}];
+      hi_used = hi_used || sc.hi != 0;
+    }
+    const CellEntry entry =
+        CellDictionary::MakeCellEntry(f.data, f.geom, cell, id);
+    EXPECT_EQ(entry.cell_id, id);
+    EXPECT_TRUE(entry.coord == cell.coord);
+    EXPECT_EQ(entry.subcells.size(), hist.size()) << "cell " << id;
+    if (entry.subcells.size() != hist.size()) continue;
+    size_t i = 0;
+    for (const auto& [key, count] : hist) {
+      EXPECT_EQ(entry.subcells[i].id.hi, key.first) << "cell " << id;
+      EXPECT_EQ(entry.subcells[i].id.lo, key.second) << "cell " << id;
+      EXPECT_EQ(entry.subcells[i].count, count) << "cell " << id;
+      ++i;
+    }
+  }
+  return hi_used;
+}
+
+TEST(CellDictionaryTest, MakeCellEntryMatchesAMapHistogram) {
+  // The sorted-run histogram against std::map counts: 13-d ids that use
+  // the hi word, h = 1 (every id 0), and a cell whose points all share
+  // one sub-cell.
+  {
+    SCOPED_TRACE("13-d, hi word");
+    Fixture f(synth::TeraLike(3000, 17), 40.0, 0.01, 2);
+    EXPECT_TRUE(ExpectEntriesMatchMapHistograms(f));
+  }
+  {
+    SCOPED_TRACE("h = 1");
+    Fixture f(synth::Blobs(3000, 3, 2.0, 18), 1.0, 1.0, 2);
+    EXPECT_EQ(f.geom.bits_per_dim(), 0u);
+    ExpectEntriesMatchMapHistograms(f);
+  }
+  {
+    SCOPED_TRACE("one sub-cell");
+    Dataset same(2);
+    for (int i = 0; i < 50; ++i) same.Append({3.25f, -7.5f});
+    Fixture f(std::move(same), 4.0, 0.01, 2);
+    ASSERT_EQ(f.cells->num_cells(), 1u);
+    ExpectEntriesMatchMapHistograms(f);
+    const CellEntry entry =
+        CellDictionary::MakeCellEntry(f.data, f.geom, f.cells->cell(0), 0);
+    ASSERT_EQ(entry.subcells.size(), 1u);
+    EXPECT_EQ(entry.subcells[0].count, 50u);
   }
 }
 

@@ -69,6 +69,58 @@ TEST_F(CliTest, GenerateAndCluster) {
   EXPECT_NE(Stdout().find("clusters"), std::string::npos);
 }
 
+TEST_F(CliTest, StatsSplitPhaseI2) {
+  // --stats prints the Phase I-2 split and --stats-json carries it: the
+  // histogram, fragment and neighborhood seconds, measured inside the
+  // stage, sum to no more than its total.
+  const std::string json_path = dir_ + "/stats.json";
+  ASSERT_EQ(Run("--generate=blobs --n=5000 --eps=1.0 --minpts=15 --stats "
+                "--stats-json=" +
+                json_path),
+            0);
+  const std::string out = Stdout();
+  const size_t line = out.find("Phase I-2");
+  ASSERT_NE(line, std::string::npos);
+  const std::string i2 = out.substr(line, out.find('\n', line) - line);
+  for (const char* part : {"histograms ", "fragments ", "neighborhoods "}) {
+    EXPECT_NE(i2.find(part), std::string::npos) << i2;
+  }
+  std::ifstream in(json_path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  auto value = [&](const std::string& key) {
+    const size_t at = json.find("\"" + key + "\"");
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos) return -1.0;
+    return std::strtod(json.c_str() + json.find(':', at) + 1, nullptr);
+  };
+  const double total = value("dictionary_seconds");
+  const double histogram = value("histogram_seconds");
+  const double fragment = value("fragment_seconds");
+  const double neighborhood = value("neighborhood_seconds");
+  EXPECT_GE(histogram, 0.0);
+  EXPECT_GE(fragment, 0.0);
+  EXPECT_GE(neighborhood, 0.0);
+  // The slack covers the 9-digit rounding of the printed values.
+  EXPECT_LE(histogram + fragment + neighborhood, total * (1 + 1e-8)) << json;
+}
+
+TEST_F(CliTest, LatticeEdgeCellsAreNotStencilNeighbors) {
+  // At this eps the two points sit on INT32_MAX and INT32_MIN: each
+  // cell's stencil list holds only itself, so Phase II walks 2 entries.
+  const std::string csv = dir_ + "/edge.csv";
+  {
+    std::ofstream f(csv);
+    f << "1.0\n-1.0\n";
+  }
+  ASSERT_EQ(Run("--input=" + csv +
+                " --eps=4.656612875e-10 --minpts=1 --stats --audit=full"),
+            0);
+  const std::string out = Stdout();
+  EXPECT_NE(out.find("stencil_probes=2\n"), std::string::npos) << out;
+  EXPECT_NE(out.find(" 0 violations"), std::string::npos) << out;
+}
+
 TEST_F(CliTest, LabelsWrittenAndReadable) {
   const std::string out = dir_ + "/labels.csv";
   ASSERT_EQ(Run("--generate=moons --n=3000 --eps=0.07 --minpts=10 "

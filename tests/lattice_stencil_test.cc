@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -142,6 +143,51 @@ TEST(LatticeStencilTest, KnownSizesPerDimension) {
   EXPECT_EQ(LatticeStencil::Create(2, 8192).num_offsets(), 24u);
   EXPECT_EQ(LatticeStencil::Create(3, 8192).num_offsets(), 124u);
   EXPECT_EQ(LatticeStencil::Create(5, 8192).num_offsets(), 6094u);
+}
+
+TEST(LatticeStencilTest, RowsReproduceTheOffsetSet) {
+  // Every family member's rows, each expanded to prefix x [-reach,
+  // reach] with the zero offset dropped, give back exactly its offset
+  // set, each offset once; the prefixes strictly ascend.
+  for (size_t dim = 1; dim <= 5; ++dim) {
+    for (const double scale : {1.0, 1.25, 1.5, 2.0}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " scale=" + std::to_string(scale));
+      const LatticeStencil s =
+          LatticeStencil::CreateScaled(dim, scale, size_t{1} << 16);
+      if (!s.enabled()) continue;  // d = 5 at the larger scales
+      const size_t pre = dim - 1;
+      std::set<std::vector<int32_t>> expanded;
+      size_t count = 0;
+      for (size_t r = 0; r < s.num_rows(); ++r) {
+        const int32_t* prefix = s.row_prefix(r);
+        if (r > 0) {
+          const int32_t* prev = s.row_prefix(r - 1);
+          EXPECT_TRUE(std::lexicographical_compare(prev, prev + pre, prefix,
+                                                   prefix + pre))
+              << "row " << r;
+        }
+        EXPECT_GE(s.row_reach(r), 1) << "row " << r;
+        std::vector<int32_t> o(prefix, prefix + pre);
+        o.push_back(0);
+        for (int32_t v = -s.row_reach(r); v <= s.row_reach(r); ++v) {
+          o[pre] = v;
+          if (std::all_of(o.begin(), o.end(),
+                          [](int32_t x) { return x == 0; })) {
+            continue;
+          }
+          expanded.insert(o);
+          ++count;
+        }
+      }
+      EXPECT_EQ(count, s.num_offsets());
+      EXPECT_EQ(expanded, StencilOffsets(s));
+    }
+  }
+  // The 3-d stencil: 25 rows of reach 2.
+  const LatticeStencil s3 = LatticeStencil::Create(3, 8192);
+  EXPECT_EQ(s3.num_rows(), 25u);
+  for (size_t r = 0; r < s3.num_rows(); ++r) EXPECT_EQ(s3.row_reach(r), 2);
 }
 
 TEST(LatticeStencilTest, HighDimFallbackTriggers) {

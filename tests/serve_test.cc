@@ -207,5 +207,41 @@ TEST(ServeTest, BatchRejectsQueriesItCannotServe) {
   }
 }
 
+TEST(ServeTest, QueriesAtTheLatticeEdgeDoNotWrap) {
+  // eps 4.656612875e-10 in 1-d puts 1.0 and -1.0 on the int32 lattice
+  // extremes, INT32_MAX and INT32_MIN. Neither cell is in the model, so
+  // each query walks its stencil offsets, and those past the edge must
+  // find nothing rather than overflow or wrap onto the other extreme.
+  constexpr double kEps = 4.656612875e-10;
+  Dataset train(1);
+  for (int i = 0; i < 3; ++i) train.Append({0.5f});
+  auto run = RunRpDbscan(train, Opts(kEps, 2));
+  ASSERT_TRUE(run.ok()) << run.status();
+  auto snap = ClusterModelSnapshot::FromModel(std::move(*run->model));
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const LabelServer server(
+      std::make_shared<const ClusterModelSnapshot>(std::move(*snap)));
+  ASSERT_TRUE(server.snapshot().dictionary().has_stencil());
+  Dataset queries(1);
+  queries.Append({1.0f});
+  queries.Append({-1.0f});
+  queries.Append({0.5f});
+  const GridGeometry& geom = server.snapshot().dictionary().geom();
+  EXPECT_EQ(geom.CellOf(queries.point(0))[0],
+            std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(geom.CellOf(queries.point(1))[0],
+            std::numeric_limits<int32_t>::min());
+  ThreadPool pool(2);
+  std::vector<ServeResult> results;
+  ASSERT_TRUE(server.ClassifyBatch(queries, pool, &results).ok());
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].kind, PointKind::kNoise);
+  EXPECT_EQ(results[0].cluster, kNoise);
+  EXPECT_EQ(results[1].kind, PointKind::kNoise);
+  EXPECT_EQ(results[1].cluster, kNoise);
+  EXPECT_EQ(results[2].kind, PointKind::kCore);
+  EXPECT_NE(results[2].cluster, kNoise);
+}
+
 }  // namespace
 }  // namespace rpdbscan

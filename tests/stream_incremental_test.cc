@@ -271,7 +271,7 @@ TEST(StreamIncrementalTest, TinyAndEmptyBatches) {
 
 /// Each epoch assembles its dictionary over the previous epoch's as a
 /// prior, carrying the stencil neighborhoods of the old cells over and
-/// probing only the new cells' windows. Every epoch's dictionary must
+/// sweeping only the new cells' windows. Every epoch's dictionary must
 /// still equal a fresh Build over the accumulated cells: the same wire
 /// bytes, the same neighbor cells per cell (itself first), and a clean
 /// full audit. The batches mix seeded random sizes with one empty batch,

@@ -29,9 +29,10 @@
 #      neighborhoods over; epoch_swap_test: reader threads hammering
 #      LabelServer queries while the EpochRegistry's shared_ptr slot
 #      hot-swaps epochs under them), the dictionary assembly
-#      (cell_dictionary_test: the pool-parallel fragment fill and stencil
-#      CSR probe / count / fill, with and without a prior, against
-#      single-threaded builds), the external Phase I-1 build
+#      (cell_dictionary_test: the pool-parallel fragment fill and the
+#      stencil CSR merge-join's count and fill passes, with and without
+#      a prior, against single-threaded builds and a brute-force
+#      oracle), the external Phase I-1 build
 #      (external_phase1_test: chunked sort + spill + k-way merge driven
 #      through the shared thread pool), and the multi-eps hierarchy +
 #      multi-model serving layer (hierarchy_test /

@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include <map>
 
 #include "bench_common.h"
@@ -245,36 +247,35 @@ BENCHMARK(BM_LatticeStencilCreate)->Arg(2)->Arg(3)->Arg(5);
 // ---- Phase III-1 merge engines, head to head. ----
 //
 // One prebuilt synthetic cell graph (random partition ownership, mostly
-// core cells, random directed edges — the shape Phase II emits), copied
-// per iteration because MergeSubgraphs consumes its input. The
-// sequential tournament pays per-round concatenation + hash-set rebuilds
-// + a mutexed union-find; the edge-parallel path types every edge in one
-// pass against a lock-free union-find — so it wins even on one thread,
-// and additionally scales with the pool.
+// core cells, random successor rows — the shape Phase II emits), read by
+// every iteration. The sequential tournament expands the rows into typed
+// edge lists and pays per-round concatenation + hash-set rebuilds + a
+// mutexed union-find; the edge-parallel path types every edge in one
+// pass over the rows against a lock-free union-find — so it wins even on
+// one thread, and additionally scales with the pool.
 struct MergeFixture {
-  std::vector<CellSubgraph> subgraphs;
+  CellGraph graph;
   size_t num_cells;
 
   explicit MergeFixture(size_t cells_in, size_t partitions, size_t edges)
       : num_cells(cells_in) {
     Rng rng(77);
-    subgraphs.resize(partitions);
-    std::vector<uint32_t> owner(num_cells);
-    std::vector<bool> is_core(num_cells);
+    graph.cell_is_core.resize(num_cells);
+    graph.successors.resize(num_cells);
+    graph.partitions.resize(partitions);
     for (uint32_t c = 0; c < num_cells; ++c) {
-      const uint32_t p = static_cast<uint32_t>(rng.Uniform(partitions));
-      owner[c] = p;
-      is_core[c] = rng.UniformDouble(0, 1) < 0.8;
-      subgraphs[p].partition_id = p;
-      subgraphs[p].owned.emplace_back(
-          c, is_core[c] ? CellType::kCore : CellType::kNonCore);
+      graph.partitions[rng.Uniform(partitions)].push_back(c);
+      graph.cell_is_core[c] = rng.UniformDouble(0, 1) < 0.8;
     }
     for (size_t e = 0; e < edges; ++e) {
       const uint32_t from = static_cast<uint32_t>(rng.Uniform(num_cells));
       const uint32_t to = static_cast<uint32_t>(rng.Uniform(num_cells));
-      if (from == to || !is_core[from]) continue;  // Phase II shape
-      subgraphs[owner[from]].edges.push_back(
-          CellEdge{from, to, EdgeType::kUndetermined});
+      if (from == to || !graph.cell_is_core[from]) continue;  // Phase II shape
+      graph.successors[from].push_back(to);
+    }
+    for (std::vector<uint32_t>& row : graph.successors) {
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end()), row.end());
     }
   }
 };
@@ -286,7 +287,7 @@ MergeFixture& MergeData() {
 }
 
 void BM_MergeForest(benchmark::State& state, bool parallel) {
-  MergeFixture& f = MergeData();
+  const MergeFixture& f = MergeData();
   const size_t threads = static_cast<size_t>(state.range(0));
   ThreadPool pool(threads);
   MergeOptions opts;
@@ -294,15 +295,11 @@ void BM_MergeForest(benchmark::State& state, bool parallel) {
   opts.pool = &pool;
   size_t clusters = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    auto graphs = f.subgraphs;  // consumed by the merge
-    state.ResumeTiming();
-    const MergeResult r =
-        MergeSubgraphs(std::move(graphs), f.num_cells, opts);
+    const MergeResult r = MergeSubgraphs(f.graph, f.num_cells, opts);
     clusters = r.num_clusters;
     benchmark::DoNotOptimize(clusters);
   }
-  state.SetItemsProcessed(state.iterations() * f.subgraphs.size());
+  state.SetItemsProcessed(state.iterations() * f.graph.partitions.size());
   state.counters["clusters"] = static_cast<double>(clusters);
 }
 BENCHMARK_CAPTURE(BM_MergeForest, sequential, false)

@@ -25,8 +25,8 @@ StatusOr<LocalClusteringResult> RunApproxLocalDbscan(
   ThreadPool pool(1);
   Phase2Result phase2 =
       BuildSubgraphs(data, *cells_or, *dict_or, params.min_pts, pool);
-  MergeResult merged = MergeSubgraphs(std::move(phase2.subgraphs),
-                                      cells_or->num_cells(), MergeOptions());
+  MergeResult merged =
+      MergeSubgraphs(phase2.subgraphs, cells_or->num_cells(), MergeOptions());
   LocalClusteringResult result;
   result.labels =
       LabelPoints(data, *cells_or, merged, phase2.point_is_core, pool);

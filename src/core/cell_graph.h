@@ -1,48 +1,32 @@
 #ifndef RPDBSCAN_CORE_CELL_GRAPH_H_
 #define RPDBSCAN_CORE_CELL_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace rpdbscan {
 
-/// Vertex classification in a cell (sub)graph (Def. 5.8): a partition
-/// knows core/non-core only for cells it owns; every other endpoint is
-/// undetermined until the merge phase resolves it.
-enum class CellType : uint8_t {
-  kUndetermined = 0,
-  kCore = 1,
-  kNonCore = 2,
-};
+/// The Phase II output (Alg. 3): every partition's local cell subgraph,
+/// held by cell id. A cell's core flag and successor row are written by
+/// the partition that owns it. Edges are untyped; the merge reads each
+/// edge's type off its successor's core flag (Sec. 6.1.3).
+struct CellGraph {
+  /// Per cell id: 1 iff the cell holds a core point (Def. 3.2).
+  std::vector<uint8_t> cell_is_core;
+  /// Per cell id: the other cells holding a sub-cell within reach of one
+  /// of the cell's core points (Defs. 3.3/3.4), ascending and
+  /// duplicate-free; empty for a non-core cell.
+  std::vector<std::vector<uint32_t>> successors;
+  /// Per partition: the cells it owns, in the cell set's partition order.
+  /// Only the merge tournament and the audit read them.
+  std::vector<std::vector<uint32_t>> partitions;
 
-/// Edge classification (Def. 5.8). Phase II emits only kUndetermined
-/// ("the type ... cannot be confirmed in this phase", Sec. 3); the merge
-/// tournament promotes edges to full/partial as endpoint types become
-/// known. Invariant maintained by the merge: a kFull edge has already been
-/// fed to the union-find (so later rounds pass it through untouched).
-enum class EdgeType : uint8_t {
-  kUndetermined = 0,
-  kFull = 1,     // core -> core; undirected for clustering purposes
-  kPartial = 2,  // core -> non-core; direction matters for labeling
-};
-
-/// One directed reachability edge between cells, by dense cell id. The
-/// `from` cell is always a core cell of the partition that created the
-/// edge.
-struct CellEdge {
-  uint32_t from = 0;
-  uint32_t to = 0;
-  EdgeType type = EdgeType::kUndetermined;
-};
-
-/// The local clustering result of one partition (Phase II output): the
-/// types of the cells the partition owns plus the reachability edges found
-/// from its core cells.
-struct CellSubgraph {
-  uint32_t partition_id = 0;
-  /// (cell id, type) for every cell owned by this partition.
-  std::vector<std::pair<uint32_t, CellType>> owned;
-  std::vector<CellEdge> edges;
+  size_t num_edges() const {
+    size_t n = 0;
+    for (const std::vector<uint32_t>& row : successors) n += row.size();
+    return n;
+  }
 };
 
 }  // namespace rpdbscan

@@ -14,10 +14,10 @@
 namespace rpdbscan {
 namespace {
 
-// A subgraph during the tournament: knows the types of the cells whose
-// owning partitions have been folded into it.
+// A subgraph during the tournament: the cells whose owning partitions
+// have been folded into it, and its edges.
 struct TournamentGraph {
-  std::vector<std::pair<uint32_t, CellType>> owned;
+  std::vector<uint32_t> owned;
   std::vector<CellEdge> edges;
 };
 
@@ -34,11 +34,11 @@ size_t TotalEdges(const std::vector<TournamentGraph>& graphs) {
 // lineages are disjoint, so the lock is for memory safety only — the
 // outcome is order-independent).
 void MergePair(TournamentGraph& a, TournamentGraph&& b, DisjointSet& dsu,
-               std::mutex& dsu_mu, std::vector<CellType>& type_of,
+               std::mutex& dsu_mu, const std::vector<uint8_t>& cell_is_core,
                bool reduce_edges) {
   // Def. 6.2: union of vertices; a cell owned by one side promotes the
   // other side's undetermined view. With single ownership there are no
-  // core/non-core conflicts; we simply install the known types.
+  // core/non-core conflicts.
   a.owned.insert(a.owned.end(), b.owned.begin(), b.owned.end());
   a.edges.insert(a.edges.end(),
                  std::make_move_iterator(b.edges.begin()),
@@ -48,23 +48,20 @@ void MergePair(TournamentGraph& a, TournamentGraph&& b, DisjointSet& dsu,
 
   // Edge type detection (Sec. 6.1.3) + reduction (Sec. 6.1.4) in one
   // sweep. An edge can be typed only once this merged graph *contains* the
-  // successor's owning partition — even though `type_of` is globally
-  // filled, resolving earlier would misstate the per-round edge series the
-  // paper reports (Fig. 17). Hence the `known` membership check.
-  std::unordered_set<uint32_t> known;
-  known.reserve(a.owned.size() * 2);
-  for (const auto& owned_cell : a.owned) known.insert(owned_cell.first);
+  // successor's owning partition — even though the core flags are
+  // globally known, resolving earlier would misstate the per-round edge
+  // series the paper reports (Fig. 17). Hence the `known` membership
+  // check.
+  std::unordered_set<uint32_t> known(a.owned.begin(), a.owned.end());
   std::vector<CellEdge> kept;
   kept.reserve(a.edges.size());
   for (CellEdge& e : a.edges) {
     if (e.type == EdgeType::kUndetermined) {
-      const CellType to_type =
-          known.count(e.to) != 0 ? type_of[e.to] : CellType::kUndetermined;
-      if (to_type == CellType::kUndetermined) {
+      if (known.count(e.to) == 0) {
         kept.push_back(e);  // successor still unknown: keep for later round
         continue;
       }
-      if (to_type == CellType::kCore) {
+      if (cell_is_core[e.to] != 0) {
         e.type = EdgeType::kFull;
         // Full edge: both cells' points share a cluster (Lemma 3.5).
         // Keep the edge only if it extends the spanning forest.
@@ -77,11 +74,9 @@ void MergePair(TournamentGraph& a, TournamentGraph&& b, DisjointSet& dsu,
         continue;
       }
       e.type = EdgeType::kPartial;
-      kept.push_back(e);
-      continue;
     }
-    // Already typed in an earlier round (full edges are already in the
-    // union-find; partial edges just ride along).
+    // Partial, or already typed in an earlier round (full edges are
+    // already in the union-find; partial edges just ride along).
     kept.push_back(e);
   }
   a.edges = std::move(kept);
@@ -93,13 +88,14 @@ void MergePair(TournamentGraph& a, TournamentGraph&& b, DisjointSet& dsu,
 // edges — sorted ascending so the first-match border walk downstream is
 // schedule-independent — and full edges in final-graph order.
 template <typename FindFn>
-void HarvestClusters(size_t num_cells, const std::vector<CellType>& type_of,
+void HarvestClusters(const std::vector<uint8_t>& cell_is_core,
                      FindFn&& find, const std::vector<CellEdge>& final_edges,
                      MergeResult* result) {
+  const size_t num_cells = cell_is_core.size();
   result->core_cluster.assign(num_cells, kNoCluster);
   std::unordered_map<uint32_t, uint32_t> root_to_cluster;
   for (uint32_t cid = 0; cid < num_cells; ++cid) {
-    if (type_of[cid] != CellType::kCore) continue;
+    if (cell_is_core[cid] == 0) continue;
     const uint32_t root = find(cid);
     const auto it = root_to_cluster
                         .emplace(root, static_cast<uint32_t>(
@@ -123,34 +119,20 @@ void HarvestClusters(size_t num_cells, const std::vector<CellType>& type_of,
 }
 
 // The edge-parallel path (MergeOptions::parallel_unions): the tournament
-// exists to propagate type knowledge pair by pair, but the global type
-// table is complete before any merging starts — so every edge can be
-// typed independently, and full edges can race into a lock-free
-// union-find. One pass over the flattened edge list replaces
-// O(log k) rounds of concatenate + hash-set rebuilds; per-worker kept
-// lists are concatenated and sorted by (from, to) (unique: each edge is
-// emitted by its single owning partition) so the final edge list is
-// deterministic even though the union schedule is not.
-MergeResult MergeSubgraphsParallel(std::vector<CellSubgraph> subgraphs,
-                                   size_t num_cells,
+// exists to propagate type knowledge pair by pair, but the core flags are
+// complete before any merging starts — so every edge can be typed
+// independently, and full edges can race into a lock-free union-find. One
+// pass over the successor rows, parallel over cell ids, replaces O(log k)
+// rounds of concatenate + hash-set rebuilds; per-worker kept lists are
+// concatenated and sorted by (from, to) (unique: a row holds no
+// duplicates) so the final edge list is deterministic even though the
+// union schedule is not.
+MergeResult MergeSubgraphsParallel(const CellGraph& graph,
                                    const MergeOptions& opts) {
   MergeResult result;
-  std::vector<CellType> type_of(num_cells, CellType::kUndetermined);
-  size_t total_edges = 0;
-  for (const CellSubgraph& sg : subgraphs) total_edges += sg.edges.size();
-  std::vector<CellEdge> all;
-  all.reserve(total_edges);
-  for (CellSubgraph& sg : subgraphs) {
-    for (const auto& [cid, type] : sg.owned) {
-      RPDBSCAN_DCHECK(type_of[cid] == CellType::kUndetermined)
-          << "cell " << cid << " owned by two partitions";
-      type_of[cid] = type;
-    }
-    all.insert(all.end(), sg.edges.begin(), sg.edges.end());
-    sg.edges.clear();
-  }
-  subgraphs.clear();
-  result.edges_per_round.push_back(all.size());
+  const std::vector<uint8_t>& cell_is_core = graph.cell_is_core;
+  const size_t num_cells = cell_is_core.size();
+  result.edges_per_round.push_back(graph.num_edges());
 
   ConcurrentDisjointSet dsu(num_cells);
   const size_t num_workers =
@@ -158,29 +140,26 @@ MergeResult MergeSubgraphsParallel(std::vector<CellSubgraph> subgraphs,
           ? opts.pool->num_threads()
           : 1;
   std::vector<std::vector<CellEdge>> kept(num_workers);
-  auto type_edge = [&](size_t worker, size_t i) {
-    CellEdge e = all[i];
-    if (e.type == EdgeType::kUndetermined) {
-      const CellType to_type = type_of[e.to];
-      if (to_type == CellType::kCore) {
-        e.type = EdgeType::kFull;
+  auto type_row = [&](size_t worker, size_t cid) {
+    const uint32_t from = static_cast<uint32_t>(cid);
+    for (const uint32_t to : graph.successors[cid]) {
+      if (cell_is_core[to] != 0) {
         // Full edge (Lemma 3.5): survives only if its union extends the
         // spanning forest. Which unions succeed is schedule-dependent,
         // but their count — and the component partition — is not.
-        const bool novel = dsu.Union(e.from, e.to);
-        if (!novel && opts.reduce_edges) return;
-      } else if (to_type == CellType::kNonCore) {
-        e.type = EdgeType::kPartial;
+        const bool novel = dsu.Union(from, to);
+        if (novel || !opts.reduce_edges) {
+          kept[worker].push_back(CellEdge{from, to, EdgeType::kFull});
+        }
+      } else {
+        kept[worker].push_back(CellEdge{from, to, EdgeType::kPartial});
       }
-      // An unowned successor stays untyped, exactly as it would survive
-      // every tournament round.
     }
-    kept[worker].push_back(e);
   };
   if (opts.pool != nullptr && num_workers > 1) {
-    ParallelForWorkers(*opts.pool, all.size(), type_edge, /*chunk=*/1024);
+    ParallelForWorkers(*opts.pool, num_cells, type_row, /*chunk=*/64);
   } else {
-    for (size_t i = 0; i < all.size(); ++i) type_edge(0, i);
+    for (size_t cid = 0; cid < num_cells; ++cid) type_row(0, cid);
   }
 
   std::vector<CellEdge> final_edges;
@@ -200,35 +179,47 @@ MergeResult MergeSubgraphsParallel(std::vector<CellSubgraph> subgraphs,
 
   result.edges_reduced = opts.reduce_edges;
   HarvestClusters(
-      num_cells, type_of, [&dsu](uint32_t cid) { return dsu.Find(cid); },
+      cell_is_core, [&dsu](uint32_t cid) { return dsu.Find(cid); },
       final_edges, &result);
   return result;
 }
 
 }  // namespace
 
-MergeResult MergeSubgraphs(std::vector<CellSubgraph> subgraphs,
-                           size_t num_cells, const MergeOptions& opts) {
-  if (opts.parallel_unions) {
-    return MergeSubgraphsParallel(std::move(subgraphs), num_cells, opts);
-  }
+MergeResult MergeSubgraphs(const CellGraph& graph, size_t num_cells,
+                           const MergeOptions& opts) {
+  RPDBSCAN_CHECK(graph.cell_is_core.size() == num_cells &&
+                 graph.successors.size() == num_cells)
+      << "cell graph sized for " << graph.cell_is_core.size() << " / "
+      << graph.successors.size() << " cells, want " << num_cells;
+  if (opts.parallel_unions) return MergeSubgraphsParallel(graph, opts);
   MergeResult result;
-  // Global type table, filled as each subgraph's owned list arrives.
-  std::vector<CellType> type_of(num_cells, CellType::kUndetermined);
-  std::vector<TournamentGraph> round;
-  round.reserve(subgraphs.size());
-  for (CellSubgraph& sg : subgraphs) {
-    TournamentGraph g;
-    g.owned = std::move(sg.owned);
-    g.edges = std::move(sg.edges);
-    for (const auto& [cid, type] : g.owned) {
-      RPDBSCAN_DCHECK(type_of[cid] == CellType::kUndetermined)
-          << "cell " << cid << " owned by two partitions";
-      type_of[cid] = type;
+  // Runs fn(0..n) on the pool when there is one and more than one task.
+  auto run = [&opts](size_t n, auto&& fn) {
+    if (opts.pool != nullptr && n > 1) {
+      ParallelFor(*opts.pool, n, fn, /*chunk=*/1);
+    } else {
+      for (size_t i = 0; i < n; ++i) fn(i);
     }
-    round.push_back(std::move(g));
-  }
-  subgraphs.clear();
+  };
+
+  // Round 0: each partition's rows, expanded to untyped edges in owned-cell
+  // order.
+  std::vector<TournamentGraph> round(graph.partitions.size());
+  run(round.size(), [&](size_t p) {
+    TournamentGraph& g = round[p];
+    g.owned = graph.partitions[p];
+    size_t num_edges = 0;
+    for (const uint32_t cid : g.owned) {
+      num_edges += graph.successors[cid].size();
+    }
+    g.edges.reserve(num_edges);
+    for (const uint32_t cid : g.owned) {
+      for (const uint32_t to : graph.successors[cid]) {
+        g.edges.push_back(CellEdge{cid, to, EdgeType::kUndetermined});
+      }
+    }
+  });
 
   DisjointSet dsu(num_cells);
   std::mutex dsu_mu;
@@ -239,15 +230,10 @@ MergeResult MergeSubgraphs(std::vector<CellSubgraph> subgraphs,
   // when a pool is provided. An odd graph gets a bye.
   while (round.size() > 1) {
     const size_t matches = round.size() / 2;
-    auto run_match = [&](size_t m) {
+    run(matches, [&](size_t m) {
       MergePair(round[2 * m], std::move(round[2 * m + 1]), dsu, dsu_mu,
-                type_of, opts.reduce_edges);
-    };
-    if (opts.pool != nullptr && matches > 1) {
-      ParallelFor(*opts.pool, matches, run_match, /*chunk=*/1);
-    } else {
-      for (size_t m = 0; m < matches; ++m) run_match(m);
-    }
+                graph.cell_is_core, opts.reduce_edges);
+    });
     std::vector<TournamentGraph> next;
     next.reserve(matches + 1);
     for (size_t m = 0; m < matches; ++m) {
@@ -261,7 +247,7 @@ MergeResult MergeSubgraphs(std::vector<CellSubgraph> subgraphs,
   // Single-partition runs never enter the loop; resolve their edges with
   // one self-merge so the global graph is fully typed.
   if (round.size() == 1 && !round[0].edges.empty()) {
-    MergePair(round[0], TournamentGraph{}, dsu, dsu_mu, type_of,
+    MergePair(round[0], TournamentGraph{}, dsu, dsu_mu, graph.cell_is_core,
               opts.reduce_edges);
     if (result.edges_per_round.size() == 1) {
       result.edges_per_round.push_back(round[0].edges.size());
@@ -273,7 +259,7 @@ MergeResult MergeSubgraphs(std::vector<CellSubgraph> subgraphs,
   result.edges_reduced = opts.reduce_edges;
   static const std::vector<CellEdge> kNoEdges;
   HarvestClusters(
-      num_cells, type_of, [&dsu](uint32_t cid) { return dsu.Find(cid); },
+      graph.cell_is_core, [&dsu](uint32_t cid) { return dsu.Find(cid); },
       round.empty() ? kNoEdges : round[0].edges, &result);
   return result;
 }

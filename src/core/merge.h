@@ -11,6 +11,27 @@
 
 namespace rpdbscan {
 
+/// Edge classification (Def. 5.8). Phase II edges carry no type ("the
+/// type ... cannot be confirmed in this phase", Sec. 3): the merge
+/// tournament starts every edge kUndetermined and promotes it to
+/// full/partial once its successor's owner has been merged in. Invariant
+/// maintained by the merge: a kFull edge has already been fed to the
+/// union-find (so later rounds pass it through untouched).
+enum class EdgeType : uint8_t {
+  kUndetermined = 0,
+  kFull = 1,     // core -> core; undirected for clustering purposes
+  kPartial = 2,  // core -> non-core; direction matters for labeling
+};
+
+/// One directed reachability edge between cells, by dense cell id, as the
+/// merge tournament and MergeResult::full_edges hold it. The `from` cell
+/// is always a core cell.
+struct CellEdge {
+  uint32_t from = 0;
+  uint32_t to = 0;
+  EdgeType type = EdgeType::kUndetermined;
+};
+
 /// Options for the progressive (tournament) merge.
 struct MergeOptions {
   /// Drop redundant full edges via the spanning forest (Sec. 6.1.4). The
@@ -24,10 +45,11 @@ struct MergeOptions {
   ThreadPool* pool = nullptr;
   /// Replace the tournament reduction entirely with the edge-parallel
   /// lock-free path: every edge is typed directly from the globally
-  /// complete type table and full edges enter a CAS-based concurrent
-  /// union-find (graph/disjoint_set), edge-parallel over `pool`. The
-  /// deterministic post-pass (min-root relabel over ascending cell ids +
-  /// canonical predecessor order) makes cluster ids, predecessor lists —
+  /// complete core flags and full edges enter a CAS-based concurrent
+  /// union-find (graph/disjoint_set), parallel over the cells' successor
+  /// rows on `pool`. The deterministic post-pass (min-root relabel over
+  /// ascending cell ids + canonical predecessor order) makes cluster ids,
+  /// predecessor lists —
   /// and therefore final point labels — bit-identical to the tournament;
   /// which full edges survive reduction is schedule-dependent but always
   /// a spanning forest of the same components, so the
@@ -70,12 +92,14 @@ struct MergeResult {
   bool edges_reduced = false;
 };
 
-/// Runs the tournament merge over the Phase II subgraphs: pairwise merging
+/// Runs Phase III-1 over the Phase II cell graph: pairwise merging
 /// (Def. 6.2), edge-type detection as endpoint types become known
 /// (Sec. 6.1.3), and full-edge reduction through a union-find spanning
-/// forest (Sec. 6.1.4). Consumes `subgraphs`.
-MergeResult MergeSubgraphs(std::vector<CellSubgraph> subgraphs,
-                           size_t num_cells, const MergeOptions& opts);
+/// forest (Sec. 6.1.4). Reads `graph` (of `num_cells` cells): the
+/// edge-parallel path unions straight from its successor rows, and only
+/// the tournament expands each partition's rows into typed edge lists.
+MergeResult MergeSubgraphs(const CellGraph& graph, size_t num_cells,
+                           const MergeOptions& opts);
 
 }  // namespace rpdbscan
 

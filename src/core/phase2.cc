@@ -1,9 +1,9 @@
 #include "core/phase2.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "parallel/parallel_for.h"
 #include "util/logging.h"
@@ -497,25 +497,81 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
   return cell_core;
 }
 
+/// Grows `out` to `data` and `cells` (new points and cells non-core, new
+/// rows empty; existing entries kept) and copies the cell set's partition
+/// lists.
+void GrowToCells(const Dataset& data, const CellSet& cells,
+                 Phase2Result* out) {
+  out->point_is_core.resize(data.size(), 0);
+  CellGraph& graph = out->subgraphs;
+  graph.cell_is_core.resize(cells.num_cells(), 0);
+  graph.successors.resize(cells.num_cells());
+  graph.partitions.resize(cells.num_partitions());
+  for (uint32_t pid = 0; pid < cells.num_partitions(); ++pid) {
+    graph.partitions[pid] = cells.partition(pid);
+  }
+}
+
+/// The Phase II task loop BuildSubgraphs and RecomputeCells share: runs
+/// `num_tasks` tasks on `pool`, task t pushing the cells `task_cells(t)`
+/// through ProcessOneCell and writing each one's core flag and successor
+/// row into out->subgraphs and its points' core flags into
+/// out->point_is_core (both sized by the caller). Sets out's counters and
+/// SIMD tier; returns each task's wall seconds.
+template <typename TaskCells>
+std::vector<double> RunCellTasks(const Dataset& data, const CellSet& cells,
+                                 const CellDictionary& dict, size_t min_pts,
+                                 ThreadPool& pool, const Phase2Options& opts,
+                                 size_t num_tasks, TaskCells&& task_cells,
+                                 Phase2Result* out) {
+  const EngineSetup setup = ResolveEngine(dict, opts);
+  const size_t num_subdicts = dict.num_subdictionaries();
+  CellGraph& graph = out->subgraphs;
+  std::vector<TaskCounters> task_counters(num_tasks);
+  std::vector<double> seconds(num_tasks, 0.0);
+  ParallelFor(
+      pool, num_tasks,
+      [&](size_t t) {
+        Stopwatch watch;
+        TaskCounters counters;
+        Phase2Scratch scratch;
+        for (const uint32_t cid : task_cells(t)) {
+          const bool cell_core = ProcessOneCell(
+              data, cells.cell(cid), cid, dict, min_pts, num_subdicts, setup,
+              scratch, out->point_is_core.data(), counters);
+          graph.cell_is_core[cid] = cell_core ? 1 : 0;
+          graph.successors[cid].assign(scratch.cell_edges.begin(),
+                                       scratch.cell_edges.end());
+        }
+        task_counters[t] = counters;
+        seconds[t] = watch.ElapsedSeconds();
+      },
+      /*chunk=*/1);
+  TaskCounters total;
+  for (const TaskCounters& c : task_counters) {
+    total.visited += c.visited;
+    total.possible += c.possible;
+    total.scanned += c.scanned;
+    total.early_exits += c.early_exits;
+    total.stencil_probes += c.stencil_probes;
+  }
+  out->subdict_visited = total.visited;
+  out->subdict_possible = total.possible;
+  out->candidate_cells_scanned = total.scanned;
+  out->early_exits = total.early_exits;
+  out->stencil_probes = total.stencil_probes;
+  out->simd_level = setup.level;
+  return seconds;
+}
+
 }  // namespace
 
 Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             const CellDictionary& dict, size_t min_pts,
                             ThreadPool& pool, const Phase2Options& opts) {
   Phase2Result result;
+  GrowToCells(data, cells, &result);
   const size_t k = cells.num_partitions();
-  result.subgraphs.resize(k);
-  result.point_is_core.assign(data.size(), 0);
-  result.cell_is_core.assign(cells.num_cells(), 0);
-  result.task_seconds.assign(k, 0.0);
-  std::atomic<size_t> subdict_visited{0};
-  std::atomic<size_t> subdict_possible{0};
-  std::atomic<size_t> cells_scanned{0};
-  std::atomic<size_t> early_exits{0};
-  std::atomic<size_t> stencil_probes{0};
-  const size_t num_subdicts = dict.num_subdictionaries();
-  const EngineSetup setup = ResolveEngine(dict, opts);
-  result.simd_level = setup.level;
 
   // Longest-first schedule (LPT): partition tasks are submitted by
   // descending cached point count so a straggler cannot land on the last
@@ -530,113 +586,47 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             cells.PartitionPoints(b);
                    });
 
-  ParallelFor(
-      pool, k,
-      [&](size_t slot) {
-        const size_t pid = schedule[slot];
-        Stopwatch watch;
-        CellSubgraph& graph = result.subgraphs[pid];
-        graph.partition_id = static_cast<uint32_t>(pid);
-        TaskCounters counters;
-        Phase2Scratch scratch;
-        for (const uint32_t cid : cells.partition(pid)) {
-          const bool cell_core = ProcessOneCell(
-              data, cells.cell(cid), cid, dict, min_pts, num_subdicts, setup,
-              scratch, result.point_is_core.data(), counters);
-          result.cell_is_core[cid] = cell_core ? 1 : 0;
-          graph.owned.emplace_back(
-              cid, cell_core ? CellType::kCore : CellType::kNonCore);
-          for (const uint32_t to : scratch.cell_edges) {
-            graph.edges.push_back(CellEdge{cid, to, EdgeType::kUndetermined});
-          }
-        }
-        subdict_visited.fetch_add(counters.visited,
-                                  std::memory_order_relaxed);
-        subdict_possible.fetch_add(counters.possible,
-                                   std::memory_order_relaxed);
-        cells_scanned.fetch_add(counters.scanned,
-                                std::memory_order_relaxed);
-        early_exits.fetch_add(counters.early_exits,
-                              std::memory_order_relaxed);
-        stencil_probes.fetch_add(counters.stencil_probes,
-                                 std::memory_order_relaxed);
-        result.task_seconds[pid] = watch.ElapsedSeconds();
+  const std::vector<double> seconds = RunCellTasks(
+      data, cells, dict, min_pts, pool, opts, k,
+      [&](size_t slot) -> const std::vector<uint32_t>& {
+        return cells.partition(schedule[slot]);
       },
-      /*chunk=*/1);
-
-  result.subdict_visited = subdict_visited.load();
-  result.subdict_possible = subdict_possible.load();
-  result.candidate_cells_scanned = cells_scanned.load();
-  result.early_exits = early_exits.load();
-  result.stencil_probes = stencil_probes.load();
+      &result);
+  result.task_seconds.assign(k, 0.0);
+  for (size_t slot = 0; slot < k; ++slot) {
+    result.task_seconds[schedule[slot]] = seconds[slot];
+  }
   return result;
 }
 
-Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
-                                const CellDictionary& dict, size_t min_pts,
-                                ThreadPool& pool, const Phase2Options& opts,
-                                const std::vector<uint32_t>& targets,
-                                uint8_t* point_is_core) {
-  Phase2CellUpdate update;
-  const EngineSetup setup = ResolveEngine(dict, opts);
-  update.simd_level = setup.level;
-  const size_t m = targets.size();
-  update.cell_is_core.assign(m, 0);
-  update.cell_edges.resize(m);
-  if (m == 0) return update;
+void RecomputeCells(const Dataset& data, const CellSet& cells,
+                    const CellDictionary& dict, size_t min_pts,
+                    ThreadPool& pool, const Phase2Options& opts,
+                    const std::vector<uint32_t>& targets,
+                    Phase2Result* state) {
+  GrowToCells(data, cells, state);
   // The scan only *sets* core bits, so stale flags from the prior epoch
   // must be cleared up front for every target cell's points (densities are
   // monotone under appends, but targets are caller-chosen — clear all).
   for (const uint32_t cid : targets) {
     for (const uint32_t pid : cells.cell(cid).point_ids) {
-      point_is_core[pid] = 0;
+      state->point_is_core[pid] = 0;
     }
-    update.recomputed_points += cells.cell(cid).point_ids.size();
   }
-  std::atomic<size_t> subdict_visited{0};
-  std::atomic<size_t> subdict_possible{0};
-  std::atomic<size_t> cells_scanned{0};
-  std::atomic<size_t> early_exits{0};
-  std::atomic<size_t> stencil_probes{0};
-  const size_t num_subdicts = dict.num_subdictionaries();
   // Chunked over the target list (targets share no points, so the per-cell
   // tasks are independent); each chunk reuses one scratch set like a
   // partition task does.
+  const size_t m = targets.size();
   const size_t num_chunks = std::min(m, pool.num_threads() * 4);
-  const size_t chunk_len = (m + num_chunks - 1) / num_chunks;
-  ParallelFor(
-      pool, num_chunks,
+  const size_t chunk_len = m == 0 ? 0 : (m + num_chunks - 1) / num_chunks;
+  RunCellTasks(
+      data, cells, dict, min_pts, pool, opts, num_chunks,
       [&](size_t c) {
-        TaskCounters counters;
-        Phase2Scratch scratch;
-        const size_t end = std::min(m, (c + 1) * chunk_len);
-        for (size_t t = c * chunk_len; t < end; ++t) {
-          const uint32_t cid = targets[t];
-          const bool cell_core =
-              ProcessOneCell(data, cells.cell(cid), cid, dict, min_pts,
-                             num_subdicts, setup, scratch, point_is_core,
-                             counters);
-          update.cell_is_core[t] = cell_core ? 1 : 0;
-          update.cell_edges[t].assign(scratch.cell_edges.begin(),
-                                      scratch.cell_edges.end());
-        }
-        subdict_visited.fetch_add(counters.visited,
-                                  std::memory_order_relaxed);
-        subdict_possible.fetch_add(counters.possible,
-                                   std::memory_order_relaxed);
-        cells_scanned.fetch_add(counters.scanned, std::memory_order_relaxed);
-        early_exits.fetch_add(counters.early_exits,
-                              std::memory_order_relaxed);
-        stencil_probes.fetch_add(counters.stencil_probes,
-                                 std::memory_order_relaxed);
+        const size_t begin = std::min(m, c * chunk_len);
+        return std::span<const uint32_t>(targets).subspan(
+            begin, std::min(m, begin + chunk_len) - begin);
       },
-      /*chunk=*/1);
-  update.subdict_visited = subdict_visited.load();
-  update.subdict_possible = subdict_possible.load();
-  update.candidate_cells_scanned = cells_scanned.load();
-  update.early_exits = early_exits.load();
-  update.stencil_probes = stencil_probes.load();
-  return update;
+      state);
 }
 
 }  // namespace rpdbscan

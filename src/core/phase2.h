@@ -52,13 +52,11 @@ struct Phase2Options {
 /// Output of Phase II (cell graph construction, Alg. 3) across all
 /// partitions.
 struct Phase2Result {
-  /// One local cell subgraph per partition.
-  std::vector<CellSubgraph> subgraphs;
+  /// Every partition's local cell subgraph, by cell id.
+  CellGraph subgraphs;
   /// Per-point core flag (indexed by point id), set by the owning
   /// partition. Needed later by point labeling (Lemma 3.5, partial case).
   std::vector<uint8_t> point_is_core;
-  /// Per-cell core flag (indexed by cell id).
-  std::vector<uint8_t> cell_is_core;
   /// Wall seconds spent by each partition's task — the per-split numbers
   /// behind the paper's load-imbalance metric (Fig. 13).
   std::vector<double> task_seconds;
@@ -96,48 +94,31 @@ bool SubcellRangeMbr(const CellDictionary& dict, const CellCoord& coord,
 
 /// Runs Phase II: for every partition (in parallel on `pool`), performs an
 /// (eps, rho)-region query per point, marks core points and core cells
-/// (Example 5.7), and emits the partition's cell subgraph whose edges link
-/// each core cell to every cell holding at least one neighbor sub-cell
-/// (Defs. 3.3/3.4, recorded as kUndetermined per Alg. 3).
+/// (Example 5.7), and writes each core cell's successor row: every cell
+/// holding at least one neighbor sub-cell of one of its core points
+/// (Defs. 3.3/3.4; untyped, per Alg. 3).
 Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             const CellDictionary& dict, size_t min_pts,
                             ThreadPool& pool,
                             const Phase2Options& opts = Phase2Options());
 
-/// Output of RecomputeCells: Phase II results for just the target cells,
-/// arrays parallel to the `targets` argument.
-struct Phase2CellUpdate {
-  /// cell_is_core[t] is the recomputed core flag of targets[t].
-  std::vector<uint8_t> cell_is_core;
-  /// cell_edges[t] is targets[t]'s recomputed neighbor-cell list, sorted
-  /// ascending and deduplicated — empty for non-core cells (only core
-  /// points contribute edges). Exactly the edges BuildSubgraphs would emit
-  /// for the cell.
-  std::vector<std::vector<uint32_t>> cell_edges;
-  /// Total points of the target cells (their core flags were recomputed).
-  size_t recomputed_points = 0;
-  /// Same per-run counters as Phase2Result, over the targets only.
-  size_t subdict_visited = 0;
-  size_t subdict_possible = 0;
-  size_t candidate_cells_scanned = 0;
-  size_t early_exits = 0;
-  size_t stencil_probes = 0;
-  SimdLevel simd_level = SimdLevel::kScalar;
-};
-
 /// Re-runs the Phase II per-cell unit for exactly `targets` (dense cell
-/// ids, no duplicates), writing per-point core flags into `point_is_core`
-/// (size data.size(); target cells' flags are cleared first, all other
-/// entries untouched) — the streaming path's incremental recompute.
-/// Because a cell's Phase II output is a pure function of its own points
-/// and the dictionary (partition assignment never enters), recomputing a
-/// cell here yields bit-identically what a from-scratch BuildSubgraphs
+/// ids, no duplicates) in place on `state`, the output of an earlier run
+/// over a prefix of the same points — the streaming path's incremental
+/// recompute. `state` is first grown to `data` and `cells` (new points and
+/// cells non-core, new rows empty) and takes the cell set's current
+/// partition lists; then the target cells' point flags, core flags and
+/// successor rows are rewritten, and every other entry is left as it is.
+/// The counters and simd_level describe this call alone; task_seconds is
+/// untouched. Because a cell's Phase II output is a pure function of its
+/// own points and the dictionary (partition assignment never enters), a
+/// rewritten entry is bit-identically what a from-scratch BuildSubgraphs
 /// over the same data and dictionary would produce for it.
-Phase2CellUpdate RecomputeCells(const Dataset& data, const CellSet& cells,
-                                const CellDictionary& dict, size_t min_pts,
-                                ThreadPool& pool, const Phase2Options& opts,
-                                const std::vector<uint32_t>& targets,
-                                uint8_t* point_is_core);
+void RecomputeCells(const Dataset& data, const CellSet& cells,
+                    const CellDictionary& dict, size_t min_pts,
+                    ThreadPool& pool, const Phase2Options& opts,
+                    const std::vector<uint32_t>& targets,
+                    Phase2Result* state);
 
 }  // namespace rpdbscan
 

@@ -269,7 +269,7 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   stats.candidate_cells_scanned = phase2.candidate_cells_scanned;
   stats.early_exits = phase2.early_exits;
   stats.stencil_probes = phase2.stencil_probes;
-  for (const uint8_t c : phase2.cell_is_core) {
+  for (const uint8_t c : phase2.subgraphs.cell_is_core) {
     stats.num_core_cells += c;
   }
 
@@ -279,10 +279,10 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   const bool classic_semantics =
       options.query_eps == 0.0 && phase2_opts.core_cell_mask == nullptr;
 
-  // Must run before MergeSubgraphs consumes the subgraphs.
   if (audit != AuditLevel::kOff && classic_semantics) {
     Stopwatch audit_watch;
-    const AuditReport rep = AuditCellGraph(data, cells, phase2, audit);
+    const AuditReport rep =
+        AuditCellGraph(data, cells, phase2.point_is_core, phase2.subgraphs);
     stats.audit_seconds += audit_watch.ElapsedSeconds();
     RPDBSCAN_RETURN_IF_ERROR(apply_audit("cell-graph", rep));
   }
@@ -294,8 +294,8 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   merge_opts.pool = &pool;
   merge_opts.parallel_unions = !options.sequential_merge;
   stats.parallel_merge = merge_opts.parallel_unions;
-  MergeResult merged = MergeSubgraphs(std::move(phase2.subgraphs),
-                                      cells.num_cells(), merge_opts);
+  MergeResult merged =
+      MergeSubgraphs(phase2.subgraphs, cells.num_cells(), merge_opts);
   stats.merge_seconds = phase_watch.ElapsedSeconds();
   stats.edges_per_round = merged.edges_per_round;
   stats.num_clusters = merged.num_clusters;
@@ -303,7 +303,7 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   if (audit != AuditLevel::kOff) {
     Stopwatch audit_watch;
     const AuditReport rep =
-        AuditMergeForest(phase2.cell_is_core, merged, audit);
+        AuditMergeForest(phase2.subgraphs.cell_is_core, merged, audit);
     stats.audit_seconds += audit_watch.ElapsedSeconds();
     RPDBSCAN_RETURN_IF_ERROR(apply_audit("merge-forest", rep));
   }

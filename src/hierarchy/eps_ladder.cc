@@ -204,15 +204,17 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
     Phase2Result phase2 =
         BuildSubgraphs(data, cells, dict, level.min_pts, pool, phase2_opts);
     level.phase2_seconds = level_watch.ElapsedSeconds();
-    for (const uint8_t c : phase2.cell_is_core) level.num_core_cells += c;
+    for (const uint8_t c : phase2.subgraphs.cell_is_core) {
+      level.num_core_cells += c;
+    }
 
     level_watch.Reset();
     MergeOptions merge_opts;
     merge_opts.reduce_edges = options.reduce_edges;
     merge_opts.pool = &pool;
     merge_opts.parallel_unions = !options.sequential_merge;
-    MergeResult merged = MergeSubgraphs(std::move(phase2.subgraphs),
-                                        cells.num_cells(), merge_opts);
+    MergeResult merged =
+        MergeSubgraphs(phase2.subgraphs, cells.num_cells(), merge_opts);
     level.merge_seconds = level_watch.ElapsedSeconds();
     level.num_clusters = merged.num_clusters;
 

@@ -47,6 +47,23 @@ StatusOr<StreamClusterer> StreamClusterer::Create(
   if (seed_batch.empty()) {
     return Status::InvalidArgument("seed batch is empty");
   }
+  // An epoch runs the classic in-RAM pipeline; these options would make
+  // RunRpDbscan differ from it, so they are refused rather than dropped.
+  const RpDbscanOptions classic;
+  if (options.query_eps != classic.query_eps) {
+    return Status::InvalidArgument("stream does not support query_eps");
+  }
+  if (options.stencil_eps_scale != classic.stencil_eps_scale) {
+    return Status::InvalidArgument(
+        "stream does not support stencil_eps_scale");
+  }
+  if (options.sampled_core_fraction != classic.sampled_core_fraction) {
+    return Status::InvalidArgument(
+        "stream does not support sampled_core_fraction");
+  }
+  if (options.point_source != nullptr) {
+    return Status::InvalidArgument("stream does not support point_source");
+  }
   auto geom_or =
       GridGeometry::Create(seed_batch.dim(), options.eps, options.rho);
   if (!geom_or.ok()) return geom_or.status();
@@ -129,77 +146,47 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
             .ToStatus("stream dictionary"));
   }
 
-  // ---- Dirty closure + Phase II recompute, dirty cells only. ----
+  // ---- Dirty closure + Phase II recompute, dirty cells only: their
+  // core flags and successor rows are rewritten in the last epoch's graph,
+  // every other row carries over as it is.
   stage.Reset();
   const DirtySet dirty = DirtySetTracker::Resolve(dict, cells, touched);
   stats.dirty_cells = dirty.cells.size();
   stats.dirty_used_stencil = dirty.used_stencil;
 
-  point_is_core_.resize(data.size(), 0);
-  cell_is_core_.resize(num_cells, 0);
-  cell_edges_.resize(num_cells);
-  Phase2CellUpdate update =
-      RecomputeCells(data, cells, dict, options_.min_pts, pool,
-                     Phase2OptionsOf(options_), dirty.cells,
-                     point_is_core_.data());
-  stats.reclustered_points = update.recomputed_points;
-  for (size_t t = 0; t < dirty.cells.size(); ++t) {
-    const uint32_t cid = dirty.cells[t];
-    cell_is_core_[cid] = update.cell_is_core[t];
-    cell_edges_[cid] = std::move(update.cell_edges[t]);
-  }
-
-  // ---- Rebuild the per-partition subgraphs from the spliced caches, in
-  // the exact shape BuildSubgraphs emits (same partition order, same
-  // owned order, same per-cell ascending edge lists), so the merge sees
-  // bit-identical input to a from-scratch run.
-  const size_t k = cells.num_partitions();
-  std::vector<CellSubgraph> subgraphs(k);
-  for (uint32_t pid = 0; pid < k; ++pid) {
-    CellSubgraph& graph = subgraphs[pid];
-    graph.partition_id = pid;
-    for (const uint32_t cid : cells.partition(pid)) {
-      const bool core = cell_is_core_[cid] != 0;
-      graph.owned.emplace_back(cid,
-                               core ? CellType::kCore : CellType::kNonCore);
-      if (core) {
-        for (const uint32_t to : cell_edges_[cid]) {
-          graph.edges.push_back(CellEdge{cid, to, EdgeType::kUndetermined});
-        }
-      }
-    }
+  RecomputeCells(data, cells, dict, options_.min_pts, pool,
+                 Phase2OptionsOf(options_), dirty.cells, &phase2_);
+  for (const uint32_t cid : dirty.cells) {
+    stats.reclustered_points += cells.cell(cid).point_ids.size();
   }
   stats.phase2_seconds = stage.ElapsedSeconds();
 
   if (audit != AuditLevel::kOff) {
-    Phase2Result shim;
-    shim.subgraphs = subgraphs;
-    shim.point_is_core = point_is_core_;
-    shim.cell_is_core = cell_is_core_;
     RPDBSCAN_RETURN_IF_ERROR(
-        AuditCellGraph(data, cells, shim, audit)
+        AuditCellGraph(data, cells, phase2_.point_is_core, phase2_.subgraphs)
             .ToStatus("stream cell-graph"));
   }
 
-  // ---- Merge + label over the full (spliced) graph. ----
+  // ---- Merge + label over the full graph. ----
   stage.Reset();
   MergeOptions merge_opts;
   merge_opts.reduce_edges = options_.reduce_edges;
   merge_opts.pool = &pool;
   merge_opts.parallel_unions = !options_.sequential_merge;
   MergeResult merged =
-      MergeSubgraphs(std::move(subgraphs), num_cells, merge_opts);
+      MergeSubgraphs(phase2_.subgraphs, num_cells, merge_opts);
   stats.num_clusters = merged.num_clusters;
   const double merge_seconds = stage.ElapsedSeconds();
 
   if (audit != AuditLevel::kOff) {
     RPDBSCAN_RETURN_IF_ERROR(
-        AuditMergeForest(cell_is_core_, merged, audit)
+        AuditMergeForest(phase2_.subgraphs.cell_is_core, merged, audit)
             .ToStatus("stream merge-forest"));
   }
 
   stage.Reset();
-  Labels labels = LabelPoints(data, cells, merged, point_is_core_, pool);
+  Labels labels =
+      LabelPoints(data, cells, merged, phase2_.point_is_core, pool);
   stats.merge_seconds = merge_seconds + stage.ElapsedSeconds();
   for (const int64_t l : labels) {
     if (l == kNoise) ++stats.num_noise_points;
@@ -207,16 +194,17 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
 
   if (audit != AuditLevel::kOff) {
     RPDBSCAN_RETURN_IF_ERROR(
-        AuditLabels(data, cells, merged, point_is_core_, labels,
+        AuditLabels(data, cells, merged, phase2_.point_is_core, labels,
                     options_.min_pts, audit, options_.seed)
             .ToStatus("stream labels"));
   }
 
   // ---- Package as a snapshot with epoch lineage. ----
   stage.Reset();
-  CapturedModel model = BuildCapturedModel(
-      data, cells, std::move(merged), point_is_core_, std::move(*dict_or),
-      options_.min_pts);
+  CapturedModel model =
+      BuildCapturedModel(data, cells, std::move(merged),
+                         phase2_.point_is_core, std::move(*dict_or),
+                         options_.min_pts);
   SnapshotOptions snap_opts;
   snap_opts.dict_opts = DictOptionsOf(options_);
   auto snap_or = ClusterModelSnapshot::FromModel(std::move(model), snap_opts);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/cell_dictionary.h"
+#include "core/phase2.h"
 #include "core/rp_dbscan.h"
 #include "io/dataset.h"
 #include "parallel/thread_pool.h"
@@ -37,7 +38,8 @@ struct EpochStats {
   /// Stage times within epoch_publish_seconds; audits count in none.
   /// The touched cells' MakeCellEntry plus the dictionary assembly.
   double dictionary_seconds = 0;
-  /// The dirty closure, RecomputeCells and the subgraph rebuild.
+  /// The dirty closure and RecomputeCells, which rewrites the dirty
+  /// cells' rows in place.
   double phase2_seconds = 0;
   /// MergeSubgraphs plus LabelPoints.
   double merge_seconds = 0;
@@ -72,7 +74,10 @@ class StreamClusterer {
   /// Seeds the stream with `seed_batch` (epoch 0 recomputes everything —
   /// it flows through the same incremental code path with all cells
   /// touched). `options` are the RunRpDbscan options each epoch must be
-  /// equivalent to; capture_model is implied.
+  /// equivalent to; capture_model is implied. A non-default query_eps,
+  /// stencil_eps_scale, sampled_core_fraction or point_source is refused
+  /// with InvalidArgument naming the field: epochs run neither the ladder
+  /// nor the sampled or out-of-core paths.
   static StatusOr<StreamClusterer> Create(Dataset seed_batch,
                                           const RpDbscanOptions& options);
 
@@ -112,9 +117,10 @@ class StreamClusterer {
   /// next epoch's assembly carries stencil neighborhoods over from, so
   /// only new cells have their windows swept. Null before epoch 0.
   std::shared_ptr<const CellDictionary> dict_;
-  std::vector<uint8_t> point_is_core_;
-  std::vector<uint8_t> cell_is_core_;
-  std::vector<std::vector<uint32_t>> cell_edges_;
+  /// The last epoch's Phase II output: point and cell core flags and the
+  /// cell graph's successor rows, rewritten per epoch for the dirty cells
+  /// only.
+  Phase2Result phase2_;
 };
 
 }  // namespace rpdbscan

@@ -517,25 +517,31 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
 }
 
 AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
-                           const Phase2Result& phase2, AuditLevel level) {
+                           const std::vector<uint8_t>& point_is_core,
+                           const CellGraph& graph) {
   AuditReport report;
   const GridGeometry& geom = cells.geom();
   const size_t num_cells = cells.num_cells();
   const size_t k = cells.num_partitions();
-  report.Check(phase2.point_is_core.size() == data.size(), [&] {
-    return Cat("point_is_core.size() = ", phase2.point_is_core.size(),
-               ", want ", data.size());
+  report.Check(point_is_core.size() == data.size(), [&] {
+    return Cat("point_is_core.size() = ", point_is_core.size(), ", want ",
+               data.size());
   });
-  report.Check(phase2.cell_is_core.size() == num_cells, [&] {
-    return Cat("cell_is_core.size() = ", phase2.cell_is_core.size(),
-               ", want ", num_cells);
+  report.Check(graph.cell_is_core.size() == num_cells &&
+                   graph.successors.size() == num_cells,
+               [&] {
+                 return Cat("cell graph sized for ",
+                            graph.cell_is_core.size(), " / ",
+                            graph.successors.size(), " cells, want ",
+                            num_cells);
+               });
+  report.Check(graph.partitions.size() == k, [&] {
+    return Cat("partitions.size() = ", graph.partitions.size(), ", want ",
+               k);
   });
-  report.Check(phase2.subgraphs.size() == k, [&] {
-    return Cat("subgraphs.size() = ", phase2.subgraphs.size(), ", want ", k);
-  });
-  if (phase2.point_is_core.size() != data.size() ||
-      phase2.cell_is_core.size() != num_cells ||
-      phase2.subgraphs.size() != k) {
+  if (point_is_core.size() != data.size() ||
+      graph.cell_is_core.size() != num_cells ||
+      graph.successors.size() != num_cells || graph.partitions.size() != k) {
     return report;
   }
 
@@ -543,65 +549,52 @@ AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
   for (uint32_t c = 0; c < num_cells; ++c) {
     bool has_core = false;
     for (const uint32_t pid : cells.cell(c).point_ids) {
-      if (phase2.point_is_core[pid]) {
+      if (point_is_core[pid]) {
         has_core = true;
         break;
       }
     }
-    report.Check((phase2.cell_is_core[c] != 0) == has_core, [&] {
-      return Cat("cell ", c, " core flag ", int(phase2.cell_is_core[c]),
+    report.Check((graph.cell_is_core[c] != 0) == has_core, [&] {
+      return Cat("cell ", c, " core flag ", int(graph.cell_is_core[c]),
                  " disagrees with its points");
+    });
+  }
+
+  // Owned lists: exactly each partition's cells, in partition order.
+  for (uint32_t pid = 0; pid < k; ++pid) {
+    report.Check(graph.partitions[pid] == cells.partition(pid), [&] {
+      return Cat("partition ", pid,
+                 " owned list disagrees with the cell set's");
     });
   }
 
   const double eps2_slack =
       geom.eps() * geom.eps() * (1.0 + kRelSlack);
   const double side = geom.cell_side();
-  std::unordered_set<uint64_t> edge_keys;
-  for (uint32_t pid = 0; pid < k; ++pid) {
-    const CellSubgraph& sg = phase2.subgraphs[pid];
-    report.Check(sg.partition_id == pid, [&] {
-      return Cat("subgraph ", pid, " claims partition ", sg.partition_id);
+  for (uint32_t from = 0; from < num_cells; ++from) {
+    const std::vector<uint32_t>& row = graph.successors[from];
+    if (row.empty()) continue;
+    report.Check(graph.cell_is_core[from] != 0, [&] {
+      return Cat("non-core cell ", from, " has ", row.size(), " successors");
     });
-    // Owned list: exactly this partition's cells, in partition order, with
-    // types matching the core flags.
-    const std::vector<uint32_t>& part = cells.partition(pid);
-    bool owned_ok = sg.owned.size() == part.size();
-    for (size_t i = 0; owned_ok && i < part.size(); ++i) {
-      const CellType want = phase2.cell_is_core[part[i]]
-                                ? CellType::kCore
-                                : CellType::kNonCore;
-      owned_ok = sg.owned[i].first == part[i] && sg.owned[i].second == want;
-    }
-    report.Check(owned_ok, [&] {
-      return Cat("subgraph ", pid,
-                 " owned list disagrees with its partition's cells");
-    });
-    edge_keys.clear();
-    for (const CellEdge& e : sg.edges) {
-      if (e.from >= num_cells || e.to >= num_cells) {
-        report.Fail(Cat("subgraph ", pid, " edge with out-of-range endpoint ",
-                        e.from, " -> ", e.to));
+    for (size_t i = 0; i < row.size(); ++i) {
+      const uint32_t to = row[i];
+      if (to >= num_cells) {
+        report.Fail(Cat("cell ", from, " successor ", to, " out of range"));
         continue;
       }
-      report.Check(e.from != e.to, [&] {
-        return Cat("subgraph ", pid, " self-loop at cell ", e.from);
+      report.Check(i == 0 || row[i - 1] < to, [&] {
+        return Cat("cell ", from, " successor row not strictly ascending at ",
+                   row[i - 1], ", ", to);
       });
-      report.Check(phase2.cell_is_core[e.from] != 0, [&] {
-        return Cat("subgraph ", pid, " edge from non-core cell ", e.from);
-      });
-      report.Check(cells.cell(e.from).owner_partition == pid, [&] {
-        return Cat("subgraph ", pid, " edge from foreign cell ", e.from);
-      });
-      report.Check(e.type == EdgeType::kUndetermined, [&] {
-        return Cat("subgraph ", pid, " edge ", e.from, " -> ", e.to,
-                   " pre-typed as ", int(e.type));
+      report.Check(from != to, [&] {
+        return Cat("self-loop at cell ", from);
       });
       // Reachability needs a point of `from` and a sub-cell of `to` within
       // eps (Def. 3.3), so the lattice box gap bounds it from below.
       double gap2 = 0.0;
-      const CellCoord& a = cells.cell(e.from).coord;
-      const CellCoord& b = cells.cell(e.to).coord;
+      const CellCoord& a = cells.cell(from).coord;
+      const CellCoord& b = cells.cell(to).coord;
       for (size_t d = 0; d < geom.dim(); ++d) {
         int64_t delta =
             static_cast<int64_t>(a[d]) - static_cast<int64_t>(b[d]);
@@ -612,18 +605,9 @@ AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
         }
       }
       report.Check(gap2 <= eps2_slack, [&] {
-        return Cat("subgraph ", pid, " edge ", e.from, " -> ", e.to,
-                   " spans boxes ", std::sqrt(gap2), " apart (eps ",
-                   geom.eps(), ")");
+        return Cat("edge ", from, " -> ", to, " spans boxes ",
+                   std::sqrt(gap2), " apart (eps ", geom.eps(), ")");
       });
-      if (level == AuditLevel::kFull) {
-        const uint64_t key =
-            (static_cast<uint64_t>(e.from) << 32) | e.to;
-        report.Check(edge_keys.insert(key).second, [&] {
-          return Cat("subgraph ", pid, " duplicate edge ", e.from, " -> ",
-                     e.to);
-        });
-      }
     }
   }
   return report;

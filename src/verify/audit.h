@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "core/cell_dictionary.h"
+#include "core/cell_graph.h"
 #include "core/cell_set.h"
 #include "core/merge.h"
-#include "core/phase2.h"
 #include "io/dataset.h"
 #include "util/status.h"
 
@@ -129,15 +129,16 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
                             const CellDictionary& dict, AuditLevel level);
 
 /// Audits the Phase II output (Alg. 3): core-flag shape agreement (a cell
-/// is core iff it holds a core point), one subgraph per partition owning
-/// exactly its partition's cells with types matching the core flags, and
-/// edges that start at core cells, carry the kUndetermined type Phase II
-/// must emit, never self-loop, and connect cells whose boxes are within
-/// eps of each other (Def. 3.3 reachability needs a point and a sub-cell
-/// of the two cells within eps, so the box gap bounds it). At kFull also
-/// rejects duplicate edges inside a subgraph.
+/// is core iff it holds a core point), one owned-cell list per partition
+/// equal to the cell set's, and successor rows that are empty for
+/// non-core cells, strictly ascending (so duplicate-free), never name
+/// their own cell, and connect cells whose boxes are within eps of each
+/// other (Def. 3.3 reachability needs a point and a sub-cell of the two
+/// cells within eps, so the box gap bounds it). Every check is a
+/// structural scan, so it runs the same at kCheap and kFull.
 AuditReport AuditCellGraph(const Dataset& data, const CellSet& cells,
-                           const Phase2Result& phase2, AuditLevel level);
+                           const std::vector<uint8_t>& point_is_core,
+                           const CellGraph& graph);
 
 /// Audits the Phase III-1 output (Alg. 4 part 1): cluster ids are dense
 /// and exactly cover the core cells, predecessor lists are core -> noncore

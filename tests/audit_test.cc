@@ -6,6 +6,7 @@
 
 #include "verify/audit.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -182,11 +183,10 @@ Pipeline MakePipeline() {
   ThreadPool pool(2);
   Phase2Result phase2 =
       BuildSubgraphs(data, *cells, *dict, kMinPts, pool, Phase2Options());
-  std::vector<CellSubgraph> subgraphs = phase2.subgraphs;  // merge consumes
   MergeOptions merge_opts;
   merge_opts.pool = &pool;
   MergeResult merged =
-      MergeSubgraphs(std::move(subgraphs), cells->num_cells(), merge_opts);
+      MergeSubgraphs(phase2.subgraphs, cells->num_cells(), merge_opts);
   Labels labels =
       LabelPoints(data, *cells, merged, phase2.point_is_core, pool);
   return Pipeline{std::move(data),       std::move(cells).value(),
@@ -203,12 +203,14 @@ TEST(PipelineAuditTest, CleanPipelinePassesEveryAuditorAtFull) {
       AuditDictionary(p.data, p.cells, p.dict, AuditLevel::kFull);
   EXPECT_TRUE(dict.ok()) << dict.ToString();
   EXPECT_GT(dict.checks(), 0u);
-  const AuditReport graph =
-      AuditCellGraph(p.data, p.cells, p.phase2, AuditLevel::kFull);
+  const AuditReport graph = AuditCellGraph(p.data, p.cells,
+                                           p.phase2.point_is_core,
+                                           p.phase2.subgraphs);
   EXPECT_TRUE(graph.ok()) << graph.ToString();
   EXPECT_GT(graph.checks(), 0u);
   const AuditReport forest =
-      AuditMergeForest(p.phase2.cell_is_core, p.merged, AuditLevel::kFull);
+      AuditMergeForest(p.phase2.subgraphs.cell_is_core, p.merged,
+                       AuditLevel::kFull);
   EXPECT_TRUE(forest.ok()) << forest.ToString();
   EXPECT_GT(forest.checks(), 0u);
   const AuditReport labels =
@@ -222,9 +224,9 @@ TEST(PipelineAuditTest, CleanPipelinePassesAtCheap) {
   const Pipeline p = MakePipeline();
   EXPECT_TRUE(AuditCellSet(p.data, p.cells, AuditLevel::kCheap).ok());
   EXPECT_TRUE(AuditDictionary(p.data, p.cells, p.dict, AuditLevel::kCheap).ok());
-  EXPECT_TRUE(AuditCellGraph(p.data, p.cells, p.phase2, AuditLevel::kCheap).ok());
-  EXPECT_TRUE(
-      AuditMergeForest(p.phase2.cell_is_core, p.merged, AuditLevel::kCheap).ok());
+  EXPECT_TRUE(AuditMergeForest(p.phase2.subgraphs.cell_is_core, p.merged,
+                               AuditLevel::kCheap)
+                  .ok());
   EXPECT_TRUE(AuditLabels(p.data, p.cells, p.merged, p.phase2.point_is_core,
                           p.labels, kMinPts, AuditLevel::kCheap, 1)
                   .ok());
@@ -280,36 +282,39 @@ TEST(PipelineAuditTest, StencilNeighborhoodsPassOnCleanBuilds) {
 // Returns the dense id of some core cell (the fixture's blobs always
 // produce one).
 uint32_t AnyCoreCell(const Pipeline& p) {
-  for (uint32_t c = 0; c < p.phase2.cell_is_core.size(); ++c) {
-    if (p.phase2.cell_is_core[c]) return c;
+  for (uint32_t c = 0; c < p.phase2.subgraphs.cell_is_core.size(); ++c) {
+    if (p.phase2.subgraphs.cell_is_core[c]) return c;
   }
   ADD_FAILURE() << "fixture produced no core cell";
   return 0;
 }
 
+bool CellGraphAuditPasses(const Pipeline& p) {
+  return AuditCellGraph(p.data, p.cells, p.phase2.point_is_core,
+                        p.phase2.subgraphs)
+      .ok();
+}
+
+// Inserts `to` into `from`'s successor row, keeping the row ascending.
+void AddEdge(Pipeline& p, uint32_t from, uint32_t to) {
+  std::vector<uint32_t>& row = p.phase2.subgraphs.successors[from];
+  row.insert(std::lower_bound(row.begin(), row.end(), to), to);
+}
+
 TEST(PipelineAuditTest, CatchesSelfLoopEdge) {
   Pipeline p = MakePipeline();
   const uint32_t c = AnyCoreCell(p);
-  CellSubgraph& g = p.phase2.subgraphs[p.cells.cell(c).owner_partition];
-  g.edges.push_back(CellEdge{c, c, EdgeType::kUndetermined});
-  EXPECT_FALSE(AuditCellGraph(p.data, p.cells, p.phase2, AuditLevel::kCheap).ok());
+  AddEdge(p, c, c);
+  EXPECT_FALSE(CellGraphAuditPasses(p));
 }
 
 TEST(PipelineAuditTest, CatchesEdgeFromNonCoreCell) {
   Pipeline p = MakePipeline();
-  uint32_t non_core = UINT32_MAX;
-  for (uint32_t c = 0; c < p.phase2.cell_is_core.size(); ++c) {
-    if (!p.phase2.cell_is_core[c]) {
-      non_core = c;
-      break;
-    }
-  }
-  ASSERT_NE(non_core, UINT32_MAX) << "fixture produced no non-core cell";
-  const uint32_t other = AnyCoreCell(p);
-  CellSubgraph& g =
-      p.phase2.subgraphs[p.cells.cell(non_core).owner_partition];
-  g.edges.push_back(CellEdge{non_core, other, EdgeType::kUndetermined});
-  EXPECT_FALSE(AuditCellGraph(p.data, p.cells, p.phase2, AuditLevel::kCheap).ok());
+  const std::vector<uint8_t>& core = p.phase2.subgraphs.cell_is_core;
+  const auto non_core = std::find(core.begin(), core.end(), 0);
+  ASSERT_NE(non_core, core.end()) << "fixture produced no non-core cell";
+  AddEdge(p, static_cast<uint32_t>(non_core - core.begin()), AnyCoreCell(p));
+  EXPECT_FALSE(CellGraphAuditPasses(p));
 }
 
 TEST(PipelineAuditTest, CatchesGeometricallyImpossibleEdge) {
@@ -330,30 +335,35 @@ TEST(PipelineAuditTest, CatchesGeometricallyImpossibleEdge) {
     }
   }
   ASSERT_GT(best, 4) << "fixture cells not spread enough for this test";
-  CellSubgraph& g = p.phase2.subgraphs[p.cells.cell(from).owner_partition];
-  g.edges.push_back(CellEdge{from, far, EdgeType::kUndetermined});
-  EXPECT_FALSE(AuditCellGraph(p.data, p.cells, p.phase2, AuditLevel::kCheap).ok());
+  AddEdge(p, from, far);
+  EXPECT_FALSE(CellGraphAuditPasses(p));
 }
 
-TEST(PipelineAuditTest, CatchesDuplicateEdgeAtFullOnly) {
+TEST(PipelineAuditTest, CatchesDuplicateEdge) {
   Pipeline p = MakePipeline();
-  CellSubgraph* with_edges = nullptr;
-  for (CellSubgraph& g : p.phase2.subgraphs) {
-    if (!g.edges.empty()) {
-      with_edges = &g;
-      break;
-    }
+  for (std::vector<uint32_t>& row : p.phase2.subgraphs.successors) {
+    if (row.empty()) continue;
+    row.push_back(row.back());
+    EXPECT_FALSE(CellGraphAuditPasses(p));
+    return;
   }
-  ASSERT_NE(with_edges, nullptr);
-  with_edges->edges.push_back(with_edges->edges.front());
-  EXPECT_FALSE(AuditCellGraph(p.data, p.cells, p.phase2, AuditLevel::kFull).ok());
+  FAIL() << "fixture produced no edge";
+}
+
+TEST(PipelineAuditTest, CatchesForeignOwnedList) {
+  Pipeline p = MakePipeline();
+  std::vector<std::vector<uint32_t>>& parts = p.phase2.subgraphs.partitions;
+  ASSERT_GE(parts.size(), 2u);
+  std::swap(parts[0], parts[1]);
+  EXPECT_FALSE(CellGraphAuditPasses(p));
 }
 
 TEST(PipelineAuditTest, CatchesCoreCellWithoutCluster) {
   Pipeline p = MakePipeline();
   p.merged.core_cluster[AnyCoreCell(p)] = kNoCluster;
-  EXPECT_FALSE(
-      AuditMergeForest(p.phase2.cell_is_core, p.merged, AuditLevel::kCheap).ok());
+  EXPECT_FALSE(AuditMergeForest(p.phase2.subgraphs.cell_is_core, p.merged,
+                                AuditLevel::kCheap)
+                   .ok());
 }
 
 TEST(PipelineAuditTest, CatchesCycleInReducedFullEdges) {
@@ -364,24 +374,27 @@ TEST(PipelineAuditTest, CatchesCycleInReducedFullEdges) {
   // Duplicating a spanning-forest edge creates a cycle: the second union
   // is not novel, and the #clusters == #core − #edges accounting breaks.
   p.merged.full_edges.push_back(p.merged.full_edges.front());
-  EXPECT_FALSE(
-      AuditMergeForest(p.phase2.cell_is_core, p.merged, AuditLevel::kCheap).ok());
+  EXPECT_FALSE(AuditMergeForest(p.phase2.subgraphs.cell_is_core, p.merged,
+                                AuditLevel::kCheap)
+                   .ok());
 }
 
 TEST(PipelineAuditTest, CatchesIncreasingEdgeSeries) {
   Pipeline p = MakePipeline();
   ASSERT_GE(p.merged.edges_per_round.size(), 2u);
   p.merged.edges_per_round.back() = p.merged.edges_per_round.front() + 1000;
-  EXPECT_FALSE(
-      AuditMergeForest(p.phase2.cell_is_core, p.merged, AuditLevel::kCheap).ok());
+  EXPECT_FALSE(AuditMergeForest(p.phase2.subgraphs.cell_is_core, p.merged,
+                                AuditLevel::kCheap)
+                   .ok());
 }
 
 TEST(PipelineAuditTest, CatchesPredecessorOnCoreCell) {
   Pipeline p = MakePipeline();
   const uint32_t core = AnyCoreCell(p);
   p.merged.predecessors[core].push_back(core);
-  EXPECT_FALSE(
-      AuditMergeForest(p.phase2.cell_is_core, p.merged, AuditLevel::kCheap).ok());
+  EXPECT_FALSE(AuditMergeForest(p.phase2.subgraphs.cell_is_core, p.merged,
+                                AuditLevel::kCheap)
+                   .ok());
 }
 
 TEST(PipelineAuditTest, CatchesCorePointLabeledNoise) {
@@ -414,8 +427,8 @@ TEST(PipelineAuditTest, SandwichSpotCheckCatchesFabricatedNoise) {
   // tamper does not ripple into other cells' label re-derivation.
   uint32_t victim = UINT32_MAX;
   size_t best_points = 0;
-  for (uint32_t c = 0; c < p.phase2.cell_is_core.size(); ++c) {
-    if (!p.phase2.cell_is_core[c]) continue;
+  for (uint32_t c = 0; c < p.phase2.subgraphs.cell_is_core.size(); ++c) {
+    if (!p.phase2.subgraphs.cell_is_core[c]) continue;
     bool is_pred = false;
     for (const std::vector<uint32_t>& preds : p.merged.predecessors) {
       for (const uint32_t pred : preds) {

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/phase2.h"
@@ -37,19 +36,6 @@ struct EngineConfig {
   bool skipping = true;
   bool defragment = true;
 };
-
-std::vector<std::tuple<uint32_t, uint32_t>> CanonicalEdges(
-    const Phase2Result& r) {
-  std::vector<std::tuple<uint32_t, uint32_t>> edges;
-  for (const CellSubgraph& g : r.subgraphs) {
-    for (const CellEdge& e : g.edges) {
-      EXPECT_EQ(e.type, EdgeType::kUndetermined);
-      edges.emplace_back(e.from, e.to);
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  return edges;
-}
 
 /// Runs the stencil engine, the kd-tree engine and the oracle on one
 /// pipeline and asserts identical output. Returns the kd-tree result for
@@ -80,11 +66,10 @@ Phase2Result ExpectEquivalent(const Dataset& data, const EngineConfig& cfg) {
 
   EXPECT_EQ(o.point_is_core, t.point_is_core);
   EXPECT_EQ(o.point_is_core, s.point_is_core);
-  EXPECT_EQ(o.cell_is_core, t.cell_is_core);
-  EXPECT_EQ(o.cell_is_core, s.cell_is_core);
-  const auto edges = CanonicalEdges(o);
-  EXPECT_EQ(edges, CanonicalEdges(t));
-  EXPECT_EQ(edges, CanonicalEdges(s));
+  EXPECT_EQ(o.subgraphs.cell_is_core, t.subgraphs.cell_is_core);
+  EXPECT_EQ(o.subgraphs.cell_is_core, s.subgraphs.cell_is_core);
+  EXPECT_EQ(o.subgraphs.successors, t.subgraphs.successors);
+  EXPECT_EQ(o.subgraphs.successors, s.subgraphs.successors);
   // Every configuration also runs the structural auditors at kFull: the
   // engines must emit invariant-clean structures, not merely equal ones.
   const AuditReport cell_audit = AuditCellSet(data, *cells, AuditLevel::kFull);
@@ -94,7 +79,7 @@ Phase2Result ExpectEquivalent(const Dataset& data, const EngineConfig& cfg) {
   EXPECT_TRUE(dict_audit.ok()) << dict_audit.ToString();
   for (const Phase2Result* r : {&t, &s}) {
     const AuditReport graph_audit =
-        AuditCellGraph(data, *cells, *r, AuditLevel::kFull);
+        AuditCellGraph(data, *cells, r->point_is_core, r->subgraphs);
     EXPECT_TRUE(graph_audit.ok()) << graph_audit.ToString();
   }
   // The oracle issues one sub-dictionary sweep per point, the kd-tree
@@ -333,15 +318,15 @@ SplitCoverage ExpectHighDimEquivalent(const Dataset& data,
     const Phase2Result t =
         BuildSubgraphs(data, *cells, *dict, c.min_pts, pool, opts);
     EXPECT_EQ(o.point_is_core, t.point_is_core);
-    EXPECT_EQ(o.cell_is_core, t.cell_is_core);
-    EXPECT_EQ(CanonicalEdges(o), CanonicalEdges(t));
+    EXPECT_EQ(o.subgraphs.cell_is_core, t.subgraphs.cell_is_core);
+    EXPECT_EQ(o.subgraphs.successors, t.subgraphs.successors);
     EXPECT_EQ(t.stencil_probes, 0u);
     EXPECT_LE(t.subdict_visited, t.subdict_possible);
     if (scale == 1.0) {
       // The graph auditor bounds edge spans by the geometry eps, so it
       // applies to the classic radius only.
       const AuditReport graph_audit =
-          AuditCellGraph(data, *cells, t, AuditLevel::kFull);
+          AuditCellGraph(data, *cells, t.point_is_core, t.subgraphs);
       EXPECT_TRUE(graph_audit.ok()) << graph_audit.ToString();
     }
     SplitCoverage cov;

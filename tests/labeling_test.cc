@@ -30,8 +30,7 @@ struct Pipeline {
     ThreadPool pool(2);
     Phase2Result p2 = BuildSubgraphs(data, *cells, *dict, min_pts, pool);
     point_is_core = p2.point_is_core;
-    merged = MergeSubgraphs(std::move(p2.subgraphs), cells->num_cells(),
-                            MergeOptions());
+    merged = MergeSubgraphs(p2.subgraphs, cells->num_cells(), MergeOptions());
     labels = LabelPoints(data, *cells, merged, point_is_core, pool);
   }
 };

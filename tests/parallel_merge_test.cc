@@ -6,6 +6,7 @@
 // across dimensionalities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -20,53 +21,47 @@ namespace {
 
 // A random multi-partition cell graph shaped like Phase II's output:
 // cells dealt randomly to partitions, each cell core with probability
-// `core_p`, plus random directed edges — emitted by the owner of their
-// `from` cell (single ownership), and only from core cells (Phase II
+// `core_p`, plus random successors — only from core cells (Phase II
 // draws an edge when a *core* cell reaches a neighbor; the
-// #clusters == #core - #kept-full-edges accounting relies on it).
-std::vector<CellSubgraph> RandomSubgraphs(size_t num_cells,
-                                          size_t num_partitions,
-                                          size_t num_edges, double core_p,
-                                          uint64_t seed) {
+// #clusters == #core - #kept-full-edges accounting relies on it), each
+// row ascending and duplicate-free.
+CellGraph RandomGraph(size_t num_cells, size_t num_partitions,
+                      size_t num_edges, double core_p, uint64_t seed) {
   Rng rng(seed);
-  std::vector<CellSubgraph> graphs(num_partitions);
-  std::vector<uint32_t> owner(num_cells);
-  std::vector<bool> is_core(num_cells);
+  CellGraph g;
+  g.cell_is_core.resize(num_cells);
+  g.successors.resize(num_cells);
+  g.partitions.resize(num_partitions);
   for (uint32_t c = 0; c < num_cells; ++c) {
-    const uint32_t p = static_cast<uint32_t>(rng.Uniform(num_partitions));
-    owner[c] = p;
-    is_core[c] = rng.UniformDouble(0, 1) < core_p;
-    graphs[p].partition_id = p;
-    graphs[p].owned.emplace_back(
-        c, is_core[c] ? CellType::kCore : CellType::kNonCore);
+    g.partitions[rng.Uniform(num_partitions)].push_back(c);
+    g.cell_is_core[c] = rng.UniformDouble(0, 1) < core_p;
   }
   for (size_t e = 0; e < num_edges; ++e) {
     const uint32_t from = static_cast<uint32_t>(rng.Uniform(num_cells));
     const uint32_t to = static_cast<uint32_t>(rng.Uniform(num_cells));
-    if (from == to || !is_core[from]) continue;
-    graphs[owner[from]].edges.push_back(
-        CellEdge{from, to, EdgeType::kUndetermined});
+    if (from == to || !g.cell_is_core[from]) continue;
+    g.successors[from].push_back(to);
   }
-  return graphs;
+  for (std::vector<uint32_t>& row : g.successors) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  return g;
 }
 
-void ShuffleEdges(std::vector<CellSubgraph>* graphs, uint64_t seed) {
+// Shuffles the cells within each partition's owned list.
+void ShufflePartitions(CellGraph* g, uint64_t seed) {
   Rng rng(seed);
-  for (CellSubgraph& g : *graphs) {
-    for (size_t i = g.edges.size(); i > 1; --i) {
-      std::swap(g.edges[i - 1], g.edges[rng.Uniform(i)]);
+  for (std::vector<uint32_t>& part : g->partitions) {
+    for (size_t i = part.size(); i > 1; --i) {
+      std::swap(part[i - 1], part[rng.Uniform(i)]);
     }
   }
 }
 
-size_t CountCore(const std::vector<CellSubgraph>& graphs) {
-  size_t core = 0;
-  for (const CellSubgraph& g : graphs) {
-    for (const auto& [cid, type] : g.owned) {
-      core += type == CellType::kCore;
-    }
-  }
-  return core;
+size_t CountCore(const CellGraph& g) {
+  return static_cast<size_t>(
+      std::count(g.cell_is_core.begin(), g.cell_is_core.end(), 1));
 }
 
 // Everything downstream consumes: cluster table, predecessor lists,
@@ -81,16 +76,12 @@ void ExpectSameObservables(const MergeResult& a, const MergeResult& b) {
 TEST(ParallelMergeTest, MatchesTournamentOnRandomGraphs) {
   ThreadPool pool(4);
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    auto seq_graphs = RandomSubgraphs(400, 12, 1500, 0.6, seed);
-    auto par_graphs = seq_graphs;
-    MergeOptions seq_opts;
-    const MergeResult seq =
-        MergeSubgraphs(std::move(seq_graphs), 400, seq_opts);
+    const CellGraph graph = RandomGraph(400, 12, 1500, 0.6, seed);
+    const MergeResult seq = MergeSubgraphs(graph, 400, MergeOptions());
     MergeOptions par_opts;
     par_opts.parallel_unions = true;
     par_opts.pool = &pool;
-    const MergeResult par =
-        MergeSubgraphs(std::move(par_graphs), 400, par_opts);
+    const MergeResult par = MergeSubgraphs(graph, 400, par_opts);
     ExpectSameObservables(seq, par);
     // Same initial edge count; the parallel series is the 2-entry
     // {initial, kept} collapse and still monotone for the auditor.
@@ -105,15 +96,13 @@ TEST(ParallelMergeTest, SpanningForestAccountingIsScheduleIndependent) {
   // paths (the invariant AuditMergeForest re-verifies).
   ThreadPool pool(4);
   for (uint64_t seed = 21; seed <= 24; ++seed) {
-    auto graphs = RandomSubgraphs(300, 8, 1200, 0.7, seed);
-    const size_t num_core = CountCore(graphs);
-    auto par_graphs = graphs;
-    const MergeResult seq = MergeSubgraphs(std::move(graphs), 300, {});
+    const CellGraph graph = RandomGraph(300, 8, 1200, 0.7, seed);
+    const size_t num_core = CountCore(graph);
+    const MergeResult seq = MergeSubgraphs(graph, 300, {});
     MergeOptions par_opts;
     par_opts.parallel_unions = true;
     par_opts.pool = &pool;
-    const MergeResult par =
-        MergeSubgraphs(std::move(par_graphs), 300, par_opts);
+    const MergeResult par = MergeSubgraphs(graph, 300, par_opts);
     EXPECT_EQ(seq.full_edges.size(), num_core - seq.num_clusters);
     EXPECT_EQ(par.full_edges.size(), num_core - par.num_clusters);
     ExpectSameObservables(seq, par);
@@ -122,17 +111,15 @@ TEST(ParallelMergeTest, SpanningForestAccountingIsScheduleIndependent) {
 
 TEST(ParallelMergeTest, ReductionOffKeepsEveryTypedEdge) {
   ThreadPool pool(2);
-  auto graphs = RandomSubgraphs(120, 6, 500, 0.8, 31);
-  auto par_graphs = graphs;
+  const CellGraph graph = RandomGraph(120, 6, 500, 0.8, 31);
   MergeOptions seq_opts;
   seq_opts.reduce_edges = false;
-  const MergeResult seq = MergeSubgraphs(std::move(graphs), 120, seq_opts);
+  const MergeResult seq = MergeSubgraphs(graph, 120, seq_opts);
   MergeOptions par_opts;
   par_opts.reduce_edges = false;
   par_opts.parallel_unions = true;
   par_opts.pool = &pool;
-  const MergeResult par =
-      MergeSubgraphs(std::move(par_graphs), 120, par_opts);
+  const MergeResult par = MergeSubgraphs(graph, 120, par_opts);
   ExpectSameObservables(seq, par);
   // No reduction: every edge survives in both paths (orders differ; the
   // sets are equal because both keep exactly the typed-full edges).
@@ -141,39 +128,40 @@ TEST(ParallelMergeTest, ReductionOffKeepsEveryTypedEdge) {
 }
 
 TEST(ParallelMergeTest, EdgeOrderInvariance) {
-  // Shuffle the per-partition edge lists: the parallel path's outputs
-  // must not move (typing is per-edge; the harvest is canonical).
+  // Shuffle the partitions' owned lists, the only order left in the
+  // input (rows are ascending by contract): neither path's outputs may
+  // move (typing is per-edge, a round's novel unions are a count over a
+  // set, and the harvest is canonical).
   ThreadPool pool(4);
-  auto base = RandomSubgraphs(250, 10, 1000, 0.65, 41);
+  const CellGraph base = RandomGraph(250, 10, 1000, 0.65, 41);
   MergeOptions opts;
   opts.parallel_unions = true;
   opts.pool = &pool;
-  auto first_graphs = base;
-  const MergeResult first =
-      MergeSubgraphs(std::move(first_graphs), 250, opts);
+  const MergeResult first = MergeSubgraphs(base, 250, opts);
+  const MergeResult first_tournament = MergeSubgraphs(base, 250, {});
   for (uint64_t seed = 51; seed <= 54; ++seed) {
-    auto graphs = base;
-    ShuffleEdges(&graphs, seed);
-    const MergeResult r = MergeSubgraphs(std::move(graphs), 250, opts);
+    CellGraph graph = base;
+    ShufflePartitions(&graph, seed);
+    const MergeResult r = MergeSubgraphs(graph, 250, opts);
     ExpectSameObservables(first, r);
     EXPECT_EQ(first.edges_per_round, r.edges_per_round);
+    const MergeResult t = MergeSubgraphs(graph, 250, {});
+    ExpectSameObservables(first, t);
+    EXPECT_EQ(first_tournament.edges_per_round, t.edges_per_round);
   }
 }
 
 TEST(ParallelMergeTest, ThreadCountInvariance) {
-  auto base = RandomSubgraphs(300, 10, 1400, 0.6, 61);
+  const CellGraph graph = RandomGraph(300, 10, 1400, 0.6, 61);
   MergeOptions no_pool;
   no_pool.parallel_unions = true;
-  auto serial_graphs = base;
-  const MergeResult serial =
-      MergeSubgraphs(std::move(serial_graphs), 300, no_pool);
+  const MergeResult serial = MergeSubgraphs(graph, 300, no_pool);
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
     MergeOptions opts;
     opts.parallel_unions = true;
     opts.pool = &pool;
-    auto graphs = base;
-    const MergeResult r = MergeSubgraphs(std::move(graphs), 300, opts);
+    const MergeResult r = MergeSubgraphs(graph, 300, opts);
     ExpectSameObservables(serial, r);
   }
 }

@@ -19,9 +19,9 @@ namespace rpdbscan {
 
 /// Phase II per Alg. 3: every point of every cell queries the dictionary;
 /// a point is core iff its matched density reaches min_pts, and each core
-/// point's neighbor cells become edges of its cell (Example 5.7). The
-/// result has BuildSubgraphs' shape: one subgraph per partition, owned
-/// cells in partition order, each cell's edges ascending and unique.
+/// point's neighbor cells join its cell's successor row (Example 5.7).
+/// The result has BuildSubgraphs' shape: rows ascending and unique, one
+/// owned-cell list per partition in partition order.
 /// subdict_visited / subdict_possible count per-point sweeps; the other
 /// counters stay 0.
 inline Phase2Result OraclePhase2(const Dataset& data, const CellSet& cells,
@@ -29,18 +29,16 @@ inline Phase2Result OraclePhase2(const Dataset& data, const CellSet& cells,
                                  double query_eps = 0.0) {
   Phase2Result r;
   const size_t k = cells.num_partitions();
-  r.subgraphs.resize(k);
+  CellGraph& graph = r.subgraphs;
+  graph.cell_is_core.assign(cells.num_cells(), 0);
+  graph.successors.resize(cells.num_cells());
   r.point_is_core.assign(data.size(), 0);
-  r.cell_is_core.assign(cells.num_cells(), 0);
   r.task_seconds.assign(k, 0.0);
   std::vector<uint32_t> neighbors;
-  std::vector<uint32_t> edges;
   for (uint32_t pid = 0; pid < k; ++pid) {
-    CellSubgraph& graph = r.subgraphs[pid];
-    graph.partition_id = pid;
+    graph.partitions.push_back(cells.partition(pid));
     for (const uint32_t cid : cells.partition(pid)) {
-      bool core = false;
-      edges.clear();
+      std::vector<uint32_t>& row = graph.successors[cid];
       for (const uint32_t point : cells.cell(cid).point_ids) {
         uint64_t count = 0;
         neighbors.clear();
@@ -54,17 +52,11 @@ inline Phase2Result OraclePhase2(const Dataset& data, const CellSet& cells,
         r.subdict_possible += dict.num_subdictionaries();
         if (count < min_pts) continue;
         r.point_is_core[point] = 1;
-        core = true;
-        edges.insert(edges.end(), neighbors.begin(), neighbors.end());
+        graph.cell_is_core[cid] = 1;
+        row.insert(row.end(), neighbors.begin(), neighbors.end());
       }
-      r.cell_is_core[cid] = core ? 1 : 0;
-      graph.owned.emplace_back(cid,
-                               core ? CellType::kCore : CellType::kNonCore);
-      std::sort(edges.begin(), edges.end());
-      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-      for (const uint32_t to : edges) {
-        graph.edges.push_back(CellEdge{cid, to, EdgeType::kUndetermined});
-      }
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end()), row.end());
     }
   }
   return r;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "baselines/exact_dbscan.h"
 #include "synth/generators.h"
@@ -32,10 +34,11 @@ TEST(Phase2Test, OneSubgraphPerPartition) {
   Pipeline p(synth::Blobs(2000, 3, 1.5, 1), 1.0, 0.01, 6);
   ThreadPool pool(2);
   const Phase2Result r = BuildSubgraphs(p.data, *p.cells, *p.dict, 10, pool);
-  EXPECT_EQ(r.subgraphs.size(), 6u);
+  EXPECT_EQ(r.subgraphs.partitions.size(), 6u);
   EXPECT_EQ(r.task_seconds.size(), 6u);
   EXPECT_EQ(r.point_is_core.size(), p.data.size());
-  EXPECT_EQ(r.cell_is_core.size(), p.cells->num_cells());
+  EXPECT_EQ(r.subgraphs.cell_is_core.size(), p.cells->num_cells());
+  EXPECT_EQ(r.subgraphs.successors.size(), p.cells->num_cells());
 }
 
 TEST(Phase2Test, OwnedCellsMatchPartitions) {
@@ -43,14 +46,7 @@ TEST(Phase2Test, OwnedCellsMatchPartitions) {
   ThreadPool pool(2);
   const Phase2Result r = BuildSubgraphs(p.data, *p.cells, *p.dict, 10, pool);
   for (uint32_t pid = 0; pid < 5; ++pid) {
-    std::set<uint32_t> expect(p.cells->partition(pid).begin(),
-                              p.cells->partition(pid).end());
-    std::set<uint32_t> got;
-    for (const auto& [cid, type] : r.subgraphs[pid].owned) {
-      got.insert(cid);
-      EXPECT_NE(type, CellType::kUndetermined);
-    }
-    EXPECT_EQ(got, expect);
+    EXPECT_EQ(r.subgraphs.partitions[pid], p.cells->partition(pid));
   }
 }
 
@@ -78,7 +74,7 @@ TEST(Phase2Test, CoreCellIffHasCorePoint) {
     for (const uint32_t pid : p.cells->cell(cid).point_ids) {
       has_core |= r.point_is_core[pid] != 0;
     }
-    EXPECT_EQ(r.cell_is_core[cid] != 0, has_core) << "cell " << cid;
+    EXPECT_EQ(r.subgraphs.cell_is_core[cid] != 0, has_core) << "cell " << cid;
   }
 }
 
@@ -86,12 +82,11 @@ TEST(Phase2Test, EdgesOriginateFromCoreCellsOnly) {
   Pipeline p(synth::Blobs(2000, 3, 1.5, 5), 1.0, 0.05, 4);
   ThreadPool pool(2);
   const Phase2Result r = BuildSubgraphs(p.data, *p.cells, *p.dict, 15, pool);
-  for (const CellSubgraph& g : r.subgraphs) {
-    for (const CellEdge& e : g.edges) {
-      EXPECT_NE(e.from, e.to) << "self edge";
-      EXPECT_EQ(r.cell_is_core[e.from], 1) << "edge from non-core cell";
-      EXPECT_EQ(e.type, EdgeType::kUndetermined);
-    }
+  for (uint32_t from = 0; from < p.cells->num_cells(); ++from) {
+    const std::vector<uint32_t>& row = r.subgraphs.successors[from];
+    if (row.empty()) continue;
+    EXPECT_EQ(r.subgraphs.cell_is_core[from], 1) << "edge from non-core cell";
+    for (const uint32_t to : row) EXPECT_NE(from, to) << "self edge";
   }
 }
 
@@ -99,12 +94,11 @@ TEST(Phase2Test, EdgesAreDeduplicatedPerCell) {
   Pipeline p(synth::Blobs(3000, 2, 1.0, 6), 1.5, 0.05, 3);
   ThreadPool pool(2);
   const Phase2Result r = BuildSubgraphs(p.data, *p.cells, *p.dict, 10, pool);
-  for (const CellSubgraph& g : r.subgraphs) {
-    std::set<std::pair<uint32_t, uint32_t>> seen;
-    for (const CellEdge& e : g.edges) {
-      EXPECT_TRUE(seen.insert({e.from, e.to}).second)
-          << "duplicate edge " << e.from << "->" << e.to;
-    }
+  for (const std::vector<uint32_t>& row : r.subgraphs.successors) {
+    EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                   std::greater_equal<uint32_t>()) ==
+                row.end())
+        << "row not strictly ascending";
   }
 }
 
@@ -113,8 +107,8 @@ TEST(Phase2Test, HighMinPtsYieldsNoCores) {
   ThreadPool pool(2);
   const Phase2Result r =
       BuildSubgraphs(p.data, *p.cells, *p.dict, 1000000, pool);
-  for (const uint8_t c : r.cell_is_core) EXPECT_EQ(c, 0);
-  for (const CellSubgraph& g : r.subgraphs) EXPECT_TRUE(g.edges.empty());
+  for (const uint8_t c : r.subgraphs.cell_is_core) EXPECT_EQ(c, 0);
+  EXPECT_EQ(r.subgraphs.num_edges(), 0u);
 }
 
 TEST(Phase2Test, MinPtsOneMakesEveryPointCore) {

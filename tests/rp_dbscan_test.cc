@@ -184,6 +184,16 @@ TEST(RpDbscanTest, BitwiseDeterministicAcrossRuns) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->labels, b->labels);  // exact, not just Rand index 1
   EXPECT_EQ(a->stats.edges_per_round, b->stats.edges_per_round);
+  // The tournament's per-round edge series (Fig. 17) is pinned to the
+  // values this input has always produced at 8 partitions, so a change in
+  // how Phase II hands its graph to the merge cannot move it unnoticed.
+  RpDbscanOptions tournament = o;
+  tournament.sequential_merge = true;
+  auto t = RunRpDbscan(ds, tournament);
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->stats.edges_per_round,
+            (std::vector<size_t>{2460, 2054, 1435, 334}));
+  EXPECT_EQ(t->labels, a->labels);
 }
 
 TEST(RpDbscanTest, LabelsIndependentOfThreadCount) {

@@ -14,7 +14,6 @@
 #include <cmath>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -53,19 +52,6 @@ struct ThreeWayOutcome {
   size_t num_cells = 0;
   size_t stencil_offsets = 0;
 };
-
-std::vector<std::tuple<uint32_t, uint32_t>> CanonicalEdges(
-    const Phase2Result& r) {
-  std::vector<std::tuple<uint32_t, uint32_t>> edges;
-  for (const CellSubgraph& g : r.subgraphs) {
-    for (const CellEdge& e : g.edges) {
-      EXPECT_EQ(e.type, EdgeType::kUndetermined);
-      edges.emplace_back(e.from, e.to);
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  return edges;
-}
 
 /// Builds one dictionary of `cells` with the given stencil cap, through
 /// the wire round-trip when cfg.roundtrip is set.
@@ -112,11 +98,10 @@ ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
 
   EXPECT_EQ(a.point_is_core, t.point_is_core);
   EXPECT_EQ(a.point_is_core, s.point_is_core);
-  EXPECT_EQ(a.cell_is_core, t.cell_is_core);
-  EXPECT_EQ(a.cell_is_core, s.cell_is_core);
-  const auto edges = CanonicalEdges(a);
-  EXPECT_EQ(edges, CanonicalEdges(t));
-  EXPECT_EQ(edges, CanonicalEdges(s));
+  EXPECT_EQ(a.subgraphs.cell_is_core, t.subgraphs.cell_is_core);
+  EXPECT_EQ(a.subgraphs.cell_is_core, s.subgraphs.cell_is_core);
+  EXPECT_EQ(a.subgraphs.successors, t.subgraphs.successors);
+  EXPECT_EQ(a.subgraphs.successors, s.subgraphs.successors);
   // Structural auditors at kFull: both production engines must emit
   // invariant-clean structures, not merely equal ones.
   const AuditReport cell_audit = AuditCellSet(data, *cells, AuditLevel::kFull);
@@ -126,7 +111,7 @@ ThreeWayOutcome ExpectThreeWayEquivalent(const Dataset& data,
   EXPECT_TRUE(dict_audit.ok()) << dict_audit.ToString();
   for (const Phase2Result* r : {&t, &s}) {
     const AuditReport graph_audit =
-        AuditCellGraph(data, *cells, *r, AuditLevel::kFull);
+        AuditCellGraph(data, *cells, r->point_is_core, r->subgraphs);
     EXPECT_TRUE(graph_audit.ok()) << graph_audit.ToString();
   }
   // Counter contracts. Only the stencil engine walks lattice
@@ -393,8 +378,8 @@ TEST(StencilQueryTest, EndToEndPipelineLabelsIdentical) {
     MergeOptions merge_opts;
     merge_opts.pool = &pool;
     merge_opts.parallel_unions = true;
-    const MergeResult merged = MergeSubgraphs(
-        std::move(phase2.subgraphs), cells->num_cells(), merge_opts);
+    const MergeResult merged =
+        MergeSubgraphs(phase2.subgraphs, cells->num_cells(), merge_opts);
     return LabelPoints(data, *cells, merged, phase2.point_is_core, pool);
   };
   EXPECT_EQ(run->labels, labels_of(BuildSubgraphs(data, *cells, *tree_dict,

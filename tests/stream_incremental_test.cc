@@ -6,8 +6,9 @@
 // snapshot's meta. Randomized over dims 2-6 (the stencil engine at d <= 5,
 // the kd-tree engine at d = 6), skewed cluster sizes, and minPts-boundary
 // duplicate data; re-seed via RPDBSCAN_TEST_SEED. The incremental Phase II
-// unit is also checked on a kd-tree dictionary at d = 3, built with
-// max_stencil_offsets = 0.
+// unit is also checked in place at d = 3, on a stencil dictionary and on a
+// kd-tree one built with max_stencil_offsets = 0, and Create must refuse
+// the options an epoch cannot honour.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "core/phase2.h"
 #include "core/rp_dbscan.h"
 #include "io/dataset.h"
+#include "io/point_source.h"
 #include "stream/incremental.h"
 #include "util/random.h"
 #include "verify/audit.h"
@@ -155,9 +157,11 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param <= 5 ? "Stencil" : "Tree");
     });
 
-/// The incremental Phase II unit on the kd-tree engine: RecomputeCells
-/// over any target subset of a dictionary without a stencil must return
-/// exactly what the full BuildSubgraphs run emits for those cells.
+/// The incremental Phase II unit on both candidate engines, in place:
+/// RecomputeCells over any target subset must rewrite exactly the
+/// targets' point flags, core flags and successor rows to what the full
+/// BuildSubgraphs run emits for them, whatever stale values it finds, and
+/// leave every other cell as it found it.
 TEST(StreamIncrementalTest, RecomputeCellsMatchesFullRunOnTreeDictionary) {
   const uint64_t seed = TestSeed(0x7EE);
   SCOPED_TRACE(SeedNote(seed));
@@ -167,37 +171,101 @@ TEST(StreamIncrementalTest, RecomputeCellsMatchesFullRunOnTreeDictionary) {
   ThreadPool pool(2);
   auto cells = CellSet::Build(data, *geom, 8, seed, &pool);
   ASSERT_TRUE(cells.ok());
-  CellDictionaryOptions dict_opts;
-  dict_opts.max_stencil_offsets = 0;
-  auto dict = CellDictionary::Build(data, *cells, dict_opts, &pool);
-  ASSERT_TRUE(dict.ok());
-  ASSERT_FALSE(dict->has_stencil());
+  const size_t num_cells = cells->num_cells();
   const size_t min_pts = 8;
-  const Phase2Result full =
-      BuildSubgraphs(data, *cells, *dict, min_pts, pool);
-  std::vector<std::vector<uint32_t>> full_edges(cells->num_cells());
-  for (const CellSubgraph& g : full.subgraphs) {
-    for (const CellEdge& e : g.edges) full_edges[e.from].push_back(e.to);
-  }
   std::vector<uint32_t> targets;
-  for (uint32_t cid = 0; cid < cells->num_cells(); cid += 3) {
+  std::vector<uint8_t> is_target(num_cells, 0);
+  for (uint32_t cid = 0; cid < num_cells; cid += 3) {
     targets.push_back(cid);
+    is_target[cid] = 1;
   }
-  std::vector<uint8_t> point_is_core(data.size(), 1);  // stale flags
-  const Phase2CellUpdate update =
-      RecomputeCells(data, *cells, *dict, min_pts, pool, Phase2Options(),
-                     targets, point_is_core.data());
-  EXPECT_GT(update.subdict_visited, 0u);
-  EXPECT_EQ(update.stencil_probes, 0u);
-  for (size_t t = 0; t < targets.size(); ++t) {
-    const uint32_t cid = targets[t];
-    SCOPED_TRACE("cell " + std::to_string(cid));
-    EXPECT_EQ(update.cell_is_core[t], full.cell_is_core[cid]);
-    EXPECT_EQ(update.cell_edges[t], full_edges[cid]);
-    for (const uint32_t pid : cells->cell(cid).point_ids) {
-      EXPECT_EQ(point_is_core[pid], full.point_is_core[pid]);
+  const std::vector<uint32_t> sentinel = {UINT32_MAX};
+  for (const bool stencil : {false, true}) {
+    SCOPED_TRACE(stencil ? "stencil dictionary" : "tree dictionary");
+    CellDictionaryOptions dict_opts;
+    if (!stencil) dict_opts.max_stencil_offsets = 0;
+    auto dict = CellDictionary::Build(data, *cells, dict_opts, &pool);
+    ASSERT_TRUE(dict.ok());
+    ASSERT_EQ(dict->has_stencil(), stencil);
+    const Phase2Result full =
+        BuildSubgraphs(data, *cells, *dict, min_pts, pool);
+    const CellGraph& want = full.subgraphs;
+
+    // Stale state: every point flagged core; a target gets the opposite
+    // core flag and the wrong shape of row (a non-core target a non-empty
+    // row, a core target an empty one); a non-target gets a flag that is
+    // neither 0 nor 1 and a sentinel row.
+    Phase2Result state;
+    state.point_is_core.assign(data.size(), 1);
+    CellGraph& graph = state.subgraphs;
+    graph.cell_is_core.assign(num_cells, 2);
+    graph.successors.assign(num_cells, sentinel);
+    size_t core_targets = 0;
+    for (const uint32_t cid : targets) {
+      const bool core = want.cell_is_core[cid] != 0;
+      core_targets += core;
+      graph.cell_is_core[cid] = core ? 0 : 1;
+      if (core) graph.successors[cid].clear();
+    }
+    ASSERT_GT(core_targets, 0u);
+    ASSERT_LT(core_targets, targets.size());
+
+    RecomputeCells(data, *cells, *dict, min_pts, pool, Phase2Options(),
+                   targets, &state);
+    EXPECT_EQ(state.stencil_probes > 0, stencil);
+    EXPECT_EQ(state.subdict_visited > 0, !stencil);
+    EXPECT_EQ(graph.partitions, want.partitions);
+    for (uint32_t cid = 0; cid < num_cells; ++cid) {
+      SCOPED_TRACE("cell " + std::to_string(cid));
+      if (is_target[cid]) {
+        EXPECT_EQ(graph.cell_is_core[cid], want.cell_is_core[cid]);
+        EXPECT_EQ(graph.successors[cid], want.successors[cid]);
+      } else {
+        EXPECT_EQ(graph.cell_is_core[cid], 2);
+        EXPECT_EQ(graph.successors[cid], sentinel);
+      }
+      for (const uint32_t pid : cells->cell(cid).point_ids) {
+        EXPECT_EQ(state.point_is_core[pid],
+                  is_target[cid] ? full.point_is_core[pid] : 1);
+      }
     }
   }
+}
+
+/// Create refuses, by name, each option an epoch would otherwise drop.
+void ExpectCreateRefuses(const RpDbscanOptions& options,
+                         const std::string& field) {
+  auto clusterer = StreamClusterer::Create(SkewedData(200, 2, 5), options);
+  ASSERT_FALSE(clusterer.ok());
+  EXPECT_EQ(clusterer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(clusterer.status().message().find(field), std::string::npos)
+      << clusterer.status();
+}
+
+TEST(StreamIncrementalTest, CreateRefusesQueryEps) {
+  RpDbscanOptions o = StreamOptions(2.0, 8, 1);
+  o.query_eps = 4.0;
+  ExpectCreateRefuses(o, "query_eps");
+}
+
+TEST(StreamIncrementalTest, CreateRefusesStencilEpsScale) {
+  RpDbscanOptions o = StreamOptions(2.0, 8, 1);
+  o.stencil_eps_scale = 2.0;
+  ExpectCreateRefuses(o, "stencil_eps_scale");
+}
+
+TEST(StreamIncrementalTest, CreateRefusesSampledCoreFraction) {
+  RpDbscanOptions o = StreamOptions(2.0, 8, 1);
+  o.sampled_core_fraction = 0.3;
+  ExpectCreateRefuses(o, "sampled_core_fraction");
+}
+
+TEST(StreamIncrementalTest, CreateRefusesPointSource) {
+  const Dataset data = SkewedData(200, 2, 5);
+  const DatasetSource source(data);
+  RpDbscanOptions o = StreamOptions(2.0, 8, 1);
+  o.point_source = &source;
+  ExpectCreateRefuses(o, "point_source");
 }
 
 /// minPts-boundary stream: duplicate "sites" emitted round-robin so that

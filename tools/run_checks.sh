@@ -41,6 +41,10 @@
 #      resident snapshots through the concurrent request loop).
 #   3. Plain Release over everything, including the slow tests, built
 #      with -DRPDBSCAN_WERROR=ON so any compiler warning fails the check.
+#   4. The perfbench self-test (perfbench/selftest.py, its own Release
+#      build into .bench_build/): every workload at tiny size, so a change
+#      that breaks a library call the benchmark makes, or the staged
+#      replay's label check, fails the matrix.
 #
 # Usage: tools/run_checks.sh [build-root]
 # Build trees land under <build-root> (default: ./build-checks).
@@ -76,5 +80,9 @@ TSAN_OPTIONS="halt_on_error=1" \
 
 # 3. Plain Release, everything, warnings as errors.
 run_config release Release "" ON
+
+# 4. The benchmark of record still builds and passes its own checks.
+echo "==== [perfbench] selftest"
+(cd "${repo_root}" && python3 perfbench/selftest.py)
 
 echo "==== all check configurations passed"

@@ -640,9 +640,8 @@ class CellDictionary {
   /// the ones the merge-join found, in a deterministic (thread-count
   /// independent) order. The order is free because no consumer depends
   /// on it: "maybe" candidates are re-sorted by distance bound, neighbor
-  /// edges are sorted and deduplicated downstream, the stream's dirty
-  /// closure is a set, and serving sums integer densities and breaks
-  /// ties by cell id.
+  /// edges are sorted and deduplicated downstream, and serving sums
+  /// integer densities and breaks ties by cell id.
   /// A query acceleration structure, never serialized: the Lemma 4.3
   /// wire payload is unchanged, and Deserialize rebuilds it through
   /// Assemble. The slots are sized on the calling thread but not zeroed:

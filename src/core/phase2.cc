@@ -11,21 +11,40 @@
 
 namespace rpdbscan {
 
+namespace {
+
+/// A dictionary cell's kernel operands: its occupied-sub-cell MBR
+/// (2 * dim floats: lo then hi) and its sub-cell lanes.
+struct CellView {
+  const float* mbr = nullptr;
+  const float* lanes = nullptr;
+  const uint32_t* counts = nullptr;
+  uint32_t padded = 0;
+};
+
+/// The view of the dictionary cell at `coord`; all null when there is
+/// none.
+CellView ViewOf(const CellDictionary& dict, const CellCoord& coord) {
+  const DictCellRef ref = dict.FindDictCell(coord);
+  if (!ref) return CellView{};
+  const SubDictionary& sd = *ref.subdict;
+  const uint32_t local = static_cast<uint32_t>(ref.cell - sd.cells().data());
+  return CellView{sd.cell_mbr(local), sd.lane_centers(local),
+                  sd.lane_counts(local), sd.lane_padded(local)};
+}
+
+}  // namespace
+
 bool SubcellRangeMbr(const CellDictionary& dict, const CellCoord& coord,
                      float* mbr_lo, float* mbr_hi) {
   // The dictionary precomputes every cell's occupied-sub-cell MBR at
   // Assemble (cell_dictionary.cc ComputeCellMbr — the decode + one-ulp
   // outward arithmetic that used to live here); this is now a lookup.
-  const DictCellRef ref = dict.FindDictCell(coord);
-  if (!ref) return false;
+  const CellView view = ViewOf(dict, coord);
+  if (view.mbr == nullptr) return false;
   const size_t dim = dict.geom().dim();
-  const uint32_t local = static_cast<uint32_t>(
-      ref.cell - ref.subdict->cells().data());
-  const float* mbr = ref.subdict->cell_mbr(local);
-  for (size_t d = 0; d < dim; ++d) {
-    mbr_lo[d] = mbr[d];
-    mbr_hi[d] = mbr[dim + d];
-  }
+  std::copy_n(view.mbr, dim, mbr_lo);
+  std::copy_n(view.mbr + dim, dim, mbr_hi);
   return true;
 }
 
@@ -98,13 +117,28 @@ void PrefetchCandidate(const CandidateCellList& cand, size_t i, size_t dim) {
   __builtin_prefetch(cand.lane_counts[i]);
 }
 
-/// Statistics one partition task accumulates and flushes once at the end.
+/// Statistics one task accumulates and flushes once at the end.
 struct TaskCounters {
   size_t visited = 0;
   size_t possible = 0;
   size_t scanned = 0;
   size_t early_exits = 0;
   size_t stencil_probes = 0;
+  /// RecomputeSummary's: the points the per-cell unit ran over, and the
+  /// cells whose rows were only extended.
+  size_t unit_points = 0;
+  size_t extended_cells = 0;
+
+  TaskCounters& operator+=(const TaskCounters& o) {
+    visited += o.visited;
+    possible += o.possible;
+    scanned += o.scanned;
+    early_exits += o.early_exits;
+    stencil_probes += o.stencil_probes;
+    unit_points += o.unit_points;
+    extended_cells += o.extended_cells;
+    return *this;
+  }
 };
 
 /// Resolved kernel dispatch for one BuildSubgraphs run: the multi-count
@@ -115,11 +149,9 @@ struct KernelConfig {
   GroupBoundsFn bounds_fn = nullptr;
 };
 
-/// A candidate's occupied-sub-cell MBR widened to double: the box
+/// An occupied-sub-cell MBR (lo then hi) widened to double: the box
 /// GroupBoundsFn measures against.
-void CandidateBox(const CandidateCellList& cand, size_t i, size_t dim,
-                  double* lo, double* hi) {
-  const float* mbr = cand.mbrs[i];
+void MbrBox(const float* mbr, size_t dim, double* lo, double* hi) {
   for (size_t d = 0; d < dim; ++d) {
     lo[d] = mbr[d];
     hi[d] = mbr[dim + d];
@@ -227,7 +259,7 @@ void ScanCellTiles(const Dataset& data, const CellData& cell, uint32_t cid,
   compact(scratch.suffix_remaining[0], 0);
   for (size_t i = 0; i < num_maybe && num_live > 0; ++i) {
     if (i + 1 < num_maybe) PrefetchCandidate(cand, i + 1, dim);
-    CandidateBox(cand, i, dim, lo, hi);
+    MbrBox(cand.mbrs[i], dim, lo, hi);
     kernels.bounds_fn(live_t, live_stride, num_live, lo, hi, dim,
                       scratch.min2.data(), scratch.max2.data());
     counters.scanned += num_live;
@@ -309,7 +341,7 @@ void ScanCellTiles(const Dataset& data, const CellData& cell, uint32_t cid,
         break;
       }
     }
-    CandidateBox(cand, i, dim, lo, hi);
+    MbrBox(cand.mbrs[i], dim, lo, hi);
     size_t chunk = kFirstChunk;
     for (size_t a = 0; a < eligible; a += chunk, chunk = kChunk) {
       // Chunks start at multiples of the lane width, so the kernel's
@@ -512,21 +544,42 @@ void GrowToCells(const Dataset& data, const CellSet& cells,
   }
 }
 
-/// The Phase II task loop BuildSubgraphs and RecomputeCells share: runs
-/// `num_tasks` tasks on `pool`, task t pushing the cells `task_cells(t)`
-/// through ProcessOneCell and writing each one's core flag and successor
-/// row into out->subgraphs and its points' core flags into
-/// out->point_is_core (both sized by the caller). Sets out's counters and
-/// SIMD tier; returns each task's wall seconds.
-template <typename TaskCells>
-std::vector<double> RunCellTasks(const Dataset& data, const CellSet& cells,
-                                 const CellDictionary& dict, size_t min_pts,
-                                 ThreadPool& pool, const Phase2Options& opts,
-                                 size_t num_tasks, TaskCells&& task_cells,
-                                 Phase2Result* out) {
-  const EngineSetup setup = ResolveEngine(dict, opts);
-  const size_t num_subdicts = dict.num_subdictionaries();
-  CellGraph& graph = out->subgraphs;
+/// The per-cell unit of one BuildSubgraphs or RecomputeCells call: the
+/// inputs and resolved engine its tasks share, and the result each cell
+/// is written into.
+struct CellUnit {
+  const Dataset& data;
+  const CellSet& cells;
+  const CellDictionary& dict;
+  size_t min_pts;
+  EngineSetup setup;
+  Phase2Result* out;
+
+  /// Runs cell `cid` through ProcessOneCell and writes its core flag and
+  /// successor row into out->subgraphs (its core points' flags land in
+  /// out->point_is_core). A non-empty cell outside a core mask leaves its
+  /// candidate gather in scratch.candidates.
+  void Run(uint32_t cid, Phase2Scratch& scratch,
+           TaskCounters& counters) const {
+    const bool cell_core = ProcessOneCell(
+        data, cells.cell(cid), cid, dict, min_pts,
+        dict.num_subdictionaries(), setup, scratch,
+        out->point_is_core.data(), counters);
+    CellGraph& graph = out->subgraphs;
+    graph.cell_is_core[cid] = cell_core ? 1 : 0;
+    graph.successors[cid].assign(scratch.cell_edges.begin(),
+                                 scratch.cell_edges.end());
+    counters.unit_points += cells.cell(cid).point_ids.size();
+  }
+};
+
+/// Runs `num_tasks` tasks on `pool`, task t calling
+/// body(t, scratch, counters) with a scratch set and counters of its own.
+/// Adds the tasks' counters to *total and returns each task's wall
+/// seconds.
+template <typename Body>
+std::vector<double> RunTasks(ThreadPool& pool, size_t num_tasks,
+                             const Body& body, TaskCounters* total) {
   std::vector<TaskCounters> task_counters(num_tasks);
   std::vector<double> seconds(num_tasks, 0.0);
   ParallelFor(
@@ -535,33 +588,129 @@ std::vector<double> RunCellTasks(const Dataset& data, const CellSet& cells,
         Stopwatch watch;
         TaskCounters counters;
         Phase2Scratch scratch;
-        for (const uint32_t cid : task_cells(t)) {
-          const bool cell_core = ProcessOneCell(
-              data, cells.cell(cid), cid, dict, min_pts, num_subdicts, setup,
-              scratch, out->point_is_core.data(), counters);
-          graph.cell_is_core[cid] = cell_core ? 1 : 0;
-          graph.successors[cid].assign(scratch.cell_edges.begin(),
-                                       scratch.cell_edges.end());
-        }
+        body(t, scratch, counters);
         task_counters[t] = counters;
         seconds[t] = watch.ElapsedSeconds();
       },
       /*chunk=*/1);
-  TaskCounters total;
-  for (const TaskCounters& c : task_counters) {
-    total.visited += c.visited;
-    total.possible += c.possible;
-    total.scanned += c.scanned;
-    total.early_exits += c.early_exits;
-    total.stencil_probes += c.stencil_probes;
-  }
+  for (const TaskCounters& c : task_counters) *total += c;
+  return seconds;
+}
+
+/// RecomputeCells' task split: [0, m) in at most four contiguous ranges
+/// per pool thread, body(begin, end, scratch, counters) running each as
+/// one task.
+template <typename Body>
+void RunChunked(ThreadPool& pool, size_t m, const Body& body,
+                TaskCounters* total) {
+  const size_t num_chunks = std::min(m, pool.num_threads() * 4);
+  const size_t len = num_chunks == 0 ? 0 : (m + num_chunks - 1) / num_chunks;
+  RunTasks(
+      pool, num_chunks,
+      [&](size_t c, Phase2Scratch& scratch, TaskCounters& counters) {
+        const size_t begin = std::min(m, c * len);
+        body(begin, std::min(m, begin + len), scratch, counters);
+      },
+      total);
+}
+
+/// Writes one call's summed counters and SIMD tier into `out`.
+void SetCounters(const TaskCounters& total, SimdLevel level,
+                 Phase2Result* out) {
   out->subdict_visited = total.visited;
   out->subdict_possible = total.possible;
   out->candidate_cells_scanned = total.scanned;
   out->early_exits = total.early_exits;
   out->stencil_probes = total.stencil_probes;
-  out->simd_level = setup.level;
-  return seconds;
+  out->simd_level = level;
+}
+
+/// An untouched cell the gather of a touched cell reached, and whether it
+/// sat in that gather's always group.
+struct Reach {
+  uint32_t cell = 0;
+  uint32_t touched = 0;
+  bool always = false;
+};
+
+/// Loads `cell`'s points for PointsReach: row-major into scratch.q and
+/// transposed dimension-major into scratch.live_t at the returned lane
+/// stride, with the kernel outputs sized to it.
+size_t LoadPoints(const Dataset& data, const CellData& cell, size_t dim,
+                  Phase2Scratch& scratch) {
+  const size_t n = cell.point_ids.size();
+  const size_t stride = LanePadded(n);
+  scratch.q.resize(n * dim);
+  scratch.live_t.assign(stride * dim, 0.0f);
+  for (size_t k = 0; k < n; ++k) {
+    const float* p = data.point(cell.point_ids[k]);
+    std::copy_n(p, dim, scratch.q.data() + k * dim);
+    for (size_t d = 0; d < dim; ++d) scratch.live_t[d * stride + k] = p[d];
+  }
+  scratch.min2.resize(stride);
+  scratch.max2.resize(stride);
+  scratch.kidx.resize(stride);
+  scratch.kout.resize(stride);
+  return stride;
+}
+
+/// True when one of the `n` points LoadPoints loaded has a sub-cell
+/// center of `view`'s cell within eps, by the tile scan's per-point
+/// verdict: GroupBoundsFn against the cell's MBR drops a point whose min²
+/// exceeds eps² and ends the test at a point whose max² does not, and one
+/// SubcellCountMultiFn call takes the rest.
+bool PointsReach(const CellView& view, size_t n, size_t stride, size_t dim,
+                 const EngineSetup& setup, Phase2Scratch& scratch,
+                 TaskCounters& counters) {
+  double lo[CellCoord::kMaxDim];
+  double hi[CellCoord::kMaxDim];
+  MbrBox(view.mbr, dim, lo, hi);
+  setup.kernels.bounds_fn(scratch.live_t.data(), stride, n, lo, hi, dim,
+                          scratch.min2.data(), scratch.max2.data());
+  counters.scanned += n;
+  size_t nk = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (scratch.min2[k] > setup.eps2) continue;
+    if (scratch.max2[k] <= setup.eps2) return true;
+    scratch.kidx[nk++] = static_cast<uint32_t>(k);
+  }
+  if (nk == 0) return false;
+  setup.kernels.count_fn(scratch.q.data(), scratch.kidx.data(), nk,
+                         view.lanes, view.counts, view.padded, dim,
+                         setup.eps2, scratch.kout.data());
+  return std::any_of(scratch.kout.begin(), scratch.kout.begin() + nk,
+                     [](uint32_t m) { return m > 0; });
+}
+
+/// Extends the row of cell `cid`, untouched with every point core, by the
+/// touched cells of `reach` (its records, ascending by touched cell) its
+/// points now reach. Pair bounds are symmetric, so a touched cell whose
+/// gather held `cid` in its always group lies in `cid`'s always group and
+/// joins untested; a touched cell already in the row is skipped.
+void ExtendRow(const CellUnit& unit, uint32_t cid,
+               std::span<const Reach> reach, Phase2Scratch& scratch,
+               TaskCounters& counters) {
+  std::vector<uint32_t>& row = unit.out->subgraphs.successors[cid];
+  const CellData& cell = unit.cells.cell(cid);
+  const size_t dim = unit.dict.geom().dim();
+  const size_t old = row.size();
+  size_t stride = 0;  // 0 until the cell's points are loaded
+  for (const Reach& r : reach) {
+    if (std::binary_search(row.begin(), row.begin() + old, r.touched)) {
+      continue;
+    }
+    if (!r.always) {
+      if (stride == 0) stride = LoadPoints(unit.data, cell, dim, scratch);
+      const CellView view = ViewOf(unit.dict, unit.cells.cell(r.touched).coord);
+      if (!PointsReach(view, cell.point_ids.size(), stride, dim, unit.setup,
+                       scratch, counters)) {
+        continue;
+      }
+    }
+    row.push_back(r.touched);
+  }
+  std::inplace_merge(row.begin(), row.begin() + old, row.end());
+  ++counters.extended_cells;
 }
 
 }  // namespace
@@ -586,12 +735,18 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             cells.PartitionPoints(b);
                    });
 
-  const std::vector<double> seconds = RunCellTasks(
-      data, cells, dict, min_pts, pool, opts, k,
-      [&](size_t slot) -> const std::vector<uint32_t>& {
-        return cells.partition(schedule[slot]);
+  const CellUnit unit{data, cells, dict, min_pts, ResolveEngine(dict, opts),
+                      &result};
+  TaskCounters total;
+  const std::vector<double> seconds = RunTasks(
+      pool, k,
+      [&](size_t slot, Phase2Scratch& scratch, TaskCounters& counters) {
+        for (const uint32_t cid : cells.partition(schedule[slot])) {
+          unit.Run(cid, scratch, counters);
+        }
       },
-      &result);
+      &total);
+  SetCounters(total, unit.setup.level, &result);
   result.task_seconds.assign(k, 0.0);
   for (size_t slot = 0; slot < k; ++slot) {
     result.task_seconds[schedule[slot]] = seconds[slot];
@@ -599,34 +754,106 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
   return result;
 }
 
-void RecomputeCells(const Dataset& data, const CellSet& cells,
-                    const CellDictionary& dict, size_t min_pts,
-                    ThreadPool& pool, const Phase2Options& opts,
-                    const std::vector<uint32_t>& targets,
-                    Phase2Result* state) {
-  GrowToCells(data, cells, state);
-  // The scan only *sets* core bits, so stale flags from the prior epoch
-  // must be cleared up front for every target cell's points (densities are
-  // monotone under appends, but targets are caller-chosen — clear all).
-  for (const uint32_t cid : targets) {
-    for (const uint32_t pid : cells.cell(cid).point_ids) {
-      state->point_is_core[pid] = 0;
-    }
+RecomputeSummary RecomputeCells(const Dataset& data, const CellSet& cells,
+                                const CellDictionary& dict, size_t min_pts,
+                                ThreadPool& pool, const Phase2Options& opts,
+                                const std::vector<uint32_t>& touched,
+                                Phase2Result* state) {
+  RPDBSCAN_CHECK(opts.seed_point_core == nullptr)
+      << "RecomputeCells seeds the prior's core flags itself";
+  RPDBSCAN_CHECK(opts.core_cell_mask == nullptr)
+      << "RecomputeCells reads every touched cell's gather";
+  const size_t num_cells = cells.num_cells();
+  const size_t prior_cells = state->subgraphs.cell_is_core.size();
+  RPDBSCAN_CHECK(prior_cells <= num_cells &&
+                 state->point_is_core.size() <= data.size())
+      << "the prior holds more cells or points than the data";
+  for (size_t i = 0; i < touched.size(); ++i) {
+    RPDBSCAN_CHECK(touched[i] < num_cells &&
+                   (i == 0 || touched[i - 1] < touched[i]))
+        << "touched cells must be ascending, unique cell ids";
   }
-  // Chunked over the target list (targets share no points, so the per-cell
-  // tasks are independent); each chunk reuses one scratch set like a
-  // partition task does.
-  const size_t m = targets.size();
-  const size_t num_chunks = std::min(m, pool.num_threads() * 4);
-  const size_t chunk_len = m == 0 ? 0 : (m + num_chunks - 1) / num_chunks;
-  RunCellTasks(
-      data, cells, dict, min_pts, pool, opts, num_chunks,
-      [&](size_t c) {
-        const size_t begin = std::min(m, c * chunk_len);
-        return std::span<const uint32_t>(targets).subspan(
-            begin, std::min(m, begin + chunk_len) - begin);
+  // Ascending, unique and below num_cells: the list holds every new id
+  // iff its entry num_new from the end is the first new id.
+  const size_t num_new = num_cells - prior_cells;
+  RPDBSCAN_CHECK(num_new == 0 ||
+                 (touched.size() >= num_new &&
+                  touched[touched.size() - num_new] == prior_cells))
+      << "cells " << prior_cells << " to " << num_cells - 1
+      << " are new, but not all of them are touched";
+  GrowToCells(data, cells, state);
+  // Prior cores stay core under an append: the prior's flags seed every
+  // unit this call runs (an empty prior has none to give).
+  Phase2Options seeded = opts;
+  if (prior_cells > 0) seeded.seed_point_core = state->point_is_core.data();
+  const CellUnit unit{data, cells, dict, min_pts,
+                      ResolveEngine(dict, seeded), state};
+  TaskCounters total;
+
+  // The touched cells re-run the unit, and each one's gather names the
+  // untouched cells it reaches. A call touching every cell (a stream's
+  // epoch 0) has none to name.
+  const bool extend = touched.size() < num_cells;
+  std::vector<std::vector<Reach>> reach_of(extend ? touched.size() : 0);
+  RunChunked(
+      pool, touched.size(),
+      [&](size_t begin, size_t end, Phase2Scratch& scratch,
+          TaskCounters& counters) {
+        for (size_t i = begin; i < end; ++i) {
+          const uint32_t t = touched[i];
+          unit.Run(t, scratch, counters);
+          if (!extend) continue;
+          auto name = [&](uint32_t cid, bool always) {
+            if (!std::binary_search(touched.begin(), touched.end(), cid)) {
+              reach_of[i].push_back({cid, t, always});
+            }
+          };
+          const CandidateCellList& cand = scratch.candidates;
+          for (const uint32_t cid : cand.always_neighbors) name(cid, true);
+          for (const uint32_t cid : cand.cell_ids) name(cid, false);
+        }
       },
-      state);
+      &total);
+
+  // Group the records by reached cell, so the one task that takes a
+  // reached cell writes its flags and row: cell g's records are
+  // reach[starts[g] .. starts[g + 1]).
+  std::vector<Reach> reach;
+  for (const std::vector<Reach>& r : reach_of) {
+    reach.insert(reach.end(), r.begin(), r.end());
+  }
+  std::sort(reach.begin(), reach.end(), [](const Reach& a, const Reach& b) {
+    return a.cell != b.cell ? a.cell < b.cell : a.touched < b.touched;
+  });
+  std::vector<size_t> starts;
+  for (size_t i = 0; i < reach.size(); ++i) {
+    if (i == 0 || reach[i].cell != reach[i - 1].cell) starts.push_back(i);
+  }
+  const size_t num_reached = starts.size();
+  starts.push_back(reach.size());
+  RunChunked(
+      pool, num_reached,
+      [&](size_t begin, size_t end, Phase2Scratch& scratch,
+          TaskCounters& counters) {
+        for (size_t g = begin; g < end; ++g) {
+          const uint32_t cid = reach[starts[g]].cell;
+          const PointIdSpan ids = cells.cell(cid).point_ids;
+          if (std::all_of(ids.begin(), ids.end(), [&](uint32_t p) {
+                return state->point_is_core[p] != 0;
+              })) {
+            ExtendRow(unit, cid,
+                      std::span<const Reach>(reach).subspan(
+                          starts[g], starts[g + 1] - starts[g]),
+                      scratch, counters);
+          } else {
+            unit.Run(cid, scratch, counters);
+          }
+        }
+      },
+      &total);
+  SetCounters(total, unit.setup.level, state);
+  return RecomputeSummary{touched.size() + num_reached,
+                          total.extended_cells, total.unit_points};
 }
 
 }  // namespace rpdbscan

@@ -102,23 +102,48 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             ThreadPool& pool,
                             const Phase2Options& opts = Phase2Options());
 
-/// Re-runs the Phase II per-cell unit for exactly `targets` (dense cell
-/// ids, no duplicates) in place on `state`, the output of an earlier run
-/// over a prefix of the same points — the streaming path's incremental
-/// recompute. `state` is first grown to `data` and `cells` (new points and
-/// cells non-core, new rows empty) and takes the cell set's current
-/// partition lists; then the target cells' point flags, core flags and
-/// successor rows are rewritten, and every other entry is left as it is.
-/// The counters and simd_level describe this call alone; task_seconds is
-/// untouched. Because a cell's Phase II output is a pure function of its
-/// own points and the dictionary (partition assignment never enters), a
-/// rewritten entry is bit-identically what a from-scratch BuildSubgraphs
-/// over the same data and dictionary would produce for it.
-void RecomputeCells(const Dataset& data, const CellSet& cells,
-                    const CellDictionary& dict, size_t min_pts,
-                    ThreadPool& pool, const Phase2Options& opts,
-                    const std::vector<uint32_t>& targets,
-                    Phase2Result* state);
+/// What one RecomputeCells call did.
+struct RecomputeSummary {
+  /// The touched cells plus the untouched cells their gathers reached.
+  size_t affected_cells = 0;
+  /// Reached cells whose points were all core: their rows were only
+  /// tested against the touched cells that reached them.
+  size_t extended_cells = 0;
+  /// Points of the cells that re-ran the per-cell unit: the touched cells
+  /// and the reached cells holding a non-core point.
+  size_t rerun_points = 0;
+};
+
+/// Extends `state`, the output of an earlier run over a prefix of the
+/// same points, to `data`, `cells` and `dict` in place — the streaming
+/// path's incremental Phase II. `touched` lists, ascending, the cells
+/// that gained points since `state` was computed, every new cell
+/// included. `state` is first grown (new points and cells non-core, new
+/// rows empty) and takes the cell set's current partition lists.
+///
+/// An append only adds sub-cell mass, so every density can only grow:
+/// `state`'s core points stay core and seed the per-cell unit
+/// (Phase2Options::seed_point_core), and a row only gains cells. Each
+/// touched cell re-runs the seeded unit, and its candidate gather names
+/// the untouched cells it reaches. A gather drops a cell only when the
+/// two cells' occupied-sub-cell MBRs are provably more than eps apart, so
+/// no other cell can reach a touched one. A reached cell holding a
+/// non-core point re-runs the seeded unit as well. A reached cell whose
+/// points were all core keeps its flags and row, and its row gains each
+/// touched cell its points now reach: one in its always group without a
+/// kernel call, a maybe one through one GroupBoundsFn call and at most
+/// one SubcellCountMultiFn call. Every other entry is left as it is, and
+/// the result is bit-identically what a from-scratch BuildSubgraphs over
+/// the same data and dictionary emits.
+///
+/// `opts` must carry no seed_point_core and no core_cell_mask. The
+/// counters and simd_level describe this call alone; task_seconds is
+/// untouched.
+RecomputeSummary RecomputeCells(const Dataset& data, const CellSet& cells,
+                                const CellDictionary& dict, size_t min_pts,
+                                ThreadPool& pool, const Phase2Options& opts,
+                                const std::vector<uint32_t>& touched,
+                                Phase2Result* state);
 
 }  // namespace rpdbscan
 

@@ -167,14 +167,18 @@ void RecordResult(ServeStats* stats, const ServeResult& result,
 }  // namespace
 
 std::string ServeStatsToJson(const ServeStats& stats, double seconds,
-                             size_t threads, const LatencySummary* latency) {
+                             double busy_seconds, size_t threads,
+                             const LatencySummary* latency) {
   JsonWriter w;
   w.BeginObject();
   w.Key("queries").Value(stats.queries);
   w.Key("threads").Value(threads);
   w.Key("seconds").Value(seconds);
+  w.Key("busy_seconds").Value(busy_seconds);
   w.Key("queries_per_second")
-      .Value(seconds > 0 ? static_cast<double>(stats.queries) / seconds : 0.0);
+      .Value(busy_seconds > 0
+                 ? static_cast<double>(stats.queries) / busy_seconds
+                 : 0.0);
   w.Key("cell_hits").Value(stats.cell_hits);
   w.Key("exact").Value(stats.exact);
   w.Key("core").Value(stats.core);

@@ -106,12 +106,15 @@ struct ServeStats {
 };
 
 /// Serving counters as one JSON object (the --stats-json emitter of the
-/// serve subcommand). `seconds` and `threads` describe the timed batch;
-/// queries_per_second is derived. When `latency` is given, its
-/// nearest-rank percentiles ride along as latency_p50_us /
-/// latency_p99_us / latency_p999_us / latency_max_us / latency_samples.
+/// serve subcommand). `seconds` and `threads` describe the timed run and
+/// `busy_seconds` the part of it spent serving (a batch passes its batch
+/// time for both, a request loop its wall time and
+/// RequestLoopStats::busy_seconds); queries_per_second is queries over
+/// busy_seconds. When `latency` is given, its nearest-rank percentiles
+/// ride along as latency_p50_us / latency_p99_us / latency_p999_us /
+/// latency_max_us / latency_samples.
 std::string ServeStatsToJson(const ServeStats& stats, double seconds,
-                             size_t threads,
+                             double busy_seconds, size_t threads,
                              const LatencySummary* latency = nullptr);
 
 /// Classifies out-of-sample points against a frozen ClusterModelSnapshot.

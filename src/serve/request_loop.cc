@@ -221,6 +221,34 @@ Status WriteMirroredFrame(int out_fd, const Admitted& item, uint32_t model_id,
   return WriteFrame(out_fd, kServeFrameMagic, type, payload, size);
 }
 
+/// Adds the time from its construction to its destruction, read on the
+/// loop's `watch`, to stats->busy_seconds and, once the request resolved
+/// a model (*mstats set), to that model's. Reads no clock without stats.
+class BusyCharge {
+ public:
+  BusyCharge(const Stopwatch& watch, RequestLoopStats* stats,
+             ModelLoopStats* const* mstats)
+      : watch_(watch),
+        start_ns_(stats == nullptr ? 0 : watch.ElapsedNanos()),
+        stats_(stats),
+        mstats_(mstats) {}
+  BusyCharge(const BusyCharge&) = delete;
+  BusyCharge& operator=(const BusyCharge&) = delete;
+  ~BusyCharge() {
+    if (stats_ == nullptr) return;
+    const double seconds =
+        static_cast<double>(watch_.ElapsedNanos() - start_ns_) * 1e-9;
+    stats_->busy_seconds += seconds;
+    if (*mstats_ != nullptr) (*mstats_)->busy_seconds += seconds;
+  }
+
+ private:
+  const Stopwatch& watch_;
+  const int64_t start_ns_;
+  RequestLoopStats* const stats_;
+  ModelLoopStats* const* const mstats_;
+};
+
 /// The loop body shared by the single-server and registry overloads.
 /// `resolve` maps an admitted classify frame to its serving model;
 /// `track_per_model` turns on the per-model split in `stats`.
@@ -259,6 +287,10 @@ Status RunRequestLoop(int in_fd, int out_fd, ThreadPool& pool,
       break;
     }
     if (item.frame.type == kFrameShutdown) break;
+    // Charged on every way out of this iteration: the request's time from
+    // dequeue to response written.
+    ModelLoopStats* mstats = nullptr;
+    const BusyCharge busy(watch, stats, &mstats);
     if (item.frame.type != kFrameClassify) {
       const std::string msg = "serve stream: unexpected frame type " +
                               std::to_string(item.frame.type);
@@ -271,7 +303,6 @@ Status RunRequestLoop(int in_fd, int out_fd, ThreadPool& pool,
     }
     if (stats != nullptr) ++stats->requests;
     const Resolution target = resolve(item.frame);
-    ModelLoopStats* mstats = nullptr;
     if (stats != nullptr && track_per_model && target.server != nullptr) {
       mstats = &stats->per_model[target.model_id];
       ++mstats->requests;

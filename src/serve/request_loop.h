@@ -62,6 +62,8 @@ struct ModelLoopStats {
   uint64_t requests = 0;
   uint64_t responses = 0;
   uint64_t errors = 0;
+  /// Summed per-request time from dequeue to response written.
+  double busy_seconds = 0;
   ServeStats serve;
   LatencyReservoir latency;
 };
@@ -71,6 +73,10 @@ struct RequestLoopStats {
   uint64_t requests = 0;
   uint64_t responses = 0;
   uint64_t errors = 0;  // error frames sent (malformed requests)
+  /// Summed per-request time from dequeue to response written, error
+  /// frames included: the loop's wall time without its idle waits, the
+  /// time throughput is measured over.
+  double busy_seconds = 0;
   ServeStats serve;
   LatencyReservoir latency;  // response-written minus frame-admitted, ns
   /// Registry-routed loops only: the same counters split by the resolved

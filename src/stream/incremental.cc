@@ -8,7 +8,6 @@
 #include "core/merge.h"
 #include "core/phase2.h"
 #include "parallel/parallel_for.h"
-#include "stream/dirty_set.h"
 #include "util/stopwatch.h"
 #include "verify/audit.h"
 
@@ -146,19 +145,17 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
             .ToStatus("stream dictionary"));
   }
 
-  // ---- Dirty closure + Phase II recompute, dirty cells only: their
-  // core flags and successor rows are rewritten in the last epoch's graph,
-  // every other row carries over as it is.
+  // ---- Phase II: extend the last epoch's graph by the touched cells.
+  // Prior cores stay core; the touched cells and the reached cells
+  // holding a non-core point re-run the per-cell unit, and the reached
+  // all-core cells only test the touched cells that reach them.
   stage.Reset();
-  const DirtySet dirty = DirtySetTracker::Resolve(dict, cells, touched);
-  stats.dirty_cells = dirty.cells.size();
-  stats.dirty_used_stencil = dirty.used_stencil;
-
-  RecomputeCells(data, cells, dict, options_.min_pts, pool,
-                 Phase2OptionsOf(options_), dirty.cells, &phase2_);
-  for (const uint32_t cid : dirty.cells) {
-    stats.reclustered_points += cells.cell(cid).point_ids.size();
-  }
+  const RecomputeSummary recomputed =
+      RecomputeCells(data, cells, dict, options_.min_pts, pool,
+                     Phase2OptionsOf(options_), touched, &phase2_);
+  stats.dirty_cells = recomputed.affected_cells;
+  stats.extended_cells = recomputed.extended_cells;
+  stats.reclustered_points = recomputed.rerun_points;
   stats.phase2_seconds = stage.ElapsedSeconds();
 
   if (audit != AuditLevel::kOff) {

@@ -26,10 +26,14 @@ struct EpochStats {
   size_t batches_ingested = 0;
   /// Cells that gained points since the previous epoch.
   size_t touched_cells = 0;
-  /// Stencil closure of the touched cells — the recompute scope.
+  /// The affected set: the touched cells plus the untouched cells their
+  /// Phase II gathers reached.
   size_t dirty_cells = 0;
-  bool dirty_used_stencil = false;
-  /// Points whose core flags were recomputed (the dirty cells' points).
+  /// Reached cells whose points were all core already: their rows were
+  /// only tested against the touched cells that reached them.
+  size_t extended_cells = 0;
+  /// Points of the cells that re-ran the Phase II per-cell unit: the
+  /// touched cells and the reached cells holding a non-core point.
   size_t reclustered_points = 0;
   size_t rekeys = 0;
   size_t num_clusters = 0;
@@ -38,8 +42,7 @@ struct EpochStats {
   /// Stage times within epoch_publish_seconds; audits count in none.
   /// The touched cells' MakeCellEntry plus the dictionary assembly.
   double dictionary_seconds = 0;
-  /// The dirty closure and RecomputeCells, which rewrites the dirty
-  /// cells' rows in place.
+  /// RecomputeCells, which extends the last epoch's cell graph in place.
   double phase2_seconds = 0;
   /// MergeSubgraphs plus LabelPoints.
   double merge_seconds = 0;
@@ -56,16 +59,16 @@ struct EpochResult {
 };
 
 /// The streaming re-clusterer (DESIGN.md §9): accumulates batches through
-/// an IngestBuffer and, on PublishEpoch, re-runs sub-cell assembly, the
-/// Phase II stencil queries, and the merge only over the dirty component
-/// subgraph, splicing the results into the prior epoch's cached tables.
+/// an IngestBuffer and, on PublishEpoch, recomputes the touched cells'
+/// dictionary entries, extends the last epoch's Phase II cell graph by
+/// the touched cells (RecomputeCells), and merges and labels the result.
 ///
 /// Every epoch is bit-identical to RunRpDbscan from scratch on the
 /// accumulated points with the same options — labels, cluster ids,
-/// predecessor lists, and border references all match, because each
-/// spliced structure is a pure per-cell function whose inputs provably
-/// did not change outside the dirty set (see DESIGN.md §9 for the
-/// argument; tests/stream_incremental_test.cc enforces it differentially).
+/// predecessor lists, and border references all match, because an append
+/// only grows densities and every entry the extension leaves as it is
+/// provably did not change (see DESIGN.md §9 for the argument;
+/// tests/stream_incremental_test.cc enforces it differentially).
 ///
 /// Not thread-safe; one writer drives Ingest/PublishEpoch while published
 /// snapshots serve reads elsewhere (stream/epoch_registry.h).
@@ -87,15 +90,19 @@ class StreamClusterer {
   /// Appends one batch (empty allowed) without recomputing anything.
   Status Ingest(const Dataset& batch);
 
-  /// Recomputes the dirty subgraph, splices, merges, labels, and packages
-  /// the result as a snapshot carrying this epoch's lineage. Audits each
-  /// stage at options.audit_level (kOff skips). Consumes nothing: further
-  /// Ingest/PublishEpoch calls continue from the new epoch.
+  /// Extends the last epoch's cell graph by the touched cells, merges,
+  /// labels, and packages the result as a snapshot carrying this epoch's
+  /// lineage. Audits each stage at options.audit_level (kOff skips).
+  /// Consumes nothing: further Ingest/PublishEpoch calls continue from
+  /// the new epoch.
   StatusOr<EpochResult> PublishEpoch();
 
   const Dataset& data() const { return buffer_.data(); }
   const IngestBuffer& buffer() const { return buffer_; }
   const RpDbscanOptions& options() const { return options_; }
+  /// The last epoch's Phase II output: point and cell core flags and the
+  /// cell graph the merge read.
+  const Phase2Result& phase2() const { return phase2_; }
   /// Sequence the next PublishEpoch will get (== epochs published so far).
   uint64_t next_sequence() const { return sequence_; }
   ThreadPool& pool() { return *pool_; }
@@ -110,16 +117,15 @@ class StreamClusterer {
   uint64_t sequence_ = 0;
 
   // Prior-epoch caches, all indexed by dense cell id / point id and
-  // resized as the stream grows. Each holds a pure per-cell (or per-point)
-  // function of the accumulated data, so non-dirty entries carry over.
+  // resized as the stream grows: the entries of untouched cells carry
+  // over, and the Phase II output is extended by the touched cells.
   std::vector<CellEntry> entries_;
   /// The last epoch's dictionary, shared with its snapshot: the prior the
   /// next epoch's assembly carries stencil neighborhoods over from, so
   /// only new cells have their windows swept. Null before epoch 0.
   std::shared_ptr<const CellDictionary> dict_;
   /// The last epoch's Phase II output: point and cell core flags and the
-  /// cell graph's successor rows, rewritten per epoch for the dirty cells
-  /// only.
+  /// cell graph's successor rows, extended in place by each epoch.
   Phase2Result phase2_;
 };
 

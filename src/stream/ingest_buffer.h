@@ -19,7 +19,8 @@ namespace rpdbscan {
 /// splices it in (CellSet::IngestAppended), so the structures are at all
 /// times bit-identical to a from-scratch CellSet::Build over the
 /// accumulated points. Cells touched since the last TakeTouched are
-/// tracked for the dirty-set derivation.
+/// tracked: an epoch recomputes their dictionary entries and extends the
+/// last cell graph by them.
 class IngestBuffer {
  public:
   /// Starts the buffer from the (non-empty) seed batch — batch number 0.

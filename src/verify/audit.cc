@@ -417,8 +417,8 @@ AuditReport AuditDictionary(const Dataset& data, const CellSet& cells,
     }
   }
 
-  // Stencil neighborhood CSR, which the stencil Phase II, the stream's
-  // dirty closure and serving walk: well-formed at kCheap; at kFull each
+  // Stencil neighborhood CSR, which the stencil Phase II and serving
+  // walk: well-formed at kCheap; at kFull each
   // list, as a set, is exactly the cells found by hash-probing the slot's
   // full stencil window — an oracle independent of the build's sorted
   // merge-join, whether the list was swept or carried over from a prior

@@ -39,17 +39,13 @@ class CliTest : public ::testing::Test {
     return rc == -1 ? -1 : WEXITSTATUS(rc);
   }
 
-  std::string Stdout() {
-    std::ifstream in(dir_ + "/stdout.txt");
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   }
-
-  std::string Stderr() {
-    std::ifstream in(dir_ + "/stderr.txt");
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }
+  std::string Stdout() { return ReadFile(dir_ + "/stdout.txt"); }
+  std::string Stderr() { return ReadFile(dir_ + "/stderr.txt"); }
 
   std::string cli_;
   std::string dir_;
@@ -195,11 +191,13 @@ TEST_F(CliTest, StreamPublishesAuditedEpochs) {
   EXPECT_NE(out.find("[audit pass]"), std::string::npos);
   EXPECT_NE(out.find("stream done: 3 epochs"), std::string::npos);
 
-  std::ifstream stats_in(stats);
-  const std::string json((std::istreambuf_iterator<char>(stats_in)),
-                         std::istreambuf_iterator<char>());
+  const std::string json = ReadFile(stats);
   EXPECT_NE(json.find("\"dirty_cells\""), std::string::npos);
+  EXPECT_NE(json.find("\"extended_cells\""), std::string::npos);
   EXPECT_NE(json.find("\"reclustered_points\""), std::string::npos);
+  EXPECT_EQ(json.find("\"dirty_used_stencil\""), std::string::npos);
+  EXPECT_NE(out.find(" extended), "), std::string::npos);
+  EXPECT_EQ(out.find("(stencil "), std::string::npos);
   EXPECT_NE(json.find("\"epoch_publish_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"epochs_published\": 3"), std::string::npos);
   // Every record carries the stage split, and none is cut short: the last
@@ -229,6 +227,31 @@ TEST_F(CliTest, StreamPublishesAuditedEpochs) {
   EXPECT_EQ(Run("serve --snapshot=" + epochs + "/epoch-2.rpsnap --verify "
                 "--queries=" + queries),
             0);
+}
+
+// With 8-point batches most epochs extend the last epoch's cell graph
+// instead of re-running it. The final epoch's --output must still be the
+// one-shot run's, byte for byte, on the stencil engine (GeoLife, d = 3)
+// and on the kd-tree one (tera, d = 13).
+TEST_F(CliTest, StreamSmallBatchesMatchOneShotRun) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"--generate=geolife --n=4000 --eps=1.5 --minpts=10",
+       "--seed-points=3600"},
+      {"--generate=tera --n=3000 --eps=40 --minpts=20",
+       "--seed-points=2700"},
+  };
+  const std::string once = dir_ + "/once.csv";
+  const std::string streamed = dir_ + "/streamed.csv";
+  for (const auto& [input, seed_points] : cases) {
+    SCOPED_TRACE(input);
+    ASSERT_EQ(Run(input + " --threads=2 --output=" + once), 0);
+    ASSERT_EQ(Run("stream " + input + " " + seed_points +
+                  " --batch-size=8 --threads=2 --output=" + streamed),
+              0);
+    const std::string want = ReadFile(once);
+    EXPECT_FALSE(want.empty());
+    EXPECT_TRUE(want == ReadFile(streamed));
+  }
 }
 
 TEST_F(CliTest, StreamRejectsBadAuditLevel) {

@@ -10,6 +10,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "serve/snapshot.h"
 #include "synth/generators.h"
 #include "test_seed.h"
+#include "util/stopwatch.h"
 
 namespace rpdbscan {
 namespace {
@@ -311,6 +314,54 @@ TEST(RequestLoopTest, ServesFramedBatchesOverSocketpair) {
   const LatencySummary lat = stats.latency.Summarize();
   EXPECT_GT(lat.max_us, 0.0);
   EXPECT_LE(lat.p50_us, lat.p999_us);
+}
+
+// Throughput is measured over busy time: a client that idles ~300 ms
+// between two small requests leaves the loop's wall time long, but its
+// busy time holds only the two requests, and the JSON's
+// queries_per_second divides the queries by the busy time.
+TEST(RequestLoopTest, BusySecondsExcludeIdleWaits) {
+  const uint64_t seed = TestSeed(7450);
+  SCOPED_TRACE(SeedNote(seed));
+  const Served f = Freeze(seed);
+  const LabelServer server(f.snapshot);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  RequestLoopStats stats;
+  double wall_seconds = 0;
+  std::thread serving([&] {
+    ThreadPool pool(2);
+    const Stopwatch wall;
+    const Status s = ServeRequestLoop(fds[0], fds[0], server, pool,
+                                      RequestLoopOptions(), &stats);
+    wall_seconds = wall.ElapsedSeconds();
+    EXPECT_TRUE(s.ok()) << s;
+  });
+  Dataset small(3);
+  for (size_t i = 0; i < 4; ++i) small.Append(f.data.point(i));
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    ASSERT_TRUE(SendClassifyRequest(fds[1], small).ok());
+    ASSERT_TRUE(ReadClassifyResponse(fds[1]).ok());
+  }
+  ASSERT_TRUE(SendShutdown(fds[1]).ok());
+  serving.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  ASSERT_EQ(stats.serve.queries, 2 * small.size());
+  EXPECT_GT(stats.busy_seconds, 0.0);
+  EXPECT_LT(stats.busy_seconds, wall_seconds - 0.25);
+  const double qps =
+      static_cast<double>(stats.serve.queries) / stats.busy_seconds;
+  char want[64];
+  std::snprintf(want, sizeof(want), "\"queries_per_second\":%.9g", qps);
+  const std::string json =
+      ServeStatsToJson(stats.serve, wall_seconds, stats.busy_seconds, 2);
+  EXPECT_NE(json.find(want), std::string::npos) << json;
 }
 
 TEST(RequestLoopTest, CleanHangupEndsTheLoop) {

@@ -5,10 +5,11 @@
 // cluster numbering too), cluster/noise counts, and the published
 // snapshot's meta. Randomized over dims 2-6 (the stencil engine at d <= 5,
 // the kd-tree engine at d = 6), skewed cluster sizes, and minPts-boundary
-// duplicate data; re-seed via RPDBSCAN_TEST_SEED. The incremental Phase II
-// unit is also checked in place at d = 3, on a stencil dictionary and on a
-// kd-tree one built with max_stencil_offsets = 0, and Create must refuse
-// the options an epoch cannot honour.
+// duplicate data, and 1-to-8-point batches from the densest cluster;
+// re-seed via RPDBSCAN_TEST_SEED. The incremental Phase II extension is
+// also checked in place on hand-placed 2-d batches, on a stencil
+// dictionary and on a kd-tree one built with max_stencil_offsets = 0, and
+// Create must refuse the options an epoch cannot honour.
 
 #include <gtest/gtest.h>
 
@@ -49,9 +50,11 @@ Dataset Slice(const Dataset& all, size_t begin, size_t count) {
 /// Skewed synthetic stream: three Gaussian clusters holding ~60/25/15% of
 /// the clustered mass plus uniform background noise, in any dimension.
 /// The skew matters: the dominant cluster keeps growing every batch while
-/// the small ones only occasionally gain points, so the dirty set hits
-/// both hot and cold regions of the grid.
-Dataset SkewedData(size_t n, size_t dim, uint64_t seed) {
+/// the small ones only occasionally gain points, so the affected set hits
+/// both hot and cold regions of the grid. `in_densest`, when given, gets
+/// each point's membership of the dominant cluster.
+Dataset SkewedData(size_t n, size_t dim, uint64_t seed,
+                   std::vector<uint8_t>* in_densest = nullptr) {
   Rng rng(seed);
   Dataset data(dim);
   data.Reserve(n);
@@ -64,6 +67,7 @@ Dataset SkewedData(size_t n, size_t dim, uint64_t seed) {
   std::vector<float> p(dim);
   for (size_t i = 0; i < n; ++i) {
     const double pick = rng.UniformDouble();
+    if (in_densest != nullptr) in_densest->push_back(pick < 0.51 ? 1 : 0);
     if (pick < 0.85) {
       const size_t c = pick < 0.51 ? 0 : (pick < 0.72 ? 1 : 2);
       for (size_t d = 0; d < dim; ++d) {
@@ -81,9 +85,15 @@ Dataset SkewedData(size_t n, size_t dim, uint64_t seed) {
 
 /// Replays `all` as a seed prefix plus randomly-sized batches, publishing
 /// an epoch after every batch and asserting bit-identity against a
-/// from-scratch run on the accumulated prefix.
+/// from-scratch run on the accumulated prefix: its labels, and the cell
+/// graph the epoch extended against a fresh BuildSubgraphs over the
+/// epoch's cells and dictionary. Batches hold 1 to `max_batch` points
+/// (0: up to a quarter of the points after the seed). `extending_epochs`,
+/// when given, counts the epochs whose extended_cells is positive.
 void DifferentialReplay(const Dataset& all, const RpDbscanOptions& options,
-                        size_t seed_points, uint64_t batch_seed) {
+                        size_t seed_points, uint64_t batch_seed,
+                        size_t max_batch = 0,
+                        size_t* extending_epochs = nullptr) {
   auto clusterer_or = StreamClusterer::Create(Prefix(all, seed_points),
                                               options);
   ASSERT_TRUE(clusterer_or.ok()) << clusterer_or.status();
@@ -102,14 +112,29 @@ void DifferentialReplay(const Dataset& all, const RpDbscanOptions& options,
     auto scratch_or = RunRpDbscan(Prefix(all, pos), options);
     ASSERT_TRUE(scratch_or.ok()) << scratch_or.status();
     ASSERT_EQ(epoch_or->labels, scratch_or->labels);
+    Phase2Options phase2_opts;
+    phase2_opts.scalar_kernels = options.scalar_kernels;
+    const Phase2Result fresh = BuildSubgraphs(
+        clusterer.data(), clusterer.buffer().cells(),
+        epoch_or->snapshot.dictionary(), options.min_pts, clusterer.pool(),
+        phase2_opts);
+    const Phase2Result& got = clusterer.phase2();
+    ASSERT_EQ(got.point_is_core, fresh.point_is_core);
+    ASSERT_EQ(got.subgraphs.cell_is_core, fresh.subgraphs.cell_is_core);
+    ASSERT_EQ(got.subgraphs.successors, fresh.subgraphs.successors);
     EXPECT_EQ(epoch_or->stats.sequence, epoch);
     EXPECT_EQ(epoch_or->stats.total_points, pos);
     EXPECT_EQ(epoch_or->snapshot.meta().num_points, pos);
     EXPECT_TRUE(epoch_or->snapshot.has_epoch());
     EXPECT_EQ(epoch_or->snapshot.epoch().sequence, epoch);
+    if (extending_epochs != nullptr && epoch_or->stats.extended_cells > 0) {
+      ++*extending_epochs;
+    }
 
     if (pos >= n) break;
-    const size_t span = std::max<size_t>(1, (n - seed_points) / 4);
+    const size_t span = max_batch > 0
+                            ? max_batch
+                            : std::max<size_t>(1, (n - seed_points) / 4);
     size_t take = 1 + static_cast<size_t>(batch_rng.Uniform(span));
     take = std::min(take, n - pos);
     ASSERT_TRUE(clusterer.Ingest(Slice(all, pos, take)).ok());
@@ -149,6 +174,40 @@ TEST_P(StreamDifferentialTest, MatchesScratchRunAcrossSeeds) {
   }
 }
 
+/// The benchmark's regime: epochs of 1 to 8 points, all drawn from the
+/// densest cluster, so most epochs extend all-core cells instead of
+/// re-running them. Four threads put the touched cells of one epoch on
+/// different tasks, so a row two of them wrote would race under TSan.
+TEST_P(StreamDifferentialTest, SmallBatchesFromDensestCluster) {
+  const size_t dim = GetParam();
+  const uint64_t seed = TestSeed(0x5A11 + dim * 131);
+  SCOPED_TRACE(SeedNote(seed));
+  SCOPED_TRACE("dim=" + std::to_string(dim));
+  const size_t n = 360 + dim * 60;
+  std::vector<uint8_t> in_densest;
+  const Dataset drawn = SkewedData(n, dim, seed, &in_densest);
+  // Every point outside the densest cluster first, then the cluster's
+  // last 60 points as the stream's tail.
+  std::vector<size_t> order;
+  std::vector<size_t> tail;
+  for (size_t i = n; i-- > 0;) {
+    (in_densest[i] && tail.size() < 60 ? tail : order).push_back(i);
+  }
+  std::reverse(order.begin(), order.end());
+  std::reverse(tail.begin(), tail.end());
+  ASSERT_EQ(tail.size(), 60u);
+  Dataset all(dim);
+  for (const size_t i : order) all.Append(drawn.point(i));
+  for (const size_t i : tail) all.Append(drawn.point(i));
+  RpDbscanOptions o =
+      StreamOptions(1.4 + 0.45 * static_cast<double>(dim), 8, seed);
+  o.num_threads = 4;
+  size_t extending_epochs = 0;
+  DifferentialReplay(all, o, n - tail.size(), seed ^ 0xba7c4ULL,
+                     /*max_batch=*/8, &extending_epochs);
+  EXPECT_GT(extending_epochs, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Dims, StreamDifferentialTest,
     ::testing::Values(size_t{2}, size_t{3}, size_t{4}, size_t{5}, size_t{6}),
@@ -157,79 +216,220 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param <= 5 ? "Stencil" : "Tree");
     });
 
-/// The incremental Phase II unit on both candidate engines, in place:
-/// RecomputeCells over any target subset must rewrite exactly the
-/// targets' point flags, core flags and successor rows to what the full
-/// BuildSubgraphs run emits for them, whatever stale values it finds, and
-/// leave every other cell as it found it.
-TEST(StreamIncrementalTest, RecomputeCellsMatchesFullRunOnTreeDictionary) {
-  const uint64_t seed = TestSeed(0x7EE);
-  SCOPED_TRACE(SeedNote(seed));
-  const Dataset data = SkewedData(900, 3, seed);
-  auto geom = GridGeometry::Create(3, 2.5, 0.03);
+/// Hand-placed 2-d points for the extension tests (eps 1, so cells are
+/// 0.7071 wide and a cell holding min_pts = 5 points is all core):
+///  * A: 8 points spread along x in [0.05, 0.65] of cell (0, 0), all core;
+///  * C: 8 points packed at (5.55, 5.30) in cell (7, 7), all core;
+///  * U: 3 points at (10.2, 10.2) in cell (14, 14), none core;
+///  * three far singletons no batch reaches.
+Dataset ExtensionBase() {
+  Dataset base(2);
+  for (int i = 0; i < 8; ++i) {
+    base.Append({0.05f + 0.6f * static_cast<float>(i) / 7.0f,
+                 0.30f + 0.01f * static_cast<float>(i % 3)});
+  }
+  for (int i = 0; i < 8; ++i) {
+    base.Append({5.55f + 0.002f * static_cast<float>(i % 4),
+                 5.30f + 0.002f * static_cast<float>(i / 4)});
+  }
+  base.Append({10.20f, 10.20f});
+  base.Append({10.21f, 10.20f});
+  base.Append({10.20f, 10.21f});
+  base.Append({20.0f, 20.0f});
+  base.Append({30.0f, 5.0f});
+  base.Append({-8.0f, 14.0f});
+  return base;
+}
+
+Dataset Concat(const Dataset& a, const Dataset& b) {
+  Dataset out = Prefix(a, a.size());
+  for (size_t i = 0; i < b.size(); ++i) out.Append(b.point(i));
+  return out;
+}
+
+/// The cell holding point `p` of `cells`' data.
+uint32_t CellOfPoint(const CellSet& cells, const float* p) {
+  const int64_t cid = cells.FindCell(cells.geom().CellOf(p));
+  EXPECT_GE(cid, 0);
+  return static_cast<uint32_t>(cid);
+}
+
+/// Extends a BuildSubgraphs prior over ExtensionBase() by `batch` with
+/// RecomputeCells and checks every cell's core flag, point flags and row
+/// against a fresh BuildSubgraphs over the grown data, on a stencil
+/// dictionary and on a kd-tree one. `check(cells, dict, summary, prior,
+/// state)` then checks which path the batch took.
+template <typename Check>
+void ExtendAndCompare(const Dataset& batch, const Check& check) {
+  const size_t min_pts = 5;
+  const Dataset base = ExtensionBase();
+  const Dataset all = Concat(base, batch);
+  auto geom = GridGeometry::Create(2, 1.0, 0.03);
   ASSERT_TRUE(geom.ok());
   ThreadPool pool(2);
-  auto cells = CellSet::Build(data, *geom, 8, seed, &pool);
-  ASSERT_TRUE(cells.ok());
-  const size_t num_cells = cells->num_cells();
-  const size_t min_pts = 8;
-  std::vector<uint32_t> targets;
-  std::vector<uint8_t> is_target(num_cells, 0);
-  for (uint32_t cid = 0; cid < num_cells; cid += 3) {
-    targets.push_back(cid);
-    is_target[cid] = 1;
+  auto base_cells = CellSet::Build(base, *geom, 4, 7, &pool);
+  auto cells = CellSet::Build(all, *geom, 4, 7, &pool);
+  ASSERT_TRUE(base_cells.ok() && cells.ok());
+  std::vector<uint32_t> touched;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    touched.push_back(CellOfPoint(*cells, batch.point(i)));
   }
-  const std::vector<uint32_t> sentinel = {UINT32_MAX};
-  for (const bool stencil : {false, true}) {
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const bool stencil : {true, false}) {
     SCOPED_TRACE(stencil ? "stencil dictionary" : "tree dictionary");
     CellDictionaryOptions dict_opts;
     if (!stencil) dict_opts.max_stencil_offsets = 0;
-    auto dict = CellDictionary::Build(data, *cells, dict_opts, &pool);
-    ASSERT_TRUE(dict.ok());
+    auto base_dict = CellDictionary::Build(base, *base_cells, dict_opts, &pool);
+    auto dict = CellDictionary::Build(all, *cells, dict_opts, &pool);
+    ASSERT_TRUE(base_dict.ok() && dict.ok());
     ASSERT_EQ(dict->has_stencil(), stencil);
-    const Phase2Result full =
-        BuildSubgraphs(data, *cells, *dict, min_pts, pool);
-    const CellGraph& want = full.subgraphs;
-
-    // Stale state: every point flagged core; a target gets the opposite
-    // core flag and the wrong shape of row (a non-core target a non-empty
-    // row, a core target an empty one); a non-target gets a flag that is
-    // neither 0 nor 1 and a sentinel row.
-    Phase2Result state;
-    state.point_is_core.assign(data.size(), 1);
-    CellGraph& graph = state.subgraphs;
-    graph.cell_is_core.assign(num_cells, 2);
-    graph.successors.assign(num_cells, sentinel);
-    size_t core_targets = 0;
-    for (const uint32_t cid : targets) {
-      const bool core = want.cell_is_core[cid] != 0;
-      core_targets += core;
-      graph.cell_is_core[cid] = core ? 0 : 1;
-      if (core) graph.successors[cid].clear();
+    const Phase2Result prior =
+        BuildSubgraphs(base, *base_cells, *base_dict, min_pts, pool);
+    Phase2Result state = prior;
+    const RecomputeSummary summary = RecomputeCells(
+        all, *cells, *dict, min_pts, pool, Phase2Options(), touched, &state);
+    const Phase2Result fresh =
+        BuildSubgraphs(all, *cells, *dict, min_pts, pool);
+    EXPECT_EQ(state.point_is_core, fresh.point_is_core);
+    EXPECT_EQ(state.subgraphs.cell_is_core, fresh.subgraphs.cell_is_core);
+    EXPECT_EQ(state.subgraphs.successors, fresh.subgraphs.successors);
+    EXPECT_EQ(state.subgraphs.partitions, fresh.subgraphs.partitions);
+    size_t touched_points = 0;
+    for (const uint32_t cid : touched) {
+      touched_points += cells->cell(cid).point_ids.size();
     }
-    ASSERT_GT(core_targets, 0u);
-    ASSERT_LT(core_targets, targets.size());
-
-    RecomputeCells(data, *cells, *dict, min_pts, pool, Phase2Options(),
-                   targets, &state);
-    EXPECT_EQ(state.stencil_probes > 0, stencil);
-    EXPECT_EQ(state.subdict_visited > 0, !stencil);
-    EXPECT_EQ(graph.partitions, want.partitions);
-    for (uint32_t cid = 0; cid < num_cells; ++cid) {
-      SCOPED_TRACE("cell " + std::to_string(cid));
-      if (is_target[cid]) {
-        EXPECT_EQ(graph.cell_is_core[cid], want.cell_is_core[cid]);
-        EXPECT_EQ(graph.successors[cid], want.successors[cid]);
-      } else {
-        EXPECT_EQ(graph.cell_is_core[cid], 2);
-        EXPECT_EQ(graph.successors[cid], sentinel);
-      }
-      for (const uint32_t pid : cells->cell(cid).point_ids) {
-        EXPECT_EQ(state.point_is_core[pid],
-                  is_target[cid] ? full.point_is_core[pid] : 1);
-      }
-    }
+    EXPECT_GE(summary.affected_cells, touched.size());
+    EXPECT_GE(summary.rerun_points, touched_points);
+    check(*cells, *dict, summary, prior, state, touched_points);
   }
+}
+
+/// The candidate gather of `cid`'s points, on the dictionary's engine.
+CandidateCellList GatherOf(const CellSet& cells, const CellDictionary& dict,
+                           uint32_t cid) {
+  float lo[CellCoord::kMaxDim];
+  float hi[CellCoord::kMaxDim];
+  EXPECT_TRUE(SubcellRangeMbr(dict, cells.cell(cid).coord, lo, hi));
+  CandidateCellList cand;
+  if (dict.has_stencil()) {
+    dict.QueryCellStencil(cells.cell(cid).coord, lo, hi, &cand);
+  } else {
+    dict.QueryCell(cells.cell(cid).coord, lo, hi, &cand);
+  }
+  return cand;
+}
+
+bool Holds(const std::vector<uint32_t>& ids, uint32_t id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+/// (a) Two points in a new cell beside A, which reaches them across a
+/// maybe pair: the only affected cell besides the touched one is A, and
+/// A's row only gains the new cell.
+TEST(StreamIncrementalTest, RecomputeCellsExtendsAllCoreNeighbor) {
+  Dataset batch(2);
+  batch.Append({1.30f, 0.30f});
+  batch.Append({1.32f, 0.31f});
+  ExtendAndCompare(batch, [&](const CellSet& cells, const CellDictionary& dict,
+                              const RecomputeSummary& summary,
+                              const Phase2Result& prior,
+                              const Phase2Result& state,
+                              size_t touched_points) {
+    const uint32_t a = CellOfPoint(cells, ExtensionBase().point(0));
+    const uint32_t t = CellOfPoint(cells, batch.point(0));
+    ASSERT_GE(t, prior.subgraphs.cell_is_core.size());  // a new cell
+    ASSERT_EQ(prior.subgraphs.cell_is_core[a], 1);
+    EXPECT_TRUE(Holds(GatherOf(cells, dict, t).cell_ids, a));
+    EXPECT_EQ(summary.affected_cells, 2u);
+    EXPECT_EQ(summary.extended_cells, 1u);
+    EXPECT_EQ(summary.rerun_points, touched_points);
+    EXPECT_TRUE(prior.subgraphs.successors[a].empty());
+    EXPECT_EQ(state.subgraphs.successors[a], std::vector<uint32_t>{t});
+  });
+}
+
+/// (b) Three points in a new cell beside U lift U's points to core: U is
+/// reached while holding a non-core point, so it re-runs the unit.
+TEST(StreamIncrementalTest, RecomputeCellsRerunsLiftedNeighbor) {
+  Dataset batch(2);
+  batch.Append({10.75f, 10.20f});
+  batch.Append({10.76f, 10.21f});
+  batch.Append({10.75f, 10.22f});
+  ExtendAndCompare(batch, [&](const CellSet& cells, const CellDictionary&,
+                              const RecomputeSummary& summary,
+                              const Phase2Result& prior,
+                              const Phase2Result& state,
+                              size_t touched_points) {
+    const Dataset base = ExtensionBase();
+    const uint32_t u = CellOfPoint(cells, base.point(16));
+    ASSERT_LT(u, prior.subgraphs.cell_is_core.size());  // untouched
+    for (const uint32_t pid : cells.cell(u).point_ids) {
+      EXPECT_EQ(prior.point_is_core[pid], 0);
+      EXPECT_EQ(state.point_is_core[pid], 1);
+    }
+    EXPECT_EQ(summary.affected_cells, 2u);
+    EXPECT_EQ(summary.extended_cells, 0u);
+    EXPECT_EQ(summary.rerun_points,
+              touched_points + cells.cell(u).point_ids.size());
+  });
+}
+
+/// (c) One point in a new cell packed against C: the two cells' MBRs lie
+/// within eps of each other, so the new cell joins C's row from the
+/// always group, with no kernel call.
+TEST(StreamIncrementalTest, RecomputeCellsJoinsAlwaysGroup) {
+  Dataset batch(2);
+  batch.Append({5.75f, 5.30f});
+  ExtendAndCompare(batch, [&](const CellSet& cells, const CellDictionary& dict,
+                              const RecomputeSummary& summary,
+                              const Phase2Result& prior,
+                              const Phase2Result& state,
+                              size_t touched_points) {
+    const uint32_t c = CellOfPoint(cells, ExtensionBase().point(8));
+    const uint32_t t = CellOfPoint(cells, batch.point(0));
+    ASSERT_GE(t, prior.subgraphs.cell_is_core.size());  // a new cell
+    ASSERT_EQ(prior.subgraphs.cell_is_core[c], 1);
+    EXPECT_TRUE(Holds(GatherOf(cells, dict, t).always_neighbors, c));
+    EXPECT_EQ(summary.affected_cells, 2u);
+    EXPECT_EQ(summary.extended_cells, 1u);
+    EXPECT_EQ(summary.rerun_points, touched_points);
+    EXPECT_EQ(state.subgraphs.successors[c], std::vector<uint32_t>{t});
+  });
+}
+
+/// RecomputeCells refuses a touched list that is not ascending and
+/// unique, one that misses a new cell, and a caller's own core seed.
+TEST(StreamIncrementalTest, RecomputeCellsChecksPreconditions) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset base = ExtensionBase();
+  Dataset batch(2);
+  batch.Append({1.30f, 0.30f});
+  const Dataset all = Concat(base, batch);
+  auto geom = GridGeometry::Create(2, 1.0, 0.03);
+  ASSERT_TRUE(geom.ok());
+  ThreadPool pool(1);
+  auto base_cells = CellSet::Build(base, *geom, 2, 7, &pool);
+  auto cells = CellSet::Build(all, *geom, 2, 7, &pool);
+  ASSERT_TRUE(base_cells.ok() && cells.ok());
+  auto base_dict = CellDictionary::Build(base, *base_cells);
+  auto dict = CellDictionary::Build(all, *cells);
+  ASSERT_TRUE(base_dict.ok() && dict.ok());
+  const Phase2Result prior = BuildSubgraphs(base, *base_cells, *base_dict, 5,
+                                            pool);
+  const uint32_t t = CellOfPoint(*cells, batch.point(0));
+  auto recompute = [&](const std::vector<uint32_t>& touched,
+                       const Phase2Options& opts) {
+    Phase2Result state = prior;
+    RecomputeCells(all, *cells, *dict, 5, pool, opts, touched, &state);
+  };
+  EXPECT_DEATH(recompute({t, 0}, Phase2Options()), "ascending");
+  EXPECT_DEATH(recompute({0}, Phase2Options()), "not all of them");
+  const std::vector<uint8_t> seed(all.size(), 0);
+  Phase2Options seeded;
+  seeded.seed_point_core = seed.data();
+  EXPECT_DEATH(recompute({t}, seeded), "seeds");
+  recompute({t}, Phase2Options());  // the valid call goes through
 }
 
 /// Create refuses, by name, each option an epoch would otherwise drop.

@@ -184,9 +184,14 @@ re-clustering and hot-swapping epoch snapshots into a label server):
                           (snapshot_audit pass 3); violations fail
     --output=PATH         write points + final-epoch labels as CSV
     --stats-json=PATH     write per-epoch stream statistics as one JSON
-                          object (dirty_cells, reclustered_points,
-                          epoch_publish_seconds and its stage split
-                          dictionary_/phase2_/merge_/package_seconds, ...)
+                          object (dirty_cells: the touched cells plus
+                          the cells their gathers reach; extended_cells:
+                          the reached all-core cells whose rows were
+                          only tested against the touched cells;
+                          reclustered_points: the points of the cells
+                          that re-ran Phase II; epoch_publish_seconds
+                          and its stage split dictionary_/phase2_/
+                          merge_/package_seconds, ...)
   the rp clustering flags (--eps --minpts --rho --partitions --threads
   --scalar-kernels --sequential-merge) apply unchanged; every epoch's
   labels are bit-identical to a from-scratch run with those flags.
@@ -743,7 +748,9 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
     json += "  \"responses\": " + std::to_string(rstats.responses) + ",\n";
     json += "  \"errors\": " + std::to_string(rstats.errors) + ",\n";
     json += "  \"stream\": " +
-            ServeStatsToJson(rstats.serve, seconds, threads, &lat) + ",\n";
+            ServeStatsToJson(rstats.serve, seconds, rstats.busy_seconds,
+                             threads, &lat) +
+            ",\n";
     json += "  \"per_model\": {\n";
     size_t emitted = 0;
     for (const auto& [id, ms] : rstats.per_model) {
@@ -752,7 +759,9 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
               std::to_string(ms.requests) + ", \"responses\": " +
               std::to_string(ms.responses) + ", \"errors\": " +
               std::to_string(ms.errors) + ", \"stats\": " +
-              ServeStatsToJson(ms.serve, seconds, threads, &mlat) + "}";
+              ServeStatsToJson(ms.serve, seconds, ms.busy_seconds, threads,
+                               &mlat) +
+              "}";
       json += ++emitted < rstats.per_model.size() ? ",\n" : "\n";
     }
     json += "  }\n}";
@@ -857,8 +866,9 @@ int ServeMain(const FlagSet& flags) {
       ::close(cfd);
       ::unlink(listen.c_str());
     }
-    // Wall time spans the whole loop, idle waits included — the sojourn
-    // percentiles below are the per-request latency story.
+    // Wall time spans the whole loop, idle waits included; throughput is
+    // measured over the busy time, and the sojourn percentiles below are
+    // the per-request latency story.
     const double seconds = watch.ElapsedSeconds();
     if (!s.ok()) {
       std::fprintf(stderr, "request loop failed: %s\n", s.ToString().c_str());
@@ -875,7 +885,8 @@ int ServeMain(const FlagSet& flags) {
         threads, lat.p50_us, lat.p99_us, lat.p999_us);
     if (!stats_json.empty()) {
       const Status w = WriteTextFile(
-          stats_json, ServeStatsToJson(rstats.serve, seconds, threads, &lat));
+          stats_json, ServeStatsToJson(rstats.serve, seconds,
+                                       rstats.busy_seconds, threads, &lat));
       if (!w.ok()) {
         std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
         return 1;
@@ -920,7 +931,7 @@ int ServeMain(const FlagSet& flags) {
 
   if (!stats_json.empty()) {
     const Status w = WriteTextFile(
-        stats_json, ServeStatsToJson(stats, seconds, threads, &lat));
+        stats_json, ServeStatsToJson(stats, seconds, seconds, threads, &lat));
     if (!w.ok()) {
       std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
       return 1;
@@ -1290,12 +1301,12 @@ int StreamMain(const FlagSet& flags) {
     }
     std::printf(
         "epoch %llu: %zu points in %zu cells, %zu batches; %zu touched -> "
-        "%zu dirty cells (stencil %s), %zu points reclustered, %zu rekeys; "
-        "%zu clusters, %zu noise; published in %.3fs (dictionary %.3fs, "
-        "phase2 %.3fs, merge %.3fs, package %.3fs)%s%s [audit %s]\n",
+        "%zu dirty cells (%zu extended), %zu points reclustered, %zu "
+        "rekeys; %zu clusters, %zu noise; published in %.3fs (dictionary "
+        "%.3fs, phase2 %.3fs, merge %.3fs, package %.3fs)%s%s [audit %s]\n",
         static_cast<unsigned long long>(st.sequence), st.total_points,
         st.total_cells, st.batches_ingested, st.touched_cells,
-        st.dirty_cells, st.dirty_used_stencil ? "on" : "off",
+        st.dirty_cells, st.extended_cells,
         st.reclustered_points, st.rekeys, st.num_clusters,
         st.num_noise_points, st.epoch_publish_seconds, st.dictionary_seconds,
         st.phase2_seconds, st.merge_seconds, st.package_seconds,
@@ -1309,7 +1320,7 @@ int StreamMain(const FlagSet& flags) {
         .Key("batches_ingested").Value(st.batches_ingested)
         .Key("touched_cells").Value(st.touched_cells)
         .Key("dirty_cells").Value(st.dirty_cells)
-        .Key("dirty_used_stencil").Value(st.dirty_used_stencil)
+        .Key("extended_cells").Value(st.extended_cells)
         .Key("reclustered_points").Value(st.reclustered_points)
         .Key("rekeys").Value(st.rekeys)
         .Key("num_clusters").Value(st.num_clusters)
@@ -1326,7 +1337,7 @@ int StreamMain(const FlagSet& flags) {
     return 0;
   };
 
-  // Epoch 0 is the seed set (everything dirty), then the batch replay.
+  // Epoch 0 is the seed set (every cell touched), then the batch replay.
   if (publish() != 0) return 1;
   size_t pos = seed_points;
   size_t batches_since_epoch = 0;

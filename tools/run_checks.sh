@@ -26,7 +26,10 @@
 #      streaming layer (ingest_buffer_test: parallel batch re-grouping
 #      into the shared CSR; stream_incremental_test: pooled epochs that
 #      assemble each dictionary over the last one, carrying stencil
-#      neighborhoods over; epoch_swap_test: reader threads hammering
+#      neighborhoods over, and extend the last cell graph — the touched
+#      cells' pooled re-runs and the extension pass that writes each
+#      reached cell's row from one task, with 1-8-point batches at 4
+#      threads; epoch_swap_test: reader threads hammering
 #      LabelServer queries while the EpochRegistry's shared_ptr slot
 #      hot-swaps epochs under them), the dictionary assembly
 #      (cell_dictionary_test: the pool-parallel fragment fill and the

@@ -145,14 +145,13 @@ BENCHMARK(BM_KdTreeRadius);
 //
 // Same cells, same output, two candidate engines: the batched per-cell
 // kernel over kd-tree descent (a dictionary built without a stencil) and
-// over the precomputed lattice-stencil neighborhoods, plus the stencil
-// engine with the scalar kernels forced. Run on the GeoLife-like skewed
-// generator (the workload where dense cells make per-cell batching matter
-// most) at the bench_common defaults. `batched_tree_tera` times the tree
-// engine on the input it serves in production: the 13-d TeraClickLog
-// analogue at eps 40 with the default dictionary options, where the
-// stencil is off. Honors RPDBSCAN_BENCH_SCALE so tools/run_bench.sh can
-// smoke-test it.
+// over the precomputed lattice-stencil neighborhoods. Run on the
+// GeoLife-like skewed generator (the workload where dense cells make
+// per-cell batching matter most) at the bench_common defaults.
+// `batched_tree_tera` times the tree engine on the input it serves in
+// production: the 13-d TeraClickLog analogue at eps 40 with the default
+// dictionary options, where the stencil is off. Honors
+// RPDBSCAN_BENCH_SCALE so tools/run_bench.sh can smoke-test it.
 
 struct Phase2Fixture {
   Dataset data;
@@ -200,7 +199,6 @@ Phase2Fixture& TeraFixture() {
 enum class QueryEngine {
   kBatchedTree,
   kStencil,
-  kStencilScalar,
   kTeraTree,  // the d >= 6 production path: no stencil is built
 };
 
@@ -210,12 +208,10 @@ void BM_Phase2Query(benchmark::State& state, QueryEngine engine) {
   ThreadPool pool(1);  // kernel cost, not parallel speedup
   const CellDictionary& dict =
       engine == QueryEngine::kBatchedTree ? *f.tree_dict : *f.dict;
-  Phase2Options opts;
-  opts.scalar_kernels = engine == QueryEngine::kStencilScalar;
   Phase2Result last;
   for (auto _ : state) {
     last = BuildSubgraphs(f.data, *f.cells, dict, bench::kMinPts, pool,
-                          opts);
+                          Phase2Options());
     benchmark::DoNotOptimize(last.point_is_core.data());
   }
   state.SetItemsProcessed(state.iterations() * f.data.size());
@@ -228,9 +224,6 @@ void BM_Phase2Query(benchmark::State& state, QueryEngine engine) {
 BENCHMARK_CAPTURE(BM_Phase2Query, batched_tree, QueryEngine::kBatchedTree)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Phase2Query, stencil, QueryEngine::kStencil)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Phase2Query, stencil_scalar,
-                  QueryEngine::kStencilScalar)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Phase2Query, batched_tree_tera, QueryEngine::kTeraTree)
     ->Unit(benchmark::kMillisecond);

@@ -356,7 +356,8 @@ class CellDictionary {
   /// has at least one sub-cell whose center lies within eps of `p`.
   /// `matched_count` is the summed density of those sub-cells; for cells
   /// fully contained in the query ball the whole cell is taken in one step
-  /// (Example 5.5's containment fast path).
+  /// (Example 5.5's containment fast path). This is the per-query engine
+  /// of serving (LabelServer::Classify) and the test oracle's.
   ///
   /// Returns the number of sub-dictionaries actually inspected (after
   /// skipping) so callers can account for the Lemma 5.10 savings.
@@ -480,11 +481,11 @@ class CellDictionary {
   /// Returns a null ref for coordinates with no dictionary cell.
   DictCellRef FindDictCell(const CellCoord& coord) const;
 
-  // --- Read-only serving surface (src/serve/). The label server probes
-  // --- the dictionary-global index directly — stencil-ordered FindHashed
-  // --- probes resolved from the 24-byte GlobalCellRefs, coordinates
-  // --- confirmed against the flat ref_coords array — without going
-  // --- through the Phase II candidate-list machinery. ---
+  // --- Read-only serving surface (src/serve/). The label server finds
+  // --- each query's home cell in the dictionary-global index (FindHashed,
+  // --- coordinates confirmed against the flat ref_coords array) and walks
+  // --- its stencil neighborhood over the 24-byte GlobalCellRefs, without
+  // --- going through the Phase II candidate-list machinery. ---
 
   /// The dictionary-global open-addressing cell index (hashed-slot mode).
   const FlatCellIndex& cell_index() const { return cell_index_; }

@@ -31,10 +31,7 @@ namespace rpdbscan {
 ///    from the slot array alone, and confirms a 64-bit hash match against
 ///    a caller-held flat coordinate array (dim int32s per cell, one cache
 ///    line per compare). Right for the dictionary's global cell index:
-///    Phase II's and batched serving's one lookup per source cell or
-///    query, and the per-query stencil probes of LabelServer::Classify,
-///    most of them misses on empty lattice space, pipelined behind
-///    PrefetchHashed.
+///    Phase II's and serving's one lookup per source cell or query.
 class FlatCellIndex {
  public:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
@@ -127,11 +124,11 @@ class FlatCellIndex {
 
   /// Hashed-mode lookup of the cell whose coordinates are
   /// `coords[0..dim)` with precomputed hash `hash` (CellCoordHashOf).
-  /// A miss — the common case for serving's stencil probes into empty
-  /// lattice space — resolves from the slot array alone; the flat coordinate
-  /// array (`coords_base[id * dim ..]`, the same layout BuildHashed's
-  /// hashes were computed from) is read only on a 64-bit hash match, to
-  /// rule out collisions — a dim-int32 compare against one cache line.
+  /// A miss — a serving query outside every dictionary cell — resolves
+  /// from the slot array alone; the flat coordinate array
+  /// (`coords_base[id * dim ..]`, the same layout BuildHashed's hashes
+  /// were computed from) is read only on a 64-bit hash match, to rule out
+  /// collisions — a dim-int32 compare against one cache line.
   int64_t FindHashed(uint64_t hash, const int32_t* coords, size_t dim,
                      const int32_t* coords_base) const {
     if (hslots_.empty()) return -1;
@@ -149,18 +146,6 @@ class FlatCellIndex {
         if (d == dim) return static_cast<int64_t>(slot.id);
       }
       s = (s + 1) & mask_;
-    }
-  }
-
-  /// Hints the cache line of `hash`'s first probe slot into cache, so a
-  /// batch of independent FindHashed calls can overlap their (random,
-  /// almost always single-slot) memory accesses. Consults the occupancy
-  /// bitmap first: probes the bitmap will settle as misses anyway issue
-  /// no prefetch and cost no bandwidth.
-  void PrefetchHashed(uint64_t hash) const {
-    const size_t s = static_cast<size_t>(hash) & mask_;
-    if (hbits_[s >> 6] >> (s & 63) & 1) {
-      __builtin_prefetch(hslots_.data() + s, /*rw=*/0, /*locality=*/1);
     }
   }
 

@@ -467,9 +467,9 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
 
 /// Kernel dispatch plus engine selection, resolved once per run (shared by
 /// BuildSubgraphs and RecomputeCells so the incremental path always runs
-/// the exact engine the full run would): SIMD tier (runtime-detected
-/// unless the scalar_kernels option forces scalar), and the stencil
-/// candidate engine whenever the dictionary carries a stencil.
+/// the exact engine the full run would): the runtime-detected SIMD tier,
+/// and the stencil candidate engine whenever the dictionary carries a
+/// stencil.
 struct EngineSetup {
   KernelConfig kernels;
   SimdLevel level = SimdLevel::kScalar;
@@ -486,7 +486,7 @@ struct EngineSetup {
 EngineSetup ResolveEngine(const CellDictionary& dict,
                           const Phase2Options& opts) {
   EngineSetup setup;
-  setup.level = opts.scalar_kernels ? SimdLevel::kScalar : DetectSimdLevel();
+  setup.level = DetectSimdLevel();
   setup.kernels.count_fn =
       GetSubcellCountMultiFn(setup.level, dict.geom().dim());
   setup.kernels.bounds_fn = GetGroupBoundsFn(setup.level);

@@ -18,11 +18,6 @@ namespace rpdbscan {
 /// dictionary carries one, and descends the per-sub-dictionary kd-trees
 /// (CellDictionary::QueryCell) otherwise. Both give identical results.
 struct Phase2Options {
-  /// Force the portable scalar sub-cell kernels instead of the runtime-
-  /// detected SIMD tier (core/simd.h). Results are bit-identical either
-  /// way; the flag exists for ablations and the equivalence tests.
-  bool scalar_kernels = false;
-
   // --- multi-eps ladder knobs (src/hierarchy/). Defaults reproduce the
   // --- classic single-eps run bit-for-bit. ---
 

@@ -13,7 +13,6 @@
 #include "core/simd.h"
 #include "parallel/thread_pool.h"
 #include "util/json_writer.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 #include "verify/audit.h"
 
@@ -120,12 +119,6 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
         "query_eps must be >= eps (the cell diagonal must stay within the "
         "query radius)");
   }
-  if (options.stencil_eps_scale < 1.0) {
-    return Status::InvalidArgument("stencil_eps_scale must be >= 1");
-  }
-  if (!(options.sampled_core_fraction > 0.0)) {
-    return Status::InvalidArgument("sampled_core_fraction must be > 0");
-  }
   auto geom_or = GridGeometry::Create(data.dim(), options.eps, options.rho);
   if (!geom_or.ok()) return geom_or.status();
   const GridGeometry geom = *geom_or;
@@ -201,16 +194,11 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   phase_watch.Reset();
   CellDictionaryOptions dict_opts;
   dict_opts.max_cells_per_subdict = options.max_cells_per_subdict;
-  dict_opts.defragment = options.defragment_dictionary;
-  dict_opts.enable_skipping = options.subdictionary_skipping;
-  // Decoupled query radii need stencil headroom: enumerate the offset
-  // family out to the largest radius this dictionary will be queried at,
-  // so those queries walk the neighborhood CSR as a class-filtered
-  // prefix.
-  dict_opts.stencil_eps_scale = options.stencil_eps_scale;
+  // A decoupled query radius needs stencil headroom: enumerate the offset
+  // family out to it, so its queries walk the neighborhood CSR as a
+  // class-filtered prefix.
   if (options.query_eps > 0.0) {
-    dict_opts.stencil_eps_scale = std::max(dict_opts.stencil_eps_scale,
-                                           options.query_eps / options.eps);
+    dict_opts.stencil_eps_scale = options.query_eps / options.eps;
   }
   StatusOr<CellDictionary> dict_or =
       CellDictionary::Build(data, cells, dict_opts, &pool);
@@ -240,25 +228,7 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   // ---- Phase II: core marking + cell subgraph building (Sec. 5). ----
   phase_watch.Reset();
   Phase2Options phase2_opts;
-  phase2_opts.scalar_kernels = options.scalar_kernels;
   phase2_opts.query_eps = options.query_eps;
-  // Sampled-core mode (DBSCAN++-style): keep a deterministic fraction of
-  // cells as core candidates, chosen by hashing the cell coordinate with
-  // the sample seed — the same cell is kept at every ladder level, which
-  // preserves core-set monotonicity across levels. fraction >= 1 keeps the
-  // exact run with no mask at all.
-  std::vector<uint8_t> core_mask;
-  if (options.sampled_core_fraction < 1.0) {
-    const uint64_t threshold = static_cast<uint64_t>(
-        options.sampled_core_fraction * 18446744073709551616.0);
-    core_mask.resize(cells.num_cells());
-    for (uint32_t cid = 0; cid < cells.num_cells(); ++cid) {
-      const uint64_t h =
-          Mix64(cells.cell(cid).coord.hash() ^ options.core_sample_seed);
-      core_mask[cid] = h < threshold ? 1 : 0;
-    }
-    phase2_opts.core_cell_mask = core_mask.data();
-  }
   Phase2Result phase2 =
       BuildSubgraphs(data, cells, dict, options.min_pts, pool, phase2_opts);
   stats.phase2_seconds = phase_watch.ElapsedSeconds();
@@ -274,10 +244,8 @@ StatusOr<RpDbscanResult> RunRpDbscan(const Dataset& data,
   }
 
   // The cell-graph and label audits recompute densities at the geometry
-  // eps and with exact cores, so they only apply to the classic coupled,
-  // unsampled run.
-  const bool classic_semantics =
-      options.query_eps == 0.0 && phase2_opts.core_cell_mask == nullptr;
+  // eps, so they only apply to the classic coupled run.
+  const bool classic_semantics = options.query_eps == 0.0;
 
   if (audit != AuditLevel::kOff && classic_semantics) {
     Stopwatch audit_watch;

@@ -38,22 +38,14 @@ struct RpDbscanOptions {
   /// Seed for the partition assignment.
   uint64_t seed = 7;
 
-  /// Force the scalar reference distance kernels in Phase II (and anything
-  /// downstream that inherits the dictionary), bypassing runtime SIMD
-  /// dispatch. Labels are bit-identical either way (the vector kernels are
-  /// exact); the toggle exists for ablation and for the equivalence tests.
-  bool scalar_kernels = false;
-
   /// Use the sequential tournament merge (Sec. 6.1.1) instead of the
   /// edge-parallel lock-free union-find path. Labels and cluster ids are
   /// bit-identical either way; flip this on to study the per-round edge
   /// series (Fig. 17) or to ablate the parallel merge.
   bool sequential_merge = false;
 
-  // --- dictionary knobs (defaults follow the paper; ablations flip) ---
+  /// Cells per sub-dictionary before Phase I-2 splits a fragment.
   size_t max_cells_per_subdict = 2048;
-  bool defragment_dictionary = true;
-  bool subdictionary_skipping = true;
   /// Spanning-forest full-edge reduction during merging (Sec. 6.1.4).
   bool reduce_edges = true;
 
@@ -83,31 +75,16 @@ struct RpDbscanOptions {
   /// Spill directory of the external build; empty = system temp.
   std::string spill_dir;
 
-  // --- multi-eps ladder & sampled-core knobs (src/hierarchy/) ---
+  // --- multi-eps ladder (src/hierarchy/) ---
 
   /// Region-query radius decoupled from the cell geometry: the grid is
   /// still built with diagonal `eps`, but the core test, edge collection
   /// and border labeling use this radius. 0 keeps the classic coupled run
   /// (bit-identical to before the knob existed). Must be >= eps — the
   /// cell-diagonal <= radius invariant is what makes a fully-populated
-  /// cell's points mutually reachable (Lemma 3.2).
+  /// cell's points mutually reachable (Lemma 3.2). The dictionary's
+  /// stencil family is enumerated out to this radius.
   double query_eps = 0.0;
-  /// Stencil headroom: the dictionary's offset family is enumerated for
-  /// radii up to stencil_eps_scale * eps, so ladder levels up to that
-  /// scale can reuse the precomputed neighborhood CSR as a class-filtered
-  /// prefix. Raised automatically to query_eps / eps when query_eps is
-  /// set. 1 keeps the classic family (bit-identical offsets).
-  double stencil_eps_scale = 1.0;
-  /// DBSCAN++-style sampled-core approximation: fraction of cells that
-  /// remain core candidates, chosen by a deterministic per-cell-coordinate
-  /// hash so the same cell is sampled at every ladder level (preserving
-  /// core-set monotonicity across levels). Points of unsampled cells can
-  /// still be labeled as border points of sampled neighbors. >= 1 (the
-  /// default) keeps the exact run — the ROADMAP's exact-fallback
-  /// requirement.
-  double sampled_core_fraction = 1.0;
-  /// Seed of the sampled-core cell hash.
-  uint64_t core_sample_seed = 0x9e3779b97f4a7c15ull;
 };
 
 /// The frozen artifacts of one finished run that out-of-sample label
@@ -201,9 +178,8 @@ struct RunStats {
   size_t audit_violations = 0;
   double audit_seconds = 0;
 
-  /// Distance-kernel dispatch Phase II actually ran with ("scalar",
-  /// "avx2", ...): the resolved runtime level, after scalar_kernels and
-  /// cpuid are both applied.
+  /// Distance-kernel tier Phase II ran with ("scalar", "avx2", ...): the
+  /// compiled tiers intersected with cpuid (DetectSimdLevel).
   std::string simd_kernel = "scalar";
   /// Whether Phase III-1 ran the edge-parallel lock-free union-find path
   /// (vs the sequential tournament).

@@ -39,26 +39,6 @@ SimdLevel DetectSimdLevel() {
   return level;
 }
 
-SubcellCountFn GetSubcellCountFn(SimdLevel level, size_t dim) {
-#ifdef RPDBSCAN_HAVE_AVX2
-  if (level >= SimdLevel::kAvx2) return simd_internal::GetAvx2CountFn(dim);
-#else
-  (void)level;
-#endif
-  switch (dim) {
-    case 2:
-      return &SubcellCountScalar<2>;
-    case 3:
-      return &SubcellCountScalar<3>;
-    case 4:
-      return &SubcellCountScalar<4>;
-    case 5:
-      return &SubcellCountScalar<5>;
-    default:
-      return &SubcellCountScalar<0>;
-  }
-}
-
 SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim) {
 #ifdef RPDBSCAN_HAVE_AVX2
   if (level >= SimdLevel::kAvx2) {

@@ -28,9 +28,10 @@ const char* SimdLevelName(SimdLevel level);
 SimdLevel CompiledSimdLevel();
 
 /// Highest tier usable on this host: compiled-in support intersected with
-/// the host CPU's feature set, probed once and cached. Callers that want
-/// the scalar reference kernels ask for SimdLevel::kScalar explicitly
-/// (the scalar_kernels options and --scalar-kernels).
+/// the host CPU's feature set, probed once and cached. This alone picks
+/// the tier Phase II and serving run; every tier returns bit-identical
+/// results. Only the kernel tests ask for SimdLevel::kScalar explicitly,
+/// as the reference the vector tier is compared against.
 SimdLevel DetectSimdLevel();
 
 /// Sub-cell coordinate lanes are padded to a multiple of this many slots
@@ -43,28 +44,18 @@ inline constexpr uint32_t kSimdLaneWidth = 4;
 inline constexpr float kLanePadCenter =
     std::numeric_limits<float>::infinity();
 
-/// The exact sub-cell classification kernel: over one cell's lane-major
-/// (SoA) block — `dim` runs of `padded_n` floats, coordinate d's lane at
-/// lanes + d * padded_n — returns the summed density of sub-cells whose
-/// center lies within sqrt(eps2) of `q`, with per-lane arithmetic
-/// bit-identical to DistanceSquared (sequential per-dimension double
-/// accumulation). All tiers of this kernel produce the same uint32.
-using SubcellCountFn = uint32_t (*)(const float* q, const float* lanes,
-                                    const uint32_t* counts,
-                                    uint32_t padded_n, size_t dim,
-                                    double eps2);
-
-/// The multi-query exact sub-cell classification kernel: the amortizer
-/// of the batched serving path and of Phase II's tile scan. Evaluates
-/// `nq` queries against ONE cell's lane block in a single invocation, so
-/// the lane loads (and their float->double widening) are paid once per
-/// vector stride instead of once per query. Query k's coordinates live at
+/// The exact sub-cell classification kernel of the batched serving path
+/// and of Phase II's tile scan. Evaluates `nq` queries against ONE cell's
+/// lane-major (SoA) block — `dim` runs of `padded_n` floats, coordinate
+/// d's lane at lanes + d * padded_n — in a single invocation, so the lane
+/// loads (and their float->double widening) are paid once per vector
+/// stride instead of once per query. Query k's coordinates live at
 /// qs + qidx[k] * dim — a gather-index view over a packed row-major query
 /// buffer, so callers can route any subset of a group through the kernel
-/// without copying. Writes matched_out[0..nq); each entry is
-/// bit-identical to what SubcellCountFn returns for that query alone
-/// (same per-dimension double recurrence, same stride order), on every
-/// tier.
+/// without copying. Writes matched_out[0..nq): the summed density of the
+/// sub-cells whose center lies within sqrt(eps2) of query k, with
+/// per-lane arithmetic bit-identical to DistanceSquared (sequential
+/// per-dimension double accumulation) on every tier.
 using SubcellCountMultiFn = void (*)(const float* qs, const uint32_t* qidx,
                                      size_t nq, const float* lanes,
                                      const uint32_t* counts,
@@ -95,7 +86,6 @@ using GroupBoundsFn = void (*)(const float* qt, size_t stride, size_t num,
 /// Kernel lookup for a dimensionality (compile-time-unrolled bodies for
 /// d in {2,3,4,5}, a runtime-dim fallback otherwise). Requesting a level
 /// above CompiledSimdLevel() degrades to the highest compiled tier.
-SubcellCountFn GetSubcellCountFn(SimdLevel level, size_t dim);
 SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim);
 /// Group-bounds-kernel lookup (no dimension dispatch: the vector axis is
 /// the group-member index).
@@ -106,29 +96,9 @@ GroupBoundsFn GetGroupBoundsFn(SimdLevel level);
 // ---- canonical DistanceSquared recurrence: double-cast per coordinate,
 // ---- difference, square, sequential per-dimension accumulation. ----
 
-template <size_t kDim>
-inline uint32_t SubcellCountScalar(const float* q, const float* lanes,
-                                   const uint32_t* counts,
-                                   uint32_t padded_n, size_t dim_rt,
-                                   double eps2) {
-  const size_t dim = kDim ? kDim : dim_rt;
-  uint32_t matched = 0;
-  for (uint32_t s = 0; s < padded_n; ++s) {
-    double acc = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double delta = static_cast<double>(q[d]) -
-                           static_cast<double>(lanes[d * padded_n + s]);
-      acc += delta * delta;
-    }
-    matched += acc <= eps2 ? counts[s] : 0u;
-  }
-  return matched;
-}
-
-/// Reference implementation of SubcellCountMultiFn: one SubcellCountScalar
-/// evaluation per gathered query. Deliberately a per-query loop around the
-/// single-query reference — bit-identity with the per-query path is then a
-/// tautology, and the vector tiers are tested against this.
+/// Reference implementation of SubcellCountMultiFn: per gathered query,
+/// every lane slot in stride order; the vector tiers are tested against
+/// this.
 template <size_t kDim>
 inline void SubcellCountMultiScalar(const float* qs, const uint32_t* qidx,
                                     size_t nq, const float* lanes,
@@ -137,9 +107,18 @@ inline void SubcellCountMultiScalar(const float* qs, const uint32_t* qidx,
                                     double eps2, uint32_t* matched_out) {
   const size_t dim = kDim ? kDim : dim_rt;
   for (size_t k = 0; k < nq; ++k) {
-    matched_out[k] = SubcellCountScalar<kDim>(
-        qs + static_cast<size_t>(qidx[k]) * dim, lanes, counts, padded_n,
-        dim, eps2);
+    const float* q = qs + static_cast<size_t>(qidx[k]) * dim;
+    uint32_t matched = 0;
+    for (uint32_t s = 0; s < padded_n; ++s) {
+      double acc = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        const double delta = static_cast<double>(q[d]) -
+                             static_cast<double>(lanes[d * padded_n + s]);
+        acc += delta * delta;
+      }
+      matched += acc <= eps2 ? counts[s] : 0u;
+    }
+    matched_out[k] = matched;
   }
 }
 
@@ -175,7 +154,6 @@ namespace simd_internal {
 // multiply-add chains and per-lane sums stay bit-identical to the scalar
 // recurrence). Declared unconditionally; referenced by the dispatcher
 // only when that translation unit was built.
-SubcellCountFn GetAvx2CountFn(size_t dim);
 SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim);
 void GroupBoundsAvx2(const float* qt, size_t stride, size_t num,
                      const double* lo, const double* hi, size_t dim,

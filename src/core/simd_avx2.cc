@@ -16,46 +16,17 @@ namespace {
 // One subcell per double lane; each lane accumulates its per-dimension
 // squared deltas in dimension order, exactly like the scalar kernel.
 // Padding slots hold +inf centers, so their accumulator is +inf and the
-// ordered LE compare rejects them.
-template <size_t kDim>
-uint32_t CountAvx2(const float* q, const float* lanes,
-                   const uint32_t* counts, uint32_t padded_n,
-                   size_t dim_rt, double eps2) {
-  const size_t dim = kDim ? kDim : dim_rt;
-  const __m256d veps2 = _mm256_set1_pd(eps2);
-  uint32_t matched = 0;
-  for (uint32_t s = 0; s < padded_n; s += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256d c =
-          _mm256_cvtps_pd(_mm_loadu_ps(lanes + d * padded_n + s));
-      const __m256d delta =
-          _mm256_sub_pd(_mm256_set1_pd(static_cast<double>(q[d])), c);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(delta, delta));
-    }
-    const int m = _mm256_movemask_pd(_mm256_cmp_pd(acc, veps2, _CMP_LE_OQ));
-    matched += (m & 1) ? counts[s] : 0u;
-    matched += (m & 2) ? counts[s + 1] : 0u;
-    matched += (m & 4) ? counts[s + 2] : 0u;
-    matched += (m & 8) ? counts[s + 3] : 0u;
-  }
-  return matched;
-}
-
-// Multi-query tier: queries are processed in register-resident tiles.
-// Per tile the query broadcasts are hoisted out of the stride loop, and
-// per stride the lane loads (and float->double widening) are shared by
-// every query of the tile — so classifying nq queries against one cell
-// costs nq compute passes but only ceil(nq / kTile) passes of lane
-// memory traffic, with no broadcast re-issued per stride. Matches are
-// accumulated as 4x-u32 vectors (compare mask narrowed to 32-bit lanes,
-// ANDed with the counts) and summed horizontally once per query at tile
-// end. Within each query the strides advance in the same order, with
-// the same sub-expression sequence, as CountAvx2, and the density sum
+// ordered LE compare rejects them. Queries are processed in
+// register-resident tiles. Per tile the query broadcasts are hoisted out
+// of the stride loop, and per stride the lane loads (and float->double
+// widening) are shared by every query of the tile — so classifying nq
+// queries against one cell costs nq compute passes but only
+// ceil(nq / kTile) passes of lane memory traffic. Matches are accumulated
+// as 4x-u32 vectors (compare mask narrowed to 32-bit lanes, ANDed with
+// the counts) and summed horizontally once per query at tile end; that
 // only reorders commutative u32 additions of the same per-lane terms
-// (bounded by the cell's total count, so no overflow at any order) — so
-// every per-query result is bit-identical to the single-query kernel
-// (and, through it, to the scalar reference).
+// (bounded by the cell's total count, so no overflow at any order), so
+// every per-query result is bit-identical to the scalar reference.
 template <size_t kDim>
 void CountMultiAvx2(const float* qs, const uint32_t* qidx, size_t nq,
                     const float* lanes, const uint32_t* counts,
@@ -111,21 +82,6 @@ void CountMultiAvx2(const float* qs, const uint32_t* qidx, size_t nq,
 }
 
 }  // namespace
-
-SubcellCountFn GetAvx2CountFn(size_t dim) {
-  switch (dim) {
-    case 2:
-      return &CountAvx2<2>;
-    case 3:
-      return &CountAvx2<3>;
-    case 4:
-      return &CountAvx2<4>;
-    case 5:
-      return &CountAvx2<5>;
-    default:
-      return &CountAvx2<0>;
-  }
-}
 
 SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim) {
   switch (dim) {

@@ -190,7 +190,6 @@ StatusOr<ClusterHierarchy> BuildClusterHierarchy(
     level.min_pts = min_pts_of(i);
 
     Phase2Options phase2_opts;
-    phase2_opts.scalar_kernels = options.scalar_kernels;
     phase2_opts.query_eps = level.eps;
     if (!core_mask.empty()) phase2_opts.core_cell_mask = core_mask.data();
     // Core-set monotonicity: a point core at (eps_{i-1}, min_pts_{i-1})

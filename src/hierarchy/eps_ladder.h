@@ -66,15 +66,18 @@ struct HierarchyOptions {
   size_t num_partitions = 0;
   size_t num_threads = 0;
   uint64_t seed = 7;
-  bool scalar_kernels = false;
   bool sequential_merge = false;
   bool reduce_edges = true;
   /// Seed each level's core marking from the previous level's core set
   /// (skipped automatically when a level's min_pts rises). Off re-counts
   /// every point at every level — the ablation baseline.
   bool seed_from_previous = true;
-  /// DBSCAN++-style sampled-core approximation, applied identically at
-  /// every level (RpDbscanOptions::sampled_core_fraction semantics).
+  /// DBSCAN++-style sampled-core approximation: the fraction of cells
+  /// that remain core candidates, chosen by a deterministic hash of the
+  /// cell coordinate and core_sample_seed, so the same cells are sampled
+  /// at every level (which keeps the core set monotone across levels).
+  /// Points of unsampled cells can still be labeled as border points of
+  /// sampled neighbors. >= 1 (the default) keeps the exact ladder.
   double sampled_core_fraction = 1.0;
   uint64_t core_sample_seed = 0x9e3779b97f4a7c15ull;
   /// Capture a CapturedModel per level for the serving layer.

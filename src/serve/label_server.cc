@@ -1,6 +1,5 @@
 #include "serve/label_server.h"
 
-#include <array>
 #include <cstring>
 #include <thread>
 
@@ -15,11 +14,6 @@
 
 namespace rpdbscan {
 namespace {
-
-/// Staged stencil probes per prefetch flush: enough to overlap the
-/// (almost always single-slot) random index loads, small enough to live
-/// on the stack.
-constexpr size_t kProbeBatch = 16;
 
 /// Per-worker sample capacity of the batch latency reservoirs — above
 /// every batch this repository times, so percentiles are exact (see
@@ -40,9 +34,9 @@ size_t MaxClaimants() {
 }
 
 /// Deterministic "nearest cluster-labeled cell" tracker: lexicographic
-/// min of (box min-distance, cell id), so every candidate enumeration
-/// order — per-query staged probing, grouped neighborhood walks, tree
-/// descent — picks the same cell.
+/// min of (box min-distance, cell id), so both candidate enumeration
+/// orders — grouped neighborhood walks and tree descent — pick the same
+/// cell.
 struct BestCell {
   double min2 = 0;
   uint32_t cell_id = 0;
@@ -185,7 +179,6 @@ std::string ServeStatsToJson(const ServeStats& stats, double seconds,
   w.Key("border").Value(stats.border);
   w.Key("noise").Value(stats.noise);
   w.Key("stencil_probes").Value(stats.stencil_probes);
-  w.Key("stencil_hits").Value(stats.stencil_hits);
   w.Key("border_ref_scans").Value(stats.border_ref_scans);
   if (latency != nullptr) {
     w.Key("latency_samples").Value(latency->samples);
@@ -202,11 +195,9 @@ LabelServer::LabelServer(
     std::shared_ptr<const ClusterModelSnapshot> snapshot,
     const LabelServerOptions& opts)
     : snapshot_(std::move(snapshot)), opts_(opts) {
-  const SimdLevel level =
-      opts_.scalar_kernels ? SimdLevel::kScalar : DetectSimdLevel();
-  const size_t dim = snapshot_->dictionary().geom().dim();
-  count_fn_ = GetSubcellCountFn(level, dim);
-  multi_fn_ = GetSubcellCountMultiFn(level, dim);
+  const SimdLevel level = DetectSimdLevel();
+  multi_fn_ =
+      GetSubcellCountMultiFn(level, snapshot_->dictionary().geom().dim());
   bounds_fn_ = GetGroupBoundsFn(level);
 }
 
@@ -214,142 +205,38 @@ ServeResult LabelServer::Classify(const float* q, ServeStats* stats) const {
   const ClusterModelSnapshot& snap = *snapshot_;
   const CellDictionary& dict = snap.dictionary();
   const GridGeometry& geom = dict.geom();
-  const size_t dim = geom.dim();
   // The run's effective query radius (== geom eps for coupled runs; the
-  // rung radius for eps-ladder snapshots, whose stencil was rebuilt with
-  // matching headroom at load).
+  // rung radius for eps-ladder snapshots).
   const double qeps = snap.meta().query_eps;
-  const double eps2 = qeps * qeps;
-  const double side = geom.cell_side();
   const std::vector<uint32_t>& cell_cluster = snap.cell_cluster();
-  const std::vector<GlobalCellRef>& refs = dict.cell_refs();
 
-  const CellCoord home = geom.CellOf(q);
-  const int64_t home_idx = dict.FindCellRefIndex(home);
+  const int64_t home_idx = dict.FindCellRefIndex(geom.CellOf(q));
   const bool home_hit = home_idx >= 0;
   const uint32_t home_cell_id =
-      home_hit ? refs[static_cast<size_t>(home_idx)].cell_id : 0;
+      home_hit ? dict.cell_refs()[static_cast<size_t>(home_idx)].cell_id : 0;
 
+  // Per-sub-dictionary tree descent (Lemmas 5.6 and 5.10): Query() visits
+  // exactly the cells with a matched sub-cell, with the training
+  // arithmetic, so density and the best labeled cell are the grouped
+  // walk's.
   uint64_t density = 0;
   BestCell best;
-  uint64_t probes = 0;
-  uint64_t hits = 0;
-
-  /// Density of a dictionary cell's (eps, rho)-matched sub-cells for q —
-  /// the exact arithmetic of CellDictionary::Query: whole-cell containment
-  /// fast path via CellMaxDist2, else the lane kernel over the cell's SoA
-  /// block (bit-identical to the per-sub-cell center scan, core/simd.h).
-  auto matched_count = [&](const CellCoord& coord,
-                           const GlobalCellRef& ref) -> uint32_t {
-    if (geom.CellMaxDist2(coord, q) <= eps2) return ref.total_count;
-    const SubDictionary& sd = dict.subdictionaries()[ref.subdict];
-    return count_fn_(q, sd.lane_centers(ref.local_cell),
-                     sd.lane_counts(ref.local_cell),
-                     sd.lane_padded(ref.local_cell), dim, eps2);
-  };
-
-  if (dict.has_stencil()) {
-    // Home cell first (the zero offset is excluded from the stencil).
-    ++probes;
-    if (home_hit) {
-      ++hits;
-      const uint32_t matched =
-          matched_count(home, refs[static_cast<size_t>(home_idx)]);
-      if (matched > 0) {
+  dict.Query(
+      q,
+      [&](const DictCell& cell, uint32_t matched) {
         density += matched;
-        if (cell_cluster[home_cell_id] != kNoCluster) {
-          best.Offer(0.0, home_cell_id);
+        if (cell_cluster[cell.cell_id] != kNoCluster) {
+          best.Offer(geom.CellMinDist2(cell.coord, q), cell.cell_id);
         }
-      }
-    }
-
-    const LatticeStencil& stencil = dict.stencil();
-    const size_t num_offsets = stencil.num_offsets();
-    const int32_t* ref_coords = dict.ref_coords().data();
-
-    std::array<CellCoord, kProbeBatch> staged;
-    std::array<double, kProbeBatch> staged_min2;
-    size_t nstaged = 0;
-
-    auto flush = [&] {
-      for (size_t i = 0; i < nstaged; ++i) {
-        dict.cell_index().PrefetchHashed(staged[i].hash());
-      }
-      for (size_t i = 0; i < nstaged; ++i) {
-        ++probes;
-        const int64_t idx = dict.cell_index().FindHashed(
-            staged[i].hash(), staged[i].data(), dim, ref_coords);
-        if (idx < 0) continue;
-        ++hits;
-        const GlobalCellRef& ref = refs[static_cast<size_t>(idx)];
-        const uint32_t matched = matched_count(staged[i], ref);
-        if (matched > 0) {
-          density += matched;
-          if (cell_cluster[ref.cell_id] != kNoCluster) {
-            best.Offer(staged_min2[i], ref.cell_id);
-          }
-        }
-      }
-      nstaged = 0;
-    };
-
-    int32_t oc[CellCoord::kMaxDim];
-    for (size_t o = 0; o < num_offsets; ++o) {
-      const int32_t* off = stencil.offset(o);
-      // Box min-distance of the offset cell to q, computed inline with
-      // GridGeometry::CellMinDist2's exact per-dimension arithmetic so
-      // the pre-drop (and the best-cell key) match the tree engine
-      // bit-for-bit — but without materializing (and hashing) a
-      // CellCoord for offsets that cannot intersect the query ball. An
-      // offset that leaves the int32 lattice holds no cell: it is
-      // skipped, never wrapped onto the far edge.
-      double min2 = 0.0;
-      bool on_lattice = true;
-      for (size_t d = 0; d < dim; ++d) {
-        const int64_t c = static_cast<int64_t>(home[d]) + off[d];
-        oc[d] = static_cast<int32_t>(c);
-        on_lattice &= oc[d] == c;
-        const double lo = static_cast<double>(c) * side;
-        const double hi = lo + side;
-        const double v = q[d];
-        double delta = 0.0;
-        if (v < lo) {
-          delta = lo - v;
-        } else if (v > hi) {
-          delta = v - hi;
-        }
-        min2 += delta * delta;
-      }
-      if (!on_lattice || min2 > eps2) continue;
-      staged[nstaged] = CellCoord(oc, dim);
-      staged_min2[nstaged] = min2;
-      if (++nstaged == kProbeBatch) flush();
-    }
-    flush();
-  } else {
-    // High-dimensionality fallback: per-sub-dictionary tree descent.
-    // Query() visits exactly the cells with a matched sub-cell, with the
-    // same matched arithmetic — density and best-cell tracking are
-    // engine-independent.
-    dict.Query(
-        q,
-        [&](const DictCell& cell, uint32_t matched) {
-          density += matched;
-          if (cell_cluster[cell.cell_id] != kNoCluster) {
-            best.Offer(geom.CellMinDist2(cell.coord, q), cell.cell_id);
-          }
-        },
-        qeps);
-  }
+      },
+      qeps);
 
   uint64_t ref_scans = 0;
-  const ServeResult result = ResolveLabel(snap, opts_, q, dim, eps2, density,
-                                          best, home_hit, home_cell_id,
-                                          &ref_scans);
+  const ServeResult result =
+      ResolveLabel(snap, opts_, q, geom.dim(), qeps * qeps, density, best,
+                   home_hit, home_cell_id, &ref_scans);
   if (stats != nullptr) {
     RecordResult(stats, result, home_hit);
-    stats->stencil_probes += probes;
-    stats->stencil_hits += hits;
     stats->border_ref_scans += ref_scans;
   }
   return result;
@@ -417,8 +304,7 @@ Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
 
   // Stage 1 — grouping keys: one home-cell hash probe per query. Hits
   // key on the home cell's global slot; misses get a unique key past the
-  // slot range, so each forms a singleton group handled by the per-query
-  // path. Packed (key << 32) | index so one radix sort over the key
+  // slot range, so each forms a singleton group served by Classify. Packed (key << 32) | index so one radix sort over the key
   // bytes yields groups with members in ascending query order — a pure
   // function of the query set, never of the thread count.
   std::vector<uint64_t> order(n);
@@ -456,12 +342,11 @@ Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
   // into the worker's arena, walk the home cell's precomputed stencil
   // neighborhood ONCE, and classify the whole group against each
   // neighbor — containment fast path per member, one multi-query lane
-  // kernel invocation for the rest. Enumerating the neighborhood CSR
-  // instead of staged hash probes is exact: a present cell the per-query
-  // pre-drop would skip (box min2 > eps2) can contain no matched
-  // sub-cell, density is an order-free integer sum, and BestCell::Offer
-  // is enumeration-order independent — so per-member results are
-  // bit-identical to Classify.
+  // kernel invocation for the rest. The walk is exact: the neighborhood
+  // holds every cell a member's ball can reach, a cell whose box lies
+  // beyond eps (min2 > eps2) can contain no matched sub-cell, density is
+  // an order-free integer sum, and BestCell::Offer is enumeration-order
+  // independent — so per-member results are bit-identical to Classify.
   const size_t num_workers = pool.num_threads() > 0 ? pool.num_threads() : 1;
   std::vector<PaddedStats> worker_stats(num_workers);
   std::vector<ServeArena> arenas(num_workers);
@@ -483,7 +368,7 @@ Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
         ServeStats* st = stats != nullptr ? &worker_stats[worker].s : nullptr;
 
         if (key >= num_slots) {
-          // Home-cell miss: a singleton group on the per-query path.
+          // Home-cell miss: a singleton group served by Classify.
           const uint32_t qi = static_cast<uint32_t>(order[gb]);
           (*out)[qi] = Classify(queries.point(qi), st);
         } else {
@@ -562,9 +447,8 @@ Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
             const bool labeled = cell_cluster[ref.cell_id] != kNoCluster;
             size_t nk = 0;
             for (size_t k = 0; k < nq; ++k) {
-              // j == 0 is the home cell itself: Classify keys its Offer
-              // at 0.0 unconditionally, so the member min2 is pinned to
-              // zero there.
+              // j == 0 is the home cell itself, which holds the member:
+              // its min2 is pinned to zero.
               double min2 = a.min2[k];
               if (j == 0) {
                 min2 = 0.0;
@@ -613,10 +497,8 @@ Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
             }
           }
           if (st != nullptr) {
-            // Grouped accounting: one neighborhood walk per group (every
-            // entry a present cell), regardless of the group's size.
+            // One neighborhood walk per group, whatever its size.
             st->stencil_probes += nbr_count;
-            st->stencil_hits += nbr_count;
           }
         }
 
@@ -662,8 +544,8 @@ Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
                                   LatencyReservoir* latency) const {
   RPDBSCAN_RETURN_IF_ERROR(CheckQueries(queries));
   // The grouped path needs the precomputed stencil neighborhoods and
-  // 32-bit (slot | index) keys; without either, the per-query loop is the
-  // only path (bit-identical results either way).
+  // 32-bit (slot | index) keys; without either, the batch is a loop over
+  // Classify (bit-identical results either way).
   const size_t num_slots = snapshot_->dictionary().cell_refs().size();
   if (!snapshot_->dictionary().has_stencil() ||
       num_slots + queries.size() > uint64_t{0xFFFFFFFF}) {

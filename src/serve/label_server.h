@@ -60,10 +60,6 @@ struct LabelServerOptions {
   /// when the snapshot carries no references, they resolve by nearest
   /// labeled cell (kApprox).
   bool exact_border = true;
-  /// Force the portable scalar sub-cell kernel instead of the runtime-
-  /// detected SIMD tier (core/simd.h). Answers are bit-identical either
-  /// way.
-  bool scalar_kernels = false;
 };
 
 /// Per-thread serving counters. Plain integers — each worker of a batch
@@ -77,18 +73,12 @@ struct ServeStats {
   uint64_t core = 0;
   uint64_t border = 0;
   uint64_t noise = 0;
-  /// Stencil engine only. On the per-query path: lattice hash probes
-  /// issued (offsets surviving the arithmetic pre-drop, plus the
-  /// home-cell probe) and probes that found a dictionary cell. On the
-  /// grouped batch path a neighborhood is walked once per *group*, so
-  /// both counters count precomputed-neighborhood entries walked (every
-  /// entry is a present cell — probes == hits) and are much smaller than
-  /// the per-query path's for the same query set. Deterministic for a
-  /// given query set on either path (grouping is by home-cell slot, not
-  /// by thread), but NOT comparable across paths — the semantic counters
-  /// above are.
+  /// Precomputed stencil-neighborhood entries the grouped batch path
+  /// walked: one walk per home-cell group, whatever the group's size.
+  /// Deterministic for a given query set (grouping is by home-cell slot,
+  /// not by thread). Classify descends the sub-dictionary trees and walks
+  /// none, so a home-cell miss or a per-query batch adds 0.
   uint64_t stencil_probes = 0;
-  uint64_t stencil_hits = 0;
   /// Stored core-point distance evaluations spent replaying border walks.
   uint64_t border_ref_scans = 0;
 
@@ -100,7 +90,6 @@ struct ServeStats {
     border += o.border;
     noise += o.noise;
     stencil_probes += o.stencil_probes;
-    stencil_hits += o.stencil_hits;
     border_ref_scans += o.border_ref_scans;
   }
 };
@@ -126,15 +115,14 @@ std::string ServeStatsToJson(const ServeStats& stats, double seconds,
 /// LabelServer.
 ///
 /// A query point q resolves in two steps:
-///  1. Density: hash q's home cell, probe the eps-ball lattice stencil
-///     around it against the dictionary-global FlatCellIndex (hashed-slot
-///     mode, prefetch-pipelined, nearest rings first) — or descend the
-///     sub-dictionary trees when the snapshot's dimensionality disabled
-///     the stencil — summing the densities of sub-cells whose center lies
-///     within eps, with the CellMaxDist2 whole-cell containment fast path.
-///     This is the run's own core criterion (Def. 5.1), evaluated with the
-///     training kernels' exact arithmetic, so the density q gets here is
-///     the density it would have gotten as a training point.
+///  1. Density: the (eps, rho)-region query (Def. 5.1) sums the densities
+///     of sub-cells whose center lies within eps, with the whole-cell
+///     containment fast path. Classify descends the per-sub-dictionary
+///     kd-trees with MBR skipping (CellDictionary::Query, Lemmas 5.6 and
+///     5.10); ClassifyBatch walks each home cell's precomputed stencil
+///     neighborhood once for all of its queries. Both use the training
+///     kernels' exact arithmetic, so the density q gets here is the
+///     density it would have gotten as a training point.
 ///  2. Label: a core home cell labels q with its cluster (kExact). A
 ///     non-core home cell replays the training border walk over the
 ///     stored references (kExact), or falls back to the nearest labeled
@@ -150,8 +138,9 @@ class LabelServer {
   const ClusterModelSnapshot& snapshot() const { return *snapshot_; }
   const LabelServerOptions& options() const { return opts_; }
 
-  /// Classifies one point of snapshot dimensionality. Thread-safe and
-  /// allocation-free. Counters accumulate into `*stats` when given.
+  /// Classifies one point of snapshot dimensionality by tree descent.
+  /// Thread-safe and allocation-free. Counters accumulate into `*stats`
+  /// when given.
   /// Precondition: every coordinate is Binnable at the snapshot's
   /// geometry (finite, inside the int32 cell lattice) — ClassifyBatch
   /// checks this and rejects the batch otherwise.
@@ -161,8 +150,8 @@ class LabelServer {
   /// per point into `*out` (resized; order matches `queries`). Results
   /// are independent of the thread count and bit-identical to calling
   /// Classify point by point ({cluster, kind, certainty, density} all
-  /// match); merged semantic stats match the serial path too, while the
-  /// probe counters follow the grouped accounting documented on
+  /// match); merged semantic stats match the serial path too, while
+  /// stencil_probes follows the grouped accounting documented on
   /// ServeStats. Fails with InvalidArgument on a dimensionality mismatch
   /// or on a query coordinate that cannot be binned (NaN, +-Inf, beyond
   /// the int32 cell lattice), naming the query index and dimension.
@@ -181,8 +170,9 @@ class LabelServer {
   /// Grouping needs the precomputed stencil neighborhoods and 32-bit
   /// (slot, index) keys. Where either is missing — a snapshot without a
   /// stencil (d >= 6), or more slots plus queries than 32 bits hold — the
-  /// batch runs as a parallel loop over Classify instead, with Classify's
-  /// probe accounting and one latency stamp per query.
+  /// batch runs as a parallel loop over Classify instead, with one latency
+  /// stamp per query. A query whose home cell is absent forms a singleton
+  /// group, also served by Classify.
   Status ClassifyBatch(const Dataset& queries, ThreadPool& pool,
                        std::vector<ServeResult>* out,
                        ServeStats* stats = nullptr,
@@ -203,7 +193,6 @@ class LabelServer {
   LabelServerOptions opts_;
   /// Sub-cell classification kernels, resolved once at construction for
   /// the snapshot's dimensionality and the detected SIMD tier.
-  SubcellCountFn count_fn_ = nullptr;
   SubcellCountMultiFn multi_fn_ = nullptr;
   GroupBoundsFn bounds_fn_ = nullptr;
 };

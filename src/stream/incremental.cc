@@ -14,20 +14,12 @@
 namespace rpdbscan {
 namespace {
 
-/// The RunRpDbscan option mappings, duplicated here so an epoch runs the
-/// exact engines a from-scratch run with the same options would.
+/// The RunRpDbscan dictionary options, duplicated here so an epoch builds
+/// the dictionary a from-scratch run with the same options would.
 CellDictionaryOptions DictOptionsOf(const RpDbscanOptions& options) {
   CellDictionaryOptions dict_opts;
   dict_opts.max_cells_per_subdict = options.max_cells_per_subdict;
-  dict_opts.defragment = options.defragment_dictionary;
-  dict_opts.enable_skipping = options.subdictionary_skipping;
   return dict_opts;
-}
-
-Phase2Options Phase2OptionsOf(const RpDbscanOptions& options) {
-  Phase2Options phase2_opts;
-  phase2_opts.scalar_kernels = options.scalar_kernels;
-  return phase2_opts;
 }
 
 }  // namespace
@@ -51,14 +43,6 @@ StatusOr<StreamClusterer> StreamClusterer::Create(
   const RpDbscanOptions classic;
   if (options.query_eps != classic.query_eps) {
     return Status::InvalidArgument("stream does not support query_eps");
-  }
-  if (options.stencil_eps_scale != classic.stencil_eps_scale) {
-    return Status::InvalidArgument(
-        "stream does not support stencil_eps_scale");
-  }
-  if (options.sampled_core_fraction != classic.sampled_core_fraction) {
-    return Status::InvalidArgument(
-        "stream does not support sampled_core_fraction");
   }
   if (options.point_source != nullptr) {
     return Status::InvalidArgument("stream does not support point_source");
@@ -152,7 +136,7 @@ StatusOr<EpochResult> StreamClusterer::PublishEpoch() {
   stage.Reset();
   const RecomputeSummary recomputed =
       RecomputeCells(data, cells, dict, options_.min_pts, pool,
-                     Phase2OptionsOf(options_), touched, &phase2_);
+                     Phase2Options(), touched, &phase2_);
   stats.dirty_cells = recomputed.affected_cells;
   stats.extended_cells = recomputed.extended_cells;
   stats.reclustered_points = recomputed.rerun_points;

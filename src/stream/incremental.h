@@ -77,10 +77,9 @@ class StreamClusterer {
   /// Seeds the stream with `seed_batch` (epoch 0 recomputes everything —
   /// it flows through the same incremental code path with all cells
   /// touched). `options` are the RunRpDbscan options each epoch must be
-  /// equivalent to; capture_model is implied. A non-default query_eps,
-  /// stencil_eps_scale, sampled_core_fraction or point_source is refused
-  /// with InvalidArgument naming the field: epochs run neither the ladder
-  /// nor the sampled or out-of-core paths.
+  /// equivalent to; capture_model is implied. A non-default query_eps or
+  /// point_source is refused with InvalidArgument naming the field:
+  /// epochs run neither the ladder nor the out-of-core path.
   static StatusOr<StreamClusterer> Create(Dataset seed_batch,
                                           const RpDbscanOptions& options);
 

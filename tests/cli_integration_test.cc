@@ -274,6 +274,14 @@ TEST_F(CliTest, UnknownFlagsFailBeforeInputLoads) {
       {"stream --generate=blobs --n=500 --eps=0.5 --perpoint", "--perpoint"},
       {"serve --snapshot=missing.rpsnap --queries=missing.csv --epss=2",
        "--epss"},
+      // The kernel tier follows the host alone.
+      {"--generate=blobs --n=500 --eps=0.5 --scalar-kernels",
+       "--scalar-kernels"},
+      {"hierarchy --generate=blobs --n=500 --eps-levels=0.5,0.7 "
+       "--scalar-kernels",
+       "--scalar-kernels"},
+      {"stream --generate=blobs --n=500 --eps=0.5 --scalar-kernels",
+       "--scalar-kernels"},
   };
   for (const auto& [args, flag] : cases) {
     SCOPED_TRACE(args);
@@ -285,7 +293,34 @@ TEST_F(CliTest, UnknownFlagsFailBeforeInputLoads) {
 }
 
 TEST_F(CliTest, BadNumericFlagFails) {
-  EXPECT_NE(Run("--generate=blobs --n=abc --eps=1"), 0);
+  // A malformed or negative count fails, naming the flag, instead of
+  // wrapping to a huge size_t (minPts 2^64 - 1 labels everything noise;
+  // 2^64 - 1 partitions or threads cannot be allocated).
+  const std::pair<std::string, std::string> cases[] = {
+      {"--generate=blobs --n=abc --eps=1", "--n"},
+      {"--generate=blobs --n=-1 --eps=1", "--n"},
+      {"--generate=blobs --n=2000 --eps=1 --minpts=-1", "--minpts"},
+      {"--generate=blobs --n=200 --eps=1 --partitions=-1", "--partitions"},
+      {"--generate=blobs --n=200 --eps=1 --threads=-1", "--threads"},
+      {"--generate=blobs --n=200 --eps=1 --algo=esp --threads=-1",
+       "--threads"},
+      {"--generate=blobs --n=200 --eps=1 --memory-budget=-1",
+       "--memory-budget"},
+      {"hierarchy --generate=blobs --n=200 --eps-levels=0.5,0.7 "
+       "--min-pts=-1",
+       "--min-pts"},
+      {"hierarchy --generate=blobs --n=200 --eps-levels=0.5,0.7 "
+       "--minpts=-1",
+       "--minpts"},
+      {"stream --generate=blobs --n=200 --eps=1 --partitions=-1",
+       "--partitions"},
+  };
+  for (const auto& [args, flag] : cases) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(Run(args), 1);
+    const std::string err = Stderr();
+    EXPECT_NE(err.find(flag + " "), std::string::npos) << err;
+  }
 }
 
 }  // namespace

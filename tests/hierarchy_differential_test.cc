@@ -74,8 +74,10 @@ TEST(HierarchyDifferentialTest, LevelsMatchIndependentRunsAcrossDims) {
 
 TEST(HierarchyDifferentialTest, SampledLadderMatchesSampledIndependentRuns) {
   // The sampled-core mask is a pure function of (cell coord, seed), so
-  // the ladder and the independent runs sample identically — the
-  // differential contract holds under approximation too.
+  // every ladder samples identically. The independent run of rung i is
+  // rung 1 of an unseeded two-rung ladder {eps_0, eps_i}: the grid of
+  // eps_0, the same mask, and nothing carried over from rungs between —
+  // the differential contract holds under approximation too.
   const uint64_t seed = TestSeed(10000);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset ds = synth::Blobs(2500, 3, 1.0, seed, 2);
@@ -88,18 +90,16 @@ TEST(HierarchyDifferentialTest, SampledLadderMatchesSampledIndependentRuns) {
   ho.core_sample_seed = seed;
   auto h = BuildClusterHierarchy(ds, ho);
   ASSERT_TRUE(h.ok()) << h.status();
-  for (size_t i = 0; i < h->levels.size(); ++i) {
-    RpDbscanOptions o;
-    o.eps = ho.eps_levels[0];
-    o.query_eps = ho.eps_levels[i];
-    o.min_pts = 10;
-    o.num_threads = 2;
-    o.num_partitions = 4;
-    o.sampled_core_fraction = 0.6;
-    o.core_sample_seed = seed;
-    auto independent = RunRpDbscan(ds, o);
+  for (size_t i = 1; i < h->levels.size(); ++i) {
+    HierarchyOptions pair = ho;
+    pair.eps_levels = {ho.eps_levels[0], ho.eps_levels[i]};
+    pair.seed_from_previous = false;
+    auto independent = BuildClusterHierarchy(ds, pair);
     ASSERT_TRUE(independent.ok()) << independent.status();
-    EXPECT_EQ(h->levels[i].labels, independent->labels) << "level " << i;
+    EXPECT_FALSE(independent->levels[1].seeded);
+    EXPECT_EQ(h->levels[0].labels, independent->levels[0].labels);
+    EXPECT_EQ(h->levels[i].labels, independent->levels[1].labels)
+        << "level " << i;
   }
 }
 

@@ -5,8 +5,8 @@
 // cells here hold 1, 3, 4, 5, 16, 17 and 40 points, so groups sit on both
 // sides of the lane width and of both chunk widths. Every run must
 // reproduce the Alg. 3 oracle (tests/phase2_oracle.h): the same core
-// points, core cells and edges, on both candidate engines and on both
-// kernel tiers, with and without seeded cores and a core-cell mask. The
+// points, core cells and edges, on both candidate engines, with and
+// without seeded cores and a core-cell mask. The
 // own-cell shortcut is pinned directly: a fully occupied source cell is
 // pre-summed at rho = 0.01 and stays a maybe at rho = 1e-6, where the
 // sub-cell center inset falls below a float ulp of its coordinates.
@@ -101,25 +101,20 @@ struct TilePipeline {
     EXPECT_EQ(stencil_dict->has_stencil(), dim <= 5);
   }
 
-  /// BuildSubgraphs on both engines and both kernel tiers, each against
-  /// `want`.
+  /// BuildSubgraphs on both engines, each against `want`.
   void ExpectAllRunsMatch(const Phase2Result& want, size_t min_pts,
-                          Phase2Options opts) const {
+                          const Phase2Options& opts) const {
     ThreadPool pool(2);
     for (const CellDictionary* dict : {&*stencil_dict, &*tree_dict}) {
-      for (const bool scalar : {true, false}) {
-        SCOPED_TRACE(std::string(dict->has_stencil() ? "stencil" : "tree") +
-                     (scalar ? " scalar" : " detected"));
-        opts.scalar_kernels = scalar;
-        const Phase2Result got =
-            BuildSubgraphs(data, *cells, *dict, min_pts, pool, opts);
-        ExpectSameGraph(want, got);
-        if (min_pts > data.size()) {
-          // No cell can reach min_pts: the suffix bound rejects every
-          // point before a single bound evaluation.
-          EXPECT_EQ(got.candidate_cells_scanned, 0u);
-          EXPECT_EQ(got.early_exits, 0u);
-        }
+      SCOPED_TRACE(dict->has_stencil() ? "stencil" : "tree");
+      const Phase2Result got =
+          BuildSubgraphs(data, *cells, *dict, min_pts, pool, opts);
+      ExpectSameGraph(want, got);
+      if (min_pts > data.size()) {
+        // No cell can reach min_pts: the suffix bound rejects every point
+        // before a single bound evaluation.
+        EXPECT_EQ(got.candidate_cells_scanned, 0u);
+        EXPECT_EQ(got.early_exits, 0u);
       }
     }
   }

@@ -107,12 +107,10 @@ TEST(RpDbscanTest, AblationTogglesPreserveClustering) {
   const Dataset ds = synth::Blobs(3000, 4, 1.0, 28);
   auto base = RunRpDbscan(ds, Opts(1.0, 15));
   ASSERT_TRUE(base.ok());
-  for (const int knob : {0, 1, 2, 3}) {
+  for (const int knob : {0, 1}) {
     RpDbscanOptions o = Opts(1.0, 15);
-    if (knob == 0) o.defragment_dictionary = false;
-    if (knob == 1) o.subdictionary_skipping = false;
-    if (knob == 2) o.reduce_edges = false;
-    if (knob == 3) o.sequential_merge = true;
+    if (knob == 0) o.reduce_edges = false;
+    if (knob == 1) o.sequential_merge = true;
     auto r = RunRpDbscan(ds, o);
     ASSERT_TRUE(r.ok());
     auto ri = RandIndex(base->labels, r->labels);

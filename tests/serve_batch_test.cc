@@ -1,7 +1,7 @@
 // The bit-identity contract of batched classification: ClassifyBatch —
-// whichever path it takes (grouped stencil walk, per-query fallback,
-// scalar or SIMD kernels, any thread count, any batch size) — returns
-// exactly what serial Classify returns, query by query.
+// whichever path it takes (grouped stencil walk or per-query fallback,
+// any thread count, any batch size) — returns exactly what serial
+// Classify returns, query by query.
 
 #include <gtest/gtest.h>
 
@@ -54,8 +54,8 @@ Trained Train(uint64_t seed) {
 
 /// A query mix exercising every serving branch: training points (all home
 /// hits), jittered near-misses (some hit, some miss), and far outliers
-/// (guaranteed home-cell misses, i.e. singleton groups on the grouped
-/// path).
+/// (guaranteed home-cell misses, i.e. singleton groups that the grouped
+/// path hands to Classify).
 Dataset MixedQueries(const Dataset& training, size_t count) {
   Dataset q(training.dim());
   for (size_t i = 0; i < count && i < training.size(); ++i) {
@@ -103,34 +103,28 @@ TEST(ServeBatchTest, BatchBitIdenticalToSerialEverywhere) {
 
   for (const bool stencil : {true, false}) {
     SCOPED_TRACE(stencil ? "stencil engine" : "tree fallback engine");
-    const auto snapshot = Load(t.snapshot_bytes, stencil);
-    for (const bool scalar : {false, true}) {
-      SCOPED_TRACE(scalar ? "scalar kernels" : "simd kernels");
-      LabelServerOptions o;
-      o.scalar_kernels = scalar;
-      const LabelServer server(snapshot, o);
+    const LabelServer server(Load(t.snapshot_bytes, stencil));
 
-      std::vector<ServeResult> serial(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        serial[i] = server.Classify(queries.point(i));
-      }
+    std::vector<ServeResult> serial(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      serial[i] = server.Classify(queries.point(i));
+    }
 
-      for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        ThreadPool pool(threads);
-        // Batch sizes cover the edges: empty, single, odd sizes that
-        // leave lane remainders and partial groups, and the full set.
-        for (const size_t batch :
-             {size_t{0}, size_t{1}, size_t{3}, size_t{17}, queries.size()}) {
-          SCOPED_TRACE("batch=" + std::to_string(batch));
-          const Dataset sub = Slice(queries, 0, batch);
-          std::vector<ServeResult> got;
-          const Status s = server.ClassifyBatch(sub, pool, &got);
-          ASSERT_TRUE(s.ok()) << s;
-          ASSERT_EQ(got.size(), sub.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            ExpectSame(got[i], serial[i], "query " + std::to_string(i));
-          }
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      // Batch sizes cover the edges: empty, single, odd sizes that leave
+      // lane remainders and partial groups, and the full set.
+      for (const size_t batch :
+           {size_t{0}, size_t{1}, size_t{3}, size_t{17}, queries.size()}) {
+        SCOPED_TRACE("batch=" + std::to_string(batch));
+        const Dataset sub = Slice(queries, 0, batch);
+        std::vector<ServeResult> got;
+        const Status s = server.ClassifyBatch(sub, pool, &got);
+        ASSERT_TRUE(s.ok()) << s;
+        ASSERT_EQ(got.size(), sub.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          ExpectSame(got[i], serial[i], "query " + std::to_string(i));
         }
       }
     }

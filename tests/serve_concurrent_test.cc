@@ -63,8 +63,9 @@ TEST(ServeConcurrentTest, BatchMatchesSerialAcrossThreadCounts) {
     ASSERT_EQ(serial[i].cluster, f.labels[i]) << "point " << i;
   }
 
+  // Classify descends the trees: it walks no stencil neighborhood.
+  EXPECT_EQ(serial_stats.stencil_probes, 0u);
   uint64_t grouped_probes = 0;
-  uint64_t grouped_hits = 0;
   bool have_grouped = false;
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -86,19 +87,15 @@ TEST(ServeConcurrentTest, BatchMatchesSerialAcrossThreadCounts) {
     EXPECT_EQ(stats.border, serial_stats.border);
     EXPECT_EQ(stats.noise, serial_stats.noise);
     EXPECT_EQ(stats.border_ref_scans, serial_stats.border_ref_scans);
-    // The probe counters follow the grouped accounting (one neighborhood
-    // walk per group, probes == hits over present cells), so they are
-    // smaller than the per-query path's — but grouping is by home-cell
-    // slot, never by thread, so they must not depend on the thread count.
-    EXPECT_EQ(stats.stencil_probes, stats.stencil_hits);
-    EXPECT_LE(stats.stencil_probes, serial_stats.stencil_probes);
+    // stencil_probes counts one neighborhood walk per home-cell group;
+    // grouping is by home-cell slot, never by thread, so it must not
+    // depend on the thread count.
+    EXPECT_GT(stats.stencil_probes, 0u);
     if (!have_grouped) {
       grouped_probes = stats.stencil_probes;
-      grouped_hits = stats.stencil_hits;
       have_grouped = true;
     } else {
       EXPECT_EQ(stats.stencil_probes, grouped_probes);
-      EXPECT_EQ(stats.stencil_hits, grouped_hits);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -9,9 +10,11 @@
 #include <vector>
 
 #include "core/rp_dbscan.h"
+#include "hierarchy/eps_ladder.h"
 #include "serve/snapshot.h"
 #include "synth/generators.h"
 #include "test_seed.h"
+#include "util/random.h"
 
 namespace rpdbscan {
 namespace {
@@ -68,12 +71,9 @@ void ExpectTrainingReplay(const Dataset& ds, const RpDbscanOptions& opts) {
     EXPECT_EQ(stats.queries, ds.size());
     EXPECT_EQ(stats.exact, ds.size());
     EXPECT_EQ(stats.cell_hits, ds.size());
-    if (stencil) {
-      EXPECT_GT(stats.stencil_probes, 0u);
-      EXPECT_GT(stats.stencil_hits, 0u);
-    } else {
-      EXPECT_EQ(stats.stencil_probes, 0u);
-    }
+    // Classify descends the trees on either snapshot: it walks no
+    // stencil neighborhood.
+    EXPECT_EQ(stats.stencil_probes, 0u);
   }
 }
 
@@ -210,8 +210,8 @@ TEST(ServeTest, BatchRejectsQueriesItCannotServe) {
 TEST(ServeTest, QueriesAtTheLatticeEdgeDoNotWrap) {
   // eps 4.656612875e-10 in 1-d puts 1.0 and -1.0 on the int32 lattice
   // extremes, INT32_MAX and INT32_MIN. Neither cell is in the model, so
-  // each query walks its stencil offsets, and those past the edge must
-  // find nothing rather than overflow or wrap onto the other extreme.
+  // each query is a home-cell miss served by tree descent, which must
+  // find nothing rather than reach a cell across a wrapped edge.
   constexpr double kEps = 4.656612875e-10;
   Dataset train(1);
   for (int i = 0; i < 3; ++i) train.Append({0.5f});
@@ -241,6 +241,177 @@ TEST(ServeTest, QueriesAtTheLatticeEdgeDoNotWrap) {
   EXPECT_EQ(results[1].cluster, kNoise);
   EXPECT_EQ(results[2].kind, PointKind::kCore);
   EXPECT_NE(results[2].cluster, kNoise);
+}
+
+/// What a query's answer must be, by brute force over every sub-cell of
+/// the dictionary: the density of the centers within query_eps, whether
+/// the home cell exists and is labeled, and the cluster of the labeled
+/// cell with the least (box min², cell id) among the cells with a matched
+/// sub-cell (kNoise when there is none).
+struct OracleAnswer {
+  uint64_t density = 0;
+  bool home_hit = false;
+  bool home_labeled = false;
+  int64_t best_cluster = kNoise;
+};
+
+OracleAnswer BruteForce(const ClusterModelSnapshot& snap, const float* q) {
+  const CellDictionary& dict = snap.dictionary();
+  const GridGeometry& geom = dict.geom();
+  const size_t dim = geom.dim();
+  const double eps2 = snap.meta().query_eps * snap.meta().query_eps;
+  const std::vector<uint32_t>& cell_cluster = snap.cell_cluster();
+  const CellCoord home = geom.CellOf(q);
+  OracleAnswer a;
+  double best_min2 = 0.0;
+  uint32_t best_cell = 0;
+  bool found = false;
+  for (const SubDictionary& sd : dict.subdictionaries()) {
+    for (uint32_t c = 0; c < sd.num_cells(); ++c) {
+      const DictCell& cell = sd.cells()[c];
+      const bool labeled = cell_cluster[cell.cell_id] != kNoCluster;
+      if (cell.coord == home) {
+        a.home_hit = true;
+        a.home_labeled = labeled;
+      }
+      const float* lanes = sd.lane_centers(c);
+      const uint32_t padded = sd.lane_padded(c);
+      uint64_t matched = 0;
+      for (uint32_t s = 0; s < cell.subcell_end - cell.subcell_begin; ++s) {
+        float center[CellCoord::kMaxDim];
+        for (size_t d = 0; d < dim; ++d) center[d] = lanes[d * padded + s];
+        if (DistanceSquared(q, center, dim) <= eps2) {
+          matched += sd.lane_counts(c)[s];
+        }
+      }
+      a.density += matched;
+      if (matched == 0 || !labeled) continue;
+      const double min2 = geom.CellMinDist2(cell.coord, q);
+      if (!found || min2 < best_min2 ||
+          (min2 == best_min2 && cell.cell_id < best_cell)) {
+        best_min2 = min2;
+        best_cell = cell.cell_id;
+        found = true;
+      }
+    }
+  }
+  if (found) a.best_cluster = static_cast<int64_t>(cell_cluster[best_cell]);
+  return a;
+}
+
+/// Training points, near-misses jittered by up to eps per coordinate, and
+/// queries uniform in the data's bounding box widened by 4 eps per side:
+/// home-cell hits, misses beside the data, and misses far from it.
+Dataset OracleQueries(const Dataset& ds, double eps, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> lo(ds.point(0), ds.point(0) + ds.dim());
+  std::vector<float> hi = lo;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    for (size_t d = 0; d < ds.dim(); ++d) {
+      lo[d] = std::min(lo[d], ds.point(i)[d]);
+      hi[d] = std::max(hi[d], ds.point(i)[d]);
+    }
+  }
+  Dataset q(ds.dim());
+  std::vector<float> p(ds.dim());
+  for (size_t i = 0; i < ds.size(); i += 9) {
+    q.Append(ds.point(i));
+    for (size_t d = 0; d < ds.dim(); ++d) {
+      p[d] = ds.point(i)[d] +
+             static_cast<float>(rng.UniformDouble(-eps, eps));
+    }
+    q.Append(p.data());
+    for (size_t d = 0; d < ds.dim(); ++d) {
+      p[d] = static_cast<float>(
+          rng.UniformDouble(lo[d] - 4 * eps, hi[d] + 4 * eps));
+    }
+    q.Append(p.data());
+  }
+  return q;
+}
+
+/// Serves `queries` one by one and as a batch, with and without the
+/// border replay, and checks every answer against BruteForce: the
+/// density always, and the cluster of every kApprox answer that no
+/// border walk produced.
+void ExpectOracleAnswers(std::shared_ptr<const ClusterModelSnapshot> snap,
+                         const Dataset& queries) {
+  std::vector<OracleAnswer> want(queries.size());
+  size_t misses = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    want[i] = BruteForce(*snap, queries.point(i));
+    misses += want[i].home_hit ? 0 : 1;
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_LT(misses, queries.size());
+  ThreadPool pool(2);
+  for (const bool exact_border : {true, false}) {
+    SCOPED_TRACE(exact_border ? "border replay" : "approx border");
+    LabelServerOptions opts;
+    opts.exact_border = exact_border;
+    const LabelServer server(snap, opts);
+    std::vector<ServeResult> batch;
+    ASSERT_TRUE(server.ClassifyBatch(queries, pool, &batch).ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const OracleAnswer& a = want[i];
+      const bool replayed = a.home_hit && !a.home_labeled && exact_border &&
+                            snap->has_border_refs();
+      for (const ServeResult& r : {server.Classify(queries.point(i)),
+                                   batch[i]}) {
+        ASSERT_EQ(r.density, a.density) << "query " << i;
+        if (!a.home_hit) {
+          ASSERT_EQ(r.certainty, Certainty::kApprox) << "query " << i;
+        }
+        if (r.certainty == Certainty::kApprox && !replayed) {
+          ASSERT_EQ(r.cluster, a.best_cluster) << "query " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServeTest, AnswersMatchBruteForceOracle) {
+  uint64_t seed = TestSeed(6900);
+  SCOPED_TRACE(SeedNote(seed));
+  for (size_t dim = 2; dim <= 5; ++dim) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const Dataset ds = synth::Blobs(1200, 4, 2.0, ++seed, dim);
+    auto run = RunRpDbscan(ds, Opts(2.5, 20));
+    ASSERT_TRUE(run.ok()) << run.status();
+    auto snap = ClusterModelSnapshot::FromModel(std::move(*run->model));
+    ASSERT_TRUE(snap.ok()) << snap.status();
+    const std::vector<uint8_t> bytes = snap->Serialize();
+    const Dataset queries = OracleQueries(ds, 2.5, seed);
+    for (const bool stencil : {true, false}) {
+      SCOPED_TRACE(stencil ? "stencil snapshot" : "stencil-less snapshot");
+      ExpectOracleAnswers(Load(bytes, stencil), queries);
+    }
+  }
+}
+
+TEST(ServeTest, LadderSnapshotAnswersMatchBruteForceOracle) {
+  // A rung above the ladder's first serves at query_eps 1.5 over the grid
+  // of eps 1.0: the oracle counts every center within 1.5.
+  const uint64_t seed = TestSeed(7000);
+  SCOPED_TRACE(SeedNote(seed));
+  const Dataset ds = synth::Blobs(1500, 4, 1.0, seed, 3);
+  HierarchyOptions ho;
+  ho.eps_levels = {1.0, 1.5};
+  ho.min_pts_levels = {15};
+  ho.num_threads = 2;
+  ho.num_partitions = 4;
+  ho.capture_models = true;
+  auto h = BuildClusterHierarchy(ds, ho);
+  ASSERT_TRUE(h.ok()) << h.status();
+  auto snap = ClusterModelSnapshot::FromModel(std::move(*h->levels[1].model));
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  ASSERT_GT(snap->meta().query_eps, snap->meta().eps);
+  const std::vector<uint8_t> bytes = snap->Serialize();
+  const Dataset queries = OracleQueries(ds, 1.5, seed);
+  for (const bool stencil : {true, false}) {
+    SCOPED_TRACE(stencil ? "stencil snapshot" : "stencil-less snapshot");
+    ExpectOracleAnswers(Load(bytes, stencil), queries);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Scalar-vs-SIMD equivalence of the sub-cell classification kernels: on
 // any lane block the detected vector kernel must return the exact same
-// density as the header-inline scalar reference — the property that makes
-// SIMD dispatch invisible to clustering results. Also covers the
-// end-to-end pipeline guarantee (labels bit-identical with kernels forced
-// scalar).
+// densities and bounds as the header-inline scalar reference — the
+// property that makes SIMD dispatch invisible to clustering and serving
+// results, which reach the kernels only through the Get*Fn tables.
 #include "core/simd.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +11,10 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
-#include "core/rp_dbscan.h"
-#include "synth/generators.h"
+#include "io/dataset.h"
 #include "util/random.h"
 
 namespace rpdbscan {
@@ -48,57 +47,102 @@ LaneBlock RandomBlock(Rng& rng, size_t dim, uint32_t n, double span) {
   return b;
 }
 
+// Gathered query counts on both sides of the AVX2 multi-count kernel's
+// 16-query tile: one query, a partial tile, a full tile, one past it, and
+// two full tiles plus one.
+constexpr size_t kQueryCounts[] = {1, 15, 16, 17, 33};
+
+/// The gather view of `nq` queries: every other row of a packed buffer of
+/// 2 * nq rows, in reverse order, so a kernel that read rows in sequence
+/// instead of through qidx would answer for the wrong queries.
+std::vector<uint32_t> GatherIndex(size_t nq) {
+  std::vector<uint32_t> qidx(nq);
+  for (size_t k = 0; k < nq; ++k) {
+    qidx[k] = static_cast<uint32_t>(2 * (nq - 1 - k) + 1);
+  }
+  return qidx;
+}
+
+/// Both tiers of the multi-count kernel over one gather view. The scalar
+/// reference must equal a per-sub-cell DistanceSquared sum for every
+/// query, and the detected tier must equal the scalar one.
+void ExpectTiersAgree(const LaneBlock& b, const std::vector<float>& qs,
+                      const std::vector<uint32_t>& qidx, size_t dim,
+                      double eps2, const std::string& what) {
+  const size_t nq = qidx.size();
+  std::vector<uint32_t> want(nq, ~0u);
+  std::vector<uint32_t> got(nq, ~0u);
+  GetSubcellCountMultiFn(SimdLevel::kScalar, dim)(
+      qs.data(), qidx.data(), nq, b.lanes.data(), b.counts.data(), b.padded,
+      dim, eps2, want.data());
+  GetSubcellCountMultiFn(DetectSimdLevel(), dim)(
+      qs.data(), qidx.data(), nq, b.lanes.data(), b.counts.data(), b.padded,
+      dim, eps2, got.data());
+  for (size_t k = 0; k < nq; ++k) {
+    const float* q = qs.data() + static_cast<size_t>(qidx[k]) * dim;
+    uint32_t brute = 0;
+    for (uint32_t s = 0; s < b.n; ++s) {
+      float center[CellCoord::kMaxDim];
+      for (size_t d = 0; d < dim; ++d) center[d] = b.lanes[d * b.padded + s];
+      if (DistanceSquared(q, center, dim) <= eps2) brute += b.counts[s];
+    }
+    EXPECT_EQ(brute, want[k]) << what << " k=" << k;
+    EXPECT_EQ(want[k], got[k]) << what << " k=" << k;
+  }
+}
+
 TEST(SimdKernelTest, DetectedLevelMatchesScalarExactly) {
   Rng rng(101);
   for (const size_t dim : {2u, 3u, 4u, 5u, 7u}) {
     const double eps = 0.9;
-    const double eps2 = eps * eps;
-    SubcellCountFn scalar = GetSubcellCountFn(SimdLevel::kScalar, dim);
-    SubcellCountFn vec = GetSubcellCountFn(DetectSimdLevel(), dim);
-    for (int trial = 0; trial < 40; ++trial) {
-      const uint32_t n = static_cast<uint32_t>(rng.Uniform(23));
-      const LaneBlock b = RandomBlock(rng, dim, n, 3.0);
-      float q[CellCoord::kMaxDim];
-      for (size_t d = 0; d < dim; ++d) {
-        q[d] = static_cast<float>(rng.UniformDouble(-0.5, 3.5));
+    for (const size_t nq : kQueryCounts) {
+      const std::vector<uint32_t> qidx = GatherIndex(nq);
+      for (int trial = 0; trial < 8; ++trial) {
+        const uint32_t n = static_cast<uint32_t>(rng.Uniform(23));
+        const LaneBlock b = RandomBlock(rng, dim, n, 3.0);
+        std::vector<float> qs(2 * nq * dim);
+        for (float& v : qs) {
+          v = static_cast<float>(rng.UniformDouble(-0.5, 3.5));
+        }
+        ExpectTiersAgree(b, qs, qidx, dim, eps * eps,
+                         "dim=" + std::to_string(dim) +
+                             " nq=" + std::to_string(nq) +
+                             " trial=" + std::to_string(trial));
       }
-      EXPECT_EQ(scalar(q, b.lanes.data(), b.counts.data(), b.padded, dim,
-                       eps2),
-                vec(q, b.lanes.data(), b.counts.data(), b.padded, dim,
-                    eps2))
-          << "dim=" << dim << " trial=" << trial;
     }
   }
 }
 
 TEST(SimdKernelTest, BoundaryDistancesStayBitIdentical) {
-  // Centers planted exactly on / just off the eps sphere: the acute case
-  // for any arithmetic re-association. The vector kernel must agree on
-  // every <= verdict.
+  // Each query sits on, or a few ulps off, the eps sphere around one
+  // sub-cell center along a random axis: the acute case for any
+  // arithmetic re-association. The vector kernel must agree on every <=
+  // verdict.
+  Rng rng(202);
   for (const size_t dim : {2u, 3u, 5u}) {
     const double eps = 1.0;
-    SubcellCountFn scalar = GetSubcellCountFn(SimdLevel::kScalar, dim);
-    SubcellCountFn vec = GetSubcellCountFn(DetectSimdLevel(), dim);
-    Rng rng(202);
-    for (int trial = 0; trial < 60; ++trial) {
-      LaneBlock b = RandomBlock(rng, dim, 8, 2.0);
-      float q[CellCoord::kMaxDim] = {};
-      for (size_t d = 0; d < dim; ++d) q[d] = 1.0f;
-      // Overwrite sub-cell 0 with a point at distance ~eps from q along
-      // a random axis, nudged by a few ulps either way.
-      const size_t axis = rng.Uniform(dim);
-      float on = q[axis] + static_cast<float>(eps);
-      for (int nudge = 0; nudge < static_cast<int>(rng.Uniform(4));
-           ++nudge) {
-        on = std::nextafter(on, trial % 2 == 0 ? 10.0f : -10.0f);
+    for (const size_t nq : kQueryCounts) {
+      const std::vector<uint32_t> qidx = GatherIndex(nq);
+      for (int trial = 0; trial < 8; ++trial) {
+        const LaneBlock b = RandomBlock(rng, dim, 8, 2.0);
+        std::vector<float> qs(2 * nq * dim, 0.0f);
+        for (size_t k = 0; k < nq; ++k) {
+          float* q = qs.data() + static_cast<size_t>(qidx[k]) * dim;
+          const uint32_t s = static_cast<uint32_t>(k % b.n);
+          for (size_t d = 0; d < dim; ++d) q[d] = b.lanes[d * b.padded + s];
+          const size_t axis = rng.Uniform(dim);
+          float on = q[axis] + static_cast<float>(eps);
+          const int nudges = static_cast<int>(rng.Uniform(4));
+          for (int nudge = 0; nudge < nudges; ++nudge) {
+            on = std::nextafter(on, k % 2 == 0 ? 10.0f : -10.0f);
+          }
+          q[axis] = on;
+        }
+        ExpectTiersAgree(b, qs, qidx, dim, eps * eps,
+                         "dim=" + std::to_string(dim) +
+                             " nq=" + std::to_string(nq) +
+                             " trial=" + std::to_string(trial));
       }
-      for (size_t d = 0; d < dim; ++d) {
-        b.lanes[d * b.padded] = d == axis ? on : q[d];
-      }
-      EXPECT_EQ(scalar(q, b.lanes.data(), b.counts.data(), b.padded, dim,
-                       eps * eps),
-                vec(q, b.lanes.data(), b.counts.data(), b.padded, dim,
-                    eps * eps));
     }
   }
 }
@@ -266,29 +310,6 @@ TEST(SimdKernelTest, GroupBoundsMatchesScalarBitExactly) {
             << "dim=" << dim << " trial=" << trial << " k=" << k;
       }
     }
-  }
-}
-
-TEST(SimdKernelTest, PipelineLabelsIdenticalScalarVsDispatch) {
-  // The whole point: flipping kernels cannot move a single label.
-  for (const size_t dim : {2u, 3u, 5u}) {
-    const Dataset ds = synth::Blobs(3000, 4, 1.0, 110 + dim, dim);
-    RpDbscanOptions scalar;
-    scalar.eps = 1.5;
-    scalar.min_pts = 15;
-    scalar.num_threads = 2;
-    scalar.num_partitions = 8;
-    scalar.scalar_kernels = true;
-    RpDbscanOptions simd = scalar;
-    simd.scalar_kernels = false;
-    auto a = RunRpDbscan(ds, scalar);
-    auto b = RunRpDbscan(ds, simd);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(a->stats.simd_kernel, "scalar");
-    EXPECT_EQ(b->stats.simd_kernel, SimdLevelName(DetectSimdLevel()));
-    EXPECT_EQ(a->labels, b->labels) << "dim=" << dim;
-    EXPECT_EQ(a->stats.num_clusters, b->stats.num_clusters);
   }
 }
 

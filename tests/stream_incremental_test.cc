@@ -112,12 +112,10 @@ void DifferentialReplay(const Dataset& all, const RpDbscanOptions& options,
     auto scratch_or = RunRpDbscan(Prefix(all, pos), options);
     ASSERT_TRUE(scratch_or.ok()) << scratch_or.status();
     ASSERT_EQ(epoch_or->labels, scratch_or->labels);
-    Phase2Options phase2_opts;
-    phase2_opts.scalar_kernels = options.scalar_kernels;
     const Phase2Result fresh = BuildSubgraphs(
         clusterer.data(), clusterer.buffer().cells(),
         epoch_or->snapshot.dictionary(), options.min_pts, clusterer.pool(),
-        phase2_opts);
+        Phase2Options());
     const Phase2Result& got = clusterer.phase2();
     ASSERT_EQ(got.point_is_core, fresh.point_is_core);
     ASSERT_EQ(got.subgraphs.cell_is_core, fresh.subgraphs.cell_is_core);
@@ -446,18 +444,6 @@ TEST(StreamIncrementalTest, CreateRefusesQueryEps) {
   RpDbscanOptions o = StreamOptions(2.0, 8, 1);
   o.query_eps = 4.0;
   ExpectCreateRefuses(o, "query_eps");
-}
-
-TEST(StreamIncrementalTest, CreateRefusesStencilEpsScale) {
-  RpDbscanOptions o = StreamOptions(2.0, 8, 1);
-  o.stencil_eps_scale = 2.0;
-  ExpectCreateRefuses(o, "stencil_eps_scale");
-}
-
-TEST(StreamIncrementalTest, CreateRefusesSampledCoreFraction) {
-  RpDbscanOptions o = StreamOptions(2.0, 8, 1);
-  o.sampled_core_fraction = 0.3;
-  ExpectCreateRefuses(o, "sampled_core_fraction");
 }
 
 TEST(StreamIncrementalTest, CreateRefusesPointSource) {

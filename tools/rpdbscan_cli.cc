@@ -80,8 +80,6 @@ constexpr char kUsage[] = R"(usage: rpdbscan_cli [flags]
     --rho=R               approximation rate (default 0.01)
     --partitions=K        partitions / splits (default 16)
     --threads=T           worker threads (default 4)
-    --scalar-kernels      rp only: force the scalar reference distance
-                          kernels (no SIMD dispatch); labels identical
     --sequential-merge    rp only: tournament merge (Fig. 17 series)
                           instead of the edge-parallel union-find
     --mmap                rp only: memory-map an .rpds --input read-only
@@ -128,8 +126,8 @@ hierarchy (multi-eps cluster hierarchy over one shared dictionary):
                           attached as the snapshot's hierarchy section
     --output=PATH         write points + finest-level labels as CSV
     --stats-json=PATH     per-level and shared-stage statistics as JSON
-  the rp engine flags (--rho --partitions --threads --scalar-kernels
-  --sequential-merge) apply to every level.
+  the rp engine flags (--rho --partitions --threads --sequential-merge)
+  apply to every level.
 
 serving (classify out-of-sample points against a frozen model):
   rpdbscan_cli serve --snapshot=f.rpsnap --queries=q.csv [--threads=N]
@@ -193,17 +191,24 @@ re-clustering and hot-swapping epoch snapshots into a label server):
                           and its stage split dictionary_/phase2_/
                           merge_/package_seconds, ...)
   the rp clustering flags (--eps --minpts --rho --partitions --threads
-  --scalar-kernels --sequential-merge) apply unchanged; every epoch's
-  labels are bit-identical to a from-scratch run with those flags.
+  --sequential-merge) apply unchanged; every epoch's labels are
+  bit-identical to a from-scratch run with those flags.
 )";
 
+/// True when `text` starts with a digit: strtoull would otherwise skip
+/// blanks and negate a leading '-', so "-1" would parse as 2^64 - 1.
+bool StartsWithDigit(const std::string& text) {
+  return !text.empty() && std::isdigit(static_cast<unsigned char>(text[0]));
+}
+
 /// "262144", "256k", "64m", "1g" -> bytes ("64mb" style also accepted).
-StatusOr<size_t> ParseByteSize(const std::string& text) {
+StatusOr<size_t> ParseByteSize(const std::string& text,
+                               const std::string& flag) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || errno == ERANGE) {
-    return Status::InvalidArgument("bad byte size: " + text);
+  if (!StartsWithDigit(text) || errno == ERANGE) {
+    return Status::InvalidArgument("bad " + flag + " byte size: " + text);
   }
   uint64_t shift = 0;
   if (*end != '\0') {
@@ -212,16 +217,18 @@ StatusOr<size_t> ParseByteSize(const std::string& text) {
       case 'm': shift = 20; break;
       case 'g': shift = 30; break;
       default:
-        return Status::InvalidArgument("bad byte-size suffix: " + text);
+        return Status::InvalidArgument("bad " + flag +
+                                       " byte-size suffix: " + text);
     }
     ++end;
     if (std::tolower(static_cast<unsigned char>(*end)) == 'b') ++end;
     if (*end != '\0') {
-      return Status::InvalidArgument("bad byte-size suffix: " + text);
+      return Status::InvalidArgument("bad " + flag +
+                                     " byte-size suffix: " + text);
     }
   }
   if (value > (std::numeric_limits<uint64_t>::max() >> shift)) {
-    return Status::InvalidArgument("byte size overflows: " + text);
+    return Status::InvalidArgument(flag + " byte size overflows: " + text);
   }
   return static_cast<size_t>(value << shift);
 }
@@ -266,7 +273,7 @@ StatusOr<std::vector<size_t>> ParseSizeCsv(const std::string& text,
     errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(part.c_str(), &end, 10);
-    if (part.empty() || end != part.c_str() + part.size() ||
+    if (!StartsWithDigit(part) || end != part.c_str() + part.size() ||
         errno == ERANGE) {
       return Status::InvalidArgument("bad " + flag + " entry: '" + part +
                                      "'");
@@ -284,6 +291,19 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
+/// A count flag (--n, --minpts, --partitions, --threads) as a size_t:
+/// a negative value fails, naming the flag, instead of wrapping.
+StatusOr<size_t> GetCountFlag(const FlagSet& flags, const std::string& key,
+                              size_t fallback) {
+  auto value_or = flags.GetInt(key, static_cast<int64_t>(fallback));
+  if (!value_or.ok()) return value_or.status();
+  if (*value_or < 0) {
+    return Status::InvalidArgument("flag --" + key + " must be >= 0, got " +
+                                   std::to_string(*value_or));
+  }
+  return static_cast<size_t>(*value_or);
+}
+
 StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   const std::string input = flags.GetString("input");
   const std::string generate = flags.GetString("generate");
@@ -299,11 +319,11 @@ StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   if (generate.empty()) {
     return Status::InvalidArgument("need --input or --generate");
   }
-  auto n_or = flags.GetInt("n", 50000);
+  auto n_or = GetCountFlag(flags, "n", 50000);
   auto seed_or = flags.GetInt("seed", 42);
   if (!n_or.ok()) return n_or.status();
   if (!seed_or.ok()) return seed_or.status();
-  const size_t n = static_cast<size_t>(*n_or);
+  const size_t n = *n_or;
   const uint64_t seed = static_cast<uint64_t>(*seed_or);
   if (generate == "moons") return synth::Moons(n, 0.05, seed);
   if (generate == "blobs") return synth::Blobs(n, 10, 1.0, seed);
@@ -322,8 +342,8 @@ const std::vector<std::string> kInputFlags = {"help", "input", "generate",
                                               "n", "seed"};
 // The flags RpOptionsFromFlags reads.
 const std::vector<std::string> kRpFlags = {
-    "eps", "minpts", "rho", "partitions", "threads", "scalar-kernels",
-    "sequential-merge", "memory-budget", "audit"};
+    "eps", "minpts", "rho", "partitions", "threads", "sequential-merge",
+    "memory-budget", "audit"};
 
 /// Prints "unknown flag --X" plus the usage and returns false when
 /// `flags` holds a flag outside every group of `known`.
@@ -345,14 +365,15 @@ StatusOr<AuditLevel> ParseAuditFlag(const FlagSet& flags,
   return Status::InvalidArgument("--audit must be off|cheap|full");
 }
 
-/// The flag -> RpDbscanOptions mapping, shared by the cluster and stream
-/// paths so `stream` epochs are comparable to plain `--algo=rp` runs.
+/// The flag -> RpDbscanOptions mapping, shared by every entry point that
+/// clusters (the main command for every --algo, hierarchy and stream), so
+/// `stream` epochs are comparable to plain `--algo=rp` runs.
 StatusOr<RpDbscanOptions> RpOptionsFromFlags(const FlagSet& flags) {
   auto eps_or = flags.GetDouble("eps", 0.0);
-  auto minpts_or = flags.GetInt("minpts", 20);
+  auto minpts_or = GetCountFlag(flags, "minpts", 20);
   auto rho_or = flags.GetDouble("rho", 0.01);
-  auto parts_or = flags.GetInt("partitions", 16);
-  auto threads_or = flags.GetInt("threads", 4);
+  auto parts_or = GetCountFlag(flags, "partitions", 16);
+  auto threads_or = GetCountFlag(flags, "threads", 4);
   if (!eps_or.ok()) return eps_or.status();
   if (!minpts_or.ok()) return minpts_or.status();
   if (!rho_or.ok()) return rho_or.status();
@@ -360,15 +381,14 @@ StatusOr<RpDbscanOptions> RpOptionsFromFlags(const FlagSet& flags) {
   if (!threads_or.ok()) return threads_or.status();
   RpDbscanOptions o;
   o.eps = *eps_or;
-  o.min_pts = static_cast<size_t>(*minpts_or);
+  o.min_pts = *minpts_or;
   o.rho = *rho_or;
-  o.num_partitions = static_cast<size_t>(*parts_or);
-  o.num_threads = static_cast<size_t>(*threads_or);
-  o.scalar_kernels = flags.GetBool("scalar-kernels");
+  o.num_partitions = *parts_or;
+  o.num_threads = *threads_or;
   o.sequential_merge = flags.GetBool("sequential-merge");
   const std::string budget = flags.GetString("memory-budget");
   if (!budget.empty()) {
-    auto budget_or = ParseByteSize(budget);
+    auto budget_or = ParseByteSize(budget, "--memory-budget");
     if (!budget_or.ok()) return budget_or.status();
     if (*budget_or == 0) {
       return Status::InvalidArgument("--memory-budget must be > 0");
@@ -387,26 +407,17 @@ StatusOr<RpDbscanOptions> RpOptionsFromFlags(const FlagSet& flags) {
 StatusOr<Labels> Cluster(const FlagSet& flags, const Dataset& data,
                          bool print_stats,
                          const PointSource* source = nullptr) {
-  auto eps_or = flags.GetDouble("eps", 0.0);
-  auto minpts_or = flags.GetInt("minpts", 20);
-  auto rho_or = flags.GetDouble("rho", 0.01);
-  auto parts_or = flags.GetInt("partitions", 16);
-  auto threads_or = flags.GetInt("threads", 4);
-  if (!eps_or.ok()) return eps_or.status();
-  if (!minpts_or.ok()) return minpts_or.status();
-  if (!rho_or.ok()) return rho_or.status();
-  if (!parts_or.ok()) return parts_or.status();
-  if (!threads_or.ok()) return threads_or.status();
-  const DbscanParams params{*eps_or, static_cast<size_t>(*minpts_or)};
+  auto rp_or = RpOptionsFromFlags(flags);
+  if (!rp_or.ok()) return rp_or.status();
+  const RpDbscanOptions& rp = *rp_or;
+  const DbscanParams params{rp.eps, rp.min_pts};
   const std::string algo = flags.GetString("algo", "rp");
 
   if (source != nullptr && algo != "rp") {
     return Status::InvalidArgument("--mmap requires --algo=rp");
   }
   if (algo == "rp") {
-    auto o_or = RpOptionsFromFlags(flags);
-    if (!o_or.ok()) return o_or.status();
-    RpDbscanOptions o = *o_or;
+    RpDbscanOptions o = rp;
     o.point_source = source;
     const std::string save_snapshot = flags.GetString("save-snapshot");
     o.capture_model = !save_snapshot.empty();
@@ -440,9 +451,9 @@ StatusOr<Labels> Cluster(const FlagSet& flags, const Dataset& data,
   if (algo == "esp" || algo == "rbp" || algo == "cbp" || algo == "spark") {
     RegionSplitOptions o;
     o.params = params;
-    o.num_splits = static_cast<size_t>(*parts_or);
-    o.num_threads = static_cast<size_t>(*threads_or);
-    o.rho = *rho_or;
+    o.num_splits = rp.num_partitions;
+    o.num_threads = rp.num_threads;
+    o.rho = rp.rho;
     o.rho_approximate = algo != "spark";
     o.strategy = algo == "esp"
                      ? RegionPartitionStrategy::kEvenSplit
@@ -472,8 +483,8 @@ StatusOr<Labels> Cluster(const FlagSet& flags, const Dataset& data,
   if (algo == "naive") {
     NaiveRandomSplitOptions o;
     o.params = params;
-    o.num_splits = static_cast<size_t>(*parts_or);
-    o.num_threads = static_cast<size_t>(*threads_or);
+    o.num_splits = rp.num_partitions;
+    o.num_threads = rp.num_threads;
     auto r = RunNaiveRandomSplitDbscan(data, o);
     if (!r.ok()) return r.status();
     return std::move(r->labels);
@@ -958,10 +969,10 @@ std::string JsonDouble(double v) {
 int HierarchyMain(const FlagSet& flags) {
   if (!FlagsKnown(flags, {kInputFlags,
                           {"eps-levels", "minpts", "min-pts", "rho",
-                           "partitions", "threads", "scalar-kernels",
-                           "sequential-merge", "sampled-cores",
-                           "sample-seed", "no-seeding", "score",
-                           "save-snapshot", "stats-json", "output"}})) {
+                           "partitions", "threads", "sequential-merge",
+                           "sampled-cores", "sample-seed", "no-seeding",
+                           "score", "save-snapshot", "stats-json",
+                           "output"}})) {
     return 1;
   }
   auto data_or = LoadInput(flags);
@@ -981,16 +992,11 @@ int HierarchyMain(const FlagSet& flags) {
     return 1;
   }
   auto eps_or = ParseDoubleCsv(levels_flag, "--eps-levels");
-  auto minpts_or = flags.GetInt("minpts", 20);
-  auto rho_or = flags.GetDouble("rho", 0.01);
-  auto parts_or = flags.GetInt("partitions", 16);
-  auto threads_or = flags.GetInt("threads", 4);
+  auto rp_or = RpOptionsFromFlags(flags);
   auto frac_or = flags.GetDouble("sampled-cores", 1.0);
   auto sample_seed_or = flags.GetInt("sample-seed", 0);
-  for (const Status& s :
-       {eps_or.status(), minpts_or.status(), rho_or.status(),
-        parts_or.status(), threads_or.status(), frac_or.status(),
-        sample_seed_or.status()}) {
+  for (const Status& s : {eps_or.status(), rp_or.status(), frac_or.status(),
+                          sample_seed_or.status()}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n%s", s.ToString().c_str(), kUsage);
       return 1;
@@ -1008,13 +1014,12 @@ int HierarchyMain(const FlagSet& flags) {
     }
     ho.min_pts_levels = *mp_or;
   } else {
-    ho.min_pts_levels = {static_cast<size_t>(*minpts_or)};
+    ho.min_pts_levels = {rp_or->min_pts};
   }
-  ho.rho = *rho_or;
-  ho.num_partitions = static_cast<size_t>(*parts_or);
-  ho.num_threads = static_cast<size_t>(*threads_or);
-  ho.scalar_kernels = flags.GetBool("scalar-kernels");
-  ho.sequential_merge = flags.GetBool("sequential-merge");
+  ho.rho = rp_or->rho;
+  ho.num_partitions = rp_or->num_partitions;
+  ho.num_threads = rp_or->num_threads;
+  ho.sequential_merge = rp_or->sequential_merge;
   ho.seed_from_previous = !flags.GetBool("no-seeding");
   ho.sampled_core_fraction = *frac_or;
   if (flags.Has("sample-seed")) {

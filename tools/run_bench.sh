@@ -4,7 +4,7 @@
 #   * Phase I-1 build (bench_micro BM_Phase1Build): sorted CSR grouping,
 #     GeoLifeLike at two sizes -> BENCH_phase1.json
 #   * Phase II query kernel (bench_micro BM_Phase2Query): lattice-stencil
-#     (SIMD vs forced-scalar) vs kd-tree descent, the Phase III merge
+#     vs kd-tree descent, the Phase III merge
 #     engines (BM_MergeForest: edge-parallel lock-free
 #     union-find vs sequential tournament at 1/2/4 threads), plus the
 #     Fig. 12 phase breakdown -> BENCH_phase2.json
@@ -306,10 +306,9 @@ for b in raw.get("benchmarks", []):
 
 times = {k["kernel"]: k["real_time_ms"] for k in kernels}
 speedups = {}
-for fast, slow in (("stencil", "batched_tree"),
-                   ("stencil", "stencil_scalar")):
-    if times.get(fast) and times.get(slow):
-        speedups[f"speedup_{fast}_over_{slow}"] = times[slow] / times[fast]
+if times.get("stencil") and times.get("batched_tree"):
+    speedups["speedup_stencil_over_batched_tree"] = (
+        times["batched_tree"] / times["stencil"])
 
 # Merge engines: "BM_MergeForest/sequential/2" -> engine + thread count.
 with open(merge_json) as f:

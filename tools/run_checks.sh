@@ -16,8 +16,11 @@
 #      concurrent FlatCellIndex::BuildHashed), merge — now including the
 #      lock-free ConcurrentDisjointSet (disjoint_set_test's multi-thread
 #      union stress) and the edge-parallel merge path
-#      (parallel_merge_test) — the SIMD-vs-scalar equivalence suite
-#      (simd_kernel_test),
+#      (parallel_merge_test) — the kernel-tier suite (simd_kernel_test:
+#      the detected tier's multi-count kernel against the scalar
+#      reference and a DistanceSquared brute force, over gather views
+#      of 1-33 queries on both sides of the AVX2 16-query tile, and its
+#      group-bounds kernel bit for bit),
 #      end-to-end and snapshot-serving (serve_concurrent_test: one frozen
 #      snapshot, many reader threads; serve_batch_test: grouped-batch
 #      bit-identity across thread counts; request_loop_test: the framed

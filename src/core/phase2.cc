@@ -6,6 +6,7 @@
 #include <span>
 
 #include "parallel/parallel_for.h"
+#include "parallel/parallel_sort.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -55,6 +56,8 @@ namespace {
 struct Phase2Scratch {
   CandidateCellList candidates;
   std::vector<uint32_t> cell_edges;
+  /// The radix sort's ping-pong buffer for ordering cell_edges.
+  std::vector<uint32_t> cell_edges_sort;
   /// Per maybe-candidate: 1 once any core point of the current cell is
   /// known to match it (the cell's edge set is a union over core points,
   /// so a matched candidate never needs another test).
@@ -521,8 +524,16 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
                      setup.eps2, setup.seed, scratch, point_is_core,
                      cell_core, counters);
   if (!scratch.cell_edges.empty()) {
+    // Ids are below the cell count, so an LSD radix sort over their low
+    // bytes orders the row in linear time.
     std::vector<uint32_t>& cell_edges = scratch.cell_edges;
-    std::sort(cell_edges.begin(), cell_edges.end());
+    ParallelRadixSort(
+        cell_edges, scratch.cell_edges_sort,
+        RadixKeyBytes(dict.num_cells() - 1),
+        [](uint32_t id, unsigned b) {
+          return static_cast<uint8_t>(id >> (8 * b));
+        },
+        /*pool=*/nullptr);
     cell_edges.erase(std::unique(cell_edges.begin(), cell_edges.end()),
                      cell_edges.end());
   }

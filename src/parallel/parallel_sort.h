@@ -11,6 +11,14 @@
 
 namespace rpdbscan {
 
+/// The number of low key bytes that hold every key <= `max_key`: the
+/// `num_key_bytes` that sorts keys bounded by it (0 when every key is 0).
+inline unsigned RadixKeyBytes(uint64_t max_key) {
+  unsigned bytes = 0;
+  for (; max_key != 0; max_key >>= 8) ++bytes;
+  return bytes;
+}
+
 /// Stable LSD radix sort of `items` by an integer key, 8 bits per pass,
 /// parallelized over contiguous chunks of the input when a pool is given.
 ///

@@ -295,7 +295,11 @@ TEST_F(CliTest, UnknownFlagsFailBeforeInputLoads) {
 TEST_F(CliTest, BadNumericFlagFails) {
   // A malformed or negative count fails, naming the flag, instead of
   // wrapping to a huge size_t (minPts 2^64 - 1 labels everything noise;
-  // 2^64 - 1 partitions or threads cannot be allocated).
+  // 2^64 - 1 partitions or threads cannot be allocated) or silently
+  // falling back to a default. The serve, stream and --kdist counts are
+  // read before any input or snapshot loads, so the missing files below
+  // are never opened.
+  const std::string missing = dir_ + "/missing";
   const std::pair<std::string, std::string> cases[] = {
       {"--generate=blobs --n=abc --eps=1", "--n"},
       {"--generate=blobs --n=-1 --eps=1", "--n"},
@@ -314,6 +318,18 @@ TEST_F(CliTest, BadNumericFlagFails) {
        "--minpts"},
       {"stream --generate=blobs --n=200 --eps=1 --partitions=-1",
        "--partitions"},
+      {"stream --input=" + missing + ".csv --eps=1 --seed-points=-1",
+       "--seed-points"},
+      {"stream --input=" + missing + ".csv --eps=1 --batch-size=-5",
+       "--batch-size"},
+      {"stream --input=" + missing + ".csv --eps=1 --epoch-every=-2",
+       "--epoch-every"},
+      {"--input=" + missing + ".csv --eps=1 --kdist=-3", "--kdist"},
+      {"serve --snapshot=" + missing + ".rpsnap --queries=" + missing +
+           ".csv --threads=-3",
+       "--threads"},
+      {"serve --models=1=" + missing + ".rpsnap --listen=stdio --threads=-3",
+       "--threads"},
   };
   for (const auto& [args, flag] : cases) {
     SCOPED_TRACE(args);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,6 +196,56 @@ TEST(ParallelSortTest, TruncatedKeyBytesSortOnlyLowBytes) {
   ParallelRadixSort(items, scratch, 2, ByteOf, &pool);
   for (size_t i = 0; i < items.size(); ++i) {
     ASSERT_EQ(items[i].pos, expected[i].pos) << "at index " << i;
+  }
+}
+
+// Phase II's row sort: the serial path (no pool) over uint32_t cell ids
+// below a cell count n, keyed on RadixKeyBytes(n - 1) low bytes. The
+// cell counts straddle each byte boundary. The second input of each
+// (n, length) pair keeps byte 1 at 0 while the bytes around it vary, so
+// that pass is skipped between two scattering ones.
+TEST(ParallelSortTest, SerialCellIdRowsMatchStdSort) {
+  EXPECT_EQ(RadixKeyBytes(0), 0u);
+  EXPECT_EQ(RadixKeyBytes(255), 1u);
+  EXPECT_EQ(RadixKeyBytes(256), 2u);
+  EXPECT_EQ(RadixKeyBytes(65535), 2u);
+  EXPECT_EQ(RadixKeyBytes(65536), 3u);
+  EXPECT_EQ(RadixKeyBytes(uint64_t{1} << 24), 4u);
+  EXPECT_EQ(RadixKeyBytes(~uint64_t{0}), 8u);
+
+  Rng rng(2718);
+  const uint64_t cell_counts[] = {1,     2,     256,
+                                  257,   65536, 65537,
+                                  (uint64_t{1} << 24) + 1};
+  const size_t lengths[] = {0, 1, 2, 255, 256, 257, 5000};
+  auto byte_of = [](uint32_t id, unsigned b) {
+    return static_cast<uint8_t>(id >> (8 * b));
+  };
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> scratch;
+  for (const uint64_t n : cell_counts) {
+    const unsigned key_bytes = RadixKeyBytes(n - 1);
+    for (const size_t len : lengths) {
+      for (const bool constant_middle : {false, true}) {
+        SCOPED_TRACE("n " + std::to_string(n) + ", length " +
+                     std::to_string(len) +
+                     (constant_middle ? ", byte 1 constant" : ""));
+        ids.resize(len);
+        for (uint32_t& id : ids) {
+          if (!constant_middle) {
+            id = static_cast<uint32_t>(rng.Uniform(n));
+            continue;
+          }
+          const uint64_t high = rng.Uniform((n - 1) / 65536 + 1) << 16;
+          const uint64_t low = rng.Uniform(256);
+          id = static_cast<uint32_t>(high + low < n ? high + low : high);
+        }
+        std::vector<uint32_t> expected = ids;
+        std::sort(expected.begin(), expected.end());
+        ParallelRadixSort(ids, scratch, key_bytes, byte_of, nullptr);
+        ASSERT_EQ(ids, expected);
+      }
+    }
   }
 }
 

@@ -291,8 +291,9 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
-/// A count flag (--n, --minpts, --partitions, --threads) as a size_t:
-/// a negative value fails, naming the flag, instead of wrapping.
+/// A count flag (--n, --minpts, --threads, --batch-size, --kdist, ...) as
+/// a size_t: a negative value fails, naming the flag, instead of wrapping
+/// or falling back to a default.
 StatusOr<size_t> GetCountFlag(const FlagSet& flags, const std::string& key,
                               size_t fallback) {
   auto value_or = flags.GetInt(key, static_cast<int64_t>(fallback));
@@ -631,8 +632,13 @@ int ServeClientMain(const FlagSet& flags, const std::string& socket_path) {
 /// to the default model, so old clients keep working).
 int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
   const std::string listen = flags.GetString("listen");
-  auto threads_or = flags.GetInt("threads", 4);
-  if (listen.empty() || !threads_or.ok()) {
+  auto threads_or = GetCountFlag(flags, "threads", 4);
+  if (!threads_or.ok()) {
+    std::fprintf(stderr, "%s\n%s", threads_or.status().ToString().c_str(),
+                 kUsage);
+    return 1;
+  }
+  if (listen.empty()) {
     std::fprintf(stderr,
                  "serve --models needs --listen (stdio or a socket "
                  "path)\n%s",
@@ -644,8 +650,7 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
                  kUsage);
     return 1;
   }
-  const size_t threads = *threads_or > 0 ? static_cast<size_t>(*threads_or)
-                                         : size_t{1};
+  const size_t threads = std::max<size_t>(*threads_or, 1);
   ThreadPool pool(threads);
 
   LabelServerOptions sopts;
@@ -804,17 +809,20 @@ int ServeMain(const FlagSet& flags) {
   const std::string snap_path = flags.GetString("snapshot");
   const std::string queries_path = flags.GetString("queries");
   const std::string listen = flags.GetString("listen");
-  auto threads_or = flags.GetInt("threads", 4);
-  if (snap_path.empty() || (queries_path.empty() && listen.empty()) ||
-      !threads_or.ok()) {
+  auto threads_or = GetCountFlag(flags, "threads", 4);
+  if (!threads_or.ok()) {
+    std::fprintf(stderr, "%s\n%s", threads_or.status().ToString().c_str(),
+                 kUsage);
+    return 1;
+  }
+  if (snap_path.empty() || (queries_path.empty() && listen.empty())) {
     std::fprintf(stderr,
                  "serve needs --snapshot=PATH and --queries=PATH (or "
                  "--listen)\n%s",
                  kUsage);
     return 1;
   }
-  const size_t threads = *threads_or > 0 ? static_cast<size_t>(*threads_or)
-                                         : size_t{1};
+  const size_t threads = std::max<size_t>(*threads_or, 1);
   ThreadPool pool(threads);
 
   auto snap_or = ClusterModelSnapshot::ReadFile(snap_path, SnapshotOptions(),
@@ -1219,20 +1227,10 @@ int StreamMain(const FlagSet& flags) {
                            "output"}})) {
     return 1;
   }
-  auto data_or = LoadInput(flags);
-  if (!data_or.ok()) {
-    std::fprintf(stderr, "input error: %s\n%s",
-                 data_or.status().ToString().c_str(), kUsage);
-    return 1;
-  }
-  const Dataset& data = *data_or;
-  std::fprintf(stderr, "loaded %zu points, %zu dimensions\n", data.size(),
-               data.dim());
-
   auto opts_or = RpOptionsFromFlags(flags);
-  auto seedpts_or = flags.GetInt("seed-points", 0);
-  auto batch_or = flags.GetInt("batch-size", 0);
-  auto every_or = flags.GetInt("epoch-every", 1);
+  auto seedpts_or = GetCountFlag(flags, "seed-points", 0);
+  auto batch_or = GetCountFlag(flags, "batch-size", 0);
+  auto every_or = GetCountFlag(flags, "epoch-every", 1);
   if (!opts_or.ok() || !seedpts_or.ok() || !batch_or.ok() ||
       !every_or.ok()) {
     const Status& s = !opts_or.ok()
@@ -1244,17 +1242,23 @@ int StreamMain(const FlagSet& flags) {
     std::fprintf(stderr, "%s\n%s", s.ToString().c_str(), kUsage);
     return 1;
   }
-  size_t seed_points = *seedpts_or > 0
-                           ? std::min(static_cast<size_t>(*seedpts_or),
-                                      data.size())
-                           : data.size() / 2;
+  auto data_or = LoadInput(flags);
+  if (!data_or.ok()) {
+    std::fprintf(stderr, "input error: %s\n%s",
+                 data_or.status().ToString().c_str(), kUsage);
+    return 1;
+  }
+  const Dataset& data = *data_or;
+  std::fprintf(stderr, "loaded %zu points, %zu dimensions\n", data.size(),
+               data.dim());
+
+  size_t seed_points = *seedpts_or > 0 ? std::min(*seedpts_or, data.size())
+                                       : data.size() / 2;
   if (seed_points == 0) seed_points = data.size();
   const size_t remaining = data.size() - seed_points;
   const size_t batch_size =
-      *batch_or > 0 ? static_cast<size_t>(*batch_or)
-                    : std::max<size_t>(1, (remaining + 7) / 8);
-  const size_t epoch_every =
-      *every_or > 0 ? static_cast<size_t>(*every_or) : size_t{1};
+      *batch_or > 0 ? *batch_or : std::max<size_t>(1, (remaining + 7) / 8);
+  const size_t epoch_every = std::max<size_t>(*every_or, 1);
   const bool audit_epochs = opts_or->audit_level != AuditLevel::kOff;
 
   Dataset seed(data.dim());
@@ -1427,6 +1431,12 @@ int Main(int argc, char** argv) {
                            "save-snapshot"}})) {
     return 1;
   }
+  auto kdist_or = GetCountFlag(flags, "kdist", 0);
+  if (!kdist_or.ok()) {
+    std::fprintf(stderr, "%s\n%s", kdist_or.status().ToString().c_str(),
+                 kUsage);
+    return 1;
+  }
   // --mmap maps the .rpds payload read-only and hands the pipeline a
   // borrowed (zero-copy) view plus the PointSource for the out-of-core
   // Phase I-1; everything downstream of LoadInput is unchanged.  The
@@ -1481,13 +1491,8 @@ int Main(int argc, char** argv) {
   // k-distance diagnostic: the knee of the sorted k-NN distance curve is
   // the classic eps choice (the paper picks eps empirically; this tool
   // shows the candidate range).
-  auto kdist_or = flags.GetInt("kdist", 0);
-  if (!kdist_or.ok()) {
-    std::fprintf(stderr, "%s\n", kdist_or.status().ToString().c_str());
-    return 1;
-  }
   if (*kdist_or > 0) {
-    const size_t k = static_cast<size_t>(*kdist_or);
+    const size_t k = *kdist_or;
     KdTree tree;
     tree.Build(data.raw(), data.size(), data.dim());
     Rng rng(1);

@@ -10,10 +10,15 @@
 #      the hierarchy metrics + stencil-family suites
 #      (hausdorff_test, metrics_edge_case_test, stencil_prefix_test's
 #      randomized prefix-vs-probe ladders), and, with NDEBUG off, the
-#      sub-cell-range MBR containment assertions in ProcessCellBatched.
+#      sub-cell-range MBR containment assertions in ProcessCellBatched,
+#      and Phase II's successor-row sort (parallel_sort_test's
+#      SerialCellIdRowsMatchStdSort: the serial radix sort over cell ids
+#      below 1 to 2^24 + 1 cells, keyed on RadixKeyBytes(n - 1) bytes,
+#      against std::sort).
 #   2. TSan (RelWithDebInfo) over the `sanitizer-safe` subset: the
-#      thread-pool, parallel-sort, phase2 (all query engines, incl. the
-#      concurrent FlatCellIndex::BuildHashed), merge — now including the
+#      thread-pool, parallel-sort (the row-sort case included), phase2
+#      (all query engines, incl. the concurrent
+#      FlatCellIndex::BuildHashed), merge — now including the
 #      lock-free ConcurrentDisjointSet (disjoint_set_test's multi-thread
 #      union stress) and the edge-parallel merge path
 #      (parallel_merge_test) — the kernel-tier suite (simd_kernel_test:

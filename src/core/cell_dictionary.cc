@@ -433,7 +433,13 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
       sd.cells_.push_back(dc);
       const float* center = centers.data() + order[i] * dim;
       sd.cell_centers_.insert(sd.cell_centers_.end(), center, center + dim);
-      sd.mbr_.ExpandToMbr(geom.CellBox(entry.coord));
+      // The cell's lattice box: CellBox's doubles, without the two
+      // vectors a CellBox allocates.
+      for (size_t d = 0; d < dim; ++d) {
+        const double lo = geom.CellOrigin(entry.coord, d);
+        sd.mbr_.set_min(d, std::min(sd.mbr_.min(d), lo));
+        sd.mbr_.set_max(d, std::max(sd.mbr_.max(d), lo + geom.cell_side()));
+      }
     }
     sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), dim);
 

@@ -68,7 +68,7 @@ struct Phase2Scratch {
   /// count + suffix_remaining[i] < min_pts.
   std::vector<uint64_t> suffix_remaining;
   /// The cell's points, row-major in point-list order: the gather source
-  /// of the multi-count kernel (SubcellCountMultiFn).
+  /// of the lane kernels (SubcellCountMultiFn, SubcellAnyMatchFn).
   std::vector<float> q;
   /// Per point of the cell: the candidate index after which it was proven
   /// core (0 for seeded points and points the always group alone makes
@@ -145,10 +145,12 @@ struct TaskCounters {
 };
 
 /// Resolved kernel dispatch for one BuildSubgraphs run: the multi-count
-/// lane kernel for the run's dimension and SIMD tier, and the group
+/// lane kernel (pass 1's densities) and the first-match lane kernel (the
+/// edge tests) for the run's dimension and SIMD tier, and the group
 /// box-bounds kernel.
 struct KernelConfig {
   SubcellCountMultiFn count_fn = nullptr;
+  SubcellAnyMatchFn any_fn = nullptr;
   GroupBoundsFn bounds_fn = nullptr;
 };
 
@@ -181,6 +183,9 @@ void MbrBox(const float* mbr, size_t dim, double* lo, double* hi) {
 ///    core point matched, it searches the core points that never
 ///    evaluated it (exit index <= candidate index; seeded cores enter at
 ///    0) in exit order, a chunk at a time, and stops at the first match.
+///    An edge needs one witness, so the lane tests run SubcellAnyMatchFn,
+///    which ends at the first sub-cell center within eps; its verdict is
+///    the count kernel's "some count is nonzero".
 /// candidate_cells_scanned counts the point-candidate bound evaluations
 /// of pass 1 plus the chunk members tested in pass 2.
 void ScanCellTiles(const Dataset& data, const CellData& cell, uint32_t cid,
@@ -322,13 +327,12 @@ void ScanCellTiles(const Dataset& data, const CellData& cell, uint32_t cid,
       scratch.core_t[d * core_stride + r] = p[d];
     }
   }
-  // True when one of the `num` core points at idx matches candidate i.
+  // True when one of the `num` core points at idx matches candidate i;
+  // the kernel stops at the first matching sub-cell center.
   auto lane_match = [&](size_t i, const uint32_t* idx, size_t num) {
-    kernels.count_fn(scratch.q.data(), idx, num, cand.lane_centers[i],
-                     cand.lane_counts[i], cand.lane_padded[i], dim, eps2,
-                     scratch.kout.data());
-    return std::any_of(scratch.kout.begin(), scratch.kout.begin() + num,
-                       [](uint32_t m) { return m > 0; });
+    return kernels.any_fn(scratch.q.data(), idx, num, cand.lane_centers[i],
+                          cand.lane_counts[i], cand.lane_padded[i], dim,
+                          eps2);
   };
   size_t eligible = 0;
   for (size_t i = 0; i < num_maybe && num_matched < num_maybe; ++i) {
@@ -492,6 +496,8 @@ EngineSetup ResolveEngine(const CellDictionary& dict,
   setup.level = DetectSimdLevel();
   setup.kernels.count_fn =
       GetSubcellCountMultiFn(setup.level, dict.geom().dim());
+  setup.kernels.any_fn =
+      GetSubcellAnyMatchFn(setup.level, dict.geom().dim());
   setup.kernels.bounds_fn = GetGroupBoundsFn(setup.level);
   setup.use_stencil = dict.has_stencil();
   setup.query_eps = opts.query_eps;
@@ -661,7 +667,6 @@ size_t LoadPoints(const Dataset& data, const CellData& cell, size_t dim,
   scratch.min2.resize(stride);
   scratch.max2.resize(stride);
   scratch.kidx.resize(stride);
-  scratch.kout.resize(stride);
   return stride;
 }
 
@@ -669,7 +674,7 @@ size_t LoadPoints(const Dataset& data, const CellData& cell, size_t dim,
 /// center of `view`'s cell within eps, by the tile scan's per-point
 /// verdict: GroupBoundsFn against the cell's MBR drops a point whose min²
 /// exceeds eps² and ends the test at a point whose max² does not, and one
-/// SubcellCountMultiFn call takes the rest.
+/// SubcellAnyMatchFn call takes the rest.
 bool PointsReach(const CellView& view, size_t n, size_t stride, size_t dim,
                  const EngineSetup& setup, Phase2Scratch& scratch,
                  TaskCounters& counters) {
@@ -685,12 +690,10 @@ bool PointsReach(const CellView& view, size_t n, size_t stride, size_t dim,
     if (scratch.max2[k] <= setup.eps2) return true;
     scratch.kidx[nk++] = static_cast<uint32_t>(k);
   }
-  if (nk == 0) return false;
-  setup.kernels.count_fn(scratch.q.data(), scratch.kidx.data(), nk,
-                         view.lanes, view.counts, view.padded, dim,
-                         setup.eps2, scratch.kout.data());
-  return std::any_of(scratch.kout.begin(), scratch.kout.begin() + nk,
-                     [](uint32_t m) { return m > 0; });
+  return nk > 0 &&
+         setup.kernels.any_fn(scratch.q.data(), scratch.kidx.data(), nk,
+                              view.lanes, view.counts, view.padded, dim,
+                              setup.eps2);
 }
 
 /// Extends the row of cell `cid`, untouched with every point core, by the
@@ -724,6 +727,34 @@ void ExtendRow(const CellUnit& unit, uint32_t cid,
   ++counters.extended_cells;
 }
 
+/// Each partition's cells in the dictionary's slot order (cell_refs()):
+/// one pass over the slots, bucketed by owner partition. The slots list
+/// the cells fragment by fragment, in the order their MBRs, lanes and
+/// slot metadata sit in memory, so consecutive cells of a task find most
+/// of their candidates already cached. The dictionary must hold exactly
+/// the cell set's cells.
+std::vector<std::vector<uint32_t>> SlotOrderPartitions(
+    const CellSet& cells, const CellDictionary& dict) {
+  const size_t num_cells = cells.num_cells();
+  const std::vector<GlobalCellRef>& refs = dict.cell_refs();
+  RPDBSCAN_CHECK(refs.size() == num_cells)
+      << "the dictionary holds " << refs.size() << " cells, the cell set "
+      << num_cells;
+  std::vector<std::vector<uint32_t>> visit(cells.num_partitions());
+  for (uint32_t pid = 0; pid < visit.size(); ++pid) {
+    visit[pid].reserve(cells.partition(pid).size());
+  }
+  std::vector<uint8_t> seen(num_cells, 0);
+  for (const GlobalCellRef& ref : refs) {
+    RPDBSCAN_CHECK(ref.cell_id < num_cells && seen[ref.cell_id] == 0)
+        << "dictionary cell " << ref.cell_id
+        << " is outside the cell set or listed twice";
+    seen[ref.cell_id] = 1;
+    visit[cells.cell(ref.cell_id).owner_partition].push_back(ref.cell_id);
+  }
+  return visit;
+}
+
 }  // namespace
 
 Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
@@ -746,13 +777,19 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             cells.PartitionPoints(b);
                    });
 
+  // A partition is a random cell subset (the seeded shuffle dealt in
+  // CellSet), but the order a task visits it in is free: densities are
+  // exact integer sums and a row is a set, so no result or counter
+  // depends on it.
+  const std::vector<std::vector<uint32_t>> visit =
+      SlotOrderPartitions(cells, dict);
   const CellUnit unit{data, cells, dict, min_pts, ResolveEngine(dict, opts),
                       &result};
   TaskCounters total;
   const std::vector<double> seconds = RunTasks(
       pool, k,
       [&](size_t slot, Phase2Scratch& scratch, TaskCounters& counters) {
-        for (const uint32_t cid : cells.partition(schedule[slot])) {
+        for (const uint32_t cid : visit[schedule[slot]]) {
           unit.Run(cid, scratch, counters);
         }
       },

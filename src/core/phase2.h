@@ -91,7 +91,9 @@ bool SubcellRangeMbr(const CellDictionary& dict, const CellCoord& coord,
 /// (eps, rho)-region query per point, marks core points and core cells
 /// (Example 5.7), and writes each core cell's successor row: every cell
 /// holding at least one neighbor sub-cell of one of its core points
-/// (Defs. 3.3/3.4; untyped, per Alg. 3).
+/// (Defs. 3.3/3.4; untyped, per Alg. 3). Each partition's task visits its
+/// cells in `dict`'s slot order, which must list exactly `cells`' cells
+/// (checked); no result or counter depends on the order.
 Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
                             const CellDictionary& dict, size_t min_pts,
                             ThreadPool& pool,
@@ -127,7 +129,7 @@ struct RecomputeSummary {
 /// points were all core keeps its flags and row, and its row gains each
 /// touched cell its points now reach: one in its always group without a
 /// kernel call, a maybe one through one GroupBoundsFn call and at most
-/// one SubcellCountMultiFn call. Every other entry is left as it is, and
+/// one SubcellAnyMatchFn call. Every other entry is left as it is, and
 /// the result is bit-identically what a from-scratch BuildSubgraphs over
 /// the same data and dictionary emits.
 ///

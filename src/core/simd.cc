@@ -61,6 +61,28 @@ SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim) {
   }
 }
 
+SubcellAnyMatchFn GetSubcellAnyMatchFn(SimdLevel level, size_t dim) {
+#ifdef RPDBSCAN_HAVE_AVX2
+  if (level >= SimdLevel::kAvx2) {
+    return simd_internal::GetAvx2AnyMatchFn(dim);
+  }
+#else
+  (void)level;
+#endif
+  switch (dim) {
+    case 2:
+      return &SubcellAnyMatchScalar<2>;
+    case 3:
+      return &SubcellAnyMatchScalar<3>;
+    case 4:
+      return &SubcellAnyMatchScalar<4>;
+    case 5:
+      return &SubcellAnyMatchScalar<5>;
+    default:
+      return &SubcellAnyMatchScalar<0>;
+  }
+}
+
 GroupBoundsFn GetGroupBoundsFn(SimdLevel level) {
 #ifdef RPDBSCAN_HAVE_AVX2
   if (level >= SimdLevel::kAvx2) return &simd_internal::GroupBoundsAvx2;

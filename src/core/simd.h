@@ -45,11 +45,11 @@ inline constexpr float kLanePadCenter =
     std::numeric_limits<float>::infinity();
 
 /// The exact sub-cell classification kernel of the batched serving path
-/// and of Phase II's tile scan. Evaluates `nq` queries against ONE cell's
-/// lane-major (SoA) block — `dim` runs of `padded_n` floats, coordinate
-/// d's lane at lanes + d * padded_n — in a single invocation, so the lane
-/// loads (and their float->double widening) are paid once per vector
-/// stride instead of once per query. Query k's coordinates live at
+/// and of pass 1 of Phase II's tile scan. Evaluates `nq` queries against
+/// ONE cell's lane-major (SoA) block — `dim` runs of `padded_n` floats,
+/// coordinate d's lane at lanes + d * padded_n — in a single invocation,
+/// so the lane loads (and their float->double widening) are paid once per
+/// vector stride instead of once per query. Query k's coordinates live at
 /// qs + qidx[k] * dim — a gather-index view over a packed row-major query
 /// buffer, so callers can route any subset of a group through the kernel
 /// without copying. Writes matched_out[0..nq): the summed density of the
@@ -61,6 +61,21 @@ using SubcellCountMultiFn = void (*)(const float* qs, const uint32_t* qidx,
                                      const uint32_t* counts,
                                      uint32_t padded_n, size_t dim,
                                      double eps2, uint32_t* matched_out);
+
+/// The first-match kernel of Phase II's edge search: true iff some
+/// gathered query has a sub-cell center of ONE cell's lane block within
+/// sqrt(eps2) — exactly when SubcellCountMultiFn would return a nonzero
+/// density for some query. Same operands, same per-lane arithmetic
+/// (widen, subtract, square, add in dimension order, ordered <=), and a
+/// slot only matches with a nonzero density, so padding never does. The
+/// vector tier walks the queries in the count kernel's tiles and returns
+/// after the first stride in which any query of the tile matched, so an
+/// edge test stops at its first witness instead of counting every slot.
+using SubcellAnyMatchFn = bool (*)(const float* qs, const uint32_t* qidx,
+                                   size_t nq, const float* lanes,
+                                   const uint32_t* counts,
+                                   uint32_t padded_n, size_t dim,
+                                   double eps2);
 
 /// The group box-bounds kernel: squared min AND max distance from each of
 /// `num` group members to ONE axis-aligned box — the per-neighbor
@@ -87,6 +102,8 @@ using GroupBoundsFn = void (*)(const float* qt, size_t stride, size_t num,
 /// d in {2,3,4,5}, a runtime-dim fallback otherwise). Requesting a level
 /// above CompiledSimdLevel() degrades to the highest compiled tier.
 SubcellCountMultiFn GetSubcellCountMultiFn(SimdLevel level, size_t dim);
+/// First-match-kernel lookup, dispatched like GetSubcellCountMultiFn.
+SubcellAnyMatchFn GetSubcellAnyMatchFn(SimdLevel level, size_t dim);
 /// Group-bounds-kernel lookup (no dimension dispatch: the vector axis is
 /// the group-member index).
 GroupBoundsFn GetGroupBoundsFn(SimdLevel level);
@@ -122,6 +139,29 @@ inline void SubcellCountMultiScalar(const float* qs, const uint32_t* qidx,
   }
 }
 
+/// Reference implementation of SubcellAnyMatchFn: per gathered query,
+/// every lane slot in stride order, ending at the first matching slot.
+template <size_t kDim>
+inline bool SubcellAnyMatchScalar(const float* qs, const uint32_t* qidx,
+                                  size_t nq, const float* lanes,
+                                  const uint32_t* counts, uint32_t padded_n,
+                                  size_t dim_rt, double eps2) {
+  const size_t dim = kDim ? kDim : dim_rt;
+  for (size_t k = 0; k < nq; ++k) {
+    const float* q = qs + static_cast<size_t>(qidx[k]) * dim;
+    for (uint32_t s = 0; s < padded_n; ++s) {
+      double acc = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        const double delta = static_cast<double>(q[d]) -
+                             static_cast<double>(lanes[d * padded_n + s]);
+        acc += delta * delta;
+      }
+      if (acc <= eps2 && counts[s] != 0) return true;
+    }
+  }
+  return false;
+}
+
 /// Reference implementation of GroupBoundsFn: per member the branchless
 /// double recurrence the grouped serving walk needs — min gap as
 /// max(dlo, dhi, 0) (exactly one of dlo/dhi is positive outside the
@@ -155,6 +195,7 @@ namespace simd_internal {
 // recurrence). Declared unconditionally; referenced by the dispatcher
 // only when that translation unit was built.
 SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim);
+SubcellAnyMatchFn GetAvx2AnyMatchFn(size_t dim);
 void GroupBoundsAvx2(const float* qt, size_t stride, size_t num,
                      const double* lo, const double* hi, size_t dim,
                      double* min2_out, double* max2_out);

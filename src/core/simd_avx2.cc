@@ -81,7 +81,71 @@ void CountMultiAvx2(const float* qs, const uint32_t* qidx, size_t nq,
   }
 }
 
+// The count kernel's tiles, broadcasts and per-lane arithmetic, but the
+// compare masks of a tile's queries are ORed per stride instead of
+// accumulated: the first stride in which any query of the tile lies
+// within eps of a slot of nonzero density ends the call. Densities are
+// loaded only after a center hit, so a stride without one reads nothing
+// but the coordinate lanes.
+template <size_t kDim>
+bool AnyMatchAvx2(const float* qs, const uint32_t* qidx, size_t nq,
+                  const float* lanes, const uint32_t* counts,
+                  uint32_t padded_n, size_t dim_rt, double eps2) {
+  const size_t dim = kDim ? kDim : dim_rt;
+  const __m256d veps2 = _mm256_set1_pd(eps2);
+  constexpr size_t kTile = 16;
+  __m256d qb[kTile * CellCoord::kMaxDim];
+  __m256d cvec[CellCoord::kMaxDim];
+  for (size_t k0 = 0; k0 < nq; k0 += kTile) {
+    const size_t kt = nq - k0 < kTile ? nq - k0 : kTile;
+    for (size_t t = 0; t < kt; ++t) {
+      const float* q = qs + static_cast<size_t>(qidx[k0 + t]) * dim;
+      for (size_t d = 0; d < dim; ++d) {
+        qb[t * dim + d] = _mm256_set1_pd(static_cast<double>(q[d]));
+      }
+    }
+    for (uint32_t s = 0; s < padded_n; s += 4) {
+      for (size_t d = 0; d < dim; ++d) {
+        cvec[d] = _mm256_cvtps_pd(_mm_loadu_ps(lanes + d * padded_n + s));
+      }
+      __m256d any = _mm256_setzero_pd();
+      for (size_t t = 0; t < kt; ++t) {
+        __m256d acc = _mm256_setzero_pd();
+        for (size_t d = 0; d < dim; ++d) {
+          const __m256d delta = _mm256_sub_pd(qb[t * dim + d], cvec[d]);
+          acc = _mm256_add_pd(acc, _mm256_mul_pd(delta, delta));
+        }
+        any = _mm256_or_pd(any, _mm256_cmp_pd(acc, veps2, _CMP_LE_OQ));
+      }
+      const int hit = _mm256_movemask_pd(any);
+      if (hit == 0) continue;
+      const __m128i empty = _mm_cmpeq_epi32(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(counts + s)),
+          _mm_setzero_si128());
+      if ((hit & ~_mm_movemask_ps(_mm_castsi128_ps(empty))) != 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+SubcellAnyMatchFn GetAvx2AnyMatchFn(size_t dim) {
+  switch (dim) {
+    case 2:
+      return &AnyMatchAvx2<2>;
+    case 3:
+      return &AnyMatchAvx2<3>;
+    case 4:
+      return &AnyMatchAvx2<4>;
+    case 5:
+      return &AnyMatchAvx2<5>;
+    default:
+      return &AnyMatchAvx2<0>;
+  }
+}
 
 SubcellCountMultiFn GetAvx2CountMultiFn(size_t dim) {
   switch (dim) {

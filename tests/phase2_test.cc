@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "baselines/exact_dbscan.h"
@@ -133,6 +135,65 @@ TEST(Phase2Test, SkippingStatsAccumulated) {
       BuildSubgraphs(p.data, *p.cells, *tree_dict, 10, pool);
   EXPECT_GT(r.subdict_possible, 0u);
   EXPECT_LE(r.subdict_visited, r.subdict_possible);
+}
+
+TEST(Phase2Test, VisitOrderChangesNothing) {
+  // BuildSubgraphs walks each partition's cells in the dictionary's slot
+  // order; RecomputeCells touching every cell of an empty state runs the
+  // same per-cell unit in ascending id order. Densities are integer sums
+  // and rows are sets, so flags, rows and counters must agree, on both
+  // candidate engines and at any thread count.
+  struct Case {
+    std::string name;
+    Dataset data;
+    double eps;
+    size_t min_pts;
+    size_t max_stencil_offsets;
+  };
+  const size_t stencil = CellDictionaryOptions().max_stencil_offsets;
+  std::vector<Case> cases;
+  for (const size_t offsets : {stencil, size_t{0}}) {
+    const std::string engine = offsets == 0 ? " tree" : " stencil";
+    cases.push_back({"blobs d=2" + engine, synth::Blobs(3000, 4, 1.5, 11, 2),
+                     1.0, 10, offsets});
+    cases.push_back({"blobs d=3" + engine, synth::Blobs(3000, 4, 1.5, 12, 3),
+                     1.0, 10, offsets});
+  }
+  cases.push_back({"tera d=13", synth::TeraLike(1500, 13), 20.0, 10,
+                   stencil});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto geom = GridGeometry::Create(c.data.dim(), c.eps, 0.01);
+    ASSERT_TRUE(geom.ok());
+    auto cells = CellSet::Build(c.data, *geom, 6, 7);
+    ASSERT_TRUE(cells.ok());
+    CellDictionaryOptions dict_opts;
+    dict_opts.max_stencil_offsets = c.max_stencil_offsets;
+    auto dict = CellDictionary::Build(c.data, *cells, dict_opts);
+    ASSERT_TRUE(dict.ok());
+
+    std::vector<uint32_t> all(cells->num_cells());
+    std::iota(all.begin(), all.end(), 0u);
+    ThreadPool one(1);
+    Phase2Result by_id;
+    RecomputeCells(c.data, *cells, *dict, c.min_pts, one, Phase2Options(),
+                   all, &by_id);
+    ASSERT_GT(by_id.early_exits, 0u);
+    for (const size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      const Phase2Result r =
+          BuildSubgraphs(c.data, *cells, *dict, c.min_pts, pool);
+      EXPECT_EQ(r.point_is_core, by_id.point_is_core);
+      EXPECT_EQ(r.subgraphs.cell_is_core, by_id.subgraphs.cell_is_core);
+      EXPECT_EQ(r.subgraphs.successors, by_id.subgraphs.successors);
+      EXPECT_EQ(r.candidate_cells_scanned, by_id.candidate_cells_scanned);
+      EXPECT_EQ(r.early_exits, by_id.early_exits);
+      EXPECT_EQ(r.stencil_probes, by_id.stencil_probes);
+      EXPECT_EQ(r.subdict_visited, by_id.subdict_visited);
+      EXPECT_EQ(r.task_seconds.size(), cells->num_partitions());
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Scalar-vs-SIMD equivalence of the sub-cell classification kernels: on
 // any lane block the detected vector kernel must return the exact same
-// densities and bounds as the header-inline scalar reference — the
-// property that makes SIMD dispatch invisible to clustering and serving
-// results, which reach the kernels only through the Get*Fn tables.
+// densities, first-match verdicts and bounds as the header-inline scalar
+// reference — the property that makes SIMD dispatch invisible to
+// clustering and serving results, which reach the kernels only through
+// the Get*Fn tables.
 #include "core/simd.h"
 
 #include <gtest/gtest.h>
@@ -65,7 +66,9 @@ std::vector<uint32_t> GatherIndex(size_t nq) {
 
 /// Both tiers of the multi-count kernel over one gather view. The scalar
 /// reference must equal a per-sub-cell DistanceSquared sum for every
-/// query, and the detected tier must equal the scalar one.
+/// query, and the detected tier must equal the scalar one. Every tier of
+/// the first-match kernel must say true iff the scalar count is nonzero
+/// for some query.
 void ExpectTiersAgree(const LaneBlock& b, const std::vector<float>& qs,
                       const std::vector<uint32_t>& qidx, size_t dim,
                       double eps2, const std::string& what) {
@@ -89,6 +92,62 @@ void ExpectTiersAgree(const LaneBlock& b, const std::vector<float>& qs,
     EXPECT_EQ(brute, want[k]) << what << " k=" << k;
     EXPECT_EQ(want[k], got[k]) << what << " k=" << k;
   }
+  const bool any = std::any_of(want.begin(), want.end(),
+                               [](uint32_t m) { return m != 0; });
+  for (const SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
+    EXPECT_EQ(any, GetSubcellAnyMatchFn(level, dim)(
+                       qs.data(), qidx.data(), nq, b.lanes.data(),
+                       b.counts.data(), b.padded, dim, eps2))
+        << what << " first match, " << SimdLevelName(level);
+  }
+}
+
+/// Gathered query k uniform in [0, 1]^dim shifted by 3k along the first
+/// axis, so no two lie within 2 of each other; the other rows far away.
+std::vector<float> SpreadQueries(Rng& rng, const std::vector<uint32_t>& qidx,
+                                 size_t dim) {
+  std::vector<float> qs(2 * qidx.size() * dim, -50.0f);
+  for (size_t k = 0; k < qidx.size(); ++k) {
+    for (size_t d = 0; d < dim; ++d) {
+      qs[qidx[k] * dim + d] = static_cast<float>(
+          rng.UniformDouble(0.0, 1.0) + (d == 0 ? 3.0 * k : 0.0));
+    }
+  }
+  return qs;
+}
+
+/// Two blocks a first-match kernel must read to the end (eps < 1). In
+/// the first, the only center within eps of any query sits in the block's
+/// last stride, and only the last gathered query reaches it; in the
+/// second, every real center is far and only padding slots (zero
+/// density) sit on the queries.
+void ExpectFirstMatchReadsToTheEnd(Rng& rng, size_t dim,
+                                   const std::vector<uint32_t>& qidx,
+                                   double eps, const std::string& what) {
+  const std::vector<float> qs = SpreadQueries(rng, qidx, dim);
+  const float* last = qs.data() + static_cast<size_t>(qidx.back()) * dim;
+  auto far_block = [&](uint32_t n) {
+    LaneBlock b = RandomBlock(rng, dim, n, 1.0);
+    for (uint32_t s = 0; s < n; ++s) {
+      for (size_t d = 0; d < dim; ++d) b.lanes[d * b.padded + s] -= 20.0f;
+    }
+    return b;
+  };
+
+  LaneBlock tail = far_block(13);  // slot 12 opens the last stride
+  for (size_t d = 0; d < dim; ++d) {
+    tail.lanes[d * tail.padded + 12] =
+        last[d] + static_cast<float>(0.25 * eps / dim);
+  }
+  ExpectTiersAgree(tail, qs, qidx, dim, eps * eps, what + " last stride");
+
+  LaneBlock pad = far_block(5);
+  for (uint32_t s = pad.n; s < pad.padded; ++s) {
+    const float* q =
+        qs.data() + static_cast<size_t>(qidx[s % qidx.size()]) * dim;
+    for (size_t d = 0; d < dim; ++d) pad.lanes[d * pad.padded + s] = q[d];
+  }
+  ExpectTiersAgree(pad, qs, qidx, dim, eps * eps, what + " padding");
 }
 
 TEST(SimdKernelTest, DetectedLevelMatchesScalarExactly) {
@@ -109,6 +168,9 @@ TEST(SimdKernelTest, DetectedLevelMatchesScalarExactly) {
                              " nq=" + std::to_string(nq) +
                              " trial=" + std::to_string(trial));
       }
+      ExpectFirstMatchReadsToTheEnd(
+          rng, dim, qidx, eps,
+          "dim=" + std::to_string(dim) + " nq=" + std::to_string(nq));
     }
   }
 }

@@ -18,14 +18,20 @@
 #   2. TSan (RelWithDebInfo) over the `sanitizer-safe` subset: the
 #      thread-pool, parallel-sort (the row-sort case included), phase2
 #      (all query engines, incl. the concurrent
-#      FlatCellIndex::BuildHashed), merge — now including the
+#      FlatCellIndex::BuildHashed, and
+#      Phase2Test.VisitOrderChangesNothing: slot-order partition tasks at
+#      1 and 4 threads against the ascending-id RecomputeCells), merge —
+#      now including the
 #      lock-free ConcurrentDisjointSet (disjoint_set_test's multi-thread
 #      union stress) and the edge-parallel merge path
 #      (parallel_merge_test) — the kernel-tier suite (simd_kernel_test:
 #      the detected tier's multi-count kernel against the scalar
 #      reference and a DistanceSquared brute force, over gather views
-#      of 1-33 queries on both sides of the AVX2 16-query tile, and its
-#      group-bounds kernel bit for bit),
+#      of 1-33 queries on both sides of the AVX2 16-query tile; every
+#      tier's first-match kernel against the scalar counts, with a block
+#      matching only in its last stride and one whose in-radius slots are
+#      all padding (SimdKernelTest.DetectedLevelMatchesScalarExactly);
+#      and its group-bounds kernel bit for bit),
 #      end-to-end and snapshot-serving (serve_concurrent_test: one frozen
 #      snapshot, many reader threads; serve_batch_test: grouped-batch
 #      bit-identity across thread counts; request_loop_test: the framed

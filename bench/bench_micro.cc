@@ -1,13 +1,17 @@
 // Google-benchmark micro-benchmarks for the library's hot paths: cell
 // binning, dictionary construction, the (eps,rho)-region query, kd-tree
 // radius search, and union-find. These are the per-operation costs behind
-// the figure-level harnesses.
+// the figure-level harnesses. BM_HostKernel times no library code: it is
+// the host-speed reference tools/run_bench.sh records.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <random>
 
 #include "bench_common.h"
 #include "core/cell_dictionary.h"
@@ -321,6 +325,33 @@ void BM_DisjointSetUnionFind(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_DisjointSetUnionFind)->Unit(benchmark::kMillisecond);
+
+// Host-speed reference: fills a freshly mapped buffer with 2^20 seeded
+// 64-bit keys and sorts it on one thread, calling no library code — the
+// kernel perfbench's HostSpeed times. A shared host drifts by tens of
+// percent within minutes, so tools/run_bench.sh records this time beside
+// every BENCH_*.json record, and two records compare at the host speed
+// each one saw.
+void BM_HostKernel(benchmark::State& state) {
+  constexpr size_t kKeys = size_t{1} << 20;
+  constexpr size_t kBytes = kKeys * sizeof(uint64_t);
+  for (auto _ : state) {
+    void* mem = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED) {
+      state.SkipWithError("mmap failed");
+      break;
+    }
+    uint64_t* keys = static_cast<uint64_t*>(mem);
+    std::mt19937_64 rng(1);
+    for (size_t i = 0; i < kKeys; ++i) keys[i] = rng();
+    std::sort(keys, keys + kKeys);
+    benchmark::DoNotOptimize(keys);
+    benchmark::ClobberMemory();
+    munmap(mem, kBytes);
+  }
+}
+BENCHMARK(BM_HostKernel)->Unit(benchmark::kSecond);
 
 }  // namespace
 }  // namespace rpdbscan

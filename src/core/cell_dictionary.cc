@@ -15,6 +15,10 @@
 namespace rpdbscan {
 namespace {
 
+// Leaf width of the fragments' kd-trees, and the candidates per
+// BoxPairBoundsFn call in QueryCell's partial leaves: a leaf is one call.
+constexpr size_t kLeafWidth = 16;
+
 bool SubcellIdLess(const SubcellId& a, const SubcellId& b) {
   if (a.hi != b.hi) return a.hi < b.hi;
   return a.lo < b.lo;
@@ -441,7 +445,8 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
         sd.mbr_.set_max(d, std::max(sd.mbr_.max(d), lo + geom.cell_side()));
       }
     }
-    sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), dim);
+    sd.tree_.Build(sd.cell_centers_.data(), sd.cells_.size(), dim,
+                   kLeafWidth);
 
     sd.lane_dim_ = dim;
     sd.lane_begin_.assign(sd.cells_.size() + 1, 0);
@@ -484,9 +489,10 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   });
 
   // Dictionary-global cell index: coordinate -> (sub-dictionary, local
-  // cell), the lookup of FindDictCell, of Phase II's source cells and of
-  // serving. Built unconditionally — Deserialize comes through here too,
-  // so a decoded dictionary rebuilds it.
+  // cell), the lookup of FindDictCell, of the stream's touched cells and
+  // of serving (Phase II's source cells arrive with their slots). Built
+  // unconditionally — Deserialize comes through here too, so a decoded
+  // dictionary rebuilds it.
   std::vector<size_t> ref_offsets(dict.subdicts_.size() + 1, 0);
   for (size_t f = 0; f < dict.subdicts_.size(); ++f) {
     ref_offsets[f + 1] = ref_offsets[f] + dict.subdicts_[f].cells_.size();
@@ -800,47 +806,15 @@ namespace {
 // cells into the per-point "maybe" group, whose tests reproduce Query()
 // arithmetic exactly — so the split can never change results, only shift
 // work between the hoisted and the per-point path.
+//
+// The split measures the source cell's occupied-sub-cell MBR against each
+// candidate's (MbrPairDistBounds, BoxPairBoundsFn). Both are tight point
+// covers, and every sub-cell center a lane kernel would test lies in the
+// candidate's MBR: max2 <= eps^2 means every center is within eps of
+// every source point (the cell's whole density counts, as the kernel
+// would find), min2 > eps^2 means none ever is (the kernel finds zero).
 constexpr double kContainMargin = 1.0 - 1e-9;
 constexpr double kDisjointMargin = 1.0 + 1e-9;
-
-// Squared distance bounds between the source cell's point MBR
-// [a_lo, a_hi] and candidate cell `b`'s occupied-sub-cell MBR
-// [b_lo, b_hi], valid for every pair of one source point and one point of
-// the candidate MBR — hence for every occupied sub-cell box and every
-// sub-cell center. Both boxes are tight point covers, so on sparse data
-// most candidates resolve to provably-disjoint or provably-contained
-// right here instead of in the per-point scan. Sound for classification:
-// max2 <= eps^2 means every sub-cell center is within eps of every source
-// point (the cell's whole density counts, exactly what the kernel would
-// find), min2 > eps^2 means none ever is (the kernel would find zero).
-//
-// Returns false, leaving *min2 / *max2 unset, as soon as the partial min2
-// exceeds `disjoint2`: the terms are non-negative, so under round-to-
-// nearest each partial sum bounds the full one from below, and the pair
-// is disjoint either way. On sparse high-dimensional data most pairs are
-// settled after a few dimensions.
-bool MbrPairDistBounds(const float* a_lo, const float* a_hi,
-                       const float* b_lo, const float* b_hi, size_t dim,
-                       double disjoint2, double* min2, double* max2) {
-  double mn = 0.0;
-  double mx = 0.0;
-  for (size_t d = 0; d < dim; ++d) {
-    const double lo = b_lo[d];
-    const double hi = b_hi[d];
-    const double alo = a_lo[d];
-    const double ahi = a_hi[d];
-    // Both boxes are non-empty, so at most one side has a positive gap;
-    // the branch-free max keeps the early-exit branch the only one.
-    const double gap = std::max(0.0, std::max(alo - hi, lo - ahi));
-    mn += gap * gap;
-    if (mn > disjoint2) return false;
-    const double far = std::max(ahi - lo, hi - alo);
-    mx += far * far;
-  }
-  *min2 = mn;
-  *max2 = mx;
-  return true;
-}
 
 // Squared distance between a sub-dictionary MBR and the source cell's
 // point MBR: the box-to-box generalization of Mbr::MinDist2, used so one
@@ -862,10 +836,10 @@ double MbrPairMinDist2(const Mbr& mbr, const float* a_lo, const float* a_hi,
 
 }  // namespace
 
-size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
-                                 const float* mbr_hi,
-                                 CandidateCellList* out,
+size_t CellDictionary::QueryCell(uint32_t src_slot, CandidateCellList* out,
                                  double query_eps) const {
+  RPDBSCAN_CHECK(src_slot < cell_refs_.size())
+      << "source slot " << src_slot << " is not a dictionary slot";
   out->Clear();
   const size_t dim = geom_.dim();
   const double eps = geom_.eps();
@@ -873,9 +847,11 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
   const double eps2 = qeps * qeps;
   const double disjoint2 = eps2 * kDisjointMargin;
   const double contained2 = eps2 * kContainMargin;
-  // The source cell counts toward its own density but is not its own
-  // neighbor; -1 when it is not a dictionary cell.
-  const int64_t src_slot = FindCellRefIndex(cell);
+  // The source cell's occupied-sub-cell MBR bounds its points. It counts
+  // toward its own density but is not its own neighbor.
+  const float* mbr_lo = slot_meta_[src_slot].mbr;
+  const float* mbr_hi = mbr_lo + dim;
+  const BoxPairBoundsFn leaf_bounds = GetBoxPairBoundsFn(DetectSimdLevel());
 
   size_t visited = 0;
   for (size_t sdi = 0; sdi < subdicts_.size(); ++sdi) {
@@ -889,9 +865,7 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
     auto take_always = [&](uint32_t slot) {
       const SlotMeta& sm = slot_meta_[slot];
       out->always_count += sm.total_count;
-      if (static_cast<int64_t>(slot) != src_slot) {
-        out->always_neighbors.push_back(sm.cell_id);
-      }
+      if (slot != src_slot) out->always_neighbors.push_back(sm.cell_id);
     };
     // Descend by node box with the per-cell bounds and margins. A node box
     // contains every occupied MBR below it and each step of
@@ -919,24 +893,29 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
           }
         },
         [&](std::span<const uint32_t> local_cells) {
-          for (const uint32_t local_cell : local_cells) {
-            const float* mbr = sd.cell_mbr(local_cell);
-            double pair_min2 = 0.0;
-            double pair_max2 = 0.0;
-            if (!MbrPairDistBounds(mbr_lo, mbr_hi, mbr, mbr + dim, dim,
-                                   disjoint2, &pair_min2, &pair_max2)) {
-              continue;  // unreachable from any point
+          // One kernel call per leaf, then each candidate's verdict in
+          // leaf order. A full min2 above disjoint2 is exactly the
+          // early-exit verdict of MbrPairDistBounds, so the split and
+          // the maybe keys are the per-cell test's.
+          double min2[kLeafWidth];
+          double max2[kLeafWidth];
+          for (size_t c0 = 0; c0 < local_cells.size(); c0 += kLeafWidth) {
+            const size_t cn = std::min(kLeafWidth, local_cells.size() - c0);
+            leaf_bounds(mbr_lo, mbr_hi, sd.cell_mbrs_.data(),
+                        local_cells.data() + c0, cn, dim, min2, max2);
+            for (size_t i = 0; i < cn; ++i) {
+              if (min2[i] > disjoint2) continue;  // unreachable from any point
+              const uint32_t slot = base + local_cells[c0 + i];
+              if (max2[i] <= contained2 ||
+                  (slot == src_slot &&
+                   OwnCentersContained(slot, mbr_lo, mbr_hi, disjoint2,
+                                       contained2))) {
+                take_always(slot);
+                continue;
+              }
+              out->maybe_refs.push_back(CandidateCellList::MaybeRef{
+                  min2[i], slot_meta_[slot].cell_id, slot});
             }
-            const uint32_t slot = base + local_cell;
-            if (pair_max2 <= contained2 ||
-                (static_cast<int64_t>(slot) == src_slot &&
-                 OwnCentersContained(slot, mbr_lo, mbr_hi, disjoint2,
-                                     contained2))) {
-              take_always(slot);
-              continue;
-            }
-            out->maybe_refs.push_back(CandidateCellList::MaybeRef{
-                pair_min2, slot_meta_[slot].cell_id, slot});
           }
         });
   }
@@ -945,12 +924,12 @@ size_t CellDictionary::QueryCell(const CellCoord& cell, const float* mbr_lo,
   return visited;
 }
 
-size_t CellDictionary::QueryCellStencil(const CellCoord& cell,
-                                        const float* mbr_lo,
-                                        const float* mbr_hi,
+size_t CellDictionary::QueryCellStencil(uint32_t src_slot,
                                         CandidateCellList* out,
                                         double query_eps) const {
   RPDBSCAN_CHECK(stencil_.enabled());
+  RPDBSCAN_CHECK(src_slot < cell_refs_.size())
+      << "source slot " << src_slot << " is not a dictionary slot";
   out->Clear();
   const size_t dim = geom_.dim();
   const double eps = geom_.eps();
@@ -967,16 +946,15 @@ size_t CellDictionary::QueryCellStencil(const CellCoord& cell,
   RPDBSCAN_CHECK(budget_q <= stencil_.budget())
       << "stencil budget " << stencil_.budget()
       << " does not cover query budget " << budget_q;
-  const int64_t src_slot = FindCellRefIndex(cell);
-  RPDBSCAN_CHECK(src_slot >= 0) << "source cell is not a dictionary cell";
+  const float* mbr_lo = slot_meta_[src_slot].mbr;
+  const float* mbr_hi = mbr_lo + dim;
 
   // The source cell's stencil window was resolved once at Assemble into
   // the precomputed neighborhood list: a linear walk over the present
   // cells' global slots, classifying each from the per-slot metadata with
   // the same MbrPairDistBounds arithmetic and margins as the tree engine.
-  const size_t begin = stencil_nbr_begin_[static_cast<size_t>(src_slot)];
-  const size_t count =
-      stencil_nbr_begin_[static_cast<size_t>(src_slot) + 1] - begin;
+  const size_t begin = stencil_nbr_begin_[src_slot];
+  const size_t count = stencil_nbr_begin_[src_slot + 1] - begin;
   const uint32_t* nbr = stencil_nbr_slots_.data() + begin;
   // A query radius below the assembled scale selects the nested family
   // member: keep exactly the neighbors whose integer distance class fits

@@ -410,11 +410,13 @@ class CellDictionary {
     return visited;
   }
 
-  /// Batched (eps, rho)-region query for every point of cell `cell` at
-  /// once: gathers into `*out` (cleared first) the candidate-cell set that
-  /// per-point queries of any point inside the cell could reach, with one
-  /// box-bounded kd-tree descent per non-skipped sub-dictionary. `mbr_lo`
-  /// / `mbr_hi` (dim floats each) bound the cell's *actual* points.
+  /// Batched (eps, rho)-region query for every point of the cell at
+  /// global slot `src_slot` (an index into cell_refs()) at once: gathers
+  /// into `*out` (cleared first) the candidate-cell set that per-point
+  /// queries of any point inside the cell could reach, with one
+  /// box-bounded kd-tree descent per non-skipped sub-dictionary. The
+  /// source cell's occupied-sub-cell MBR bounds its points, so the slot
+  /// alone names everything the gather needs: no hash probe.
   /// Candidates are classified by MBR-to-MBR bounds against each
   /// candidate's precomputed occupied-sub-cell MBR (tighter than its full
   /// cell box on sparse data): provably contained cells are pre-summed,
@@ -422,7 +424,8 @@ class CellDictionary {
   /// per-point tests, sorted nearest-first. The descent applies the same
   /// bounds to each node's union box first: a disjoint node is dropped
   /// whole, a contained node puts every cell below it into the pre-summed
-  /// group in one step, and only partial leaves classify cell by cell.
+  /// group in one step, and only partial leaves classify cell by cell,
+  /// one BoxPairBoundsFn call per leaf.
   /// Bounds are monotone under box containment, so a node's verdict is
   /// each of its cells' verdict. A source cell these bounds leave a maybe
   /// gets a second test against the box of its own sub-cell centers
@@ -438,8 +441,7 @@ class CellDictionary {
   /// for Query) — the Lemma 5.10 accounting for the batched kernel.
   /// `query_eps` decouples the region-query radius from the geometry eps
   /// (the eps ladder, src/hierarchy/); 0 keeps the classic radius.
-  size_t QueryCell(const CellCoord& cell, const float* mbr_lo,
-                   const float* mbr_hi, CandidateCellList* out,
+  size_t QueryCell(uint32_t src_slot, CandidateCellList* out,
                    double query_eps = 0.0) const;
 
   /// Same contract as QueryCell and bit-identical Phase II results, but
@@ -463,17 +465,16 @@ class CellDictionary {
   /// metadata (occupied-sub-cell MBR, density, cell id): no tree descent,
   /// no hash probes, no coordinate arithmetic on the hot path.
   ///
-  /// Only callable when has_stencil(), for a `cell` present in the
-  /// dictionary (every CellSet cell is one), and for a `query_eps` within
-  /// the assembled stencil_eps_scale headroom. Returns the number of
-  /// neighborhood entries walked (at most num_offsets + 1, including the
-  /// source cell itself — a function of the lattice only, independent of
-  /// the query MBR and of min_pts).
+  /// Only callable when has_stencil(), for a `src_slot` below
+  /// num_cells() (every CellSet cell has one), and for a `query_eps`
+  /// within the assembled stencil_eps_scale headroom. Returns the number
+  /// of neighborhood entries walked (at most num_offsets + 1, including
+  /// the source cell itself — a function of the lattice only, independent
+  /// of the query MBR and of min_pts).
   /// A `query_eps` below the assembled scale reuses the CSR through an
   /// integer class filter: the same inclusion criterion a fresh
   /// enumeration of that radius's own stencil applies.
-  size_t QueryCellStencil(const CellCoord& cell, const float* mbr_lo,
-                          const float* mbr_hi, CandidateCellList* out,
+  size_t QueryCellStencil(uint32_t src_slot, CandidateCellList* out,
                           double query_eps = 0.0) const;
 
   /// O(1) lattice coordinate -> DictCell through the dictionary-global

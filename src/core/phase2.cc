@@ -390,37 +390,31 @@ void ScanCellTiles(const Dataset& data, const CellData& cell, uint32_t cid,
   }
 }
 
-/// Batched kernel for one cell: a single candidate gather (the stencil
-/// walk when the dictionary carries a stencil, kd-tree descent otherwise),
-/// then the tile scan over the gathered list.
+/// Batched kernel for one cell, the dictionary cell at global slot
+/// `slot`: a single candidate gather (the stencil walk when the
+/// dictionary carries a stencil, kd-tree descent otherwise), then the
+/// tile scan over the gathered list.
 void ProcessCellBatched(const Dataset& data, const CellData& cell,
-                        uint32_t cid, const CellDictionary& dict,
-                        size_t min_pts, size_t num_subdicts,
-                        bool use_stencil, const KernelConfig& kernels,
-                        double query_eps, double eps2,
-                        const uint8_t* seed, Phase2Scratch& scratch,
-                        uint8_t* point_is_core, bool& cell_core,
-                        TaskCounters& counters) {
-  const GridGeometry& geom = dict.geom();
-  const size_t dim = geom.dim();
+                        uint32_t cid, uint32_t slot,
+                        const CellDictionary& dict, size_t min_pts,
+                        size_t num_subdicts, bool use_stencil,
+                        const KernelConfig& kernels, double query_eps,
+                        double eps2, const uint8_t* seed,
+                        Phase2Scratch& scratch, uint8_t* point_is_core,
+                        bool& cell_core, TaskCounters& counters) {
+  const size_t dim = dict.geom().dim();
   if (cell.point_ids.empty()) return;
-  // Conservative bounding box of the cell's points: QueryCell classifies
-  // candidates against it, which on skewed data resolves most of them at
-  // cell level before any per-point work. Derived from the dictionary's
-  // occupied sub-cell ranges — data the dictionary already holds — instead
-  // of a fresh scan over the points every run. The dictionary covers every
-  // CellSet cell, so a miss means the two were built from different data.
-  float mbr_lo[CellCoord::kMaxDim];
-  float mbr_hi[CellCoord::kMaxDim];
-  const bool in_dict = SubcellRangeMbr(dict, cell.coord, mbr_lo, mbr_hi);
-  RPDBSCAN_CHECK(in_dict) << "cell " << cid << " is not a dictionary cell";
 #ifndef NDEBUG
-  // Debug builds prove the sub-cell-range box really covers the points
-  // (the sanitizer suite runs with NDEBUG off, so this stays exercised).
+  // Debug builds prove the slot's occupied-sub-cell MBR, which the
+  // gathers classify candidates against, really covers the points (the
+  // sanitizer suite runs with NDEBUG off, so this stays exercised).
+  const GlobalCellRef& ref = dict.cell_refs()[slot];
+  const float* mbr =
+      dict.subdictionaries()[ref.subdict].cell_mbr(ref.local_cell);
   for (const uint32_t point_id : cell.point_ids) {
     const float* p = data.point(point_id);
     for (size_t d = 0; d < dim; ++d) {
-      RPDBSCAN_CHECK(p[d] >= mbr_lo[d] && p[d] <= mbr_hi[d])
+      RPDBSCAN_CHECK(p[d] >= mbr[d] && p[d] <= mbr[dim + d])
           << "sub-cell-range MBR fails to cover point " << point_id
           << " in dim " << d;
     }
@@ -428,11 +422,9 @@ void ProcessCellBatched(const Dataset& data, const CellData& cell,
 #endif
   CandidateCellList& cand = scratch.candidates;
   if (use_stencil) {
-    counters.stencil_probes +=
-        dict.QueryCellStencil(cell.coord, mbr_lo, mbr_hi, &cand, query_eps);
+    counters.stencil_probes += dict.QueryCellStencil(slot, &cand, query_eps);
   } else {
-    counters.visited +=
-        dict.QueryCell(cell.coord, mbr_lo, mbr_hi, &cand, query_eps);
+    counters.visited += dict.QueryCell(slot, &cand, query_eps);
     counters.possible += num_subdicts;
   }
   const size_t num_maybe = cand.num_maybe();
@@ -515,7 +507,7 @@ EngineSetup ResolveEngine(const CellDictionary& dict,
 /// and returns the cell's core flag. The per-cell unit shared by the full
 /// run and the incremental recompute.
 bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
-                    const CellDictionary& dict, size_t min_pts,
+                    uint32_t slot, const CellDictionary& dict, size_t min_pts,
                     size_t num_subdicts, const EngineSetup& setup,
                     Phase2Scratch& scratch,
                     uint8_t* point_is_core, TaskCounters& counters) {
@@ -525,7 +517,7 @@ bool ProcessOneCell(const Dataset& data, const CellData& cell, uint32_t cid,
   // stay non-core and they emit no edges (border labeling through sampled
   // neighbors still happens downstream).
   if (setup.mask != nullptr && setup.mask[cid] == 0) return false;
-  ProcessCellBatched(data, cell, cid, dict, min_pts, num_subdicts,
+  ProcessCellBatched(data, cell, cid, slot, dict, min_pts, num_subdicts,
                      setup.use_stencil, setup.kernels, setup.query_eps,
                      setup.eps2, setup.seed, scratch, point_is_core,
                      cell_core, counters);
@@ -572,14 +564,15 @@ struct CellUnit {
   EngineSetup setup;
   Phase2Result* out;
 
-  /// Runs cell `cid` through ProcessOneCell and writes its core flag and
-  /// successor row into out->subgraphs (its core points' flags land in
-  /// out->point_is_core). A non-empty cell outside a core mask leaves its
-  /// candidate gather in scratch.candidates.
-  void Run(uint32_t cid, Phase2Scratch& scratch,
+  /// Runs cell `cid`, the dictionary cell at global slot `slot`, through
+  /// ProcessOneCell and writes its core flag and successor row into
+  /// out->subgraphs (its core points' flags land in out->point_is_core).
+  /// A non-empty cell outside a core mask leaves its candidate gather in
+  /// scratch.candidates.
+  void Run(uint32_t cid, uint32_t slot, Phase2Scratch& scratch,
            TaskCounters& counters) const {
     const bool cell_core = ProcessOneCell(
-        data, cells.cell(cid), cid, dict, min_pts,
+        data, cells.cell(cid), cid, slot, dict, min_pts,
         dict.num_subdictionaries(), setup, scratch,
         out->point_is_core.data(), counters);
     CellGraph& graph = out->subgraphs;
@@ -587,6 +580,14 @@ struct CellUnit {
     graph.successors[cid].assign(scratch.cell_edges.begin(),
                                  scratch.cell_edges.end());
     counters.unit_points += cells.cell(cid).point_ids.size();
+  }
+
+  /// Run for a cell whose slot the caller does not know: one hash probe.
+  void RunByProbe(uint32_t cid, Phase2Scratch& scratch,
+                  TaskCounters& counters) const {
+    const int64_t slot = dict.FindCellRefIndex(cells.cell(cid).coord);
+    RPDBSCAN_CHECK(slot >= 0) << "cell " << cid << " is not a dictionary cell";
+    Run(cid, static_cast<uint32_t>(slot), scratch, counters);
   }
 };
 
@@ -727,30 +728,42 @@ void ExtendRow(const CellUnit& unit, uint32_t cid,
   ++counters.extended_cells;
 }
 
+/// A cell to visit and its global dictionary slot.
+struct SlotCell {
+  uint32_t cid = 0;
+  uint32_t slot = 0;
+};
+
 /// Each partition's cells in the dictionary's slot order (cell_refs()):
-/// one pass over the slots, bucketed by owner partition. The slots list
-/// the cells fragment by fragment, in the order their MBRs, lanes and
-/// slot metadata sit in memory, so consecutive cells of a task find most
-/// of their candidates already cached. The dictionary must hold exactly
-/// the cell set's cells.
-std::vector<std::vector<uint32_t>> SlotOrderPartitions(
+/// one pass over the slots, bucketed by owner partition, each cell with
+/// the slot its gather starts from. The slots list the cells fragment by
+/// fragment, in the order their MBRs, lanes and slot metadata sit in
+/// memory, so consecutive cells of a task find most of their candidates
+/// already cached. The dictionary must hold exactly the cell set's
+/// cells, each under its cell-set id and coordinate.
+std::vector<std::vector<SlotCell>> SlotOrderPartitions(
     const CellSet& cells, const CellDictionary& dict) {
   const size_t num_cells = cells.num_cells();
+  const size_t dim = dict.geom().dim();
   const std::vector<GlobalCellRef>& refs = dict.cell_refs();
   RPDBSCAN_CHECK(refs.size() == num_cells)
       << "the dictionary holds " << refs.size() << " cells, the cell set "
       << num_cells;
-  std::vector<std::vector<uint32_t>> visit(cells.num_partitions());
+  std::vector<std::vector<SlotCell>> visit(cells.num_partitions());
   for (uint32_t pid = 0; pid < visit.size(); ++pid) {
     visit[pid].reserve(cells.partition(pid).size());
   }
   std::vector<uint8_t> seen(num_cells, 0);
-  for (const GlobalCellRef& ref : refs) {
-    RPDBSCAN_CHECK(ref.cell_id < num_cells && seen[ref.cell_id] == 0)
-        << "dictionary cell " << ref.cell_id
+  for (uint32_t slot = 0; slot < refs.size(); ++slot) {
+    const uint32_t cid = refs[slot].cell_id;
+    RPDBSCAN_CHECK(cid < num_cells && seen[cid] == 0)
+        << "dictionary cell " << cid
         << " is outside the cell set or listed twice";
-    seen[ref.cell_id] = 1;
-    visit[cells.cell(ref.cell_id).owner_partition].push_back(ref.cell_id);
+    seen[cid] = 1;
+    const int32_t* coord = dict.ref_coords().data() + size_t{slot} * dim;
+    RPDBSCAN_CHECK(std::equal(coord, coord + dim, cells.cell(cid).coord.data()))
+        << "dictionary cell " << cid << " sits at another coordinate";
+    visit[cells.cell(cid).owner_partition].push_back(SlotCell{cid, slot});
   }
   return visit;
 }
@@ -781,23 +794,23 @@ Phase2Result BuildSubgraphs(const Dataset& data, const CellSet& cells,
   // CellSet), but the order a task visits it in is free: densities are
   // exact integer sums and a row is a set, so no result or counter
   // depends on it.
-  const std::vector<std::vector<uint32_t>> visit =
+  const std::vector<std::vector<SlotCell>> visit =
       SlotOrderPartitions(cells, dict);
   const CellUnit unit{data, cells, dict, min_pts, ResolveEngine(dict, opts),
                       &result};
   TaskCounters total;
   const std::vector<double> seconds = RunTasks(
       pool, k,
-      [&](size_t slot, Phase2Scratch& scratch, TaskCounters& counters) {
-        for (const uint32_t cid : visit[schedule[slot]]) {
-          unit.Run(cid, scratch, counters);
+      [&](size_t task, Phase2Scratch& scratch, TaskCounters& counters) {
+        for (const SlotCell& c : visit[schedule[task]]) {
+          unit.Run(c.cid, c.slot, scratch, counters);
         }
       },
       &total);
   SetCounters(total, unit.setup.level, &result);
   result.task_seconds.assign(k, 0.0);
-  for (size_t slot = 0; slot < k; ++slot) {
-    result.task_seconds[schedule[slot]] = seconds[slot];
+  for (size_t task = 0; task < k; ++task) {
+    result.task_seconds[schedule[task]] = seconds[task];
   }
   return result;
 }
@@ -849,7 +862,7 @@ RecomputeSummary RecomputeCells(const Dataset& data, const CellSet& cells,
           TaskCounters& counters) {
         for (size_t i = begin; i < end; ++i) {
           const uint32_t t = touched[i];
-          unit.Run(t, scratch, counters);
+          unit.RunByProbe(t, scratch, counters);
           if (!extend) continue;
           auto name = [&](uint32_t cid, bool always) {
             if (!std::binary_search(touched.begin(), touched.end(), cid)) {
@@ -894,7 +907,7 @@ RecomputeSummary RecomputeCells(const Dataset& data, const CellSet& cells,
                           starts[g], starts[g + 1] - starts[g]),
                       scratch, counters);
           } else {
-            unit.Run(cid, scratch, counters);
+            unit.RunByProbe(cid, scratch, counters);
           }
         }
       },

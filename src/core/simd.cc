@@ -92,4 +92,13 @@ GroupBoundsFn GetGroupBoundsFn(SimdLevel level) {
   return &GroupBoundsScalar;
 }
 
+BoxPairBoundsFn GetBoxPairBoundsFn(SimdLevel level) {
+#ifdef RPDBSCAN_HAVE_AVX2
+  if (level >= SimdLevel::kAvx2) return &simd_internal::BoxPairBoundsAvx2;
+#else
+  (void)level;
+#endif
+  return &BoxPairBoundsScalar;
+}
+
 }  // namespace rpdbscan

@@ -98,6 +98,21 @@ using GroupBoundsFn = void (*)(const float* qt, size_t stride, size_t num,
                                size_t dim, double* min2_out,
                                double* max2_out);
 
+/// The box-pair bounds kernel of the kd-tree gather's partial leaves:
+/// squared min AND max distance from one source box [a_lo, a_hi] to each
+/// of `n` candidate boxes of one fragment, one candidate per double lane.
+/// Candidate k's box sits at boxes + ids[k] * 2 * dim — dim lo floats,
+/// then dim hi floats, SubDictionary::cell_mbr's layout — with the
+/// offset computed in 64 bits, so every fragment size is addressable.
+/// Writes exactly min2_out/max2_out[0..n). Each lane runs
+/// MbrPairDistBounds' arithmetic in dimension order without its early
+/// exit, so every tier returns the same doubles, and min2 > disjoint2 is
+/// exactly MbrPairDistBounds' disjoint verdict (see there).
+using BoxPairBoundsFn = void (*)(const float* a_lo, const float* a_hi,
+                                 const float* boxes, const uint32_t* ids,
+                                 size_t n, size_t dim, double* min2_out,
+                                 double* max2_out);
+
 /// Kernel lookup for a dimensionality (compile-time-unrolled bodies for
 /// d in {2,3,4,5}, a runtime-dim fallback otherwise). Requesting a level
 /// above CompiledSimdLevel() degrades to the highest compiled tier.
@@ -107,6 +122,9 @@ SubcellAnyMatchFn GetSubcellAnyMatchFn(SimdLevel level, size_t dim);
 /// Group-bounds-kernel lookup (no dimension dispatch: the vector axis is
 /// the group-member index).
 GroupBoundsFn GetGroupBoundsFn(SimdLevel level);
+/// Box-pair-bounds-kernel lookup (no dimension dispatch: the vector axis
+/// is the candidate index).
+BoxPairBoundsFn GetBoxPairBoundsFn(SimdLevel level);
 
 // ---- Portable reference kernels (header-inline so tests and the scalar
 // ---- dispatch table share one definition). Per-lane arithmetic is the
@@ -188,6 +206,60 @@ inline void GroupBoundsScalar(const float* qt, size_t stride, size_t num,
   }
 }
 
+/// Squared distance bounds between two float boxes [a_lo, a_hi] and
+/// [b_lo, b_hi], valid for every pair of one point of each: the
+/// candidate classification of both Phase II gathers, the kd descent's
+/// node tests and the source cell's own center-box test. Per dimension
+/// the gap is max(0, alo - hi, lo - ahi) and the far side max(ahi - lo,
+/// hi - alo), in double, squared and summed in dimension order.
+///
+/// Returns false, leaving *min2 / *max2 unset, as soon as the partial
+/// min2 exceeds `disjoint2`. Every term is non-negative, and under
+/// round-to-nearest a running sum of non-negative terms never decreases,
+/// so a partial sum above `disjoint2` means the full sum is above it too;
+/// and the last partial sum is the full one. The early exit therefore
+/// gives exactly the verdict "full min2 > disjoint2". On sparse
+/// high-dimensional data most pairs are settled after a few dimensions.
+/// With disjoint2 = +inf it never exits: the reference tier of
+/// BoxPairBoundsFn.
+inline bool MbrPairDistBounds(const float* a_lo, const float* a_hi,
+                              const float* b_lo, const float* b_hi,
+                              size_t dim, double disjoint2, double* min2,
+                              double* max2) {
+  double mn = 0.0;
+  double mx = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double lo = b_lo[d];
+    const double hi = b_hi[d];
+    const double alo = a_lo[d];
+    const double ahi = a_hi[d];
+    // Both boxes are non-empty, so at most one side has a positive gap;
+    // the branch-free max keeps the early-exit branch the only one.
+    const double gap = std::max(0.0, std::max(alo - hi, lo - ahi));
+    mn += gap * gap;
+    if (mn > disjoint2) return false;
+    const double far = std::max(ahi - lo, hi - alo);
+    mx += far * far;
+  }
+  *min2 = mn;
+  *max2 = mx;
+  return true;
+}
+
+/// Reference implementation of BoxPairBoundsFn: MbrPairDistBounds per
+/// candidate, never exiting early.
+inline void BoxPairBoundsScalar(const float* a_lo, const float* a_hi,
+                                const float* boxes, const uint32_t* ids,
+                                size_t n, size_t dim, double* min2_out,
+                                double* max2_out) {
+  for (size_t k = 0; k < n; ++k) {
+    const float* b = boxes + static_cast<size_t>(ids[k]) * 2 * dim;
+    MbrPairDistBounds(a_lo, a_hi, b, b + dim, dim,
+                      std::numeric_limits<double>::infinity(), &min2_out[k],
+                      &max2_out[k]);
+  }
+}
+
 namespace simd_internal {
 // AVX2 kernel tables, defined in simd_avx2.cc (compiled with -mavx2
 // only — deliberately without -mfma, so the compiler cannot contract the
@@ -199,6 +271,9 @@ SubcellAnyMatchFn GetAvx2AnyMatchFn(size_t dim);
 void GroupBoundsAvx2(const float* qt, size_t stride, size_t num,
                      const double* lo, const double* hi, size_t dim,
                      double* min2_out, double* max2_out);
+void BoxPairBoundsAvx2(const float* a_lo, const float* a_hi,
+                       const float* boxes, const uint32_t* ids, size_t n,
+                       size_t dim, double* min2_out, double* max2_out);
 }  // namespace simd_internal
 
 }  // namespace rpdbscan

@@ -1,11 +1,13 @@
-// AVX2 tier of the sub-cell classification kernels. This translation
-// unit is the only one compiled with -mavx2, and deliberately WITHOUT
-// -mfma: every multiply-add below is spelled as separate _mm256_mul_pd /
-// _mm256_add_pd, and with the FMA ISA unavailable the compiler cannot
-// contract them, so each vector lane reproduces the scalar
-// DistanceSquared recurrence bit for bit.
+// AVX2 tier of the sub-cell classification and box-bounds kernels. This
+// translation unit is the only one compiled with -mavx2, and deliberately
+// WITHOUT -mfma: every multiply-add below is spelled as separate
+// _mm256_mul_pd / _mm256_add_pd, and with the FMA ISA unavailable the
+// compiler cannot contract them, so each vector lane reproduces its
+// scalar reference's recurrence bit for bit.
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "core/simd.h"
 
@@ -195,6 +197,64 @@ void GroupBoundsAvx2(const float* qt, size_t stride, size_t num,
     }
     _mm256_storeu_pd(min2_out + k, mn);
     _mm256_storeu_pd(max2_out + k, mx);
+  }
+}
+
+// Four candidate boxes per iteration, one per double lane, against one
+// source box. Each box is addressed by a 64-bit offset (id * 2 * dim
+// floats), so no fragment size can overflow it, and each dimension's lo
+// and hi floats of the four boxes are assembled into one vector each
+// (four scalar loads measured faster than a 4-lane gather). A short last
+// stride repeats its last candidate in the spare lanes (valid memory,
+// never stored). Per lane the arithmetic is MbrPairDistBounds' without
+// the early exit: std::max(a, b) is maxpd(b, a) bit for bit (maxpd
+// returns its second operand unless the first compares greater), and the
+// squares are summed in dimension order.
+void BoxPairBoundsAvx2(const float* a_lo, const float* a_hi,
+                       const float* boxes, const uint32_t* ids, size_t n,
+                       size_t dim, double* min2_out, double* max2_out) {
+  const __m256d vzero = _mm256_setzero_pd();
+  __m256d alo[CellCoord::kMaxDim];
+  __m256d ahi[CellCoord::kMaxDim];
+  for (size_t d = 0; d < dim; ++d) {
+    alo[d] = _mm256_set1_pd(static_cast<double>(a_lo[d]));
+    ahi[d] = _mm256_set1_pd(static_cast<double>(a_hi[d]));
+  }
+  for (size_t k = 0; k < n; k += 4) {
+    const size_t lanes = n - k < 4 ? n - k : 4;
+    const float* b[4];
+    for (size_t t = 0; t < 4; ++t) {
+      const uint32_t id = ids[k + (t < lanes ? t : lanes - 1)];
+      b[t] = boxes + static_cast<size_t>(id) * 2 * dim;
+    }
+    __m256d mn = vzero;
+    __m256d mx = vzero;
+    for (size_t d = 0; d < dim; ++d) {
+      const __m256d lo = _mm256_cvtps_pd(
+          _mm_setr_ps(b[0][d], b[1][d], b[2][d], b[3][d]));
+      const size_t h = dim + d;
+      const __m256d hi = _mm256_cvtps_pd(
+          _mm_setr_ps(b[0][h], b[1][h], b[2][h], b[3][h]));
+      const __m256d gap = _mm256_max_pd(
+          _mm256_max_pd(_mm256_sub_pd(lo, ahi[d]),
+                        _mm256_sub_pd(alo[d], hi)),
+          vzero);
+      mn = _mm256_add_pd(mn, _mm256_mul_pd(gap, gap));
+      const __m256d far = _mm256_max_pd(_mm256_sub_pd(hi, alo[d]),
+                                        _mm256_sub_pd(ahi[d], lo));
+      mx = _mm256_add_pd(mx, _mm256_mul_pd(far, far));
+    }
+    if (lanes == 4) {
+      _mm256_storeu_pd(min2_out + k, mn);
+      _mm256_storeu_pd(max2_out + k, mx);
+    } else {
+      double mn_lanes[4];
+      double mx_lanes[4];
+      _mm256_storeu_pd(mn_lanes, mn);
+      _mm256_storeu_pd(mx_lanes, mx);
+      std::copy_n(mn_lanes, lanes, min2_out + k);
+      std::copy_n(mx_lanes, lanes, max2_out + k);
+    }
   }
 }
 

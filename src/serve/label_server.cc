@@ -162,7 +162,8 @@ void RecordResult(ServeStats* stats, const ServeResult& result,
 
 std::string ServeStatsToJson(const ServeStats& stats, double seconds,
                              double busy_seconds, size_t threads,
-                             const LatencySummary* latency) {
+                             const LatencySummary* latency,
+                             LatencyKind kind) {
   JsonWriter w;
   w.BeginObject();
   w.Key("queries").Value(stats.queries);
@@ -181,11 +182,13 @@ std::string ServeStatsToJson(const ServeStats& stats, double seconds,
   w.Key("stencil_probes").Value(stats.stencil_probes);
   w.Key("border_ref_scans").Value(stats.border_ref_scans);
   if (latency != nullptr) {
-    w.Key("latency_samples").Value(latency->samples);
-    w.Key("latency_p50_us").Value(latency->p50_us);
-    w.Key("latency_p99_us").Value(latency->p99_us);
-    w.Key("latency_p999_us").Value(latency->p999_us);
-    w.Key("latency_max_us").Value(latency->max_us);
+    const std::string prefix =
+        kind == LatencyKind::kCompletion ? "completion" : "latency";
+    w.Key(prefix + "_samples").Value(latency->samples);
+    w.Key(prefix + "_p50_us").Value(latency->p50_us);
+    w.Key(prefix + "_p99_us").Value(latency->p99_us);
+    w.Key(prefix + "_p999_us").Value(latency->p999_us);
+    w.Key(prefix + "_max_us").Value(latency->max_us);
   }
   w.EndObject();
   return w.TakeString();

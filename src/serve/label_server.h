@@ -100,11 +100,14 @@ struct ServeStats {
 /// time for both, a request loop its wall time and
 /// RequestLoopStats::busy_seconds); queries_per_second is queries over
 /// busy_seconds. When `latency` is given, its nearest-rank percentiles
-/// ride along as latency_p50_us / latency_p99_us / latency_p999_us /
-/// latency_max_us / latency_samples.
+/// ride along as <prefix>_p50_us / _p99_us / _p999_us / _max_us /
+/// _samples, where the prefix names what `kind` says they measured:
+/// "latency" for a request loop's sojourns, "completion" for a batch's
+/// completion offsets.
 std::string ServeStatsToJson(const ServeStats& stats, double seconds,
                              double busy_seconds, size_t threads,
-                             const LatencySummary* latency = nullptr);
+                             const LatencySummary* latency = nullptr,
+                             LatencyKind kind = LatencyKind::kSojourn);
 
 /// Classifies out-of-sample points against a frozen ClusterModelSnapshot.
 ///

@@ -22,6 +22,19 @@ struct LatencySummary {
   double max_us = 0;
 };
 
+/// What a LatencySummary measured, which names its keys in
+/// ServeStatsToJson.
+enum class LatencyKind : uint8_t {
+  /// A request loop's sojourn per request: response written minus frame
+  /// admitted (latency_*).
+  kSojourn,
+  /// A one-shot batch's completion offsets: each query's completion time
+  /// minus the batch's admission instant (completion_*). In a batch of
+  /// many queries this grows with the query's place in the batch, so it
+  /// is not a per-query latency.
+  kCompletion,
+};
+
 /// Per-worker latency sample store for the serving batch paths: each
 /// worker of a classification batch owns one instance (no sharing, no
 /// synchronization on the hot path), stamped from one monotonic clock

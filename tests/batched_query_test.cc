@@ -233,7 +233,9 @@ void ExpectSplitMatchesBruteForce(const CellSet& cells,
     float lo[CellCoord::kMaxDim];
     float hi[CellCoord::kMaxDim];
     ASSERT_TRUE(SubcellRangeMbr(dict, coord, lo, hi));
-    dict.QueryCell(coord, lo, hi, &got, query_eps);
+    const int64_t slot = dict.FindCellRefIndex(coord);
+    ASSERT_GE(slot, 0);
+    dict.QueryCell(static_cast<uint32_t>(slot), &got, query_eps);
 
     uint64_t always_count = 0;
     std::vector<uint32_t> always;

@@ -228,8 +228,12 @@ TEST(CellDictionaryTest, MovedDictionaryOutlivesItsSource) {
   for (uint32_t cid = 0; cid < f.cells->num_cells(); ++cid) {
     const CellCoord& coord = f.cells->cell(cid).coord;
     ASSERT_TRUE(SubcellRangeMbr(moved, coord, lo, hi));
-    reference->QueryCell(coord, lo, hi, &want);
-    moved.QueryCell(coord, lo, hi, &got);
+    const int64_t want_slot = reference->FindCellRefIndex(coord);
+    const int64_t got_slot = moved.FindCellRefIndex(coord);
+    ASSERT_GE(want_slot, 0);
+    ASSERT_GE(got_slot, 0);
+    reference->QueryCell(static_cast<uint32_t>(want_slot), &want);
+    moved.QueryCell(static_cast<uint32_t>(got_slot), &got);
     ASSERT_EQ(got.always_count, want.always_count) << "cell " << cid;
     ASSERT_EQ(got.always_neighbors, want.always_neighbors) << "cell " << cid;
     ASSERT_EQ(got.cell_ids, want.cell_ids) << "cell " << cid;

@@ -254,6 +254,56 @@ TEST_F(CliTest, StreamSmallBatchesMatchOneShotRun) {
   }
 }
 
+// A one-shot batch's percentiles are completion offsets from batch
+// admission and are named so; only a --listen server's per-request
+// sojourns are called latency.
+TEST_F(CliTest, ServePercentileKeysNameWhatTheyMeasure) {
+  const std::string snapshot = dir_ + "/m.rpsnap";
+  ASSERT_EQ(Run("--generate=blobs --n=2000 --eps=1.0 --minpts=10 "
+                "--save-snapshot=" + snapshot),
+            0);
+  const std::string queries = dir_ + "/queries.csv";
+  {
+    std::ofstream q(queries);
+    q << "0.0,0.0\n1.5,-2.0\n10.0,10.0\n";
+  }
+  const std::string batch = dir_ + "/batch.json";
+  ASSERT_EQ(Run("serve --snapshot=" + snapshot + " --queries=" + queries +
+                " --stats-json=" + batch),
+            0);
+  EXPECT_NE(Stdout().find("completion p50 "), std::string::npos);
+  EXPECT_EQ(Stdout().find("latency"), std::string::npos);
+  const std::string batch_json = ReadFile(batch);
+  for (const char* key :
+       {"\"completion_samples\"", "\"completion_p50_us\"",
+        "\"completion_p99_us\"", "\"completion_p999_us\"",
+        "\"completion_max_us\""}) {
+    EXPECT_NE(batch_json.find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(batch_json.find("latency"), std::string::npos) << batch_json;
+
+  // One client session against a listening server; the client retries
+  // until the socket accepts, and the server exits on its shutdown frame.
+  const std::string sock = dir_ + "/rp.sock";
+  const std::string listen = dir_ + "/listen.json";
+  const std::string session =
+      "timeout 60 " + cli_ + " serve --snapshot=" + snapshot +
+      " --listen=" + sock + " --stats-json=" + listen + " > " + dir_ +
+      "/listen.txt 2>&1 & ok=1; for i in $(seq 1 200); do " + cli_ +
+      " serve --connect=" + sock + " --queries=" + queries + " > " + dir_ +
+      "/client.txt 2>&1 && ok=0 && break; sleep 0.05; done; wait; exit $ok";
+  const int rc = std::system(("sh -c '" + session + "'").c_str());
+  ASSERT_EQ(rc == -1 ? -1 : WEXITSTATUS(rc), 0)
+      << ReadFile(dir_ + "/client.txt");
+  const std::string listen_json = ReadFile(listen);
+  for (const char* key :
+       {"\"latency_samples\"", "\"latency_p50_us\"", "\"latency_p99_us\"",
+        "\"latency_p999_us\"", "\"latency_max_us\""}) {
+    EXPECT_NE(listen_json.find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(listen_json.find("completion"), std::string::npos) << listen_json;
+}
+
 TEST_F(CliTest, StreamRejectsBadAuditLevel) {
   EXPECT_NE(Run("stream --generate=blobs --n=500 --eps=1.0 --minpts=10 "
                 "--audit=bogus"),

@@ -241,8 +241,13 @@ TEST(Phase2TileTest, FullyOccupiedSourceCellIsPreSummedAtRhoOnePercent) {
     }
     CandidateCellList stencil_list;
     CandidateCellList tree_list;
-    stencil_dict->QueryCellStencil(coord, lo, hi, &stencil_list);
-    tree_dict->QueryCell(coord, lo, hi, &tree_list);
+    const int64_t stencil_slot = stencil_dict->FindCellRefIndex(coord);
+    const int64_t tree_slot = tree_dict->FindCellRefIndex(coord);
+    ASSERT_GE(stencil_slot, 0);
+    ASSERT_GE(tree_slot, 0);
+    stencil_dict->QueryCellStencil(static_cast<uint32_t>(stencil_slot),
+                                   &stencil_list);
+    tree_dict->QueryCell(static_cast<uint32_t>(tree_slot), &tree_list);
     for (const CandidateCellList* list : {&stencil_list, &tree_list}) {
       EXPECT_TRUE(list->always_neighbors.empty());
       if (rho == 0.01) {

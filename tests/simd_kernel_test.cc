@@ -375,5 +375,166 @@ TEST(SimdKernelTest, GroupBoundsMatchesScalarBitExactly) {
   }
 }
 
+/// A fragment of `count` boxes in SubDictionary::cell_mbr's layout (per
+/// box dim lo floats, then dim hi floats) around the source box [lo, hi]:
+/// per dimension a box touches the source from above or below, copies
+/// its interval, or spans a random one; box 0 is the source box itself.
+std::vector<float> BoxesAround(Rng& rng, const float* lo, const float* hi,
+                               size_t dim, size_t count) {
+  std::vector<float> boxes(count * 2 * dim);
+  for (size_t b = 0; b < count; ++b) {
+    float* blo = boxes.data() + b * 2 * dim;
+    float* bhi = blo + dim;
+    for (size_t d = 0; d < dim; ++d) {
+      const float width = static_cast<float>(rng.UniformDouble(0.0, 3.0));
+      const uint32_t pick = b == 0 ? 2 : rng.Uniform(6);
+      if (pick == 0) {  // touches the source's hi face
+        blo[d] = hi[d];
+        bhi[d] = hi[d] + width;
+      } else if (pick == 1) {  // touches the source's lo face
+        blo[d] = lo[d] - width;
+        bhi[d] = lo[d];
+      } else if (pick == 2) {  // the source's own interval
+        blo[d] = lo[d];
+        bhi[d] = hi[d];
+      } else {
+        float a = static_cast<float>(rng.UniformDouble(-4.0, 8.0));
+        float c = static_cast<float>(rng.UniformDouble(-4.0, 8.0));
+        if (a > c) std::swap(a, c);
+        blo[d] = a;
+        bhi[d] = c;
+      }
+    }
+  }
+  return boxes;
+}
+
+/// Checks one tier's BoxPairBoundsFn over the candidates `ids` of
+/// `boxes` against the scalar reference, bit for bit, and its disjoint
+/// and contained verdicts at every threshold of `disjoint2s` (plus one
+/// ulp either side of each candidate's own min² and max²) against
+/// MbrPairDistBounds' early-exit verdict.
+void ExpectBoxPairTierMatches(SimdLevel level, const float* lo,
+                              const float* hi, const std::vector<float>& boxes,
+                              const std::vector<uint32_t>& ids, size_t dim,
+                              const std::vector<double>& disjoint2s,
+                              const std::string& what) {
+  const size_t n = ids.size();
+  std::vector<double> want_min(n, -1.0), want_max(n, -1.0);
+  std::vector<double> got_min(n + 4, -1.0), got_max(n + 4, -1.0);
+  BoxPairBoundsScalar(lo, hi, boxes.data(), ids.data(), n, dim,
+                      want_min.data(), want_max.data());
+  GetBoxPairBoundsFn(level)(lo, hi, boxes.data(), ids.data(), n, dim,
+                            got_min.data(), got_max.data());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k < n; ++k) {
+    const std::string at =
+        what + " " + SimdLevelName(level) + " k=" + std::to_string(k);
+    ASSERT_EQ(Bits(want_min[k]), Bits(got_min[k])) << at;
+    ASSERT_EQ(Bits(want_max[k]), Bits(got_max[k])) << at;
+    const float* b = boxes.data() + static_cast<size_t>(ids[k]) * 2 * dim;
+    std::vector<double> thresholds = disjoint2s;
+    for (const double v : {want_min[k], want_max[k]}) {
+      thresholds.push_back(std::nextafter(v, -inf));
+      thresholds.push_back(v);
+      thresholds.push_back(std::nextafter(v, inf));
+    }
+    for (const double t : thresholds) {
+      double min2 = -1.0;
+      double max2 = -1.0;
+      const bool kept =
+          MbrPairDistBounds(lo, hi, b, b + dim, dim, t, &min2, &max2);
+      ASSERT_EQ(kept, !(got_min[k] > t)) << at << " disjoint2=" << t;
+      if (kept) {
+        ASSERT_EQ(Bits(min2), Bits(got_min[k])) << at;
+        ASSERT_EQ(Bits(max2), Bits(got_max[k])) << at;
+      }
+      // A contained2 at the same threshold: equal bits, equal verdict.
+      ASSERT_EQ(want_max[k] <= t, got_max[k] <= t) << at;
+    }
+  }
+  // Nothing past the n-th output is written.
+  for (size_t k = n; k < n + 4; ++k) {
+    ASSERT_EQ(got_min[k], -1.0) << what << " wrote past n";
+    ASSERT_EQ(got_max[k], -1.0) << what << " wrote past n";
+  }
+}
+
+TEST(SimdKernelTest, BoxPairBoundsMatchesScalarBitExactly) {
+  // The kd gather's leaf kernel: one source box against N candidate
+  // boxes of one fragment. Every tier must return the scalar reference's
+  // min² and max² bit for bit, and min² > disjoint2 must be exactly
+  // MbrPairDistBounds' early-exit verdict, at d = 1..16 and N = 1..17
+  // (both sides of the 4-lane tail), with candidates touching the source,
+  // identical to it, and read through a reversed, gapped id list.
+  Rng rng(2424);
+  for (size_t dim = 1; dim <= CellCoord::kMaxDim; ++dim) {
+    for (size_t n = 1; n <= 17; ++n) {
+      float lo[CellCoord::kMaxDim];
+      float hi[CellCoord::kMaxDim];
+      for (size_t d = 0; d < dim; ++d) {
+        float a = static_cast<float>(rng.UniformDouble(-2.0, 6.0));
+        float c = static_cast<float>(rng.UniformDouble(-2.0, 6.0));
+        if (a > c) std::swap(a, c);
+        lo[d] = a;
+        hi[d] = c;
+      }
+      const std::vector<float> boxes = BoxesAround(rng, lo, hi, dim, 2 * n + 3);
+      // Every other box, last first, so a kernel that read the boxes in
+      // sequence would measure the wrong ones.
+      std::vector<uint32_t> ids(n);
+      for (size_t k = 0; k < n; ++k) {
+        ids[k] = static_cast<uint32_t>(2 * (n - k));
+      }
+      ids[n / 2] = 0;  // the source box itself
+      const double eps2 = rng.UniformDouble(0.5, 4.0 * dim);
+      const std::vector<double> disjoint2s = {0.0, eps2 * (1.0 + 1e-9),
+                                              eps2 * (1.0 - 1e-9)};
+      for (const SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
+        ExpectBoxPairTierMatches(
+            level, lo, hi, boxes, ids, dim, disjoint2s,
+            "dim=" + std::to_string(dim) + " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, BoxPairBoundsEarlyExitVerdictIsTheFullSums) {
+  // A candidate whose first dimension alone already passes disjoint2:
+  // MbrPairDistBounds stops there, the kernel sums every dimension, and
+  // both must call it disjoint. The later dimensions add gaps of their
+  // own, so the full min² is well above the partial one.
+  for (size_t dim = 2; dim <= CellCoord::kMaxDim; ++dim) {
+    float lo[CellCoord::kMaxDim];
+    float hi[CellCoord::kMaxDim];
+    std::vector<float> boxes(2 * 2 * dim);
+    for (size_t d = 0; d < dim; ++d) {
+      lo[d] = 0.0f;
+      hi[d] = 1.0f;
+      boxes[d] = 0.25f;  // box 0 overlaps the source
+      boxes[dim + d] = 0.75f;
+      boxes[2 * dim + d] = d == 0 ? 4.0f : 1.5f;  // box 1: gaps 3, 0.5, ...
+      boxes[3 * dim + d] = d == 0 ? 5.0f : 2.5f;
+    }
+    const double partial = 3.0 * 3.0;  // box 1's min² after dimension 0
+    const std::vector<uint32_t> ids = {1, 0, 1};
+    for (const SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
+      std::vector<double> min2(ids.size()), max2(ids.size());
+      GetBoxPairBoundsFn(level)(lo, hi, boxes.data(), ids.data(), ids.size(),
+                                dim, min2.data(), max2.data());
+      const double disjoint2 = std::nextafter(partial, 0.0);
+      double m = 0.0;
+      double x = 0.0;
+      EXPECT_FALSE(MbrPairDistBounds(lo, hi, boxes.data() + 2 * dim,
+                                     boxes.data() + 3 * dim, dim, disjoint2,
+                                     &m, &x));
+      EXPECT_GT(min2[0], partial) << SimdLevelName(level) << " dim=" << dim;
+      EXPECT_GT(min2[0], disjoint2) << SimdLevelName(level);
+      EXPECT_EQ(Bits(min2[0]), Bits(min2[2])) << SimdLevelName(level);
+      EXPECT_EQ(min2[1], 0.0) << SimdLevelName(level);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rpdbscan

@@ -306,14 +306,13 @@ void ExtendAndCompare(const Dataset& batch, const Check& check) {
 /// The candidate gather of `cid`'s points, on the dictionary's engine.
 CandidateCellList GatherOf(const CellSet& cells, const CellDictionary& dict,
                            uint32_t cid) {
-  float lo[CellCoord::kMaxDim];
-  float hi[CellCoord::kMaxDim];
-  EXPECT_TRUE(SubcellRangeMbr(dict, cells.cell(cid).coord, lo, hi));
+  const int64_t slot = dict.FindCellRefIndex(cells.cell(cid).coord);
+  EXPECT_GE(slot, 0);
   CandidateCellList cand;
   if (dict.has_stencil()) {
-    dict.QueryCellStencil(cells.cell(cid).coord, lo, hi, &cand);
+    dict.QueryCellStencil(static_cast<uint32_t>(slot), &cand);
   } else {
-    dict.QueryCell(cells.cell(cid).coord, lo, hi, &cand);
+    dict.QueryCell(static_cast<uint32_t>(slot), &cand);
   }
   return cand;
 }

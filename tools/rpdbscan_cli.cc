@@ -160,9 +160,12 @@ serving (classify out-of-sample points against a frozen model):
                           server over its unix socket and print/collect
                           the served labels (sends shutdown after)
     --output=PATH         write query points + served labels as CSV
-    --stats-json=PATH     write serving throughput stats as JSON,
-                          latency percentiles included (per-model
-                          breakdown under --models)
+    --stats-json=PATH     write serving throughput stats as JSON with
+                          percentiles: completion_* (a --queries batch:
+                          each query's completion offset from batch
+                          admission) or latency_* (--listen: each
+                          request's sojourn; per-model breakdown under
+                          --models)
 
 streaming (replay the input as ingested batches, incrementally
 re-clustering and hot-swapping epoch snapshots into a label server):
@@ -934,11 +937,13 @@ int ServeMain(const FlagSet& flags) {
     std::fprintf(stderr, "serving failed: %s\n", s.ToString().c_str());
     return 1;
   }
+  // The batch's samples are completion offsets from batch admission,
+  // not per-query latencies, and are named so.
   const LatencySummary lat = latency.Summarize();
   std::printf(
       "served %zu queries in %.3fs on %zu threads (%.0f queries/s): "
       "%llu core, %llu border, %llu noise; %llu exact, %llu cell hits; "
-      "latency p50 %.1fus p99 %.1fus p999 %.1fus\n",
+      "completion p50 %.1fus p99 %.1fus p999 %.1fus\n",
       queries.size(), seconds, threads,
       seconds > 0 ? static_cast<double>(queries.size()) / seconds : 0.0,
       static_cast<unsigned long long>(stats.core),
@@ -950,7 +955,8 @@ int ServeMain(const FlagSet& flags) {
 
   if (!stats_json.empty()) {
     const Status w = WriteTextFile(
-        stats_json, ServeStatsToJson(stats, seconds, seconds, threads, &lat));
+        stats_json, ServeStatsToJson(stats, seconds, seconds, threads, &lat,
+                                     LatencyKind::kCompletion));
     if (!w.ok()) {
       std::fprintf(stderr, "stats-json failed: %s\n", w.ToString().c_str());
       return 1;

@@ -17,6 +17,12 @@
 #     BENCH_hierarchy.json (validated below: >= 4 levels, per-level
 #     bit-identity to the independent runs, the sweep/independent cost
 #     ratio, release provenance)
+#   * Host-speed reference (bench_micro BM_HostKernel: 2^20 seeded keys
+#     sorted on one thread, no library code, perfbench's HostSpeed
+#     kernel): run once, its seconds written as `host_kernel_1t_s` into
+#     all four records (the oocore and hierarchy checks below require
+#     it), so records taken on a drifting shared host compare at the
+#     speed each one saw
 #
 # Usage: tools/run_bench.sh [--smoke] [--allow-debug] [BUILD_DIR]
 #                           [OUTPUT_JSON] [PHASE1_JSON] [OOCORE_JSON]
@@ -132,6 +138,27 @@ fi
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
+echo "== Host-speed reference (bench_micro BM_HostKernel) =="
+"$BENCH_MICRO" \
+  --benchmark_filter='BM_HostKernel' \
+  --benchmark_out="$TMP_DIR/host.json" \
+  --benchmark_out_format=json \
+  ${MIN_TIME:+$MIN_TIME}
+HOST_KERNEL_1T_S="$(python3 - "$TMP_DIR/host.json" <<'PY'
+import json
+import sys
+
+scale = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+with open(sys.argv[1]) as f:
+    rows = json.load(f).get("benchmarks", [])
+row = next((b for b in rows if b["name"] == "BM_HostKernel"), None)
+if row is None:
+    sys.exit("run_bench.sh: bench_micro ran no BM_HostKernel row")
+print(f"{row['real_time'] * scale[row['time_unit']]:.6g}")
+PY
+)"
+echo "  host_kernel_1t_s=$HOST_KERNEL_1T_S"
+
 echo "== Phase I-1 build (bench_micro, scale=$SCALE) =="
 RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_MICRO" \
   --benchmark_filter='BM_Phase1Build' \
@@ -159,8 +186,24 @@ check_provenance "$TMP_DIR/merge.json"
 echo "== Phase breakdown (bench_fig12_breakdown, scale=$SCALE) =="
 RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_FIG12" | tee "$TMP_DIR/fig12.txt"
 
+# Adds the host-speed reference to a record a harness wrote itself.
+stamp_host_speed() {
+  python3 - "$1" "$HOST_KERNEL_1T_S" <<'PY'
+import json
+import sys
+
+path, seconds = sys.argv[1], float(sys.argv[2])
+with open(path) as f:
+    report = json.load(f)
+report["host_kernel_1t_s"] = seconds
+with open(path, "w") as f:
+    f.write(json.dumps(report, separators=(",", ":")) + "\n")
+PY
+}
+
 echo "== Out-of-core Phase I-1 (bench_oocore, scale=$SCALE) =="
 RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_OOCORE" "$OUT_OOCORE_JSON"
+stamp_host_speed "$OUT_OOCORE_JSON"
 
 # The oocore report must carry the spill accounting, prove the external
 # build stayed bit-identical, and record release provenance.
@@ -181,6 +224,8 @@ if bt != "release" and not allow_debug:
 phase1 = report.get("oocore_phase1")
 if not phase1:
     sys.exit(f"{path}: missing 'oocore_phase1'")
+if not report.get("host_kernel_1t_s", 0) > 0:
+    sys.exit(f"{path}: missing 'host_kernel_1t_s'")
 for key in ("memory_budget_bytes", "chunks", "runs", "spill_bytes",
             "peak_accounted_bytes", "external_seconds", "in_ram_seconds",
             "bit_identical"):
@@ -196,6 +241,7 @@ PY
 
 echo "== Multi-eps hierarchy (bench_hierarchy, scale=$SCALE) =="
 RPDBSCAN_BENCH_SCALE="$SCALE" "$BENCH_HIERARCHY" "$OUT_HIERARCHY_JSON"
+stamp_host_speed "$OUT_HIERARCHY_JSON"
 
 # The hierarchy report must prove every ladder rung stayed bit-identical
 # to its independent run, cover at least 4 levels (the regime where the
@@ -217,7 +263,7 @@ if bt != "release" and not allow_debug:
 
 for key in ("num_levels", "sweep_seconds", "independent_seconds_total",
             "ratio_sweep_over_independent", "bit_identical",
-            "sampled_sweep_seconds"):
+            "sampled_sweep_seconds", "host_kernel_1t_s"):
     if key not in report:
         sys.exit(f"{path}: missing '{key}'")
 if report["num_levels"] < 4:
@@ -247,11 +293,12 @@ print(f"{path}: hierarchy report OK ({report['num_levels']} levels, "
       f"{min(l['nmi_vs_exact'] for l in sampled):.3f} min)")
 PY
 
-python3 - "$TMP_DIR/phase1.json" "$OUT1_JSON" "$SCALE" <<'PY'
+python3 - "$TMP_DIR/phase1.json" "$OUT1_JSON" "$SCALE" \
+    "$HOST_KERNEL_1T_S" <<'PY'
 import json
 import sys
 
-bench_json, out_path, scale = sys.argv[1:4]
+bench_json, out_path, scale, host = sys.argv[1:5]
 with open(bench_json) as f:
     raw = json.load(f)
 
@@ -273,6 +320,7 @@ for b in raw.get("benchmarks", []):
 out = {
     "generated_by": "tools/run_bench.sh",
     "bench_scale": float(scale),
+    "host_kernel_1t_s": float(host),
     "dataset": "GeoLifeLike",
     "context": raw.get("context", {}),
     "phase1_engines": engines,
@@ -283,11 +331,11 @@ print(f"wrote {out_path}")
 PY
 
 python3 - "$TMP_DIR/phase2.json" "$TMP_DIR/merge.json" \
-    "$TMP_DIR/fig12.txt" "$OUT_JSON" "$SCALE" <<'PY'
+    "$TMP_DIR/fig12.txt" "$OUT_JSON" "$SCALE" "$HOST_KERNEL_1T_S" <<'PY'
 import json
 import sys
 
-bench_json, merge_json, fig12_txt, out_path, scale = sys.argv[1:6]
+bench_json, merge_json, fig12_txt, out_path, scale, host = sys.argv[1:7]
 with open(bench_json) as f:
     raw = json.load(f)
 
@@ -337,6 +385,7 @@ with open(fig12_txt) as f:
 out = {
     "generated_by": "tools/run_bench.sh",
     "bench_scale": float(scale),
+    "host_kernel_1t_s": float(host),
     "context": raw.get("context", {}),
     "phase2_kernels": kernels,
     **speedups,

@@ -10,7 +10,8 @@
 #      the hierarchy metrics + stencil-family suites
 #      (hausdorff_test, metrics_edge_case_test, stencil_prefix_test's
 #      randomized prefix-vs-probe ladders), and, with NDEBUG off, the
-#      sub-cell-range MBR containment assertions in ProcessCellBatched,
+#      slot and sub-cell-range MBR containment assertions in
+#      ProcessCellBatched,
 #      and Phase II's successor-row sort (parallel_sort_test's
 #      SerialCellIdRowsMatchStdSort: the serial radix sort over cell ids
 #      below 1 to 2^24 + 1 cells, keyed on RadixKeyBytes(n - 1) bytes,
@@ -31,7 +32,13 @@
 #      tier's first-match kernel against the scalar counts, with a block
 #      matching only in its last stride and one whose in-radius slots are
 #      all padding (SimdKernelTest.DetectedLevelMatchesScalarExactly);
-#      and its group-bounds kernel bit for bit),
+#      its group-bounds kernel bit for bit; and every tier's box-pair
+#      kernel, the kd gather's leaf test, against MbrPairDistBounds bit
+#      for bit and verdict for verdict at d = 1-16 and 1-17 candidates,
+#      with thresholds one ulp either side of each candidate's bounds
+#      (SimdKernelTest.BoxPairBoundsMatchesScalarBitExactly) and an
+#      early exit before the last dimension
+#      (SimdKernelTest.BoxPairBoundsEarlyExitVerdictIsTheFullSums)),
 #      end-to-end and snapshot-serving (serve_concurrent_test: one frozen
 #      snapshot, many reader threads; serve_batch_test: grouped-batch
 #      bit-identity across thread counts; request_loop_test: the framed

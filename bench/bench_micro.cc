@@ -117,19 +117,6 @@ void BM_DictionaryBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DictionaryBuild)->Unit(benchmark::kMillisecond);
 
-void BM_RegionQuery(benchmark::State& state) {
-  const Dataset& ds = BenchData();
-  auto geom = GridGeometry::Create(2, 0.5, 0.01);
-  auto cells = CellSet::Build(ds, *geom, 16, 7);
-  auto dict = CellDictionary::Build(ds, *cells);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dict->QueryCount(ds.point(i)));
-    i = (i + 997) % ds.size();
-  }
-}
-BENCHMARK(BM_RegionQuery);
-
 void BM_KdTreeRadius(benchmark::State& state) {
   const Dataset& ds = BenchData();
   KdTree tree;

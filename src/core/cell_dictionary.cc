@@ -118,8 +118,7 @@ Status CheckPrior(const GridGeometry& geom,
 // assignment (floor((p - origin) / sub_side) with clamping): a point can
 // sit a ~2^-52-relative error outside its decoded box, and the ~2^-24-
 // relative ulp dwarfs that — so the box is conservative and covers every
-// point of the cell. Same arithmetic as the old per-query
-// SubcellRangeMbr (core/phase2.h), which now reads these values back.
+// point of the cell.
 void ComputeCellMbr(const GridGeometry& geom, const DictCell& dc,
                     const std::vector<DictSubcell>& subs, float* mbr_lo,
                     float* mbr_hi) {
@@ -489,8 +488,8 @@ StatusOr<CellDictionary> CellDictionary::Assemble(
   });
 
   // Dictionary-global cell index: coordinate -> (sub-dictionary, local
-  // cell), the lookup of FindDictCell, of the stream's touched cells and
-  // of serving (Phase II's source cells arrive with their slots). Built
+  // cell), the lookup of the stream's touched cells and of serving's home
+  // cells (Phase II's source cells arrive with their slots). Built
   // unconditionally — Deserialize comes through here too, so a decoded
   // dictionary rebuilds it.
   std::vector<size_t> ref_offsets(dict.subdicts_.size() + 1, 0);
@@ -788,24 +787,15 @@ void CellDictionary::BuildStencilNeighborhoods(const CellDictionary* prior,
   }
 }
 
-DictCellRef CellDictionary::FindDictCell(const CellCoord& coord) const {
-  const int64_t i = cell_index_.FindHashed(coord.hash(), coord.data(),
-                                           coord.dim(), ref_coords_.data());
-  if (i < 0) return DictCellRef{};
-  const GlobalCellRef& ref = cell_refs_[static_cast<size_t>(i)];
-  const SubDictionary* sd = &subdicts_[ref.subdict];
-  return DictCellRef{sd, &sd->cells_[ref.local_cell]};
-}
-
 namespace {
 
 // Conservative classification margins for the cell-level candidate split.
 // Box-to-box bounds and the per-point distance tests round differently at
 // the last ulp; the relative margin (orders of magnitude above double
 // rounding error, orders below any real geometric gap) pushes borderline
-// cells into the per-point "maybe" group, whose tests reproduce Query()
-// arithmetic exactly — so the split can never change results, only shift
-// work between the hoisted and the per-point path.
+// cells into the per-point "maybe" group, whose tests reproduce the
+// region query's arithmetic exactly — so the split can never change
+// results, only shift work between the hoisted and the per-point path.
 //
 // The split measures the source cell's occupied-sub-cell MBR against each
 // candidate's (MbrPairDistBounds, BoxPairBoundsFn). Both are tight point
@@ -836,6 +826,73 @@ double MbrPairMinDist2(const Mbr& mbr, const float* a_lo, const float* a_hi,
 
 }  // namespace
 
+template <typename Always, typename Maybe>
+size_t CellDictionary::DescendFragments(const float* lo, const float* hi,
+                                        double disjoint2, double contained2,
+                                        Always&& always,
+                                        Maybe&& maybe) const {
+  const size_t dim = geom_.dim();
+  const BoxPairBoundsFn leaf_bounds = GetBoxPairBoundsFn(DetectSimdLevel());
+  size_t visited = 0;
+  for (size_t sdi = 0; sdi < subdicts_.size(); ++sdi) {
+    const SubDictionary& sd = subdicts_[sdi];
+    if (enable_skipping_ &&
+        MbrPairMinDist2(sd.mbr_, lo, hi, dim) > disjoint2) {
+      continue;
+    }
+    ++visited;
+    const uint32_t base = subdict_ref_base_[sdi];
+    // Descend by node box with the per-cell bounds and margins. A node box
+    // contains every occupied MBR below it and each step of
+    // MbrPairDistBounds is monotone under round-to-nearest, so a node's
+    // min2 / max2 bound every cell's below it: a disjoint node holds only
+    // disjoint cells, a contained node only always cells, and settling the
+    // node settles each of them exactly as the per-cell test would.
+    sd.tree_.DescendBoxes(
+        [&](uint32_t node) {
+          const float* box = sd.tree_.node_box(node);
+          double min2 = 0.0;
+          double max2 = 0.0;
+          if (!MbrPairDistBounds(lo, hi, box, box + dim, dim, disjoint2,
+                                 &min2, &max2)) {
+            return KdTree::BoxVerdict::kDisjoint;
+          }
+          if (max2 <= contained2) return KdTree::BoxVerdict::kContained;
+          return KdTree::BoxVerdict::kPartial;
+        },
+        [&](std::span<const uint32_t> local_cells) {
+          // Every point of the box swallows these cells whole: the
+          // Example 5.5 containment fast path hoisted to subtree level.
+          for (const uint32_t local_cell : local_cells) {
+            always(base + local_cell);
+          }
+        },
+        [&](std::span<const uint32_t> local_cells) {
+          // One kernel call per leaf, then each candidate's verdict in
+          // leaf order. A full min2 above disjoint2 is exactly the
+          // early-exit verdict of MbrPairDistBounds, so the split and
+          // the maybe keys are the per-cell test's.
+          double min2[kLeafWidth];
+          double max2[kLeafWidth];
+          for (size_t c0 = 0; c0 < local_cells.size(); c0 += kLeafWidth) {
+            const size_t cn = std::min(kLeafWidth, local_cells.size() - c0);
+            leaf_bounds(lo, hi, sd.cell_mbrs_.data(),
+                        local_cells.data() + c0, cn, dim, min2, max2);
+            for (size_t i = 0; i < cn; ++i) {
+              if (min2[i] > disjoint2) continue;  // unreachable from any point
+              const uint32_t slot = base + local_cells[c0 + i];
+              if (max2[i] <= contained2) {
+                always(slot);
+              } else {
+                maybe(slot, min2[i]);
+              }
+            }
+          }
+        });
+  }
+  return visited;
+}
+
 size_t CellDictionary::QueryCell(uint32_t src_slot, CandidateCellList* out,
                                  double query_eps) const {
   RPDBSCAN_CHECK(src_slot < cell_refs_.size())
@@ -851,77 +908,37 @@ size_t CellDictionary::QueryCell(uint32_t src_slot, CandidateCellList* out,
   // toward its own density but is not its own neighbor.
   const float* mbr_lo = slot_meta_[src_slot].mbr;
   const float* mbr_hi = mbr_lo + dim;
-  const BoxPairBoundsFn leaf_bounds = GetBoxPairBoundsFn(DetectSimdLevel());
-
-  size_t visited = 0;
-  for (size_t sdi = 0; sdi < subdicts_.size(); ++sdi) {
-    const SubDictionary& sd = subdicts_[sdi];
-    if (enable_skipping_ &&
-        MbrPairMinDist2(sd.mbr_, mbr_lo, mbr_hi, dim) > disjoint2) {
-      continue;
-    }
-    ++visited;
-    const uint32_t base = subdict_ref_base_[sdi];
-    auto take_always = [&](uint32_t slot) {
-      const SlotMeta& sm = slot_meta_[slot];
-      out->always_count += sm.total_count;
-      if (slot != src_slot) out->always_neighbors.push_back(sm.cell_id);
-    };
-    // Descend by node box with the per-cell bounds and margins. A node box
-    // contains every occupied MBR below it and each step of
-    // MbrPairDistBounds is monotone under round-to-nearest, so a node's
-    // min2 / max2 bound every cell's below it: a disjoint node holds only
-    // disjoint cells, a contained node only always cells, and settling the
-    // node settles each of them exactly as the per-cell test would.
-    sd.tree_.DescendBoxes(
-        [&](uint32_t node) {
-          const float* box = sd.tree_.node_box(node);
-          double min2 = 0.0;
-          double max2 = 0.0;
-          if (!MbrPairDistBounds(mbr_lo, mbr_hi, box, box + dim, dim,
-                                 disjoint2, &min2, &max2)) {
-            return KdTree::BoxVerdict::kDisjoint;
-          }
-          if (max2 <= contained2) return KdTree::BoxVerdict::kContained;
-          return KdTree::BoxVerdict::kPartial;
-        },
-        [&](std::span<const uint32_t> local_cells) {
-          // Every point of the source cell swallows these cells whole: the
-          // Example 5.5 containment fast path hoisted to subtree level.
-          for (const uint32_t local_cell : local_cells) {
-            take_always(base + local_cell);
-          }
-        },
-        [&](std::span<const uint32_t> local_cells) {
-          // One kernel call per leaf, then each candidate's verdict in
-          // leaf order. A full min2 above disjoint2 is exactly the
-          // early-exit verdict of MbrPairDistBounds, so the split and
-          // the maybe keys are the per-cell test's.
-          double min2[kLeafWidth];
-          double max2[kLeafWidth];
-          for (size_t c0 = 0; c0 < local_cells.size(); c0 += kLeafWidth) {
-            const size_t cn = std::min(kLeafWidth, local_cells.size() - c0);
-            leaf_bounds(mbr_lo, mbr_hi, sd.cell_mbrs_.data(),
-                        local_cells.data() + c0, cn, dim, min2, max2);
-            for (size_t i = 0; i < cn; ++i) {
-              if (min2[i] > disjoint2) continue;  // unreachable from any point
-              const uint32_t slot = base + local_cells[c0 + i];
-              if (max2[i] <= contained2 ||
-                  (slot == src_slot &&
-                   OwnCentersContained(slot, mbr_lo, mbr_hi, disjoint2,
-                                       contained2))) {
-                take_always(slot);
-                continue;
-              }
-              out->maybe_refs.push_back(CandidateCellList::MaybeRef{
-                  min2[i], slot_meta_[slot].cell_id, slot});
-            }
-          }
-        });
-  }
-
+  auto take_always = [&](uint32_t slot) {
+    const SlotMeta& sm = slot_meta_[slot];
+    out->always_count += sm.total_count;
+    if (slot != src_slot) out->always_neighbors.push_back(sm.cell_id);
+  };
+  const size_t visited = DescendFragments(
+      mbr_lo, mbr_hi, disjoint2, contained2, take_always,
+      [&](uint32_t slot, double min2) {
+        if (slot == src_slot && OwnCentersContained(slot, mbr_lo, mbr_hi,
+                                                    disjoint2, contained2)) {
+          take_always(slot);
+          return;
+        }
+        out->maybe_refs.push_back(
+            CandidateCellList::MaybeRef{min2, slot_meta_[slot].cell_id, slot});
+      });
   SortAndFlattenMaybes(out);
   return visited;
+}
+
+void CellDictionary::QueryBoxSlots(const float* box_lo, const float* box_hi,
+                                   std::vector<uint32_t>* out,
+                                   double query_eps) const {
+  out->clear();
+  const double qeps = query_eps > 0.0 ? query_eps : geom_.eps();
+  const double eps2 = qeps * qeps;
+  // Contained and maybe cells alike are candidates; the caller tests them.
+  auto take = [out](uint32_t slot) { out->push_back(slot); };
+  DescendFragments(box_lo, box_hi, eps2 * kDisjointMargin,
+                   eps2 * kContainMargin, take,
+                   [&](uint32_t slot, double) { take(slot); });
 }
 
 size_t CellDictionary::QueryCellStencil(uint32_t src_slot,

@@ -66,8 +66,8 @@ class SubDictionary {
   const std::vector<float>& cell_centers() const { return cell_centers_; }
 
   // --- Lane-major (SoA) sub-cell storage, the only copy of the sub-cell
-  // --- centers: every kernel (core/simd.h), the per-point Query and the
-  // --- auditors read it. Each cell owns a padded block of kSimdLaneWidth-
+  // --- centers: every kernel (core/simd.h), serving and the auditors
+  // --- read it. Each cell owns a padded block of kSimdLaneWidth-
   // --- aligned slots: coordinate d's lane is lane_centers(c) +
   // --- d * lane_padded(c), densities sit in lane_counts(c). Padding
   // --- slots hold +inf centers / zero counts so kernels run whole
@@ -91,9 +91,8 @@ class SubDictionary {
 
   /// Tight per-cell bounds: the MBR of the cell's *occupied* sub-cell
   /// boxes (2 * dim floats: lo then hi), decoded from the packed sub-cell
-  /// ids at Assemble with one float ulp outward per face — the same
-  /// arithmetic SubcellRangeMbr (core/phase2.h) used to recompute per
-  /// query. Candidate classification tests against this instead of the
+  /// ids at Assemble with one float ulp outward per face. Candidate
+  /// classification tests against this instead of the
   /// full cell box: on sparse cells it is much smaller, so more
   /// candidates resolve as provably-contained or provably-disjoint at
   /// cell level, and the per-point box tests reject earlier. Soundness is
@@ -143,13 +142,6 @@ struct GlobalCellRef {
   uint32_t total_count = 0;
   uint32_t subcell_begin = 0;
   uint32_t subcell_end = 0;
-};
-
-/// Resolution of a lattice coordinate through the global cell index.
-struct DictCellRef {
-  const SubDictionary* subdict = nullptr;
-  const DictCell* cell = nullptr;
-  explicit operator bool() const { return cell != nullptr; }
 };
 
 /// Build/query options. The ablation benchmarks flip the booleans.
@@ -351,65 +343,6 @@ class CellDictionary {
   /// raw data payload).
   size_t SizeBytesLemma43() const { return (SizeBitsLemma43() + 7) / 8; }
 
-  /// (eps, rho)-region query (Def. 5.1) around `p`: invokes
-  /// `visit(const DictCell&, uint32_t matched_count)` once per cell that
-  /// has at least one sub-cell whose center lies within eps of `p`.
-  /// `matched_count` is the summed density of those sub-cells; for cells
-  /// fully contained in the query ball the whole cell is taken in one step
-  /// (Example 5.5's containment fast path). This is the per-query engine
-  /// of serving (LabelServer::Classify) and the test oracle's.
-  ///
-  /// Returns the number of sub-dictionaries actually inspected (after
-  /// skipping) so callers can account for the Lemma 5.10 savings.
-  template <typename Visitor>
-  size_t Query(const float* p, Visitor&& visit,
-               double query_eps = 0.0) const {
-    const double eps = geom_.eps();
-    const double qeps = query_eps > 0.0 ? query_eps : eps;
-    const double eps2 = qeps * qeps;
-    // Any cell with a sub-cell center within the query radius has its own
-    // center within query_eps + cell_diagonal/2 (cell diagonal is eps,
-    // Def. 3.1) — 1.5 * eps in the classic query_eps == eps case, whose
-    // exact expression is kept so default queries stay bit-for-bit.
-    const double candidate_radius =
-        qeps == eps ? 1.5 * eps : qeps + 0.5 * eps;
-    size_t visited = 0;
-    for (const SubDictionary& sd : subdicts_) {
-      if (enable_skipping_ && sd.mbr_.MinDist2(p) > eps2) continue;
-      ++visited;
-      auto per_candidate = [&](uint32_t local_cell, double) {
-        const DictCell& cell = sd.cells_[local_cell];
-        if (geom_.CellMaxDist2(cell.coord, p) <= eps2) {
-          // Fully contained: every sub-cell is an (eps,rho)-neighbor.
-          visit(cell, cell.total_count);
-          return;
-        }
-        if (geom_.CellMinDist2(cell.coord, p) > eps2) {
-          return;  // cannot intersect
-        }
-        // Each sub-cell center is gathered from the cell's lanes and
-        // tested with DistanceSquared's arithmetic.
-        const size_t dim = geom_.dim();
-        const uint32_t padded = sd.lane_padded(local_cell);
-        const float* lanes = sd.lane_centers(local_cell);
-        float center[CellCoord::kMaxDim];
-        uint32_t matched = 0;
-        for (uint32_t s = cell.subcell_begin; s < cell.subcell_end; ++s) {
-          const uint32_t slot = s - cell.subcell_begin;
-          for (size_t d = 0; d < dim; ++d) {
-            center[d] = lanes[d * padded + slot];
-          }
-          if (DistanceSquared(p, center, dim) <= eps2) {
-            matched += sd.subcells_[s].count;
-          }
-        }
-        if (matched > 0) visit(cell, matched);
-      };
-      sd.tree_.ForEachInRadius(p, candidate_radius, per_candidate);
-    }
-    return visited;
-  }
-
   /// Batched (eps, rho)-region query for every point of the cell at
   /// global slot `src_slot` (an index into cell_refs()) at once: gathers
   /// into `*out` (cleared first) the candidate-cell set that per-point
@@ -432,13 +365,16 @@ class CellDictionary {
   /// (OwnCentersContained), so a fully occupied source is pre-summed too.
   /// The classification is conservative (tiny relative margins push
   /// borderline cells into the per-point group), so scanning `*out`
-  /// reproduces Query() exactly for every point inside the MBR: a
-  /// contained candidate's sub-cell centers all lie within eps (its whole
-  /// density counts, as Query would), a disjoint candidate's never do.
+  /// reproduces the (eps, rho)-region query (Def. 5.1: the summed density
+  /// of the sub-cells whose center lies within eps) exactly for every
+  /// point inside the MBR: a contained candidate's sub-cell centers all
+  /// lie within eps (its whole density counts), a disjoint candidate's
+  /// never do.
   ///
   /// Returns the number of sub-dictionaries inspected after MBR skipping,
   /// here at most one visit per sub-dictionary per *cell* (vs per point
-  /// for Query) — the Lemma 5.10 accounting for the batched kernel.
+  /// for Alg. 3 run literally) — the Lemma 5.10 accounting for the
+  /// batched kernel.
   /// `query_eps` decouples the region-query radius from the geometry eps
   /// (the eps ladder, src/hierarchy/); 0 keeps the classic radius.
   size_t QueryCell(uint32_t src_slot, CandidateCellList* out,
@@ -450,8 +386,8 @@ class CellDictionary {
   /// query point can match has integer lattice distance class m(o) <= d,
   /// so the stencil covers it; hits are classified with QueryCell's
   /// MBR-to-MBR arithmetic and margins verbatim (the source cell's center
-  /// box test included), and the per-point tests downstream reuse
-  /// Query()'s exact arithmetic — so results cannot differ. (The
+  /// box test included), and the per-point tests downstream are the same
+  /// lane kernels — so results cannot differ. (The
   /// candidate *lists* may differ in provably-zero-match cells: the tree
   /// path's Lemma 5.10 MBR skipping can drop cells the stencil still
   /// classifies. Both prunings are sound, which is all the downstream
@@ -477,16 +413,26 @@ class CellDictionary {
   size_t QueryCellStencil(uint32_t src_slot, CandidateCellList* out,
                           double query_eps = 0.0) const;
 
-  /// O(1) lattice coordinate -> DictCell through the dictionary-global
-  /// open-addressing index (always built, including after Deserialize).
-  /// Returns a null ref for coordinates with no dictionary cell.
-  DictCellRef FindDictCell(const CellCoord& coord) const;
+  /// The global slots (indices into cell_refs()) of every cell that may
+  /// hold a sub-cell center within `query_eps` (0: the geometry eps) of
+  /// some point of the box [box_lo, box_hi], into `*out` (cleared first),
+  /// in no particular order. QueryCell's kd-tree gather without its
+  /// classification: the same fragment skip, node-box descent and leaf
+  /// kernel over the box, a cell dropped only when its occupied-sub-cell
+  /// MBR lies provably beyond the radius (the 1 + 1e-9 margin), so no
+  /// dropped cell can match. Serving's candidate list for a group of
+  /// queries without a stencil neighborhood to walk.
+  void QueryBoxSlots(const float* box_lo, const float* box_hi,
+                     std::vector<uint32_t>* out,
+                     double query_eps = 0.0) const;
 
   // --- Read-only serving surface (src/serve/). The label server finds
   // --- each query's home cell in the dictionary-global index (FindHashed,
   // --- coordinates confirmed against the flat ref_coords array) and walks
-  // --- its stencil neighborhood over the 24-byte GlobalCellRefs, without
-  // --- going through the Phase II candidate-list machinery. ---
+  // --- a query group's candidate slots (the home cell's stencil
+  // --- neighborhood, or QueryBoxSlots' list) over the 24-byte
+  // --- GlobalCellRefs, without going through the Phase II
+  // --- candidate-list machinery. ---
 
   /// The dictionary-global open-addressing cell index (hashed-slot mode).
   const FlatCellIndex& cell_index() const { return cell_index_; }
@@ -527,16 +473,6 @@ class CellDictionary {
   }
   std::span<const uint32_t> stencil_neighbor_slots() const {
     return stencil_nbr_slots_;
-  }
-
-  /// Total density of all (eps, rho)-neighbor sub-cells of `p` — the count
-  /// compared against minPts in core marking (Example 5.7).
-  uint32_t QueryCount(const float* p, double query_eps = 0.0) const {
-    uint32_t total = 0;
-    Query(
-        p, [&total](const DictCell&, uint32_t c) { total += c; },
-        query_eps);
-    return total;
   }
 
   /// Serializes the dictionary into the Lemma 4.3 wire layout: a fixed
@@ -590,6 +526,18 @@ class CellDictionary {
   /// to fit.
   void BuildStencilNeighborhoods(const CellDictionary* prior,
                                  ThreadPool* pool);
+
+  /// The kd-tree gather shared by QueryCell and QueryBoxSlots, for the
+  /// points of the box [lo, hi]: every fragment whose MBR the box does
+  /// not provably miss is descended by node box, and each of its cells
+  /// not provably beyond `disjoint2` (squared) of every point goes, in
+  /// leaf order, to `always(slot)` when its occupied-sub-cell MBR lies
+  /// within `contained2` of every point and to `maybe(slot, min2)` with
+  /// its box-pair min² otherwise. Returns the fragments descended.
+  template <typename Always, typename Maybe>
+  size_t DescendFragments(const float* lo, const float* hi, double disjoint2,
+                          double contained2, Always&& always,
+                          Maybe&& maybe) const;
 
   /// Shared tail of QueryCell / QueryCellStencil: nearest-first sort of
   /// the maybe group and the SoA flattening.

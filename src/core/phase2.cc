@@ -14,43 +14,6 @@ namespace rpdbscan {
 
 namespace {
 
-/// A dictionary cell's kernel operands: its occupied-sub-cell MBR
-/// (2 * dim floats: lo then hi) and its sub-cell lanes.
-struct CellView {
-  const float* mbr = nullptr;
-  const float* lanes = nullptr;
-  const uint32_t* counts = nullptr;
-  uint32_t padded = 0;
-};
-
-/// The view of the dictionary cell at `coord`; all null when there is
-/// none.
-CellView ViewOf(const CellDictionary& dict, const CellCoord& coord) {
-  const DictCellRef ref = dict.FindDictCell(coord);
-  if (!ref) return CellView{};
-  const SubDictionary& sd = *ref.subdict;
-  const uint32_t local = static_cast<uint32_t>(ref.cell - sd.cells().data());
-  return CellView{sd.cell_mbr(local), sd.lane_centers(local),
-                  sd.lane_counts(local), sd.lane_padded(local)};
-}
-
-}  // namespace
-
-bool SubcellRangeMbr(const CellDictionary& dict, const CellCoord& coord,
-                     float* mbr_lo, float* mbr_hi) {
-  // The dictionary precomputes every cell's occupied-sub-cell MBR at
-  // Assemble (cell_dictionary.cc ComputeCellMbr — the decode + one-ulp
-  // outward arithmetic that used to live here); this is now a lookup.
-  const CellView view = ViewOf(dict, coord);
-  if (view.mbr == nullptr) return false;
-  const size_t dim = dict.geom().dim();
-  std::copy_n(view.mbr, dim, mbr_lo);
-  std::copy_n(view.mbr + dim, dim, mbr_hi);
-  return true;
-}
-
-namespace {
-
 /// Scratch buffers of one partition task, reused across its cells so the
 /// hot loop never reallocates once the high-water marks are reached.
 struct Phase2Scratch {
@@ -165,8 +128,8 @@ void MbrBox(const float* mbr, size_t dim, double* lo, double* hi) {
 
 /// The tile scan of one cell over its gathered candidate list: the
 /// cell's points meet each candidate as a group. Every per-point verdict
-/// is the one Query's arithmetic gives, so core flags and edges match the
-/// oracle exactly:
+/// is the one DistanceSquared's arithmetic over each sub-cell center
+/// gives, so core flags and edges match the oracle exactly:
 ///  * GroupBoundsFn returns each member's min² and max² to the
 ///    candidate's MBR; min² > eps² means no sub-cell center can match
 ///    (count 0), max² <= eps² means every one does (the cell's total) —
@@ -582,12 +545,12 @@ struct CellUnit {
     counters.unit_points += cells.cell(cid).point_ids.size();
   }
 
-  /// Run for a cell whose slot the caller does not know: one hash probe.
-  void RunByProbe(uint32_t cid, Phase2Scratch& scratch,
-                  TaskCounters& counters) const {
+  /// The global slot of cell `cid`, whose slot the caller does not know:
+  /// one hash probe.
+  uint32_t SlotOf(uint32_t cid) const {
     const int64_t slot = dict.FindCellRefIndex(cells.cell(cid).coord);
     RPDBSCAN_CHECK(slot >= 0) << "cell " << cid << " is not a dictionary cell";
-    Run(cid, static_cast<uint32_t>(slot), scratch, counters);
+    return static_cast<uint32_t>(slot);
   }
 };
 
@@ -643,11 +606,13 @@ void SetCounters(const TaskCounters& total, SimdLevel level,
   out->simd_level = level;
 }
 
-/// An untouched cell the gather of a touched cell reached, and whether it
-/// sat in that gather's always group.
+/// An untouched cell the gather of a touched cell reached, the touched
+/// cell's global slot, and whether the reached cell sat in that gather's
+/// always group.
 struct Reach {
   uint32_t cell = 0;
   uint32_t touched = 0;
+  uint32_t touched_slot = 0;
   bool always = false;
 };
 
@@ -672,16 +637,19 @@ size_t LoadPoints(const Dataset& data, const CellData& cell, size_t dim,
 }
 
 /// True when one of the `n` points LoadPoints loaded has a sub-cell
-/// center of `view`'s cell within eps, by the tile scan's per-point
-/// verdict: GroupBoundsFn against the cell's MBR drops a point whose min²
-/// exceeds eps² and ends the test at a point whose max² does not, and one
-/// SubcellAnyMatchFn call takes the rest.
-bool PointsReach(const CellView& view, size_t n, size_t stride, size_t dim,
-                 const EngineSetup& setup, Phase2Scratch& scratch,
-                 TaskCounters& counters) {
+/// center of the dictionary cell at global slot `slot` within eps, by
+/// the tile scan's per-point verdict: GroupBoundsFn against the cell's
+/// occupied-sub-cell MBR drops a point whose min² exceeds eps² and ends
+/// the test at a point whose max² does not, and one SubcellAnyMatchFn
+/// call takes the rest.
+bool PointsReach(const CellDictionary& dict, uint32_t slot, size_t n,
+                 size_t stride, size_t dim, const EngineSetup& setup,
+                 Phase2Scratch& scratch, TaskCounters& counters) {
+  const GlobalCellRef& ref = dict.cell_refs()[slot];
+  const SubDictionary& sd = dict.subdictionaries()[ref.subdict];
   double lo[CellCoord::kMaxDim];
   double hi[CellCoord::kMaxDim];
-  MbrBox(view.mbr, dim, lo, hi);
+  MbrBox(sd.cell_mbr(ref.local_cell), dim, lo, hi);
   setup.kernels.bounds_fn(scratch.live_t.data(), stride, n, lo, hi, dim,
                           scratch.min2.data(), scratch.max2.data());
   counters.scanned += n;
@@ -693,7 +661,9 @@ bool PointsReach(const CellView& view, size_t n, size_t stride, size_t dim,
   }
   return nk > 0 &&
          setup.kernels.any_fn(scratch.q.data(), scratch.kidx.data(), nk,
-                              view.lanes, view.counts, view.padded, dim,
+                              sd.lane_centers(ref.local_cell),
+                              sd.lane_counts(ref.local_cell),
+                              sd.lane_padded(ref.local_cell), dim,
                               setup.eps2);
 }
 
@@ -716,9 +686,8 @@ void ExtendRow(const CellUnit& unit, uint32_t cid,
     }
     if (!r.always) {
       if (stride == 0) stride = LoadPoints(unit.data, cell, dim, scratch);
-      const CellView view = ViewOf(unit.dict, unit.cells.cell(r.touched).coord);
-      if (!PointsReach(view, cell.point_ids.size(), stride, dim, unit.setup,
-                       scratch, counters)) {
+      if (!PointsReach(unit.dict, r.touched_slot, cell.point_ids.size(),
+                       stride, dim, unit.setup, scratch, counters)) {
         continue;
       }
     }
@@ -862,11 +831,12 @@ RecomputeSummary RecomputeCells(const Dataset& data, const CellSet& cells,
           TaskCounters& counters) {
         for (size_t i = begin; i < end; ++i) {
           const uint32_t t = touched[i];
-          unit.RunByProbe(t, scratch, counters);
+          const uint32_t slot = unit.SlotOf(t);
+          unit.Run(t, slot, scratch, counters);
           if (!extend) continue;
           auto name = [&](uint32_t cid, bool always) {
             if (!std::binary_search(touched.begin(), touched.end(), cid)) {
-              reach_of[i].push_back({cid, t, always});
+              reach_of[i].push_back({cid, t, slot, always});
             }
           };
           const CandidateCellList& cand = scratch.candidates;
@@ -907,7 +877,7 @@ RecomputeSummary RecomputeCells(const Dataset& data, const CellSet& cells,
                           starts[g], starts[g + 1] - starts[g]),
                       scratch, counters);
           } else {
-            unit.RunByProbe(cid, scratch, counters);
+            unit.Run(cid, unit.SlotOf(cid), scratch, counters);
           }
         }
       },

@@ -75,18 +75,6 @@ struct Phase2Result {
   SimdLevel simd_level = SimdLevel::kScalar;
 };
 
-/// Bounding box of cell `coord`'s points derived from the dictionary's own
-/// occupied sub-cell ranges (the union of occupied sub-cell boxes) instead
-/// of a scan over the points. The box is rounded one float ulp outward
-/// per face so it conservatively covers every point even where sub-cell
-/// assignment clamped a point sitting a double-rounding error outside its
-/// decoded box. Since the dictionary precomputes these MBRs per cell at
-/// Assemble (SubDictionary::cell_mbr), this is now an O(d) lookup.
-/// Returns false when the dictionary has no cell at `coord`. Exposed for
-/// the equivalence tests.
-bool SubcellRangeMbr(const CellDictionary& dict, const CellCoord& coord,
-                     float* mbr_lo, float* mbr_hi);
-
 /// Runs Phase II: for every partition (in parallel on `pool`), performs an
 /// (eps, rho)-region query per point, marks core points and core cells
 /// (Example 5.7), and writes each core cell's successor row: every cell

@@ -20,22 +20,27 @@ namespace {
 /// LatencyReservoir).
 constexpr size_t kLatencyCapacity = size_t{1} << 16;
 
-/// Groups handed out per claimant pull on the grouped path. Groups are
-/// small (a handful of queries each), so a coarser chunk keeps the
-/// cursor cold without unbalancing the tail.
+/// Groups handed out per claimant pull. Groups are small (a handful of
+/// queries each), so a coarser chunk keeps the cursor cold without
+/// unbalancing the tail.
 constexpr size_t kGroupChunk = 16;
 
+/// Grouping key of a home-cell miss, above every slot: slots are uint32s
+/// (the stencil CSR stores them so) and no dictionary holds 2^32 - 1
+/// cells.
+constexpr uint64_t kMissKey = 0xFFFFFFFF;
+
 /// A batch's claimant tasks are capped at the core count: the serving
-/// path is CPU-bound and wait-free, so claimants beyond it cannot add
-/// throughput, they only time-slice one another. Results never depend on
+/// path is CPU-bound and takes no locks, so claimants beyond it cannot
+/// add throughput, they only time-slice one another. Results never depend on
 /// the claimant count. 0 (no cap) when the core count is unknown.
 size_t MaxClaimants() {
   return static_cast<size_t>(std::thread::hardware_concurrency());
 }
 
 /// Deterministic "nearest cluster-labeled cell" tracker: lexicographic
-/// min of (box min-distance, cell id), so both candidate enumeration
-/// orders — grouped neighborhood walks and tree descent — pick the same
+/// min of (box min-distance, cell id), so every candidate enumeration
+/// order — a stencil neighborhood's or a kd descent's — picks the same
 /// cell.
 struct BestCell {
   double min2 = 0;
@@ -57,26 +62,8 @@ struct alignas(64) PaddedStats {
   ServeStats s;
 };
 
-/// Per-worker scratch of the grouped batch path, reused across every
-/// group the worker pulls — buffers only ever grow, so steady-state
-/// classification performs no allocation per query or per group.
-struct ServeArena {
-  std::vector<float> q;         // gathered group coordinates, nq * dim
-  std::vector<float> qt;        // the same, transposed dim-major at the
-                                // lane stride (GroupBoundsFn's layout)
-  std::vector<uint32_t> qi;     // original query indices of the group
-  std::vector<uint64_t> density;
-  std::vector<BestCell> best;
-  std::vector<double> min2;     // per-member bounds to the current
-  std::vector<double> max2;     // neighbor box (GroupBoundsFn output)
-  std::vector<uint32_t> kidx;   // members routed to the lane kernel
-  std::vector<uint32_t> kout;   // lane-kernel results for kidx
-  std::vector<float> bbox_lo;   // group bounding box, dim per side
-  std::vector<float> bbox_hi;
-};
-
-/// The label-resolution tail shared by the per-query and grouped paths:
-/// turns a query's density and best labeled cell into the final
+/// The label-resolution tail of every group member: turns a query's
+/// density and best labeled cell into the final
 /// {cluster, kind, certainty}, replaying the training border walk for
 /// non-core home cells. `*ref_scans` accumulates the stored core-point
 /// distance evaluations spent in that walk.
@@ -139,7 +126,7 @@ ServeResult ResolveLabel(const ClusterModelSnapshot& snap,
   return result;
 }
 
-/// The semantic counter updates every path records per resolved query.
+/// The semantic counter updates recorded per resolved query.
 void RecordResult(ServeStats* stats, const ServeResult& result,
                   bool home_hit) {
   ++stats->queries;
@@ -159,6 +146,25 @@ void RecordResult(ServeStats* stats, const ServeResult& result,
 }
 
 }  // namespace
+
+/// Per-worker scratch of ClassifyGroup, reused across every group the
+/// worker pulls: buffers only ever grow, so steady-state classification
+/// performs no allocation per query or per group.
+struct LabelServer::GroupScratch {
+  std::vector<uint32_t> qi;     // the group's query indices (the input)
+  std::vector<float> q;         // gathered group coordinates, nq * dim
+  std::vector<float> qt;        // the same, transposed dim-major at the
+                                // lane stride (GroupBoundsFn's layout)
+  std::vector<uint64_t> density;
+  std::vector<BestCell> best;
+  std::vector<double> min2;     // per-member bounds to the current
+  std::vector<double> max2;     // candidate box (GroupBoundsFn output)
+  std::vector<uint32_t> kidx;   // members routed to the lane kernel
+  std::vector<uint32_t> kout;   // lane-kernel results for kidx
+  std::vector<float> bbox_lo;   // group bounding box, dim per side
+  std::vector<float> bbox_hi;
+  std::vector<uint32_t> slots;  // QueryBoxSlots' candidate list
+};
 
 std::string ServeStatsToJson(const ServeStats& stats, double seconds,
                              double busy_seconds, size_t threads,
@@ -205,321 +211,171 @@ LabelServer::LabelServer(
 }
 
 ServeResult LabelServer::Classify(const float* q, ServeStats* stats) const {
-  const ClusterModelSnapshot& snap = *snapshot_;
-  const CellDictionary& dict = snap.dictionary();
-  const GridGeometry& geom = dict.geom();
-  // The run's effective query radius (== geom eps for coupled runs; the
-  // rung radius for eps-ladder snapshots).
-  const double qeps = snap.meta().query_eps;
-  const std::vector<uint32_t>& cell_cluster = snap.cell_cluster();
-
-  const int64_t home_idx = dict.FindCellRefIndex(geom.CellOf(q));
-  const bool home_hit = home_idx >= 0;
-  const uint32_t home_cell_id =
-      home_hit ? dict.cell_refs()[static_cast<size_t>(home_idx)].cell_id : 0;
-
-  // Per-sub-dictionary tree descent (Lemmas 5.6 and 5.10): Query() visits
-  // exactly the cells with a matched sub-cell, with the training
-  // arithmetic, so density and the best labeled cell are the grouped
-  // walk's.
-  uint64_t density = 0;
-  BestCell best;
-  dict.Query(
-      q,
-      [&](const DictCell& cell, uint32_t matched) {
-        density += matched;
-        if (cell_cluster[cell.cell_id] != kNoCluster) {
-          best.Offer(geom.CellMinDist2(cell.coord, q), cell.cell_id);
-        }
-      },
-      qeps);
-
-  uint64_t ref_scans = 0;
-  const ServeResult result =
-      ResolveLabel(snap, opts_, q, geom.dim(), qeps * qeps, density, best,
-                   home_hit, home_cell_id, &ref_scans);
-  if (stats != nullptr) {
-    RecordResult(stats, result, home_hit);
-    stats->border_ref_scans += ref_scans;
-  }
+  const CellDictionary& dict = snapshot_->dictionary();
+  GroupScratch a;
+  a.qi.assign(1, 0);
+  ServeResult result;
+  ClassifyGroup(q, dict.FindCellRefIndex(dict.geom().CellOf(q)), a, &result,
+                stats);
   return result;
 }
 
-Status LabelServer::ClassifyPerQuery(const Dataset& queries, ThreadPool& pool,
-                                     std::vector<ServeResult>* out,
-                                     ServeStats* stats,
-                                     LatencyReservoir* latency) const {
-  out->assign(queries.size(), ServeResult());
-  const size_t num_workers = pool.num_threads() > 0 ? pool.num_threads() : 1;
-  std::vector<PaddedStats> worker_stats(num_workers);
-  std::vector<LatencyReservoir> worker_latency;
-  if (latency != nullptr) {
-    worker_latency.reserve(num_workers);
-    for (size_t w = 0; w < num_workers; ++w) {
-      worker_latency.emplace_back(kLatencyCapacity, w + 1);
-    }
-  }
-  const Stopwatch watch;  // the batch's admission instant
-  ParallelForWorkers(
-      pool, queries.size(),
-      [&](size_t worker, size_t i) {
-        (*out)[i] = Classify(queries.point(i),
-                             stats != nullptr ? &worker_stats[worker].s
-                                              : nullptr);
-        if (latency != nullptr) {
-          worker_latency[worker].Add(
-              static_cast<uint64_t>(watch.ElapsedNanos()));
-        }
-      },
-      /*chunk=*/256, MaxClaimants());
-  if (stats != nullptr) {
-    for (const PaddedStats& ws : worker_stats) stats->Merge(ws.s);
-  }
-  if (latency != nullptr) {
-    for (const LatencyReservoir& wl : worker_latency) latency->Merge(wl);
-  }
-  return Status::OK();
-}
-
-Status LabelServer::ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
-                                    std::vector<ServeResult>* out,
-                                    ServeStats* stats,
-                                    LatencyReservoir* latency) const {
+void LabelServer::ClassifyGroup(const float* points, int64_t home,
+                                GroupScratch& a, ServeResult* out,
+                                ServeStats* stats) const {
   const ClusterModelSnapshot& snap = *snapshot_;
   const CellDictionary& dict = snap.dictionary();
-  const GridGeometry& geom = dict.geom();
-  const size_t dim = geom.dim();
+  const size_t dim = dict.geom().dim();
   // The run's effective query radius (== geom eps for coupled runs; the
   // rung radius for eps-ladder snapshots, whose stencil was rebuilt with
   // matching headroom at load).
   const double qeps = snap.meta().query_eps;
   const double eps2 = qeps * qeps;
-  const double side = geom.cell_side();
+  const double side = dict.geom().cell_side();
   const std::vector<uint32_t>& cell_cluster = snap.cell_cluster();
   const std::vector<GlobalCellRef>& refs = dict.cell_refs();
   const int32_t* ref_coords = dict.ref_coords().data();
-  const size_t n = queries.size();
-  const size_t num_slots = refs.size();
-  const size_t max_claimants = MaxClaimants();
+  const size_t nq = a.qi.size();
 
-  out->assign(n, ServeResult());
-  const Stopwatch watch;  // the batch's admission instant
-
-  // Stage 1 — grouping keys: one home-cell hash probe per query. Hits
-  // key on the home cell's global slot; misses get a unique key past the
-  // slot range, so each forms a singleton group served by Classify. Packed (key << 32) | index so one radix sort over the key
-  // bytes yields groups with members in ascending query order — a pure
-  // function of the query set, never of the thread count.
-  std::vector<uint64_t> order(n);
-  ParallelForWorkers(
-      pool, n,
-      [&](size_t, size_t i) {
-        const CellCoord home = geom.CellOf(queries.point(i));
-        const int64_t slot = dict.FindCellRefIndex(home);
-        const uint64_t key = slot >= 0 ? static_cast<uint64_t>(slot)
-                                       : num_slots + i;
-        order[i] = (key << 32) | static_cast<uint64_t>(i);
-      },
-      /*chunk=*/1024, max_claimants);
-
-  // Stage 2 — sort by key (stable over the 4 key bytes: ties keep the
-  // packed index order) and scan out group boundaries.
-  std::vector<uint64_t> sort_scratch;
-  ParallelRadixSort(
-      order, sort_scratch, 4,
-      [](uint64_t v, unsigned b) {
-        return static_cast<uint8_t>(v >> (32 + 8 * b));
-      },
-      max_claimants > 1 ? &pool : nullptr);
-  std::vector<uint32_t> group_begin;
-  group_begin.reserve(n + 1);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == 0 || (order[i] >> 32) != (order[i - 1] >> 32)) {
-      group_begin.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  group_begin.push_back(static_cast<uint32_t>(n));
-  const size_t num_groups = group_begin.size() - 1;
-
-  // Stage 3 — classify group by group: gather the group's coordinates
-  // into the worker's arena, walk the home cell's precomputed stencil
-  // neighborhood ONCE, and classify the whole group against each
-  // neighbor — containment fast path per member, one multi-query lane
-  // kernel invocation for the rest. The walk is exact: the neighborhood
-  // holds every cell a member's ball can reach, a cell whose box lies
-  // beyond eps (min2 > eps2) can contain no matched sub-cell, density is
-  // an order-free integer sum, and BestCell::Offer is enumeration-order
-  // independent — so per-member results are bit-identical to Classify.
-  const size_t num_workers = pool.num_threads() > 0 ? pool.num_threads() : 1;
-  std::vector<PaddedStats> worker_stats(num_workers);
-  std::vector<ServeArena> arenas(num_workers);
-  std::vector<LatencyReservoir> worker_latency;
-  if (latency != nullptr) {
-    worker_latency.reserve(num_workers);
-    for (size_t w = 0; w < num_workers; ++w) {
-      worker_latency.emplace_back(kLatencyCapacity, w + 1);
+  // Lane stride for the transposed layout; the padded tail of qt always
+  // holds finite floats (stale members or resize zeros), so the bounds
+  // kernel's tail lanes compute finite garbage that the routing loop
+  // below never reads.
+  const size_t stride =
+      (nq + kSimdLaneWidth - 1) & ~size_t{kSimdLaneWidth - 1};
+  a.q.resize(nq * dim);
+  a.qt.resize(stride * dim);
+  a.density.assign(nq, 0);
+  a.best.assign(nq, BestCell());
+  a.min2.resize(stride);
+  a.max2.resize(stride);
+  a.kidx.resize(nq);
+  a.kout.resize(nq);
+  a.bbox_lo.resize(dim);
+  a.bbox_hi.resize(dim);
+  for (size_t k = 0; k < nq; ++k) {
+    const float* src = points + static_cast<size_t>(a.qi[k]) * dim;
+    std::memcpy(a.q.data() + k * dim, src, dim * sizeof(float));
+    for (size_t d = 0; d < dim; ++d) {
+      a.qt[d * stride + k] = src[d];
+      if (k == 0 || src[d] < a.bbox_lo[d]) a.bbox_lo[d] = src[d];
+      if (k == 0 || src[d] > a.bbox_hi[d]) a.bbox_hi[d] = src[d];
     }
   }
 
-  ParallelForWorkers(
-      pool, num_groups,
-      [&](size_t worker, size_t g) {
-        const size_t gb = group_begin[g];
-        const size_t ge = group_begin[g + 1];
-        const size_t nq = ge - gb;
-        const uint64_t key = order[gb] >> 32;
-        ServeStats* st = stats != nullptr ? &worker_stats[worker].s : nullptr;
-
-        if (key >= num_slots) {
-          // Home-cell miss: a singleton group served by Classify.
-          const uint32_t qi = static_cast<uint32_t>(order[gb]);
-          (*out)[qi] = Classify(queries.point(qi), st);
-        } else {
-          ServeArena& a = arenas[worker];
-          // Lane stride for the transposed layout; the padded tail of qt
-          // always holds finite floats (stale members or resize zeros),
-          // so the bounds kernel's tail lanes compute finite garbage
-          // that the routing loop below never reads.
-          const size_t stride =
-              (nq + kSimdLaneWidth - 1) & ~size_t{kSimdLaneWidth - 1};
-          a.q.resize(nq * dim);
-          a.qt.resize(stride * dim);
-          a.qi.resize(nq);
-          a.density.assign(nq, 0);
-          a.best.assign(nq, BestCell());
-          a.min2.resize(stride);
-          a.max2.resize(stride);
-          a.kidx.resize(nq);
-          a.kout.resize(nq);
-          a.bbox_lo.resize(dim);
-          a.bbox_hi.resize(dim);
-          for (size_t k = 0; k < nq; ++k) {
-            const uint32_t qi = static_cast<uint32_t>(order[gb + k]);
-            a.qi[k] = qi;
-            const float* src = queries.point(qi);
-            std::memcpy(a.q.data() + k * dim, src, dim * sizeof(float));
-            for (size_t d = 0; d < dim; ++d) {
-              a.qt[d * stride + k] = src[d];
-              if (k == 0 || src[d] < a.bbox_lo[d]) a.bbox_lo[d] = src[d];
-              if (k == 0 || src[d] > a.bbox_hi[d]) a.bbox_hi[d] = src[d];
-            }
-          }
-
-          double lo[CellCoord::kMaxDim];
-          double hi[CellCoord::kMaxDim];
-          size_t nbr_count = 0;
-          const uint32_t* nbr = dict.StencilNeighborsOf(
-              static_cast<size_t>(key), &nbr_count);
-          for (size_t j = 0; j < nbr_count; ++j) {
-            const uint32_t slot = nbr[j];
-            const GlobalCellRef& ref = refs[slot];
-            const int32_t* coord =
-                ref_coords + static_cast<size_t>(slot) * dim;
-            // The neighbor's box bounds, hoisted out of the member loop —
-            // CellMinDist2/CellMaxDist2's exact arithmetic, computed once.
-            for (size_t d = 0; d < dim; ++d) {
-              lo[d] = static_cast<double>(coord[d]) * side;
-              hi[d] = lo[d] + side;
-            }
-            if (j != 0) {
-              // Whole-group pre-drop: every member lies inside the group
-              // bounding box, so each member's box min-distance is at
-              // least the box-to-box distance. Above eps2, every member
-              // would pre-drop individually — identical results, one
-              // test instead of nq.
-              double gmin2 = 0.0;
-              for (size_t d = 0; d < dim; ++d) {
-                const double glo = static_cast<double>(a.bbox_lo[d]);
-                const double ghi = static_cast<double>(a.bbox_hi[d]);
-                double delta = 0.0;
-                if (ghi < lo[d]) {
-                  delta = lo[d] - ghi;
-                } else if (glo > hi[d]) {
-                  delta = glo - hi[d];
-                }
-                gmin2 += delta * delta;
-              }
-              if (gmin2 > eps2) continue;
-            }
-            // One bounds-kernel pass per neighbor: every member's box
-            // min-distance (the pre-drop and the best-cell key) and box
-            // max-distance (the whole-cell containment fast path), four
-            // members per vector lane, with the training arithmetic.
-            bounds_fn_(a.qt.data(), stride, nq, lo, hi, dim,
-                       a.min2.data(), a.max2.data());
-            const bool labeled = cell_cluster[ref.cell_id] != kNoCluster;
-            size_t nk = 0;
-            for (size_t k = 0; k < nq; ++k) {
-              // j == 0 is the home cell itself, which holds the member:
-              // its min2 is pinned to zero.
-              double min2 = a.min2[k];
-              if (j == 0) {
-                min2 = 0.0;
-              } else if (min2 > eps2) {
-                // Provably disjoint from this member's query ball: no
-                // sub-cell center of the box can match.
-                continue;
-              }
-              if (a.max2[k] <= eps2) {
-                // Whole cell inside the member's ball: every sub-cell
-                // center matches, no kernel needed.
-                a.density[k] += ref.total_count;
-                if (labeled) a.best[k].Offer(min2, ref.cell_id);
-                continue;
-              }
-              a.min2[k] = min2;
-              a.kidx[nk++] = static_cast<uint32_t>(k);
-            }
-            if (nk > 0) {
-              const SubDictionary& sd = dict.subdictionaries()[ref.subdict];
-              multi_fn_(a.q.data(), a.kidx.data(), nk,
-                        sd.lane_centers(ref.local_cell),
-                        sd.lane_counts(ref.local_cell),
-                        sd.lane_padded(ref.local_cell), dim, eps2,
-                        a.kout.data());
-              for (size_t t = 0; t < nk; ++t) {
-                const uint32_t m = a.kout[t];
-                if (m == 0) continue;
-                const size_t k = a.kidx[t];
-                a.density[k] += m;
-                if (labeled) a.best[k].Offer(a.min2[k], ref.cell_id);
-              }
-            }
-          }
-
-          const uint32_t home_cell_id = refs[static_cast<size_t>(key)].cell_id;
-          for (size_t k = 0; k < nq; ++k) {
-            uint64_t ref_scans = 0;
-            const ServeResult r = ResolveLabel(
-                snap, opts_, a.q.data() + k * dim, dim, eps2, a.density[k],
-                a.best[k], /*home_hit=*/true, home_cell_id, &ref_scans);
-            (*out)[a.qi[k]] = r;
-            if (st != nullptr) {
-              RecordResult(st, r, /*home_hit=*/true);
-              st->border_ref_scans += ref_scans;
-            }
-          }
-          if (st != nullptr) {
-            // One neighborhood walk per group, whatever its size.
-            st->stencil_probes += nbr_count;
-          }
-        }
-
-        if (latency != nullptr) {
-          // One monotonic stamp per group; every member completed at it.
-          const uint64_t now = static_cast<uint64_t>(watch.ElapsedNanos());
-          for (size_t k = 0; k < nq; ++k) worker_latency[worker].Add(now);
-        }
-      },
-      kGroupChunk, max_claimants);
-
-  if (stats != nullptr) {
-    for (const PaddedStats& ws : worker_stats) stats->Merge(ws.s);
+  // The candidate slots: the home cell's precomputed stencil neighborhood
+  // (every cell a member's ball can reach, the home cell first), or one
+  // box-bounded kd descent over the group's bounding box, which drops a
+  // cell only when no member can match it (QueryBoxSlots).
+  const uint32_t* cand = nullptr;
+  size_t num_cand = 0;
+  if (home >= 0 && dict.has_stencil()) {
+    cand = dict.StencilNeighborsOf(static_cast<size_t>(home), &num_cand);
+    // One neighborhood walk per group, whatever its size.
+    if (stats != nullptr) stats->stencil_probes += num_cand;
+  } else {
+    dict.QueryBoxSlots(a.bbox_lo.data(), a.bbox_hi.data(), &a.slots, qeps);
+    cand = a.slots.data();
+    num_cand = a.slots.size();
   }
-  if (latency != nullptr) {
-    for (const LatencyReservoir& wl : worker_latency) latency->Merge(wl);
+
+  // Classify the whole group against each candidate — containment fast
+  // path per member, one multi-query lane kernel invocation for the rest.
+  // The walk is exact: the list holds every cell a member's ball can
+  // reach, a cell whose box lies beyond eps (min2 > eps2) can contain no
+  // matched sub-cell, density is an order-free integer sum, and
+  // BestCell::Offer is enumeration-order independent — so a member's
+  // result does not depend on its group or on the candidate list.
+  double lo[CellCoord::kMaxDim];
+  double hi[CellCoord::kMaxDim];
+  for (size_t j = 0; j < num_cand; ++j) {
+    const uint32_t slot = cand[j];
+    const bool is_home = static_cast<int64_t>(slot) == home;
+    const GlobalCellRef& ref = refs[slot];
+    const int32_t* coord = ref_coords + static_cast<size_t>(slot) * dim;
+    // The candidate's box bounds, hoisted out of the member loop —
+    // CellMinDist2/CellMaxDist2's exact arithmetic, computed once.
+    for (size_t d = 0; d < dim; ++d) {
+      lo[d] = static_cast<double>(coord[d]) * side;
+      hi[d] = lo[d] + side;
+    }
+    if (!is_home) {
+      // Whole-group pre-drop: every member lies inside the group
+      // bounding box, so each member's box min-distance is at least the
+      // box-to-box distance. Above eps2, every member would pre-drop
+      // individually — identical results, one test instead of nq.
+      double gmin2 = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        const double glo = static_cast<double>(a.bbox_lo[d]);
+        const double ghi = static_cast<double>(a.bbox_hi[d]);
+        double delta = 0.0;
+        if (ghi < lo[d]) {
+          delta = lo[d] - ghi;
+        } else if (glo > hi[d]) {
+          delta = glo - hi[d];
+        }
+        gmin2 += delta * delta;
+      }
+      if (gmin2 > eps2) continue;
+    }
+    // One bounds-kernel pass per candidate: every member's box
+    // min-distance (the pre-drop and the best-cell key) and box
+    // max-distance (the whole-cell containment fast path), four members
+    // per vector lane, with the training arithmetic.
+    bounds_fn_(a.qt.data(), stride, nq, lo, hi, dim, a.min2.data(),
+               a.max2.data());
+    const bool labeled = cell_cluster[ref.cell_id] != kNoCluster;
+    size_t nk = 0;
+    for (size_t k = 0; k < nq; ++k) {
+      // The home cell holds every member: its min2 is pinned to zero.
+      double min2 = a.min2[k];
+      if (is_home) {
+        min2 = 0.0;
+      } else if (min2 > eps2) {
+        // Provably disjoint from this member's query ball: no sub-cell
+        // center of the box can match.
+        continue;
+      }
+      if (a.max2[k] <= eps2) {
+        // Whole cell inside the member's ball: every sub-cell center
+        // matches, no kernel needed.
+        a.density[k] += ref.total_count;
+        if (labeled) a.best[k].Offer(min2, ref.cell_id);
+        continue;
+      }
+      a.min2[k] = min2;
+      a.kidx[nk++] = static_cast<uint32_t>(k);
+    }
+    if (nk > 0) {
+      const SubDictionary& sd = dict.subdictionaries()[ref.subdict];
+      multi_fn_(a.q.data(), a.kidx.data(), nk, sd.lane_centers(ref.local_cell),
+                sd.lane_counts(ref.local_cell), sd.lane_padded(ref.local_cell),
+                dim, eps2, a.kout.data());
+      for (size_t t = 0; t < nk; ++t) {
+        const uint32_t m = a.kout[t];
+        if (m == 0) continue;
+        const size_t k = a.kidx[t];
+        a.density[k] += m;
+        if (labeled) a.best[k].Offer(a.min2[k], ref.cell_id);
+      }
+    }
   }
-  return Status::OK();
+
+  const bool home_hit = home >= 0;
+  const uint32_t home_cell_id =
+      home_hit ? refs[static_cast<size_t>(home)].cell_id : 0;
+  for (size_t k = 0; k < nq; ++k) {
+    uint64_t ref_scans = 0;
+    const ServeResult r =
+        ResolveLabel(snap, opts_, a.q.data() + k * dim, dim, eps2,
+                     a.density[k], a.best[k], home_hit, home_cell_id,
+                     &ref_scans);
+    out[a.qi[k]] = r;
+    if (stats != nullptr) {
+      RecordResult(stats, r, home_hit);
+      stats->border_ref_scans += ref_scans;
+    }
+  }
 }
 
 Status LabelServer::CheckQueries(const Dataset& queries) const {
@@ -529,6 +385,13 @@ Status LabelServer::CheckQueries(const Dataset& queries) const {
         "serve batch: query dimensionality " +
         std::to_string(queries.dim()) + " does not match the snapshot's " +
         std::to_string(dim));
+  }
+  // Groups carry 32-bit query indices (a wire request's u32 count never
+  // exceeds them).
+  if (queries.size() > uint64_t{0xFFFFFFFF}) {
+    return Status::InvalidArgument(
+        "serve batch: " + std::to_string(queries.size()) +
+        " queries exceed the 32-bit query index");
   }
   // Binning a NaN, an infinity or a coordinate beyond the int32 cell
   // lattice is undefined; reject the batch, naming the query.
@@ -546,15 +409,93 @@ Status LabelServer::ClassifyBatch(const Dataset& queries, ThreadPool& pool,
                                   ServeStats* stats,
                                   LatencyReservoir* latency) const {
   RPDBSCAN_RETURN_IF_ERROR(CheckQueries(queries));
-  // The grouped path needs the precomputed stencil neighborhoods and
-  // 32-bit (slot | index) keys; without either, the batch is a loop over
-  // Classify (bit-identical results either way).
-  const size_t num_slots = snapshot_->dictionary().cell_refs().size();
-  if (!snapshot_->dictionary().has_stencil() ||
-      num_slots + queries.size() > uint64_t{0xFFFFFFFF}) {
-    return ClassifyPerQuery(queries, pool, out, stats, latency);
+  const CellDictionary& dict = snapshot_->dictionary();
+  const GridGeometry& geom = dict.geom();
+  const size_t n = queries.size();
+  const size_t max_claimants = MaxClaimants();
+
+  out->assign(n, ServeResult());
+  const Stopwatch watch;  // the batch's admission instant
+
+  // Stage 1 — grouping keys: one home-cell hash probe per query. Hits
+  // key on the home cell's global slot, misses on kMissKey. Packed
+  // (key << 32) | index so one radix sort over the key bytes yields
+  // groups with members in ascending query order — a pure function of
+  // the query set, never of the thread count.
+  std::vector<uint64_t> order(n);
+  ParallelForWorkers(
+      pool, n,
+      [&](size_t, size_t i) {
+        const int64_t slot =
+            dict.FindCellRefIndex(geom.CellOf(queries.point(i)));
+        const uint64_t key =
+            slot >= 0 ? static_cast<uint64_t>(slot) : kMissKey;
+        order[i] = (key << 32) | static_cast<uint64_t>(i);
+      },
+      /*chunk=*/1024, max_claimants);
+
+  // Stage 2 — sort by key (stable over the 4 key bytes: ties keep the
+  // packed index order) and scan out group boundaries. Misses share no
+  // cell, so each forms a singleton group.
+  std::vector<uint64_t> sort_scratch;
+  ParallelRadixSort(
+      order, sort_scratch, 4,
+      [](uint64_t v, unsigned b) {
+        return static_cast<uint8_t>(v >> (32 + 8 * b));
+      },
+      max_claimants > 1 ? &pool : nullptr);
+  std::vector<uint32_t> group_begin;
+  group_begin.reserve(n + 1);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = order[i] >> 32;
+    if (i == 0 || key == kMissKey || key != (order[i - 1] >> 32)) {
+      group_begin.push_back(static_cast<uint32_t>(i));
+    }
   }
-  return ClassifyGrouped(queries, pool, out, stats, latency);
+  group_begin.push_back(static_cast<uint32_t>(n));
+  const size_t num_groups = group_begin.size() - 1;
+
+  // Stage 3 — classify group by group in the worker's scratch.
+  const size_t num_workers = pool.num_threads() > 0 ? pool.num_threads() : 1;
+  std::vector<PaddedStats> worker_stats(num_workers);
+  std::vector<GroupScratch> scratch(num_workers);
+  std::vector<LatencyReservoir> worker_latency;
+  if (latency != nullptr) {
+    worker_latency.reserve(num_workers);
+    for (size_t w = 0; w < num_workers; ++w) {
+      worker_latency.emplace_back(kLatencyCapacity, w + 1);
+    }
+  }
+  ParallelForWorkers(
+      pool, num_groups,
+      [&](size_t worker, size_t g) {
+        const size_t gb = group_begin[g];
+        const size_t nq = group_begin[g + 1] - gb;
+        const uint64_t key = order[gb] >> 32;
+        GroupScratch& a = scratch[worker];
+        a.qi.resize(nq);
+        for (size_t k = 0; k < nq; ++k) {
+          a.qi[k] = static_cast<uint32_t>(order[gb + k]);
+        }
+        ClassifyGroup(queries.raw(),
+                      key == kMissKey ? -1 : static_cast<int64_t>(key), a,
+                      out->data(),
+                      stats != nullptr ? &worker_stats[worker].s : nullptr);
+        if (latency != nullptr) {
+          // One monotonic stamp per group; every member completed at it.
+          const uint64_t now = static_cast<uint64_t>(watch.ElapsedNanos());
+          for (size_t k = 0; k < nq; ++k) worker_latency[worker].Add(now);
+        }
+      },
+      kGroupChunk, max_claimants);
+
+  if (stats != nullptr) {
+    for (const PaddedStats& ws : worker_stats) stats->Merge(ws.s);
+  }
+  if (latency != nullptr) {
+    for (const LatencyReservoir& wl : worker_latency) latency->Merge(wl);
+  }
+  return Status::OK();
 }
 
 }  // namespace rpdbscan

@@ -73,11 +73,11 @@ struct ServeStats {
   uint64_t core = 0;
   uint64_t border = 0;
   uint64_t noise = 0;
-  /// Precomputed stencil-neighborhood entries the grouped batch path
-  /// walked: one walk per home-cell group, whatever the group's size.
-  /// Deterministic for a given query set (grouping is by home-cell slot,
-  /// not by thread). Classify descends the sub-dictionary trees and walks
-  /// none, so a home-cell miss or a per-query batch adds 0.
+  /// Precomputed stencil-neighborhood entries walked: one walk per
+  /// home-cell group, whatever the group's size. Deterministic for a
+  /// given query set (grouping is by home-cell slot, not by thread). A
+  /// group whose candidates come from the kd-trees (a home-cell miss, or
+  /// any group of a snapshot without a stencil) adds 0.
   uint64_t stencil_probes = 0;
   /// Stored core-point distance evaluations spent replaying border walks.
   uint64_t border_ref_scans = 0;
@@ -111,19 +111,23 @@ std::string ServeStatsToJson(const ServeStats& stats, double seconds,
 
 /// Classifies out-of-sample points against a frozen ClusterModelSnapshot.
 ///
-/// The read path is wait-free: the snapshot is immutable and shared, every
-/// query works on stack scratch only, and batches hand each worker its own
-/// stats instance — no locks, no atomics, no shared mutable state. Any
-/// number of threads may call Classify / ClassifyBatch concurrently on one
+/// The read path takes no locks of its own: the snapshot is immutable and
+/// shared, and each call (or each worker of a batch) owns its scratch and
+/// stats instance — no atomics, no shared mutable state. Any number of
+/// threads may call Classify / ClassifyBatch concurrently on one
 /// LabelServer.
 ///
-/// A query point q resolves in two steps:
+/// Queries are classified in groups that share a home cell (a home-cell
+/// miss is a group of one), by one routine at every dimensionality. A
+/// query point q resolves in two steps:
 ///  1. Density: the (eps, rho)-region query (Def. 5.1) sums the densities
 ///     of sub-cells whose center lies within eps, with the whole-cell
-///     containment fast path. Classify descends the per-sub-dictionary
-///     kd-trees with MBR skipping (CellDictionary::Query, Lemmas 5.6 and
-///     5.10); ClassifyBatch walks each home cell's precomputed stencil
-///     neighborhood once for all of its queries. Both use the training
+///     containment fast path. The group's candidate cells are its home
+///     cell's precomputed stencil neighborhood when the snapshot has a
+///     stencil, and otherwise (a miss, or d >= 6) the cells one
+///     box-bounded descent of the per-sub-dictionary kd-trees over the
+///     group's bounding box keeps (CellDictionary::QueryBoxSlots, Lemmas
+///     5.6 and 5.10). Every candidate is tested with the training
 ///     kernels' exact arithmetic, so the density q gets here is the
 ///     density it would have gotten as a training point.
 ///  2. Label: a core home cell labels q with its cluster (kExact). A
@@ -141,9 +145,9 @@ class LabelServer {
   const ClusterModelSnapshot& snapshot() const { return *snapshot_; }
   const LabelServerOptions& options() const { return opts_; }
 
-  /// Classifies one point of snapshot dimensionality by tree descent.
-  /// Thread-safe and allocation-free. Counters accumulate into `*stats`
-  /// when given.
+  /// Classifies one point of snapshot dimensionality: a group of one,
+  /// through the same routine as ClassifyBatch. Thread-safe. Counters
+  /// accumulate into `*stats` when given.
   /// Precondition: every coordinate is Binnable at the snapshot's
   /// geometry (finite, inside the int32 cell lattice) — ClassifyBatch
   /// checks this and rejects the batch otherwise.
@@ -155,42 +159,40 @@ class LabelServer {
   /// Classify point by point ({cluster, kind, certainty, density} all
   /// match); merged semantic stats match the serial path too, while
   /// stencil_probes follows the grouped accounting documented on
-  /// ServeStats. Fails with InvalidArgument on a dimensionality mismatch
-  /// or on a query coordinate that cannot be binned (NaN, +-Inf, beyond
-  /// the int32 cell lattice), naming the query index and dimension.
+  /// ServeStats. Fails with InvalidArgument on a dimensionality mismatch,
+  /// on more queries than a 32-bit index holds, or on a query coordinate
+  /// that cannot be binned (NaN, +-Inf, beyond the int32 cell lattice),
+  /// naming the query index and dimension.
   ///
-  /// This is the batched hot path: queries are grouped by home-cell slot
-  /// (a deterministic radix sort of (slot, index) keys — groups never
-  /// depend on the thread count), each group's stencil neighborhood is
-  /// walked once, and the group is classified against each neighbor cell
-  /// in one multi-query lane-kernel invocation. Per-worker scratch lives
-  /// in an arena reused across the batch — no per-query or per-group
-  /// allocation in steady state — and per-worker stats are cache-line
-  /// padded. When `latency` is given, every query contributes one
-  /// completion-time sample (monotonic clock, one stamp per group)
-  /// measured from batch admission.
-  ///
-  /// Grouping needs the precomputed stencil neighborhoods and 32-bit
-  /// (slot, index) keys. Where either is missing — a snapshot without a
-  /// stencil (d >= 6), or more slots plus queries than 32 bits hold — the
-  /// batch runs as a parallel loop over Classify instead, with one latency
-  /// stamp per query. A query whose home cell is absent forms a singleton
-  /// group, also served by Classify.
+  /// Queries are grouped by home-cell slot (a deterministic radix sort of
+  /// (slot, index) keys — groups never depend on the thread count; each
+  /// home-cell miss is a group of one). Each group gets one candidate
+  /// list — its home cell's stencil neighborhood, or one kd descent over
+  /// its bounding box where there is no stencil or no home cell — and is
+  /// classified against each candidate in one multi-query lane-kernel
+  /// invocation. Per-worker scratch is reused across the batch — no
+  /// per-query or per-group allocation in steady state — and per-worker
+  /// stats are cache-line padded. When `latency` is given, every query
+  /// contributes one completion-time sample (monotonic clock, one stamp
+  /// per group) measured from batch admission.
   Status ClassifyBatch(const Dataset& queries, ThreadPool& pool,
                        std::vector<ServeResult>* out,
                        ServeStats* stats = nullptr,
                        LatencyReservoir* latency = nullptr) const;
 
  private:
-  /// ClassifyBatch's input contract: snapshot dimensionality and
-  /// binnable coordinates (GridGeometry::CheckBinnable).
+  /// Per-worker scratch of ClassifyGroup (label_server.cc).
+  struct GroupScratch;
+
+  /// ClassifyBatch's input contract: snapshot dimensionality, a 32-bit
+  /// query count and binnable coordinates (GridGeometry::CheckBinnable).
   Status CheckQueries(const Dataset& queries) const;
-  Status ClassifyPerQuery(const Dataset& queries, ThreadPool& pool,
-                          std::vector<ServeResult>* out, ServeStats* stats,
-                          LatencyReservoir* latency) const;
-  Status ClassifyGrouped(const Dataset& queries, ThreadPool& pool,
-                         std::vector<ServeResult>* out, ServeStats* stats,
-                         LatencyReservoir* latency) const;
+  /// Classifies the group a.qi (query indices into the row-major
+  /// `points`), whose members share the home cell at global slot `home`
+  /// (-1: no home cell, a group of one), writing query i's result to
+  /// out[i] and adding its counters to `*stats` when given.
+  void ClassifyGroup(const float* points, int64_t home, GroupScratch& a,
+                     ServeResult* out, ServeStats* stats) const;
 
   std::shared_ptr<const ClusterModelSnapshot> snapshot_;
   LabelServerOptions opts_;

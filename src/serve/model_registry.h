@@ -25,7 +25,7 @@ namespace rpdbscan {
 /// safe; once population is done the registry is immutable, and Find /
 /// Default / ids are safe to call from any number of serving threads
 /// concurrently (they touch only const state, and each resolved
-/// LabelServer's read path is wait-free).
+/// LabelServer's read path takes no locks).
 ///
 /// The *default* model answers unrouted (v1) frames: the first entry
 /// added, unless SetDefault picks another. A single-model registry is

@@ -230,11 +230,12 @@ void ExpectSplitMatchesBruteForce(const CellSet& cells,
   CandidateCellList got;
   for (uint32_t cid = 0; cid < cells.num_cells(); ++cid) {
     const CellCoord& coord = cells.cell(cid).coord;
-    float lo[CellCoord::kMaxDim];
-    float hi[CellCoord::kMaxDim];
-    ASSERT_TRUE(SubcellRangeMbr(dict, coord, lo, hi));
     const int64_t slot = dict.FindCellRefIndex(coord);
     ASSERT_GE(slot, 0);
+    const GlobalCellRef& ref = dict.cell_refs()[slot];
+    const float* lo =
+        dict.subdictionaries()[ref.subdict].cell_mbr(ref.local_cell);
+    const float* hi = lo + dim;
     dict.QueryCell(static_cast<uint32_t>(slot), &got, query_eps);
 
     uint64_t always_count = 0;

@@ -14,6 +14,7 @@
 
 #include "core/phase2.h"
 #include "neighborhood_sets.h"
+#include "phase2_oracle.h"
 #include "synth/generators.h"
 #include "util/random.h"
 #include "verify/audit.h"
@@ -75,13 +76,28 @@ std::map<uint32_t, uint32_t> BruteQuery(const Fixture& f, const float* q) {
   return per_cell;
 }
 
+// The same query over the dictionary's own sub-cells (BruteForceRegionQuery).
 std::map<uint32_t, uint32_t> DictQuery(const CellDictionary& dict,
                                        const float* q) {
   std::map<uint32_t, uint32_t> per_cell;
-  dict.Query(q, [&](const DictCell& c, uint32_t matched) {
+  BruteForceRegionQuery(dict, q, [&](const DictCell& c, uint32_t matched) {
     per_cell[c.cell_id] += matched;
   });
   return per_cell;
+}
+
+// The cell ids of QueryBoxSlots' candidates for the point box of `q`,
+// ascending.
+std::vector<uint32_t> BoxCandidates(const CellDictionary& dict,
+                                    const float* q) {
+  std::vector<uint32_t> slots;
+  dict.QueryBoxSlots(q, q, &slots);
+  std::vector<uint32_t> ids;
+  for (const uint32_t slot : slots) {
+    ids.push_back(dict.cell_refs()[slot].cell_id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 TEST(CellDictionaryTest, CountsMatchData) {
@@ -149,6 +165,15 @@ TEST(CellDictionaryTest, DefragAndSkippingDoNotChangeResults) {
     const uint32_t pid = static_cast<uint32_t>(rng.Uniform(f.data.size()));
     const float* q = f.data.point(pid);
     EXPECT_EQ(DictQuery(*d1, q), DictQuery(*d2, q));
+    // A skipped fragment holds only cells the node tests would drop, so
+    // the kd candidates are the same cells either way.
+    const std::vector<uint32_t> candidates = BoxCandidates(*d1, q);
+    EXPECT_EQ(candidates, BoxCandidates(*d2, q));
+    // Every cell with a matched sub-cell is a candidate.
+    for (const auto& [cid, matched] : DictQuery(*d1, q)) {
+      EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), cid))
+          << "cell " << cid;
+    }
   }
 }
 
@@ -161,9 +186,14 @@ TEST(CellDictionaryTest, SkippingVisitsFewerSubdictionaries) {
   auto without = CellDictionary::Build(f.data, *f.cells, opts);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
-  const float* q = f.data.point(0);
-  auto ignore = [](const DictCell&, uint32_t) {};
-  EXPECT_LT(with->Query(q, ignore), without->Query(q, ignore));
+  const CellCoord& coord = f.cells->cell(0).coord;
+  const int64_t with_slot = with->FindCellRefIndex(coord);
+  const int64_t without_slot = without->FindCellRefIndex(coord);
+  ASSERT_GE(with_slot, 0);
+  ASSERT_GE(without_slot, 0);
+  CandidateCellList list;
+  EXPECT_LT(with->QueryCell(static_cast<uint32_t>(with_slot), &list),
+            without->QueryCell(static_cast<uint32_t>(without_slot), &list));
 }
 
 TEST(CellDictionaryTest, SizeFormulaLemma43) {
@@ -223,32 +253,50 @@ TEST(CellDictionaryTest, MovedDictionaryOutlivesItsSource) {
   ASSERT_GT(moved.num_subdictionaries(), 1u);
   CandidateCellList want;
   CandidateCellList got;
-  float lo[CellCoord::kMaxDim];
-  float hi[CellCoord::kMaxDim];
+  const size_t dim = f.data.dim();
   for (uint32_t cid = 0; cid < f.cells->num_cells(); ++cid) {
     const CellCoord& coord = f.cells->cell(cid).coord;
-    ASSERT_TRUE(SubcellRangeMbr(moved, coord, lo, hi));
     const int64_t want_slot = reference->FindCellRefIndex(coord);
     const int64_t got_slot = moved.FindCellRefIndex(coord);
     ASSERT_GE(want_slot, 0);
     ASSERT_GE(got_slot, 0);
+    const GlobalCellRef& want_ref = reference->cell_refs()[want_slot];
+    const GlobalCellRef& got_ref = moved.cell_refs()[got_slot];
+    const float* want_mbr = reference->subdictionaries()[want_ref.subdict]
+                                .cell_mbr(want_ref.local_cell);
+    const float* got_mbr =
+        moved.subdictionaries()[got_ref.subdict].cell_mbr(got_ref.local_cell);
+    ASSERT_TRUE(std::equal(got_mbr, got_mbr + 2 * dim, want_mbr))
+        << "cell " << cid;
     reference->QueryCell(static_cast<uint32_t>(want_slot), &want);
     moved.QueryCell(static_cast<uint32_t>(got_slot), &got);
     ASSERT_EQ(got.always_count, want.always_count) << "cell " << cid;
     ASSERT_EQ(got.always_neighbors, want.always_neighbors) << "cell " << cid;
     ASSERT_EQ(got.cell_ids, want.cell_ids) << "cell " << cid;
-    ASSERT_EQ(moved.QueryCount(f.data.point(cid)),
-              reference->QueryCount(f.data.point(cid)));
+    ASSERT_EQ(BoxCandidates(moved, f.data.point(cid)),
+              BoxCandidates(*reference, f.data.point(cid)));
   }
 }
 
-TEST(CellDictionaryTest, QueryCountIncludesOwnSubcell) {
-  // A point always finds at least itself (its own sub-cell's density).
+TEST(CellDictionaryTest, BoxCandidatesIncludeOwnCell) {
+  // A point always finds at least itself (its own sub-cell's density),
+  // and its home cell is one of its kd candidates.
   Fixture f(synth::Blobs(500, 2, 2.0, 12), 1.0, 0.05);
   auto dict = CellDictionary::Build(f.data, *f.cells);
   ASSERT_TRUE(dict.ok());
+  std::vector<uint32_t> slots;
   for (size_t i = 0; i < 20; ++i) {
-    EXPECT_GE(dict->QueryCount(f.data.point(i)), 1u);
+    const float* p = f.data.point(i);
+    uint64_t density = 0;
+    BruteForceRegionQuery(*dict, p,
+                          [&](const DictCell&, uint32_t m) { density += m; });
+    EXPECT_GE(density, 1u);
+    const int64_t home = dict->FindCellRefIndex(f.geom.CellOf(p));
+    ASSERT_GE(home, 0);
+    dict->QueryBoxSlots(p, p, &slots);
+    EXPECT_NE(std::find(slots.begin(), slots.end(),
+                        static_cast<uint32_t>(home)),
+              slots.end());
   }
 }
 

@@ -346,9 +346,9 @@ TEST_F(CliTest, BadNumericFlagFails) {
   // A malformed or negative count fails, naming the flag, instead of
   // wrapping to a huge size_t (minPts 2^64 - 1 labels everything noise;
   // 2^64 - 1 partitions or threads cannot be allocated) or silently
-  // falling back to a default. The serve, stream and --kdist counts are
-  // read before any input or snapshot loads, so the missing files below
-  // are never opened.
+  // falling back to a default. The serve, stream and --kdist counts and
+  // the serve model ids are read before any input, snapshot or socket is
+  // opened, so the missing files below are never touched.
   const std::string missing = dir_ + "/missing";
   const std::pair<std::string, std::string> cases[] = {
       {"--generate=blobs --n=abc --eps=1", "--n"},
@@ -380,6 +380,15 @@ TEST_F(CliTest, BadNumericFlagFails) {
        "--threads"},
       {"serve --models=1=" + missing + ".rpsnap --listen=stdio --threads=-3",
        "--threads"},
+      // A negative id is refused instead of sending an unrouted request,
+      // and an id past the u32 wire field instead of being truncated
+      // (4294967303 would name model 7).
+      {"serve --connect=" + missing + ".sock --queries=" + missing +
+           ".csv --model-id=-5",
+       "--model-id"},
+      {"serve --models=7=" + missing +
+           ".rpsnap --listen=stdio --default-model=4294967303",
+       "--default-model"},
   };
   for (const auto& [args, flag] : cases) {
     SCOPED_TRACE(args);

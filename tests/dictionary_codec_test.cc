@@ -11,6 +11,7 @@
 #include "core/grid.h"
 #include "core/phase2.h"
 #include "parallel/thread_pool.h"
+#include "phase2_oracle.h"
 #include "synth/generators.h"
 #include "util/random.h"
 
@@ -32,11 +33,13 @@ struct Built {
   }
 };
 
-// Query result snapshot for comparing two dictionaries.
+// Region-query answer (per-cell matched density, by brute force over the
+// sub-cells) for comparing two dictionaries.
 std::map<uint32_t, uint32_t> Snapshot(const CellDictionary& dict,
                                       const float* q) {
   std::map<uint32_t, uint32_t> out;
-  dict.Query(q, [&](const DictCell& c, uint32_t n) { out[c.cell_id] += n; });
+  BruteForceRegionQuery(
+      dict, q, [&](const DictCell& c, uint32_t n) { out[c.cell_id] += n; });
   return out;
 }
 

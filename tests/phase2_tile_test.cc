@@ -230,9 +230,12 @@ TEST(Phase2TileTest, FullyOccupiedSourceCellIsPreSummedAtRhoOnePercent) {
     ASSERT_TRUE(stencil_dict->has_stencil());
 
     const CellCoord& coord = cells->cell(0).coord;
-    float lo[CellCoord::kMaxDim];
-    float hi[CellCoord::kMaxDim];
-    ASSERT_TRUE(SubcellRangeMbr(*tree_dict, coord, lo, hi));
+    const int64_t slot = tree_dict->FindCellRefIndex(coord);
+    ASSERT_GE(slot, 0);
+    const GlobalCellRef& ref = tree_dict->cell_refs()[slot];
+    const float* lo =
+        tree_dict->subdictionaries()[ref.subdict].cell_mbr(ref.local_cell);
+    const float* hi = lo + 4;
     for (size_t d = 0; d < 4; ++d) {
       // The MBR spans the whole cell: measured against itself it is not
       // contained, so only the center box can pre-sum it.

@@ -1,7 +1,8 @@
 // The bit-identity contract of batched classification: ClassifyBatch —
-// whichever path it takes (grouped stencil walk or per-query fallback,
-// any thread count, any batch size) — returns exactly what serial
-// Classify returns, query by query.
+// whichever candidate list a group walks (a stencil neighborhood or a kd
+// descent over its bounding box), at any thread count and batch size —
+// returns exactly what serial Classify (a group of one) returns, query by
+// query.
 
 #include <gtest/gtest.h>
 
@@ -35,12 +36,12 @@ struct Trained {
   std::vector<uint8_t> snapshot_bytes;
 };
 
-Trained Train(uint64_t seed) {
+Trained Train(Dataset data, double eps, size_t min_pts) {
   Trained t;
-  t.data = synth::Blobs(1200, 4, 1.5, seed, 3);
+  t.data = std::move(data);
   RpDbscanOptions o;
-  o.eps = 2.0;
-  o.min_pts = 15;
+  o.eps = eps;
+  o.min_pts = min_pts;
   o.num_threads = 2;
   o.num_partitions = 4;
   o.capture_model = true;
@@ -52,10 +53,14 @@ Trained Train(uint64_t seed) {
   return t;
 }
 
+Trained Train(uint64_t seed) {
+  return Train(synth::Blobs(1200, 4, 1.5, seed, 3), 2.0, 15);
+}
+
 /// A query mix exercising every serving branch: training points (all home
 /// hits), jittered near-misses (some hit, some miss), and far outliers
-/// (guaranteed home-cell misses, i.e. singleton groups that the grouped
-/// path hands to Classify).
+/// (guaranteed home-cell misses, i.e. singleton groups whose candidates
+/// come from a kd descent).
 Dataset MixedQueries(const Dataset& training, size_t count) {
   Dataset q(training.dim());
   for (size_t i = 0; i < count && i < training.size(); ++i) {
@@ -98,12 +103,23 @@ void ExpectSame(const ServeResult& got, const ServeResult& want,
 TEST(ServeBatchTest, BatchBitIdenticalToSerialEverywhere) {
   const uint64_t seed = TestSeed(6800);
   SCOPED_TRACE(SeedNote(seed));
-  const Trained t = Train(seed);
-  const Dataset queries = MixedQueries(t.data, 300);
-
-  for (const bool stencil : {true, false}) {
-    SCOPED_TRACE(stencil ? "stencil engine" : "tree fallback engine");
-    const LabelServer server(Load(t.snapshot_bytes, stencil));
+  // A 3-d model loaded with and without its stencil, and a 13-d one,
+  // which has none: groups walk stencil neighborhoods or kd lists.
+  struct Case {
+    const char* name;
+    const Trained& trained;
+    bool stencil;
+  };
+  const Trained low = Train(seed);
+  const Trained high = Train(synth::TeraLike(1500, seed), 40.0, 20);
+  const Case cases[] = {{"3-d stencil", low, true},
+                        {"3-d stencil-less", low, false},
+                        {"13-d", high, false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Trained& t = c.trained;
+    const Dataset queries = MixedQueries(t.data, 300);
+    const LabelServer server(Load(t.snapshot_bytes, c.stencil));
 
     std::vector<ServeResult> serial(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {

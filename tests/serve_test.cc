@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -71,9 +72,14 @@ void ExpectTrainingReplay(const Dataset& ds, const RpDbscanOptions& opts) {
     EXPECT_EQ(stats.queries, ds.size());
     EXPECT_EQ(stats.exact, ds.size());
     EXPECT_EQ(stats.cell_hits, ds.size());
-    // Classify descends the trees on either snapshot: it walks no
-    // stencil neighborhood.
-    EXPECT_EQ(stats.stencil_probes, 0u);
+    // Each query is a group of one: on a stencil snapshot it walks its
+    // home cell's neighborhood (the cell itself at least), on a
+    // stencil-less one it descends the kd-trees and walks none.
+    if (stencil) {
+      EXPECT_GE(stats.stencil_probes, ds.size());
+    } else {
+      EXPECT_EQ(stats.stencil_probes, 0u);
+    }
   }
 }
 
@@ -177,10 +183,10 @@ TEST(ServeTest, BatchRejectsQueriesItCannotServe) {
   const std::vector<uint8_t> bytes = snap->Serialize();
   ThreadPool pool(2);
   std::vector<ServeResult> results;
-  // A stencil snapshot runs the grouped batch loop, a stencil-less one
-  // the per-query loop; both must reject the same batches.
+  // Stencil and kd candidate lists alike: both must reject the same
+  // batches.
   for (const bool stencil : {true, false}) {
-    SCOPED_TRACE(stencil ? "grouped loop" : "per-query loop");
+    SCOPED_TRACE(stencil ? "stencil snapshot" : "stencil-less snapshot");
     const LabelServer server(Load(bytes, stencil));
     const Dataset wrong = synth::Blobs(10, 1, 1.0, 42, /*dim=*/3);
     const Status s = server.ClassifyBatch(wrong, pool, &results);
@@ -210,8 +216,9 @@ TEST(ServeTest, BatchRejectsQueriesItCannotServe) {
 TEST(ServeTest, QueriesAtTheLatticeEdgeDoNotWrap) {
   // eps 4.656612875e-10 in 1-d puts 1.0 and -1.0 on the int32 lattice
   // extremes, INT32_MAX and INT32_MIN. Neither cell is in the model, so
-  // each query is a home-cell miss served by tree descent, which must
-  // find nothing rather than reach a cell across a wrapped edge.
+  // each query is a home-cell miss whose candidates come from a kd
+  // descent, which must find nothing rather than reach a cell across a
+  // wrapped edge.
   constexpr double kEps = 4.656612875e-10;
   Dataset train(1);
   for (int i = 0; i < 3; ++i) train.Append({0.5f});
@@ -299,10 +306,13 @@ OracleAnswer BruteForce(const ClusterModelSnapshot& snap, const float* q) {
   return a;
 }
 
-/// Training points, near-misses jittered by up to eps per coordinate, and
-/// queries uniform in the data's bounding box widened by 4 eps per side:
-/// home-cell hits, misses beside the data, and misses far from it.
-Dataset OracleQueries(const Dataset& ds, double eps, uint64_t seed) {
+/// Training points, a second query in each one's cell (halfway to the
+/// cell's center under `geom`, so the two share a home-cell group),
+/// near-misses jittered by up to eps per coordinate, and queries uniform
+/// in the data's bounding box widened by 4 eps per side: home-cell hits,
+/// misses beside the data, and misses far from it.
+Dataset OracleQueries(const Dataset& ds, const GridGeometry& geom, double eps,
+                      uint64_t seed) {
   Rng rng(seed);
   std::vector<float> lo(ds.point(0), ds.point(0) + ds.dim());
   std::vector<float> hi = lo;
@@ -316,6 +326,13 @@ Dataset OracleQueries(const Dataset& ds, double eps, uint64_t seed) {
   std::vector<float> p(ds.dim());
   for (size_t i = 0; i < ds.size(); i += 9) {
     q.Append(ds.point(i));
+    const CellCoord home = geom.CellOf(ds.point(i));
+    for (size_t d = 0; d < ds.dim(); ++d) {
+      const double center =
+          geom.CellOrigin(home, d) + 0.5 * geom.cell_side();
+      p[d] = static_cast<float>(0.5 * (ds.point(i)[d] + center));
+    }
+    q.Append(p.data());
     for (size_t d = 0; d < ds.dim(); ++d) {
       p[d] = ds.point(i)[d] +
              static_cast<float>(rng.UniformDouble(-eps, eps));
@@ -330,63 +347,95 @@ Dataset OracleQueries(const Dataset& ds, double eps, uint64_t seed) {
   return q;
 }
 
-/// Serves `queries` one by one and as a batch, with and without the
-/// border replay, and checks every answer against BruteForce: the
-/// density always, and the cluster of every kApprox answer that no
-/// border walk produced.
+/// Serves `queries` one by one and as a batch at 1 and 4 threads, with
+/// and without the border replay, and checks every answer against
+/// BruteForce: the density always, and the cluster of every kApprox
+/// answer that no border walk produced. The queries must hold home-cell
+/// misses, hits, and hits that share a home cell with another query.
 void ExpectOracleAnswers(std::shared_ptr<const ClusterModelSnapshot> snap,
                          const Dataset& queries) {
+  const CellDictionary& dict = snap->dictionary();
   std::vector<OracleAnswer> want(queries.size());
+  std::vector<size_t> per_home(dict.num_cells(), 0);
   size_t misses = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     want[i] = BruteForce(*snap, queries.point(i));
     misses += want[i].home_hit ? 0 : 1;
+    const int64_t home =
+        dict.FindCellRefIndex(dict.geom().CellOf(queries.point(i)));
+    if (home >= 0) ++per_home[static_cast<size_t>(home)];
   }
   EXPECT_GT(misses, 0u);
   EXPECT_LT(misses, queries.size());
-  ThreadPool pool(2);
+  EXPECT_GT(*std::max_element(per_home.begin(), per_home.end()), 1u);
   for (const bool exact_border : {true, false}) {
     SCOPED_TRACE(exact_border ? "border replay" : "approx border");
     LabelServerOptions opts;
     opts.exact_border = exact_border;
     const LabelServer server(snap, opts);
-    std::vector<ServeResult> batch;
-    ASSERT_TRUE(server.ClassifyBatch(queries, pool, &batch).ok());
+    std::vector<ServeResult> serial(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      const OracleAnswer& a = want[i];
-      const bool replayed = a.home_hit && !a.home_labeled && exact_border &&
-                            snap->has_border_refs();
-      for (const ServeResult& r : {server.Classify(queries.point(i)),
-                                   batch[i]}) {
-        ASSERT_EQ(r.density, a.density) << "query " << i;
-        if (!a.home_hit) {
-          ASSERT_EQ(r.certainty, Certainty::kApprox) << "query " << i;
-        }
-        if (r.certainty == Certainty::kApprox && !replayed) {
-          ASSERT_EQ(r.cluster, a.best_cluster) << "query " << i;
+      serial[i] = server.Classify(queries.point(i));
+    }
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      std::vector<ServeResult> batch;
+      ASSERT_TRUE(server.ClassifyBatch(queries, pool, &batch).ok());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const OracleAnswer& a = want[i];
+        const bool replayed = a.home_hit && !a.home_labeled &&
+                              exact_border && snap->has_border_refs();
+        for (const ServeResult& r : {serial[i], batch[i]}) {
+          ASSERT_EQ(r.density, a.density) << "query " << i;
+          if (!a.home_hit) {
+            ASSERT_EQ(r.certainty, Certainty::kApprox) << "query " << i;
+          }
+          if (r.certainty == Certainty::kApprox && !replayed) {
+            ASSERT_EQ(r.cluster, a.best_cluster) << "query " << i;
+          }
         }
       }
     }
   }
 }
 
+/// Trains on `ds` and checks ExpectOracleAnswers on its snapshot, loaded
+/// with and without a stencil (only without at d >= 6, which has none).
+void ExpectOracleOnRun(const Dataset& ds, double eps, size_t min_pts,
+                       uint64_t seed) {
+  auto run = RunRpDbscan(ds, Opts(eps, min_pts));
+  ASSERT_TRUE(run.ok()) << run.status();
+  // A model with clusters, so the nearest-labeled-cell answers are tested.
+  EXPECT_GT(run->stats.num_clusters, 0u);
+  auto snap = ClusterModelSnapshot::FromModel(std::move(*run->model));
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const bool has_stencil = snap->dictionary().has_stencil();
+  const std::vector<uint8_t> bytes = snap->Serialize();
+  const Dataset queries =
+      OracleQueries(ds, snap->dictionary().geom(), eps, seed);
+  for (const bool stencil : {true, false}) {
+    if (stencil && !has_stencil) continue;
+    SCOPED_TRACE(stencil ? "stencil snapshot" : "stencil-less snapshot");
+    ExpectOracleAnswers(Load(bytes, stencil), queries);
+  }
+}
+
 TEST(ServeTest, AnswersMatchBruteForceOracle) {
   uint64_t seed = TestSeed(6900);
   SCOPED_TRACE(SeedNote(seed));
-  for (size_t dim = 2; dim <= 5; ++dim) {
+  for (const size_t dim : {2, 3, 4, 5, 6, 8}) {
     SCOPED_TRACE("dim=" + std::to_string(dim));
-    const Dataset ds = synth::Blobs(1200, 4, 2.0, ++seed, dim);
-    auto run = RunRpDbscan(ds, Opts(2.5, 20));
-    ASSERT_TRUE(run.ok()) << run.status();
-    auto snap = ClusterModelSnapshot::FromModel(std::move(*run->model));
-    ASSERT_TRUE(snap.ok()) << snap.status();
-    const std::vector<uint8_t> bytes = snap->Serialize();
-    const Dataset queries = OracleQueries(ds, 2.5, seed);
-    for (const bool stencil : {true, false}) {
-      SCOPED_TRACE(stencil ? "stencil snapshot" : "stencil-less snapshot");
-      ExpectOracleAnswers(Load(bytes, stencil), queries);
-    }
+    // At d >= 6 the grid has no stencil: every group's candidates come
+    // from one kd descent over its bounding box.
+    const double eps =
+        dim <= 5 ? 2.5 : 2.0 * std::sqrt(static_cast<double>(dim));
+    ++seed;
+    ExpectOracleOnRun(synth::Blobs(1200, 4, 2.0, seed, dim), eps, 20, seed);
   }
+  SCOPED_TRACE("13-d TeraLike");
+  ++seed;
+  ExpectOracleOnRun(synth::TeraLike(2000, seed), 40.0, 20, seed);
 }
 
 TEST(ServeTest, LadderSnapshotAnswersMatchBruteForceOracle) {
@@ -407,7 +456,8 @@ TEST(ServeTest, LadderSnapshotAnswersMatchBruteForceOracle) {
   ASSERT_TRUE(snap.ok()) << snap.status();
   ASSERT_GT(snap->meta().query_eps, snap->meta().eps);
   const std::vector<uint8_t> bytes = snap->Serialize();
-  const Dataset queries = OracleQueries(ds, 1.5, seed);
+  const Dataset queries =
+      OracleQueries(ds, snap->dictionary().geom(), 1.5, seed);
   for (const bool stencil : {true, false}) {
     SCOPED_TRACE(stencil ? "stencil snapshot" : "stencil-less snapshot");
     ExpectOracleAnswers(Load(bytes, stencil), queries);

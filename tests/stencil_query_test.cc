@@ -265,7 +265,7 @@ TEST(StencilQueryTest, SerializeRoundtripRebuildsIndexAndStencil) {
   }
 }
 
-TEST(StencilQueryTest, FindDictCellResolvesEveryCellAndRejectsAbsent) {
+TEST(StencilQueryTest, FindCellRefIndexResolvesEveryCellAndRejectsAbsent) {
   const uint64_t seed = TestSeed(4555);
   SCOPED_TRACE(SeedNote(seed));
   const Dataset data = synth::Blobs(1200, 4, 2.0, seed, 3);
@@ -279,25 +279,30 @@ TEST(StencilQueryTest, FindDictCellResolvesEveryCellAndRejectsAbsent) {
   ASSERT_TRUE(dict.ok());
   for (uint32_t cid = 0; cid < cells->num_cells(); ++cid) {
     const CellCoord& coord = cells->cell(cid).coord;
-    const DictCellRef ref = dict->FindDictCell(coord);
-    ASSERT_TRUE(static_cast<bool>(ref));
-    EXPECT_EQ(ref.cell->cell_id, cid);
-    EXPECT_TRUE(ref.cell->coord == coord);
-    EXPECT_GT(ref.cell->total_count, 0u);
+    const int64_t slot = dict->FindCellRefIndex(coord);
+    ASSERT_GE(slot, 0);
+    const GlobalCellRef& ref = dict->cell_refs()[slot];
+    const DictCell& cell =
+        dict->subdictionaries()[ref.subdict].cells()[ref.local_cell];
+    EXPECT_EQ(ref.cell_id, cid);
+    EXPECT_EQ(cell.cell_id, cid);
+    EXPECT_TRUE(cell.coord == coord);
+    EXPECT_GT(ref.total_count, 0u);
+    EXPECT_EQ(ref.total_count, cell.total_count);
   }
-  // A coordinate far outside the populated lattice resolves to null.
+  // A coordinate far outside the populated lattice resolves to -1.
   int32_t far[CellCoord::kMaxDim] = {};
   const CellCoord& some = cells->cell(0).coord;
   for (size_t d = 0; d < 3; ++d) far[d] = some[d];
   far[0] += 100000;
-  EXPECT_FALSE(static_cast<bool>(dict->FindDictCell(CellCoord(far, 3))));
+  EXPECT_EQ(dict->FindCellRefIndex(CellCoord(far, 3)), -1);
 }
 
-TEST(StencilQueryTest, SubcellRangeMbrCoversEveryPoint) {
+TEST(StencilQueryTest, CellMbrCoversEveryPoint) {
   // The contract ProcessCellBatched's debug check enforces, checked here
   // in every build mode: the box decoded from occupied sub-cell ranges
-  // covers each of the cell's points, and lies within the cell box padded
-  // by one float ulp per face.
+  // (SubDictionary::cell_mbr) covers each of the cell's points, and lies
+  // within the cell box padded by one float ulp per face.
   uint64_t seed = TestSeed(4200);
   SCOPED_TRACE(SeedNote(seed));
   for (size_t dim = 2; dim <= 4; ++dim) {
@@ -311,9 +316,12 @@ TEST(StencilQueryTest, SubcellRangeMbrCoversEveryPoint) {
     ASSERT_TRUE(dict.ok());
     for (uint32_t cid = 0; cid < cells->num_cells(); ++cid) {
       const CellData& cell = cells->cell(cid);
-      float lo[CellCoord::kMaxDim];
-      float hi[CellCoord::kMaxDim];
-      ASSERT_TRUE(SubcellRangeMbr(*dict, cell.coord, lo, hi));
+      const int64_t slot = dict->FindCellRefIndex(cell.coord);
+      ASSERT_GE(slot, 0);
+      const GlobalCellRef& ref = dict->cell_refs()[slot];
+      const float* lo =
+          dict->subdictionaries()[ref.subdict].cell_mbr(ref.local_cell);
+      const float* hi = lo + dim;
       for (const uint32_t pid : cell.point_ids) {
         const float* p = data.point(pid);
         for (size_t d = 0; d < dim; ++d) {
@@ -336,14 +344,6 @@ TEST(StencilQueryTest, SubcellRangeMbrCoversEveryPoint) {
                   origin + geom->cell_side() + slack);
       }
     }
-    // Absent coordinate: the caller must get false (and then fall back to
-    // a point scan).
-    int32_t far[CellCoord::kMaxDim] = {};
-    for (size_t d = 0; d < dim; ++d) far[d] = cells->cell(0).coord[d];
-    far[dim - 1] -= 99999;
-    float lo[CellCoord::kMaxDim];
-    float hi[CellCoord::kMaxDim];
-    EXPECT_FALSE(SubcellRangeMbr(*dict, CellCoord(far, dim), lo, hi));
   }
 }
 

@@ -308,6 +308,22 @@ StatusOr<size_t> GetCountFlag(const FlagSet& flags, const std::string& key,
   return static_cast<size_t>(*value_or);
 }
 
+/// A model id flag (--model-id, --default-model; 0 when absent): a count
+/// that also fits the wire format's u32 id, failing with a Status naming
+/// the flag.
+StatusOr<uint32_t> GetModelIdFlag(const FlagSet& flags,
+                                  const std::string& key) {
+  auto id_or = GetCountFlag(flags, key, 0);
+  if (!id_or.ok()) return id_or.status();
+  if (*id_or > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("flag --" + key + " must be <= " +
+                                   std::to_string(
+                                       std::numeric_limits<uint32_t>::max()) +
+                                   ", got " + std::to_string(*id_or));
+  }
+  return static_cast<uint32_t>(*id_or);
+}
+
 StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   const std::string input = flags.GetString("input");
   const std::string generate = flags.GetString("generate");
@@ -553,6 +569,35 @@ int ConnectUnix(const std::string& path) {
   return fd;
 }
 
+/// Runs `loop(in_fd, out_fd)` on stdio when `listen` is "stdio" (after
+/// printing `stdio_banner`), and otherwise on the first connection
+/// accepted on a unix socket bound at `listen`, removing the socket file
+/// afterwards. Returns false when no connection could be set up (the
+/// reason is on stderr); otherwise `*loop_status` holds the loop's result.
+template <typename Loop>
+bool RunListenLoop(const std::string& listen, const char* stdio_banner,
+                   Loop&& loop, Status* loop_status) {
+  if (listen == "stdio") {
+    std::fprintf(stderr, "%s\n", stdio_banner);
+    *loop_status = loop(/*in_fd=*/0, /*out_fd=*/1);
+    return true;
+  }
+  const int lfd = ListenUnix(listen);
+  if (lfd < 0) return false;
+  std::fprintf(stderr, "listening on %s\n", listen.c_str());
+  const int cfd = ::accept(lfd, nullptr, nullptr);
+  ::close(lfd);
+  if (cfd < 0) {
+    std::fprintf(stderr, "accept: %s\n", std::strerror(errno));
+    ::unlink(listen.c_str());
+    return false;
+  }
+  *loop_status = loop(cfd, cfd);
+  ::close(cfd);
+  ::unlink(listen.c_str());
+  return true;
+}
+
 int WriteServeOutput(const FlagSet& flags, const Dataset& queries,
                      const std::vector<ServeResult>& results) {
   const std::string output = flags.GetString("output");
@@ -578,6 +623,14 @@ int ServeClientMain(const FlagSet& flags, const std::string& socket_path) {
     std::fprintf(stderr, "serve --connect needs --queries=PATH\n%s", kUsage);
     return 1;
   }
+  // Checked before the query file is read.
+  const bool routed = flags.Has("model-id");
+  const StatusOr<uint32_t> model_or = GetModelIdFlag(flags, "model-id");
+  if (!model_or.ok()) {
+    std::fprintf(stderr, "%s\n%s", model_or.status().ToString().c_str(),
+                 kUsage);
+    return 1;
+  }
   auto queries_or = LoadQueries(queries_path);
   if (!queries_or.ok()) {
     std::fprintf(stderr, "query load failed: %s\n",
@@ -586,23 +639,14 @@ int ServeClientMain(const FlagSet& flags, const std::string& socket_path) {
   }
   const Dataset& queries = *queries_or;
 
-  auto model_or = flags.GetInt("model-id", -1);
-  if (!model_or.ok() ||
-      *model_or > std::numeric_limits<uint32_t>::max()) {
-    std::fprintf(stderr, "bad --model-id\n%s", kUsage);
-    return 1;
-  }
-
   const int fd = ConnectUnix(socket_path);
   if (fd < 0) return 1;
   const Stopwatch watch;
   // A --model-id tags the request with a routed (v2) frame so a --models
   // server answers from that snapshot; without it the classic v1 frame
   // reaches the server's default model.
-  Status s = *model_or >= 0
-                 ? SendRoutedClassifyRequest(
-                       fd, static_cast<uint32_t>(*model_or), queries)
-                 : SendClassifyRequest(fd, queries);
+  Status s = routed ? SendRoutedClassifyRequest(fd, *model_or, queries)
+                    : SendClassifyRequest(fd, queries);
   StatusOr<std::vector<ServeResult>> results_or =
       s.ok() ? ReadClassifyResponse(fd) : StatusOr<std::vector<ServeResult>>(s);
   if (results_or.ok()) SendShutdown(fd);  // best-effort: we are done
@@ -653,6 +697,13 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
                  kUsage);
     return 1;
   }
+  // Checked before any snapshot is read or socket bound.
+  const StatusOr<uint32_t> default_or = GetModelIdFlag(flags, "default-model");
+  if (!default_or.ok()) {
+    std::fprintf(stderr, "%s\n%s", default_or.status().ToString().c_str(),
+                 kUsage);
+    return 1;
+  }
   const size_t threads = std::max<size_t>(*threads_or, 1);
   ThreadPool pool(threads);
 
@@ -691,11 +742,7 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
                  meta.num_cells, meta.num_clusters);
   }
   if (flags.Has("default-model")) {
-    auto def_or = flags.GetInt("default-model", 0);
-    const Status s = def_or.ok()
-                         ? registry.SetDefault(
-                               static_cast<uint32_t>(*def_or))
-                         : def_or.status();
+    const Status s = registry.SetDefault(*default_or);
     if (!s.ok()) {
       std::fprintf(stderr, "--default-model: %s\n", s.ToString().c_str());
       return 1;
@@ -707,25 +754,14 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
   RequestLoopStats rstats;
   Status s;
   const Stopwatch watch;
-  if (listen == "stdio") {
-    std::fprintf(stderr, "serving routed classify requests on stdio\n");
-    s = ServeRequestLoop(/*in_fd=*/0, /*out_fd=*/1, registry, pool,
-                         RequestLoopOptions(), &rstats);
-  } else {
-    const int lfd = ListenUnix(listen);
-    if (lfd < 0) return 1;
-    std::fprintf(stderr, "listening on %s\n", listen.c_str());
-    const int cfd = ::accept(lfd, nullptr, nullptr);
-    ::close(lfd);
-    if (cfd < 0) {
-      std::fprintf(stderr, "accept: %s\n", std::strerror(errno));
-      ::unlink(listen.c_str());
-      return 1;
-    }
-    s = ServeRequestLoop(cfd, cfd, registry, pool, RequestLoopOptions(),
-                         &rstats);
-    ::close(cfd);
-    ::unlink(listen.c_str());
+  if (!RunListenLoop(
+          listen, "serving routed classify requests on stdio",
+          [&](int in_fd, int out_fd) {
+            return ServeRequestLoop(in_fd, out_fd, registry, pool,
+                                    RequestLoopOptions(), &rstats);
+          },
+          &s)) {
+    return 1;
   }
   const double seconds = watch.ElapsedSeconds();
   if (!s.ok()) {
@@ -868,25 +904,14 @@ int ServeMain(const FlagSet& flags) {
     RequestLoopStats rstats;
     Status s;
     const Stopwatch watch;
-    if (listen == "stdio") {
-      std::fprintf(stderr, "serving framed classify requests on stdio\n");
-      s = ServeRequestLoop(/*in_fd=*/0, /*out_fd=*/1, server, pool,
-                           RequestLoopOptions(), &rstats);
-    } else {
-      const int lfd = ListenUnix(listen);
-      if (lfd < 0) return 1;
-      std::fprintf(stderr, "listening on %s\n", listen.c_str());
-      const int cfd = ::accept(lfd, nullptr, nullptr);
-      ::close(lfd);
-      if (cfd < 0) {
-        std::fprintf(stderr, "accept: %s\n", std::strerror(errno));
-        ::unlink(listen.c_str());
-        return 1;
-      }
-      s = ServeRequestLoop(cfd, cfd, server, pool, RequestLoopOptions(),
-                           &rstats);
-      ::close(cfd);
-      ::unlink(listen.c_str());
+    if (!RunListenLoop(
+            listen, "serving framed classify requests on stdio",
+            [&](int in_fd, int out_fd) {
+              return ServeRequestLoop(in_fd, out_fd, server, pool,
+                                      RequestLoopOptions(), &rstats);
+            },
+            &s)) {
+      return 1;
     }
     // Wall time spans the whole loop, idle waits included; throughput is
     // measured over the busy time, and the sojourn percentiles below are

@@ -39,9 +39,12 @@
 #      (SimdKernelTest.BoxPairBoundsMatchesScalarBitExactly) and an
 #      early exit before the last dimension
 #      (SimdKernelTest.BoxPairBoundsEarlyExitVerdictIsTheFullSums)),
-#      end-to-end and snapshot-serving (serve_concurrent_test: one frozen
-#      snapshot, many reader threads; serve_batch_test: grouped-batch
-#      bit-identity across thread counts; request_loop_test: the framed
+#      end-to-end and snapshot-serving (serve_test: the brute-force
+#      serving oracle through the pooled grouped path at d = 2-8 and on a
+#      13-d snapshot, at 1 and 4 threads; serve_concurrent_test: one
+#      frozen snapshot, many reader threads; serve_batch_test:
+#      grouped-batch bit-identity across thread counts, a 13-d snapshot
+#      included; request_loop_test: the framed
 #      request loop's reader thread + admission queue + classification
 #      pool) suites that exercise every concurrent path, and the
 #      streaming layer (ingest_buffer_test: parallel batch re-grouping

@@ -44,10 +44,11 @@ class DisjointSet {
 /// Union links the larger-indexed root under the smaller by CAS, retrying
 /// from fresh Finds on contention. Concurrent Unions from any number of
 /// threads are linearizable; after they all complete (any happens-before
-/// barrier, e.g. ParallelFor's join), Find is deterministic in the
-/// min-index sense: every component's representative is its smallest
-/// member id regardless of schedule, because links always point
-/// downwards in index order.
+/// barrier, e.g. the return of the ParallelFor that ran them, which the
+/// pool's fork-join orders after every claimant's writes), Find is
+/// deterministic in the min-index sense: every component's representative
+/// is its smallest member id regardless of schedule, because links always
+/// point downwards in index order.
 ///
 /// Union returns true iff the calling thread's CAS joined two previously
 /// disconnected components — across all threads exactly

@@ -1,60 +1,76 @@
 #include "parallel/thread_pool.h"
 
-#include <utility>
-
 namespace rpdbscan {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+  workers_.reserve(num_threads - 1);
+  for (size_t i = 1; i < num_threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutting_down_ = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
   }
-  work_available_.notify_all();
-  for (auto& t : threads_) t.join();
+  work_.notify_all();
+  for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> fn) {
+void ThreadPool::Run(Job& job) {
+  if (job.end <= 1) {
+    job.invoke(job.body, 0);
+    return;
+  }
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(fn));
+    std::lock_guard<std::mutex> lock(mu_);
+    job.next_open = open_;
+    open_ = &job;
   }
-  work_available_.notify_one();
+  const size_t helpers = job.end - 1;
+  if (helpers >= workers_.size()) {
+    work_.notify_all();
+  } else {
+    for (size_t i = 0; i < helpers; ++i) work_.notify_one();
+  }
+  try {
+    job.invoke(job.body, 0);
+  } catch (...) {
+    Join(job);  // the started claimants still read the caller's frame
+    throw;
+  }
+  Join(job);
 }
 
-void ThreadPool::Wait() {
+void ThreadPool::Join(Job& job) {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+  if (job.next < job.end) {
+    // Still listed: unlist it, so no worker starts another claimant.
+    Job** link = &open_;
+    while (*link != &job) link = &(*link)->next_open;
+    *link = job.next_open;
+    job.next = job.end;
+  }
+  job.joined.wait(lock, [&job] { return job.running == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        // shutting_down_ must be true here.
-        return;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
+    work_.wait(lock, [this] { return stopping_ || open_ != nullptr; });
+    if (open_ == nullptr) return;  // stopping_, and no loop is open
+    Job& job = *open_;
+    const size_t claimant = job.next++;
+    if (job.next == job.end) open_ = job.next_open;
+    ++job.running;
+    lock.unlock();
+    job.invoke(job.body, claimant);
+    lock.lock();
+    // Under mu_: the caller cannot see running == 0, return and end the
+    // job's lifetime before this worker releases mu_ again.
+    if (--job.running == 0) job.joined.notify_one();
   }
 }
 

@@ -24,10 +24,11 @@ CellDictionaryOptions DictOptionsOf(const RpDbscanOptions& options) {
 
 }  // namespace
 
-StreamClusterer::StreamClusterer(RpDbscanOptions options, size_t num_threads,
+StreamClusterer::StreamClusterer(RpDbscanOptions options,
+                                 std::unique_ptr<ThreadPool> pool,
                                  IngestBuffer buffer)
     : options_(std::move(options)),
-      pool_(std::make_unique<ThreadPool>(num_threads)),
+      pool_(std::move(pool)),
       buffer_(std::move(buffer)) {}
 
 StatusOr<StreamClusterer> StreamClusterer::Create(
@@ -62,13 +63,14 @@ StatusOr<StreamClusterer> StreamClusterer::Create(
   resolved.num_threads = num_threads;
   if (resolved.num_partitions == 0) resolved.num_partitions = num_threads * 4;
 
-  ThreadPool build_pool(num_threads);
+  // One pool for the stream's whole life: the seed batch's grouping and
+  // every epoch run on it.
+  auto pool = std::make_unique<ThreadPool>(num_threads);
   auto buffer_or =
       IngestBuffer::Create(std::move(seed_batch), *geom_or,
-                           resolved.num_partitions, resolved.seed,
-                           &build_pool);
+                           resolved.num_partitions, resolved.seed, pool.get());
   if (!buffer_or.ok()) return buffer_or.status();
-  return StreamClusterer(std::move(resolved), num_threads,
+  return StreamClusterer(std::move(resolved), std::move(pool),
                          std::move(*buffer_or));
 }
 

@@ -107,7 +107,7 @@ class StreamClusterer {
   ThreadPool& pool() { return *pool_; }
 
  private:
-  StreamClusterer(RpDbscanOptions options, size_t num_threads,
+  StreamClusterer(RpDbscanOptions options, std::unique_ptr<ThreadPool> pool,
                   IngestBuffer buffer);
 
   RpDbscanOptions options_;

@@ -342,6 +342,54 @@ TEST_F(CliTest, UnknownFlagsFailBeforeInputLoads) {
   }
 }
 
+TEST_F(CliTest, ServeModesRefuseFlagsTheyDoNotRead) {
+  // Each serve mode (batch, --listen, --models, --connect) reads its own
+  // flags; any other serve flag fails like an unknown flag, before any
+  // query file, snapshot or socket is touched (all of them are missing).
+  const std::string missing = dir_ + "/missing";
+  const std::string batch =
+      "serve --snapshot=" + missing + ".rpsnap --queries=" + missing + ".csv";
+  const std::string listen =
+      "serve --snapshot=" + missing + ".rpsnap --listen=" + dir_ + "/rp.sock";
+  const std::string models =
+      "serve --models=1=" + missing + ".rpsnap --listen=" + dir_ + "/rp.sock";
+  const std::string connect = "serve --connect=" + dir_ +
+                              "/rp.sock --queries=" + missing + ".csv";
+  const std::pair<std::string, std::string> cases[] = {
+      {batch + " --model-id=9", "--model-id"},
+      {batch + " --default-model=5", "--default-model"},
+      {listen + " --queries=" + missing + ".csv", "--queries"},
+      {listen + " --output=" + dir_ + "/out.csv", "--output"},
+      {listen + " --model-id=9", "--model-id"},
+      {listen + " --default-model=5", "--default-model"},
+      {models + " --snapshot=" + missing + ".rpsnap", "--snapshot"},
+      {models + " --queries=" + missing + ".csv", "--queries"},
+      {models + " --verify", "--verify"},
+      {models + " --output=" + dir_ + "/out.csv", "--output"},
+      {models + " --model-id=9", "--model-id"},
+      {connect + " --threads=2", "--threads"},
+      {connect + " --verify", "--verify"},
+      {connect + " --approx-border", "--approx-border"},
+      {connect + " --stats-json=" + dir_ + "/s.json", "--stats-json"},
+      {connect + " --snapshot=" + missing + ".rpsnap", "--snapshot"},
+      {connect + " --default-model=5", "--default-model"},
+  };
+  for (const auto& [args, flag] : cases) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(Run(args), 1);
+    const std::string err = Stderr();
+    EXPECT_NE(err.find("unknown flag " + flag + " "), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("failed"), std::string::npos) << err;
+  }
+  // Both misplaced model ids at once, on a one-shot batch.
+  EXPECT_EQ(Run(batch + " --default-model=5 --model-id=9"), 1);
+  EXPECT_NE(Stderr().find("unknown flag --"), std::string::npos);
+  EXPECT_FALSE(std::ifstream(dir_ + "/rp.sock").good());
+  EXPECT_FALSE(std::ifstream(dir_ + "/out.csv").good());
+  EXPECT_FALSE(std::ifstream(dir_ + "/s.json").good());
+}
+
 TEST_F(CliTest, BadNumericFlagFails) {
   // A malformed or negative count fails, naming the flag, instead of
   // wrapping to a huge size_t (minPts 2^64 - 1 labels everything noise;

@@ -134,6 +134,7 @@ serving (classify out-of-sample points against a frozen model):
   rpdbscan_cli serve --snapshot=f.rpsnap --listen=/tmp/rp.sock
   rpdbscan_cli serve --models=1=a.rpsnap,2=b.rpsnap --listen=/tmp/rp.sock
   rpdbscan_cli serve --connect=/tmp/rp.sock --queries=q.csv [--model-id=2]
+  (each form refuses a flag it does not read)
     --snapshot=PATH       .rpsnap written by --save-snapshot (required
                           unless --connect or --models)
     --models=ID=PATH,..   multi-model registry: keep every listed
@@ -372,6 +373,19 @@ bool FlagsKnown(const FlagSet& flags,
   const Status s = flags.CheckKnown(known);
   if (s.ok()) return true;
   std::fprintf(stderr, "%s\n%s", s.ToString().c_str(), kUsage);
+  return false;
+}
+
+/// FlagsKnown for one `serve` mode: a flag that `mode` never reads,
+/// whether another mode reads it or none does, fails like an unknown
+/// flag, naming the mode.
+bool ServeModeReads(const FlagSet& flags, const char* mode,
+                    std::vector<std::string> reads) {
+  reads.push_back("help");
+  const Status s = flags.CheckKnown({reads});
+  if (s.ok()) return true;
+  std::fprintf(stderr, "%s (not read by %s)\n%s", s.ToString().c_str(),
+               mode, kUsage);
   return false;
 }
 
@@ -692,11 +706,6 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
                  kUsage);
     return 1;
   }
-  if (!flags.GetString("snapshot").empty()) {
-    std::fprintf(stderr, "--models and --snapshot are exclusive\n%s",
-                 kUsage);
-    return 1;
-  }
   // Checked before any snapshot is read or socket bound.
   const StatusOr<uint32_t> default_or = GetModelIdFlag(flags, "default-model");
   if (!default_or.ok()) {
@@ -834,20 +843,38 @@ int ServeRegistryMain(const FlagSet& flags, const std::string& models_flag) {
 /// classify a query set as one batch, or serve framed classify requests
 /// over stdio / a unix socket (--listen).
 int ServeMain(const FlagSet& flags) {
-  if (!FlagsKnown(flags, {{"help", "connect", "models", "snapshot",
-                           "queries", "listen", "threads", "verify",
-                           "approx-border", "stats-json", "output",
-                           "model-id", "default-model"}})) {
-    return 1;
-  }
+  // Each mode refuses every flag it never reads, before any query file,
+  // snapshot or socket is touched.
   const std::string connect = flags.GetString("connect");
-  if (!connect.empty()) return ServeClientMain(flags, connect);
+  if (!connect.empty()) {
+    if (!ServeModeReads(flags, "serve --connect",
+                        {"connect", "queries", "model-id", "output"})) {
+      return 1;
+    }
+    return ServeClientMain(flags, connect);
+  }
   const std::string models = flags.GetString("models");
-  if (!models.empty()) return ServeRegistryMain(flags, models);
+  if (!models.empty()) {
+    if (!ServeModeReads(flags, "serve --models",
+                        {"models", "listen", "threads", "approx-border",
+                         "stats-json", "default-model"})) {
+      return 1;
+    }
+    return ServeRegistryMain(flags, models);
+  }
+  const std::string listen = flags.GetString("listen");
+  const bool reads_known =
+      listen.empty()
+          ? ServeModeReads(flags, "a serve --queries batch",
+                           {"snapshot", "queries", "threads", "verify",
+                            "approx-border", "stats-json", "output"})
+          : ServeModeReads(flags, "serve --listen",
+                           {"snapshot", "listen", "threads", "verify",
+                            "approx-border", "stats-json"});
+  if (!reads_known) return 1;
 
   const std::string snap_path = flags.GetString("snapshot");
   const std::string queries_path = flags.GetString("queries");
-  const std::string listen = flags.GetString("listen");
   auto threads_or = GetCountFlag(flags, "threads", 4);
   if (!threads_or.ok()) {
     std::fprintf(stderr, "%s\n%s", threads_or.status().ToString().c_str(),

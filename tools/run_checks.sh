@@ -17,7 +17,15 @@
 #      below 1 to 2^24 + 1 cells, keyed on RadixKeyBytes(n - 1) bytes,
 #      against std::sort).
 #   2. TSan (RelWithDebInfo) over the `sanitizer-safe` subset: the
-#      thread-pool, parallel-sort (the row-sort case included), phase2
+#      fork-join pool (thread_pool_test: each claimant at most once, the
+#      caller's take-back of claimants no worker started, the destructor
+#      joining its workers; parallel_for_test's
+#      ConcurrentCallersWaitOnlyForTheirOwnLoops: two threads sharing one
+#      pool, the first's loop blocked until the second's returns,
+#      NestedLoopsOnOnePool, WorkerIndicesAreDistinctAndIncludeTheCaller
+#      and BackToBackTinyLoopsRunEveryIndexOnce: 4,000 loops of 1-8
+#      iterations at 4 threads racing the take-back), parallel-sort (the
+#      row-sort case included), phase2
 #      (all query engines, incl. the concurrent
 #      FlatCellIndex::BuildHashed, and
 #      Phase2Test.VisitOrderChangesNothing: slot-order partition tasks at
